@@ -6,6 +6,7 @@ Timing bounds are wall-clock on fresh (uncached) computations.
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from fiatcells import algebra as alg
 from fiatcells import bimod, graded, mscell
@@ -161,4 +162,7 @@ def test_criterion_7_report_determinism():
     second = subprocess.run(cmd, capture_output=True, text=True)
     ok = first.returncode == 0 and second.returncode == 0
     ok &= first.stdout == second.stdout and first.stdout != ""
+    # golden stdout of the pre-refactor code: refactors must keep it byte-identical
+    golden = (Path(__file__).parent / "data" / "report_all.txt").read_text()
+    ok &= first.stdout == golden and second.stdout == golden
     assert _line("7 (byte-identical consecutive report-all runs)", ok)
