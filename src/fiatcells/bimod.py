@@ -92,6 +92,11 @@ def sp_rows(cols, nrows: int):
     return rows
 
 
+def sp_flatten(cols, nrows: int) -> dict:
+    """A column-sparse matrix as one sparse vector, column after column."""
+    return {q * nrows + p: v for q, col in enumerate(cols) for p, v in col.items()}
+
+
 def sp_eq(a_cols, b_cols) -> bool:
     return all(x == y for x, y in zip(a_cols, b_cols, strict=True))
 
@@ -429,8 +434,10 @@ def tensor_over(M: Bimodule, N: Bimodule, name=None) -> Bimodule:
 
 
 def hom_space(M: Bimodule, N: Bimodule):
-    """Basis of bimodule homomorphisms M -> N as dense matrices (N.dim x M.dim),
-    in the canonical order produced by the echelon solver."""
+    """Basis of bimodule homomorphisms M -> N, in the canonical order produced
+    by the echelon solver.  Each map is column-sparse like the action
+    matrices: a tuple of M.dim dicts, the q-th sending a row index of N to
+    the nonzero entries of the image of the q-th basis vector of M."""
     if M.left_algebra is not N.left_algebra or M.right_algebra is not N.right_algebra:
         raise BimoduleError("hom space needs a common algebra pair")
     A, B = M.left_algebra, M.right_algebra
@@ -460,10 +467,14 @@ def hom_space(M: Bimodule, N: Bimodule):
     for g in alg.algebra_generators(B):
         add_constraints(M.right_of(g), N.right_of(g))
 
-    basis = linalg.nullspace(eqs, unknowns)
     mats = []
-    for vec_ in basis:
-        mats.append(tuple(tuple(vec_[x_index(p, q)] for q in range(dm)) for p in range(dn)))
+    for vec_ in linalg.nullspace(eqs, unknowns):
+        cols = tuple({} for _ in range(dm))
+        for idx, v in enumerate(vec_):
+            if v:
+                p, q = divmod(idx, dm)
+                cols[q][p] = v
+        mats.append(cols)
     return mats
 
 
@@ -471,100 +482,96 @@ def hom_dim(M: Bimodule, N: Bimodule) -> int:
     return len(hom_space(M, N))
 
 
-def _random_invertible_combo(homs, dim, rng, tries):
-    for attempt in range(tries):
+_ISO_TRIES = 48
+
+
+def find_iso(homs, homs_back, dim: int, seed: int, what: str) -> bool:
+    """Decide whether the span of homs, column-sparse maps M -> N between
+    bimodules of the same dimension dim, contains an isomorphism.
+
+    "Isomorphic" is certified by a map of full rank: up to _ISO_TRIES seeded
+    random integer combinations of homs are tried, the coefficient bound
+    widening every eight attempts.  "Not isomorphic" is certified when homs
+    is empty, when homs_back() (a spanning set of Hom(N, M), computed only
+    once the search has failed) is empty, or when the identity of M or of N
+    lies outside the span of the composites of the two spanning sets; an
+    isomorphism and its inverse would compose to that identity.  When both
+    identities are reachable but no combination was invertible, the search
+    raises IsoTestInconclusive naming what was tested.
+    """
+    if not homs:
+        return False
+    rng = random.Random(seed)
+    for attempt in range(_ISO_TRIES):
         bound = 1 + attempt // 8
         coeffs = [rng.randint(-bound, bound) for _ in homs]
-        if not any(coeffs):
-            continue
-        mat = [
-            tuple(
-                sum((c * h[p][q] for c, h in zip(coeffs, homs) if c), Q0)
-                for q in range(dim)
-            )
-            for p in range(dim)
-        ]
-        if linalg.rank(mat, dim) == dim:
-            return mat
-    return None
+        # rank of the column dicts: a matrix and its transpose agree
+        if any(coeffs) and linalg.rank(sp_lincomb(coeffs, homs), dim) == dim:
+            return True
+    back = homs_back()
+    if not back:
+        return False
+    if not _identity_in_composition_span(homs, back, dim):
+        return False
+    if not _identity_in_composition_span(back, homs, dim):
+        return False
+    raise IsoTestInconclusive(f"{what} inconclusive (dim {dim})")
 
 
-def _identity_in_composition_span(homs_ab, homs_ba, dim) -> bool:
-    """Is id in span{g . f : f in Hom(A,B), g in Hom(B,A)}?"""
+def _identity_in_composition_span(homs, homs_back, dim: int) -> bool:
+    """Is id in span{g . f : f in homs, g in homs_back}?"""
     span = SparseEchelon(dim * dim)
-    for f in homs_ab:
-        for g in homs_ba:
-            comp = linalg.mat_mul(g, f)
-            span.insert(
-                {p * dim + q: v for p, row in enumerate(comp) for q, v in enumerate(row) if v}
-            )
-    ident = {p * dim + p: Q1 for p in range(dim)}
-    return span.contains(ident)
+    for f in homs:
+        for g in homs_back:
+            span.insert(sp_flatten(sp_compose(g, f), dim))
+    return span.contains(sp_flatten(sp_identity(dim), dim))
 
 
-def iso_test(M: Bimodule, N: Bimodule, seed: int = 0, tries: int = 48) -> bool:
-    """Exact isomorphism test: seeded random invertible combinations with a
-    deterministic composition-span fallback for the negative certificate."""
+def iso_test(M: Bimodule, N: Bimodule, seed: int = 0) -> bool:
+    """Exact isomorphism test of M and N by find_iso on Hom(M, N)."""
     if M.dim != N.dim:
         return False
     if M.dim == 0:
         return True
-    homs = hom_space(M, N)
-    if not homs:
-        return False
-    rng = random.Random(seed)
-    if _random_invertible_combo(homs, M.dim, rng, tries) is not None:
-        return True
-    homs_back = hom_space(N, M)
-    if not homs_back:
-        return False
-    if not _identity_in_composition_span(homs, homs_back, M.dim):
-        return False
-    if not _identity_in_composition_span(homs_back, homs, N.dim):
-        return False
-    raise IsoTestInconclusive(
-        f"iso test inconclusive for {M.name} vs {N.name} (dim {M.dim})"
+    return find_iso(
+        hom_space(M, N),
+        lambda: hom_space(N, M),
+        M.dim,
+        seed,
+        f"iso test for {M.name} vs {N.name}",
     )
 
 
-def iso_to_direct_power(T: Bimodule, B: Bimodule, k: int, seed: int = 0, tries: int = 48) -> bool:
-    """Exact test of T isomorphic to B^{(+)k}, exploiting the power structure:
-    a candidate isomorphism is assembled from k random elements of Hom(T, B)."""
+def iso_to_direct_power(T: Bimodule, B: Bimodule, k: int, seed: int = 0) -> bool:
+    """Exact test of T isomorphic to B^{(+)k} by find_iso.  Hom(T, B^k) and
+    Hom(B^k, T) are spanned by k block copies of bases of Hom(T, B) and
+    Hom(B, T), so only the small hom spaces are solved."""
     if T.dim != k * B.dim:
         return False
     if T.dim == 0:
         return True
+    d = B.dim
     into = hom_space(T, B)
-    if not into:
-        return False
-    rng = random.Random(seed)
-    for attempt in range(tries):
-        bound = 1 + attempt // 8
-        stacked = []
-        for _ in range(k):
-            coeffs = [rng.randint(-bound, bound) for _ in into]
-            block = [
-                tuple(
-                    sum((c * h[p][q] for c, h in zip(coeffs, into) if c), Q0)
-                    for q in range(T.dim)
-                )
-                for p in range(B.dim)
-            ]
-            stacked.extend(block)
-        if linalg.rank(stacked, T.dim) == T.dim:
-            return True
-    back = hom_space(B, T)
-    if not back:
-        return False
-    # negative certificates via the composition span (sound for "not isomorphic")
-    power = direct_sum([B] * k) if k != 1 else B
-    homs = hom_space(T, power)
-    homs_back = hom_space(power, T)
-    if not _identity_in_composition_span(homs_back, homs, power.dim):
-        return False
-    if not _identity_in_composition_span(homs, homs_back, T.dim):
-        return False
-    raise IsoTestInconclusive(f"direct-power iso test inconclusive for {T.name}")
+
+    def back():
+        homs = hom_space(B, T)
+        return [
+            ({},) * (b * d) + g + ({},) * ((k - 1 - b) * d)
+            for b in range(k)
+            for g in homs
+        ]
+
+    return find_iso(
+        [
+            tuple({r + b * d: v for r, v in col.items()} for col in h)
+            for b in range(k)
+            for h in into
+        ],
+        back,
+        T.dim,
+        seed,
+        f"direct-power iso test for {T.name} vs {k} x {B.name}",
+    )
 
 
 # -- Loewy structure of bimodules ------------------------------------------
@@ -603,16 +610,6 @@ def socle(M: Bimodule) -> Subspace:
     return Subspace.from_vectors(linalg.nullspace(eqs, M.dim), M.dim)
 
 
-def top_dim(M: Bimodule) -> int:
-    """Dimension of M / rad M over the enveloping algebra."""
-    mats = _radical_action_mats(M)
-    ech = SparseEchelon(M.dim)
-    for mat in mats:
-        for col in mat:
-            ech.insert(col)
-    return M.dim - ech.dim
-
-
 # -- the center through projective bimodules -------------------------------
 
 
@@ -621,6 +618,7 @@ def projective_center(A: alg.FinDimAlgebra) -> Subspace:
     regular bimodule that factor through the projective bimodules
     (A e_s)(x)(e_t A), closed under multiplication."""
     reg = regular_bimodule(A)
+    unit = {i: v for i, v in enumerate(A.unit) if v}
     through = [A.unit]
     for s in range(len(A.idempotents)):
         for t in range(len(A.idempotents)):
@@ -628,10 +626,10 @@ def projective_center(A: alg.FinDimAlgebra) -> Subspace:
             into = hom_space(reg, P)
             back = hom_space(P, reg)
             for f in into:
-                fu = linalg.mat_vec(f, A.unit)
+                fu = sp_apply(f, unit)
                 for g in back:
-                    z = linalg.mat_vec(g, fu)
-                    if not linalg.is_zero(z):
+                    z = sp_apply(g, fu)
+                    if z:
                         through.append(z)
     sub = alg.subalgebra_closure(A, through)
     centre = alg.center(A)

@@ -69,9 +69,6 @@ class CoxeterGroup:
     def longest(self) -> int:
         return max(range(self.order), key=self.length)
 
-    def descends_right(self, x: int, s: int) -> bool:
-        return self.length(self.mult_gen[x][s]) < self.length(x)
-
     # -- Bruhat order ---------------------------------------------------
 
     def _down_sets(self):

@@ -10,12 +10,11 @@ element of degree d has degree d - c in the copy shifted by c.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import algebra as alg
 from . import bimod, linalg
-from .bimod import Bimodule, CcxBuild, CcxData, IsoTestInconclusive
+from .bimod import Bimodule, CcxBuild, CcxData
 from .laurent import LaurentPoly
 from .linalg import Q0, Subspace
 from .mscell import duflo, duflo_multiplicity, cells
@@ -125,20 +124,21 @@ def default_shifts(build: CcxBuild, graded_algebras) -> dict:
 
 
 def _hom_degree_split(M: Bimodule, N: Bimodule, homs):
-    """Split hom matrices into homogeneous components keyed by degree."""
+    """Split column-sparse hom matrices into homogeneous components keyed by
+    degree."""
     if M.degrees is None or N.degrees is None:
         raise GradedError("graded hom series needs graded bimodules")
     split: dict[int, list] = {}
     for mat in homs:
-        parts: dict[int, dict] = {}
-        for p in range(N.dim):
-            for q in range(M.dim):
-                v = mat[p][q]
-                if v:
-                    d = N.degrees[p] - M.degrees[q]
-                    parts.setdefault(d, {})[p * M.dim + q] = v
-        for d, vecs in parts.items():
-            split.setdefault(d, []).append(vecs)
+        parts: dict[int, tuple] = {}
+        for q, col in enumerate(mat):
+            for p, v in col.items():
+                d = N.degrees[p] - M.degrees[q]
+                if d not in parts:
+                    parts[d] = tuple({} for _ in range(M.dim))
+                parts[d][q][p] = v
+        for d, part in parts.items():
+            split.setdefault(d, []).append(part)
     return split
 
 
@@ -148,8 +148,8 @@ def graded_hom_series(M: Bimodule, N: Bimodule, homs=None) -> LaurentPoly:
     split = _hom_degree_split(M, N, homs)
     coeffs = {}
     total = 0
-    for d, vecs in split.items():
-        r = linalg.rank(vecs, N.dim * M.dim)
+    for d, mats in split.items():
+        r = linalg.rank([bimod.sp_flatten(m, N.dim) for m in mats], N.dim * M.dim)
         coeffs[d] = r
         total += r
     if total != len(homs):
@@ -157,42 +157,22 @@ def graded_hom_series(M: Bimodule, N: Bimodule, homs=None) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
-def _degree_zero_homs(M: Bimodule, N: Bimodule, homs):
-    zero = _hom_degree_split(M, N, homs).get(0, [])
-    mats = []
-    for svec in zero:
-        mats.append(
-            tuple(
-                tuple(svec.get(p * M.dim + q, Q0) for q in range(M.dim))
-                for p in range(N.dim)
-            )
-        )
-    return mats
-
-
-def graded_iso_test(M: Bimodule, N: Bimodule, seed: int = 0, tries: int = 48) -> bool:
-    """Graded isomorphism: a degree-0 invertible intertwiner exists."""
+def graded_iso_test(M: Bimodule, N: Bimodule, seed: int = 0) -> bool:
+    """Graded isomorphism: a degree-0 invertible intertwiner exists, decided by
+    bimod.find_iso on the degree-0 homs."""
     if M.dim != N.dim:
         return False
     if sorted(M.degrees) != sorted(N.degrees):
         return False
     if M.dim == 0:
         return True
-    homs = bimod.hom_space(M, N)
-    zero_homs = _degree_zero_homs(M, N, homs)
-    if not zero_homs:
-        return False
-    rng = random.Random(seed)
-    if bimod._random_invertible_combo(zero_homs, M.dim, rng, tries) is not None:
-        return True
-    back = _degree_zero_homs(N, M, bimod.hom_space(N, M))
-    if not back:
-        return False
-    if not bimod._identity_in_composition_span(zero_homs, back, M.dim):
-        return False
-    if not bimod._identity_in_composition_span(back, zero_homs, N.dim):
-        return False
-    raise IsoTestInconclusive(f"graded iso test inconclusive for {M.name} vs {N.name}")
+    return bimod.find_iso(
+        _hom_degree_split(M, N, bimod.hom_space(M, N)).get(0, []),
+        lambda: _hom_degree_split(N, M, bimod.hom_space(N, M)).get(0, []),
+        M.dim,
+        seed,
+        f"graded iso test for {M.name} vs {N.name}",
+    )
 
 
 # -- star (adjoint) of a graded bimodule ------------------------------------

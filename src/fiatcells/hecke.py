@@ -100,10 +100,6 @@ def _t_gen_right(group: CoxeterGroup, data: dict, s: int) -> dict:
     return {x: c for x, c in out.items() if c}
 
 
-def _scale(data: dict, poly: LaurentPoly) -> dict:
-    return {x: c * poly for x, c in data.items() if c * poly}
-
-
 def _add_into(acc: dict, data: dict, factor: LaurentPoly | None = None) -> None:
     for x, c in data.items():
         if factor is not None:

@@ -68,10 +68,6 @@ def identity_rows(n: int):
     return [unit(n, i) for i in range(n)]
 
 
-def transpose(rows):
-    return [tuple(col) for col in zip(*rows)]
-
-
 def _sparse_int(row) -> dict[int, int]:
     """Scale a row (dense sequence or sparse dict) to a primitive integer dict."""
     if isinstance(row, dict):
@@ -261,12 +257,6 @@ def solve(rows, rhs) -> Vec | None:
     for c, row in ech.rows.items():
         x[c] = Fraction(row.get(n, 0), row[c])
     return tuple(x)
-
-
-def invertible(rows) -> bool:
-    rows = list(rows)
-    n = len(rows)
-    return n > 0 and all(len(r) == n for r in rows) and rank(rows, n) == n
 
 
 def inverse(rows) -> list[Vec] | None:

@@ -116,9 +116,6 @@ class MultiSemigroup:
                 return m
         raise MultiSemigroupError(f"object {obj!r} has no identity morphism")
 
-    def star_of(self, name: str) -> str:
-        return self.star[name]
-
     def composable(self, f: str, g: str) -> bool:
         return self.morphisms[f].src == self.morphisms[g].tgt
 

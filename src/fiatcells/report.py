@@ -62,9 +62,6 @@ class CellReport:
             "records": [r.to_dict() for r in self.records],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, default=str)
-
     @classmethod
     def from_json(cls, text: str) -> "CellReport":
         data = json.loads(text)

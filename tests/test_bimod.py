@@ -114,6 +114,10 @@ def test_iso_test_negative_same_dim():
     P = bimod.proj_bimodule(D, 0, D, 0)
     assert not bimod.iso_test(double, P)
     assert not bimod.iso_test(P, double)
+    # the direct-power test reaches the composition-span certificate too
+    assert not bimod.iso_to_direct_power(P, reg, 2)
+    assert not bimod.iso_to_direct_power(double, P, 1)
+    assert bimod.iso_to_direct_power(double, reg, 2)
 
 
 def test_projective_center_values():

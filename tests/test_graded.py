@@ -179,6 +179,18 @@ def test_graded_iso_test_negative():
     build = graded_ccx_build("dualnumbers")
     g = build.bimodule("F11_11")
     assert not graded.graded_iso_test(g, g.shifted(2))  # degree multisets differ
+    # same degree multiset [0, 2, 2, 4]: only the degree-0 composition span
+    # tells A (+) A<-2> from (A e)(x)(e A)
+    gr = build.bimodule("I1")
+    gP = bimod.proj_bimodule(
+        gr.left_algebra, 0, gr.right_algebra, 0,
+        deg_a=build.gradings[0], deg_b=build.gradings[0],
+    )
+    mixed = bimod.direct_sum([gr, gr.shifted(-2)])
+    assert sorted(mixed.degrees) == sorted(gP.degrees) == [0, 2, 2, 4]
+    assert not graded.graded_iso_test(mixed, gP)
+    assert not graded.graded_iso_test(gP, mixed)
+    assert graded.graded_iso_test(mixed, bimod.direct_sum([gr.shifted(-2), gr]))
 
 
 def test_two_object_graded_build():
