@@ -5,6 +5,9 @@ All computations are exact.  The Jacobson radical is obtained from the
 characteristic-zero trace-form criterion and then verified to be a nilpotent
 two-sided ideal with semisimple quotient.  Splitness (every e_iAe_i/rad
 isomorphic to Q) is part of full validation; non-split input is rejected.
+
+An algebra is immutable once built, so its radical and its generating set
+are computed once and kept on the instance.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ class FinDimAlgebra:
         self.idempotents = tuple(linalg.vec(e) for e in idempotents)
         if len(set(self.basis)) != d:
             raise AlgebraError("duplicate basis labels")
+        self._radical: Subspace | None = None
+        self._generators: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -165,11 +170,15 @@ def _trace_gram(algebra: FinDimAlgebra):
 
 def radical(algebra: FinDimAlgebra) -> Subspace:
     """Jacobson radical via the trace form tr(L_x L_y) (characteristic zero),
-    verified to be a nilpotent two-sided ideal with semisimple quotient."""
-    d = algebra.dim
-    rad = Subspace.from_vectors(linalg.nullspace(_trace_gram(algebra), d), d)
-    _verify_radical(algebra, rad)
-    return rad
+    verified to be a nilpotent two-sided ideal with semisimple quotient.
+    Computed and verified on the first call; later calls return that
+    subspace."""
+    if algebra._radical is None:
+        d = algebra.dim
+        rad = Subspace.from_vectors(linalg.nullspace(_trace_gram(algebra), d), d)
+        _verify_radical(algebra, rad)
+        algebra._radical = rad
+    return algebra._radical
 
 
 def _verify_radical(algebra: FinDimAlgebra, rad: Subspace) -> None:
@@ -399,8 +408,16 @@ def subalgebra_closure(algebra: FinDimAlgebra, generators) -> Subspace:
 
 
 def algebra_generators(algebra: FinDimAlgebra, rad: Subspace | None = None):
-    """Idempotents plus a complement of rad^2 in rad: a unital generating set."""
-    rad = radical(algebra) if rad is None else rad
+    """Idempotents plus a complement of rad^2 in rad: a unital generating set,
+    as a new list.  Without rad, the set is computed once per algebra."""
+    if rad is not None:
+        return _generators(algebra, rad)
+    if algebra._generators is None:
+        algebra._generators = tuple(_generators(algebra, radical(algebra)))
+    return list(algebra._generators)
+
+
+def _generators(algebra: FinDimAlgebra, rad: Subspace) -> list:
     rad2 = Subspace.from_vectors(
         [algebra.mul(u, v) for u in rad for v in rad], algebra.dim
     )

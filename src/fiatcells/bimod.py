@@ -133,8 +133,11 @@ class Bimodule:
         self.labels = tuple(labels) if labels else tuple(f"m{i}" for i in range(dim))
         self.degrees = tuple(degrees) if degrees is not None else None
         self.name = name
+        # (e_s, e_t, basis of A e_s, basis of e_t B) when this is the
+        # projective bimodule (A e_s)(x)(e_t B) in proj_bimodule's basis
+        self.generator = None
         if check:
-            self.validate(full=dim <= 40)
+            self.validate()
 
     def __repr__(self):
         return f"Bimodule({self.name or 'unnamed'}, dim={self.dim})"
@@ -160,43 +163,47 @@ class Bimodule:
             name=f"{self.name}<{c}>",
             check=False,
         )
+        out.generator = self.generator
         return out
 
-    def validate(self, full: bool = True) -> None:
+    def validate(self) -> None:
+        """Check that both actions are unital, that the left action is
+        multiplicative and the right one anti-multiplicative, and that they
+        commute.  Products are checked on generators only: if
+        rho(g)rho(b) = rho(gb) for every generator g and basis element b,
+        the elements a with rho(a)rho(b) = rho(ab) for all b form a unital
+        subalgebra containing the generators, hence all of the algebra; and
+        actions that commute on generators commute everywhere."""
         A, B = self.left_algebra, self.right_algebra
         ident = sp_identity(self.dim)
         if not sp_eq(self.left_of(A.unit), ident):
             raise BimoduleError(f"{self.name}: left action is not unital")
         if not sp_eq(self.right_of(B.unit), ident):
             raise BimoduleError(f"{self.name}: right action is not unital")
-        if not full:
-            return
-        for i in range(A.dim):
-            li = self.left_action[i]
+        left_gens = [(g, self.left_of(g)) for g in alg.algebra_generators(A)]
+        right_gens = [(h, self.right_of(h)) for h in alg.algebra_generators(B)]
+        for g, lg in left_gens:
             for j in range(A.dim):
-                prod = self.left_of(A.mult[i][j])
-                if not sp_eq(sp_compose(li, self.left_action[j]), prod):
+                prod = self.left_of(A.mul(g, linalg.unit(A.dim, j)))
+                if not sp_eq(sp_compose(lg, self.left_action[j]), prod):
                     raise BimoduleError(
                         f"{self.name}: left action not multiplicative at "
-                        f"({A.basis[i]}, {A.basis[j]})"
+                        f"({A.describe(g)}, {A.basis[j]})"
                     )
-        for i in range(B.dim):
-            ri = self.right_action[i]
+        for h, rh in right_gens:
             for j in range(B.dim):
-                prod = self.right_of(B.mult[j][i])
-                if not sp_eq(sp_compose(ri, self.right_action[j]), prod):
+                prod = self.right_of(B.mul(linalg.unit(B.dim, j), h))
+                if not sp_eq(sp_compose(rh, self.right_action[j]), prod):
                     raise BimoduleError(
                         f"{self.name}: right action not anti-multiplicative at "
-                        f"({B.basis[i]}, {B.basis[j]})"
+                        f"({B.describe(h)}, {B.basis[j]})"
                     )
-        for i in range(A.dim):
-            for j in range(B.dim):
-                lr = sp_compose(self.left_action[i], self.right_action[j])
-                rl = sp_compose(self.right_action[j], self.left_action[i])
-                if not sp_eq(lr, rl):
+        for g, lg in left_gens:
+            for h, rh in right_gens:
+                if not sp_eq(sp_compose(lg, rh), sp_compose(rh, lg)):
                     raise BimoduleError(
                         f"{self.name}: actions do not commute at "
-                        f"({A.basis[i]}, {B.basis[j]})"
+                        f"({A.describe(g)}, {B.describe(h)})"
                     )
 
 
@@ -295,7 +302,7 @@ def proj_bimodule(
         du = [_homogeneous_degree(u, deg_a) for u in ubasis]
         dv = [_homogeneous_degree(v, deg_b) for v in vbasis]
         degrees = [x + y for x in du for y in dv]
-    return Bimodule(
+    out = Bimodule(
         A,
         B,
         dim,
@@ -305,6 +312,8 @@ def proj_bimodule(
         degrees=degrees,
         name=name or f"P({A.name}e{s + 1}|e{t + 1}{B.name})",
     )
+    out.generator = (A.idempotents[s], B.idempotents[t], tuple(ubasis), tuple(vbasis))
+    return out
 
 
 def _homogeneous_degree(v, degs) -> int:
@@ -482,7 +491,36 @@ def hom_dim(M: Bimodule, N: Bimodule) -> int:
     return len(hom_space(M, N))
 
 
+def yoneda_map(P: Bimodule, N: Bimodule, g: dict):
+    """The bimodule map P -> N, u(x)v -> u.g.v, out of a projective bimodule
+    P = (A e_s)(x)(e_t B) built by proj_bimodule, for g in e_s N e_t (a
+    sparse vector of N).  It is the unique map sending the generator
+    e_s(x)e_t to g, so these maps are all of Hom(P, N) = e_s N e_t.
+    Column-sparse like hom_space, columns in P's basis order."""
+    _, _, ubasis, vbasis = P.generator
+    lefts = [N.left_of(u) for u in ubasis]
+    gv = [sp_apply(N.right_of(v), g) for v in vbasis]
+    return tuple(sp_apply(lu, x) for lu in lefts for x in gv)
+
+
+def corner_basis(N: Bimodule, e_left, e_right) -> tuple:
+    """A basis of e N f for idempotents e, f of the two algebras, as sparse
+    vectors: the column space of m -> e.m.f."""
+    ech = SparseEchelon(N.dim)
+    ech.extend(sp_compose(N.left_of(e_left), N.right_of(e_right)))
+    return tuple(ech.rows[c] for c in ech.pivots())
+
+
 _ISO_TRIES = 48
+
+
+def _random_coeffs(seed: int, n: int):
+    """_ISO_TRIES seeded integer vectors of length n, the coefficient bound
+    widening every eight attempts."""
+    rng = random.Random(seed)
+    for attempt in range(_ISO_TRIES):
+        bound = 1 + attempt // 8
+        yield [rng.randint(-bound, bound) for _ in range(n)]
 
 
 def find_iso(homs, homs_back, dim: int, seed: int, what: str) -> bool:
@@ -501,10 +539,7 @@ def find_iso(homs, homs_back, dim: int, seed: int, what: str) -> bool:
     """
     if not homs:
         return False
-    rng = random.Random(seed)
-    for attempt in range(_ISO_TRIES):
-        bound = 1 + attempt // 8
-        coeffs = [rng.randint(-bound, bound) for _ in homs]
+    for coeffs in _random_coeffs(seed, len(homs)):
         # rank of the column dicts: a matrix and its transpose agree
         if any(coeffs) and linalg.rank(sp_lincomb(coeffs, homs), dim) == dim:
             return True
@@ -543,12 +578,22 @@ def iso_test(M: Bimodule, N: Bimodule, seed: int = 0) -> bool:
 
 
 def iso_to_direct_power(T: Bimodule, B: Bimodule, k: int, seed: int = 0) -> bool:
-    """Exact test of T isomorphic to B^{(+)k} by find_iso.  Hom(T, B^k) and
+    """Exact test of T isomorphic to B^{(+)k}.
+
+    When B is a projective bimodule from proj_bimodule, with generator
+    e_s(x)e_t, seeded random g_1..g_k in e_s T e_t give Yoneda maps
+    B -> T; stacked into B^k -> T, a full-rank stack certifies the
+    isomorphism.  The draws follow find_iso's schedule.  Otherwise, and
+    when no draw gives full rank, find_iso decides: Hom(T, B^k) and
     Hom(B^k, T) are spanned by k block copies of bases of Hom(T, B) and
     Hom(B, T), so only the small hom spaces are solved."""
     if T.dim != k * B.dim:
         return False
     if T.dim == 0:
+        return True
+    if T.left_algebra is not B.left_algebra or T.right_algebra is not B.right_algebra:
+        raise BimoduleError("direct-power test needs a common algebra pair")
+    if B.generator is not None and _yoneda_iso(T, B, k, seed):
         return True
     d = B.dim
     into = hom_space(T, B)
@@ -572,6 +617,24 @@ def iso_to_direct_power(T: Bimodule, B: Bimodule, k: int, seed: int = 0) -> bool
         seed,
         f"direct-power iso test for {T.name} vs {k} x {B.name}",
     )
+
+
+def _yoneda_iso(T: Bimodule, B: Bimodule, k: int, seed: int) -> bool:
+    """Search for g_1..g_k in e_s T e_t whose Yoneda maps B -> T stack to an
+    invertible map B^k -> T."""
+    e_left, e_right, _, _ = B.generator
+    corner = corner_basis(T, e_left, e_right)
+    n = len(corner)
+    for coeffs in _random_coeffs(seed, k * n):
+        gs = [
+            sp_apply(corner, dict(enumerate(coeffs[b * n:(b + 1) * n])))
+            for b in range(k)
+        ]
+        if all(gs):
+            stack = [col for g in gs for col in yoneda_map(B, T, g)]
+            if linalg.rank(stack, T.dim) == T.dim:
+                return True
+    return False
 
 
 # -- Loewy structure of bimodules ------------------------------------------
@@ -616,19 +679,29 @@ def socle(M: Bimodule) -> Subspace:
 def projective_center(A: alg.FinDimAlgebra) -> Subspace:
     """Subalgebra of the center spanned by 1 and all endomorphisms of the
     regular bimodule that factor through the projective bimodules
-    (A e_s)(x)(e_t A), closed under multiplication."""
+    P = (A e_s)(x)(e_t A), closed under multiplication.
+
+    A map reg -> P is determined by the image n of 1, which can be any n in
+    P with g.n = n.g for every generator g; a map P -> reg is the Yoneda
+    map of some g in e_s A e_t.  The composite sends 1 to the Yoneda map
+    applied to n."""
     reg = regular_bimodule(A)
-    unit = {i: v for i, v in enumerate(A.unit) if v}
+    gens = alg.algebra_generators(A)
     through = [A.unit]
-    for s in range(len(A.idempotents)):
-        for t in range(len(A.idempotents)):
+    for s, e_s in enumerate(A.idempotents):
+        for t, e_t in enumerate(A.idempotents):
             P = proj_bimodule(A, s, A, t)
-            into = hom_space(reg, P)
-            back = hom_space(P, reg)
-            for f in into:
-                fu = sp_apply(f, unit)
-                for g in back:
-                    z = sp_apply(g, fu)
+            eqs = []
+            for g in gens:
+                commutator = sp_lincomb((Q1, -Q1), (P.left_of(g), P.right_of(g)))
+                eqs.extend(r for r in sp_rows(commutator, P.dim) if r)
+            centralizer = [
+                {i: v for i, v in enumerate(n) if v} for n in linalg.nullspace(eqs, P.dim)
+            ]
+            for g in corner_basis(reg, e_s, e_t):
+                out = yoneda_map(P, reg, g)
+                for n in centralizer:
+                    z = sp_apply(out, n)
                     if z:
                         through.append(z)
     sub = alg.subalgebra_closure(A, through)

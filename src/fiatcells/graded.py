@@ -209,71 +209,56 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
                         row[key] = row.get(key, Q0) - lmat[p][k]
                 if row:
                     eqs.append(row)
-    basis_vecs = linalg.nullspace(eqs, da * dm)
-    mats = [
-        tuple(tuple(v[y_index(p, q)] for q in range(dm)) for p in range(da))
-        for v in basis_vecs
+    # each dual basis element phi sparse at y_index, and as a column-sparse
+    # da x dm matrix
+    flat_phis = [
+        {idx: x for idx, x in enumerate(v) if x} for v in linalg.nullspace(eqs, da * dm)
     ]
-    n = len(mats)
+    phis = []
+    for flat in flat_phis:
+        cols = tuple({} for _ in range(dm))
+        for idx, x in flat.items():
+            p, q = divmod(idx, dm)
+            cols[q][p] = x
+        phis.append(cols)
+    n = len(phis)
 
     degrees = None
     if M.degrees is not None and left_degrees is not None:
         left_degrees = tuple(left_degrees)
         degrees = []
-        for mat in mats:
+        for phi in phis:
             degs = {
                 left_degrees[p] - M.degrees[q]
-                for p in range(da)
-                for q in range(dm)
-                if mat[p][q]
+                for q, col in enumerate(phi)
+                for p in col
             }
             if len(degs) != 1:
                 raise GradedError("dual basis element is not homogeneous")
             degrees.append(degs.pop())
 
-    def coords(target_mat):
-        rows = []
-        rhs = []
-        for p in range(da):
-            for q in range(dm):
-                rows.append(tuple(m[p][q] for m in mats))
-                rhs.append(target_mat[p][q])
-        sol = linalg.solve(rows, rhs)
-        if sol is None:
+    # nullspace basis vector r is 1 at its free column, the last nonzero one
+    # of a reduced echelon solution, and 0 at every other free column, so the
+    # coordinates of a solution are its entries at the free columns
+    free = [max(flat) for flat in flat_phis]
+
+    def coords(target_cols):
+        target = {
+            y_index(p, q): x for q, col in enumerate(target_cols) for p, x in col.items()
+        }
+        sol = {r: target[f] for r, f in enumerate(free) if f in target}
+        if bimod.sp_apply(flat_phis, sol) != target:
             raise GradedError("action left the dual hom space")
         return sol
 
-    left_action = []
-    for jb in range(B.dim):
-        rb = M.right_action[jb]  # columns of (x -> x . b_j) on M
-        cols = []
-        for m in mats:
-            composed = [
-                tuple(
-                    sum((m[p][k] * v for k, v in rb[q].items()), Q0)
-                    for q in range(dm)
-                )
-                for p in range(da)
-            ]
-            sol = coords(composed)
-            cols.append({r: v for r, v in enumerate(sol) if v})
-        left_action.append(tuple(cols))
-
-    right_action = []
-    for ia in range(da):
-        rmat = A.right_mult_matrix(linalg.unit(da, ia))
-        cols = []
-        for m in mats:
-            composed = [
-                tuple(
-                    sum((rmat[p][k] * m[k][q] for k in range(da) if rmat[p][k]), Q0)
-                    for q in range(dm)
-                )
-                for p in range(da)
-            ]
-            sol = coords(composed)
-            cols.append({r: v for r, v in enumerate(sol) if v})
-        right_action.append(tuple(cols))
+    # (b . phi)(m) = phi(m b) and (phi . a)(m) = phi(m) a
+    left_action = [
+        tuple(coords(bimod.sp_compose(phi, rb)) for phi in phis) for rb in M.right_action
+    ]
+    right_action = [
+        tuple(coords(bimod.sp_compose(ra, phi)) for phi in phis)
+        for ra in bimod.regular_bimodule(A).right_action
+    ]
 
     return Bimodule(
         B,

@@ -69,6 +69,8 @@ def test_radical_values():
     assert rad.dim == 2
     assert rad.contains(x3.element("x")) and rad.contains(x3.element("x2"))
     assert alg.radical(fixture("skewext")).dim == 3
+    # computed once per algebra
+    assert alg.radical(x3) is rad
 
 
 def test_center_values():
@@ -209,3 +211,8 @@ def test_algebra_generators():
     labels = {zig.describe(g) for g in gens}
     assert labels == {"e1", "e2", "a", "b"}
     assert alg.subalgebra_closure(zig, gens).dim == 6
+    # each call returns a new list: a caller's edits do not reach the next one
+    kept = list(gens)
+    gens.pop()
+    gens[0] = zig.unit
+    assert alg.algebra_generators(zig) == kept

@@ -1,12 +1,57 @@
+from fractions import Fraction
+
 import pytest
 
 from fiatcells import algebra as alg
 from fiatcells import bimod, linalg, mscell
-from fiatcells.fixtures import ccx_build, load_algebra
+from fiatcells.fixtures import PROPERTY_FIXTURES, ccx_build, load_algebra
 
 
 def fixture(name):
     return load_algebra(name).algebra
+
+
+def truncated_poly(n):
+    """k[x]/(x^n) on the basis 1, x, ..., x^(n-1)."""
+    mult = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n - i):
+            mult[i][j][i + j] = Fraction(1)
+    one = [1] + [0] * (n - 1)
+    return alg.FinDimAlgebra([f"x{i}" for i in range(n)], mult, one, [one], name=f"x{n}")
+
+
+def zigzag(m):
+    """The zigzag algebra of the path A_m: vertices e_i, arrows a_i: i -> i+1
+    and b_i: i+1 -> i, loops w_i = b_i a_i = a_(i-1) b_(i-1), paths of
+    length three zero."""
+    es = [f"e{i}" for i in range(m)]
+    arrows = [f"a{i}" for i in range(m - 1)] + [f"b{i}" for i in range(m - 1)]
+    names = es + arrows + [f"w{i}" for i in range(m)]
+    products = {(e, e): e for e in es}
+    for i in range(m - 1):
+        src, tgt = es[i], es[i + 1]
+        products.update({(tgt, f"a{i}"): f"a{i}", (f"a{i}", src): f"a{i}"})
+        products.update({(src, f"b{i}"): f"b{i}", (f"b{i}", tgt): f"b{i}"})
+        products.update({(f"b{i}", f"a{i}"): f"w{i}", (f"a{i}", f"b{i}"): f"w{i + 1}"})
+    for i in range(m):
+        products.update({(es[i], f"w{i}"): f"w{i}", (f"w{i}", es[i]): f"w{i}"})
+    d = len(names)
+    mult = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for (x, y), z in products.items():
+        mult[names.index(x)][names.index(y)][names.index(z)] = Fraction(1)
+    unit = [1 if k < m else 0 for k in range(d)]
+    idems = [[1 if k == i else 0 for k in range(d)] for i in range(m)]
+    A = alg.FinDimAlgebra(names, mult, unit, idems, name=f"zigzagA{m}")
+    alg.validate(A)
+    return A
+
+
+def without_generator(B):
+    """B with its projective generator data forgotten."""
+    return bimod.Bimodule(
+        B.left_algebra, B.right_algebra, B.dim, B.left_action, B.right_action, check=False
+    )
 
 
 def test_proj_bimodule_dims():
@@ -29,6 +74,23 @@ def test_bimodule_validation_catches_bad_actions():
     broken[1] = broken[0]  # x now acts as 1 on the left
     with pytest.raises(bimod.BimoduleError):
         bimod.Bimodule(D, D, reg.dim, broken, reg.right_action)
+
+
+@pytest.mark.parametrize("left", [True, False])
+@pytest.mark.parametrize("index", [1, 3, 6])
+def test_bimodule_validation_catches_one_bad_entry_above_dim_40(left, index):
+    # x^index on P = A(x)A, A = k[x]/(x^7), now also sends 1(x)x^5 to 1(x)1
+    A = truncated_poly(7)
+    P = bimod.proj_bimodule(A, 0, A, 0)
+    assert P.dim == 49
+    actions = [list(P.left_action), list(P.right_action)]
+    side = actions[0 if left else 1]
+    cols = [dict(col) for col in side[index]]
+    cols[5][0] = cols[5].get(0, 0) + 1
+    side[index] = tuple(cols)
+    bimod.Bimodule(A, A, P.dim, P.left_action, P.right_action)
+    with pytest.raises(bimod.BimoduleError):
+        bimod.Bimodule(A, A, P.dim, *actions)
 
 
 def test_tensor_unit_law():
@@ -118,6 +180,110 @@ def test_iso_test_negative_same_dim():
     assert not bimod.iso_to_direct_power(P, reg, 2)
     assert not bimod.iso_to_direct_power(double, P, 1)
     assert bimod.iso_to_direct_power(double, reg, 2)
+
+
+def test_yoneda_maps_intertwine_and_span_the_hom_space():
+    for A, s, t in ((truncated_poly(3), 0, 0), (zigzag(3), 0, 1), (zigzag(3), 1, 2)):
+        P = bimod.proj_bimodule(A, s, A, t)
+        gens = alg.algebra_generators(A)
+        targets = (
+            bimod.regular_bimodule(A),
+            bimod.tensor_over(P, bimod.proj_bimodule(A, t, A, s)),
+        )
+        for N in targets:
+            corner = bimod.corner_basis(N, A.idempotents[s], A.idempotents[t])
+            maps = [bimod.yoneda_map(P, N, g) for g in corner]
+            for Y in maps:
+                for g in gens:
+                    assert bimod.sp_eq(
+                        bimod.sp_compose(N.left_of(g), Y), bimod.sp_compose(Y, P.left_of(g))
+                    )
+                    assert bimod.sp_eq(
+                        bimod.sp_compose(N.right_of(g), Y), bimod.sp_compose(Y, P.right_of(g))
+                    )
+            flat = [bimod.sp_flatten(Y, N.dim) for Y in maps]
+            assert linalg.rank(flat, N.dim * P.dim) == len(maps) == bimod.hom_dim(P, N)
+
+
+def _closed_form_cases(A, pairs):
+    """(T, B, k) with T = P_st (x) P_uv and B^k = P_sv^dim(e_t A e_u)."""
+    for s, t, u, v in pairs:
+        T = bimod.tensor_over(bimod.proj_bimodule(A, s, A, t), bimod.proj_bimodule(A, u, A, v))
+        yield T, bimod.proj_bimodule(A, s, A, v), alg.corner_dim(A, t, u)
+
+
+@pytest.mark.parametrize(
+    "A, pairs",
+    [(truncated_poly(n), [(0, 0, 0, 0)]) for n in (2, 3, 4, 5)]
+    + [
+        (zigzag(2), [(0, 1, 1, 0), (0, 0, 0, 1), (1, 0, 1, 1)]),
+        (zigzag(3), [(0, 1, 1, 2), (1, 1, 1, 1), (2, 1, 0, 0), (0, 0, 2, 1)]),
+    ],
+    ids=["x2", "x3", "x4", "x5", "zigzagA2", "zigzagA3"],
+)
+def test_yoneda_certificate_agrees_with_generic_search(A, pairs, monkeypatch):
+    fallbacks = []
+    generic = bimod.find_iso
+
+    def spy(*args):
+        fallbacks.append(args[-1])
+        return generic(*args)
+
+    monkeypatch.setattr(bimod, "find_iso", spy)
+    for T, B, k in _closed_form_cases(A, pairs):
+        assert bimod.iso_to_direct_power(T, B, k) == bimod.iso_to_direct_power(
+            T, without_generator(B), k
+        ) == (T.dim == k * B.dim)
+    # only the generic runs reached find_iso
+    assert len(fallbacks) == sum(k > 0 for _, _, k in _closed_form_cases(A, pairs))
+
+
+def test_yoneda_negatives_reach_the_fallback(monkeypatch):
+    fallbacks = []
+    generic = bimod.find_iso
+
+    def spy(*args):
+        fallbacks.append(args[-1])
+        return generic(*args)
+
+    monkeypatch.setattr(bimod, "find_iso", spy)
+    D = fixture("dualnumbers")
+    reg = bimod.regular_bimodule(D)
+    P = bimod.proj_bimodule(D, 0, D, 0)
+    double = bimod.direct_sum([reg, reg])
+    Z = zigzag(2)
+    P11, P22 = bimod.proj_bimodule(Z, 0, Z, 0), bimod.proj_bimodule(Z, 1, Z, 1)
+    assert P11.dim == P22.dim
+    # wrong multiplicity: P11 (+) P22 is not P11^2
+    assert not bimod.iso_to_direct_power(bimod.direct_sum([P11, P22]), P11, 2)
+    assert not bimod.iso_to_direct_power(double, P, 1)
+    # regular B carries no generator data: straight to the generic search
+    assert bimod.iso_to_direct_power(double, reg, 2)
+    assert len(fallbacks) == 3
+    # a positive with a projective B needs no fallback
+    assert bimod.iso_to_direct_power(bimod.direct_sum([P11, P11]), P11, 2)
+    assert len(fallbacks) == 3
+
+
+def _projective_center_by_generic_homs(A):
+    """projective_center computed from generic hom-space bases."""
+    reg = bimod.regular_bimodule(A)
+    unit = {i: v for i, v in enumerate(A.unit) if v}
+    through = [A.unit]
+    for s in range(len(A.idempotents)):
+        for t in range(len(A.idempotents)):
+            P = bimod.proj_bimodule(A, s, A, t)
+            for f in bimod.hom_space(reg, P):
+                fu = bimod.sp_apply(f, unit)
+                for g in bimod.hom_space(P, reg):
+                    through.append(bimod.sp_apply(g, fu))
+    return alg.subalgebra_closure(A, through)
+
+
+@pytest.mark.parametrize("name", PROPERTY_FIXTURES)
+def test_projective_center_matches_generic_homs(name):
+    A = fixture(name)
+    assert bimod.projective_center(A) == _projective_center_by_generic_homs(A)
 
 
 def test_projective_center_values():

@@ -130,6 +130,17 @@ def test_star_bimodule_realizes_expected_dual():
     assert graded.graded_iso_test(dual, target)
 
 
+def test_star_bimodule_rejects_a_right_action_that_is_not_left_linear():
+    D = load_algebra("dualnumbers").algebra
+    reg = bimod.regular_bimodule(D)
+    swap = ({1: 1}, {0: 1})  # m . x swaps the basis vectors 1 and x
+    broken = bimod.Bimodule(
+        D, D, reg.dim, reg.left_action, (reg.right_action[0], swap), check=False
+    )
+    with pytest.raises(graded.GradedError, match="left the dual hom space"):
+        graded.star_bimodule(broken)
+
+
 def test_hilbert_transfer():
     build = graded_ccx_build("zigzagA2-graded")
     struct = mscell.cells(build.ms)
