@@ -39,6 +39,7 @@ class FinDimAlgebra:
             raise AlgebraError("duplicate basis labels")
         self._radical: Subspace | None = None
         self._generators: tuple | None = None
+        self._projective_center: Subspace | None = None  # kept by bimod.projective_center
 
     @property
     def dim(self) -> int:

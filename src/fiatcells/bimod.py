@@ -684,7 +684,14 @@ def projective_center(A: alg.FinDimAlgebra) -> Subspace:
     A map reg -> P is determined by the image n of 1, which can be any n in
     P with g.n = n.g for every generator g; a map P -> reg is the Yoneda
     map of some g in e_s A e_t.  The composite sends 1 to the Yoneda map
-    applied to n."""
+    applied to n.  Computed on the first call; later calls return that
+    subspace."""
+    if A._projective_center is None:
+        A._projective_center = _projective_center(A)
+    return A._projective_center
+
+
+def _projective_center(A: alg.FinDimAlgebra) -> Subspace:
     reg = regular_bimodule(A)
     gens = alg.algebra_generators(A)
     through = [A.unit]

@@ -1,7 +1,8 @@
 """Command-line frontend: load fixtures, run computations and verification
 suites, emit deterministic text or JSON reports.
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
+Exit codes: 0 all checks pass, 1 verification failure, 2 input error,
+3 internal error (any other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 from . import algebra as alg
 from . import bimod, fixtures, formats, graded, mscell, verify
@@ -21,6 +23,7 @@ from .report import CellReport, CheckRecord
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 HECKE_TYPES = ("A1", "A2", "A3", "B2")
 
@@ -131,7 +134,10 @@ def cmd_rsk(args) -> int:
             lines.extend("  " + " ".join(map(str, row)) for row in pair.q_rows)
             _emit("\n".join(lines))
         return EXIT_OK
-    struct = rsk_cells(args.n)
+    try:
+        struct = rsk_cells(args.n)
+    except ValueError as exc:
+        raise ParseError("<arg>", 0, f"bad --n {args.n}: {exc}") from exc
     if args.format == "json":
         _emit(json.dumps(_cells_payload(struct), indent=2, sort_keys=True))
     else:
@@ -139,9 +145,17 @@ def cmd_rsk(args) -> int:
     return EXIT_OK
 
 
+def _fixture_spec(name: str):
+    """AlgebraSpec of a bundled algebra fixture; an unknown name is an input error."""
+    try:
+        return fixtures.load_algebra(name)
+    except KeyError as exc:
+        raise ParseError("<arg>", 0, f"unknown fixture {name!r}") from exc
+
+
 def _algebra_spec_from_args(args):
     if args.fixture:
-        return fixtures.load_algebra(args.fixture)
+        return _fixture_spec(args.fixture)
     return formats.load_algebra_file(args.input)
 
 
@@ -180,6 +194,7 @@ def cmd_algebra_check(args) -> int:
 
 def cmd_ccx_build(args) -> int:
     if args.fixture:
+        _fixture_spec(args.fixture)
         build = fixtures.ccx_build(args.fixture)
         name = args.fixture
     else:
@@ -326,7 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, KeyError, OSError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (
@@ -340,6 +355,10 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except Exception as exc:  # anything else is a bug in the program, not in the input
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,6 +7,11 @@ and the canonical basis is the positive one determined by b_s = T_s + v T_e
 non-negative integers at v = 1).  Multisemigroup export swaps sides so that
 the computed left cells match the convention in which left cells of the
 2-category are Kazhdan-Lusztig right cells.
+
+The export's product table comes from the left action of the generators on
+the canonical basis through mu, the W-graph (Kazhdan-Lusztig, Invent. Math.
+1979): |S|.|W| generator products, each certified against the T-basis
+product, determine every b_x b_y by associativity.
 """
 
 from __future__ import annotations
@@ -104,10 +109,13 @@ def _add_into(acc: dict, data: dict, factor: LaurentPoly | None = None) -> None:
     for x, c in data.items():
         if factor is not None:
             c = c * factor
-        if c:
-            acc[x] = acc.get(x, LaurentPoly.zero()) + c
-            if not acc[x]:
-                del acc[x]
+        if not c:
+            continue
+        total = acc[x] + c if x in acc else c
+        if total:
+            acc[x] = total
+        else:
+            del acc[x]
 
 
 def _t_word_left(group: CoxeterGroup, data: dict, word) -> dict:
@@ -223,22 +231,107 @@ def kl_expand(group: CoxeterGroup, element: HeckeElement, basis=None) -> dict:
     return {x: c for x, c in out.items() if c}
 
 
-def kl_product_at_one(group: CoxeterGroup, x: int, y: int, basis=None) -> dict:
-    """Multiset expansion of b_x b_y in the canonical basis, specialized at v=1."""
-    if basis is None:
-        basis = kl_basis(group)
-    prod = multiply(basis[x], basis[y])
+def _at_one(group: CoxeterGroup, coords: dict) -> dict:
+    """Canonical coordinates specialized at v=1; every Laurent coefficient
+    of a canonical structure constant must be non-negative."""
     out = {}
-    for z, poly in kl_expand(group, prod, basis).items():
-        val = poly(1)
-        if val < 0 or any(c < 0 for c in poly.coeffs.values()):
+    for z, poly in coords.items():
+        if not poly.is_nonnegative():
             raise HeckeDataError(
                 f"negative canonical structure constant at {group.name(z)}: "
                 f"{poly.format('v')}"
             )
+        val = poly(1)
         if val:
             out[z] = val
     return out
+
+
+def kl_product_at_one(group: CoxeterGroup, x: int, y: int, basis=None) -> dict:
+    """Multiset expansion of b_x b_y in the canonical basis, specialized at v=1,
+    from the T-basis product (the per-pair reference for the export's table)."""
+    if basis is None:
+        basis = kl_basis(group)
+    return _at_one(group, kl_expand(group, multiply(basis[x], basis[y]), basis))
+
+
+def _w_graph_action(group: CoxeterGroup, basis) -> list:
+    """act[s][w] = b_s b_w in canonical coordinates, read off the W-graph:
+    (v + v^-1) b_w if sw < w, else b_sw plus mu(z, w) b_z summed over the z
+    with sz < z, where mu(z, w) is the coefficient of v in the
+    T_z-coefficient of b_w."""
+    gens = range(len(group.gen_names))
+    act = [[None] * group.order for _ in gens]
+    for w in range(group.order):
+        mu = {z: c.coeff(1) for z, c in basis[w].coeffs if c.coeff(1)}
+        for s in gens:
+            sw = _left_product(group, s, w)
+            if group.length(sw) < group.length(w):
+                act[s][w] = {w: _V + _VINV}
+                continue
+            entry = {sw: LaurentPoly.one()}
+            for z, m in mu.items():
+                if group.length(_left_product(group, s, z)) < group.length(z):
+                    entry[z] = LaurentPoly.monomial(m, 0)
+            act[s][w] = entry
+    return act
+
+
+def _certify_action(group: CoxeterGroup, basis, act) -> None:
+    """Check every act[s][w] against the canonical expansion of the T-basis
+    product b_s b_w, on the full Laurent polynomials, and that b_sw has
+    coefficient exactly 1 in act[s][w] whenever sw > w."""
+    for s in range(len(group.gen_names)):
+        b_s = basis[group.mult_gen[group.identity][s]]
+        for w in range(group.order):
+            name = f"b_{group.gen_names[s]} b_{group.name(w)}"
+            if act[s][w] != kl_expand(group, multiply(b_s, basis[w]), basis):
+                raise HeckeDataError(f"W-graph action disagrees with the T basis at {name}")
+            sw = _left_product(group, s, w)
+            if group.length(sw) > group.length(w) and act[s][w].get(sw) != LaurentPoly.one():
+                raise HeckeDataError(f"coefficient of b_{group.name(sw)} in {name} is not 1")
+
+
+def _product_column(group: CoxeterGroup, act, c: int) -> list:
+    """col[a] = b_a b_c in canonical coordinates for every a, from a
+    certified action table.  Going up in length with a = s r (s the first
+    letter of a's word), b_a = b_s b_r minus the other terms of act[s][r],
+    all of them shorter than a, so b_a b_c = act[s] applied to col[r] minus
+    the same terms applied to col."""
+    col: list = [None] * group.order
+    col[group.identity] = {c: LaurentPoly.one()}
+    for a in sorted(range(group.order), key=group.length):
+        if a == group.identity:
+            continue
+        s = group.words[a][0]
+        r = _left_product(group, s, a)
+        out: dict = {}
+        for w, coeff in col[r].items():
+            _add_into(out, act[s][w], coeff)
+        for z, coeff in act[s][r].items():
+            if z != a:
+                _add_into(out, col[z], -coeff)
+        col[a] = out
+    return col
+
+
+def _table_at_one(group: CoxeterGroup, bound: int) -> dict:
+    """b_y b_x at v=1 for every pair, keyed by the names (x, y), built one
+    right factor b_x at a time from the certified W-graph action.  Only the
+    table outlives the call, so the basis, the action and the last column
+    are freed before the multisemigroup validates the table."""
+    basis = kl_basis(group, bound)
+    act = _w_graph_action(group, basis)
+    _certify_action(group, basis, act)
+    names = [group.name(x) for x in range(group.order)]
+    table = {}
+    for x in range(group.order):
+        col = _product_column(group, act, x)
+        for y in range(group.order):
+            table[(names[x], names[y])] = {
+                names[z]: k for z, k in _at_one(group, col[y]).items()
+            }
+    return table
 
 
 def export_multisemigroup(
@@ -251,19 +344,12 @@ def export_multisemigroup(
     b_y b_x at v=1: the side swap makes the computed left cells match the
     convention in which they are Kazhdan-Lusztig right cells.
     """
-    basis = kl_basis(group, bound)
     obj = "i"
     morphisms = [
         OneMorphism(group.name(x), obj, obj, is_identity=(x == group.identity))
         for x in range(group.order)
     ]
-    table = {}
-    for x in range(group.order):
-        for y in range(group.order):
-            prod = kl_product_at_one(group, y, x, basis)
-            table[(group.name(x), group.name(y))] = {
-                group.name(z): k for z, k in prod.items()
-            }
+    table = _table_at_one(group, bound)
     star = {group.name(x): group.name(group.inverse[x]) for x in range(group.order)}
     return MultiSemigroup([obj], morphisms, table, star)
 

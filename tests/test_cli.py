@@ -1,6 +1,9 @@
 import json
 
-from fiatcells import cli
+import pytest
+
+from fiatcells import cli, verify
+from fiatcells.formats import ParseError
 from fiatcells.fixtures import fixture_path
 from fiatcells.report import CellReport
 
@@ -63,6 +66,8 @@ def test_rsk_perm_and_cells(capsys):
     assert sorted(len(c) for c in data["two_sided_cells"]) == [1, 1, 4]
     code, _, err = run(capsys, "rsk", "--perm", "2,2,1")
     assert code == 2
+    code, _, err = run(capsys, "rsk", "--n", "7")
+    assert code == 2 and "input error" in err
 
 
 def test_algebra_check_fixture_and_file(capsys, tmp_path):
@@ -177,3 +182,22 @@ def test_ccx_build_graded_file_with_shifts(capsys, tmp_path):
     code, _, err = run(capsys, "ccx-build", "--input", str(tmp_path / "bad.ccx"))
     assert code == 2
     assert "gradings" in err
+
+
+def test_internal_key_error_exits_3(capsys, monkeypatch):
+    def broken_suite():
+        raise KeyError("lost table entry")
+
+    monkeypatch.setattr(verify, "b2_report", broken_suite)
+    code, out, err = run(capsys, "verify", "--fixture", "b2")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err and "KeyError: 'lost table entry'" in err
+    assert "input error" not in err
+
+
+def test_unknown_fixture_name_is_an_input_error():
+    args = cli.build_parser().parse_args(["ccx-build", "--fixture", "dualnumbers"])
+    args.fixture = "nonsense"  # a name argparse's choices would have refused
+    with pytest.raises(ParseError, match="unknown fixture 'nonsense'"):
+        args.func(args)

@@ -1,16 +1,21 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiatcells import mscell
+from fiatcells import cli, hecke, mscell
 from fiatcells.coxeter import coxeter_group, permutation_element
 from fiatcells.hecke import (
+    HeckeDataError,
     SizeLimitError,
     TableauPair,
     bar_involution,
     export_multisemigroup,
     kl_basis,
+    kl_expand,
     kl_product_at_one,
+    multiply,
     rsk,
     rsk_cells,
     rsk_inverse,
@@ -148,6 +153,52 @@ def test_export_identity_products_clean():
     for kind in ("A2", "B2", "A3"):
         ms = export_multisemigroup(coxeter_group(kind))
         assert mscell.identity_products_clean(ms)
+
+
+def test_w_graph_products_match_t_basis():
+    # the whole table from the W-graph action, as Laurent polynomials
+    for kind in ("A1", "A2", "B2", "A3"):
+        W = coxeter_group(kind)
+        basis = kl_basis(W)
+        act = hecke._w_graph_action(W, basis)
+        hecke._certify_action(W, basis, act)
+        for y in range(W.order):
+            col = hecke._product_column(W, act, y)
+            for x in range(W.order):
+                assert col[x] == kl_expand(W, multiply(basis[x], basis[y]), basis)
+
+
+def test_export_rejects_a_wrong_mu(monkeypatch):
+    W = coxeter_group("A3")
+    basis = kl_basis(W)
+    good = hecke._w_graph_action(W, basis)
+    # a generator action with a correction term b_z (mu(z, w) != 0)
+    s, w, z = next(
+        (s, w, z)
+        for s, row in enumerate(good)
+        for w, entry in enumerate(row)
+        for z in entry
+        if z not in (w, hecke._left_product(W, s, w))
+    )
+
+    original = hecke._w_graph_action
+
+    def corrupted(group, basis):
+        act = original(group, basis)
+        del act[s][w][z]  # mu(z, w) read as 0
+        return act
+
+    monkeypatch.setattr(hecke, "_w_graph_action", corrupted)
+    # the generator certificate catches it, before any later positivity check
+    with pytest.raises(HeckeDataError, match="disagrees with the T basis"):
+        export_multisemigroup(W)
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "A3", "B2"])
+def test_hecke_export_json_matches_golden(kind, capsys):
+    golden = Path(__file__).parent / "data" / f"hecke_export_{kind.lower()}.json"
+    assert cli.main(["--format", "json", "hecke-export", "--type", kind]) == 0
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_rsk_identity_and_w0():
