@@ -134,10 +134,9 @@ def cmd_rsk(args) -> int:
             lines.extend("  " + " ".join(map(str, row)) for row in pair.q_rows)
             _emit("\n".join(lines))
         return EXIT_OK
-    try:
-        struct = rsk_cells(args.n)
-    except ValueError as exc:
-        raise ParseError("<arg>", 0, f"bad --n {args.n}: {exc}") from exc
+    if not 2 <= args.n <= 5:
+        raise ParseError("<arg>", 0, f"bad --n {args.n}: the oracle supports 2 <= n <= 5")
+    struct = rsk_cells(args.n)
     if args.format == "json":
         _emit(json.dumps(_cells_payload(struct), indent=2, sort_keys=True))
     else:
@@ -145,17 +144,9 @@ def cmd_rsk(args) -> int:
     return EXIT_OK
 
 
-def _fixture_spec(name: str):
-    """AlgebraSpec of a bundled algebra fixture; an unknown name is an input error."""
-    try:
-        return fixtures.load_algebra(name)
-    except KeyError as exc:
-        raise ParseError("<arg>", 0, f"unknown fixture {name!r}") from exc
-
-
 def _algebra_spec_from_args(args):
     if args.fixture:
-        return _fixture_spec(args.fixture)
+        return fixtures.load_algebra(args.fixture)
     return formats.load_algebra_file(args.input)
 
 
@@ -194,7 +185,6 @@ def cmd_algebra_check(args) -> int:
 
 def cmd_ccx_build(args) -> int:
     if args.fixture:
-        _fixture_spec(args.fixture)
         build = fixtures.ccx_build(args.fixture)
         name = args.fixture
     else:

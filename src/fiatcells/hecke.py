@@ -9,9 +9,8 @@ the computed left cells match the convention in which left cells of the
 2-category are Kazhdan-Lusztig right cells.
 
 The export's product table comes from the left action of the generators on
-the canonical basis through mu, the W-graph (Kazhdan-Lusztig, Invent. Math.
-1979): |S|.|W| generator products, each certified against the T-basis
-product, determine every b_x b_y by associativity.
+the canonical basis: the |S|.|W| generator products b_s b_w, each taken
+from the T basis, determine every b_x b_y by associativity.
 """
 
 from __future__ import annotations
@@ -255,46 +254,30 @@ def kl_product_at_one(group: CoxeterGroup, x: int, y: int, basis=None) -> dict:
     return _at_one(group, kl_expand(group, multiply(basis[x], basis[y]), basis))
 
 
-def _w_graph_action(group: CoxeterGroup, basis) -> list:
-    """act[s][w] = b_s b_w in canonical coordinates, read off the W-graph:
-    (v + v^-1) b_w if sw < w, else b_sw plus mu(z, w) b_z summed over the z
-    with sz < z, where mu(z, w) is the coefficient of v in the
-    T_z-coefficient of b_w."""
-    gens = range(len(group.gen_names))
-    act = [[None] * group.order for _ in gens]
-    for w in range(group.order):
-        mu = {z: c.coeff(1) for z, c in basis[w].coeffs if c.coeff(1)}
-        for s in gens:
+def _generator_action(group: CoxeterGroup, basis) -> list:
+    """act[s][w] = b_s b_w in canonical coordinates, from the T-basis
+    product.  The table's recursion solves act[s][w] for b_sw whenever
+    sw > w, so b_sw must have coefficient exactly 1 there."""
+    act = []
+    for s in range(len(group.gen_names)):
+        b_s = basis[group.mult_gen[group.identity][s]]
+        row = []
+        for w in range(group.order):
+            entry = kl_expand(group, multiply(b_s, basis[w]), basis)
             sw = _left_product(group, s, w)
-            if group.length(sw) < group.length(w):
-                act[s][w] = {w: _V + _VINV}
-                continue
-            entry = {sw: LaurentPoly.one()}
-            for z, m in mu.items():
-                if group.length(_left_product(group, s, z)) < group.length(z):
-                    entry[z] = LaurentPoly.monomial(m, 0)
-            act[s][w] = entry
+            if group.length(sw) > group.length(w) and entry.get(sw) != LaurentPoly.one():
+                raise HeckeDataError(
+                    f"coefficient of b_{group.name(sw)} in "
+                    f"b_{group.gen_names[s]} b_{group.name(w)} is not 1"
+                )
+            row.append(entry)
+        act.append(row)
     return act
 
 
-def _certify_action(group: CoxeterGroup, basis, act) -> None:
-    """Check every act[s][w] against the canonical expansion of the T-basis
-    product b_s b_w, on the full Laurent polynomials, and that b_sw has
-    coefficient exactly 1 in act[s][w] whenever sw > w."""
-    for s in range(len(group.gen_names)):
-        b_s = basis[group.mult_gen[group.identity][s]]
-        for w in range(group.order):
-            name = f"b_{group.gen_names[s]} b_{group.name(w)}"
-            if act[s][w] != kl_expand(group, multiply(b_s, basis[w]), basis):
-                raise HeckeDataError(f"W-graph action disagrees with the T basis at {name}")
-            sw = _left_product(group, s, w)
-            if group.length(sw) > group.length(w) and act[s][w].get(sw) != LaurentPoly.one():
-                raise HeckeDataError(f"coefficient of b_{group.name(sw)} in {name} is not 1")
-
-
 def _product_column(group: CoxeterGroup, act, c: int) -> list:
-    """col[a] = b_a b_c in canonical coordinates for every a, from a
-    certified action table.  Going up in length with a = s r (s the first
+    """col[a] = b_a b_c in canonical coordinates for every a, from the
+    generator action.  Going up in length with a = s r (s the first
     letter of a's word), b_a = b_s b_r minus the other terms of act[s][r],
     all of them shorter than a, so b_a b_c = act[s] applied to col[r] minus
     the same terms applied to col."""
@@ -317,12 +300,11 @@ def _product_column(group: CoxeterGroup, act, c: int) -> list:
 
 def _table_at_one(group: CoxeterGroup, bound: int) -> dict:
     """b_y b_x at v=1 for every pair, keyed by the names (x, y), built one
-    right factor b_x at a time from the certified W-graph action.  Only the
+    right factor b_x at a time from the generator action.  Only the
     table outlives the call, so the basis, the action and the last column
     are freed before the multisemigroup validates the table."""
     basis = kl_basis(group, bound)
-    act = _w_graph_action(group, basis)
-    _certify_action(group, basis, act)
+    act = _generator_action(group, basis)
     names = [group.name(x) for x in range(group.order)]
     table = {}
     for x in range(group.order):

@@ -1,9 +1,6 @@
 import json
 
-import pytest
-
 from fiatcells import cli, verify
-from fiatcells.formats import ParseError
 from fiatcells.fixtures import fixture_path
 from fiatcells.report import CellReport
 
@@ -194,10 +191,3 @@ def test_internal_key_error_exits_3(capsys, monkeypatch):
     assert out == ""
     assert "Traceback" in err and "KeyError: 'lost table entry'" in err
     assert "input error" not in err
-
-
-def test_unknown_fixture_name_is_an_input_error():
-    args = cli.build_parser().parse_args(["ccx-build", "--fixture", "dualnumbers"])
-    args.fixture = "nonsense"  # a name argparse's choices would have refused
-    with pytest.raises(ParseError, match="unknown fixture 'nonsense'"):
-        args.func(args)

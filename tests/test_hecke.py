@@ -155,43 +155,27 @@ def test_export_identity_products_clean():
         assert mscell.identity_products_clean(ms)
 
 
-def test_w_graph_products_match_t_basis():
-    # the whole table from the W-graph action, as Laurent polynomials
+def test_product_columns_match_t_basis():
+    # the whole table from the generator action, as Laurent polynomials
     for kind in ("A1", "A2", "B2", "A3"):
         W = coxeter_group(kind)
         basis = kl_basis(W)
-        act = hecke._w_graph_action(W, basis)
-        hecke._certify_action(W, basis, act)
+        act = hecke._generator_action(W, basis)
         for y in range(W.order):
             col = hecke._product_column(W, act, y)
             for x in range(W.order):
                 assert col[x] == kl_expand(W, multiply(basis[x], basis[y]), basis)
 
 
-def test_export_rejects_a_wrong_mu(monkeypatch):
-    W = coxeter_group("A3")
-    basis = kl_basis(W)
-    good = hecke._w_graph_action(W, basis)
-    # a generator action with a correction term b_z (mu(z, w) != 0)
-    s, w, z = next(
-        (s, w, z)
-        for s, row in enumerate(good)
-        for w, entry in enumerate(row)
-        for z in entry
-        if z not in (w, hecke._left_product(W, s, w))
-    )
+def test_export_rejects_a_leading_coefficient_other_than_one(monkeypatch):
+    original = hecke.kl_expand
 
-    original = hecke._w_graph_action
+    def doubled(group, element, basis=None):
+        return {z: c + c for z, c in original(group, element, basis).items()}
 
-    def corrupted(group, basis):
-        act = original(group, basis)
-        del act[s][w][z]  # mu(z, w) read as 0
-        return act
-
-    monkeypatch.setattr(hecke, "_w_graph_action", corrupted)
-    # the generator certificate catches it, before any later positivity check
-    with pytest.raises(HeckeDataError, match="disagrees with the T basis"):
-        export_multisemigroup(W)
+    monkeypatch.setattr(hecke, "kl_expand", doubled)
+    with pytest.raises(HeckeDataError, match="is not 1"):
+        export_multisemigroup(coxeter_group("A2"))
 
 
 @pytest.mark.parametrize("kind", ["A1", "A2", "A3", "B2"])
