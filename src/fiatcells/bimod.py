@@ -134,8 +134,10 @@ class Bimodule:
         self.degrees = tuple(degrees) if degrees is not None else None
         self.name = name
         # (e_s, e_t, basis of A e_s, basis of e_t B) when this is the
-        # projective bimodule (A e_s)(x)(e_t B) in proj_bimodule's basis
+        # projective bimodule (A e_s)(x)(e_t B) in proj_bimodule's basis;
+        # regular when this is regular_bimodule's A in the basis of A
         self.generator = None
+        self.regular = False
         if check:
             self.validate()
 
@@ -163,7 +165,7 @@ class Bimodule:
             name=f"{self.name}<{c}>",
             check=False,
         )
-        out.generator = self.generator
+        out.generator, out.regular = self.generator, self.regular
         return out
 
     def validate(self) -> None:
@@ -218,7 +220,7 @@ def regular_bimodule(A: alg.FinDimAlgebra, degrees=None, name=None) -> Bimodule:
         right.append(
             tuple({r: v for r, v in enumerate(A.mult[q][i]) if v} for q in range(d))
         )
-    return Bimodule(
+    out = Bimodule(
         A,
         A,
         d,
@@ -228,6 +230,8 @@ def regular_bimodule(A: alg.FinDimAlgebra, degrees=None, name=None) -> Bimodule:
         degrees=degrees,
         name=name or f"reg({A.name})",
     )
+    out.regular = True
+    return out
 
 
 def _action_on_subspace_factor(algebra_: alg.FinDimAlgebra, sub: Subspace, left: bool):
@@ -691,23 +695,26 @@ def projective_center(A: alg.FinDimAlgebra) -> Subspace:
     return A._projective_center
 
 
+def centralizer(N: Bimodule) -> list:
+    """A sparse basis of {n in N : a.n = n.a for every a} for an
+    (A, A)-bimodule N: the images of 1 under the bimodule maps A -> N."""
+    eqs = []
+    for g in alg.algebra_generators(N.left_algebra):
+        commutator = sp_lincomb((Q1, -Q1), (N.left_of(g), N.right_of(g)))
+        eqs.extend(r for r in sp_rows(commutator, N.dim) if r)
+    return [{i: v for i, v in enumerate(n) if v} for n in linalg.nullspace(eqs, N.dim)]
+
+
 def _projective_center(A: alg.FinDimAlgebra) -> Subspace:
     reg = regular_bimodule(A)
-    gens = alg.algebra_generators(A)
     through = [A.unit]
     for s, e_s in enumerate(A.idempotents):
         for t, e_t in enumerate(A.idempotents):
             P = proj_bimodule(A, s, A, t)
-            eqs = []
-            for g in gens:
-                commutator = sp_lincomb((Q1, -Q1), (P.left_of(g), P.right_of(g)))
-                eqs.extend(r for r in sp_rows(commutator, P.dim) if r)
-            centralizer = [
-                {i: v for i, v in enumerate(n) if v} for n in linalg.nullspace(eqs, P.dim)
-            ]
+            images_of_one = centralizer(P)
             for g in corner_basis(reg, e_s, e_t):
                 out = yoneda_map(P, reg, g)
-                for n in centralizer:
+                for n in images_of_one:
                     z = sp_apply(out, n)
                     if z:
                         through.append(z)
@@ -1170,7 +1177,7 @@ def verify_center_separation(build: CcxBuild) -> list:
             for z in corner_rad:
                 c1 = _projective_pair_coords(A, s, s, e, z)
                 c2 = _projective_pair_coords(A, s, s, z, e)
-                independent = _rank2(c1, c2)
+                independent = linalg.rank([c1, c2], 1 + max(c1 | c2)) == 2
                 records.append(
                     CheckRecord(
                         name=f"center_separation[object {i + 1},e{s + 1},z={A.describe(z)}]",
@@ -1183,13 +1190,6 @@ def verify_center_separation(build: CcxBuild) -> list:
                     )
                 )
     return records
-
-
-def _rank2(c1: dict, c2: dict) -> bool:
-    ech = SparseEchelon(1 + max(list(c1) + list(c2)))
-    ech.insert(c1)
-    ech.insert(c2)
-    return ech.dim == 2
 
 
 def verify_commutant(build: CcxBuild) -> list:

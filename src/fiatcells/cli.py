@@ -17,7 +17,7 @@ from . import algebra as alg
 from . import bimod, fixtures, formats, graded, mscell, verify
 from .coxeter import coxeter_group
 from .formats import ParseError
-from .hecke import export_multisemigroup, rsk, rsk_cells
+from .hecke import HeckeDataError, SizeLimitError, export_multisemigroup, rsk, rsk_cells
 from .report import CellReport, CheckRecord
 
 EXIT_OK = 0
@@ -337,11 +337,14 @@ def main(argv=None) -> int:
     except (
         mscell.MultiSemigroupError,
         mscell.DataInconsistencyError,
+        mscell.CellArgumentError,
+        mscell.UnsupportedCellError,
         alg.AlgebraError,
         bimod.BimoduleError,
         bimod.IsoTestInconclusive,
         graded.GradedError,
-        ValueError,
+        HeckeDataError,
+        SizeLimitError,
     ) as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

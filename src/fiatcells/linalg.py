@@ -38,10 +38,6 @@ def add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def scale(c, v: Vec) -> Vec:
     c = frac(c)
     return tuple(c * a for a in v)

@@ -191,3 +191,16 @@ def test_internal_key_error_exits_3(capsys, monkeypatch):
     assert out == ""
     assert "Traceback" in err and "KeyError: 'lost table entry'" in err
     assert "input error" not in err
+
+
+def test_internal_value_error_exits_3(capsys, monkeypatch):
+    # a bare ValueError is a bug, not one of the named verification failures
+    def broken_suite():
+        raise ValueError("bad index arithmetic")
+
+    monkeypatch.setattr(verify, "b2_report", broken_suite)
+    code, out, err = run(capsys, "verify", "--fixture", "b2")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err and "ValueError: bad index arithmetic" in err
+    assert "verification error" not in err

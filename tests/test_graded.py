@@ -1,14 +1,96 @@
 import pytest
 
 from fiatcells import algebra as alg
-from fiatcells import bimod, graded, mscell
-from fiatcells.fixtures import graded_ccx_build, load_algebra
+from fiatcells import bimod, graded, linalg, mscell
+from fiatcells.fixtures import ALGEBRA_FILES, fixture_text, graded_ccx_build, load_algebra
+from fiatcells.formats import parse_algebra
 from fiatcells.laurent import LaurentPoly
 
 
 def graded_fixture(name):
     spec = load_algebra(name)
     return graded.GradedAlgebra(spec.algebra, spec.degrees)
+
+
+def graded_truncated_poly_text(n):
+    """`.alg` text of k[x]/(x^n) on the basis 1, x1, ..., x(n-1), deg x = 2."""
+    names = ["1"] + [f"x{k}" for k in range(1, n)]
+    lines = [f"algebra x{n}-graded", "basis " + " ".join(names), "unit = 1", "idempotent 1"]
+    lines += [
+        f"{names[i]}*{names[j]} = {names[i + j]}" for i in range(n) for j in range(n - i)
+    ]
+    lines += [f"deg {names[k]} = {2 * k}" for k in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+def graded_build_from_text(text):
+    spec = parse_algebra(text)
+    return graded.build_graded_ccx([graded.GradedAlgebra(spec.algebra, spec.degrees)])
+
+
+CORNER_CASES = {
+    "dualnumbers": fixture_text(ALGEBRA_FILES["dualnumbers"]),
+    "zigzagA2-graded": fixture_text(ALGEBRA_FILES["zigzagA2-graded"]),
+    **{f"x{n}": graded_truncated_poly_text(n) for n in (2, 3, 4, 5)},
+}
+
+
+def count_hom_space_calls(monkeypatch):
+    calls = []
+    generic = bimod.hom_space
+
+    def spy(M, N):
+        calls.append((M.name, N.name))
+        return generic(M, N)
+
+    monkeypatch.setattr(bimod, "hom_space", spy)
+    return calls
+
+
+def assert_intertwiners(M, N, homs):
+    A, B = M.left_algebra, M.right_algebra
+    for Y in homs:
+        for g in alg.algebra_generators(A):
+            assert bimod.sp_eq(
+                bimod.sp_compose(N.left_of(g), Y), bimod.sp_compose(Y, M.left_of(g))
+            )
+        for g in alg.algebra_generators(B):
+            assert bimod.sp_eq(
+                bimod.sp_compose(N.right_of(g), Y), bimod.sp_compose(Y, M.right_of(g))
+            )
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_CASES))
+def test_corner_hom_series_match_the_generic_solver(name, monkeypatch):
+    build = graded_build_from_text(CORNER_CASES[name])
+    generic = bimod.hom_space
+    calls = count_hom_space_calls(monkeypatch)
+    for names in graded._same_pair_names(build).values():
+        for f in names:
+            for g in names:
+                M, N = build.bimodule(f), build.bimodule(g)
+                series = graded.graded_hom_series(M, N, generic(M, N))
+                assert graded.graded_hom_series(M, N) == series
+                assert_intertwiners(M, N, graded.hom_basis(M, N))
+    assert calls == []  # every source is a projective or the identity
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_CASES))
+def test_corner_homs_into_bimodules_outside_the_build(name):
+    build = graded_build_from_text(CORNER_CASES[name])
+    g_name = mscell.duflo(build.ms, build.cellrep.left_cell)
+    duflo_bim = build.bimodule(g_name)
+    dual = graded.star_bimodule(duflo_bim, left_degrees=build.gradings[0])
+    targets = [dual, bimod.direct_sum([duflo_bim, build.bimodule("I1")])]
+    for f in build.ms.names:
+        M = build.bimodule(f)
+        assert M.generator is not None or M.regular
+        for N in targets:
+            homs = graded.hom_basis(M, N)
+            assert_intertwiners(M, N, homs)
+            flat = [bimod.sp_flatten(Y, N.dim) for Y in homs]
+            assert linalg.rank(flat, N.dim * M.dim) == len(homs)
+            assert len(homs) == bimod.hom_dim(M, N)
 
 
 def test_grading_validation_rejects_bad_degrees():
@@ -111,12 +193,25 @@ def test_invariants_dualnumbers():
     assert graded.top_corner_degree(build) == 2
 
 
-def test_dual_shift_identity():
+def test_dual_shift_identity(monkeypatch):
     for name in ("dualnumbers", "zigzagA2-graded"):
         build = graded_ccx_build(name)
+        calls = count_hom_space_calls(monkeypatch)
         recs = graded.verify_dual_shift_identity(build)
+        assert calls == []  # every hom space read off a corner or a centraliser
         assert all(r.passed for r in recs)
         assert recs[0].values["shift"] == 0
+
+
+def test_dual_shift_identity_negative():
+    for name in ("dualnumbers", "zigzagA2-graded"):
+        build = graded_ccx_build(name)
+        g_name = mscell.duflo(build.ms, build.cellrep.left_cell)
+        g_bim = build.bimodule(g_name)
+        dual = graded.star_bimodule(g_bim, left_degrees=build.gradings[0])
+        a_val = graded.min_hom_degree_to_identity(build)
+        l_val = graded.top_corner_degree(build)
+        assert not graded.graded_iso_test(dual, g_bim.shifted(l_val - 2 * a_val + 2))
 
 
 def test_star_bimodule_realizes_expected_dual():
@@ -186,7 +281,7 @@ def test_shift_translation_invariants():
     assert all(results[s][3] == "1" for s in results)  # psi invariant
 
 
-def test_graded_iso_test_negative():
+def test_graded_iso_test_negative(monkeypatch):
     build = graded_ccx_build("dualnumbers")
     g = build.bimodule("F11_11")
     assert not graded.graded_iso_test(g, g.shifted(2))  # degree multisets differ
@@ -199,8 +294,13 @@ def test_graded_iso_test_negative():
     )
     mixed = bimod.direct_sum([gr, gr.shifted(-2)])
     assert sorted(mixed.degrees) == sorted(gP.degrees) == [0, 2, 2, 4]
+    # the search reads Hom(gP, mixed) off the corner; only the way back is solved
+    calls = count_hom_space_calls(monkeypatch)
     assert not graded.graded_iso_test(mixed, gP)
+    assert calls == [(mixed.name, gP.name)]
+    calls.clear()
     assert not graded.graded_iso_test(gP, mixed)
+    assert calls == [(mixed.name, gP.name)]
     assert graded.graded_iso_test(mixed, bimod.direct_sum([gr.shifted(-2), gr]))
 
 
