@@ -92,7 +92,10 @@ class FinDimAlgebra:
 # -- validation ----------------------------------------------------------
 
 
-def validate(algebra: FinDimAlgebra, max_reports: int = 8) -> None:
+_MAX_REPORTS = 8  # associativity witnesses collected before validate gives up
+
+
+def validate(algebra: FinDimAlgebra) -> None:
     """Check all structural laws exhaustively; raise with witnesses if any fail."""
     problems = []
     d = algebra.dim
@@ -114,7 +117,7 @@ def validate(algebra: FinDimAlgebra, max_reports: int = 8) -> None:
                         "associativity fails at "
                         f"({algebra.basis[i]}, {algebra.basis[j]}, {algebra.basis[k]})"
                     )
-                    if len(problems) >= max_reports:
+                    if len(problems) >= _MAX_REPORTS:
                         raise AlgebraValidationError(problems)
 
     total = linalg.zeros(d)
@@ -408,21 +411,13 @@ def subalgebra_closure(algebra: FinDimAlgebra, generators) -> Subspace:
         current = bigger
 
 
-def algebra_generators(algebra: FinDimAlgebra, rad: Subspace | None = None):
+def algebra_generators(algebra: FinDimAlgebra) -> list:
     """Idempotents plus a complement of rad^2 in rad: a unital generating set,
-    as a new list.  Without rad, the set is computed once per algebra."""
-    if rad is not None:
-        return _generators(algebra, rad)
+    as a new list.  The set is computed once per algebra."""
     if algebra._generators is None:
-        algebra._generators = tuple(_generators(algebra, radical(algebra)))
+        rad = radical(algebra)
+        ech = linalg.SparseEchelon(algebra.dim)
+        ech.extend(algebra.mul(u, v) for u in rad for v in rad)
+        arrows = [r for r in rad if ech.insert(r)]
+        algebra._generators = tuple(algebra.idempotents) + tuple(arrows)
     return list(algebra._generators)
-
-
-def _generators(algebra: FinDimAlgebra, rad: Subspace) -> list:
-    rad2 = Subspace.from_vectors(
-        [algebra.mul(u, v) for u in rad for v in rad], algebra.dim
-    )
-    ech = linalg.SparseEchelon(algebra.dim)
-    ech.extend(rad2.rows)
-    arrows = [r for r in rad if ech.insert(r)]
-    return list(algebra.idempotents) + arrows

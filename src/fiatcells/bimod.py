@@ -446,42 +446,29 @@ def tensor_over(M: Bimodule, N: Bimodule, name=None) -> Bimodule:
 # -- hom spaces and isomorphism testing ------------------------------------
 
 
-def hom_space(M: Bimodule, N: Bimodule):
-    """Basis of bimodule homomorphisms M -> N, in the canonical order produced
-    by the echelon solver.  Each map is column-sparse like the action
-    matrices: a tuple of M.dim dicts, the q-th sending a row index of N to
-    the nonzero entries of the image of the q-th basis vector of M."""
-    if M.left_algebra is not N.left_algebra or M.right_algebra is not N.right_algebra:
-        raise BimoduleError("hom space needs a common algebra pair")
-    A, B = M.left_algebra, M.right_algebra
-    dm, dn = M.dim, N.dim
-    unknowns = dn * dm
+def intertwiners(pairs, dm: int, dn: int) -> list:
+    """A basis of {X : X.a = b.X for every (a, b) in pairs}, where each a is a
+    column-sparse dm x dm matrix and each b a column-sparse dn x dn matrix.
 
-    def x_index(p, q):
-        return p * dm + q
-
+    Each X is column-sparse like the action matrices: a tuple of dm dicts,
+    the q-th sending a row index to the nonzero entries of column q.  The
+    unknown X[p, q] is numbered p * dm + q, and the basis is the canonical
+    one linalg.nullspace gives in that numbering; with no pairs it is the
+    dn * dm matrix units."""
     eqs = []
-
-    def add_constraints(m_mat, n_mat):
-        # X . m_mat = n_mat . X
-        n_rows = sp_rows(n_mat, dn)
+    for a, b in pairs:
+        b_rows = sp_rows(b, dn)
         for q in range(dm):
-            mcol = m_mat[q]
+            a_col = a[q]
             for p in range(dn):
-                row = {x_index(p, k): v for k, v in mcol.items()}
-                for k, v in n_rows[p].items():
-                    key = x_index(k, q)
+                row = {p * dm + k: v for k, v in a_col.items()}
+                for k, v in b_rows[p].items():
+                    key = k * dm + q
                     row[key] = row.get(key, Q0) - v
                 if row:
                     eqs.append(row)
-
-    for g in alg.algebra_generators(A):
-        add_constraints(M.left_of(g), N.left_of(g))
-    for g in alg.algebra_generators(B):
-        add_constraints(M.right_of(g), N.right_of(g))
-
     mats = []
-    for vec_ in linalg.nullspace(eqs, unknowns):
+    for vec_ in linalg.nullspace(eqs, dn * dm):
         cols = tuple({} for _ in range(dm))
         for idx, v in enumerate(vec_):
             if v:
@@ -489,6 +476,16 @@ def hom_space(M: Bimodule, N: Bimodule):
                 cols[q][p] = v
         mats.append(cols)
     return mats
+
+
+def hom_space(M: Bimodule, N: Bimodule):
+    """Basis of bimodule homomorphisms M -> N: the intertwiners of both
+    actions on generators, column-sparse with M.dim columns."""
+    if M.left_algebra is not N.left_algebra or M.right_algebra is not N.right_algebra:
+        raise BimoduleError("hom space needs a common algebra pair")
+    pairs = [(M.left_of(g), N.left_of(g)) for g in alg.algebra_generators(M.left_algebra)]
+    pairs += [(M.right_of(g), N.right_of(g)) for g in alg.algebra_generators(M.right_algebra)]
+    return intertwiners(pairs, M.dim, N.dim)
 
 
 def hom_dim(M: Bimodule, N: Bimodule) -> int:
@@ -812,7 +809,7 @@ class CcxBuild:
         return self.morphism_info[name]
 
 
-def build_ccx(data: CcxData, validated: bool = False) -> CcxBuild:
+def build_ccx(data: CcxData) -> CcxBuild:
     """Construct the multisemigroup and decategorified cell representation.
 
     Composition multiplicities follow the closed form dim(e_t A_j e_u); the
@@ -828,8 +825,7 @@ def build_ccx(data: CcxData, validated: bool = False) -> CcxBuild:
         if len(A.idempotents) > 9:
             raise BimoduleError("at most 9 idempotents per algebra supported")
         try:
-            if not validated:
-                alg.validate(A)
+            alg.validate(A)
         except alg.AlgebraValidationError as exc:
             problems.append(f"{label}: {exc}")
             x_spaces.append(None)
@@ -967,24 +963,12 @@ def _build_cellrep(data: CcxData, info, corner_dims, morphisms) -> CellRepData:
 
 def commutant_dimension(rep: CellRepData) -> int:
     """Dimension of the joint commutant of all action matrices."""
-    nsim = len(rep.simple_labels)
-    eqs = []
-    for mat in rep.actions.values():
-        for p in range(nsim):
-            for q in range(nsim):
-                row = {}
-                for k in range(nsim):
-                    if mat[k][q]:
-                        row[p * nsim + k] = row.get(p * nsim + k, 0) + mat[k][q]
-                    if mat[p][k]:
-                        key = k * nsim + q
-                        row[key] = row.get(key, 0) - mat[p][k]
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    eqs.append(row)
-    if not eqs:
-        return nsim * nsim
-    return len(linalg.nullspace(eqs, nsim * nsim))
+    n = len(rep.simple_labels)
+    cols = [
+        tuple({r: mat[r][q] for r in range(n) if mat[r][q]} for q in range(n))
+        for mat in rep.actions.values()
+    ]
+    return len(intertwiners([(m, m) for m in cols], n, n))
 
 
 # -- verification suites ----------------------------------------------------

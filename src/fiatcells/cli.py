@@ -205,12 +205,15 @@ def cmd_ccx_build(args) -> int:
                     alg.subalgebra_closure(aspec.algebra, vectors)
                 )
         if all(aspec.degrees is not None for aspec in algebra_specs):
-            build = graded.build_graded_ccx(
-                [graded.GradedAlgebra(a.algebra, a.degrees) for a in algebra_specs],
-                x_subalgebras=tuple(x_spaces),
-                shifts=spec.shifts if spec.shifts else None,
-                name=spec.name,
-            )
+            try:
+                build = graded.build_graded_ccx(
+                    [graded.GradedAlgebra(a.algebra, a.degrees) for a in algebra_specs],
+                    x_subalgebras=tuple(x_spaces),
+                    shifts=spec.shifts if spec.shifts else None,
+                    name=spec.name,
+                )
+            except graded.UnknownShiftError as exc:
+                raise ParseError(args.input, 0, str(exc)) from exc
         else:
             if spec.shifts:
                 raise ParseError(

@@ -80,11 +80,14 @@ def _parse_combination(expr: str, labels, path, line_no):
         m = _TERM.match(tok)
         if not m:
             raise ParseError(path, line_no, f"cannot parse term {tok!r}")
-        if m.group(3) is not None:
-            coef, label = Fraction(m.group(3)), None
-        else:
-            coef = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-            label = m.group(2)
+        try:
+            if m.group(3) is not None:
+                coef, label = Fraction(m.group(3)), None
+            else:
+                coef = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+                label = m.group(2)
+        except ZeroDivisionError:
+            raise ParseError(path, line_no, f"zero denominator in {tok!r}") from None
         if label is None:
             if "1" not in labels:
                 raise ParseError(path, line_no, "bare scalar needs a basis label '1'")
@@ -258,6 +261,7 @@ def parse_ccx(text: str, path="<string>") -> CcxSpec:
     name = None
     algebra_paths = []
     x_generators = {}
+    x_lines = {}
     shifts = {}
     for line_no, line in _clean_lines(text):
         if line.startswith("ccx "):
@@ -270,6 +274,7 @@ def parse_ccx(text: str, path="<string>") -> CcxSpec:
                 raise ParseError(path, line_no, f"bad x line {line!r}")
             obj = int(m.group(1)) if m.group(1) else 1
             x_generators[obj - 1] = [t.strip() for t in m.group(2).split(";")]
+            x_lines[obj - 1] = line_no
         elif line.startswith("shift "):
             m = re.match(r"shift\s+(\S+)\s*=\s*(-?\d+)$", line)
             if not m:
@@ -279,6 +284,13 @@ def parse_ccx(text: str, path="<string>") -> CcxSpec:
             raise ParseError(path, line_no, f"unrecognized line {line!r}")
     if not algebra_paths:
         raise ParseError(path, 0, "ccx input needs at least one algebra")
+    for obj, line_no in x_lines.items():
+        if not 0 <= obj < len(algebra_paths):
+            raise ParseError(
+                path,
+                line_no,
+                f"x line names object {obj + 1}, but the objects are 1..{len(algebra_paths)}",
+            )
     return CcxSpec(
         name=name or "ccx",
         algebra_paths=algebra_paths,

@@ -25,6 +25,10 @@ class GradedError(ValueError):
     pass
 
 
+class UnknownShiftError(GradedError):
+    """A grading shift names a 1-morphism the build does not have."""
+
+
 @dataclass
 class GradedAlgebra:
     """A validated algebra with a degree for each basis element."""
@@ -80,9 +84,10 @@ def build_graded_ccx(
 ) -> CcxBuild:
     """Construct the 2-category data with gradings and representative shifts.
 
-    shifts maps morphism names to integers (identities are pinned at 0);
-    when omitted, the default symmetrizing rule assigns F^{(i,j)}_{st} the
-    shift top_degree(e_t A_j e_t)/2 and rejects odd top degrees."""
+    shifts maps morphism names to integers (identities are pinned at 0; a
+    name the build does not have raises UnknownShiftError); when omitted,
+    the default symmetrizing rule assigns F^{(i,j)}_{st} the shift
+    top_degree(e_t A_j e_t)/2 and rejects odd top degrees."""
     graded_algebras = list(graded_algebras)
     data = CcxData(
         algebras=tuple(g.base for g in graded_algebras),
@@ -95,6 +100,11 @@ def build_graded_ccx(
         shifts = default_shifts(build, graded_algebras)
     else:
         shifts = dict(shifts)
+        unknown = sorted(set(shifts) - set(build.morphism_info))
+        if unknown:
+            raise UnknownShiftError(
+                f"shift names no 1-morphism of the build: {', '.join(unknown)}"
+            )
         for nm, info in build.morphism_info.items():
             if info[0] == "I" and shifts.get(nm, 0) != 0:
                 raise GradedError("identity morphisms must have shift 0")
@@ -208,47 +218,20 @@ def graded_iso_test(M: Bimodule, N: Bimodule, seed: int = 0) -> bool:
 
 def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
     """The adjoint bimodule Hom_{A-left}(M, A) with actions
-    (b . phi . a)(m) = phi(m b) a, computed by the generic solver.
+    (b . phi . a)(m) = phi(m b) a.
 
-    left_degrees grades the codomain algebra A; when both gradings are
-    present the result is graded by hom degree.  For a projective bimodule
-    (A e_s)(x)(e_t B) shifted by c this realizes the expected dual
-    (B e_t)(x)(e_s A) shifted by top(e_t B e_t) - c, but nothing of that
-    closed form is used here."""
+    Its basis is bimod.intertwiners of the left actions of the generators of
+    A on M and on the regular bimodule A: the maps phi with
+    phi(g.m) = g.phi(m).  left_degrees grades the codomain algebra A; when
+    both gradings are present the result is graded by hom degree.  For a
+    projective bimodule (A e_s)(x)(e_t B) shifted by c this realizes the
+    expected dual (B e_t)(x)(e_s A) shifted by top(e_t B e_t) - c, but
+    nothing of that closed form is used here."""
     A = M.left_algebra
-    B = M.right_algebra
-    dm, da = M.dim, A.dim
-
-    # solve phi . L^M(a) = L^A(a) . phi (left A-linearity only)
-    def y_index(p, q):
-        return p * dm + q
-
-    eqs = []
-    for g in alg.algebra_generators(A):
-        g_on_m = M.left_of(g)
-        lmat = A.left_mult_matrix(g)
-        for q in range(dm):
-            mcol = g_on_m[q]
-            for p in range(da):
-                row = {y_index(p, k): v for k, v in mcol.items()}
-                for k in range(da):
-                    if lmat[p][k]:
-                        key = y_index(k, q)
-                        row[key] = row.get(key, Q0) - lmat[p][k]
-                if row:
-                    eqs.append(row)
-    # each dual basis element phi sparse at y_index, and as a column-sparse
-    # da x dm matrix
-    flat_phis = [
-        {idx: x for idx, x in enumerate(v) if x} for v in linalg.nullspace(eqs, da * dm)
-    ]
-    phis = []
-    for flat in flat_phis:
-        cols = tuple({} for _ in range(dm))
-        for idx, x in flat.items():
-            p, q = divmod(idx, dm)
-            cols[q][p] = x
-        phis.append(cols)
+    reg = bimod.regular_bimodule(A)
+    phis = bimod.intertwiners(
+        [(M.left_of(g), reg.left_of(g)) for g in alg.algebra_generators(A)], M.dim, A.dim
+    )
     n = len(phis)
 
     degrees = None
@@ -265,31 +248,27 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
                 raise GradedError("dual basis element is not homogeneous")
             degrees.append(degs.pop())
 
-    # nullspace basis vector r is 1 at its free column, the last nonzero one
-    # of a reduced echelon solution, and 0 at every other free column, so the
-    # coordinates of a solution are its entries at the free columns
-    free = [max(flat) for flat in flat_phis]
+    # basis map r is 1 at its free unknown, the last nonzero one in the
+    # numbering p * dm + q, and 0 at every other free unknown, so the
+    # coordinates of an intertwiner are its entries there
+    free = [max((p, q) for q, col in enumerate(phi) for p in col) for phi in phis]
 
-    def coords(target_cols):
-        target = {
-            y_index(p, q): x for q, col in enumerate(target_cols) for p, x in col.items()
-        }
-        sol = {r: target[f] for r, f in enumerate(free) if f in target}
-        if bimod.sp_apply(flat_phis, sol) != target:
+    def coords(target):
+        sol = [target[q].get(p, Q0) for p, q in free]
+        if not bimod.sp_eq(bimod.sp_lincomb(sol, phis), target):
             raise GradedError("action left the dual hom space")
-        return sol
+        return {r: x for r, x in enumerate(sol) if x}
 
     # (b . phi)(m) = phi(m b) and (phi . a)(m) = phi(m) a
     left_action = [
         tuple(coords(bimod.sp_compose(phi, rb)) for phi in phis) for rb in M.right_action
     ]
     right_action = [
-        tuple(coords(bimod.sp_compose(ra, phi)) for phi in phis)
-        for ra in bimod.regular_bimodule(A).right_action
+        tuple(coords(bimod.sp_compose(ra, phi)) for phi in phis) for ra in reg.right_action
     ]
 
     return Bimodule(
-        B,
+        M.right_algebra,
         A,
         n,
         left_action,

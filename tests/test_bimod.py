@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,88 @@ def test_hom_space_dims():
     Z = fixture("zigzagA2")
     P12 = bimod.proj_bimodule(Z, 0, Z, 1)
     assert bimod.hom_dim(P12, P12) == 4
+
+
+def _dense(cols, n):
+    """The n x n dense matrix of a column-sparse one."""
+    return [[cols[q].get(p, 0) for q in range(n)] for p in range(n)]
+
+
+def _kron(x, y):
+    return [
+        [xi[j] * yk[l] for j in range(len(xi)) for l in range(len(yk))]
+        for xi in x
+        for yk in y
+    ]
+
+
+def _dense_rank(rows):
+    """Rank by naive dense Gaussian elimination, independent of linalg."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col] / mat[rank][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _random_sparse(rng, n):
+    return tuple(
+        {r: v for r in range(n) if (v := rng.choice((0, 0, 0, 1, -1, 2)))} for _ in range(n)
+    )
+
+
+def _intertwiner_cases():
+    """Seeded (pairs, dm, dn): random small integer matrices, half of them with
+    a the block sum of b and a random block, so that [I 0] intertwines."""
+    cases = [([], 2, 3), ([], 3, 1)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        dn = rng.randint(1, 3)
+        dm = rng.randint(1, 4)
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            b = _random_sparse(rng, dn)
+            if dm > dn and seed % 2:
+                rest = _random_sparse(rng, dm - dn)
+                a = b + tuple({r + dn: v for r, v in col.items()} for col in rest)
+            else:
+                a = _random_sparse(rng, dm)
+            pairs.append((a, b))
+        cases.append((pairs, dm, dn))
+    return cases
+
+
+def test_intertwiners_match_the_kronecker_nullity():
+    nonzero = 0
+    for pairs, dm, dn in _intertwiner_cases():
+        basis = bimod.intertwiners(pairs, dm, dn)
+        # X.a - b.X on X flattened row by row is (I (x) a^T - b (x) I) vec(X)
+        ident_m = [[int(i == j) for j in range(dm)] for i in range(dm)]
+        ident_n = [[int(i == j) for j in range(dn)] for i in range(dn)]
+        rows = []
+        for a, b in pairs:
+            a_t = [list(col) for col in zip(*_dense(a, dm))]
+            left, right = _kron(ident_n, a_t), _kron(_dense(b, dn), ident_m)
+            rows += [[x - y for x, y in zip(lr, rr)] for lr, rr in zip(left, right)]
+        assert len(basis) == dn * dm - _dense_rank(rows), (pairs, dm, dn)
+        if not pairs:
+            assert len(basis) == dn * dm
+        nonzero += bool(basis)
+        for X in basis:
+            assert len(X) == dm and all(p < dn for col in X for p in col)
+            for a, b in pairs:
+                assert bimod.sp_compose(X, a) == bimod.sp_compose(b, X)
+        flat = [bimod.sp_flatten(X, dn) for X in basis]
+        assert linalg.rank(flat, dn * dm) == len(basis)
+    assert nonzero > 10
 
 
 def test_hom_adjunction_dimension_law():

@@ -204,3 +204,34 @@ def test_internal_value_error_exits_3(capsys, monkeypatch):
     assert out == ""
     assert "Traceback" in err and "ValueError: bad index arithmetic" in err
     assert "verification error" not in err
+
+
+def test_zero_denominator_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "zero.alg"
+    bad.write_text("algebra zero\nbasis 1 x\nunit = 1\nidempotent 1\nx*x = 2/0*x\n")
+    code, out, err = run(capsys, "algebra-check", "--input", str(bad))
+    assert code == 2
+    assert out == ""
+    assert f"input error: {bad}:5: zero denominator" in err
+    assert "Traceback" not in err
+
+
+def test_ccx_x_line_out_of_range_is_an_input_error(capsys, tmp_path):
+    (tmp_path / "x3local.alg").write_text(fixture_path("x3local.alg").read_text())
+    for obj in (3, 0):
+        ccx = tmp_path / f"x{obj}.ccx"
+        ccx.write_text(f"ccx bad\nalgebra x3local.alg\nx {obj} = 1\n")
+        code, out, err = run(capsys, "ccx-build", "--input", str(ccx))
+        assert code == 2, obj
+        assert out == ""
+        assert f"{ccx}:3: x line names object {obj}" in err
+
+
+def test_ccx_unknown_shift_is_an_input_error(capsys, tmp_path):
+    (tmp_path / "dualnumbers.alg").write_text(fixture_path("dualnumbers.alg").read_text())
+    ccx = tmp_path / "graded.ccx"
+    ccx.write_text("ccx bad\nalgebra dualnumbers.alg\nshift F11_1 = 5\n")
+    code, out, err = run(capsys, "ccx-build", "--input", str(ccx))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "F11_1" in err

@@ -236,6 +236,14 @@ def test_star_bimodule_rejects_a_right_action_that_is_not_left_linear():
         graded.star_bimodule(broken)
 
 
+def test_build_graded_ccx_refuses_unknown_shift_names():
+    ga = graded_fixture("dualnumbers")
+    with pytest.raises(graded.UnknownShiftError, match="F11_1, F22_11"):
+        graded.build_graded_ccx([ga], shifts={"F11_11": 1, "F22_11": 0, "F11_1": 5})
+    build = graded.build_graded_ccx([ga], shifts={"F11_11": 1})
+    assert build.shifts == {"F11_11": 1, "I1": 0}
+
+
 def test_hilbert_transfer():
     build = graded_ccx_build("zigzagA2-graded")
     struct = mscell.cells(build.ms)
