@@ -38,7 +38,7 @@ class BimoduleError(ValueError):
 
 
 class IsoTestInconclusive(RuntimeError):
-    """The isomorphism search exhausted both strategies without a certificate."""
+    """The isomorphism search found neither certificate."""
 
 
 # -- column-sparse matrices ----------------------------------------------
@@ -512,6 +512,51 @@ def corner_basis(N: Bimodule, e_left, e_right) -> tuple:
     return tuple(ech.rows[c] for c in ech.pivots())
 
 
+def read_off(M: Bimodule) -> bool:
+    """Does hom_span read Hom(M, N) off N rather than solve for it?"""
+    return M.generator is not None or M.regular
+
+
+def span_of(homs) -> tuple:
+    """The span of a list of column-sparse maps, in hom_span's form."""
+    return len(homs), lambda c: sp_lincomb(c, homs)
+
+
+def hom_span(M: Bimodule, N: Bimodule) -> tuple:
+    """Hom(M, N) as (n, build): build(c), linear in a vector c of length n, is
+    a map column-sparse like hom_space, and the builds of the n unit vectors
+    are a basis.  For M projective it is the Yoneda map of the combination c
+    of a basis of e_s N e_t; for M the regular bimodule A, the map a -> a.n
+    for n the combination c of a basis of the centraliser of A in N; for any
+    other M, the combination c of a hom_space basis."""
+    if M.left_algebra is not N.left_algebra or M.right_algebra is not N.right_algebra:
+        raise BimoduleError("hom space needs a common algebra pair")
+    if M.generator is not None:
+        gens = corner_basis(N, M.generator[0], M.generator[1])
+
+        def to_map(g):
+            return yoneda_map(M, N, g)
+    elif M.regular:
+        gens = centralizer(N)
+
+        def to_map(g):
+            return tuple(sp_apply(a, g) for a in N.left_action)
+    else:
+        return span_of(hom_space(M, N))
+    return len(gens), lambda c: to_map(sp_apply(gens, dict(enumerate(c))))
+
+
+def span_basis(span) -> list:
+    """The builds of the unit vectors of a span."""
+    n, build = span
+    return [build([int(i == j) for i in range(n)]) for j in range(n)]
+
+
+def hom_basis(M: Bimodule, N: Bimodule) -> list:
+    """A basis of Hom(M, N), read off N where hom_span can."""
+    return span_basis(hom_span(M, N))
+
+
 _ISO_TRIES = 48
 
 
@@ -524,29 +569,28 @@ def _random_coeffs(seed: int, n: int):
         yield [rng.randint(-bound, bound) for _ in range(n)]
 
 
-def find_iso(homs, homs_back, dim: int, seed: int, what: str) -> bool:
-    """Decide whether the span of homs, column-sparse maps M -> N between
-    bimodules of the same dimension dim, contains an isomorphism.
+def find_iso(span, homs_back, dim: int, seed: int, what: str) -> bool:
+    """Decide whether span = (n, build), maps M -> N as hom_span gives them
+    between bimodules of dimension dim, contains an isomorphism.
 
-    "Isomorphic" is certified by a map of full rank: up to _ISO_TRIES seeded
-    random integer combinations of homs are tried, the coefficient bound
-    widening every eight attempts.  "Not isomorphic" is certified when homs
-    is empty, when homs_back() (a spanning set of Hom(N, M), computed only
-    once the search has failed) is empty, or when the identity of M or of N
-    lies outside the span of the composites of the two spanning sets; an
-    isomorphism and its inverse would compose to that identity.  When both
-    identities are reachable but no combination was invertible, the search
-    raises IsoTestInconclusive naming what was tested.
-    """
-    if not homs:
+    A full-rank build of one of _ISO_TRIES seeded random integer vectors
+    certifies "isomorphic".  "Not isomorphic" is certified when n is 0, when
+    homs_back() (a spanning set of Hom(N, M), computed only if the search
+    fails) is empty, or when the identity of M or of N is no combination of
+    composites of homs_back() with the builds of the unit vectors, as it is
+    for an isomorphism and its inverse.  When both identities are such
+    combinations, IsoTestInconclusive names what was tested."""
+    n, build = span
+    if not n:
         return False
-    for coeffs in _random_coeffs(seed, len(homs)):
+    for coeffs in _random_coeffs(seed, n):
         # rank of the column dicts: a matrix and its transpose agree
-        if any(coeffs) and linalg.rank(sp_lincomb(coeffs, homs), dim) == dim:
+        if any(coeffs) and linalg.rank(build(coeffs), dim) == dim:
             return True
     back = homs_back()
     if not back:
         return False
+    homs = span_basis(span)
     if not _identity_in_composition_span(homs, back, dim):
         return False
     if not _identity_in_composition_span(back, homs, dim):
@@ -564,13 +608,16 @@ def _identity_in_composition_span(homs, homs_back, dim: int) -> bool:
 
 
 def iso_test(M: Bimodule, N: Bimodule, seed: int = 0) -> bool:
-    """Exact isomorphism test of M and N by find_iso on Hom(M, N)."""
+    """Exact isomorphism test of M and N by find_iso, searching from the side
+    hom_span reads off; the way back is solved only if the search fails."""
     if M.dim != N.dim:
         return False
     if M.dim == 0:
         return True
+    if read_off(N) and not read_off(M):
+        M, N = N, M
     return find_iso(
-        hom_space(M, N),
+        hom_span(M, N),
         lambda: hom_space(N, M),
         M.dim,
         seed,
@@ -579,63 +626,36 @@ def iso_test(M: Bimodule, N: Bimodule, seed: int = 0) -> bool:
 
 
 def iso_to_direct_power(T: Bimodule, B: Bimodule, k: int, seed: int = 0) -> bool:
-    """Exact test of T isomorphic to B^{(+)k}.
+    """Exact test of T isomorphic to B^{(+)k}, by find_iso on Hom(B^k, T).
 
-    When B is a projective bimodule from proj_bimodule, with generator
-    e_s(x)e_t, seeded random g_1..g_k in e_s T e_t give Yoneda maps
-    B -> T; stacked into B^k -> T, a full-rank stack certifies the
-    isomorphism.  The draws follow find_iso's schedule.  Otherwise, and
-    when no draw gives full rank, find_iso decides: Hom(T, B^k) and
-    Hom(B^k, T) are spanned by k block copies of bases of Hom(T, B) and
-    Hom(B, T), so only the small hom spaces are solved."""
+    A coefficient vector of that span is k vectors for hom_span(B, T), whose
+    k maps B -> T stack to one map B^k -> T; for a projective or regular B
+    they are read off T.  The way back, needed only when the search fails, is
+    k block copies of a basis of Hom(T, B), solved once."""
     if T.dim != k * B.dim:
         return False
     if T.dim == 0:
         return True
-    if T.left_algebra is not B.left_algebra or T.right_algebra is not B.right_algebra:
-        raise BimoduleError("direct-power test needs a common algebra pair")
-    if B.generator is not None and _yoneda_iso(T, B, k, seed):
-        return True
-    d = B.dim
-    into = hom_space(T, B)
+    n, build = hom_span(B, T)
+
+    def stack(c):
+        return tuple(col for b in range(k) for col in build(c[b * n:(b + 1) * n]))
 
     def back():
-        homs = hom_space(B, T)
+        homs = hom_space(T, B)
         return [
-            ({},) * (b * d) + g + ({},) * ((k - 1 - b) * d)
+            tuple({r + b * B.dim: v for r, v in col.items()} for col in h)
             for b in range(k)
-            for g in homs
+            for h in homs
         ]
 
     return find_iso(
-        [
-            tuple({r + b * d: v for r, v in col.items()} for col in h)
-            for b in range(k)
-            for h in into
-        ],
+        (k * n, stack),
         back,
         T.dim,
         seed,
         f"direct-power iso test for {T.name} vs {k} x {B.name}",
     )
-
-
-def _yoneda_iso(T: Bimodule, B: Bimodule, k: int, seed: int) -> bool:
-    """Search for g_1..g_k in e_s T e_t whose Yoneda maps B -> T stack to an
-    invertible map B^k -> T."""
-    e_left, e_right, _, _ = B.generator
-    corner = corner_basis(T, e_left, e_right)
-    n = len(corner)
-    for coeffs in _random_coeffs(seed, k * n):
-        gs = [
-            sp_apply(corner, dict(enumerate(coeffs[b * n:(b + 1) * n])))
-            for b in range(k)
-        ]
-        if all(gs):
-            stack = [col for g in gs for col in yoneda_map(B, T, g)]
-            if linalg.rank(stack, T.dim) == T.dim:
-                return True
-    return False
 
 
 # -- Loewy structure of bimodules ------------------------------------------
@@ -684,9 +704,9 @@ def projective_center(A: alg.FinDimAlgebra) -> Subspace:
 
     A map reg -> P is determined by the image n of 1, which can be any n in
     P with g.n = n.g for every generator g; a map P -> reg is the Yoneda
-    map of some g in e_s A e_t.  The composite sends 1 to the Yoneda map
-    applied to n.  Computed on the first call; later calls return that
-    subspace."""
+    map of some g in e_s A e_t, as hom_basis reads it off.  The composite
+    sends 1 to the Yoneda map applied to n.  Computed on the first call;
+    later calls return that subspace."""
     if A._projective_center is None:
         A._projective_center = _projective_center(A)
     return A._projective_center
@@ -705,12 +725,11 @@ def centralizer(N: Bimodule) -> list:
 def _projective_center(A: alg.FinDimAlgebra) -> Subspace:
     reg = regular_bimodule(A)
     through = [A.unit]
-    for s, e_s in enumerate(A.idempotents):
-        for t, e_t in enumerate(A.idempotents):
+    for s in range(len(A.idempotents)):
+        for t in range(len(A.idempotents)):
             P = proj_bimodule(A, s, A, t)
             images_of_one = centralizer(P)
-            for g in corner_basis(reg, e_s, e_t):
-                out = yoneda_map(P, reg, g)
+            for out in hom_basis(P, reg):
                 for n in images_of_one:
                     z = sp_apply(out, n)
                     if z:

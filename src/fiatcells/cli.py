@@ -197,9 +197,9 @@ def cmd_ccx_build(args) -> int:
             if gens is None:
                 x_spaces.append(None)
             else:
+                basis, line_no = list(aspec.algebra.basis), spec.x_lines[idx]
                 vectors = [
-                    formats._parse_combination(g, list(aspec.algebra.basis), args.input, 0)
-                    for g in gens
+                    formats._parse_combination(g, basis, args.input, line_no) for g in gens
                 ]
                 x_spaces.append(
                     alg.subalgebra_closure(aspec.algebra, vectors)

@@ -255,6 +255,7 @@ class CcxSpec:
     algebra_paths: list
     x_generators: dict = field(default_factory=dict)  # object index -> [expr strings]
     shifts: dict = field(default_factory=dict)
+    x_lines: dict = field(default_factory=dict)  # object index -> line number
 
 
 def parse_ccx(text: str, path="<string>") -> CcxSpec:
@@ -263,6 +264,7 @@ def parse_ccx(text: str, path="<string>") -> CcxSpec:
     x_generators = {}
     x_lines = {}
     shifts = {}
+    shift_lines = {}
     for line_no, line in _clean_lines(text):
         if line.startswith("ccx "):
             name = line.split(None, 1)[1]
@@ -273,13 +275,25 @@ def parse_ccx(text: str, path="<string>") -> CcxSpec:
             if not m:
                 raise ParseError(path, line_no, f"bad x line {line!r}")
             obj = int(m.group(1)) if m.group(1) else 1
+            if obj - 1 in x_lines:
+                first = x_lines[obj - 1]
+                raise ParseError(
+                    path, line_no, f"repeated x line for object {obj} (first at line {first})"
+                )
             x_generators[obj - 1] = [t.strip() for t in m.group(2).split(";")]
             x_lines[obj - 1] = line_no
         elif line.startswith("shift "):
             m = re.match(r"shift\s+(\S+)\s*=\s*(-?\d+)$", line)
             if not m:
                 raise ParseError(path, line_no, f"bad shift line {line!r}")
-            shifts[m.group(1)] = int(m.group(2))
+            morph = m.group(1)
+            if morph in shifts:
+                first = shift_lines[morph]
+                raise ParseError(
+                    path, line_no, f"repeated shift for {morph} (first at line {first})"
+                )
+            shifts[morph] = int(m.group(2))
+            shift_lines[morph] = line_no
         else:
             raise ParseError(path, line_no, f"unrecognized line {line!r}")
     if not algebra_paths:
@@ -296,6 +310,7 @@ def parse_ccx(text: str, path="<string>") -> CcxSpec:
         algebra_paths=algebra_paths,
         x_generators=x_generators,
         shifts=shifts,
+        x_lines=x_lines,
     )
 
 

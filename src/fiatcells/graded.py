@@ -26,7 +26,8 @@ class GradedError(ValueError):
 
 
 class UnknownShiftError(GradedError):
-    """A grading shift names a 1-morphism the build does not have."""
+    """A grading shift the build cannot take: one naming a 1-morphism the
+    build does not have, or a nonzero shift of an identity."""
 
 
 @dataclass
@@ -84,8 +85,8 @@ def build_graded_ccx(
 ) -> CcxBuild:
     """Construct the 2-category data with gradings and representative shifts.
 
-    shifts maps morphism names to integers (identities are pinned at 0; a
-    name the build does not have raises UnknownShiftError); when omitted,
+    shifts maps morphism names to integers (a name the build does not have,
+    or a nonzero shift of an identity, raises UnknownShiftError); when omitted,
     the default symmetrizing rule assigns F^{(i,j)}_{st} the shift
     top_degree(e_t A_j e_t)/2 and rejects odd top degrees."""
     graded_algebras = list(graded_algebras)
@@ -107,7 +108,7 @@ def build_graded_ccx(
             )
         for nm, info in build.morphism_info.items():
             if info[0] == "I" and shifts.get(nm, 0) != 0:
-                raise GradedError("identity morphisms must have shift 0")
+                raise UnknownShiftError(f"identity morphisms must have shift 0: {nm}")
             shifts.setdefault(nm, 0)
     build.shifts = shifts
     return build
@@ -152,33 +153,10 @@ def _hom_degree_split(M: Bimodule, N: Bimodule, homs):
     return split
 
 
-def hom_basis(M: Bimodule, N: Bimodule) -> list:
-    """A basis of Hom(M, N), column-sparse like bimod.hom_space.
-
-    Read off N without solving when M is a projective bimodule (the Yoneda
-    maps of a basis of e_s N e_t) or the regular bimodule A (the maps
-    a -> a.n for n in the centraliser of A in N); any other M goes to the
-    generic solver.  The Yoneda maps need not be homogeneous."""
-    if M.left_algebra is not N.left_algebra or M.right_algebra is not N.right_algebra:
-        raise bimod.BimoduleError("hom space needs a common algebra pair")
-    if M.generator is not None:
-        e_s, e_t, _, _ = M.generator
-        return [bimod.yoneda_map(M, N, g) for g in bimod.corner_basis(N, e_s, e_t)]
-    if M.regular:
-        return [
-            tuple(bimod.sp_apply(a, n) for a in N.left_action) for n in bimod.centralizer(N)
-        ]
-    return bimod.hom_space(M, N)
-
-
-def _read_off(M: Bimodule) -> bool:
-    return M.generator is not None or M.regular
-
-
 def graded_hom_series(M: Bimodule, N: Bimodule, homs=None) -> LaurentPoly:
     """Coefficient at i = dimension of the homs shifting degree by i; homs
-    defaults to hom_basis(M, N)."""
-    homs = hom_basis(M, N) if homs is None else homs
+    defaults to bimod.hom_basis(M, N)."""
+    homs = bimod.hom_basis(M, N) if homs is None else homs
     split = _hom_degree_split(M, N, homs)
     coeffs = {}
     total = 0
@@ -193,19 +171,19 @@ def graded_hom_series(M: Bimodule, N: Bimodule, homs=None) -> LaurentPoly:
 
 def graded_iso_test(M: Bimodule, N: Bimodule, seed: int = 0) -> bool:
     """Graded isomorphism: a degree-0 invertible intertwiner exists, decided by
-    bimod.find_iso on the degree-0 homs.  The search runs from whichever side
-    hom_basis reads off without solving; the way back, needed only when the
-    search fails, is solved by bimod.hom_space."""
+    bimod.find_iso on the degree-0 parts of a hom basis, whose read-off maps
+    need not be homogeneous.  As in bimod.iso_test, the search runs from the
+    side that is read off, and the way back is solved only if it fails."""
     if M.dim != N.dim:
         return False
     if sorted(M.degrees) != sorted(N.degrees):
         return False
     if M.dim == 0:
         return True
-    if _read_off(N) and not _read_off(M):
+    if bimod.read_off(N) and not bimod.read_off(M):
         M, N = N, M
     return bimod.find_iso(
-        _hom_degree_split(M, N, hom_basis(M, N)).get(0, []),
+        bimod.span_of(_hom_degree_split(M, N, bimod.hom_basis(M, N)).get(0, [])),
         lambda: _hom_degree_split(N, M, bimod.hom_space(N, M)).get(0, []),
         M.dim,
         seed,

@@ -53,23 +53,6 @@ class HeckeElement:
     def coeff(self, x: int) -> LaurentPoly:
         return dict(self.coeffs).get(x, LaurentPoly.zero())
 
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        out = dict(self.coeffs)
-        for x, c in other.coeffs:
-            out[x] = out.get(x, LaurentPoly.zero()) + c
-        return HeckeElement.from_dict(self.group, out)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        out = dict(self.coeffs)
-        for x, c in other.coeffs:
-            out[x] = out.get(x, LaurentPoly.zero()) - c
-        return HeckeElement.from_dict(self.group, out)
-
-    def scaled(self, poly: LaurentPoly) -> "HeckeElement":
-        return HeckeElement.from_dict(
-            self.group, {x: c * poly for x, c in self.coeffs}
-        )
-
 
 def _left_product(group: CoxeterGroup, s: int, x: int) -> int:
     # s * x = (x^-1 * s)^-1

@@ -166,3 +166,12 @@ def test_criterion_7_report_determinism():
     golden = (Path(__file__).parent / "data" / "report_all.txt").read_text()
     ok &= first.stdout == golden and second.stdout == golden
     assert _line("7 (byte-identical consecutive report-all runs)", ok)
+
+
+def test_report_all_json_matches_its_golden():
+    cmd = [sys.executable, "-m", "fiatcells.cli", "--format", "json", "report-all"]
+    run = subprocess.run(cmd, capture_output=True)
+    assert run.returncode == 0
+    # golden JSON stdout of the pre-refactor code, compared byte for byte
+    golden = (Path(__file__).parent / "data" / "report_all.json").read_bytes()
+    assert run.stdout == golden

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fiatcells import algebra as alg
-from fiatcells import bimod, linalg, mscell
+from fiatcells import bimod, cli, linalg, mscell
 from fiatcells.fixtures import (
     ALGEBRA_FILES,
     PROPERTY_FIXTURES,
@@ -302,6 +302,19 @@ def _closed_form_cases(A, pairs):
         yield T, bimod.proj_bimodule(A, s, A, v), alg.corner_dim(A, t, u)
 
 
+def count_hom_space_calls(monkeypatch):
+    """The (M, N) of every generic Hom(M, N) solve from now on."""
+    calls = []
+    generic = bimod.hom_space
+
+    def spy(M, N):
+        calls.append((M, N))
+        return generic(M, N)
+
+    monkeypatch.setattr(bimod, "hom_space", spy)
+    return calls
+
+
 @pytest.mark.parametrize(
     "A, pairs",
     [(truncated_poly(n), [(0, 0, 0, 0)]) for n in (2, 3, 4, 5)]
@@ -312,31 +325,23 @@ def _closed_form_cases(A, pairs):
     ids=["x2", "x3", "x4", "x5", "zigzagA2", "zigzagA3"],
 )
 def test_yoneda_certificate_agrees_with_generic_search(A, pairs, monkeypatch):
-    fallbacks = []
-    generic = bimod.find_iso
-
-    def spy(*args):
-        fallbacks.append(args[-1])
-        return generic(*args)
-
-    monkeypatch.setattr(bimod, "find_iso", spy)
+    calls = count_hom_space_calls(monkeypatch)
+    generic_runs = 0
     for T, B, k in _closed_form_cases(A, pairs):
-        assert bimod.iso_to_direct_power(T, B, k) == bimod.iso_to_direct_power(
-            T, without_generator(B), k
-        ) == (T.dim == k * B.dim)
-    # only the generic runs reached find_iso
-    assert len(fallbacks) == sum(k > 0 for _, _, k in _closed_form_cases(A, pairs))
+        calls.clear()
+        yoneda = bimod.iso_to_direct_power(T, B, k)
+        assert calls == []  # Hom(B, T) read off e_s T e_t, nothing solved
+        generic = without_generator(B)
+        assert yoneda == bimod.iso_to_direct_power(T, generic, k) == (T.dim == k * B.dim)
+        # only the generic runs solve, and only Hom(B, T)
+        assert all(M is generic and N is T for M, N in calls)
+        assert len(calls) == (k > 0)
+        generic_runs += len(calls)
+    assert generic_runs == sum(k > 0 for _, _, k in _closed_form_cases(A, pairs))
 
 
 def test_yoneda_negatives_reach_the_fallback(monkeypatch):
-    fallbacks = []
-    generic = bimod.find_iso
-
-    def spy(*args):
-        fallbacks.append(args[-1])
-        return generic(*args)
-
-    monkeypatch.setattr(bimod, "find_iso", spy)
+    calls = count_hom_space_calls(monkeypatch)
     D = fixture("dualnumbers")
     reg = bimod.regular_bimodule(D)
     P = bimod.proj_bimodule(D, 0, D, 0)
@@ -344,15 +349,66 @@ def test_yoneda_negatives_reach_the_fallback(monkeypatch):
     Z = zigzag(2)
     P11, P22 = bimod.proj_bimodule(Z, 0, Z, 0), bimod.proj_bimodule(Z, 1, Z, 1)
     assert P11.dim == P22.dim
-    # wrong multiplicity: P11 (+) P22 is not P11^2
-    assert not bimod.iso_to_direct_power(bimod.direct_sum([P11, P22]), P11, 2)
+    # wrong multiplicity: P11 (+) P22 is not P11^2; the way back Hom(T, B)
+    # is solved once, not once per block
+    mixed = bimod.direct_sum([P11, P22])
+    assert not bimod.iso_to_direct_power(mixed, P11, 2)
+    assert calls == [(mixed, P11)]
+    calls.clear()
     assert not bimod.iso_to_direct_power(double, P, 1)
-    # regular B carries no generator data: straight to the generic search
+    assert calls == [(double, P)]
+    calls.clear()
+    # without generator data, Hom(B, T) is solved too
+    generic = without_generator(P11)
+    assert not bimod.iso_to_direct_power(mixed, generic, 2)
+    assert calls == [(generic, mixed), (mixed, generic)]
+    calls.clear()
+    # a regular B is read off the centraliser of T: nothing solved
     assert bimod.iso_to_direct_power(double, reg, 2)
-    assert len(fallbacks) == 3
+    assert calls == []
     # a positive with a projective B needs no fallback
     assert bimod.iso_to_direct_power(bimod.direct_sum([P11, P11]), P11, 2)
-    assert len(fallbacks) == 3
+    assert calls == []
+
+
+def test_iso_test_searches_from_the_read_off_side(monkeypatch):
+    calls = count_hom_space_calls(monkeypatch)
+    D = fixture("dualnumbers")
+    reg = bimod.regular_bimodule(D)
+    double = bimod.direct_sum([reg, reg])
+    P = bimod.proj_bimodule(D, 0, D, 0)
+    for M, N in ((double, P), (P, double)):
+        calls.clear()
+        assert not bimod.iso_test(M, N)
+        assert calls == [(double, P)]  # Hom(P, double) read off; only the way back solved
+    T = bimod.tensor_over(reg, reg)
+    for M, N in ((reg, T), (T, reg)):
+        calls.clear()
+        assert bimod.iso_test(M, N)
+        assert calls == []  # Hom(A, T) is the centraliser of A in T
+
+
+def test_exhausted_search_with_both_identities_reachable_is_inconclusive(
+    monkeypatch, capsys
+):
+    # with no draws, a true isomorphism passes the composition-span test and
+    # is left undecided
+    monkeypatch.setattr(bimod, "_ISO_TRIES", 0)
+    Z = zigzag(2)
+    P11 = bimod.proj_bimodule(Z, 0, Z, 0)
+    with pytest.raises(bimod.IsoTestInconclusive, match="direct-power iso test"):
+        bimod.iso_to_direct_power(bimod.direct_sum([P11, P11]), P11, 2)
+    reg = bimod.regular_bimodule(Z)
+    with pytest.raises(bimod.IsoTestInconclusive, match="iso test for"):
+        bimod.iso_test(reg, reg)
+    # a negative is still decided by the composition span
+    D = fixture("dualnumbers")
+    D_reg = bimod.regular_bimodule(D)
+    P = bimod.proj_bimodule(D, 0, D, 0)
+    assert not bimod.iso_to_direct_power(bimod.direct_sum([D_reg, D_reg]), P, 1)
+    code = cli.main(["verify", "--fixture", "rationals"])
+    assert code == 1
+    assert "inconclusive" in capsys.readouterr().err
 
 
 def _projective_center_by_generic_homs(A):

@@ -235,3 +235,40 @@ def test_ccx_unknown_shift_is_an_input_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "input error" in err and "F11_1" in err
+
+
+def test_ccx_x_expression_error_names_its_line(capsys, tmp_path):
+    (tmp_path / "dualnumbers.alg").write_text(fixture_path("dualnumbers.alg").read_text())
+    ccx = tmp_path / "zero.ccx"
+    ccx.write_text("ccx bad\nalgebra dualnumbers.alg\nx 1 = 1/0\n")
+    code, out, err = run(capsys, "ccx-build", "--input", str(ccx))
+    assert code == 2
+    assert out == ""
+    assert f"input error: {ccx}:3: zero denominator" in err
+
+
+def test_ccx_repeated_lines_are_input_errors(capsys, tmp_path):
+    (tmp_path / "dualnumbers.alg").write_text(fixture_path("dualnumbers.alg").read_text())
+    cases = {
+        "shift": "shift F11_11 = 1\n# a comment\nshift F11_11 = 3\n",
+        "x": "x = 1 ; x\n\nx 1 = 1\n",
+    }
+    for kind, body in cases.items():
+        ccx = tmp_path / f"{kind}.ccx"
+        ccx.write_text("ccx bad\nalgebra dualnumbers.alg\n" + body)
+        code, out, err = run(capsys, "ccx-build", "--input", str(ccx))
+        assert code == 2, kind
+        assert out == ""
+        assert f"input error: {ccx}:5: repeated {kind}" in err
+        assert "first at line 3" in err
+
+
+def test_ccx_identity_shift_is_an_input_error(capsys, tmp_path):
+    (tmp_path / "dualnumbers.alg").write_text(fixture_path("dualnumbers.alg").read_text())
+    ccx = tmp_path / "graded.ccx"
+    ccx.write_text("ccx bad\nalgebra dualnumbers.alg\nshift I1 = 1\n")
+    code, out, err = run(capsys, "ccx-build", "--input", str(ccx))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "identity morphisms must have shift 0: I1" in err
+    assert "verification error" not in err

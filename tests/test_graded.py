@@ -71,7 +71,7 @@ def test_corner_hom_series_match_the_generic_solver(name, monkeypatch):
                 M, N = build.bimodule(f), build.bimodule(g)
                 series = graded.graded_hom_series(M, N, generic(M, N))
                 assert graded.graded_hom_series(M, N) == series
-                assert_intertwiners(M, N, graded.hom_basis(M, N))
+                assert_intertwiners(M, N, bimod.hom_basis(M, N))
     assert calls == []  # every source is a projective or the identity
 
 
@@ -86,7 +86,7 @@ def test_corner_homs_into_bimodules_outside_the_build(name):
         M = build.bimodule(f)
         assert M.generator is not None or M.regular
         for N in targets:
-            homs = graded.hom_basis(M, N)
+            homs = bimod.hom_basis(M, N)
             assert_intertwiners(M, N, homs)
             flat = [bimod.sp_flatten(Y, N.dim) for Y in homs]
             assert linalg.rank(flat, N.dim * M.dim) == len(homs)
@@ -241,6 +241,14 @@ def test_build_graded_ccx_refuses_unknown_shift_names():
     with pytest.raises(graded.UnknownShiftError, match="F11_1, F22_11"):
         graded.build_graded_ccx([ga], shifts={"F11_11": 1, "F22_11": 0, "F11_1": 5})
     build = graded.build_graded_ccx([ga], shifts={"F11_11": 1})
+    assert build.shifts == {"F11_11": 1, "I1": 0}
+
+
+def test_build_graded_ccx_refuses_identity_shifts():
+    ga = graded_fixture("dualnumbers")
+    with pytest.raises(graded.UnknownShiftError, match="must have shift 0: I1"):
+        graded.build_graded_ccx([ga], shifts={"I1": 1})
+    build = graded.build_graded_ccx([ga], shifts={"I1": 0, "F11_11": 1})
     assert build.shifts == {"F11_11": 1, "I1": 0}
 
 
