@@ -213,11 +213,14 @@ def cmd_ccx_build(args) -> int:
                     name=spec.name,
                 )
             except graded.UnknownShiftError as exc:
-                raise ParseError(args.input, 0, str(exc)) from exc
+                line_no = min(spec.shift_lines[nm] for nm in exc.names)
+                raise ParseError(args.input, line_no, str(exc)) from exc
         else:
             if spec.shifts:
                 raise ParseError(
-                    args.input, 0, "shift lines need gradings on every algebra"
+                    args.input,
+                    min(spec.shift_lines.values()),
+                    "shift lines need gradings on every algebra",
                 )
             data = bimod.CcxData(
                 algebras=tuple(algebras), x_subalgebras=tuple(x_spaces), name=spec.name

@@ -49,6 +49,13 @@ class ParseError(ValueError):
         super().__init__(f"{self.path}:{line_no}: {message}")
 
 
+def _note_line(lines: dict, key, line_no, path, what: str) -> None:
+    """Record the line of `key`; a repeat is a ParseError naming the first."""
+    if key in lines:
+        raise ParseError(path, line_no, f"repeated {what} (first at line {lines[key]})")
+    lines[key] = line_no
+
+
 def _clean_lines(text: str):
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -173,7 +180,9 @@ def parse_multisemigroup(text: str, path="<string>") -> MultiSemigroup:
     objects = []
     morphisms = {}
     star = {}
+    star_lines = {}
     table = {}
+    table_lines = {}
     morph_re = re.compile(r"morphism\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)(\s+identity)?$")
     prod_re = re.compile(r"(\S+)\s+o\s+(\S+)\s*=\s*(.+)$")
     for line_no, line in _clean_lines(text):
@@ -193,6 +202,7 @@ def parse_multisemigroup(text: str, path="<string>") -> MultiSemigroup:
             m = re.match(r"star\s+(\S+)\s*=\s*(\S+)$", line)
             if not m:
                 raise ParseError(path, line_no, f"bad star line {line!r}")
+            _note_line(star_lines, m.group(1), line_no, path, f"star for {m.group(1)}")
             star[m.group(1)] = m.group(2)
         else:
             m = prod_re.match(line)
@@ -201,6 +211,7 @@ def parse_multisemigroup(text: str, path="<string>") -> MultiSemigroup:
             f, g, rhs = m.groups()
             if f not in morphisms or g not in morphisms:
                 raise ParseError(path, line_no, f"unknown morphism in product {line!r}")
+            _note_line(table_lines, (f, g), line_no, path, f"product {f} o {g}")
             entry = {}
             rhs = rhs.strip()
             if rhs != "0":
@@ -256,6 +267,7 @@ class CcxSpec:
     x_generators: dict = field(default_factory=dict)  # object index -> [expr strings]
     shifts: dict = field(default_factory=dict)
     x_lines: dict = field(default_factory=dict)  # object index -> line number
+    shift_lines: dict = field(default_factory=dict)  # morphism name -> line number
 
 
 def parse_ccx(text: str, path="<string>") -> CcxSpec:
@@ -275,25 +287,14 @@ def parse_ccx(text: str, path="<string>") -> CcxSpec:
             if not m:
                 raise ParseError(path, line_no, f"bad x line {line!r}")
             obj = int(m.group(1)) if m.group(1) else 1
-            if obj - 1 in x_lines:
-                first = x_lines[obj - 1]
-                raise ParseError(
-                    path, line_no, f"repeated x line for object {obj} (first at line {first})"
-                )
+            _note_line(x_lines, obj - 1, line_no, path, f"x line for object {obj}")
             x_generators[obj - 1] = [t.strip() for t in m.group(2).split(";")]
-            x_lines[obj - 1] = line_no
         elif line.startswith("shift "):
             m = re.match(r"shift\s+(\S+)\s*=\s*(-?\d+)$", line)
             if not m:
                 raise ParseError(path, line_no, f"bad shift line {line!r}")
-            morph = m.group(1)
-            if morph in shifts:
-                first = shift_lines[morph]
-                raise ParseError(
-                    path, line_no, f"repeated shift for {morph} (first at line {first})"
-                )
-            shifts[morph] = int(m.group(2))
-            shift_lines[morph] = line_no
+            _note_line(shift_lines, m.group(1), line_no, path, f"shift for {m.group(1)}")
+            shifts[m.group(1)] = int(m.group(2))
         else:
             raise ParseError(path, line_no, f"unrecognized line {line!r}")
     if not algebra_paths:
@@ -311,6 +312,7 @@ def parse_ccx(text: str, path="<string>") -> CcxSpec:
         x_generators=x_generators,
         shifts=shifts,
         x_lines=x_lines,
+        shift_lines=shift_lines,
     )
 
 

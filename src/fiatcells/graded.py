@@ -27,7 +27,12 @@ class GradedError(ValueError):
 
 class UnknownShiftError(GradedError):
     """A grading shift the build cannot take: one naming a 1-morphism the
-    build does not have, or a nonzero shift of an identity."""
+    build does not have, or a nonzero shift of an identity.  `names` are
+    the refused shifts' 1-morphism names."""
+
+    def __init__(self, message: str, names):
+        super().__init__(message)
+        self.names = tuple(names)
 
 
 @dataclass
@@ -104,11 +109,11 @@ def build_graded_ccx(
         unknown = sorted(set(shifts) - set(build.morphism_info))
         if unknown:
             raise UnknownShiftError(
-                f"shift names no 1-morphism of the build: {', '.join(unknown)}"
+                f"shift names no 1-morphism of the build: {', '.join(unknown)}", unknown
             )
         for nm, info in build.morphism_info.items():
             if info[0] == "I" and shifts.get(nm, 0) != 0:
-                raise UnknownShiftError(f"identity morphisms must have shift 0: {nm}")
+                raise UnknownShiftError(f"identity morphisms must have shift 0: {nm}", [nm])
             shifts.setdefault(nm, 0)
     build.shifts = shifts
     return build

@@ -10,7 +10,10 @@ the computed left cells match the convention in which left cells of the
 
 The export's product table comes from the left action of the generators on
 the canonical basis: the |S|.|W| generator products b_s b_w, each taken
-from the T basis, determine every b_x b_y by associativity.
+from the T basis, determine every b_x b_y by associativity.  The b_s
+generate the canonical basis, so the exported table is checked for
+associativity with only the identity and the b_s as left factors, next to
+a certificate that they span it.
 """
 
 from __future__ import annotations
@@ -307,7 +310,9 @@ def export_multisemigroup(
     Morphism labels are the canonical words ('e' for the identity).  The
     table entry for (th_x, th_y) is the canonical-basis expansion of
     b_y b_x at v=1: the side swap makes the computed left cells match the
-    convention in which they are Kazhdan-Lusztig right cells.
+    convention in which they are Kazhdan-Lusztig right cells.  Associativity
+    is checked with the identity and the b_s as left factors: the generator
+    action certified that b_sw has coefficient 1 in b_s b_w, so they span.
     """
     obj = "i"
     morphisms = [
@@ -316,7 +321,10 @@ def export_multisemigroup(
     ]
     table = _table_at_one(group, bound)
     star = {group.name(x): group.name(group.inverse[x]) for x in range(group.order)}
-    return MultiSemigroup([obj], morphisms, table, star)
+    generators = [group.name(group.identity)] + [
+        group.name(group.mult_gen[group.identity][s]) for s in range(len(group.gen_names))
+    ]
+    return MultiSemigroup([obj], morphisms, table, star, generators=generators)
 
 
 # -- Robinson-Schensted -------------------------------------------------

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .linalg import SparseEchelon
+
 # multiplicities are "machine-size": anything at or above this cap is an error
 MAX_MULTIPLICITY = 1 << 28
 _DIGIT_BITS = 64
@@ -86,6 +88,7 @@ class MultiSemigroup:
         table: Mapping,
         star: Mapping[str, str],
         validate: bool = True,
+        generators: Iterable[str] | None = None,
     ):
         self.objects = tuple(sorted(set(objects)))
         morphs = list(morphisms)
@@ -93,6 +96,14 @@ class MultiSemigroup:
         if len(self.morphisms) != len(morphs):
             raise MultiSemigroupError("duplicate morphism names")
         self.names = sorted(self.morphisms)
+        # left factors of the associativity check; with none given, every
+        # morphism is one and no span certificate is needed
+        self.generators = tuple(
+            self.names if generators is None else sorted(set(generators))
+        )
+        unknown = [f for f in self.generators if f not in self.morphisms]
+        if unknown:
+            raise MultiSemigroupError(f"generators are not morphisms: {unknown!r}")
         self._index = {n: i for i, n in enumerate(self.names)}
         self.star = dict(star)
         self.table = {}
@@ -141,7 +152,11 @@ class MultiSemigroup:
         }
         star = {mapping[f]: mapping[g] for f, g in self.star.items()}
         return MultiSemigroup(
-            self.objects, [relabel(m) for m in self.morphisms.values()], table, star
+            self.objects,
+            [relabel(m) for m in self.morphisms.values()],
+            table,
+            star,
+            generators=[mapping[f] for f in self.generators],
         )
 
     # -- validation -----------------------------------------------------
@@ -208,8 +223,17 @@ class MultiSemigroup:
 
         self._check_associativity()
 
-    def _check_associativity(self) -> None:
-        """All-triples check of the N-weighted associativity law.
+    def _check_associativity(self) -> int:
+        """The N-weighted associativity law (f o g) o k = f o (g o k) for f
+        a generator and all g, k; returns the number of triples checked.
+
+        Sound because the x with (x o b) o c = x o (b o c) for all b, c form
+        a subspace X of the linear span of the morphisms that holds the
+        identities (neutrality is checked before) and, with x, every g o x
+        for g a generator: ((g o x) o b) o c = g o ((x o b) o c) =
+        g o (x o (b o c)) = (g o x) o (b o c).  So X is everything once the
+        identities and generators span the table under left multiplication,
+        which `_check_generators_span` certifies.
 
         Rows of the table are packed into big integers (base 2^64 digits);
         both sides of the law become small sums of scaled row integers.  The
@@ -217,6 +241,9 @@ class MultiSemigroup:
         """
         idx = self._index
         n = len(self.names)
+        generators = {idx[f] for f in self.generators}
+        if len(generators) < n:
+            self._check_generators_span()
         supports = {}
         packed = {}
         for (f, g), entry in self.table.items():
@@ -230,7 +257,10 @@ class MultiSemigroup:
         def row_int(a: int, b: int) -> int:
             return packed.get((a, b), 0)
 
+        checked = 0
         for (fi, gi), supp_fg in supports.items():
+            if fi not in generators:
+                continue
             for ki in range(n):
                 supp_gk = supports.get((gi, ki))
                 lhs = sum(m * row_int(hi, ki) for hi, m in supp_fg)
@@ -242,6 +272,31 @@ class MultiSemigroup:
                         "associativity fails at triple "
                         f"({self.names[fi]!r}, {self.names[gi]!r}, {self.names[ki]!r})"
                     )
+            checked += n
+        return checked
+
+    def _check_generators_span(self) -> None:
+        """The identities and the generators span the table under left
+        multiplication: close the span of the identities under g o - in an
+        echelon form, queueing each product that makes it grow."""
+        idx = self._index
+        echelon = SparseEchelon(len(self.names))
+        queue = [{idx[m.name]: 1} for m in self.morphisms.values() if m.is_identity]
+        echelon.extend(queue)
+        while queue:
+            vec = queue.pop()
+            for f in self.generators:
+                prod = {}
+                for xi, c in vec.items():
+                    for h, k in self.table.get((f, self.names[xi]), {}).items():
+                        prod[idx[h]] = prod.get(idx[h], 0) + c * k
+                if echelon.insert(prod):
+                    queue.append(prod)
+        if echelon.dim < len(self.names):
+            raise MultiSemigroupError(
+                f"generators {list(self.generators)!r} do not span the table under "
+                f"left multiplication (rank {echelon.dim} of {len(self.names)})"
+            )
 
     # -- preorders ------------------------------------------------------
 

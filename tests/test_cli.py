@@ -235,6 +235,7 @@ def test_ccx_unknown_shift_is_an_input_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "input error" in err and "F11_1" in err
+    assert f"{ccx}:3:" in err
 
 
 def test_ccx_x_expression_error_names_its_line(capsys, tmp_path):
@@ -272,3 +273,29 @@ def test_ccx_identity_shift_is_an_input_error(capsys, tmp_path):
     assert out == ""
     assert "input error" in err and "identity morphisms must have shift 0: I1" in err
     assert "verification error" not in err
+    assert f"{ccx}:3:" in err
+
+
+def test_ccx_shift_without_gradings_names_the_first_shift_line(capsys, tmp_path):
+    (tmp_path / "rationals.alg").write_text(fixture_path("rationals.alg").read_text())
+    ccx = tmp_path / "ungraded.ccx"
+    ccx.write_text("ccx bad\nalgebra rationals.alg\n\nshift F11_11 = 1\nshift I1 = 0\n")
+    code, out, err = run(capsys, "ccx-build", "--input", str(ccx))
+    assert code == 2
+    assert out == ""
+    assert f"input error: {ccx}:4: shift lines need gradings on every algebra" in err
+
+
+def test_cells_refuses_repeated_msg_lines(capsys, tmp_path):
+    head = fixture_path("demo.msg").read_text()
+    cases = {
+        "product g o g": ("g o g = 3*g", 12),
+        "star for g": ("star g = g", 8),
+    }
+    for what, (line, first) in cases.items():
+        msg = tmp_path / "repeated.msg"
+        msg.write_text(head + line + "\n")
+        code, out, err = run(capsys, "cells", "--input", str(msg))
+        assert code == 2, what
+        assert out == ""
+        assert f"input error: {msg}:13: repeated {what} (first at line {first})" in err

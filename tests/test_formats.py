@@ -100,6 +100,17 @@ g o g = e
         )
 
 
+def test_parse_multisemigroup_refuses_repeated_lines():
+    head = "multisemigroup d\nobject i\nmorphism e : i -> i identity\nmorphism g : i -> i\n"
+    cases = {
+        "product g o g": "g o g = 3*g\n# a comment\ng o g = 2*g\n",
+        "star for g": "star g = g\n\nstar g = g\n",
+    }
+    for what, body in cases.items():
+        with pytest.raises(ParseError, match=f"d.msg:7: repeated {what} \\(first at line 5\\)"):
+            formats.parse_multisemigroup(head + body, "d.msg")
+
+
 def test_parse_ccx():
     spec = formats.parse_ccx(fixture_text("skewext.ccx"), "skewext.ccx")
     assert spec.name == "skewext"

@@ -178,6 +178,23 @@ def test_export_rejects_a_leading_coefficient_other_than_one(monkeypatch):
         export_multisemigroup(coxeter_group("A2"))
 
 
+def test_export_checks_associativity_with_the_generators_as_left_factors(monkeypatch):
+    checked = []
+    original = mscell.MultiSemigroup._check_associativity
+
+    def counting(self):
+        checked.append(original(self))
+        return checked[-1]
+
+    monkeypatch.setattr(mscell.MultiSemigroup, "_check_associativity", counting)
+    ms = export_multisemigroup(coxeter_group("A3"))
+    assert ms.generators == ("1", "2", "3", "e")
+    assert checked == [4 * 24 * 24]
+    # with no generating set every morphism is a left factor
+    mscell.MultiSemigroup(ms.objects, ms.morphisms.values(), ms.table, ms.star)
+    assert checked == [4 * 24 * 24, 24 * 24 * 24]
+
+
 @pytest.mark.parametrize("kind", ["A1", "A2", "A3", "B2"])
 def test_hecke_export_json_matches_golden(kind, capsys):
     golden = Path(__file__).parent / "data" / f"hecke_export_{kind.lower()}.json"

@@ -131,24 +131,83 @@ def test_cells_identities_only():
 
 
 def test_cells_stable_under_renaming():
-    B = coxeter_group("B2")
-    ms = export_multisemigroup(B)
-    names = ms.names
-    rng = random.Random(7)
-    shuffled = list(names)
-    rng.shuffle(shuffled)
-    mapping = {old: f"zz{new}" for old, new in zip(names, shuffled)}
-    renamed = ms.renamed(mapping)
-    st = mscell.cells(ms)
-    st2 = mscell.cells(renamed)
-    as_named = tuple(
-        sorted(tuple(sorted(mapping[m] for m in cell)) for cell in st.two_sided_cells)
+    for kind in ("B2", "A3"):
+        ms = export_multisemigroup(coxeter_group(kind))
+        names = ms.names
+        rng = random.Random(7)
+        shuffled = list(names)
+        rng.shuffle(shuffled)
+        mapping = {old: f"zz{new}" for old, new in zip(names, shuffled)}
+        renamed = ms.renamed(mapping)
+        # the generating set travels with the names, so the renamed table is
+        # still validated with the identity and the b_s as left factors
+        assert renamed.generators == tuple(sorted(mapping[f] for f in ms.generators))
+        assert renamed._check_associativity() == len(ms.generators) * len(names) ** 2
+        st = mscell.cells(ms)
+        st2 = mscell.cells(renamed)
+        for kind_of_cells in ("two_sided_cells", "left_cells", "right_cells"):
+            as_named = tuple(
+                sorted(
+                    tuple(sorted(mapping[m] for m in cell))
+                    for cell in getattr(st, kind_of_cells)
+                )
+            )
+            assert as_named == getattr(st2, kind_of_cells), (kind, kind_of_cells)
+
+
+def _bumped(ms, f, g, h, delta=1):
+    """The table of ms with the multiplicity of h in f o g moved by delta,
+    and the star image of that entry moved with it, so the star laws hold."""
+    table = {key: dict(entry) for key, entry in ms.table.items()}
+    s = ms.star
+    for key, name in {((f, g), h), ((s[g], s[f]), s[h])}:
+        table[key][name] = table[key].get(name, 0) + delta
+    return table
+
+
+def _rebuilt(ms, table, generators):
+    return MultiSemigroup(
+        ms.objects, ms.morphisms.values(), table, ms.star, generators=generators
     )
-    assert as_named == st2.two_sided_cells
-    as_left = tuple(
-        sorted(tuple(sorted(mapping[m] for m in cell)) for cell in st.left_cells)
-    )
-    assert as_left == st2.left_cells
+
+
+def test_bumped_export_entry_fails_associativity_on_the_generators():
+    ms = export_multisemigroup(coxeter_group("A3"))
+    table = _bumped(ms, "3", "2321", "3")
+    with pytest.raises(MultiSemigroupError, match="associativity fails at triple"):
+        _rebuilt(ms, table, ms.generators)
+
+
+def test_generators_must_span_the_table():
+    ms = export_multisemigroup(coxeter_group("A3"))
+    # without b_3 the table is still associative on the left factors checked,
+    # but they only reach the parabolic subgroup generated by 1 and 2
+    with pytest.raises(MultiSemigroupError, match="do not span the table"):
+        _rebuilt(ms, ms.table, ["e", "1", "2"])
+    with pytest.raises(MultiSemigroupError, match="generators are not morphisms"):
+        _rebuilt(ms, ms.table, ["e", "1", "2", "3", "4"])
+
+
+@pytest.mark.parametrize("kind, count", [("B2", 40), ("A3", 16)])
+def test_generator_check_rejects_what_the_all_triples_scan_rejects(kind, count):
+    ms = export_multisemigroup(coxeter_group(kind))
+
+    def rejects(table, generators):
+        try:
+            _rebuilt(ms, table, generators)
+        except MultiSemigroupError:
+            return True
+        return False
+
+    assert not rejects(ms.table, ms.generators)
+    assert not rejects(ms.table, None)
+    rng = random.Random(11)
+    plain = [f for f in ms.names if not ms.morphisms[f].is_identity]
+    for _ in range(count):
+        f, g, h = rng.choice(plain), rng.choice(plain), rng.choice(ms.names)
+        delta = rng.choice([1, -1]) if ms.table[(f, g)].get(h) else 1
+        table = _bumped(ms, f, g, h, delta)
+        assert rejects(table, ms.generators) == rejects(table, None), (f, g, h, delta)
 
 
 def test_star_reverses_left_to_right():
