@@ -13,7 +13,7 @@ are computed once and kept on the instance.
 from __future__ import annotations
 
 from . import linalg
-from .linalg import Q0, Subspace, Vec
+from .linalg import Subspace, Vec
 
 
 class AlgebraError(ValueError):
@@ -50,7 +50,7 @@ class FinDimAlgebra:
         return f"FinDimAlgebra({label}, dim={self.dim})"
 
     def mul(self, u: Vec, v: Vec) -> Vec:
-        out = [Q0] * self.dim
+        out = [0] * self.dim
         for i, ci in enumerate(u):
             if not ci:
                 continue
@@ -162,10 +162,10 @@ def _trace_gram(algebra: FinDimAlgebra):
     traces = []
     for k in range(d):
         mat = algebra.left_mult_matrix(linalg.unit(d, k))
-        traces.append(sum((mat[r][r] for r in range(d)), Q0))
+        traces.append(sum(mat[r][r] for r in range(d)))
     return [
         tuple(
-            sum((algebra.mult[i][j][k] * traces[k] for k in range(d)), Q0)
+            sum(algebra.mult[i][j][k] * traces[k] for k in range(d))
             for j in range(d)
         )
         for i in range(d)

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import algebra as alg
 from . import linalg
-from .linalg import Q0, Q1, SparseEchelon, Subspace
+from .linalg import Rational, SparseEchelon, Subspace
 from .mscell import (
     DataInconsistencyError,
     MultiSemigroup,
@@ -45,16 +44,16 @@ class IsoTestInconclusive(RuntimeError):
 
 
 def sp_identity(n: int):
-    return tuple({i: Q1} for i in range(n))
+    return tuple({i: 1} for i in range(n))
 
 
 def sp_apply(cols, svec: dict) -> dict:
-    out: dict[int, Fraction] = {}
+    out: dict[int, Rational] = {}
     for q, c in svec.items():
         if not c:
             continue
         for r, v in cols[q].items():
-            val = out.get(r, Q0) + c * v
+            val = out.get(r, 0) + c * v
             if val:
                 out[r] = val
             else:
@@ -76,7 +75,7 @@ def sp_lincomb(coeffs, mats):
         for q, col in enumerate(mat):
             acc = out[q]
             for r, v in col.items():
-                val = acc.get(r, Q0) + c * v
+                val = acc.get(r, 0) + c * v
                 if val:
                     acc[r] = val
                 else:
@@ -395,7 +394,7 @@ def tensor_over(M: Bimodule, N: Bimodule, name=None) -> Bimodule:
                 rel = {pair(r, j): v for r, v in mg.items()}
                 for r, v in gn.items():
                     key = pair(i, r)
-                    rel[key] = rel.get(key, Q0) - v
+                    rel[key] = rel.get(key, 0) - v
                 if rel:
                     ech.insert(rel)
 
@@ -464,7 +463,7 @@ def intertwiners(pairs, dm: int, dn: int) -> list:
                 row = {p * dm + k: v for k, v in a_col.items()}
                 for k, v in b_rows[p].items():
                     key = k * dm + q
-                    row[key] = row.get(key, Q0) - v
+                    row[key] = row.get(key, 0) - v
                 if row:
                     eqs.append(row)
     mats = []
@@ -670,7 +669,7 @@ def _radical_action_mats(M: Bimodule):
 def loewy_length(M: Bimodule) -> int:
     """Smallest k with rad^k M = 0 over the enveloping algebra."""
     mats = _radical_action_mats(M)
-    current = [{i: Q1} for i in range(M.dim)]
+    current = [{i: 1} for i in range(M.dim)]
     k = 0
     while current:
         k += 1
@@ -717,7 +716,7 @@ def centralizer(N: Bimodule) -> list:
     (A, A)-bimodule N: the images of 1 under the bimodule maps A -> N."""
     eqs = []
     for g in alg.algebra_generators(N.left_algebra):
-        commutator = sp_lincomb((Q1, -Q1), (N.left_of(g), N.right_of(g)))
+        commutator = sp_lincomb((1, -1), (N.left_of(g), N.right_of(g)))
         eqs.extend(r for r in sp_rows(commutator, N.dim) if r)
     return [{i: v for i, v in enumerate(n) if v} for n in linalg.nullspace(eqs, N.dim)]
 

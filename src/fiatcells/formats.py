@@ -39,7 +39,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .algebra import FinDimAlgebra
-from .mscell import MultiSemigroup, OneMorphism
+from .mscell import MultiSemigroup, MultiSemigroupError, OneMorphism
 
 
 class ParseError(ValueError):
@@ -234,8 +234,9 @@ def parse_multisemigroup(text: str, path="<string>") -> MultiSemigroup:
         star.setdefault(label, label)
     try:
         return MultiSemigroup(objects, morphisms.values(), table, star)
-    except ValueError as exc:
-        raise ParseError(path, 0, str(exc)) from exc
+    except MultiSemigroupError as exc:
+        line_no = table_lines.get(exc.pair) or star_lines.get(exc.star, 0)
+        raise ParseError(path, line_no, str(exc)) from exc
 
 
 def render_multisemigroup(ms: MultiSemigroup, name: str = "exported") -> str:

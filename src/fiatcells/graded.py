@@ -16,7 +16,7 @@ from . import algebra as alg
 from . import bimod, linalg
 from .bimod import Bimodule, CcxBuild, CcxData
 from .laurent import LaurentPoly
-from .linalg import Q0, Subspace
+from .linalg import Subspace
 from .mscell import duflo, duflo_multiplicity, cells
 from .report import CheckRecord
 
@@ -237,7 +237,7 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
     free = [max((p, q) for q, col in enumerate(phi) for p in col) for phi in phis]
 
     def coords(target):
-        sol = [target[q].get(p, Q0) for p, q in free]
+        sol = [target[q].get(p, 0) for p, q in free]
         if not bimod.sp_eq(bimod.sp_lincomb(sol, phis), target):
             raise GradedError("action left the dual hom space")
         return {r: x for r, x in enumerate(sol) if x}

@@ -12,8 +12,8 @@ The export's product table comes from the left action of the generators on
 the canonical basis: the |S|.|W| generator products b_s b_w, each taken
 from the T basis, determine every b_x b_y by associativity.  The b_s
 generate the canonical basis, so the exported table is checked for
-associativity with only the identity and the b_s as left factors, next to
-a certificate that they span it.
+associativity with only the b_s as left factors (neutrality already settles
+the identity), next to a certificate that they and the identity span it.
 """
 
 from __future__ import annotations
@@ -311,8 +311,9 @@ def export_multisemigroup(
     table entry for (th_x, th_y) is the canonical-basis expansion of
     b_y b_x at v=1: the side swap makes the computed left cells match the
     convention in which they are Kazhdan-Lusztig right cells.  Associativity
-    is checked with the identity and the b_s as left factors: the generator
-    action certified that b_sw has coefficient 1 in b_s b_w, so they span.
+    is checked with the b_s as left factors: the generator action certified
+    that b_sw has coefficient 1 in b_s b_w, so they and the identity span,
+    and the identity as a left factor is covered by neutrality.
     """
     obj = "i"
     morphisms = [
@@ -321,7 +322,7 @@ def export_multisemigroup(
     ]
     table = _table_at_one(group, bound)
     star = {group.name(x): group.name(group.inverse[x]) for x in range(group.order)}
-    generators = [group.name(group.identity)] + [
+    generators = [
         group.name(group.mult_gen[group.identity][s]) for s in range(len(group.gen_names))
     ]
     return MultiSemigroup([obj], morphisms, table, star, generators=generators)

@@ -7,8 +7,6 @@ exponent; zero coefficients are never stored, so equality is structural.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class LaurentPoly:
     __slots__ = ("coeffs",)
@@ -106,29 +104,31 @@ class LaurentPoly:
             return None
         if not self:
             return LaurentPoly.zero()
-        # normalize both to ordinary polynomials and long-divide from the top
-        num = {e - self.valuation: Fraction(c) for e, c in self.coeffs.items()}
-        den = {e - other.valuation: Fraction(c) for e, c in other.coeffs.items()}
+        # normalize both to ordinary polynomials and long-divide from the top;
+        # each quotient coefficient is final once made, so a non-integral one
+        # already rules out an integer quotient
+        num = {e - self.valuation: c for e, c in self.coeffs.items()}
+        den = {e - other.valuation: c for e, c in other.coeffs.items()}
         ddeg = max(den)
         dlead = den[ddeg]
-        quo: dict[int, Fraction] = {}
+        quo: dict[int, int] = {}
         while num:
             ndeg = max(num)
             if ndeg < ddeg:
                 return None
-            f = num[ndeg] / dlead
+            f, rem = divmod(num[ndeg], dlead)
+            if rem:
+                return None
             quo[ndeg - ddeg] = f
             for e, c in den.items():
                 k = e + ndeg - ddeg
-                val = num.get(k, Fraction(0)) - f * c
+                val = num.get(k, 0) - f * c
                 if val:
                     num[k] = val
                 else:
                     num.pop(k, None)
-        if any(c.denominator != 1 for c in quo.values()):
-            return None
         shift = self.valuation - other.valuation
-        return LaurentPoly({e + shift: int(c) for e, c in quo.items()})
+        return LaurentPoly({e + shift: c for e, c in quo.items()})
 
     def format(self, var: str = "t") -> str:
         """Ascending-degree text form, e.g. '1 + 2*t^2'."""

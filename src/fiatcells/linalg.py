@@ -1,25 +1,40 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of Fraction.  The elimination engine works on sparse
-integer rows (incoming rational rows are scaled to primitive integer rows),
-keeps a fully reduced echelon form at all times and normalizes stored rows
-to primitive integers with positive leading coefficient, so the echelon
-form of a subspace is canonical and subspace equality is syntactic.
+An exact rational is held as an `int` when it is integral and as a
+`Fraction` only when it is not: `frac` normalises a value to that form and
+every division goes through `quo`, which keeps it, so integral inputs never
+leave int arithmetic.  Vectors are tuples of such values.  The elimination
+engine works on sparse integer rows (incoming rational rows are scaled to
+primitive integer rows), keeps a fully reduced echelon form at all times
+and normalizes stored rows to primitive integers with positive leading
+coefficient, so the echelon form of a subspace is canonical and subspace
+equality is syntactic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-Vec = tuple[Fraction, ...]
-
-Q0 = Fraction(0)
-Q1 = Fraction(1)
+Rational = int | Fraction
+Vec = tuple[Rational, ...]
 
 
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def frac(x) -> Rational:
+    """The exact value of x: an int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def quo(a, b) -> Rational:
+    """The exact quotient a / b, normalised as `frac` does."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return frac(Fraction(a) / b)
 
 
 def vec(entries) -> Vec:
@@ -27,28 +42,28 @@ def vec(entries) -> Vec:
 
 
 def zeros(n: int) -> Vec:
-    return (Q0,) * n
+    return (0,) * n
 
 
 def unit(n: int, i: int) -> Vec:
-    return tuple(Q1 if j == i else Q0 for j in range(n))
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    return tuple(frac(a + b) for a, b in zip(u, v, strict=True))
 
 
 def scale(c, v: Vec) -> Vec:
     c = frac(c)
-    return tuple(c * a for a in v)
+    return tuple(frac(c * a) for a in v)
 
 
 def is_zero(v: Vec) -> bool:
     return all(a == 0 for a in v)
 
 
-def dot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Q0)
+def dot(u: Vec, v: Vec) -> Rational:
+    return frac(sum(a * b for a, b in zip(u, v, strict=True)))
 
 
 def mat_vec(rows, v: Vec) -> Vec:
@@ -66,28 +81,23 @@ def identity_rows(n: int):
 
 def _sparse_int(row) -> dict[int, int]:
     """Scale a row (dense sequence or sparse dict) to a primitive integer dict."""
-    if isinstance(row, dict):
-        items = [(j, frac(x)) for j, x in row.items() if x != 0]
-    else:
-        items = [(j, frac(x)) for j, x in enumerate(row) if x != 0]
-    if not items:
-        return {}
+    ints = {}
     denom = 1
-    for _, x in items:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = {j: int(x * denom) for j, x in items}
-    g = 0
-    for val in ints.values():
-        g = gcd(g, val)
-    if g > 1:
-        ints = {j: val // g for j, val in ints.items()}
-    return ints
+    for j, x in row.items() if isinstance(row, dict) else enumerate(row):
+        if not x:
+            continue
+        if type(x) is not int:
+            x = frac(x)
+            if type(x) is not int:
+                denom = lcm(denom, x.denominator)
+        ints[j] = x
+    if denom > 1:
+        ints = {j: x.numerator * (denom // x.denominator) for j, x in ints.items()}
+    return _content_reduce(ints)
 
 
 def _content_reduce(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for val in row.values():
-        g = gcd(g, val)
+    g = gcd(*row.values())
     if g > 1:
         return {j: val // g for j, val in row.items()}
     return row
@@ -159,12 +169,10 @@ class SparseEchelon:
         for row in rows:
             self.insert(row)
 
-    def reduce(self, row) -> dict[int, Fraction]:
+    def reduce(self, row) -> dict[int, Rational]:
         """Residual of a row after eliminating all pivot coordinates (exact)."""
-        if isinstance(row, dict):
-            cur = {j: frac(x) for j, x in row.items() if x != 0}
-        else:
-            cur = {j: frac(x) for j, x in enumerate(row) if x != 0}
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        cur = {j: frac(x) for j, x in items if x}
         for c in sorted(cur):
             val = cur.get(c)
             if not val:
@@ -172,10 +180,10 @@ class SparseEchelon:
             piv = self.rows.get(c)
             if piv is None:
                 continue
-            coef = val / piv[c]
+            coef = quo(val, piv[c])
             for j, v in piv.items():
-                cur[j] = cur.get(j, Q0) - coef * v
-        return {j: v for j, v in cur.items() if v != 0}
+                cur[j] = cur.get(j, 0) - coef * v
+        return {j: frac(v) for j, v in cur.items() if v}
 
     def contains(self, row) -> bool:
         return not self.reduce(row)
@@ -185,10 +193,10 @@ class SparseEchelon:
         out = []
         for c in sorted(self.rows):
             row = self.rows[c]
-            lead = Fraction(row[c])
-            dense = [Q0] * self.ncols
+            lead = row[c]
+            dense = [0] * self.ncols
             for j, v in row.items():
-                dense[j] = v / lead
+                dense[j] = quo(v, lead)
             out.append(tuple(dense))
         return out
 
@@ -228,12 +236,12 @@ def nullspace(rows, ncols: int) -> list[Vec]:
     for f in range(ncols):
         if f in pivots:
             continue
-        v = [Q0] * ncols
-        v[f] = Q1
+        v = [0] * ncols
+        v[f] = 1
         for c, row in pivot_rows.items():
             val = row.get(f)
             if val:
-                v[c] = Fraction(-val, row[c])
+                v[c] = quo(-val, row[c])
         basis.append(tuple(v))
     return basis
 
@@ -249,9 +257,9 @@ def solve(rows, rhs) -> Vec | None:
     ech.extend(aug)
     if n in ech.rows:  # pivot in the rhs column
         return None
-    x = [Q0] * n
+    x = [0] * n
     for c, row in ech.rows.items():
-        x[c] = Fraction(row.get(n, 0), row[c])
+        x[c] = quo(row.get(n, 0), row[c])
     return tuple(x)
 
 
@@ -266,12 +274,12 @@ def inverse(rows) -> list[Vec] | None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
         lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
+        aug[col] = [quo(x, lead) for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [tuple(row[n:]) for row in aug]
+    return [tuple(map(frac, row[n:])) for row in aug]
 
 
 class Subspace:
@@ -332,7 +340,7 @@ class Subspace:
     def reduce(self, v) -> Vec:
         """Residual of v modulo the subspace (zero at all pivot coordinates)."""
         red = self._echelon().reduce(v)
-        dense = [Q0] * self.ambient
+        dense = [0] * self.ambient
         for j, val in red.items():
             dense[j] = val
         return tuple(dense)

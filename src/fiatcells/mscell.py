@@ -21,7 +21,16 @@ _DIGIT_BITS = 64
 
 
 class MultiSemigroupError(ValueError):
-    """Invalid multisemigroup data; carries a witness description."""
+    """Invalid multisemigroup data; carries a witness description.
+
+    `pair` is the table entry (f, g) at fault and `star` the morphism whose
+    star is at fault, when the failure has one.
+    """
+
+    def __init__(self, message: str, pair: tuple | None = None, star: str | None = None):
+        super().__init__(message)
+        self.pair = pair
+        self.star = star
 
 
 class NotComposableError(MultiSemigroupError):
@@ -179,46 +188,57 @@ class MultiSemigroup:
 
         for f, g in self.star.items():
             if self.star.get(g) != f:
-                raise MultiSemigroupError(f"star is not involutive at {f!r}")
+                raise MultiSemigroupError(f"star is not involutive at {f!r}", star=f)
         for name, m in self.morphisms.items():
             s = self.star.get(name)
             if s is None or s not in self.morphisms:
-                raise MultiSemigroupError(f"star undefined at {name!r}")
+                raise MultiSemigroupError(f"star undefined at {name!r}", star=name)
             sm = self.morphisms[s]
             if (sm.src, sm.tgt) != (m.tgt, m.src):
-                raise MultiSemigroupError(f"star of {name!r} must swap source and target")
+                raise MultiSemigroupError(
+                    f"star of {name!r} must swap source and target", star=name
+                )
             if m.is_identity and s != name:
-                raise MultiSemigroupError(f"star must fix the identity {name!r}")
+                raise MultiSemigroupError(f"star must fix the identity {name!r}", star=name)
 
         for (f, g), entry in self.table.items():
             if not self.composable(f, g):
-                raise MultiSemigroupError(f"table entry for non-composable pair ({f!r}, {g!r})")
+                raise MultiSemigroupError(
+                    f"table entry for non-composable pair ({f!r}, {g!r})", pair=(f, g)
+                )
             for h, k in entry.items():
                 if h not in self.morphisms:
-                    raise MultiSemigroupError(f"unknown summand {h!r} in {f!r} o {g!r}")
+                    raise MultiSemigroupError(
+                        f"unknown summand {h!r} in {f!r} o {g!r}", pair=(f, g)
+                    )
                 if k < 0 or k >= MAX_MULTIPLICITY:
                     raise MultiSemigroupError(
-                        f"multiplicity {k} of {h!r} in {f!r} o {g!r} out of range"
+                        f"multiplicity {k} of {h!r} in {f!r} o {g!r} out of range", pair=(f, g)
                     )
                 hm = self.morphisms[h]
                 if hm.src != self.morphisms[g].src or hm.tgt != self.morphisms[f].tgt:
                     raise MultiSemigroupError(
-                        f"summand {h!r} of {f!r} o {g!r} has wrong source or target"
+                        f"summand {h!r} of {f!r} o {g!r} has wrong source or target",
+                        pair=(f, g),
                     )
 
         for name, m in self.morphisms.items():
             lid = self.identity_of(m.tgt).name
             rid = self.identity_of(m.src).name
             if self.table[(lid, name)] != {name: 1}:
-                raise MultiSemigroupError(f"identity {lid!r} is not left-neutral on {name!r}")
+                raise MultiSemigroupError(
+                    f"identity {lid!r} is not left-neutral on {name!r}", pair=(lid, name)
+                )
             if self.table[(name, rid)] != {name: 1}:
-                raise MultiSemigroupError(f"identity {rid!r} is not right-neutral on {name!r}")
+                raise MultiSemigroupError(
+                    f"identity {rid!r} is not right-neutral on {name!r}", pair=(name, rid)
+                )
 
         for (f, g), entry in self.table.items():
             starred = {self.star[h]: k for h, k in entry.items()}
             if self.table.get((self.star[g], self.star[f]), {}) != starred:
                 raise MultiSemigroupError(
-                    f"star is not an anti-map on the table at ({f!r}, {g!r})"
+                    f"star is not an anti-map on the table at ({f!r}, {g!r})", pair=(f, g)
                 )
 
         self._check_associativity()
@@ -270,7 +290,8 @@ class MultiSemigroup:
                 if lhs != rhs:
                     raise MultiSemigroupError(
                         "associativity fails at triple "
-                        f"({self.names[fi]!r}, {self.names[gi]!r}, {self.names[ki]!r})"
+                        f"({self.names[fi]!r}, {self.names[gi]!r}, {self.names[ki]!r})",
+                        pair=(self.names[fi], self.names[gi]),
                     )
             checked += n
         return checked

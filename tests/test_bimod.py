@@ -628,3 +628,91 @@ def test_two_object_construction():
     records += bimod.verify_commutant(build)
     assert all(r.passed for r in records)
     assert bimod.commutant_dimension(build.cellrep) == 1
+
+
+# k[x]/(x^3) in the basis 1, y = x/2, z = x^2: the same algebra as the
+# x3local fixture, but with a non-integral structure constant (y*y = z/4)
+X3_RATIONAL_TWIN = """\
+algebra x3twin
+basis 1 y z
+unit = 1
+idempotent 1
+1*1 = 1
+1*y = y
+y*1 = y
+1*z = z
+z*1 = z
+y*y = 1/4*z
+"""
+# the twin's basis vectors in the fixture's labels, up to scalars
+TWIN_LABELS = {"1": "1", "y": "x", "z": "x2"}
+
+
+def _invariants(A):
+    rad = alg.radical(A)
+    return {
+        "dim": A.dim,
+        "radical_dim": rad.dim,
+        "center_dim": alg.center(A).dim,
+        "projective_center_dim": bimod.projective_center(A).dim,
+        "loewy": alg.loewy_length(A, rad),
+        "bimodule_loewy": bimod.loewy_length(bimod.proj_bimodule(A, 0, A, 0)),
+        "socle_dim": alg.socle(A, rad=rad).dim,
+        "weakly_symmetric": alg.is_weakly_symmetric(A),
+        "connected": alg.is_connected(A),
+    }
+
+
+def _suite_records(build):
+    records = []
+    records += bimod.verify_closed_form_composition(build)
+    records += bimod.verify_dimension_identities(build)
+    records += bimod.verify_duflo_hom_dimension(build)
+    records += bimod.verify_center_surjectivity(build, expect_surjective=True)
+    records += bimod.verify_center_separation(build)
+    records += bimod.verify_commutant(build)
+    return records
+
+
+def _in_fixture_labels(record):
+    """A record's name, values and verdicts, with a named element of the
+    twin written in the fixture's labels."""
+    name, values = record.name, dict(record.values)
+    if "element" in values:
+        old = values["element"]
+        values["element"] = TWIN_LABELS[old]
+        name = name.replace(f"={old}]", f"={values['element']}]")
+    return name, values, record.passed, record.negative
+
+
+def _non_integral_entries(B):
+    return [
+        v
+        for actions in (B.left_action, B.right_action)
+        for mat in actions
+        for col in mat
+        for v in col.values()
+        if isinstance(v, Fraction) and v.denominator != 1
+    ]
+
+
+def test_rational_basis_twin_of_x3local_gives_the_same_records():
+    twin = parse_algebra(X3_RATIONAL_TWIN, "x3twin.alg").algebra
+    alg.validate(twin)
+    assert twin.mul(twin.element("y"), twin.element("y")) == (0, 0, Fraction(1, 4))
+    fixture_A = fixture("x3local")
+    assert _invariants(twin) == _invariants(fixture_A)
+    assert [twin.describe(v) for v in bimod.projective_center(twin)] == ["1", "z"]
+
+    build = bimod.build_ccx(bimod.CcxData(algebras=(twin,), name="x3twin"))
+    struct = mscell.cells(build.ms)
+    assert all(mscell.is_strongly_regular(build.ms, c) for c in struct.two_sided_cells)
+    records = _suite_records(build)
+    assert records and all(r.passed for r in records)
+    want = [(r.name, r.values, r.passed, r.negative) for r in _suite_records(ccx_build("x3local"))]
+    assert [_in_fixture_labels(r) for r in records] == want
+
+    # the twin really runs the Fraction path: a quarter survives in the
+    # action matrices of its bimodules, which the fixture's do not carry
+    assert _non_integral_entries(build.bimodule("F11_11"))
+    assert not _non_integral_entries(ccx_build("x3local").bimodule("F11_11"))

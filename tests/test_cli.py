@@ -299,3 +299,53 @@ def test_cells_refuses_repeated_msg_lines(capsys, tmp_path):
         assert code == 2, what
         assert out == ""
         assert f"input error: {msg}:13: repeated {what} (first at line {first})" in err
+
+
+def test_cells_reports_a_star_failure_at_its_star_line(capsys, tmp_path):
+    msg = tmp_path / "star.msg"
+    msg.write_text(fixture_path("demo.msg").read_text() + "star q = g\n")
+    code, out, err = run(capsys, "cells", "--input", str(msg))
+    assert code == 2
+    assert out == ""
+    assert f"input error: {msg}:13: star is not involutive at 'q'" in err
+
+
+NON_ASSOCIATIVE_MSG = """\
+multisemigroup n
+object i
+morphism e : i -> i identity
+morphism g : i -> i
+morphism h : i -> i
+e o e = e
+e o g = g
+g o e = g
+e o h = h
+h o e = h
+g o g = h
+h o h = g
+"""
+
+
+def test_cells_reports_a_table_failure_at_the_product_line_of_its_pair(capsys, tmp_path):
+    msg = tmp_path / "n.msg"
+    cases = {
+        # (g o g) o h = h o h = g, but g o (g o h) = 0: the pair (g, g)
+        "associativity fails at triple ('g', 'g', 'h')": (NON_ASSOCIATIVE_MSG, 11),
+        # the neutrality witness (e, g) has its own line ...
+        "identity 'e' is not left-neutral on 'g'": (
+            NON_ASSOCIATIVE_MSG.replace("e o g = g", "e o g = 2*g"), 7
+        ),
+        # ... and (e, h), an unlisted product, has none
+        "identity 'e' is not left-neutral on 'h'": (
+            NON_ASSOCIATIVE_MSG.replace("e o h = h\n", ""), 0
+        ),
+        "star is not an anti-map on the table at ('g', 'h')": (
+            NON_ASSOCIATIVE_MSG.replace("h o h = g", "h o h = g\ng o h = g"), 13
+        ),
+    }
+    for message, (text, line) in cases.items():
+        msg.write_text(text)
+        code, out, err = run(capsys, "cells", "--input", str(msg))
+        assert code == 2, message
+        assert out == ""
+        assert f"input error: {msg}:{line}: {message}" in err, err

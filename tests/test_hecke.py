@@ -188,11 +188,11 @@ def test_export_checks_associativity_with_the_generators_as_left_factors(monkeyp
 
     monkeypatch.setattr(mscell.MultiSemigroup, "_check_associativity", counting)
     ms = export_multisemigroup(coxeter_group("A3"))
-    assert ms.generators == ("1", "2", "3", "e")
-    assert checked == [4 * 24 * 24]
+    assert ms.generators == ("1", "2", "3")
+    assert checked == [3 * 24 * 24]
     # with no generating set every morphism is a left factor
     mscell.MultiSemigroup(ms.objects, ms.morphisms.values(), ms.table, ms.star)
-    assert checked == [4 * 24 * 24, 24 * 24 * 24]
+    assert checked == [3 * 24 * 24, 24 * 24 * 24]
 
 
 @pytest.mark.parametrize("kind", ["A1", "A2", "A3", "B2"])

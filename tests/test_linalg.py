@@ -150,3 +150,82 @@ def _dense_rref_reference(rows, ncols):
 )
 def test_sparse_echelon_matches_dense_reference(rows):
     assert linalg.rref(rows, 5) == _dense_rref_reference(rows, 5)
+
+
+# -- representation: an int where the value is integral, a Fraction elsewhere
+
+rationals = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.fractions(max_denominator=12).filter(lambda q: abs(q) <= 40),
+)
+
+
+def _normalised(x) -> bool:
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _typed(values):
+    return [(type(x), x) for x in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals, rationals)
+def test_frac_and_quo_return_ints_where_integral(a, b):
+    for x in (a, Fraction(a)):
+        assert _normalised(linalg.frac(x))
+        assert linalg.frac(x) == x
+    if b:
+        for x, y in ((a, b), (Fraction(a), b), (a, Fraction(b)), (Fraction(a), Fraction(b))):
+            q = linalg.quo(x, y)
+            assert _normalised(q)
+            assert q == Fraction(a) / Fraction(b)
+
+
+def test_frac_normalises_other_exact_inputs():
+    values = [linalg.frac(True), linalg.frac("6/3"), linalg.frac(Fraction(4, 2))]
+    assert _typed(values) == [(int, 1), (int, 2), (int, 2)]
+    values = [linalg.quo(7, 2), linalg.quo(-6, 3), linalg.quo(Fraction(1, 2), Fraction(1, 4))]
+    assert _typed(values) == [(Fraction, Fraction(7, 2)), (int, -2), (int, 2)]
+
+
+def _outputs(rows, probe, ncols):
+    """Every representation-bearing output of the echelon layer on rows."""
+    ech = SparseEchelon(ncols)
+    ech.extend(rows)
+    stored = [(list(row), _typed(row.values())) for row in ech.rows.values()]
+    basis = [_typed(row) for row in ech.basis_fraction_rows()]
+    kernel = [_typed(v) for v in linalg.nullspace(rows, ncols)]
+    residual = ech.reduce(probe)
+    return stored, basis, kernel, (list(residual), _typed(residual.values()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=-7, max_value=7), min_size=4, max_size=4),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.integers(min_value=-7, max_value=7), min_size=4, max_size=4),
+)
+def test_echelon_outputs_do_not_depend_on_the_input_representation(rows, probe):
+    from_ints = _outputs(rows, probe, 4)
+    as_fractions = [[Fraction(x) for x in row] for row in rows]
+    assert _outputs(as_fractions, [Fraction(x) for x in probe], 4) == from_ints
+    stored, basis, kernel, (_, residual) = from_ints
+    for row in basis + kernel + [residual]:
+        assert all(_normalised(x) for _, x in row)
+    for _, row in stored:
+        assert all(t is int for t, _ in row)
+
+
+def test_rational_rows_keep_their_fractions():
+    rows = [(Fraction(1, 2), Fraction(1, 3), 0), (0, 2, 1)]
+    basis = linalg.rref(rows)
+    assert all(_normalised(x) for row in basis for x in row)
+    assert basis == [(1, 0, Fraction(-1, 3)), (0, 1, Fraction(1, 2))]
+    ech = SparseEchelon(3)
+    ech.insert((2, 0, 0))
+    assert ech.reduce((Fraction(3, 2), Fraction(1, 2), 0)) == {1: Fraction(1, 2)}
+    assert _typed(linalg.solve([(2, 0), (0, 4)], (1, 2))) == [(Fraction, Fraction(1, 2))] * 2
+    assert _typed(linalg.inverse([(2, 0), (0, 1)])[0]) == [(Fraction, Fraction(1, 2)), (int, 0)]

@@ -140,7 +140,7 @@ def test_cells_stable_under_renaming():
         mapping = {old: f"zz{new}" for old, new in zip(names, shuffled)}
         renamed = ms.renamed(mapping)
         # the generating set travels with the names, so the renamed table is
-        # still validated with the identity and the b_s as left factors
+        # still validated with only the b_s as left factors
         assert renamed.generators == tuple(sorted(mapping[f] for f in ms.generators))
         assert renamed._check_associativity() == len(ms.generators) * len(names) ** 2
         st = mscell.cells(ms)
