@@ -394,7 +394,11 @@ def tensor_over(M: Bimodule, N: Bimodule, name=None) -> Bimodule:
                 rel = {pair(r, j): v for r, v in mg.items()}
                 for r, v in gn.items():
                     key = pair(i, r)
-                    rel[key] = rel.get(key, 0) - v
+                    x = rel.get(key, 0) - v
+                    if x:
+                        rel[key] = x
+                    else:  # m.g (x) n and m (x) g.n cancel here
+                        del rel[key]
                 if rel:
                     ech.insert(rel)
 

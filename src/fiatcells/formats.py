@@ -178,7 +178,9 @@ def parse_algebra(text: str, path="<string>") -> AlgebraSpec:
 def parse_multisemigroup(text: str, path="<string>") -> MultiSemigroup:
     name = None
     objects = []
+    object_lines = {}
     morphisms = {}
+    morphism_lines = {}
     star = {}
     star_lines = {}
     table = {}
@@ -189,7 +191,9 @@ def parse_multisemigroup(text: str, path="<string>") -> MultiSemigroup:
         if line.startswith("multisemigroup "):
             name = line.split(None, 1)[1]
         elif line.startswith("object "):
-            objects.append(line.split(None, 1)[1].strip())
+            obj = line.split(None, 1)[1].strip()
+            objects.append(obj)
+            object_lines.setdefault(obj, line_no)
         elif line.startswith("morphism "):
             m = morph_re.match(line)
             if not m:
@@ -198,6 +202,7 @@ def parse_multisemigroup(text: str, path="<string>") -> MultiSemigroup:
             if label in morphisms:
                 raise ParseError(path, line_no, f"duplicate morphism {label!r}")
             morphisms[label] = OneMorphism(label, src, tgt, bool(ident))
+            morphism_lines[label] = line_no
         elif line.startswith("star "):
             m = re.match(r"star\s+(\S+)\s*=\s*(\S+)$", line)
             if not m:
@@ -235,7 +240,13 @@ def parse_multisemigroup(text: str, path="<string>") -> MultiSemigroup:
     try:
         return MultiSemigroup(objects, morphisms.values(), table, star)
     except MultiSemigroupError as exc:
-        line_no = table_lines.get(exc.pair) or star_lines.get(exc.star, 0)
+        line_no = (
+            table_lines.get(exc.pair)
+            or star_lines.get(exc.star)
+            # a star with no star line is the default one, set by its morphism line
+            or morphism_lines.get(exc.morphism or exc.star)
+            or object_lines.get(exc.obj, 0)
+        )
         raise ParseError(path, line_no, str(exc)) from exc
 
 

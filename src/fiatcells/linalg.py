@@ -5,15 +5,16 @@ An exact rational is held as an `int` when it is integral and as a
 every division goes through `quo`, which keeps it, so integral inputs never
 leave int arithmetic.  Vectors are tuples of such values.  The elimination
 engine works on sparse integer rows (incoming rational rows are scaled to
-primitive integer rows), keeps a fully reduced echelon form at all times
-and normalizes stored rows to primitive integers with positive leading
-coefficient, so the echelon form of a subspace is canonical and subspace
-equality is syntactic.
+integer rows) and stores them primitive, with positive leading
+coefficient.  Inserting a row only forward-reduces it; the stored rows are
+back-substituted once, when they are read, into the reduced echelon form,
+which is canonical, so subspace equality is syntactic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 Rational = int | Fraction
@@ -80,7 +81,8 @@ def identity_rows(n: int):
 
 
 def _sparse_int(row) -> dict[int, int]:
-    """Scale a row (dense sequence or sparse dict) to a primitive integer dict."""
+    """Scale a row (dense sequence or sparse dict) to an integer dict, a fresh
+    one; its content is taken by the caller, once it is reduced."""
     ints = {}
     denom = 1
     for j, x in row.items() if isinstance(row, dict) else enumerate(row):
@@ -93,7 +95,7 @@ def _sparse_int(row) -> dict[int, int]:
         ints[j] = x
     if denom > 1:
         ints = {j: x.numerator * (denom // x.denominator) for j, x in ints.items()}
-    return _content_reduce(ints)
+    return ints
 
 
 def _content_reduce(row: dict[int, int]) -> dict[int, int]:
@@ -104,40 +106,62 @@ def _content_reduce(row: dict[int, int]) -> dict[int, int]:
 
 
 class SparseEchelon:
-    """Incrementally maintained reduced echelon form of a row span.
+    """Echelon form of a row span, kept semi-reduced and reduced on read.
 
-    Rows are stored as primitive integer dicts keyed by the pivot column;
-    every stored row has a positive pivot entry and zero entries at all
-    other pivot columns, which makes the form canonical.
+    Rows are stored as primitive integer dicts keyed by the pivot column,
+    their minimum column, with a positive pivot entry.  `insert` only
+    forward-reduces, so a stored row may be nonzero at later pivot columns;
+    `dim`, `pivots`, `insert` and `contains` read that form as it is.  The
+    first read of `rows` after the span grew back-substitutes once, from the
+    highest pivot down: every stored row is then zero at all other pivot
+    columns, and that primitive reduced form is canonical.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: dict[int, dict[int, int]] = {}
+        self._rows: dict[int, dict[int, int]] = {}
+        self._reduced = True
+
+    @property
+    def rows(self) -> dict[int, dict[int, int]]:
+        if not self._reduced:
+            self._back_substitute()
+        return self._rows
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def pivots(self) -> list[int]:
-        return sorted(self.rows)
+        return sorted(self._rows)
 
     def _forward_reduce(self, row: dict[int, int]) -> dict[int, int]:
-        # stored rows are zero at every other pivot column, so eliminating the
-        # pivot columns present at entry never introduces new pivot columns
-        for c in sorted(set(row) & set(self.rows)):
-            b = row.get(c)
-            if not b:
-                continue
-            piv = self.rows[c]
-            a = piv[c]
-            g = gcd(a, b)
-            ma, mb = b // g, a // g
-            new = {j: val * mb for j, val in row.items()}
-            for j, val in piv.items():
-                new[j] = new.get(j, 0) - val * ma
-            row = _content_reduce({j: val for j, val in new.items() if val != 0})
+        """Eliminate every pivot column from an integer row, in place, in
+        increasing column order; a column that a step fills in joins the
+        queue."""
+        rows = self._rows
+        queue = [c for c in row if c in rows]
+        heapify(queue)
+        while queue:
+            c = heappop(queue)
+            if c in row:  # else it cancelled after it was queued
+                _eliminate(row, c, rows, queue)
         return row
+
+    def _back_substitute(self) -> None:
+        rows = self._rows
+        no_fill_in = []
+        for p in sorted(rows, reverse=True):
+            row = rows[p]
+            # rows above p are reduced already, so eliminating their pivot
+            # columns touches no other pivot column of this row
+            later = [c for c in row if c != p and c in rows]
+            if later:
+                row = dict(row)  # a row read out before stays as it was
+                for c in later:
+                    _eliminate(row, c, rows, no_fill_in)
+                rows[p] = _content_reduce(row)
+        self._reduced = True
 
     def insert(self, row) -> bool:
         """Add a row to the span; return True if the dimension grew."""
@@ -145,24 +169,13 @@ class SparseEchelon:
         if not row:
             return False
         c = min(row)
+        g = gcd(*row.values())
         if row[c] < 0:
-            row = {j: -v for j, v in row.items()}
-        # eliminate the new pivot column from previously stored rows
-        for p, stored in list(self.rows.items()):
-            val = stored.get(c)
-            if not val:
-                continue
-            a, b = row[c], val
-            g = gcd(a, b)
-            ma, mb = b // g, a // g
-            new = {j: v * mb for j, v in stored.items()}
-            for j, v in row.items():
-                new[j] = new.get(j, 0) - v * ma
-            new = _content_reduce({j: v for j, v in new.items() if v != 0})
-            if new[min(new)] < 0:
-                new = {j: -v for j, v in new.items()}
-            self.rows[p] = new
-        self.rows[c] = row
+            g = -g
+        if g != 1:
+            row = {j: v // g for j, v in row.items()}
+        self._rows[c] = row
+        self._reduced = False
         return True
 
     def extend(self, rows) -> None:
@@ -171,13 +184,14 @@ class SparseEchelon:
 
     def reduce(self, row) -> dict[int, Rational]:
         """Residual of a row after eliminating all pivot coordinates (exact)."""
+        rows = self.rows
         items = row.items() if isinstance(row, dict) else enumerate(row)
         cur = {j: frac(x) for j, x in items if x}
         for c in sorted(cur):
             val = cur.get(c)
             if not val:
                 continue
-            piv = self.rows.get(c)
+            piv = rows.get(c)
             if piv is None:
                 continue
             coef = quo(val, piv[c])
@@ -186,13 +200,14 @@ class SparseEchelon:
         return {j: frac(v) for j, v in cur.items() if v}
 
     def contains(self, row) -> bool:
-        return not self.reduce(row)
+        return not self._forward_reduce(_sparse_int(row))
 
     def basis_fraction_rows(self) -> list[Vec]:
         """Canonical dense basis: rows sorted by pivot, pivot entries scaled to 1."""
+        rows = self.rows
         out = []
-        for c in sorted(self.rows):
-            row = self.rows[c]
+        for c in sorted(rows):
+            row = rows[c]
             lead = row[c]
             dense = [0] * self.ncols
             for j, v in row.items():
@@ -201,14 +216,45 @@ class SparseEchelon:
         return out
 
 
+def _eliminate(row: dict[int, int], c: int, rows: dict, queue: list) -> None:
+    """row <- mb*row - ma*rows[c] in place, with ma/mb = row[c]/rows[c][c] in
+    lowest terms, so that column c cancels.  Zero entries are dropped, and a
+    pivot column of `rows` that the step fills in is pushed onto the heap
+    `queue`."""
+    piv = rows[c]
+    a, b = piv[c], row[c]
+    g = gcd(a, b)
+    ma, mb = b // g, a // g
+    if mb != 1:
+        for j in row:
+            row[j] *= mb
+    for j, v in piv.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = -v * ma
+            if j in rows:
+                heappush(queue, j)
+        else:
+            x -= v * ma
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+
+
+def _ncols(rows) -> int:
+    """The column count of a nonempty row list: one past the largest key of
+    any sparse row, else the dense length."""
+    return max(max(r, default=-1) + 1 if isinstance(r, dict) else len(r) for r in rows)
+
+
 def rref(rows, ncols: int | None = None) -> list[Vec]:
     """Canonical reduced row echelon basis of the row span."""
     rows = list(rows)
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for an empty row list")
-        first = rows[0]
-        ncols = (max(first) + 1) if isinstance(first, dict) else len(first)
+        ncols = _ncols(rows)
     ech = SparseEchelon(ncols)
     ech.extend(rows)
     return ech.basis_fraction_rows()
@@ -218,10 +264,7 @@ def rank(rows, ncols: int | None = None) -> int:
     rows = list(rows)
     if not rows:
         return 0
-    if ncols is None:
-        first = rows[0]
-        ncols = (max(first, default=-1) + 1) if isinstance(first, dict) else len(first)
-    ech = SparseEchelon(ncols)
+    ech = SparseEchelon(_ncols(rows) if ncols is None else ncols)
     ech.extend(rows)
     return ech.dim
 

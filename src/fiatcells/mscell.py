@@ -23,14 +23,24 @@ _DIGIT_BITS = 64
 class MultiSemigroupError(ValueError):
     """Invalid multisemigroup data; carries a witness description.
 
-    `pair` is the table entry (f, g) at fault and `star` the morphism whose
-    star is at fault, when the failure has one.
+    `pair` is the table entry (f, g) at fault, `star` the morphism whose
+    star is at fault, `morphism` the morphism whose declaration is at fault
+    and `obj` the object at fault, when the failure has one.
     """
 
-    def __init__(self, message: str, pair: tuple | None = None, star: str | None = None):
+    def __init__(
+        self,
+        message: str,
+        pair: tuple | None = None,
+        star: str | None = None,
+        morphism: str | None = None,
+        obj: str | None = None,
+    ):
         super().__init__(message)
         self.pair = pair
         self.star = star
+        self.morphism = morphism
+        self.obj = obj
 
 
 class NotComposableError(MultiSemigroupError):
@@ -173,18 +183,20 @@ class MultiSemigroup:
     def _validate(self) -> None:
         for m in self.morphisms.values():
             if m.src not in self.objects or m.tgt not in self.objects:
-                raise MultiSemigroupError(f"morphism {m.name!r} uses unknown object")
+                raise MultiSemigroupError(
+                    f"morphism {m.name!r} uses unknown object", morphism=m.name
+                )
         for obj in self.objects:
             ids = [
                 m for m in self.morphisms.values() if m.is_identity and m.src == obj
             ]
             if len(ids) != 1 or ids[0].tgt != obj:
-                raise MultiSemigroupError(
-                    f"object {obj!r} must have exactly one identity endomorphism"
-                )
-        for m in self.morphisms.values():
-            if m.is_identity and m.src != m.tgt:
-                raise MultiSemigroupError(f"identity {m.name!r} must be an endomorphism")
+                message = f"object {obj!r} must have exactly one identity endomorphism"
+                if not ids:
+                    raise MultiSemigroupError(message, obj=obj)
+                # the first identity too many, or the one that is no endomorphism
+                witness = ids[1] if len(ids) > 1 else ids[0]
+                raise MultiSemigroupError(message, morphism=witness.name)
 
         for f, g in self.star.items():
             if self.star.get(g) != f:

@@ -310,6 +310,32 @@ def test_cells_reports_a_star_failure_at_its_star_line(capsys, tmp_path):
     assert f"input error: {msg}:13: star is not involutive at 'q'" in err
 
 
+def test_cells_reports_a_morphism_failure_at_its_morphism_or_object_line(capsys, tmp_path):
+    head = "multisemigroup u\nobject i\nmorphism e : i -> i identity\n"
+    two_objects = head.replace("object i\n", "object i\nobject j\n")
+    one_identity = "must have exactly one identity endomorphism"
+    cases = [
+        (head + "morphism g : i -> j\n", 4, "morphism 'g' uses unknown object"),
+        # the second identity on i
+        (head + "morphism g : i -> i\nmorphism f : i -> i identity\n", 5,
+         f"object 'i' {one_identity}"),
+        # j has no identity: its object line
+        (two_objects, 3, f"object 'j' {one_identity}"),
+        # the identity of j is no endomorphism
+        (two_objects + "morphism f : j -> i identity\n", 5, f"object 'j' {one_identity}"),
+        # g has no star line, so its star is g itself, set by its morphism line
+        (two_objects + "morphism f : j -> j identity\nmorphism g : i -> j\n", 6,
+         "star of 'g' must swap source and target"),
+    ]
+    msg = tmp_path / "u.msg"
+    for text, line, message in cases:
+        msg.write_text(text)
+        code, out, err = run(capsys, "cells", "--input", str(msg))
+        assert code == 2, message
+        assert out == ""
+        assert f"input error: {msg}:{line}: {message}" in err, err
+
+
 NON_ASSOCIATIVE_MSG = """\
 multisemigroup n
 object i

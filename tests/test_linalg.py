@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +151,107 @@ def _dense_rref_reference(rows, ncols):
 )
 def test_sparse_echelon_matches_dense_reference(rows):
     assert linalg.rref(rows, 5) == _dense_rref_reference(rows, 5)
+
+
+# -- the lazy echelon form: forward-reduced on insert, back-substituted on read
+
+def _primitive_rows(reference):
+    """The reference RREF rows as the primitive integer dicts that `rows`
+    must hold, keyed by pivot."""
+    out = {}
+    for row in reference:
+        scale = lcm(*(x.denominator for x in row))
+        ints = {j: int(x * scale) for j, x in enumerate(row) if x}
+        g = gcd(*ints.values())
+        out[min(ints)] = {j: x // g for j, x in ints.items()}
+    return out
+
+
+def _residual(reference, v):
+    """v minus its projection onto the reference RREF rows' pivot coordinates."""
+    cur = [Fraction(x) for x in v]
+    for row in reference:
+        c = next(j for j, x in enumerate(row) if x)
+        f = cur[c]
+        cur = [a - f * b for a, b in zip(cur, row)]
+    return {j: x for j, x in enumerate(cur) if x}
+
+
+ECHELON_COLS = 5
+entries = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+echelon_rows = st.lists(entries, min_size=ECHELON_COLS, max_size=ECHELON_COLS)
+echelon_ops = st.one_of(
+    st.tuples(st.just("insert"), echelon_rows),
+    st.tuples(st.just("reduce"), echelon_rows),
+    st.tuples(st.just("contains"), echelon_rows),
+    # a probe in the span: a combination of the rows inserted so far
+    st.tuples(st.just("member"), st.lists(st.integers(-3, 3), min_size=1, max_size=6)),
+    st.tuples(st.just("rows"), st.none()),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(echelon_ops, min_size=1, max_size=14), st.booleans())
+def test_interleaved_echelon_operations_match_the_dense_reference(ops, sparse):
+    ech = SparseEchelon(ECHELON_COLS)
+    inserted = []
+    reference = []
+    for kind, arg in ops:
+        if kind == "member":
+            probe = [Fraction(0)] * ECHELON_COLS
+            for c, row in zip(arg, inserted):
+                probe = [p + c * Fraction(x) for p, x in zip(probe, row)]
+            kind, arg = "contains", probe
+        given_row = {j: x for j, x in enumerate(arg) if x} if sparse and arg else arg
+        if kind == "insert":
+            inserted.append(arg)
+            before = len(reference)
+            reference = _dense_rref_reference(inserted, ECHELON_COLS)
+            assert ech.insert(given_row) == (len(reference) > before)
+            assert ech.dim == len(reference)
+            assert ech.pivots() == sorted(_primitive_rows(reference))
+        elif kind == "reduce":
+            assert ech.reduce(given_row) == _residual(reference, arg)
+        elif kind == "contains":
+            assert ech.contains(given_row) == (not _residual(reference, arg))
+        else:
+            assert ech.rows == _primitive_rows(reference)
+            assert ech.basis_fraction_rows() == reference
+    assert ech.rows == _primitive_rows(reference)
+    assert linalg.rank(inserted) == len(reference)
+
+
+def test_forward_reduction_follows_fill_in_to_later_pivots():
+    ech = SparseEchelon(3)
+    assert ech.insert({0: 1, 1: 1})
+    assert ech.insert({1: 1})
+    # the stored row of pivot 0 is not reduced yet, so eliminating column 0
+    # from (1, 0, 0) fills in column 1, a pivot column absent at entry
+    assert ech.contains({0: 1})
+    assert not ech.insert({0: 1})
+    assert ech.dim == 2
+    assert ech.insert({0: 2, 2: 3})
+    assert ech.rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
+
+
+def test_rows_read_out_do_not_change_when_the_span_grows():
+    ech = SparseEchelon(3)
+    ech.insert({0: 1, 1: 1, 2: 1})
+    first = ech.rows[0]
+    ech.insert({1: 1})
+    assert ech.rows[0] == {0: 1, 2: 1}
+    assert first == {0: 1, 1: 1, 2: 1}
+
+
+def test_rref_and_rank_infer_ncols_from_every_sparse_row():
+    assert linalg.rref([{0: 1}, {3: 1}]) == [(1, 0, 0, 0), (0, 0, 0, 1)]
+    assert linalg.rank([{0: 1}, {3: 1}]) == 2
+    assert linalg.rref([{}, {2: 1}]) == [(0, 0, 1)]
+    assert linalg.rank([{}, {2: 1}]) == 1
+    assert linalg.rank([{}, {}]) == 0
 
 
 # -- representation: an int where the value is integral, a Fraction elsewhere
