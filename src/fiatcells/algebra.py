@@ -6,6 +6,10 @@ characteristic-zero trace-form criterion and then verified to be a nilpotent
 two-sided ideal with semisimple quotient.  Splitness (every e_iAe_i/rad
 isomorphic to Q) is part of full validation; non-split input is rejected.
 
+The structure constants are stored column-sparse, the package's one matrix
+form (see `linalg`): mult[i] is the matrix of left multiplication by the
+i-th basis element.  Algebra elements stay dense coordinate tuples.
+
 An algebra is immutable once built, so its radical and its generating set
 are computed once and kept on the instance.
 """
@@ -28,15 +32,23 @@ class AlgebraValidationError(AlgebraError):
 
 class FinDimAlgebra:
     def __init__(self, basis, mult, unit, idempotents, name: str = ""):
-        """mult[i][j] is the coefficient vector of basis[i] * basis[j]."""
+        """mult[i][j] is the dense coefficient vector of basis[i] * basis[j];
+        it is kept as the sparse dict {r: c} of its nonzero coefficients, so
+        that self.mult[i] is the column-sparse matrix of x -> basis[i] * x."""
         self.basis = tuple(basis)
         self.name = name
         d = len(self.basis)
-        self.mult = tuple(tuple(linalg.vec(mult[i][j]) for j in range(d)) for i in range(d))
-        self.unit = linalg.vec(unit)
-        self.idempotents = tuple(linalg.vec(e) for e in idempotents)
         if len(set(self.basis)) != d:
             raise AlgebraError("duplicate basis labels")
+        if len(mult) != d or any(len(row) != d for row in mult):
+            raise AlgebraError(f"structure constants must form a {d} x {d} table")
+        if any(len(v) != d for v in (unit, *idempotents, *(p for row in mult for p in row))):
+            raise AlgebraError(f"products, unit and idempotents must have {d} coordinates")
+        self.mult = tuple(
+            tuple({r: c for r, c in enumerate(linalg.vec(p)) if c} for p in row) for row in mult
+        )
+        self.unit = linalg.vec(unit)
+        self.idempotents = tuple(linalg.vec(e) for e in idempotents)
         self._radical: Subspace | None = None
         self._generators: tuple | None = None
         self._projective_center: Subspace | None = None  # kept by bimod.projective_center
@@ -58,19 +70,18 @@ class FinDimAlgebra:
                 if not cj:
                     continue
                 c = ci * cj
-                for r, s in enumerate(self.mult[i][j]):
-                    if s:
-                        out[r] += c * s
+                for r, s in self.mult[i][j].items():
+                    out[r] += c * s
         return tuple(out)
 
     def left_mult_matrix(self, v: Vec):
-        """Matrix of x -> v*x in the algebra basis (rows index coordinates)."""
-        cols = [self.mul(v, linalg.unit(self.dim, j)) for j in range(self.dim)]
-        return [tuple(col[r] for col in cols) for r in range(self.dim)]
+        """Column-sparse matrix of x -> v*x in the algebra basis."""
+        return linalg.sp_lincomb(v, self.mult)
 
     def right_mult_matrix(self, v: Vec):
-        cols = [self.mul(linalg.unit(self.dim, j), v) for j in range(self.dim)]
-        return [tuple(col[r] for col in cols) for r in range(self.dim)]
+        """Column-sparse matrix of x -> x*v: column q is basis[q] * v."""
+        sv = dict(enumerate(v))
+        return tuple(linalg.sp_apply(left, sv) for left in self.mult)
 
     def element(self, label: str) -> Vec:
         return linalg.unit(self.dim, self.basis.index(label))
@@ -99,20 +110,18 @@ def validate(algebra: FinDimAlgebra) -> None:
     """Check all structural laws exhaustively; raise with witnesses if any fail."""
     problems = []
     d = algebra.dim
-    basis_vecs = [linalg.unit(d, i) for i in range(d)]
-
+    left, right = algebra.left_mult_matrix(algebra.unit), algebra.right_mult_matrix(algebra.unit)
     for i in range(d):
-        b = basis_vecs[i]
-        if algebra.mul(algebra.unit, b) != b or algebra.mul(b, algebra.unit) != b:
+        if left[i] != {i: 1} or right[i] != {i: 1}:
             problems.append(f"unit law fails on {algebra.basis[i]}")
 
     for i in range(d):
         for j in range(d):
-            left = algebra.mult[i][j]
+            # column k of L_{b_i b_j} is (b_i b_j) b_k, of L_{b_i} L_{b_j} b_i (b_j b_k)
+            lhs = linalg.sp_lincomb(algebra.mult[i][j], algebra.mult)
+            rhs = linalg.sp_compose(algebra.mult[i], algebra.mult[j])
             for k in range(d):
-                lhs = algebra.mul(left, basis_vecs[k])
-                rhs = algebra.mul(basis_vecs[i], algebra.mult[j][k])
-                if lhs != rhs:
+                if lhs[k] != rhs[k]:
                     problems.append(
                         "associativity fails at "
                         f"({algebra.basis[i]}, {algebra.basis[j]}, {algebra.basis[k]})"
@@ -157,19 +166,13 @@ def validate(algebra: FinDimAlgebra) -> None:
 
 
 def _trace_gram(algebra: FinDimAlgebra):
-    """Gram matrix of (x, y) -> tr(L_{xy}) on the basis."""
-    d = algebra.dim
-    traces = []
-    for k in range(d):
-        mat = algebra.left_mult_matrix(linalg.unit(d, k))
-        traces.append(sum(mat[r][r] for r in range(d)))
-    return [
-        tuple(
-            sum(algebra.mult[i][j][k] * traces[k] for k in range(d))
-            for j in range(d)
-        )
-        for i in range(d)
-    ]
+    """Gram matrix of (x, y) -> tr(L_{xy}) on the basis, as sparse rows."""
+    traces = [sum(col.get(r, 0) for r, col in enumerate(left)) for left in algebra.mult]
+    gram = []
+    for left in algebra.mult:
+        row = {j: sum(c * traces[k] for k, c in col.items()) for j, col in enumerate(left)}
+        gram.append({j: t for j, t in row.items() if t})
+    return gram
 
 
 def radical(algebra: FinDimAlgebra) -> Subspace:
@@ -188,10 +191,9 @@ def radical(algebra: FinDimAlgebra) -> Subspace:
 def _verify_radical(algebra: FinDimAlgebra, rad: Subspace) -> None:
     d = algebra.dim
     for r in rad:
-        for i in range(d):
-            b = linalg.unit(d, i)
-            if not rad.contains(algebra.mul(b, r)) or not rad.contains(algebra.mul(r, b)):
-                raise AlgebraError("computed radical is not a two-sided ideal")
+        # the columns of R_r and L_r are the products b*r and r*b
+        if not all(map(rad.contains, algebra.right_mult_matrix(r) + algebra.left_mult_matrix(r))):
+            raise AlgebraError("computed radical is not a two-sided ideal")
     power = rad
     for _ in range(d + 1):
         if power.dim == 0:
@@ -214,18 +216,11 @@ def _quotient_algebra(algebra: FinDimAlgebra, ideal: Subspace) -> FinDimAlgebra:
     if not free:
         return FinDimAlgebra((), (), (), (), name=f"{algebra.name}/I")
 
-    def project(v: Vec):
-        res = ideal.reduce(v) if ideal.dim else v
+    def project(v):
+        res = ideal.reduce(v)
         return tuple(res[j] for j in free)
 
-    n = len(free)
-    mult = [
-        [
-            project(algebra.mul(linalg.unit(d, free[i]), linalg.unit(d, free[j])))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    mult = [[project(algebra.mult[i][j]) for j in free] for i in free]
     labels = [algebra.basis[j] for j in free]
     return FinDimAlgebra(labels, mult, project(algebra.unit), [], name=f"{algebra.name}/I")
 
@@ -234,21 +229,15 @@ def center(algebra: FinDimAlgebra) -> Subspace:
     """Solution space of xz = zx for every basis element x."""
     d = algebra.dim
     eqs = []
-    for i in range(d):
-        b = linalg.unit(d, i)
-        lm = algebra.left_mult_matrix(b)
-        rm = algebra.right_mult_matrix(b)
-        for r in range(d):
-            eqs.append(tuple(lm[r][c] - rm[r][c] for c in range(d)))
+    for i, left in enumerate(algebra.mult):
+        right = algebra.right_mult_matrix(linalg.unit(d, i))
+        eqs.extend(linalg.sp_rows(linalg.sp_lincomb((1, -1), (left, right)), d))
     return Subspace.from_vectors(linalg.nullspace(eqs, d), d)
 
 
 def left_ideal(algebra: FinDimAlgebra, v: Vec) -> Subspace:
-    """The left ideal A*v as a subspace."""
-    d = algebra.dim
-    return Subspace.from_vectors(
-        [algebra.mul(linalg.unit(d, i), v) for i in range(d)], d
-    )
+    """The left ideal A*v as a subspace: the column space of R_v."""
+    return Subspace.from_vectors(algebra.right_mult_matrix(v), algebra.dim)
 
 
 def module_radical(algebra: FinDimAlgebra, module: Subspace, rad: Subspace) -> Subspace:
@@ -275,11 +264,10 @@ def socle(algebra: FinDimAlgebra, module: Subspace | None = None, rad: Subspace 
     module = Subspace.full(algebra.dim) if module is None else module
     d = algebra.dim
     eqs = []
-    rad_mats = [algebra.left_mult_matrix(r) for r in rad]
     basis = list(module)
     # solve for combinations of the module basis killed by every radical element
-    for mat in rad_mats:
-        images = [linalg.mat_vec(mat, b) for b in basis]
+    for x in rad:
+        images = [algebra.mul(x, b) for b in basis]
         for r in range(d):
             eqs.append(tuple(img[r] for img in images))
     if not eqs:
@@ -353,12 +341,10 @@ def is_connected(algebra: FinDimAlgebra) -> bool:
 
 
 def corner_subspace(algebra: FinDimAlgebra, i: int, j: int) -> Subspace:
-    """The subspace e_i A e_j."""
-    d = algebra.dim
-    ei, ej = algebra.idempotents[i], algebra.idempotents[j]
-    return Subspace.from_vectors(
-        [algebra.mul(ei, algebra.mul(linalg.unit(d, k), ej)) for k in range(d)], d
-    )
+    """The subspace e_i A e_j: the column space of L_{e_i} R_{e_j}."""
+    left = algebra.left_mult_matrix(algebra.idempotents[i])
+    right = algebra.right_mult_matrix(algebra.idempotents[j])
+    return Subspace.from_vectors(linalg.sp_compose(left, right), algebra.dim)
 
 
 def corner_dim(algebra: FinDimAlgebra, i: int, j: int) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import algebra as alg
 from . import linalg
-from .linalg import Rational, SparseEchelon, Subspace
+from .linalg import SparseEchelon, Subspace
 from .mscell import (
     DataInconsistencyError,
     MultiSemigroup,
@@ -38,66 +38,6 @@ class BimoduleError(ValueError):
 
 class IsoTestInconclusive(RuntimeError):
     """The isomorphism search found neither certificate."""
-
-
-# -- column-sparse matrices ----------------------------------------------
-
-
-def sp_identity(n: int):
-    return tuple({i: 1} for i in range(n))
-
-
-def sp_apply(cols, svec: dict) -> dict:
-    out: dict[int, Rational] = {}
-    for q, c in svec.items():
-        if not c:
-            continue
-        for r, v in cols[q].items():
-            val = out.get(r, 0) + c * v
-            if val:
-                out[r] = val
-            else:
-                out.pop(r, None)
-    return out
-
-
-def sp_compose(a_cols, b_cols):
-    """Matrix product a*b of column-sparse matrices."""
-    return tuple(sp_apply(a_cols, col) for col in b_cols)
-
-
-def sp_lincomb(coeffs, mats):
-    n = len(mats[0]) if mats else 0
-    out = [dict() for _ in range(n)]
-    for c, mat in zip(coeffs, mats):
-        if not c:
-            continue
-        for q, col in enumerate(mat):
-            acc = out[q]
-            for r, v in col.items():
-                val = acc.get(r, 0) + c * v
-                if val:
-                    acc[r] = val
-                else:
-                    acc.pop(r, None)
-    return tuple(out)
-
-
-def sp_rows(cols, nrows: int):
-    rows = [dict() for _ in range(nrows)]
-    for q, col in enumerate(cols):
-        for r, v in col.items():
-            rows[r][q] = v
-    return rows
-
-
-def sp_flatten(cols, nrows: int) -> dict:
-    """A column-sparse matrix as one sparse vector, column after column."""
-    return {q * nrows + p: v for q, col in enumerate(cols) for p, v in col.items()}
-
-
-def sp_eq(a_cols, b_cols) -> bool:
-    return all(x == y for x, y in zip(a_cols, b_cols, strict=True))
 
 
 # -- bimodules ------------------------------------------------------------
@@ -144,10 +84,10 @@ class Bimodule:
         return f"Bimodule({self.name or 'unnamed'}, dim={self.dim})"
 
     def left_of(self, vec):
-        return sp_lincomb(vec, self.left_action)
+        return linalg.sp_lincomb(vec, self.left_action)
 
     def right_of(self, vec):
-        return sp_lincomb(vec, self.right_action)
+        return linalg.sp_lincomb(vec, self.right_action)
 
     def shifted(self, c: int) -> "Bimodule":
         """Grading shift: an element of degree d gets degree d - c."""
@@ -176,32 +116,32 @@ class Bimodule:
         subalgebra containing the generators, hence all of the algebra; and
         actions that commute on generators commute everywhere."""
         A, B = self.left_algebra, self.right_algebra
-        ident = sp_identity(self.dim)
-        if not sp_eq(self.left_of(A.unit), ident):
+        ident = linalg.sp_identity(self.dim)
+        if not linalg.sp_eq(self.left_of(A.unit), ident):
             raise BimoduleError(f"{self.name}: left action is not unital")
-        if not sp_eq(self.right_of(B.unit), ident):
+        if not linalg.sp_eq(self.right_of(B.unit), ident):
             raise BimoduleError(f"{self.name}: right action is not unital")
         left_gens = [(g, self.left_of(g)) for g in alg.algebra_generators(A)]
         right_gens = [(h, self.right_of(h)) for h in alg.algebra_generators(B)]
         for g, lg in left_gens:
-            for j in range(A.dim):
-                prod = self.left_of(A.mul(g, linalg.unit(A.dim, j)))
-                if not sp_eq(sp_compose(lg, self.left_action[j]), prod):
+            for j, gb in enumerate(A.left_mult_matrix(g)):
+                prod = self.left_of(gb)
+                if not linalg.sp_eq(linalg.sp_compose(lg, self.left_action[j]), prod):
                     raise BimoduleError(
                         f"{self.name}: left action not multiplicative at "
                         f"({A.describe(g)}, {A.basis[j]})"
                     )
         for h, rh in right_gens:
-            for j in range(B.dim):
-                prod = self.right_of(B.mul(linalg.unit(B.dim, j), h))
-                if not sp_eq(sp_compose(rh, self.right_action[j]), prod):
+            for j, bh in enumerate(B.right_mult_matrix(h)):
+                prod = self.right_of(bh)
+                if not linalg.sp_eq(linalg.sp_compose(rh, self.right_action[j]), prod):
                     raise BimoduleError(
                         f"{self.name}: right action not anti-multiplicative at "
                         f"({B.describe(h)}, {B.basis[j]})"
                     )
         for g, lg in left_gens:
             for h, rh in right_gens:
-                if not sp_eq(sp_compose(lg, rh), sp_compose(rh, lg)):
+                if not linalg.sp_eq(linalg.sp_compose(lg, rh), linalg.sp_compose(rh, lg)):
                     raise BimoduleError(
                         f"{self.name}: actions do not commute at "
                         f"({A.describe(g)}, {B.describe(h)})"
@@ -210,20 +150,12 @@ class Bimodule:
 
 def regular_bimodule(A: alg.FinDimAlgebra, degrees=None, name=None) -> Bimodule:
     d = A.dim
-    left = []
-    right = []
-    for i in range(d):
-        left.append(
-            tuple({r: v for r, v in enumerate(A.mult[i][q]) if v} for q in range(d))
-        )
-        right.append(
-            tuple({r: v for r, v in enumerate(A.mult[q][i]) if v} for q in range(d))
-        )
+    right = [A.right_mult_matrix(linalg.unit(d, i)) for i in range(d)]
     out = Bimodule(
         A,
         A,
         d,
-        left,
+        A.mult,
         right,
         labels=A.basis,
         degrees=degrees,
@@ -262,10 +194,7 @@ def proj_bimodule(
 ) -> Bimodule:
     """The projective bimodule (A e_s) tensor (e_t B) with the outer actions."""
     left_ideal = alg.left_ideal(A, A.idempotents[s])
-    right_ideal = Subspace.from_vectors(
-        [B.mul(B.idempotents[t], linalg.unit(B.dim, k)) for k in range(B.dim)],
-        B.dim,
-    )
+    right_ideal = Subspace.from_vectors(B.left_mult_matrix(B.idempotents[t]), B.dim)
     ubasis, left_mats = _action_on_subspace_factor(A, left_ideal, left=True)
     vbasis, right_mats = _action_on_subspace_factor(B, right_ideal, left=False)
     p, q = len(ubasis), len(vbasis)
@@ -460,7 +389,7 @@ def intertwiners(pairs, dm: int, dn: int) -> list:
     dn * dm matrix units."""
     eqs = []
     for a, b in pairs:
-        b_rows = sp_rows(b, dn)
+        b_rows = linalg.sp_rows(b, dn)
         for q in range(dm):
             a_col = a[q]
             for p in range(dn):
@@ -503,15 +432,15 @@ def yoneda_map(P: Bimodule, N: Bimodule, g: dict):
     Column-sparse like hom_space, columns in P's basis order."""
     _, _, ubasis, vbasis = P.generator
     lefts = [N.left_of(u) for u in ubasis]
-    gv = [sp_apply(N.right_of(v), g) for v in vbasis]
-    return tuple(sp_apply(lu, x) for lu in lefts for x in gv)
+    gv = [linalg.sp_apply(N.right_of(v), g) for v in vbasis]
+    return tuple(linalg.sp_apply(lu, x) for lu in lefts for x in gv)
 
 
 def corner_basis(N: Bimodule, e_left, e_right) -> tuple:
     """A basis of e N f for idempotents e, f of the two algebras, as sparse
     vectors: the column space of m -> e.m.f."""
     ech = SparseEchelon(N.dim)
-    ech.extend(sp_compose(N.left_of(e_left), N.right_of(e_right)))
+    ech.extend(linalg.sp_compose(N.left_of(e_left), N.right_of(e_right)))
     return tuple(ech.rows[c] for c in ech.pivots())
 
 
@@ -522,7 +451,7 @@ def read_off(M: Bimodule) -> bool:
 
 def span_of(homs) -> tuple:
     """The span of a list of column-sparse maps, in hom_span's form."""
-    return len(homs), lambda c: sp_lincomb(c, homs)
+    return len(homs), lambda c: linalg.sp_lincomb(c, homs)
 
 
 def hom_span(M: Bimodule, N: Bimodule) -> tuple:
@@ -543,10 +472,10 @@ def hom_span(M: Bimodule, N: Bimodule) -> tuple:
         gens = centralizer(N)
 
         def to_map(g):
-            return tuple(sp_apply(a, g) for a in N.left_action)
+            return tuple(linalg.sp_apply(a, g) for a in N.left_action)
     else:
         return span_of(hom_space(M, N))
-    return len(gens), lambda c: to_map(sp_apply(gens, dict(enumerate(c))))
+    return len(gens), lambda c: to_map(linalg.sp_apply(gens, dict(enumerate(c))))
 
 
 def span_basis(span) -> list:
@@ -606,8 +535,8 @@ def _identity_in_composition_span(homs, homs_back, dim: int) -> bool:
     span = SparseEchelon(dim * dim)
     for f in homs:
         for g in homs_back:
-            span.insert(sp_flatten(sp_compose(g, f), dim))
-    return span.contains(sp_flatten(sp_identity(dim), dim))
+            span.insert(linalg.sp_flatten(linalg.sp_compose(g, f), dim))
+    return span.contains(linalg.sp_flatten(linalg.sp_identity(dim), dim))
 
 
 def iso_test(M: Bimodule, N: Bimodule, seed: int = 0) -> bool:
@@ -680,8 +609,8 @@ def loewy_length(M: Bimodule) -> int:
         ech = SparseEchelon(M.dim)
         for mat in mats:
             for v in current:
-                ech.insert(sp_apply(mat, v))
-        current = [dict((i, x) for i, x in enumerate(row) if x) for row in ech.basis_fraction_rows()]
+                ech.insert(linalg.sp_apply(mat, v))
+        current = list(ech.rows.values())
     return k
 
 
@@ -690,7 +619,7 @@ def socle(M: Bimodule) -> Subspace:
     mats = _radical_action_mats(M)
     eqs = []
     for mat in mats:
-        rows = sp_rows(mat, M.dim)
+        rows = linalg.sp_rows(mat, M.dim)
         eqs.extend(r for r in rows if r)
     if not eqs:
         return Subspace.full(M.dim)
@@ -720,8 +649,8 @@ def centralizer(N: Bimodule) -> list:
     (A, A)-bimodule N: the images of 1 under the bimodule maps A -> N."""
     eqs = []
     for g in alg.algebra_generators(N.left_algebra):
-        commutator = sp_lincomb((1, -1), (N.left_of(g), N.right_of(g)))
-        eqs.extend(r for r in sp_rows(commutator, N.dim) if r)
+        commutator = linalg.sp_lincomb((1, -1), (N.left_of(g), N.right_of(g)))
+        eqs.extend(r for r in linalg.sp_rows(commutator, N.dim) if r)
     return [{i: v for i, v in enumerate(n) if v} for n in linalg.nullspace(eqs, N.dim)]
 
 
@@ -734,7 +663,7 @@ def _projective_center(A: alg.FinDimAlgebra) -> Subspace:
             images_of_one = centralizer(P)
             for out in hom_basis(P, reg):
                 for n in images_of_one:
-                    z = sp_apply(out, n)
+                    z = linalg.sp_apply(out, n)
                     if z:
                         through.append(z)
     sub = alg.subalgebra_closure(A, through)
@@ -1140,10 +1069,7 @@ def _projective_pair_coords(A: alg.FinDimAlgebra, s: int, t: int, u, v):
     """Coordinates of the simple tensor u (x) v in the basis used by
     proj_bimodule(A, s, A, t)."""
     left_ideal = alg.left_ideal(A, A.idempotents[s])
-    right_ideal = Subspace.from_vectors(
-        [A.mul(A.idempotents[t], linalg.unit(A.dim, k)) for k in range(A.dim)],
-        A.dim,
-    )
+    right_ideal = Subspace.from_vectors(A.left_mult_matrix(A.idempotents[t]), A.dim)
     cu = alg._coords_in(left_ideal, u)
     cv = alg._coords_in(right_ideal, v)
     if cu is None or cv is None:

@@ -52,8 +52,8 @@ class GradedAlgebra:
         for i in range(A.dim):
             for j in range(A.dim):
                 target = self.degrees[i] + self.degrees[j]
-                for r, c in enumerate(A.mult[i][j]):
-                    if c and self.degrees[r] != target:
+                for r in A.mult[i][j]:
+                    if self.degrees[r] != target:
                         raise GradedError(
                             f"product {A.basis[i]}*{A.basis[j]} is not homogeneous "
                             f"of degree {target}"
@@ -166,7 +166,7 @@ def graded_hom_series(M: Bimodule, N: Bimodule, homs=None) -> LaurentPoly:
     coeffs = {}
     total = 0
     for d, mats in split.items():
-        r = linalg.rank([bimod.sp_flatten(m, N.dim) for m in mats], N.dim * M.dim)
+        r = linalg.rank([linalg.sp_flatten(m, N.dim) for m in mats], N.dim * M.dim)
         coeffs[d] = r
         total += r
     if total != len(homs):
@@ -238,16 +238,16 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
 
     def coords(target):
         sol = [target[q].get(p, 0) for p, q in free]
-        if not bimod.sp_eq(bimod.sp_lincomb(sol, phis), target):
+        if not linalg.sp_eq(linalg.sp_lincomb(sol, phis), target):
             raise GradedError("action left the dual hom space")
         return {r: x for r, x in enumerate(sol) if x}
 
     # (b . phi)(m) = phi(m b) and (phi . a)(m) = phi(m) a
     left_action = [
-        tuple(coords(bimod.sp_compose(phi, rb)) for phi in phis) for rb in M.right_action
+        tuple(coords(linalg.sp_compose(phi, rb)) for phi in phis) for rb in M.right_action
     ]
     right_action = [
-        tuple(coords(bimod.sp_compose(ra, phi)) for phi in phis) for ra in reg.right_action
+        tuple(coords(linalg.sp_compose(ra, phi)) for phi in phis) for ra in reg.right_action
     ]
 
     return Bimodule(

@@ -3,8 +3,12 @@
 An exact rational is held as an `int` when it is integral and as a
 `Fraction` only when it is not: `frac` normalises a value to that form and
 every division goes through `quo`, which keeps it, so integral inputs never
-leave int arithmetic.  Vectors are tuples of such values.  The elimination
-engine works on sparse integer rows (incoming rational rows are scaled to
+leave int arithmetic.  Vectors (algebra elements, subspace rows) are dense
+tuples of such values.  Matrices are column-sparse, the one matrix form of
+the package: a tuple of columns, each a dict sending a row index to a
+nonzero entry (`sp_*` below); an algebra's structure constants and every
+action matrix are held that way.  The elimination engine works on sparse
+integer rows (incoming rational rows, dense or sparse, are scaled to
 integer rows) and stores them primitive, with positive leading
 coefficient.  Inserting a row only forward-reduces it; the stored rows are
 back-substituted once, when they are read, into the reduced echelon form,
@@ -67,17 +71,14 @@ def dot(u: Vec, v: Vec) -> Rational:
     return frac(sum(a * b for a, b in zip(u, v, strict=True)))
 
 
-def mat_vec(rows, v: Vec) -> Vec:
-    return tuple(dot(row, v) for row in rows)
-
-
 def mat_mul(a, b):
     bt = list(zip(*b))
     return [tuple(dot(row, col) for col in bt) for row in a]
 
 
-def identity_rows(n: int):
-    return [unit(n, i) for i in range(n)]
+def _entries(row):
+    """The (column, value) pairs of a dense sequence or a sparse dict."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
 
 
 def _sparse_int(row) -> dict[int, int]:
@@ -85,7 +86,7 @@ def _sparse_int(row) -> dict[int, int]:
     one; its content is taken by the caller, once it is reduced."""
     ints = {}
     denom = 1
-    for j, x in row.items() if isinstance(row, dict) else enumerate(row):
+    for j, x in _entries(row):
         if not x:
             continue
         if type(x) is not int:
@@ -185,8 +186,7 @@ class SparseEchelon:
     def reduce(self, row) -> dict[int, Rational]:
         """Residual of a row after eliminating all pivot coordinates (exact)."""
         rows = self.rows
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        cur = {j: frac(x) for j, x in items if x}
+        cur = {j: frac(x) for j, x in _entries(row) if x}
         for c in sorted(cur):
             val = cur.get(c)
             if not val:
@@ -242,6 +242,71 @@ def _eliminate(row: dict[int, int], c: int, rows: dict, queue: list) -> None:
                 del row[j]
 
 
+# -- column-sparse matrices ----------------------------------------------
+
+
+def sp_identity(n: int):
+    return tuple({i: 1} for i in range(n))
+
+
+def sp_apply(cols, svec: dict) -> dict:
+    out: dict[int, Rational] = {}
+    for q, c in svec.items():
+        if not c:
+            continue
+        for r, v in cols[q].items():
+            val = out.get(r, 0) + c * v
+            if val:
+                out[r] = val
+            else:
+                out.pop(r, None)
+    return out
+
+
+def sp_compose(a_cols, b_cols):
+    """Matrix product a*b of column-sparse matrices."""
+    return tuple(sp_apply(a_cols, col) for col in b_cols)
+
+
+def sp_lincomb(coeffs, mats):
+    """The combination of column-sparse matrices with a dense or sparse
+    coefficient vector."""
+    n = len(mats[0]) if mats else 0
+    out = [dict() for _ in range(n)]
+    for k, c in _entries(coeffs):
+        if not c:
+            continue
+        for q, col in enumerate(mats[k]):
+            acc = out[q]
+            for r, v in col.items():
+                val = acc.get(r, 0) + c * v
+                if val:
+                    acc[r] = val
+                else:
+                    acc.pop(r, None)
+    return tuple(out)
+
+
+def sp_rows(cols, nrows: int):
+    rows = [dict() for _ in range(nrows)]
+    for q, col in enumerate(cols):
+        for r, v in col.items():
+            rows[r][q] = v
+    return rows
+
+
+def sp_flatten(cols, nrows: int) -> dict:
+    """A column-sparse matrix as one sparse vector, column after column."""
+    return {q * nrows + p: v for q, col in enumerate(cols) for p, v in col.items()}
+
+
+def sp_eq(a_cols, b_cols) -> bool:
+    return all(x == y for x, y in zip(a_cols, b_cols, strict=True))
+
+
+# -- solving ---------------------------------------------------------------
+
+
 def _ncols(rows) -> int:
     """The column count of a nonempty row list: one past the largest key of
     any sparse row, else the dense length."""
@@ -290,14 +355,14 @@ def nullspace(rows, ncols: int) -> list[Vec]:
 
 
 def solve(rows, rhs) -> Vec | None:
-    """One solution x of rows . x = rhs, or None if inconsistent (free vars set to 0)."""
-    rows = [list(r) for r in rows]
-    n = len(rows[0]) if rows else len(list(rhs)) * 0
+    """One solution x of rows . x = rhs, or None if inconsistent (free vars set
+    to 0).  Rows are dense or sparse; the unknowns are counted as rref does."""
+    rows = list(rows)
     if not rows:
         return None
-    aug = [row + [b] for row, b in zip(rows, rhs, strict=True)]
+    n = _ncols(rows)
     ech = SparseEchelon(n + 1)
-    ech.extend(aug)
+    ech.extend({**dict(_entries(row)), n: b} for row, b in zip(rows, rhs, strict=True))
     if n in ech.rows:  # pivot in the rhs column
         return None
     x = [0] * n
@@ -307,22 +372,15 @@ def solve(rows, rhs) -> Vec | None:
 
 
 def inverse(rows) -> list[Vec] | None:
-    """Inverse of a square matrix, or None if singular."""
-    rows = [list(map(frac, r)) for r in rows]
+    """Inverse of a square matrix given by dense or sparse rows, or None if
+    singular: the right half of the reduced form of [rows | identity]; the
+    matrix is invertible exactly when every pivot lies in the left half."""
+    rows = list(rows)
     n = len(rows)
-    aug = [rows[i] + list(unit(n, i)) for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        lead = aug[col][col]
-        aug[col] = [quo(x, lead) for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [tuple(map(frac, row[n:])) for row in aug]
+    red = rref(({**dict(_entries(row)), n + i: 1} for i, row in enumerate(rows)), 2 * n)
+    if not all(row[i] == 1 for i, row in enumerate(red)):
+        return None
+    return [row[n:] for row in red]
 
 
 class Subspace:
@@ -342,7 +400,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls.from_vectors(identity_rows(ambient), ambient)
+        return cls.from_vectors(sp_identity(ambient), ambient)
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiatcells import algebra as alg
 from fiatcells import linalg
-from fiatcells.fixtures import load_algebra
+from fiatcells.fixtures import ALGEBRA_FILES, fixture_text, load_algebra
 
 
 def fixture(name):
@@ -174,6 +176,31 @@ def test_bad_idempotents_rejected():
         alg.validate(bad)
 
 
+def test_misshapen_structure_constants_rejected():
+    # a product vector longer than the basis
+    with pytest.raises(alg.AlgebraError, match="coordinates"):
+        alg.FinDimAlgebra(["a"], [[(1, 1)]], (1,), [(1,)])
+    # a unit longer than the basis
+    with pytest.raises(alg.AlgebraError, match="coordinates"):
+        alg.FinDimAlgebra(["a"], [[(1,)]], (1, 0), [(1,)])
+    with pytest.raises(alg.AlgebraError, match="coordinates"):
+        alg.FinDimAlgebra(["a"], [[(1,)]], (1,), [()])
+    with pytest.raises(alg.AlgebraError, match="1 x 1 table"):
+        alg.FinDimAlgebra(["a"], [[(1,), (1,)]], (1,), [(1,)])
+    with pytest.raises(alg.AlgebraError, match="2 x 2 table"):
+        alg.FinDimAlgebra(["a", "b"], [[(1, 0), (0, 1)]], (1, 0), [(1, 0)])
+
+
+def test_structure_constants_are_the_left_multiplication_matrices():
+    A = fixture("dualnumbers")
+    one, x = A.element(A.basis[0]), A.element(A.basis[1])
+    for i, b in enumerate((one, x)):
+        assert A.mult[i] == A.left_mult_matrix(b)
+        assert all(isinstance(col, dict) and all(col.values()) for col in A.mult[i])
+    assert A.left_mult_matrix(x) == ({1: 1}, {})
+    assert A.right_mult_matrix(x) == ({1: 1}, {})
+
+
 def test_corner_dims_zigzag():
     zig = fixture("zigzagA2")
     dims = [[alg.corner_dim(zig, i, j) for j in range(2)] for i in range(2)]
@@ -216,3 +243,55 @@ def test_algebra_generators():
     gens.pop()
     gens[0] = zig.unit
     assert alg.algebra_generators(zig) == kept
+
+
+# -- the column-sparse structure constants against a dense reference ------
+
+
+def _dense_table(name):
+    """The basis labels of a bundled fixture and its structure constants as
+    a dense table c[i][j][r], read off the product lines 'x*y = [c*]z' of
+    its text (each product is a single term in every bundled fixture)."""
+    labels, c = None, None
+    for line in fixture_text(ALGEBRA_FILES[name]).splitlines():
+        line = line.split("#")[0].strip()
+        lhs, _, rhs = line.partition("=")
+        if line.startswith("basis "):
+            labels = line.split()[1:]
+            d = len(labels)
+            c = [[[0] * d for _ in range(d)] for _ in range(d)]
+        elif "*" in lhs:
+            x, y = (t.strip() for t in lhs.split("*"))
+            coef, _, z = rhs.strip().rpartition("*")
+            c[labels.index(x)][labels.index(y)][labels.index(z)] = Fraction(coef or 1)
+    return labels, c
+
+
+def _read_densely(cols, d):
+    """A column-sparse d x d matrix as dense rows."""
+    return [[cols[q].get(r, 0) for q in range(d)] for r in range(d)]
+
+
+coefficients = st.one_of(
+    st.just(0), st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3)
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(ALGEBRA_FILES)), st.data())
+def test_products_and_multiplication_matrices_match_a_dense_reference(name, data):
+    A = fixture(name)
+    labels, c = _dense_table(name)
+    assert labels == list(A.basis)
+    d = A.dim
+    u = tuple(data.draw(st.lists(coefficients, min_size=d, max_size=d)))
+    v = tuple(data.draw(st.lists(coefficients, min_size=d, max_size=d)))
+    R = range(d)
+    assert A.mul(u, v) == tuple(sum(u[i] * v[j] * c[i][j][r] for i in R for j in R) for r in R)
+    # L_u sends b_q to u b_q, R_v sends b_q to b_q v
+    assert _read_densely(A.left_mult_matrix(u), d) == [
+        [sum(u[i] * c[i][q][r] for i in R) for q in R] for r in R
+    ]
+    assert _read_densely(A.right_mult_matrix(v), d) == [
+        [sum(v[j] * c[q][j][r] for j in R) for q in R] for r in R
+    ]

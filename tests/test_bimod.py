@@ -232,8 +232,8 @@ def test_intertwiners_match_the_kronecker_nullity():
         for X in basis:
             assert len(X) == dm and all(p < dn for col in X for p in col)
             for a, b in pairs:
-                assert bimod.sp_compose(X, a) == bimod.sp_compose(b, X)
-        flat = [bimod.sp_flatten(X, dn) for X in basis]
+                assert linalg.sp_compose(X, a) == linalg.sp_compose(b, X)
+        flat = [linalg.sp_flatten(X, dn) for X in basis]
         assert linalg.rank(flat, dn * dm) == len(basis)
     assert nonzero > 10
 
@@ -285,13 +285,13 @@ def test_yoneda_maps_intertwine_and_span_the_hom_space():
             maps = [bimod.yoneda_map(P, N, g) for g in corner]
             for Y in maps:
                 for g in gens:
-                    assert bimod.sp_eq(
-                        bimod.sp_compose(N.left_of(g), Y), bimod.sp_compose(Y, P.left_of(g))
+                    assert linalg.sp_eq(
+                        linalg.sp_compose(N.left_of(g), Y), linalg.sp_compose(Y, P.left_of(g))
                     )
-                    assert bimod.sp_eq(
-                        bimod.sp_compose(N.right_of(g), Y), bimod.sp_compose(Y, P.right_of(g))
+                    assert linalg.sp_eq(
+                        linalg.sp_compose(N.right_of(g), Y), linalg.sp_compose(Y, P.right_of(g))
                     )
-            flat = [bimod.sp_flatten(Y, N.dim) for Y in maps]
+            flat = [linalg.sp_flatten(Y, N.dim) for Y in maps]
             assert linalg.rank(flat, N.dim * P.dim) == len(maps) == bimod.hom_dim(P, N)
 
 
@@ -420,9 +420,9 @@ def _projective_center_by_generic_homs(A):
         for t in range(len(A.idempotents)):
             P = bimod.proj_bimodule(A, s, A, t)
             for f in bimod.hom_space(reg, P):
-                fu = bimod.sp_apply(f, unit)
+                fu = linalg.sp_apply(f, unit)
                 for g in bimod.hom_space(P, reg):
-                    through.append(bimod.sp_apply(g, fu))
+                    through.append(linalg.sp_apply(g, fu))
     return alg.subalgebra_closure(A, through)
 
 

@@ -51,12 +51,12 @@ def assert_intertwiners(M, N, homs):
     A, B = M.left_algebra, M.right_algebra
     for Y in homs:
         for g in alg.algebra_generators(A):
-            assert bimod.sp_eq(
-                bimod.sp_compose(N.left_of(g), Y), bimod.sp_compose(Y, M.left_of(g))
+            assert linalg.sp_eq(
+                linalg.sp_compose(N.left_of(g), Y), linalg.sp_compose(Y, M.left_of(g))
             )
         for g in alg.algebra_generators(B):
-            assert bimod.sp_eq(
-                bimod.sp_compose(N.right_of(g), Y), bimod.sp_compose(Y, M.right_of(g))
+            assert linalg.sp_eq(
+                linalg.sp_compose(N.right_of(g), Y), linalg.sp_compose(Y, M.right_of(g))
             )
 
 
@@ -88,7 +88,7 @@ def test_corner_homs_into_bimodules_outside_the_build(name):
         for N in targets:
             homs = bimod.hom_basis(M, N)
             assert_intertwiners(M, N, homs)
-            flat = [bimod.sp_flatten(Y, N.dim) for Y in homs]
+            flat = [linalg.sp_flatten(Y, N.dim) for Y in homs]
             assert linalg.rank(flat, N.dim * M.dim) == len(homs)
             assert len(homs) == bimod.hom_dim(M, N)
 

@@ -42,10 +42,18 @@ def test_inverse_roundtrip():
     m = [(1, 2), (3, 5)]
     inv = linalg.inverse(m)
     prod = linalg.mat_mul(m, inv)
-    assert prod == [list(row) for row in linalg.identity_rows(2)] or prod == [
-        tuple(row) for row in linalg.identity_rows(2)
-    ]
+    assert prod == [linalg.unit(2, i) for i in range(2)]
     assert linalg.inverse([(1, 2), (2, 4)]) is None
+
+
+def test_solve_and_inverse_read_sparse_rows_as_their_dense_form():
+    assert linalg.solve([{0: 2}], (4,)) == linalg.solve([(2,)], (4,)) == (2,)
+    assert linalg.inverse([{0: 2}]) == linalg.inverse([(2,)]) == [(Fraction(1, 2),)]
+    # a sparse row omits its zero columns, and its rhs column follows the last
+    assert linalg.solve([{0: 1, 2: 1}, {1: 3}, {2: 2}], (3, 6, 4)) == (1, 2, 2)
+    assert linalg.solve([{0: 1}, {0: 2}], (1, 3)) is None
+    assert linalg.inverse([{1: 1}, {0: 1}]) == [(0, 1), (1, 0)]
+    assert linalg.inverse([{0: 1, 1: 2}, {0: 2, 1: 4}]) is None
 
 
 def test_subspace_equality_is_canonical():
