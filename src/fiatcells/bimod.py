@@ -3,9 +3,12 @@
 and separation properties.
 
 Bimodules are finite-dimensional with exact rational action matrices held
-column-sparse.  Tensor products over the middle algebra are computed as
-honest cokernels of the balancing map, so they provide an independent check
-of the closed-form composition rule used for the multisemigroup table.
+column-sparse, and never written to once built (see `linalg`): the action of
+a basis element is the stored matrix itself.  Tensor products over the
+middle algebra are computed as honest cokernels of the balancing map, over
+the idempotent split (+)_c M e_c (x) e_c N of the pairs of basis vectors, so
+they provide an independent check of the closed-form composition rule used
+for the multisemigroup table.
 
 Everything is pure computation over immutable values; the randomized
 isomorphism search takes its seed as a call argument, so there is no shared
@@ -296,33 +299,84 @@ def direct_sum(bims, name=None) -> Bimodule:
     )
 
 
-def tensor_over(M: Bimodule, N: Bimodule, name=None) -> Bimodule:
-    """M tensor_B N as the cokernel of the balancing map.
+def _idempotent_blocks(idempotent_actions, dim: int):
+    """For each basis vector, the one idempotent that fixes it while the
+    others kill it, given the action matrices of the idempotents on one
+    side; None if some basis vector is not of that form."""
+    blocks = [None] * dim
+    for c, mat in enumerate(idempotent_actions):
+        for i, col in enumerate(mat):
+            if col == {i: 1} and blocks[i] is None:
+                blocks[i] = c
+            elif col:
+                return None
+    return None if None in blocks else blocks
 
-    The relation space is spanned by (m.g)(x)n - m(x)(g.n) with g running
-    over a unital generating set (idempotents plus arrows) of the middle
-    algebra; this spans the full balancing subspace.
+
+def _members(blocks) -> dict:
+    """The basis vectors in each block, in increasing order."""
+    out: dict[int, list] = {}
+    for i, c in enumerate(blocks):
+        out.setdefault(c, []).append(i)
+    return out
+
+
+def tensor_over(M: Bimodule, N: Bimodule, name=None) -> Bimodule:
+    """M tensor_B N as the cokernel of the balancing map, computed over the
+    idempotent split
+
+        M (x)_B N = (+)_c M e_c (x) e_c N / <m.g (x) n - m (x) g.n>.
+
+    When every basis vector of M lies in some M e_c and every one of N in
+    some e_c N (each fixed by one idempotent of B, killed by the others),
+    the ambient is the pairs of basis vectors in the same block c: the
+    idempotent relations kill every other pair.  The relations then come
+    from the nonzero pieces e_a g e_b of the arrows g of B's generating set,
+    taken for m in M e_a and n in e_b N, where both terms stay in the split.
+    Otherwise every pair is kept and every generator (idempotents plus
+    arrows) balances every pair, as one block.  Either way the relation
+    space spans the full balancing subspace, and the quotient basis and
+    actions are those of the cokernel over all pairs.
     """
     B = M.right_algebra
     if N.left_algebra is not B:
         raise BimoduleError("tensor factors do not share the middle algebra")
     dm, dn = M.dim, N.dim
-    total = dm * dn
+    m_blocks = _idempotent_blocks([M.right_of(e) for e in B.idempotents], dm)
+    n_blocks = _idempotent_blocks([N.left_of(e) for e in B.idempotents], dn)
+    if m_blocks is None or n_blocks is None:
+        m_blocks, n_blocks = [0] * dm, [0] * dn
+        pieces = [(0, 0, g) for g in alg.algebra_generators(B)]
+    else:
+        idems = B.idempotents
+        arrows = alg.algebra_generators(B)[len(idems):]
+        pieces = [
+            (a, b, piece)
+            for g in arrows
+            for a, ea in enumerate(idems)
+            for b, eb in enumerate(idems)
+            if not linalg.is_zero(piece := B.mul(ea, B.mul(g, eb)))
+        ]
+    m_in, n_in = _members(m_blocks), _members(n_blocks)
+    # the pairs (i, j) in one block, in the order of all pairs, so that the
+    # quotient basis is the one the cokernel over all pairs would pick
+    index = {}
+    for i in range(dm):
+        for j in n_in.get(m_blocks[i], ()):
+            index[i, j] = len(index)
+    pairs = list(index)
 
-    def pair(i, j):
-        return i * dn + j
-
-    ech = SparseEchelon(total)
-    for g in alg.algebra_generators(B):
+    ech = SparseEchelon(len(pairs))
+    for a, b, g in pieces:
         right_g = M.right_of(g)
         left_g = N.left_of(g)
-        for i in range(dm):
+        for i in m_in.get(a, ()):
             mg = right_g[i]  # column: (e_i . g) in M coordinates
-            for j in range(dn):
+            for j in n_in.get(b, ()):
                 gn = left_g[j]
-                rel = {pair(r, j): v for r, v in mg.items()}
+                rel = {index[r, j]: v for r, v in mg.items()}
                 for r, v in gn.items():
-                    key = pair(i, r)
+                    key = index[i, r]
                     x = rel.get(key, 0) - v
                     if x:
                         rel[key] = x
@@ -332,7 +386,7 @@ def tensor_over(M: Bimodule, N: Bimodule, name=None) -> Bimodule:
                     ech.insert(rel)
 
     pivots = set(ech.rows)
-    free = [k for k in range(total) if k not in pivots]
+    free = [k for k in range(len(pairs)) if k not in pivots]
     index_of = {k: pos for pos, k in enumerate(free)}
 
     def project(svec: dict) -> dict:
@@ -344,11 +398,11 @@ def tensor_over(M: Bimodule, N: Bimodule, name=None) -> Bimodule:
         for mat in mats_source:
             cols = []
             for k in free:
-                i, j = divmod(k, dn)
+                i, j = pairs[k]
                 if left_side:
-                    img = {pair(r, j): v for r, v in mat[i].items()}
+                    img = {index[r, j]: v for r, v in mat[i].items()}
                 else:
-                    img = {pair(i, r): v for r, v in mat[j].items()}
+                    img = {index[i, r]: v for r, v in mat[j].items()}
                 cols.append(project(img))
             out.append(tuple(cols))
         return out
@@ -358,7 +412,7 @@ def tensor_over(M: Bimodule, N: Bimodule, name=None) -> Bimodule:
     labels = []
     degrees = [] if (M.degrees is not None and N.degrees is not None) else None
     for k in free:
-        i, j = divmod(k, dn)
+        i, j = pairs[k]
         labels.append(f"[{M.labels[i]}(x){N.labels[j]}]")
         if degrees is not None:
             degrees.append(M.degrees[i] + N.degrees[j])

@@ -7,12 +7,18 @@ leave int arithmetic.  Vectors (algebra elements, subspace rows) are dense
 tuples of such values.  Matrices are column-sparse, the one matrix form of
 the package: a tuple of columns, each a dict sending a row index to a
 nonzero entry (`sp_*` below); an algebra's structure constants and every
-action matrix are held that way.  The elimination engine works on sparse
+action matrix are held that way.  Once built, a column-sparse matrix is
+never mutated, neither the tuple nor its column dicts: `sp_lincomb` of a
+unit coefficient vector returns the stored matrix itself, so the action of
+a basis element is read, not copied, and a bimodule may share an algebra's
+structure constants.  The elimination engine works on sparse
 integer rows (incoming rational rows, dense or sparse, are scaled to
 integer rows) and stores them primitive, with positive leading
 coefficient.  Inserting a row only forward-reduces it; the stored rows are
 back-substituted once, when they are read, into the reduced echelon form,
-which is canonical, so subspace equality is syntactic.
+which is canonical, so subspace equality is syntactic.  A `Subspace`
+builds the echelon of its rows once, on its first membership or reduction
+query, and keeps it for the later ones.
 """
 
 from __future__ import annotations
@@ -270,12 +276,15 @@ def sp_compose(a_cols, b_cols):
 
 def sp_lincomb(coeffs, mats):
     """The combination of column-sparse matrices with a dense or sparse
-    coefficient vector."""
+    coefficient vector.  When the vector is one entry 1 and zeros, this is
+    the stored matrix itself, as a tuple: it must not be written to."""
+    terms = [(k, c) for k, c in _entries(coeffs) if c]
+    if len(terms) == 1 and terms[0][1] == 1:
+        mat = mats[terms[0][0]]
+        return mat if type(mat) is tuple else tuple(mat)
     n = len(mats[0]) if mats else 0
     out = [dict() for _ in range(n)]
-    for k, c in _entries(coeffs):
-        if not c:
-            continue
+    for k, c in terms:
         for q, col in enumerate(mats[k]):
             acc = out[q]
             for r, v in col.items():
@@ -384,13 +393,18 @@ def inverse(rows) -> list[Vec] | None:
 
 
 class Subspace:
-    """A subspace of Q^n held as a canonical reduced echelon basis."""
+    """A subspace of Q^n held as a canonical reduced echelon basis.
 
-    __slots__ = ("ambient", "rows")
+    The echelon of the rows is built on the first `contains`,
+    `contains_subspace` or `reduce` and kept; equality and hashing read
+    `rows` only."""
+
+    __slots__ = ("ambient", "rows", "_ech")
 
     def __init__(self, ambient: int, canonical_rows: tuple[Vec, ...]):
         self.ambient = ambient
         self.rows = canonical_rows
+        self._ech: SparseEchelon | None = None
 
     @classmethod
     def from_vectors(cls, vectors, ambient: int) -> "Subspace":
@@ -427,9 +441,10 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
     def _echelon(self) -> SparseEchelon:
-        ech = SparseEchelon(self.ambient)
-        ech.extend(self.rows)
-        return ech
+        if self._ech is None:
+            self._ech = SparseEchelon(self.ambient)
+            self._ech.extend(self.rows)
+        return self._ech
 
     def contains(self, v) -> bool:
         return self._echelon().contains(v)

@@ -716,3 +716,120 @@ def test_rational_basis_twin_of_x3local_gives_the_same_records():
     # action matrices of its bimodules, which the fixture's do not carry
     assert _non_integral_entries(build.bimodule("F11_11"))
     assert not _non_integral_entries(ccx_build("x3local").bimodule("F11_11"))
+
+
+# -- stored action matrices are read, never written ----------------------
+
+
+def test_built_actions_and_structure_constants_are_never_written(monkeypatch):
+    from copy import deepcopy
+
+    from fiatcells import fixtures, verify
+
+    built = []  # (object, attribute, deep copy taken when it was built)
+
+    def recording(cls, attrs):
+        init = cls.__init__
+
+        def __init__(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.extend((self, a, deepcopy(getattr(self, a))) for a in attrs)
+
+        monkeypatch.setattr(cls, "__init__", __init__)
+
+    recording(bimod.Bimodule, ("left_action", "right_action"))
+    recording(alg.FinDimAlgebra, ("mult",))
+    monkeypatch.setattr(fixtures, "_cache", {})  # build everything afresh
+    reports = [
+        verify.ccx_report("zigzagA2"),
+        verify.ccx_report("x3local"),
+        verify.graded_report("zigzagA2-graded"),
+    ]
+    assert all(r.passed for report in reports for r in report.records)
+    kinds = {type(obj) for obj, _, _ in built}
+    assert kinds == {bimod.Bimodule, alg.FinDimAlgebra}
+    for obj, attr, copy in built:
+        assert getattr(obj, attr) == copy, (obj, attr)
+    for M in (obj for obj, attr, _ in built if attr == "left_action"):
+        d, e = M.left_algebra.dim, M.right_algebra.dim
+        assert all(M.left_of(linalg.unit(d, i)) is M.left_action[i] for i in range(d))
+        assert all(M.right_of(linalg.unit(e, j)) is M.right_action[j] for j in range(e))
+    for A in (obj for obj, attr, _ in built if attr == "mult"):
+        assert all(A.left_mult_matrix(linalg.unit(A.dim, i)) is A.mult[i] for i in range(A.dim))
+
+
+# -- the tensor cokernel over the idempotent split ------------------------
+
+
+def _tensor_ambient(monkeypatch, M, N):
+    """M (x) N together with the number of columns of its relation echelon."""
+    sizes = []
+
+    class Recording(linalg.SparseEchelon):
+        def __init__(self, ncols):
+            super().__init__(ncols)
+            sizes.append(ncols)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bimod, "SparseEchelon", Recording)
+        T = bimod.tensor_over(M, N)
+    (ambient,) = sizes
+    return T, ambient
+
+
+def test_tensor_ambient_is_the_idempotent_split(monkeypatch):
+    Z = fixture("zigzagA2")
+    k = len(Z.idempotents)
+
+    def cd(a, b):
+        return alg.corner_dim(Z, a, b)
+
+    smaller = 0
+    for s in range(k):
+        for t in range(k):
+            for u in range(k):
+                for v in range(k):
+                    M, N = bimod.proj_bimodule(Z, s, Z, t), bimod.proj_bimodule(Z, u, Z, v)
+                    # dim M e_c = dim(A e_s) dim(e_t A e_c), dim e_c N likewise
+                    dim_Aes = sum(cd(a, s) for a in range(k))
+                    dim_evA = sum(cd(v, b) for b in range(k))
+                    split = sum(dim_Aes * cd(t, c) * cd(c, u) * dim_evA for c in range(k))
+                    T, ambient = _tensor_ambient(monkeypatch, M, N)
+                    assert ambient == split
+                    # the closed form: dim(e_t A e_u) copies of A e_s (x) e_v A
+                    assert T.dim == cd(t, u) * dim_Aes * dim_evA
+                    smaller += split < M.dim * N.dim
+    assert smaller == k ** 4
+
+
+def _mix_blocks(P, p, r):
+    """P in the basis f_q = b_q for q != p and f_p = b_p + b_r: a
+    unitriangular change of basis (p < r)."""
+    S = tuple({q: 1, r: 1} if q == p else {q: 1} for q in range(P.dim))
+    S_inv = tuple({q: 1, r: -1} if q == p else {q: 1} for q in range(P.dim))
+
+    def conj(mats):
+        return [linalg.sp_compose(S_inv, linalg.sp_compose(X, S)) for X in mats]
+
+    return bimod.Bimodule(
+        P.left_algebra, P.right_algebra, P.dim, conj(P.left_action), conj(P.right_action)
+    )
+
+
+def test_tensor_falls_back_to_every_pair_when_a_basis_vector_mixes_blocks(monkeypatch):
+    Z = fixture("zigzagA2")
+    e1, e2 = Z.idempotents
+    P = bimod.proj_bimodule(Z, 0, Z, 0)
+    Q = bimod.proj_bimodule(Z, 0, Z, 1)
+    # a basis vector of P fixed by e1 on both sides and one fixed by e2 on both
+    p = next(q for q in range(P.dim) if P.left_of(e1)[q] == P.right_of(e1)[q] == {q: 1})
+    r = next(q for q in range(P.dim) if P.left_of(e2)[q] == P.right_of(e2)[q] == {q: 1})
+    assert p < r
+    mixed = _mix_blocks(P, p, r)
+    assert mixed.right_of(e1)[p] == {p: 1, r: -1}  # neither fixed nor killed
+    for M, N, M_mixed, N_mixed in ((P, Q, mixed, Q), (Q, P, Q, mixed)):
+        T, split = _tensor_ambient(monkeypatch, M, N)
+        T_mixed, ambient = _tensor_ambient(monkeypatch, M_mixed, N_mixed)
+        assert split < ambient == M.dim * N.dim
+        assert T_mixed.dim == T.dim
+        assert bimod.iso_test(T_mixed, T)

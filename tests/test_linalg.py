@@ -339,3 +339,58 @@ def test_rational_rows_keep_their_fractions():
     assert ech.reduce((Fraction(3, 2), Fraction(1, 2), 0)) == {1: Fraction(1, 2)}
     assert _typed(linalg.solve([(2, 0), (0, 4)], (1, 2))) == [(Fraction, Fraction(1, 2))] * 2
     assert _typed(linalg.inverse([(2, 0), (0, 1)])[0]) == [(Fraction, Fraction(1, 2)), (int, 0)]
+
+
+# -- a subspace keeps the echelon of its rows ------------------------------
+
+subspace_probes = st.one_of(
+    st.tuples(st.just("contains"), echelon_rows),
+    st.tuples(st.just("reduce"), echelon_rows),
+    st.tuples(st.just("contains_subspace"), st.lists(echelon_rows, max_size=3)),
+    # a probe in the subspace: a combination of the vectors it was built from
+    st.tuples(st.just("member"), st.lists(st.integers(-3, 3), min_size=1, max_size=4)),
+)
+
+
+def _fresh_answer(sub, kind, arg):
+    ech = SparseEchelon(sub.ambient)
+    ech.extend(sub.rows)
+    if kind == "contains":
+        return ech.contains(arg)
+    if kind == "reduce":
+        dense = [0] * sub.ambient
+        for j, x in ech.reduce(arg).items():
+            dense[j] = x
+        return tuple(dense)
+    return all(ech.contains(r) for r in Subspace.from_vectors(arg, sub.ambient).rows)
+
+
+def _cached_answer(sub, kind, arg):
+    if kind == "contains_subspace":
+        return sub.contains_subspace(Subspace.from_vectors(arg, sub.ambient))
+    return getattr(sub, kind)(arg)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(echelon_rows, max_size=4), st.lists(subspace_probes, min_size=1, max_size=6))
+def test_subspace_answers_from_its_kept_echelon_match_a_fresh_one(vectors, probes):
+    sub = Subspace.from_vectors(vectors, ECHELON_COLS)
+    rows, key = sub.rows, hash(sub)
+    asked = []
+    for kind, arg in probes:
+        if kind == "member":
+            probe = [0] * ECHELON_COLS
+            for c, v in zip(arg, vectors):
+                probe = [p + c * x for p, x in zip(probe, v)]
+            kind, arg = "contains", probe
+        answer = _cached_answer(sub, kind, arg)
+        assert answer == _fresh_answer(sub, kind, arg)
+        asked.append((kind, arg, answer))
+        kept = sub._ech
+        assert kept is not None
+    # reading the kept echelon's rows (reduce does) changes no later answer
+    for kind, arg, answer in asked:
+        assert _cached_answer(sub, kind, arg) == answer
+    assert sub._ech is kept
+    assert sub.rows == rows and hash(sub) == key
+    assert sub == Subspace.from_vectors(vectors, ECHELON_COLS)
