@@ -10,8 +10,11 @@ The structure constants are stored column-sparse, the package's one matrix
 form (see `linalg`): mult[i] is the matrix of left multiplication by the
 i-th basis element.  Algebra elements stay dense coordinate tuples.
 
-An algebra is immutable once built, so its radical and its generating set
-are computed once and kept on the instance.
+An algebra is immutable once built, so what is derived from it is computed
+once and kept on the instance: its radical, its generating set, its
+projective centre (kept by `bimod.projective_center`) and the validated
+action matrices of its regular and projective bimodules (kept by
+`bimod.regular_bimodule` and `bimod.proj_bimodule`).
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ class FinDimAlgebra:
         self._radical: Subspace | None = None
         self._generators: tuple | None = None
         self._projective_center: Subspace | None = None  # kept by bimod.projective_center
+        self._bimodules: dict = {}  # kept by bimod.regular_bimodule and bimod.proj_bimodule
 
     @property
     def dim(self) -> int:

@@ -411,6 +411,14 @@ def test_exhausted_search_with_both_identities_reachable_is_inconclusive(
     assert "inconclusive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["zigzagA2", "x3local"])
+def test_closed_form_verdicts_hold_for_every_iso_seed(name):
+    build = ccx_build(name)
+    for seed in range(10):
+        records = bimod.verify_closed_form_composition(build, seed=seed)
+        assert records and all(r.passed for r in records), seed
+
+
 def _projective_center_by_generic_homs(A):
     """projective_center computed from generic hom-space bases."""
     reg = bimod.regular_bimodule(A)
@@ -758,6 +766,113 @@ def test_built_actions_and_structure_constants_are_never_written(monkeypatch):
         assert all(A.left_mult_matrix(linalg.unit(A.dim, i)) is A.mult[i] for i in range(A.dim))
 
 
+# -- each bimodule is built and validated once per algebra ------------------
+
+
+def test_each_bimodule_is_validated_once_per_key(monkeypatch):
+    from fiatcells import fixtures, verify
+
+    keys = []  # the key of every proj_bimodule and regular_bimodule call
+    inside = []  # nonempty while one of them runs
+    counts = {"validated": 0, "unkeyed_checked_builds": 0}
+
+    def keyed(builder, key_of):
+        def call(*args, **kwargs):
+            keys.append(key_of(*args))
+            inside.append(builder)
+            try:
+                return builder(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return call
+
+    init, validate = bimod.Bimodule.__init__, bimod.Bimodule.validate
+
+    def counting_init(self, *args, check=True, **kwargs):
+        if check and not inside:
+            counts["unkeyed_checked_builds"] += 1
+        init(self, *args, check=check, **kwargs)
+
+    def counting_validate(self):
+        counts["validated"] += 1
+        validate(self)
+
+    proj = keyed(bimod.proj_bimodule, lambda A, s, B, t: (A, s, B, t))
+    monkeypatch.setattr(bimod, "proj_bimodule", proj)
+    monkeypatch.setattr(bimod, "regular_bimodule", keyed(bimod.regular_bimodule, lambda A: (A,)))
+    monkeypatch.setattr(bimod.Bimodule, "__init__", counting_init)
+    monkeypatch.setattr(bimod.Bimodule, "validate", counting_validate)
+    monkeypatch.setattr(fixtures, "_cache", {})  # a fresh parse, nothing kept yet
+    reports = [verify.algebra_report("zigzagA2"), verify.ccx_report("zigzagA2")]
+    assert all(r.passed for report in reports for r in report.records)
+    distinct = len(set(keys))
+    assert len(keys) > distinct  # the same bimodule is asked for again
+    assert counts["validated"] == distinct + counts["unkeyed_checked_builds"]
+
+
+def test_a_kept_bimodule_shares_its_actions_but_not_its_name_labels_or_degrees():
+    text = fixture_text(ALGEBRA_FILES["zigzagA2-graded"])
+    spec = parse_algebra(text, "zigzagA2_graded.alg")
+    A, degs = spec.algebra, spec.degrees
+    P = bimod.proj_bimodule(A, 0, A, 1)
+    Q = bimod.proj_bimodule(A, 0, A, 1, name="Q")
+    G = bimod.proj_bimodule(A, 0, A, 1, deg_a=degs, deg_b=degs)
+    G2 = bimod.proj_bimodule(A, 0, A, 1, deg_a=[2 * d for d in degs], deg_b=degs)
+    for M in (Q, G, G2):
+        assert M.left_action is P.left_action and M.right_action is P.right_action
+        assert M.generator == P.generator
+        assert M.labels == P.labels and M.labels is not P.labels
+    assert Q.name == "Q" != P.name
+    assert P.degrees is None and Q.degrees is None
+    assert G.degrees is not None and G2.degrees is not None and G2.degrees != G.degrees
+    R = bimod.regular_bimodule(A)
+    RG = bimod.regular_bimodule(A, degrees=degs, name="reg")
+    assert RG.left_action is R.left_action and RG.right_action is R.right_action
+    assert RG.regular and RG.degrees == tuple(degs) and R.degrees is None
+    # a second parse of the same text is another algebra: nothing is shared
+    B = parse_algebra(text, "zigzagA2_graded.alg").algebra
+    for M, N in ((P, bimod.proj_bimodule(B, 0, B, 1)), (R, bimod.regular_bimodule(B))):
+        assert N.left_action == M.left_action and N.right_action == M.right_action
+        cols = {id(col) for mat in M.left_action + M.right_action for col in mat}
+        assert not cols & {id(col) for mat in N.left_action + N.right_action for col in mat}
+
+
+def _non_associative():
+    """1, x, y, z with x.x = y, x.y = z and every other product of x, y, z
+    zero: (x.x).x = 0 but x.(x.x) = z.  Its radical verifies, so only the
+    bimodule validation finds the fault."""
+    def u(k):
+        return [int(i == k) for i in range(4)]
+
+    table = {(1, 1): 2, (1, 2): 3}
+    mult = [
+        [u(j) if i == 0 else u(i) if j == 0 else u(table[i, j]) if (i, j) in table else [0] * 4
+         for j in range(4)]
+        for i in range(4)
+    ]
+    return alg.FinDimAlgebra(["1", "x", "y", "z"], mult, u(0), [u(0)], name="nonassoc")
+
+
+def test_a_build_whose_validation_raised_is_not_kept(monkeypatch):
+    A = _non_associative()
+    validated = []
+    validate = bimod.Bimodule.validate
+
+    def counting_validate(self):
+        validated.append(self.name)
+        validate(self)
+
+    monkeypatch.setattr(bimod.Bimodule, "validate", counting_validate)
+    for attempt in (1, 2):
+        with pytest.raises(bimod.BimoduleError, match="not multiplicative"):
+            bimod.regular_bimodule(A)
+        with pytest.raises(bimod.BimoduleError, match="not multiplicative"):
+            bimod.proj_bimodule(A, 0, A, 0)
+        assert len(validated) == 2 * attempt  # rebuilt and validated again
+    assert not A._bimodules
+
+
 # -- the tensor cokernel over the idempotent split ------------------------
 
 
@@ -807,6 +922,18 @@ def _mix_blocks(P, p, r):
     unitriangular change of basis (p < r)."""
     S = tuple({q: 1, r: 1} if q == p else {q: 1} for q in range(P.dim))
     S_inv = tuple({q: 1, r: -1} if q == p else {q: 1} for q in range(P.dim))
+    return _in_basis(P, S, S_inv)
+
+
+def _rescale(P, p, c):
+    """P in the basis f_q = b_q for q != p and f_p = c b_p."""
+    S = tuple({q: c} if q == p else {q: 1} for q in range(P.dim))
+    S_inv = tuple({q: Fraction(1, c)} if q == p else {q: 1} for q in range(P.dim))
+    return _in_basis(P, S, S_inv)
+
+
+def _in_basis(P, S, S_inv):
+    """P in the basis given by the columns of S, with inverse S_inv."""
 
     def conj(mats):
         return [linalg.sp_compose(S_inv, linalg.sp_compose(X, S)) for X in mats]
@@ -816,14 +943,21 @@ def _mix_blocks(P, p, r):
     )
 
 
-def test_tensor_falls_back_to_every_pair_when_a_basis_vector_mixes_blocks(monkeypatch):
+def _zigzag_blocks():
+    """P = A e1 (x) e1 A and Q = A e1 (x) e2 A over zigzag A2, with a basis
+    vector p of P fixed by e1 on both sides and one, r, fixed by e2 on both."""
     Z = fixture("zigzagA2")
     e1, e2 = Z.idempotents
     P = bimod.proj_bimodule(Z, 0, Z, 0)
     Q = bimod.proj_bimodule(Z, 0, Z, 1)
-    # a basis vector of P fixed by e1 on both sides and one fixed by e2 on both
     p = next(q for q in range(P.dim) if P.left_of(e1)[q] == P.right_of(e1)[q] == {q: 1})
     r = next(q for q in range(P.dim) if P.left_of(e2)[q] == P.right_of(e2)[q] == {q: 1})
+    return P, Q, p, r
+
+
+def test_tensor_falls_back_to_every_pair_when_a_basis_vector_mixes_blocks(monkeypatch):
+    P, Q, p, r = _zigzag_blocks()
+    e1 = P.left_algebra.idempotents[0]
     assert p < r
     mixed = _mix_blocks(P, p, r)
     assert mixed.right_of(e1)[p] == {p: 1, r: -1}  # neither fixed nor killed
@@ -833,3 +967,76 @@ def test_tensor_falls_back_to_every_pair_when_a_basis_vector_mixes_blocks(monkey
         assert split < ambient == M.dim * N.dim
         assert T_mixed.dim == T.dim
         assert bimod.iso_test(T_mixed, T)
+
+
+def _cokernel_over_every_pair(M, N):
+    """dim, actions and degrees of M (x)_B N as the cokernel over every pair
+    of basis vectors, each generator of B balancing each pair, with every
+    induced column projected through SparseEchelon.reduce."""
+    dn = N.dim
+    ech = linalg.SparseEchelon(M.dim * dn)
+    for g in alg.algebra_generators(M.right_algebra):
+        right_g, left_g = M.right_of(g), N.left_of(g)
+        for i in range(M.dim):
+            for j in range(dn):
+                rel = {r * dn + j: v for r, v in right_g[i].items()}
+                for r, v in left_g[j].items():
+                    rel[i * dn + r] = rel.get(i * dn + r, 0) - v
+                ech.insert(rel)
+    free = [k for k in range(M.dim * dn) if k not in ech.rows]
+    pos = {k: p for p, k in enumerate(free)}
+
+    def project(image):
+        return {pos[k]: v for k, v in ech.reduce(image).items()}
+
+    left = [
+        tuple(project({r * dn + k % dn: v for r, v in mat[k // dn].items()}) for k in free)
+        for mat in M.left_action
+    ]
+    right = [
+        tuple(project({k // dn * dn + r: v for r, v in mat[k % dn].items()}) for k in free)
+        for mat in N.right_action
+    ]
+    degrees = None
+    if M.degrees is not None and N.degrees is not None:
+        degrees = tuple(M.degrees[k // dn] + N.degrees[k % dn] for k in free)
+    return len(free), left, right, degrees
+
+
+def _composable_bimodules():
+    from fiatcells.fixtures import GRADED_FIXTURES, graded_ccx_build
+
+    builds = [ccx_build(name) for name in PROPERTY_FIXTURES]
+    builds += [graded_ccx_build(name) for name in GRADED_FIXTURES]
+    # the twin's actions carry quarters, so some classes do too
+    twin = parse_algebra(X3_RATIONAL_TWIN, "x3twin.alg").algebra
+    builds.append(bimod.build_ccx(bimod.CcxData(algebras=(twin,), name="x3twin")))
+    for build in builds:
+        for f, g in sorted(build.ms.table):
+            yield build.bimodule(f), build.bimodule(g)
+    P, Q, p, r = _zigzag_blocks()
+    mixed = _mix_blocks(P, p, r)
+    yield mixed, Q
+    yield Q, mixed
+    # a halved class times a doubled action entry: an integral Fraction
+    # product that must come out as an int
+    doubled = _rescale(P, p, 2)
+    yield doubled, Q
+    yield doubled, doubled
+
+
+def test_tensor_classes_match_the_projection_through_the_relation_echelon():
+    count = fractions = 0
+    for M, N in _composable_bimodules():
+        T = bimod.tensor_over(M, N)
+        dim, left, right, degrees = _cokernel_over_every_pair(M, N)
+        assert (T.dim, list(T.left_action), list(T.right_action), T.degrees) == (
+            dim, left, right, degrees
+        ), (M.name, N.name)
+        for mat in T.left_action + T.right_action:
+            for col in mat:
+                for x in col.values():
+                    assert type(x) is int or (type(x) is Fraction and x.denominator > 1)
+                    fractions += type(x) is Fraction
+        count += 1
+    assert count > 50 and fractions
