@@ -38,6 +38,7 @@ class CoxeterGroup:
 
     identity: int = 0
     _bruhat_down: list = field(default_factory=list, repr=False)
+    _by_length: list = field(default_factory=list, repr=False)
 
     @property
     def order(self) -> int:
@@ -66,6 +67,13 @@ class CoxeterGroup:
             x = self.mult_gen[x][pos[ch]]
         return x
 
+    def by_length(self) -> list:
+        """The elements in ascending length order (the identity first),
+        sorted once per group."""
+        if not self._by_length:
+            self._by_length = sorted(range(self.order), key=self.length)
+        return self._by_length
+
     def longest(self) -> int:
         return max(range(self.order), key=self.length)
 
@@ -75,9 +83,8 @@ class CoxeterGroup:
         """Bruhat down-set bitmasks via one-letter deletions of canonical words."""
         if self._bruhat_down:
             return self._bruhat_down
-        order = sorted(range(self.order), key=self.length)
         down = [0] * self.order
-        for x in order:
+        for x in self.by_length():
             word = self.words[x]
             mask = 1 << x
             for k in range(len(word)):

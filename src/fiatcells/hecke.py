@@ -14,6 +14,10 @@ from the T basis, determine every b_x b_y by associativity.  The b_s
 generate the canonical basis, so the exported table is checked for
 associativity with only the b_s as left factors (neutrality already settles
 the identity), next to a certificate that they and the identity span it.
+
+Laurent arithmetic accumulates in place: `_mac` adds factor * data into
+raw {exponent: int} dicts, and each finished coefficient is wrapped into a
+LaurentPoly once, zeros dropped, so no sum or product builds temporaries.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ from .mscell import MultiSemigroup, OneMorphism, CellStructure
 
 DEFAULT_SIZE_BOUND = 24
 
-_V = LaurentPoly.monomial(1, 1)
-_VINV = LaurentPoly.monomial(1, -1)
+# raw {exponent: int} factors for `_mac`
+_ONE = {0: 1}
+_V = {1: 1}
+_VMINUS = {1: 1, -1: -1}  # v - v^-1
 
 
 class SizeLimitError(ValueError):
@@ -62,81 +68,85 @@ def _left_product(group: CoxeterGroup, s: int, x: int) -> int:
     return group.inverse[group.mult_gen[group.inverse[x]][s]]
 
 
-def _t_gen_left(group: CoxeterGroup, data: dict, s: int) -> dict:
-    """T_s * (element in T coordinates)."""
-    out: dict[int, LaurentPoly] = {}
-    quad = _VINV - _V
+def _mac(acc: dict, data: dict, factor: dict) -> dict:
+    """acc[x] += factor * data[x] for every x of data, in place, and return
+    acc.  acc holds raw {exponent: int} dicts, which may keep zeros until
+    `_wrapped`; data holds LaurentPoly values; factor is a raw dict, each
+    of whose terms shifts the exponents of data once."""
+    for x, poly in data.items():
+        row = acc.get(x)
+        if row is None:
+            row = acc[x] = {}
+        for f, k in factor.items():
+            for e, c in poly.coeffs.items():
+                e += f
+                row[e] = row.get(e, 0) + k * c
+    return acc
+
+
+def _wrapped(acc: dict) -> dict:
+    """The finished raw coefficients of acc as LaurentPoly, zeros dropped."""
+    out = {}
+    for x, row in acc.items():
+        poly = LaurentPoly(row)
+        if poly:
+            out[x] = poly
+    return out
+
+
+def _t_gen(group: CoxeterGroup, acc: dict, data: dict, image: dict, factor: dict) -> dict:
+    """acc += factor * T_s * data, with T_s on the side where image[x] is x
+    times s: T_x goes to T_image[x], plus (v^-1 - v) T_x when image[x] is
+    shorter than x, applied as the two exponent shifts of factor."""
+    up, down = {}, {}
     for x, c in data.items():
-        sx = _left_product(group, s, x)
-        if group.length(sx) > group.length(x):
-            out[sx] = out.get(sx, LaurentPoly.zero()) + c
-        else:
-            out[sx] = out.get(sx, LaurentPoly.zero()) + c
-            out[x] = out.get(x, LaurentPoly.zero()) + quad * c
-    return {x: c for x, c in out.items() if c}
+        y = image[x]
+        up[y] = c
+        if group.length(y) < group.length(x):
+            down[x] = c
+    _mac(acc, up, factor)
+    _mac(acc, down, {e - 1: k for e, k in factor.items()})
+    return _mac(acc, down, {e + 1: -k for e, k in factor.items()})
 
 
-def _t_gen_right(group: CoxeterGroup, data: dict, s: int) -> dict:
-    """(element in T coordinates) * T_s."""
-    out: dict[int, LaurentPoly] = {}
-    quad = _VINV - _V
-    for x, c in data.items():
-        xs = group.mult_gen[x][s]
-        if group.length(xs) > group.length(x):
-            out[xs] = out.get(xs, LaurentPoly.zero()) + c
-        else:
-            out[xs] = out.get(xs, LaurentPoly.zero()) + c
-            out[x] = out.get(x, LaurentPoly.zero()) + quad * c
-    return {x: c for x, c in out.items() if c}
+def _t_gen_left(group: CoxeterGroup, acc: dict, data: dict, s: int, factor=_ONE) -> dict:
+    """acc += factor * T_s * (element in T coordinates)."""
+    return _t_gen(group, acc, data, {x: _left_product(group, s, x) for x in data}, factor)
 
 
-def _add_into(acc: dict, data: dict, factor: LaurentPoly | None = None) -> None:
-    for x, c in data.items():
-        if factor is not None:
-            c = c * factor
-        if not c:
-            continue
-        total = acc[x] + c if x in acc else c
-        if total:
-            acc[x] = total
-        else:
-            del acc[x]
-
-
-def _t_word_left(group: CoxeterGroup, data: dict, word) -> dict:
-    for s in reversed(word):
-        data = _t_gen_left(group, data, s)
-    return data
+def _t_word_left(group: CoxeterGroup, acc: dict, data: dict, word, factor: dict) -> dict:
+    """acc += factor * T_word * data; only the first letter's product,
+    the last one taken, accumulates into acc."""
+    for s in reversed(word[1:]):
+        data = _wrapped(_t_gen_left(group, {}, data, s))
+    if not word:
+        return _mac(acc, data, factor)
+    return _t_gen_left(group, acc, data, word[0], factor)
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product in the Hecke algebra (T-basis coordinates)."""
     group = a.group
     bd = b.as_dict()
-    acc: dict[int, LaurentPoly] = {}
+    acc: dict = {}
     for x, c in a.coeffs:
-        _add_into(acc, _t_word_left(group, bd, group.words[x]), c)
-    return HeckeElement.from_dict(group, acc)
+        _t_word_left(group, acc, bd, group.words[x], c.coeffs)
+    return HeckeElement.from_dict(group, _wrapped(acc))
 
 
 def _bar_t_basis(group: CoxeterGroup) -> list[dict]:
     """bar(T_w) for every w, via bar(T_w) = T_{s1}^-1 ... T_{sk}^-1."""
     bar = [dict() for _ in range(group.order)]
     bar[group.identity] = {group.identity: LaurentPoly.one()}
-    vminus = _V - _VINV
-    for x in sorted(range(group.order), key=group.length):
-        if x == group.identity:
-            continue
+    for x in group.by_length()[1:]:
         word = group.words[x]
         prefix = group.identity
         for s in word[:-1]:
             prefix = group.mult_gen[prefix][s]
-        s = word[-1]
         # bar(T_x) = bar(T_prefix) * T_s^-1,  T_s^-1 = T_s + (v - v^-1)
         base = bar[prefix]
-        out = _t_gen_right(group, base, s)
-        _add_into(out, base, vminus)
-        bar[x] = {w: c for w, c in out.items() if c}
+        right = {y: group.mult_gen[y][word[-1]] for y in base}
+        bar[x] = _wrapped(_mac(_t_gen(group, {}, base, right, _ONE), base, _VMINUS))
     return bar
 
 
@@ -144,10 +154,10 @@ def bar_involution(elem: HeckeElement) -> HeckeElement:
     """The bar involution: v -> v^-1 and T_w -> T_{w^-1}^-1."""
     group = elem.group
     bar_t = _bar_t_basis(group)
-    acc: dict[int, LaurentPoly] = {}
+    acc: dict = {}
     for x, c in elem.coeffs:
-        _add_into(acc, bar_t[x], c.bar())
-    return HeckeElement.from_dict(group, acc)
+        _mac(acc, bar_t[x], c.bar().coeffs)
+    return HeckeElement.from_dict(group, _wrapped(acc))
 
 
 def kl_basis(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list[HeckeElement]:
@@ -164,9 +174,8 @@ def kl_basis(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list[Hecke
     basis[group.identity] = HeckeElement.from_dict(
         group, {group.identity: LaurentPoly.one()}
     )
-    for w in sorted(range(group.order), key=group.length):
-        if w == group.identity:
-            continue
+    by_length = group.by_length()
+    for w in by_length[1:]:
         word = group.words[w]
         s = word[0]
         rest = group.identity
@@ -174,19 +183,13 @@ def kl_basis(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list[Hecke
             rest = group.mult_gen[rest][g]
         sub = basis[rest].as_dict()
         # b_s * b_{sw} = (T_s + v) * b_{sw}
-        prod = _t_gen_left(group, sub, s)
-        _add_into(prod, sub, _V)
+        prod = _mac(_t_gen_left(group, {}, sub, s), sub, _V)
         # corrections may create support at shorter elements, so scan them all
-        for x in sorted(range(group.order), key=group.length, reverse=True):
-            if x == w:
-                continue
-            c = prod.get(x)
-            if not c:
-                continue
-            m = c.coeff(0)
+        for x in reversed(by_length):
+            m = prod[x].get(0) if x != w and x in prod else 0
             if m:
-                _add_into(prod, basis[x].as_dict(), LaurentPoly.monomial(-m, 0))
-        elem = HeckeElement.from_dict(group, prod)
+                _mac(prod, basis[x].as_dict(), {0: -m})
+        elem = HeckeElement.from_dict(group, _wrapped(prod))
         if elem.coeff(w) != LaurentPoly.one():
             raise HeckeDataError(f"canonical basis recursion failed at {group.name(w)}")
         for x, c in elem.coeffs:
@@ -203,17 +206,16 @@ def kl_expand(group: CoxeterGroup, element: HeckeElement, basis=None) -> dict:
     """Coordinates of a Hecke element in the canonical basis."""
     if basis is None:
         basis = kl_basis(group)
-    acc = element.as_dict()
+    acc = _mac({}, element.as_dict(), _ONE)
     out: dict[int, LaurentPoly] = {}
-    for x in sorted(range(group.order), key=group.length, reverse=True):
-        c = acc.get(x)
-        if not c:
-            continue
-        out[x] = c
-        _add_into(acc, basis[x].as_dict(), -c)
-    if any(acc.values()):
+    for x in reversed(group.by_length()):
+        c = LaurentPoly(acc.get(x))
+        if c:
+            out[x] = c
+            _mac(acc, basis[x].as_dict(), (-c).coeffs)
+    if any(any(row.values()) for row in acc.values()):
         raise HeckeDataError("canonical-basis expansion left a nonzero remainder")
-    return {x: c for x, c in out.items() if c}
+    return out
 
 
 def _at_one(group: CoxeterGroup, coords: dict) -> dict:
@@ -269,18 +271,16 @@ def _product_column(group: CoxeterGroup, act, c: int) -> list:
     the same terms applied to col."""
     col: list = [None] * group.order
     col[group.identity] = {c: LaurentPoly.one()}
-    for a in sorted(range(group.order), key=group.length):
-        if a == group.identity:
-            continue
+    for a in group.by_length()[1:]:
         s = group.words[a][0]
         r = _left_product(group, s, a)
         out: dict = {}
         for w, coeff in col[r].items():
-            _add_into(out, act[s][w], coeff)
+            _mac(out, act[s][w], coeff.coeffs)
         for z, coeff in act[s][r].items():
             if z != a:
-                _add_into(out, col[z], -coeff)
-        col[a] = out
+                _mac(out, col[z], (-coeff).coeffs)
+        col[a] = _wrapped(out)
     return col
 
 

@@ -7,17 +7,16 @@ exponent; zero coefficients are never stored, so equality is structural.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from .linalg import frac
+
 
 class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for exp, c in coeffs.items():
-                if c != 0:
-                    data[int(exp)] = c
-        self.coeffs = data
+        self.coeffs = {int(e): c for e, c in coeffs.items() if c != 0} if coeffs else {}
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -43,6 +42,9 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its int, so it hashes like it
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other) -> "LaurentPoly":
@@ -75,10 +77,11 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __call__(self, value):
-        """Evaluate at a numeric value (value=1 sums the coefficients)."""
+        """Evaluate exactly at an int or Fraction value (value=1 sums the
+        coefficients); the result is normalised as `linalg.frac` does."""
         if value == 1:
             return sum(self.coeffs.values())
-        return sum(c * value**e for e, c in self.coeffs.items())
+        return frac(sum(c * Fraction(value) ** e for e, c in self.coeffs.items()))
 
     @property
     def degree(self) -> int | None:

@@ -276,29 +276,28 @@ class MultiSemigroup:
         generators = {idx[f] for f in self.generators}
         if len(generators) < n:
             self._check_generators_span()
-        supports = {}
-        packed = {}
+        # supports[a][b] lists (index, multiplicity) of a o b, None when the
+        # pair is not composable; packed[a][b] is that row as one integer
+        supports = [[None] * n for _ in range(n)]
+        packed = [[0] * n for _ in range(n)]
         for (f, g), entry in self.table.items():
-            key = (idx[f], idx[g])
-            supports[key] = [(idx[h], k) for h, k in entry.items()]
-            acc = 0
-            for h, k in entry.items():
-                acc += k << (_DIGIT_BITS * idx[h])
-            packed[key] = acc
-
-        def row_int(a: int, b: int) -> int:
-            return packed.get((a, b), 0)
+            fi, gi = idx[f], idx[g]
+            supports[fi][gi] = [(idx[h], k) for h, k in entry.items()]
+            packed[fi][gi] = sum(k << (_DIGIT_BITS * idx[h]) for h, k in entry.items())
 
         checked = 0
-        for (fi, gi), supp_fg in supports.items():
+        for f, g in self.table:
+            fi, gi = idx[f], idx[g]
             if fi not in generators:
                 continue
-            for ki in range(n):
-                supp_gk = supports.get((gi, ki))
-                lhs = sum(m * row_int(hi, ki) for hi, m in supp_fg)
-                rhs = 0
-                if supp_gk:
-                    rhs = sum(m * row_int(fi, hi) for hi, m in supp_gk)
+            supp_fg = supports[fi][gi]
+            row_f = packed[fi]
+            for ki, supp_gk in enumerate(supports[gi]):
+                lhs = rhs = 0
+                for hi, m in supp_fg:
+                    lhs += m * packed[hi][ki]
+                for hi, m in supp_gk or ():
+                    rhs += m * row_f[hi]
                 if lhs != rhs:
                     raise MultiSemigroupError(
                         "associativity fails at triple "

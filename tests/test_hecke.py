@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiatcells import cli, hecke, mscell
+from fiatcells import cli, coxeter, hecke, mscell
 from fiatcells.coxeter import coxeter_group, permutation_element
 from fiatcells.hecke import (
     HeckeDataError,
@@ -165,6 +165,48 @@ def test_product_columns_match_t_basis():
             col = hecke._product_column(W, act, y)
             for x in range(W.order):
                 assert col[x] == kl_expand(W, multiply(basis[x], basis[y]), basis)
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "B2", "A3"])
+def test_stored_coefficients_keep_no_zeros_and_int_exponents(kind):
+    # LaurentPoly equality is structural, so a stored zero would break ==
+    W = coxeter_group(kind)
+    basis = kl_basis(W)
+    act = hecke._generator_action(W, basis)
+    coords = [b.as_dict() for b in basis] + [entry for row in act for entry in row]
+    coords += [col for y in range(W.order) for col in hecke._product_column(W, act, y)]
+    polys = [poly for c in coords for poly in c.values()]
+    assert polys and all(polys)
+    for poly in polys:
+        assert all(type(e) is int for e in poly.coeffs), poly.coeffs
+        assert all(type(c) is int and c != 0 for c in poly.coeffs.values()), poly.coeffs
+
+
+@pytest.mark.parametrize("kind", ["A3", "B2"])
+def test_export_work_is_linear_in_the_generator_products(kind, monkeypatch):
+    W = coxeter_group(kind)
+    calls = {"multiply": 0, "kl_expand": 0, "kl_product_at_one": 0, "length sorts": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("multiply", "kl_expand", "kl_product_at_one"):
+        monkeypatch.setattr(hecke, name, counted(name, getattr(hecke, name)))
+
+    def counting_sorted(iterable, *, key=None, reverse=False):
+        calls["length sorts"] += key == W.length
+        return sorted(iterable, key=key, reverse=reverse)
+
+    for module in (hecke, coxeter):
+        monkeypatch.setattr(module, "sorted", counting_sorted, raising=False)
+    export_multisemigroup(W)
+    products = len(W.gen_names) * W.order
+    assert calls == {
+        "multiply": products, "kl_expand": products, "kl_product_at_one": 0, "length sorts": 1,
+    }
 
 
 def test_export_rejects_a_leading_coefficient_other_than_one(monkeypatch):

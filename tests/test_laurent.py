@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,27 @@ def test_evaluate_and_degree():
     assert p.degree == 4
     assert p.valuation == -2
     assert p.bar() == lp({2: 3, -4: 1})
+
+
+def test_evaluation_is_exact_at_negative_exponents():
+    p = lp({-1: 1, 2: 3})
+    assert p(2) == Fraction(25, 2) and type(p(2)) is Fraction
+    assert p(-1) == 2 and type(p(-1)) is int
+    assert p(Fraction(1, 2)) == Fraction(11, 4)
+    assert p(1) == 4
+    assert LaurentPoly.zero()(2) == 0
+
+
+def test_a_constant_hashes_like_its_int():
+    assert LaurentPoly.one() == 1 and hash(LaurentPoly.one()) == hash(1)
+    assert {1, LaurentPoly.one()} == {1}
+    assert len({0, LaurentPoly.zero(), lp({0: -3}), -3}) == 2
+    table = {2: "two"}
+    assert table[lp({0: 2})] == "two"
+    table[LaurentPoly.zero()] = "zero"
+    assert table[0] == "zero" and len(table) == 2
+    # a non-constant polynomial is no int and keeps its own hash
+    assert lp({1: 1}) != 1 and len({lp({1: 1}), lp({1: 1}), 1}) == 2
 
 
 def test_divide_exact():
