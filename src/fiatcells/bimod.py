@@ -10,7 +10,11 @@ on it; every later call shares those action matrices.  Tensor products over
 the middle algebra are computed as honest cokernels of the balancing map,
 over the idempotent split (+)_c M e_c (x) e_c N of the pairs of basis
 vectors, so they provide an independent check of the closed-form
-composition rule used for the multisemigroup table.
+composition rule used for the multisemigroup table.  Hom spaces come from
+one intertwiner solver, which reads the pairs of diagonal matrices (the
+idempotents on such a split basis) instead of eliminating them: each kills
+the unknowns X[p, q] between different blocks, and only the other pairs
+are eliminated, over the unknowns left.
 
 Everything is computation over values that are immutable once built: the
 only state is what an algebra keeps of itself, and the randomized
@@ -488,33 +492,69 @@ def intertwiners(pairs, dm: int, dn: int) -> list:
     the q-th sending a row index to the nonzero entries of column q.  The
     unknown X[p, q] is numbered p * dm + q, and the basis is the canonical
     one linalg.nullspace gives in that numbering; with no pairs it is the
-    dn * dm matrix units."""
-    eqs = []
+    dn * dm matrix units.
+
+    A pair of diagonal matrices (the idempotents, on a basis split by them)
+    is read, not eliminated: it says X[p, q] (a[q, q] - b[p, p]) = 0, so it
+    kills X[p, q] where the two entries differ and says nothing where they
+    agree (the unit of a local algebra).  The other pairs are eliminated
+    over the live unknowns only, in their order.  Every killed unknown is a
+    pivot of the full system and the live pivots are those of the smaller
+    one, so the basis is still the canonical one of the full system."""
+    live = [True] * (dn * dm)
+    rest = []
     for a, b in pairs:
+        da, db = _diagonal(a), _diagonal(b)
+        if da is None or db is None:
+            rest.append((a, b))
+            continue
+        for p, bp in enumerate(db):
+            for q, aq in enumerate(da):
+                if aq != bp:
+                    live[p * dm + q] = False
+    unknowns = [k for k, alive in enumerate(live) if alive]
+    pos = [None] * (dn * dm)
+    for i, k in enumerate(unknowns):
+        pos[k] = i
+    eqs = []
+    for a, b in rest:
         b_rows = linalg.sp_rows(b, dn)
         for q in range(dm):
             a_col = a[q]
             for p in range(dn):
-                row = {p * dm + k: v for k, v in a_col.items()}
+                row = {i: v for k, v in a_col.items() if (i := pos[p * dm + k]) is not None}
                 for k, v in b_rows[p].items():
-                    key = k * dm + q
-                    row[key] = row.get(key, 0) - v
+                    i = pos[k * dm + q]
+                    if i is not None:
+                        row[i] = row.get(i, 0) - v
                 if row:
                     eqs.append(row)
     mats = []
-    for vec_ in linalg.nullspace(eqs, dn * dm):
+    for vec_ in linalg.nullspace(eqs, len(unknowns)):
         cols = tuple({} for _ in range(dm))
-        for idx, v in enumerate(vec_):
+        for i, v in enumerate(vec_):
             if v:
-                p, q = divmod(idx, dm)
+                p, q = divmod(unknowns[i], dm)
                 cols[q][p] = v
         mats.append(cols)
     return mats
 
 
+def _diagonal(mat):
+    """The diagonal of a column-sparse matrix, or None if it is not diagonal."""
+    diag = []
+    for q, col in enumerate(mat):
+        if len(col) > 1 or (col and q not in col):
+            return None
+        diag.append(col.get(q, 0))
+    return diag
+
+
 def hom_space(M: Bimodule, N: Bimodule):
     """Basis of bimodule homomorphisms M -> N: the intertwiners of both
-    actions on generators, column-sparse with M.dim columns."""
+    actions on generators, column-sparse with M.dim columns.  Where the
+    idempotents act diagonally, `intertwiners` reads their pairs, so only
+    the X[p, q] with p and q in the same idempotent blocks are eliminated."""
     if M.left_algebra is not N.left_algebra or M.right_algebra is not N.right_algebra:
         raise BimoduleError("hom space needs a common algebra pair")
     pairs = [(M.left_of(g), N.left_of(g)) for g in alg.algebra_generators(M.left_algebra)]

@@ -39,6 +39,7 @@ class CoxeterGroup:
     identity: int = 0
     _bruhat_down: list = field(default_factory=list, repr=False)
     _by_length: list = field(default_factory=list, repr=False)
+    _bar_t: list = field(default_factory=list, repr=False)  # hecke.bar_involution's table
 
     @property
     def order(self) -> int:

@@ -151,9 +151,12 @@ def _bar_t_basis(group: CoxeterGroup) -> list[dict]:
 
 
 def bar_involution(elem: HeckeElement) -> HeckeElement:
-    """The bar involution: v -> v^-1 and T_w -> T_{w^-1}^-1."""
+    """The bar involution: v -> v^-1 and T_w -> T_{w^-1}^-1, read off the
+    table of bar(T_w), built once per group and kept on it."""
     group = elem.group
-    bar_t = _bar_t_basis(group)
+    if not group._bar_t:
+        group._bar_t = _bar_t_basis(group)
+    bar_t = group._bar_t
     acc: dict = {}
     for x, c in elem.coeffs:
         _mac(acc, bar_t[x], c.bar().coeffs)

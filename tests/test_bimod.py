@@ -1040,3 +1040,153 @@ def test_tensor_classes_match_the_projection_through_the_relation_echelon():
                     fractions += type(x) is Fraction
         count += 1
     assert count > 50 and fractions
+
+
+# -- the intertwiner solver reads the idempotent pairs --------------------
+
+
+def _intertwiners_over_every_unknown(pairs, dm, dn):
+    """bimod.intertwiners as the nullspace of the full system: every pair,
+    every unknown X[p, q] numbered p * dm + q, zero rows included."""
+    eqs = []
+    for a, b in pairs:
+        for q in range(dm):
+            for p in range(dn):
+                row = {}
+                for k, v in a[q].items():  # (X.a)[p, q] = sum_k X[p, k] a[k, q]
+                    row[p * dm + k] = row.get(p * dm + k, 0) + v
+                for k in range(dn):  # (b.X)[p, q] = sum_k b[p, k] X[k, q]
+                    row[k * dm + q] = row.get(k * dm + q, 0) - b[k].get(p, 0)
+                eqs.append(row)
+    basis = []
+    for vec_ in linalg.nullspace(eqs, dn * dm):
+        cols = tuple({} for _ in range(dm))
+        for idx, v in enumerate(vec_):
+            if v:
+                cols[idx % dm][idx // dm] = v
+        basis.append(cols)
+    return basis
+
+
+def _random_diagonal(rng, n, values):
+    return tuple({q: v} if (v := rng.choice(values)) else {} for q in range(n))
+
+
+def _off_diagonal(rng, n):
+    """A random n x n matrix (n > 1) with a nonzero entry at row 1, column 0."""
+    return tuple({**col, 1: 3} if q == 0 else col for q, col in enumerate(_random_sparse(rng, n)))
+
+
+def _diagonal_pair_cases():
+    """Seeded (pairs, dm, dn) mixing diagonal pairs with random ones: 0/1
+    diagonals, other diagonals, identity and zero pairs, and pairs that are
+    diagonal on one side only."""
+    cases = []
+    for seed in range(80):
+        rng = random.Random(seed)
+        dm, dn = rng.randint(1, 4), rng.randint(1, 4)
+        kind = seed % 4
+        if kind == 0:  # idempotents
+            pairs = [
+                (_random_diagonal(rng, dm, (0, 1)), _random_diagonal(rng, dn, (0, 1)))
+                for _ in range(rng.randint(1, 3))
+            ]
+        elif kind == 1:
+            values = (0, 1, 2, -1, Fraction(1, 2), Fraction(-3, 2))
+            pairs = [(_random_diagonal(rng, dm, values), _random_diagonal(rng, dn, values))]
+        elif kind == 2:
+            ident_m, ident_n = linalg.sp_identity(dm), linalg.sp_identity(dn)
+            zero_m, zero_n = tuple({} for _ in range(dm)), tuple({} for _ in range(dn))
+            pairs = [(ident_m, ident_n), (zero_m, zero_n)]
+            if seed % 8 == 2:
+                pairs.append((ident_m, zero_n))  # kills every unknown
+        else:  # diagonal on one side, an off-diagonal entry on the other
+            dm, dn = max(dm, 2), max(dn, 2)
+            if seed % 8 == 3:
+                pairs = [(_random_diagonal(rng, dm, (0, 1, 2)), _off_diagonal(rng, dn))]
+            else:
+                pairs = [(_off_diagonal(rng, dm), _random_diagonal(rng, dn, (0, 1, 2)))]
+        if rng.random() < 0.5:
+            pairs.append((_random_sparse(rng, dm), _random_sparse(rng, dn)))
+        rng.shuffle(pairs)
+        cases.append((pairs, dm, dn))
+    return cases
+
+
+def _zigzag_bimodules_and_twins():
+    """The projective and regular bimodules of zigzag A2, and each in a
+    basis whose first vector mixes two idempotent blocks."""
+    Z = fixture("zigzagA2")
+    plain = [bimod.proj_bimodule(Z, s, Z, t) for s in range(2) for t in range(2)]
+    plain.append(bimod.regular_bimodule(Z))
+    twins = []
+    for M in plain:
+        # r: the first basis vector outside the idempotent blocks of vector 0
+        actions = [M.left_of(e) for e in Z.idempotents] + [M.right_of(e) for e in Z.idempotents]
+        r = next(q for q in range(M.dim) if any(e[q] != {q: 1} for e in actions if e[0]))
+        twins.append(_mix_blocks(M, 0, r))
+    return plain, twins
+
+
+def _hom_pairs(M, N):
+    pairs = [(M.left_of(g), N.left_of(g)) for g in alg.algebra_generators(M.left_algebra)]
+    return pairs + [(M.right_of(g), N.right_of(g)) for g in alg.algebra_generators(M.right_algebra)]
+
+
+def test_intertwiners_equal_the_basis_of_the_full_system():
+    nonzero = 0
+    for pairs, dm, dn in _diagonal_pair_cases():
+        basis = bimod.intertwiners(pairs, dm, dn)
+        assert basis == _intertwiners_over_every_unknown(pairs, dm, dn), (pairs, dm, dn)
+        nonzero += bool(basis)
+    assert nonzero > 20
+    plain, twins = _zigzag_bimodules_and_twins()
+    for family in (plain, twins):
+        for M in family:
+            for N in family:
+                homs = bimod.hom_space(M, N)
+                assert homs == _intertwiners_over_every_unknown(_hom_pairs(M, N), M.dim, N.dim)
+                assert homs
+
+
+def _recording_nullspace(monkeypatch):
+    """Patch linalg.nullspace to record the rows and column count of each call."""
+    calls = []
+    original = linalg.nullspace
+
+    def recording(rows, ncols):
+        rows = list(rows)
+        calls.append((rows, ncols))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", recording)
+    return calls
+
+
+def test_hom_space_eliminates_only_the_live_unknowns(monkeypatch):
+    calls = _recording_nullspace(monkeypatch)
+    # zigzag A2: X[p, q] lives only where p and q share their blocks
+    Z = fixture("zigzagA2")
+    P = bimod.proj_bimodule(Z, 0, Z, 0)
+
+    def blocks(i):
+        return tuple(P.left_of(e)[i] == {i: 1} for e in Z.idempotents) + tuple(
+            P.right_of(e)[i] == {i: 1} for e in Z.idempotents
+        )
+
+    block_diagonal = sum(blocks(p) == blocks(q) for p in range(P.dim) for q in range(P.dim))
+    assert len(bimod.hom_space(P, P)) == 4
+    ((rows, ncols),) = calls
+    assert ncols == block_diagonal == 25 < P.dim**2
+    assert all(k < ncols for row in rows for k in row)
+    # k[x]/(x^3): the unit pair kills nothing and adds no rows
+    A = truncated_poly(3)
+    Q = bimod.proj_bimodule(A, 0, A, 0)
+    pairs = _hom_pairs(Q, Q)
+    unit = (linalg.sp_identity(Q.dim), linalg.sp_identity(Q.dim))
+    assert pairs.count(unit) == 2
+    calls.clear()
+    bimod.hom_space(Q, Q)
+    bimod.intertwiners([pair for pair in pairs if pair != unit], Q.dim, Q.dim)
+    (with_unit, unknowns), (without_unit, _) = calls
+    assert unknowns == Q.dim**2 and with_unit == without_unit and with_unit

@@ -106,6 +106,26 @@ def test_bar_invariance_all_groups():
             assert bar_involution(b) == b
 
 
+def test_bar_table_is_built_once_per_group(monkeypatch):
+    builds = []
+    original = hecke._bar_t_basis
+
+    def counting(group):
+        builds.append(group)
+        return original(group)
+
+    monkeypatch.setattr(hecke, "_bar_t_basis", counting)
+    W = coxeter_group("A3")
+    basis = kl_basis(W)
+    assert all(bar_involution(b) == b for b in basis)
+    assert len(builds) == 1 and builds[0] is W
+    # another group builds its own table
+    W2 = coxeter_group("A3")
+    w0 = kl_basis(W2)[W2.longest()]
+    assert bar_involution(w0) == w0
+    assert len(builds) == 2 and builds[1] is W2
+
+
 def test_size_bound():
     W = coxeter_group("A3")
     with pytest.raises(SizeLimitError):
