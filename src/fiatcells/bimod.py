@@ -17,8 +17,10 @@ the unknowns X[p, q] between different blocks, and only the other pairs
 are eliminated, over the unknowns left.
 
 Everything is computation over values that are immutable once built: the
-only state is what an algebra keeps of itself, and the randomized
-isomorphism search takes its seed as a call argument.
+only state is what an algebra keeps of itself.  Isomorphisms with a
+projective or regular side are read off the top N / rad N (Nakayama's
+lemma); only the search between two other bimodules is randomized, and it
+takes its seed as a call argument.
 """
 
 from __future__ import annotations
@@ -587,7 +589,8 @@ def corner_basis(N: Bimodule, e_left, e_right) -> tuple:
 
 
 def read_off(M: Bimodule) -> bool:
-    """Does hom_span read Hom(M, N) off N rather than solve for it?"""
+    """Does hom_span read Hom(M, N) off N rather than solve for it?  Such an
+    M, projective or regular, is a side whose isomorphisms top_iso reads off."""
     return M.generator is not None or M.regular
 
 
@@ -636,10 +639,7 @@ _ISO_TRIES = 48
 
 def _random_coeffs(seed: int, n: int):
     """_ISO_TRIES seeded integer vectors of length n, with coefficients in
-    [-2, 2] at first and the bound widening every eight attempts.  The range
-    starts wider than [-1, 1], where a third of the coefficients are 0: a 0
-    on the coefficient that reaches the top of a projective makes the whole
-    draw singular, and random.Random(0) opens with two zeros there."""
+    [-2, 2] at first and the bound widening every eight attempts."""
     rng = random.Random(seed)
     for attempt in range(_ISO_TRIES):
         bound = 2 + attempt // 8
@@ -648,18 +648,15 @@ def _random_coeffs(seed: int, n: int):
 
 def find_iso(span, homs_back, dim: int, seed: int, what: str) -> bool:
     """Decide whether span = (n, build), maps M -> N as hom_span gives them
-    between bimodules of dimension dim, contains an isomorphism.
-
-    A full-rank build of one of _ISO_TRIES seeded random integer vectors
-    (see _random_coeffs) certifies "isomorphic".  A singular draw proves
-    nothing; by the Schwartz-Zippel lemma a wider coefficient range makes one
-    less likely.  So the seed sets how many draws are made, not the verdict.
-    "Not isomorphic" is certified when n is 0, when homs_back() (a spanning
-    set of Hom(N, M), computed only if the search fails) is empty, or when
-    the identity of M or of N is no combination of composites of homs_back()
-    with the builds of the unit vectors, as it is for an isomorphism and its
-    inverse.  When both identities are such combinations,
-    IsoTestInconclusive names what was tested."""
+    between bimodules of dimension dim that top_iso does not decide, contains
+    an isomorphism.  A full-rank build of one of the seeded draws of
+    _random_coeffs certifies "isomorphic"; a singular draw proves nothing, so
+    the seed sets how many draws are made, not the verdict.  "Not isomorphic"
+    is certified when n is 0, when homs_back() (a spanning set of Hom(N, M),
+    computed only if the search fails) is empty, or when the identity of M or
+    of N is no combination of composites of homs_back() with the builds of
+    the unit vectors.  When both identities are, IsoTestInconclusive names
+    what was tested."""
     n, build = span
     if not n:
         return False
@@ -688,34 +685,26 @@ def _identity_in_composition_span(homs, homs_back, dim: int) -> bool:
 
 
 def iso_test(M: Bimodule, N: Bimodule, seed: int = 0) -> bool:
-    """Exact isomorphism test of M and N by find_iso, searching from the side
-    hom_span reads off; the way back is solved only if the search fails."""
-    if M.dim != N.dim:
-        return False
-    if M.dim == 0:
-        return True
-    if read_off(N) and not read_off(M):
+    """Exact isomorphism test of M and N: iso_to_direct_power with k = 1,
+    based on a projective or regular side if there is one."""
+    if read_off(N):
         M, N = N, M
-    return find_iso(
-        hom_span(M, N),
-        lambda: hom_space(N, M),
-        M.dim,
-        seed,
-        f"iso test for {M.name} vs {N.name}",
-    )
+    return iso_to_direct_power(N, M, 1, seed=seed)
 
 
 def iso_to_direct_power(T: Bimodule, B: Bimodule, k: int, seed: int = 0) -> bool:
-    """Exact test of T isomorphic to B^{(+)k}, by find_iso on Hom(B^k, T).
-
-    A coefficient vector of that span is k vectors for hom_span(B, T), whose
-    k maps B -> T stack to one map B^k -> T; for a projective or regular B
-    they are read off T.  The way back, needed only when the search fails, is
+    """Exact test of T isomorphic to B^{(+)k}.  For B projective, or regular
+    with k = 1, the verdict is read off the top of T (top_iso).  Otherwise
+    find_iso searches Hom(B^k, T) with this seed: a coefficient vector of
+    that span is k vectors for hom_span(B, T), whose k maps B -> T stack to
+    one map B^k -> T.  The way back, needed only when the search fails, is
     k block copies of a basis of Hom(T, B), solved once."""
     if T.dim != k * B.dim:
         return False
     if T.dim == 0:
         return True
+    if B.generator is not None or (B.regular and k == 1):
+        return top_iso(T, B, k)
     n, build = hom_span(B, T)
 
     def stack(c):
@@ -738,18 +727,74 @@ def iso_to_direct_power(T: Bimodule, B: Bimodule, k: int, seed: int = 0) -> bool
     )
 
 
+def top_iso(N: Bimodule, B: Bimodule, k: int, degree=None) -> bool:
+    """Is N = B^{(+)k}, for dim N = k dim B and B projective, or regular with
+    k = 1?  Read off top N = N / rad N: by Nakayama's lemma a map into N is
+    onto when it is onto the top.  With a degree, that of B's generator,
+    only maps homogeneous of degree 0 count.  B = (A e_s)(x)(e_t B'): N = B^k
+    when the top has dimension k and e_s N e_t (in the degree) maps onto it,
+    as the Yoneda maps of lifts of a basis of the top then sum to an onto
+    B^k -> N.  B = A: N = A when the top has dimension |E| and some central
+    n (in the degree) has every e_i.n outside rad N, as a -> a.n is then
+    onto.  The n failing one i form a subspace, proper if any n passes i,
+    which the moment curve (1, t, t^2, ...) through the m centraliser
+    vectors meets at most m - 1 times: so t = 0..|E|(m - 1) finds an n."""
+    if N.left_algebra is not B.left_algebra or N.right_algebra is not B.right_algebra:
+        raise BimoduleError("iso test needs a common algebra pair")
+    rad = radical_echelon(N)
+    idems = B.left_algebra.idempotents
+    if N.dim - rad.dim != (len(idems) if B.regular else k):
+        return False
+    if B.generator is not None:
+        # e_s.m.e_t for each basis vector m (of the degree), until the top is reached
+        left, right = N.left_of(B.generator[0]), N.right_of(B.generator[1])
+        for q, col in enumerate(right):
+            if degree is not None and N.degrees[q] != degree:
+                continue
+            if rad.insert(linalg.sp_apply(left, col)) and rad.dim == N.dim:
+                return True
+        return False
+    centre = centralizer(N)
+    if degree is not None:
+        centre = [{i: v for i, v in n.items() if N.degrees[i] == degree} for n in centre]
+        centre = [n for n in centre if n]
+    lefts = [N.left_of(e) for e in idems]
+    for t in range(len(idems) * (len(centre) - 1) + 1):
+        point, power = {}, 1
+        for j in range(len(centre)):  # products, as `**` is linted out
+            point[j], power = power, power * t
+        n = linalg.sp_apply(centre, point)
+        if not any(rad.contains(linalg.sp_apply(e, n)) for e in lefts):
+            return True
+    return False
+
+
 # -- Loewy structure of bimodules ------------------------------------------
 
 
-def _radical_action_mats(M: Bimodule):
-    rad_a = alg.radical(M.left_algebra)
-    rad_b = alg.radical(M.right_algebra)
-    return [M.left_of(r) for r in rad_a] + [M.right_of(r) for r in rad_b]
+def _arrow_actions(M: Bimodule) -> list:
+    """The actions on M of the arrows of both algebras, their generators
+    after the idempotents.  Their images span rad X = rad(A).X + X.rad(B)
+    for every sub-bimodule X of M: the arrows span a complement V of rad^2
+    in rad, and rad^j.X lies in V.X + rad^(j+1).X, so rad(A).X = V.X."""
+    A, B = M.left_algebra, M.right_algebra
+    return [M.left_of(a) for a in alg.algebra_generators(A)[len(A.idempotents):]] + [
+        M.right_of(b) for b in alg.algebra_generators(B)[len(B.idempotents):]
+    ]
+
+
+def radical_echelon(M: Bimodule) -> SparseEchelon:
+    """An echelon of rad M, the radical over the enveloping algebra: the
+    columns of the arrow actions."""
+    ech = SparseEchelon(M.dim)
+    for mat in _arrow_actions(M):
+        ech.extend(mat)
+    return ech
 
 
 def loewy_length(M: Bimodule) -> int:
     """Smallest k with rad^k M = 0 over the enveloping algebra."""
-    mats = _radical_action_mats(M)
+    mats = _arrow_actions(M)
     current = [{i: 1} for i in range(M.dim)]
     k = 0
     while current:
@@ -763,8 +808,10 @@ def loewy_length(M: Bimodule) -> int:
 
 
 def socle(M: Bimodule) -> Subspace:
-    """Joint annihilator of both radicals inside the bimodule."""
-    mats = _radical_action_mats(M)
+    """Joint annihilator of both radicals inside the bimodule: of the arrows,
+    as the elements of rad(A) killing a vector form a left ideal, which is
+    all of rad(A) once it holds the arrows (and likewise on the right)."""
+    mats = _arrow_actions(M)
     eqs = []
     for mat in mats:
         rows = linalg.sp_rows(mat, M.dim)

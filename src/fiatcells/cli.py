@@ -289,7 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification workbench for cell combinatorics of fiat 2-categories",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=0, help="seed for isomorphism searches")
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of the random isomorphism search between two bimodules that are neither "
+        "projective nor regular; verdicts with such a side are read off the top",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cells", help="cell structure of a multisemigroup file")

@@ -175,18 +175,22 @@ def graded_hom_series(M: Bimodule, N: Bimodule, homs=None) -> LaurentPoly:
 
 
 def graded_iso_test(M: Bimodule, N: Bimodule, seed: int = 0) -> bool:
-    """Graded isomorphism: a degree-0 invertible intertwiner exists, decided by
-    bimod.find_iso on the degree-0 parts of a hom basis, whose read-off maps
-    need not be homogeneous.  As in bimod.iso_test, the search runs from the
-    side that is read off, and the way back is solved only if it fails."""
+    """Graded isomorphism: a degree-0 invertible intertwiner exists.  With a
+    projective or regular side, the verdict is read off the top of the other
+    by bimod.top_iso, in the degree of that side's generator: its lowest,
+    as gradings are non-negative with the idempotents in degree 0.  Between
+    two other bimodules, bimod.find_iso searches the degree-0 parts of a hom
+    basis with this seed, and solves the way back only if the search fails."""
     if M.dim != N.dim:
         return False
     if sorted(M.degrees) != sorted(N.degrees):
         return False
     if M.dim == 0:
         return True
-    if bimod.read_off(N) and not bimod.read_off(M):
+    if bimod.read_off(N):
         M, N = N, M
+    if bimod.read_off(M):
+        return bimod.top_iso(N, M, 1, degree=min(M.degrees))
     return bimod.find_iso(
         bimod.span_of(_hom_degree_split(M, N, bimod.hom_basis(M, N)).get(0, [])),
         lambda: _hom_degree_split(N, M, bimod.hom_space(N, M)).get(0, []),
