@@ -10,14 +10,22 @@ The structure constants are stored column-sparse, the package's one matrix
 form (see `linalg`): mult[i] is the matrix of left multiplication by the
 i-th basis element.  Algebra elements stay dense coordinate tuples.
 
-An algebra is immutable once built, so what is derived from it is computed
-once and kept on the instance: its radical, its generating set, its
+An algebra is immutable once built, so what is derived from it alone is
+computed once and kept on the instance, in one store that only `kept`
+reads and writes: its validation, radical, centre, generating set, the
+nonzero pieces e_a g e_b of its arrows, its corners e_i A e_j, its left and
+right ideals A v and v A, whether it is weakly symmetric and connected, its
 projective centre (kept by `bimod.projective_center`) and the validated
 action matrices of its regular and projective bimodules (kept by
-`bimod.regular_bimodule` and `bimod.proj_bimodule`).
+`bimod.regular_bimodule` and `bimod.proj_bimodule`).  A derivation that
+raised is not kept, so it raises again on the next call.  The store is per
+instance, not keyed by value: two equal algebras each do their own work.
+Kept values are shared, and like every built matrix never written to.
 """
 
 from __future__ import annotations
+
+import functools
 
 from . import linalg
 from .linalg import Subspace, Vec
@@ -52,10 +60,7 @@ class FinDimAlgebra:
         )
         self.unit = linalg.vec(unit)
         self.idempotents = tuple(linalg.vec(e) for e in idempotents)
-        self._radical: Subspace | None = None
-        self._generators: tuple | None = None
-        self._projective_center: Subspace | None = None  # kept by bimod.projective_center
-        self._bimodules: dict = {}  # kept by bimod.regular_bimodule and bimod.proj_bimodule
+        self._kept: dict = {}  # read and written by `kept` only
 
     @property
     def dim(self) -> int:
@@ -104,14 +109,40 @@ class FinDimAlgebra:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+# -- what is kept on an algebra --------------------------------------------
+
+
+def kept(algebra: FinDimAlgebra, key, build):
+    """build(), a value derived from the algebra alone: computed on the first
+    call with this key, then kept on the algebra and returned as it is.  A
+    build that raised is not kept."""
+    store = algebra._kept
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
+def _kept_per_algebra(fn):
+    """fn(algebra, *args) through `kept`, under the key (fn's name, *args)."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def once(algebra: FinDimAlgebra, *args):
+        return kept(algebra, (name, *args), lambda: fn(algebra, *args))
+
+    return once
+
+
 # -- validation ----------------------------------------------------------
 
 
 _MAX_REPORTS = 8  # associativity witnesses collected before validate gives up
 
 
+@_kept_per_algebra
 def validate(algebra: FinDimAlgebra) -> None:
-    """Check all structural laws exhaustively; raise with witnesses if any fail."""
+    """Check all structural laws exhaustively; raise with witnesses if any fail.
+    Kept once it passed, so each algebra is checked once."""
     problems = []
     d = algebra.dim
     left, right = algebra.left_mult_matrix(algebra.unit), algebra.right_mult_matrix(algebra.unit)
@@ -179,17 +210,16 @@ def _trace_gram(algebra: FinDimAlgebra):
     return gram
 
 
+@_kept_per_algebra
 def radical(algebra: FinDimAlgebra) -> Subspace:
     """Jacobson radical via the trace form tr(L_x L_y) (characteristic zero),
     verified to be a nilpotent two-sided ideal with semisimple quotient.
     Computed and verified on the first call; later calls return that
     subspace."""
-    if algebra._radical is None:
-        d = algebra.dim
-        rad = Subspace.from_vectors(linalg.nullspace(_trace_gram(algebra), d), d)
-        _verify_radical(algebra, rad)
-        algebra._radical = rad
-    return algebra._radical
+    d = algebra.dim
+    rad = Subspace.from_vectors(linalg.nullspace(_trace_gram(algebra), d), d)
+    _verify_radical(algebra, rad)
+    return rad
 
 
 def _verify_radical(algebra: FinDimAlgebra, rad: Subspace) -> None:
@@ -229,6 +259,7 @@ def _quotient_algebra(algebra: FinDimAlgebra, ideal: Subspace) -> FinDimAlgebra:
     return FinDimAlgebra(labels, mult, project(algebra.unit), [], name=f"{algebra.name}/I")
 
 
+@_kept_per_algebra
 def center(algebra: FinDimAlgebra) -> Subspace:
     """Solution space of xz = zx for every basis element x."""
     d = algebra.dim
@@ -239,9 +270,16 @@ def center(algebra: FinDimAlgebra) -> Subspace:
     return Subspace.from_vectors(linalg.nullspace(eqs, d), d)
 
 
+@_kept_per_algebra
 def left_ideal(algebra: FinDimAlgebra, v: Vec) -> Subspace:
     """The left ideal A*v as a subspace: the column space of R_v."""
     return Subspace.from_vectors(algebra.right_mult_matrix(v), algebra.dim)
+
+
+@_kept_per_algebra
+def right_ideal(algebra: FinDimAlgebra, v: Vec) -> Subspace:
+    """The right ideal v*A as a subspace: the column space of L_v."""
+    return Subspace.from_vectors(algebra.left_mult_matrix(v), algebra.dim)
 
 
 def module_radical(algebra: FinDimAlgebra, module: Subspace, rad: Subspace) -> Subspace:
@@ -298,6 +336,7 @@ def top(algebra: FinDimAlgebra, module: Subspace | None = None, rad: Subspace | 
     return Subspace.from_vectors(out, algebra.dim)
 
 
+@_kept_per_algebra
 def is_weakly_symmetric(algebra: FinDimAlgebra) -> bool:
     """Each projective Ae_i has simple socle isomorphic to its top."""
     rad = radical(algebra)
@@ -312,6 +351,7 @@ def is_weakly_symmetric(algebra: FinDimAlgebra) -> bool:
     return True
 
 
+@_kept_per_algebra
 def is_connected(algebra: FinDimAlgebra) -> bool:
     """Connectedness of the graph on idempotents with edges where
     e_i (rad/rad^2) e_j or e_j (rad/rad^2) e_i is nonzero."""
@@ -344,6 +384,7 @@ def is_connected(algebra: FinDimAlgebra) -> bool:
     return len(seen) == n
 
 
+@_kept_per_algebra
 def corner_subspace(algebra: FinDimAlgebra, i: int, j: int) -> Subspace:
     """The subspace e_i A e_j: the column space of L_{e_i} R_{e_j}."""
     left = algebra.left_mult_matrix(algebra.idempotents[i])
@@ -402,12 +443,28 @@ def subalgebra_closure(algebra: FinDimAlgebra, generators) -> Subspace:
 
 
 def algebra_generators(algebra: FinDimAlgebra) -> list:
-    """Idempotents plus a complement of rad^2 in rad: a unital generating set,
-    as a new list.  The set is computed once per algebra."""
-    if algebra._generators is None:
-        rad = radical(algebra)
-        ech = linalg.SparseEchelon(algebra.dim)
-        ech.extend(algebra.mul(u, v) for u in rad for v in rad)
-        arrows = [r for r in rad if ech.insert(r)]
-        algebra._generators = tuple(algebra.idempotents) + tuple(arrows)
-    return list(algebra._generators)
+    """Idempotents plus a complement of rad^2 in rad (the arrows): a unital
+    generating set, as a new list.  The set is computed once per algebra."""
+    return list(_generating_set(algebra))
+
+
+@_kept_per_algebra
+def _generating_set(algebra: FinDimAlgebra) -> tuple:
+    rad = radical(algebra)
+    ech = linalg.SparseEchelon(algebra.dim)
+    ech.extend(algebra.mul(u, v) for u in rad for v in rad)
+    return tuple(algebra.idempotents) + tuple(r for r in rad if ech.insert(r))
+
+
+@_kept_per_algebra
+def arrow_pieces(algebra: FinDimAlgebra) -> tuple:
+    """The nonzero pieces e_a g e_b of the arrows g of algebra_generators, as
+    (a, b, piece) triples, in the order of g, then a, then b."""
+    idems = algebra.idempotents
+    return tuple(
+        (a, b, piece)
+        for g in _generating_set(algebra)[len(idems):]
+        for a, ea in enumerate(idems)
+        for b, eb in enumerate(idems)
+        if not linalg.is_zero(piece := algebra.mul(ea, algebra.mul(g, eb)))
+    )

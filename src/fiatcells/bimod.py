@@ -6,11 +6,12 @@ Bimodules are finite-dimensional with exact rational action matrices held
 column-sparse, and never written to once built (see `linalg`): the action of
 a basis element is the stored matrix itself.  The regular and projective
 bimodules of an algebra are built and validated once per algebra and kept
-on it; every later call shares those action matrices.  Tensor products over
-the middle algebra are computed as honest cokernels of the balancing map,
-over the idempotent split (+)_c M e_c (x) e_c N of the pairs of basis
-vectors, so they provide an independent check of the closed-form
-composition rule used for the multisemigroup table.  Hom spaces come from
+on it (`algebra.kept`), as is its projective centre; every later call
+shares those action matrices.  Tensor products over the middle algebra are
+computed as honest cokernels of the balancing map, over the idempotent
+split (+)_c M e_c (x) e_c N of the pairs of basis vectors, so they provide
+an independent check of the closed-form composition rule used for the
+multisemigroup table.  Hom spaces come from
 one intertwiner solver, which reads the pairs of diagonal matrices (the
 idempotents on such a split basis) instead of eliminating them: each kills
 the unknowns X[p, q] between different blocks, and only the other pairs
@@ -162,13 +163,14 @@ class Bimodule:
 def _kept(A: alg.FinDimAlgebra, key, B: alg.FinDimAlgebra, name: str, build) -> tuple:
     """(dim, left_action, right_action, ...) of the (A, B)-bimodule `key` of A:
     built by build() and validated on the first call for that key, then kept
-    on A and read.  A build whose validation raised is not kept."""
-    kept = A._bimodules.get(key)
-    if kept is None:
-        kept = build()
-        Bimodule(A, B, *kept[:3], name=name)  # validates
-        A._bimodules[key] = kept
-    return kept
+    on A by alg.kept.  A build whose validation raised is not kept."""
+
+    def validated():
+        actions = build()
+        Bimodule(A, B, *actions[:3], name=name)  # validates
+        return actions
+
+    return alg.kept(A, ("bimodule", key), validated)
 
 
 def regular_bimodule(A: alg.FinDimAlgebra, degrees=None, name=None) -> Bimodule:
@@ -259,7 +261,7 @@ def _proj_actions(A: alg.FinDimAlgebra, s: int, B: alg.FinDimAlgebra, t: int) ->
     """(dim, left_action, right_action, basis of A e_s, basis of e_t B) of
     (A e_s)(x)(e_t B), on the pairs of the two bases."""
     left_ideal = alg.left_ideal(A, A.idempotents[s])
-    right_ideal = Subspace.from_vectors(B.left_mult_matrix(B.idempotents[t]), B.dim)
+    right_ideal = alg.right_ideal(B, B.idempotents[t])
     ubasis, left_mats = _action_on_subspace_factor(A, left_ideal, left=True)
     vbasis, right_mats = _action_on_subspace_factor(B, right_ideal, left=False)
     p, q = len(ubasis), len(vbasis)
@@ -374,7 +376,8 @@ def tensor_over(M: Bimodule, N: Bimodule, name=None) -> Bimodule:
     the ambient is the pairs of basis vectors in the same block c: the
     idempotent relations kill every other pair.  The relations then come
     from the nonzero pieces e_a g e_b of the arrows g of B's generating set,
-    taken for m in M e_a and n in e_b N, where both terms stay in the split.
+    taken for m in M e_a and n in e_b N, where both terms stay in the split
+    (alg.arrow_pieces keeps them per algebra).
     Otherwise every pair is kept and every generator (idempotents plus
     arrows) balances every pair, as one block.  Either way the relation
     space spans the full balancing subspace, and the quotient basis and
@@ -396,15 +399,7 @@ def tensor_over(M: Bimodule, N: Bimodule, name=None) -> Bimodule:
         m_blocks, n_blocks = [0] * dm, [0] * dn
         pieces = [(0, 0, g) for g in alg.algebra_generators(B)]
     else:
-        idems = B.idempotents
-        arrows = alg.algebra_generators(B)[len(idems):]
-        pieces = [
-            (a, b, piece)
-            for g in arrows
-            for a, ea in enumerate(idems)
-            for b, eb in enumerate(idems)
-            if not linalg.is_zero(piece := B.mul(ea, B.mul(g, eb)))
-        ]
+        pieces = alg.arrow_pieces(B)
     m_in, n_in = _members(m_blocks), _members(n_blocks)
     # the pairs (i, j) in one block, in the order of all pairs, so that the
     # quotient basis is the one the cokernel over all pairs would pick
@@ -834,9 +829,7 @@ def projective_center(A: alg.FinDimAlgebra) -> Subspace:
     map of some g in e_s A e_t, as hom_basis reads it off.  The composite
     sends 1 to the Yoneda map applied to n.  Computed on the first call;
     later calls return that subspace."""
-    if A._projective_center is None:
-        A._projective_center = _projective_center(A)
-    return A._projective_center
+    return alg.kept(A, ("projective_center",), lambda: _projective_center(A))
 
 
 def centralizer(N: Bimodule) -> list:
@@ -1264,7 +1257,7 @@ def _projective_pair_coords(A: alg.FinDimAlgebra, s: int, t: int, u, v):
     """Coordinates of the simple tensor u (x) v in the basis used by
     proj_bimodule(A, s, A, t)."""
     left_ideal = alg.left_ideal(A, A.idempotents[s])
-    right_ideal = Subspace.from_vectors(A.left_mult_matrix(A.idempotents[t]), A.dim)
+    right_ideal = alg.right_ideal(A, A.idempotents[t])
     cu = alg._coords_in(left_ideal, u)
     cv = alg._coords_in(right_ideal, v)
     if cu is None or cv is None:

@@ -154,9 +154,7 @@ def bar_involution(elem: HeckeElement) -> HeckeElement:
     """The bar involution: v -> v^-1 and T_w -> T_{w^-1}^-1, read off the
     table of bar(T_w), built once per group and kept on it."""
     group = elem.group
-    if not group._bar_t:
-        group._bar_t = _bar_t_basis(group)
-    bar_t = group._bar_t
+    bar_t = group.bar_t_table(_bar_t_basis)
     acc: dict = {}
     for x, c in elem.coeffs:
         _mac(acc, bar_t[x], c.bar().coeffs)

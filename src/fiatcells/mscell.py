@@ -362,14 +362,21 @@ class MultiSemigroup:
                     changed = True
         return masks
 
-    def _reach(self):
-        left, right = self._one_step_masks()
-        two = [l | r for l, r in zip(left, right)]
-        return (
-            self._closure(left),
-            self._closure(right),
-            self._closure(two),
-        )
+    def _cell_structure(self) -> CellStructure:
+        """Green's cell structure, computed on the first call and kept."""
+        if self._cells_cache is None:
+            left, right = self._one_step_masks()
+            two = [l | r for l, r in zip(left, right)]
+            left, right, two = self._closure(left), self._closure(right), self._closure(two)
+            self._cells_cache = CellStructure(
+                leq_left=_relation_from_masks(self.names, left),
+                leq_right=_relation_from_masks(self.names, right),
+                leq_two_sided=_relation_from_masks(self.names, two),
+                left_cells=_partition_from_masks(self.names, left),
+                right_cells=_partition_from_masks(self.names, right),
+                two_sided_cells=_partition_from_masks(self.names, two),
+            )
+        return self._cells_cache
 
 
 def _relation_from_masks(names, masks) -> frozenset:
@@ -398,17 +405,7 @@ def _partition_from_masks(names, masks) -> tuple:
 
 def cells(ms: MultiSemigroup) -> CellStructure:
     """Green's cell structure of the multisemigroup (cached on the value)."""
-    if ms._cells_cache is None:
-        left, right, two = ms._reach()
-        ms._cells_cache = CellStructure(
-            leq_left=_relation_from_masks(ms.names, left),
-            leq_right=_relation_from_masks(ms.names, right),
-            leq_two_sided=_relation_from_masks(ms.names, two),
-            left_cells=_partition_from_masks(ms.names, left),
-            right_cells=_partition_from_masks(ms.names, right),
-            two_sided_cells=_partition_from_masks(ms.names, two),
-        )
-    return ms._cells_cache
+    return ms._cell_structure()
 
 
 def leq_left(ms: MultiSemigroup, f: str, g: str) -> bool:

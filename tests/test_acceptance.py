@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from fiatcells import algebra as alg
-from fiatcells import bimod, graded, mscell
+from fiatcells import bimod, cli, graded, mscell, verify
 from fiatcells.coxeter import coxeter_group
 from fiatcells.hecke import export_multisemigroup, rsk_cells
 from fiatcells.fixtures import load_algebra
@@ -180,3 +180,18 @@ def test_report_all_json_matches_its_golden(seed):
     # verdict of the bundled fixtures depends on the seed
     golden = (Path(__file__).parent / "data" / "report_all.json").read_bytes()
     assert run.stdout == golden
+
+
+def test_report_all_twice_in_one_process_gives_the_same_records(capsys):
+    # the second run reads the subspaces and matrices the first one kept on
+    # the fixture algebras, so a kept value written to would show here
+    def records(reports):
+        return [(rep.title, r.to_dict()) for rep in reports for r in rep.records]
+
+    first = records(verify.report_all())
+    second_reports = verify.report_all()
+    assert records(second_reports) == first
+    capsys.readouterr()
+    cli._print_reports(second_reports, "json")
+    golden = (Path(__file__).parent / "data" / "report_all.json").read_text()
+    assert capsys.readouterr().out == golden

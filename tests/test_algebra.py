@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiatcells import algebra as alg
-from fiatcells import linalg
+from fiatcells import bimod, linalg
 from fiatcells.fixtures import ALGEBRA_FILES, fixture_text, load_algebra
+from fiatcells.formats import parse_algebra
 
 
 def fixture(name):
@@ -47,7 +48,7 @@ def test_fixtures_validate():
         alg.validate(fixture(name))
 
 
-def test_associativity_witness():
+def non_associative():
     # x * x2 = 1 in the x3 shape forces an associativity violation
     names = ["1", "x", "x2"]
     table = {
@@ -59,9 +60,12 @@ def test_associativity_witness():
         ("x", "x"): {"x2": 1},
         ("x", "x2"): {"1": 1},
     }
-    bad = make_algebra(names, table, [1, 0, 0], [[1, 0, 0]], "bad")
+    return make_algebra(names, table, [1, 0, 0], [[1, 0, 0]], "bad")
+
+
+def test_associativity_witness():
     with pytest.raises(alg.AlgebraValidationError, match="associativity fails at"):
-        alg.validate(bad)
+        alg.validate(non_associative())
 
 
 def test_radical_values():
@@ -243,6 +247,80 @@ def test_algebra_generators():
     gens.pop()
     gens[0] = zig.unit
     assert alg.algebra_generators(zig) == kept
+
+
+# -- what is kept on an algebra ---------------------------------------------
+
+
+def _counting(monkeypatch, name):
+    """Patch linalg.<name> to count its calls; returns the list of calls."""
+    calls = []
+    original = getattr(linalg, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+def _parsed(name):
+    """A fresh parse of a bundled fixture: an algebra nothing has asked yet."""
+    return parse_algebra(fixture_text(ALGEBRA_FILES[name]), ALGEBRA_FILES[name]).algebra
+
+
+def test_a_second_center_is_the_kept_subspace_and_solves_nothing(monkeypatch):
+    A = _parsed("zigzagA2")
+    solves = _counting(monkeypatch, "nullspace")
+    first = alg.center(A)
+    assert len(solves) == 1
+    assert alg.center(A) is first
+    assert len(solves) == 1
+
+
+def test_a_validation_that_raised_raises_again_and_is_redone(monkeypatch):
+    bad = non_associative()
+    composes = _counting(monkeypatch, "sp_compose")
+    work = []
+    for _ in range(2):
+        with pytest.raises(alg.AlgebraValidationError, match="associativity fails at"):
+            alg.validate(bad)
+        work.append(len(composes))
+    for _ in range(2):
+        with pytest.raises(bimod.BimoduleError, match="bad: associativity fails at"):
+            bimod.build_ccx(bimod.CcxData(algebras=(bad,)))
+        work.append(len(composes))
+    # each of the four validations composes as many matrices as the first
+    assert work[0] > 0 and work == [work[0] * k for k in (1, 2, 3, 4)]
+
+
+def test_equal_algebras_parsed_separately_each_do_their_own_work(monkeypatch):
+    A, B = _parsed("zigzagA2"), _parsed("zigzagA2")
+    solves = _counting(monkeypatch, "nullspace")
+    centre = alg.center(A)
+    assert len(solves) == 1
+    other = alg.center(B)
+    assert len(solves) == 2
+    assert other == centre and other is not centre
+    assert alg.corner_subspace(B, 0, 1) is not alg.corner_subspace(A, 0, 1)
+    assert alg.arrow_pieces(B) == alg.arrow_pieces(A)
+
+
+def test_arrow_pieces_are_the_nonzero_corners_of_the_arrows():
+    for name in ("dualnumbers", "skewext", "zigzagA2"):
+        A = _parsed(name)
+        idems = A.idempotents
+        arrows = alg.algebra_generators(A)[len(idems):]
+        expected = []
+        for g in arrows:
+            for a, ea in enumerate(idems):
+                for b, eb in enumerate(idems):
+                    piece = A.mul(A.mul(ea, g), eb)
+                    if any(piece):
+                        expected.append((a, b, piece))
+        assert list(alg.arrow_pieces(A)) == expected
+        assert alg.arrow_pieces(A) is alg.arrow_pieces(A)
 
 
 # -- the column-sparse structure constants against a dense reference ------

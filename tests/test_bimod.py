@@ -988,7 +988,7 @@ def test_a_build_whose_validation_raised_is_not_kept(monkeypatch):
         with pytest.raises(bimod.BimoduleError, match="not multiplicative"):
             bimod.proj_bimodule(A, 0, A, 0)
         assert len(validated) == 2 * attempt  # rebuilt and validated again
-    assert not A._bimodules
+    assert not [key for key in A._kept if key[0] == "bimodule"]
 
 
 # -- the tensor cokernel over the idempotent split ------------------------
