@@ -18,15 +18,13 @@ the unknowns X[p, q] between different blocks, and only the other pairs
 are eliminated, over the unknowns left.
 
 Everything is computation over values that are immutable once built: the
-only state is what an algebra keeps of itself.  Isomorphisms with a
-projective or regular side are read off the top N / rad N (Nakayama's
-lemma); only the search between two other bimodules is randomized, and it
-takes its seed as a call argument.
+only state is what an algebra keeps of itself.  Isomorphisms are decided
+exactly, with a projective or regular side, off the top N / rad N of the
+other (Nakayama's lemma).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from . import algebra as alg
@@ -46,10 +44,6 @@ from .report import CheckRecord
 
 class BimoduleError(ValueError):
     pass
-
-
-class IsoTestInconclusive(RuntimeError):
-    """The isomorphism search found neither certificate."""
 
 
 # -- bimodules ------------------------------------------------------------
@@ -584,161 +578,66 @@ def corner_basis(N: Bimodule, e_left, e_right) -> tuple:
 
 
 def read_off(M: Bimodule) -> bool:
-    """Does hom_span read Hom(M, N) off N rather than solve for it?  Such an
+    """Does hom_basis read Hom(M, N) off N rather than solve for it?  Such an
     M, projective or regular, is a side whose isomorphisms top_iso reads off."""
     return M.generator is not None or M.regular
 
 
-def span_of(homs) -> tuple:
-    """The span of a list of column-sparse maps, in hom_span's form."""
-    return len(homs), lambda c: linalg.sp_lincomb(c, homs)
-
-
-def hom_span(M: Bimodule, N: Bimodule) -> tuple:
-    """Hom(M, N) as (n, build): build(c), linear in a vector c of length n, is
-    a map column-sparse like hom_space, and the builds of the n unit vectors
-    are a basis.  For M projective it is the Yoneda map of the combination c
-    of a basis of e_s N e_t; for M the regular bimodule A, the map a -> a.n
-    for n the combination c of a basis of the centraliser of A in N; for any
-    other M, the combination c of a hom_space basis."""
+def hom_basis(M: Bimodule, N: Bimodule) -> list:
+    """A basis of Hom(M, N), column-sparse like hom_space.  For M projective
+    it is the Yoneda maps of a basis of e_s N e_t; for M the regular bimodule
+    A, the maps a -> a.n for n in a basis of the centraliser of A in N; for
+    any other M, a hom_space basis."""
     if M.left_algebra is not N.left_algebra or M.right_algebra is not N.right_algebra:
         raise BimoduleError("hom space needs a common algebra pair")
     if M.generator is not None:
-        gens = corner_basis(N, M.generator[0], M.generator[1])
-
-        def to_map(g):
-            return yoneda_map(M, N, g)
-    elif M.regular:
-        gens = centralizer(N)
-
-        def to_map(g):
-            return tuple(linalg.sp_apply(a, g) for a in N.left_action)
-    else:
-        return span_of(hom_space(M, N))
-    return len(gens), lambda c: to_map(linalg.sp_apply(gens, dict(enumerate(c))))
+        return [yoneda_map(M, N, g) for g in corner_basis(N, M.generator[0], M.generator[1])]
+    if M.regular:
+        return [tuple(linalg.sp_apply(a, n) for a in N.left_action) for n in centralizer(N)]
+    return hom_space(M, N)
 
 
-def span_basis(span) -> list:
-    """The builds of the unit vectors of a span."""
-    n, build = span
-    return [build([int(i == j) for i in range(n)]) for j in range(n)]
-
-
-def hom_basis(M: Bimodule, N: Bimodule) -> list:
-    """A basis of Hom(M, N), read off N where hom_span can."""
-    return span_basis(hom_span(M, N))
-
-
-_ISO_TRIES = 48
-
-
-def _random_coeffs(seed: int, n: int):
-    """_ISO_TRIES seeded integer vectors of length n, with coefficients in
-    [-2, 2] at first and the bound widening every eight attempts."""
-    rng = random.Random(seed)
-    for attempt in range(_ISO_TRIES):
-        bound = 2 + attempt // 8
-        yield [rng.randint(-bound, bound) for _ in range(n)]
-
-
-def find_iso(span, homs_back, dim: int, seed: int, what: str) -> bool:
-    """Decide whether span = (n, build), maps M -> N as hom_span gives them
-    between bimodules of dimension dim that top_iso does not decide, contains
-    an isomorphism.  A full-rank build of one of the seeded draws of
-    _random_coeffs certifies "isomorphic"; a singular draw proves nothing, so
-    the seed sets how many draws are made, not the verdict.  "Not isomorphic"
-    is certified when n is 0, when homs_back() (a spanning set of Hom(N, M),
-    computed only if the search fails) is empty, or when the identity of M or
-    of N is no combination of composites of homs_back() with the builds of
-    the unit vectors.  When both identities are, IsoTestInconclusive names
-    what was tested."""
-    n, build = span
-    if not n:
-        return False
-    for coeffs in _random_coeffs(seed, n):
-        # rank of the column dicts: a matrix and its transpose agree
-        if any(coeffs) and linalg.rank(build(coeffs), dim) == dim:
-            return True
-    back = homs_back()
-    if not back:
-        return False
-    homs = span_basis(span)
-    if not _identity_in_composition_span(homs, back, dim):
-        return False
-    if not _identity_in_composition_span(back, homs, dim):
-        return False
-    raise IsoTestInconclusive(f"{what} inconclusive (dim {dim})")
-
-
-def _identity_in_composition_span(homs, homs_back, dim: int) -> bool:
-    """Is id in span{g . f : f in homs, g in homs_back}?"""
-    span = SparseEchelon(dim * dim)
-    for f in homs:
-        for g in homs_back:
-            span.insert(linalg.sp_flatten(linalg.sp_compose(g, f), dim))
-    return span.contains(linalg.sp_flatten(linalg.sp_identity(dim), dim))
-
-
-def iso_test(M: Bimodule, N: Bimodule, seed: int = 0) -> bool:
+def iso_test(M: Bimodule, N: Bimodule) -> bool:
     """Exact isomorphism test of M and N: iso_to_direct_power with k = 1,
-    based on a projective or regular side if there is one."""
+    based on the projective or regular side."""
     if read_off(N):
         M, N = N, M
-    return iso_to_direct_power(N, M, 1, seed=seed)
+    return iso_to_direct_power(N, M, 1)
 
 
-def iso_to_direct_power(T: Bimodule, B: Bimodule, k: int, seed: int = 0) -> bool:
-    """Exact test of T isomorphic to B^{(+)k}.  For B projective, or regular
-    with k = 1, the verdict is read off the top of T (top_iso).  Otherwise
-    find_iso searches Hom(B^k, T) with this seed: a coefficient vector of
-    that span is k vectors for hom_span(B, T), whose k maps B -> T stack to
-    one map B^k -> T.  The way back, needed only when the search fails, is
-    k block copies of a basis of Hom(T, B), solved once."""
+def iso_to_direct_power(T: Bimodule, B: Bimodule, k: int) -> bool:
+    """Exact test of T isomorphic to B^{(+)k}, for B projective or regular:
+    the verdict is read off the top of T (top_iso)."""
     if T.dim != k * B.dim:
         return False
     if T.dim == 0:
         return True
-    if B.generator is not None or (B.regular and k == 1):
-        return top_iso(T, B, k)
-    n, build = hom_span(B, T)
-
-    def stack(c):
-        return tuple(col for b in range(k) for col in build(c[b * n:(b + 1) * n]))
-
-    def back():
-        homs = hom_space(T, B)
-        return [
-            tuple({r + b * B.dim: v for r, v in col.items()} for col in h)
-            for b in range(k)
-            for h in homs
-        ]
-
-    return find_iso(
-        (k * n, stack),
-        back,
-        T.dim,
-        seed,
-        f"direct-power iso test for {T.name} vs {k} x {B.name}",
-    )
+    return top_iso(T, B, k)
 
 
 def top_iso(N: Bimodule, B: Bimodule, k: int, degree=None) -> bool:
-    """Is N = B^{(+)k}, for dim N = k dim B and B projective, or regular with
-    k = 1?  Read off top N = N / rad N: by Nakayama's lemma a map into N is
-    onto when it is onto the top.  With a degree, that of B's generator,
-    only maps homogeneous of degree 0 count.  B = (A e_s)(x)(e_t B'): N = B^k
-    when the top has dimension k and e_s N e_t (in the degree) maps onto it,
-    as the Yoneda maps of lifts of a basis of the top then sum to an onto
-    B^k -> N.  B = A: N = A when the top has dimension |E| and some central
-    n (in the degree) has every e_i.n outside rad N, as a -> a.n is then
-    onto.  The n failing one i form a subspace, proper if any n passes i,
-    which the moment curve (1, t, t^2, ...) through the m centraliser
-    vectors meets at most m - 1 times: so t = 0..|E|(m - 1) finds an n."""
+    """Is N = B^{(+)k}, for dim N = k dim B and B projective or regular?
+    Read off top N = N / rad N: by Nakayama's lemma a map into N is onto
+    when it is onto the top.  With a degree, that of B's generator, only
+    maps homogeneous of degree 0 count.  B = (A e_s)(x)(e_t B'): N = B^k when
+    the top has dimension k and e_s N e_t (in the degree) maps onto it, as
+    the Yoneda maps of lifts of a basis of the top then sum to an onto
+    B^k -> N.  B = A: N = A^k when the top has dimension k|E| and each of k
+    rounds finds a central n_j (in the degree) with every e_i.n_j outside
+    rad N and the e_i.n of earlier rounds, as (a_j) -> sum a_j.n_j is then
+    onto.  If N = A^k, the central n map onto each k-dimensional
+    e_i (top N) e_i, so in each round the n failing one i form a proper
+    subspace, which the moment curve (1, t, t^2, ...) through the m
+    centraliser vectors meets at most m - 1 times: t = 0..|E|(m - 1) finds
+    an n.  A B neither projective nor regular is a ValueError: no top
+    decides that pair, and no caller asks for one."""
     if N.left_algebra is not B.left_algebra or N.right_algebra is not B.right_algebra:
         raise BimoduleError("iso test needs a common algebra pair")
+    if not read_off(B):
+        raise ValueError(f"iso test of {N!r} vs {B!r}: neither is projective or regular")
     rad = radical_echelon(N)
     idems = B.left_algebra.idempotents
-    if N.dim - rad.dim != (len(idems) if B.regular else k):
+    if N.dim - rad.dim != (k * len(idems) if B.regular else k):
         return False
     if B.generator is not None:
         # e_s.m.e_t for each basis vector m (of the degree), until the top is reached
@@ -754,14 +653,19 @@ def top_iso(N: Bimodule, B: Bimodule, k: int, degree=None) -> bool:
         centre = [{i: v for i, v in n.items() if N.degrees[i] == degree} for n in centre]
         centre = [n for n in centre if n]
     lefts = [N.left_of(e) for e in idems]
-    for t in range(len(idems) * (len(centre) - 1) + 1):
-        point, power = {}, 1
-        for j in range(len(centre)):  # products, as `**` is linted out
-            point[j], power = power, power * t
-        n = linalg.sp_apply(centre, point)
-        if not any(rad.contains(linalg.sp_apply(e, n)) for e in lefts):
-            return True
-    return False
+    for _ in range(k):
+        for t in range(len(idems) * (len(centre) - 1) + 1):
+            point, power = {}, 1
+            for j in range(len(centre)):  # products, as `**` is linted out
+                point[j], power = power, power * t
+            n = linalg.sp_apply(centre, point)
+            tops = [linalg.sp_apply(e, n) for e in lefts]
+            if not any(rad.contains(v) for v in tops):
+                break
+        else:
+            return False
+        rad.extend(tops)
+    return True
 
 
 # -- Loewy structure of bimodules ------------------------------------------
@@ -1116,7 +1020,8 @@ def commutant_dimension(rep: CellRepData) -> int:
 def verify_closed_form_composition(build: CcxBuild, seed: int = 0) -> list:
     """Check every composable pair: the honest tensor product is isomorphic
     to the table's closed-form multiple dim(e_t A e_u) of the predicted
-    projective bimodule."""
+    projective bimodule.  seed is accepted and ignored, for callers that
+    still pass one."""
     records = []
     ms = build.ms
     for f, g in sorted(ms.table):
@@ -1136,7 +1041,7 @@ def verify_closed_form_composition(build: CcxBuild, seed: int = 0) -> list:
                     "tensor_dim": T.dim,
                 }
             )
-            ok = iso_to_direct_power(T, base, k, seed=seed)
+            ok = iso_to_direct_power(T, base, k)
             values["isomorphic"] = ok
         records.append(
             CheckRecord(

@@ -264,19 +264,19 @@ def cmd_ccx_build(args) -> int:
 def cmd_verify(args) -> int:
     if args.fixture not in fixtures.ALL_FIXTURES:
         raise ParseError("<arg>", 0, f"unknown fixture {args.fixture!r}")
-    reports = verify.fixture_reports(args.fixture, seed=args.seed)
+    reports = verify.fixture_reports(args.fixture)
     return _print_reports(reports, args.format)
 
 
 def cmd_graded_verify(args) -> int:
     if args.fixture not in fixtures.ALGEBRA_FILES or not fixtures.is_graded(args.fixture):
         raise ParseError("<arg>", 0, f"fixture {args.fixture!r} carries no grading")
-    return _print_reports([verify.graded_report(args.fixture, seed=args.seed)], args.format)
+    return _print_reports([verify.graded_report(args.fixture)], args.format)
 
 
 def cmd_report_all(args) -> int:
     start = time.monotonic()
-    reports = verify.report_all(seed=args.seed)
+    reports = verify.report_all()
     status = _print_reports(reports, args.format)
     elapsed = time.monotonic() - start
     print(f"report-all completed in {elapsed:.2f}s", file=sys.stderr)
@@ -289,13 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification workbench for cell combinatorics of fiat 2-categories",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed of the random isomorphism search between two bimodules that are neither "
-        "projective nor regular; verdicts with such a side are read off the top",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cells", help="cell structure of a multisemigroup file")
@@ -353,7 +346,6 @@ def main(argv=None) -> int:
         mscell.UnsupportedCellError,
         alg.AlgebraError,
         bimod.BimoduleError,
-        bimod.IsoTestInconclusive,
         graded.GradedError,
         HeckeDataError,
         SizeLimitError,

@@ -213,7 +213,7 @@ def algebra_report(name: str) -> CellReport:
     return report
 
 
-def ccx_report(name: str, seed: int = 0) -> CellReport:
+def ccx_report(name: str) -> CellReport:
     report = CellReport(f"{name}: 2-category construction and dimension identities")
     expected = fixtures.EXPECTED[name]
     build = fixtures.ccx_build(name)
@@ -284,7 +284,7 @@ def ccx_report(name: str, seed: int = 0) -> CellReport:
             passed=m_val == expected["m_duflo"],
         )
     )
-    report.extend(bimod.verify_closed_form_composition(build, seed=seed))
+    report.extend(bimod.verify_closed_form_composition(build))
     report.extend(bimod.verify_dimension_identities(build))
     report.extend(bimod.verify_duflo_hom_dimension(build))
     report.extend(
@@ -297,7 +297,7 @@ def ccx_report(name: str, seed: int = 0) -> CellReport:
     return report
 
 
-def graded_report(name: str, seed: int = 0) -> CellReport:
+def graded_report(name: str) -> CellReport:
     report = CellReport(f"{name}: graded invariants")
     expected = fixtures.EXPECTED[name]
     build = fixtures.graded_ccx_build(name)
@@ -331,7 +331,7 @@ def graded_report(name: str, seed: int = 0) -> CellReport:
             ),
         )
     )
-    report.extend(graded.verify_dual_shift_identity(build, seed=seed))
+    report.extend(graded.verify_dual_shift_identity(build))
     report.extend(graded.verify_hilbert_transfer(build))
     # ungrading consistency: hom series evaluated at 1 matches ungraded dims
     g_name = mscell.duflo(build.ms, build.cellrep.left_cell)
@@ -361,24 +361,25 @@ def graded_report(name: str, seed: int = 0) -> CellReport:
     return report
 
 
-def fixture_reports(name: str, seed: int = 0) -> list:
+def fixture_reports(name: str) -> list:
     """All suites that apply to a fixture name."""
     if name == "b2":
         return [b2_report()]
     if name in fixtures.HECKE_FIXTURES:
         return [type_a_report((int(name[1:]),))]
-    reports = [algebra_report(name), ccx_report(name, seed=seed)]
+    reports = [algebra_report(name), ccx_report(name)]
     if fixtures.is_graded(name):
-        reports.append(graded_report(name, seed=seed))
+        reports.append(graded_report(name))
     return reports
 
 
 def report_all(seed: int = 0) -> list:
-    """Every acceptance-level suite over the bundled fixtures."""
+    """Every acceptance-level suite over the bundled fixtures.  seed is
+    accepted and ignored, for callers that still pass one."""
     reports = [b2_report(), type_a_report()]
     for name in fixtures.PROPERTY_FIXTURES:
         reports.append(algebra_report(name))
-        reports.append(ccx_report(name, seed=seed))
+        reports.append(ccx_report(name))
     for name in fixtures.GRADED_FIXTURES:
-        reports.append(graded_report(name, seed=seed))
+        reports.append(graded_report(name))
     return reports

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fiatcells import algebra as alg
-from fiatcells import bimod, cli, linalg, mscell
+from fiatcells import bimod, linalg, mscell
 from fiatcells.fixtures import (
     ALGEBRA_FILES,
     PROPERTY_FIXTURES,
@@ -119,7 +119,7 @@ def test_tensor_closed_form_dualnumbers():
     T = bimod.tensor_over(P, P)
     assert T.dim == 8
     assert bimod.iso_to_direct_power(T, P, 2)
-    assert bimod.iso_test(T, bimod.direct_sum([P, P]))
+    assert bimod.iso_to_direct_power(bimod.direct_sum([P, P]), P, 2)
 
 
 def test_tensor_closed_form_zigzag_mixed():
@@ -140,8 +140,11 @@ def test_tensor_associative_up_to_iso():
     P11 = bimod.proj_bimodule(Z, 0, Z, 0)
     left = bimod.tensor_over(bimod.tensor_over(P12, P21), P11)
     right = bimod.tensor_over(P12, bimod.tensor_over(P21, P11))
-    assert left.dim == right.dim
-    assert bimod.iso_test(left, right)
+    # both are P11^(dim e2 A e2 . dim e1 A e1) by the closed form
+    k = alg.corner_dim(Z, 1, 1) * alg.corner_dim(Z, 0, 0)
+    assert left.dim == right.dim == k * P11.dim
+    assert bimod.iso_to_direct_power(left, P11, k)
+    assert bimod.iso_to_direct_power(right, P11, k)
 
 
 def test_hom_space_dims():
@@ -315,6 +318,45 @@ def count_hom_space_calls(monkeypatch):
     return calls
 
 
+def _iso_by_generic_homs(T, B, k):
+    """Is T = B^k?  Decided, independently of the top, over generic hom_space
+    bases with B's generator data forgotten: a full-rank map B^k -> T among
+    seeded random combinations of Hom(B, T) certifies "isomorphic"; the
+    identity of B^k or of T outside the span of the composites of those maps
+    with the maps T -> B^k certifies "not isomorphic".  Neither one fails."""
+    generic = without_generator(B)
+    homs = bimod.hom_space(generic, T)
+    if not homs:
+        return False
+    rng = random.Random(0)
+    for attempt in range(48):
+        bound = 2 + attempt // 8
+        coeffs = [[rng.randint(-bound, bound) for _ in homs] for _ in range(k)]
+        stacked = [col for c in coeffs for col in linalg.sp_lincomb(c, homs)]
+        if linalg.rank(stacked, T.dim) == T.dim:
+            return True
+    # the maps B^k -> T and T -> B^k: block copies of a basis each way
+    out = [
+        tuple(col for b in range(k) for col in (h if b == c else ({},) * B.dim))
+        for c in range(k)
+        for h in homs
+    ]
+    back = [
+        tuple({r + c * B.dim: v for r, v in col.items()} for col in h)
+        for c in range(k)
+        for h in bimod.hom_space(T, generic)
+    ]
+    for maps, maps_back in ((out, back), (back, out)):
+        dim = len(maps[0])  # out is not empty, and an empty back fails the first round
+        span = linalg.SparseEchelon(dim * dim)
+        for f in maps:
+            for g in maps_back:
+                span.insert(linalg.sp_flatten(linalg.sp_compose(g, f), dim))
+        if not span.contains(linalg.sp_flatten(linalg.sp_identity(dim), dim)):
+            return False
+    pytest.fail(f"no certificate either way for {T!r} = {k} x {B!r}")
+
+
 @pytest.mark.parametrize(
     "A, pairs",
     [(truncated_poly(n), [(0, 0, 0, 0)]) for n in (2, 3, 4, 5)]
@@ -326,21 +368,15 @@ def count_hom_space_calls(monkeypatch):
 )
 def test_yoneda_certificate_agrees_with_generic_search(A, pairs, monkeypatch):
     calls = count_hom_space_calls(monkeypatch)
-    generic_runs = 0
     for T, B, k in _closed_form_cases(A, pairs):
         calls.clear()
         yoneda = bimod.iso_to_direct_power(T, B, k)
-        assert calls == []  # Hom(B, T) read off e_s T e_t, nothing solved
-        generic = without_generator(B)
-        assert yoneda == bimod.iso_to_direct_power(T, generic, k) == (T.dim == k * B.dim)
-        # only the generic runs solve, and only Hom(B, T)
-        assert all(M is generic and N is T for M, N in calls)
-        assert len(calls) == (k > 0)
-        generic_runs += len(calls)
-    assert generic_runs == sum(k > 0 for _, _, k in _closed_form_cases(A, pairs))
+        assert calls == []  # read off the top of T, nothing solved
+        assert yoneda == (T.dim == k * B.dim)
+        assert yoneda == (T.dim == 0 or _iso_by_generic_homs(T, B, k))
 
 
-def test_yoneda_negatives_reach_the_fallback(monkeypatch):
+def test_yoneda_negatives_are_read_off_the_top(monkeypatch):
     calls = count_hom_space_calls(monkeypatch)
     D = fixture("dualnumbers")
     reg = bimod.regular_bimodule(D)
@@ -356,17 +392,19 @@ def test_yoneda_negatives_reach_the_fallback(monkeypatch):
     assert calls == []
     assert not bimod.iso_to_direct_power(double, P, 1)
     assert calls == []
-    # without generator data, Hom(B, T) is solved too
-    generic = without_generator(P11)
-    assert not bimod.iso_to_direct_power(mixed, generic, 2)
-    assert calls == [(generic, mixed), (mixed, generic)]
-    calls.clear()
+    # without generator data there is no top to read the verdict off
+    with pytest.raises(ValueError, match="neither is projective or regular"):
+        bimod.iso_to_direct_power(mixed, without_generator(P11), 2)
+    assert calls == []
     # a regular B is read off the centraliser of T: nothing solved
     assert bimod.iso_to_direct_power(double, reg, 2)
     assert calls == []
-    # a positive with a projective B needs no fallback
+    # a positive with a projective B is read off the same way
     assert bimod.iso_to_direct_power(bimod.direct_sum([P11, P11]), P11, 2)
     assert calls == []
+    # the generic reference certifies both negatives the other way
+    assert not _iso_by_generic_homs(mixed, P11, 2)
+    assert not _iso_by_generic_homs(double, P, 1)
 
 
 def test_iso_test_searches_from_the_read_off_side(monkeypatch):
@@ -386,20 +424,17 @@ def test_iso_test_searches_from_the_read_off_side(monkeypatch):
         assert calls == []  # decided by the centraliser of A in T and the top of T
 
 
-def test_exhausted_search_with_both_identities_reachable_is_inconclusive(
-    monkeypatch, capsys
-):
-    # with no draws, a true isomorphism between two direct sums passes the
-    # composition-span test and is left undecided
-    monkeypatch.setattr(bimod, "_ISO_TRIES", 0)
+def test_a_pair_with_neither_side_read_off_raises():
+    # two direct sums, or a base with its generator data forgotten, have no
+    # top to read an isomorphism off, even a true one
     Z = zigzag(2)
     P11 = bimod.proj_bimodule(Z, 0, Z, 0)
     twice = bimod.direct_sum([P11, P11])
-    with pytest.raises(bimod.IsoTestInconclusive, match="iso test for"):
+    with pytest.raises(ValueError, match="neither is projective or regular"):
         bimod.iso_test(twice, bimod.direct_sum([P11, P11]))
-    with pytest.raises(bimod.IsoTestInconclusive, match="direct-power iso test"):
+    with pytest.raises(ValueError, match="neither is projective or regular"):
         bimod.iso_to_direct_power(twice, without_generator(P11), 2)
-    # a projective or regular side is decided on the top, with no draws
+    # a projective or regular side is decided on the top
     assert bimod.iso_to_direct_power(twice, P11, 2)
     reg = bimod.regular_bimodule(Z)
     assert bimod.iso_test(reg, reg)
@@ -407,28 +442,15 @@ def test_exhausted_search_with_both_identities_reachable_is_inconclusive(
     D_reg = bimod.regular_bimodule(D)
     P = bimod.proj_bimodule(D, 0, D, 0)
     assert not bimod.iso_to_direct_power(bimod.direct_sum([D_reg, D_reg]), P, 1)
-    # the command line reports an undecided search as a verification error:
-    # with the generator data forgotten, the closed form reaches the search
-    bimodule = bimod.CcxBuild.bimodule
-    monkeypatch.setattr(
-        bimod.CcxBuild, "bimodule", lambda build, name: without_generator(bimodule(build, name))
-    )
-    code = cli.main(["verify", "--fixture", "rationals"])
-    assert code == 1
-    assert "inconclusive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["zigzagA2", "x3local"])
-def test_closed_form_verdicts_hold_for_every_iso_seed(name, monkeypatch):
-    def no_search(*args, **kwargs):
-        raise AssertionError("a closed-form verdict reached the random search")
-
-    monkeypatch.setattr(bimod, "find_iso", no_search)
+def test_closed_form_passes_and_solves_no_hom_space(name, monkeypatch):
     build = ccx_build(name)
-    first = bimod.verify_closed_form_composition(build, seed=0)
-    assert first and all(r.passed for r in first)
-    for seed in range(1, 10):
-        assert bimod.verify_closed_form_composition(build, seed=seed) == first, seed
+    calls = count_hom_space_calls(monkeypatch)
+    records = bimod.verify_closed_form_composition(build)
+    assert records and all(r.passed for r in records)
+    assert calls == []
 
 
 # -- verdicts read off the top ---------------------------------------------
@@ -461,15 +483,20 @@ def _split_pair():
     return K, bimod.Bimodule(K, K, 2, left, right, name="S11(+)S12")
 
 
-def test_a_regular_top_that_no_central_element_generates_is_refused():
-    # the dual numbers with x acting as -x on the right: A's dimension and
-    # top, but every central element lies in rad N
+def _twisted_dual_numbers():
+    """The dual numbers D, and D with x acting as -x on the right: A's
+    dimension and top, but every central element lies in rad N."""
     D = fixture("dualnumbers")
     reg = bimod.regular_bimodule(D)
     x = D.basis.index("x")
     flipped = list(reg.right_action)
     flipped[x] = tuple({r: -v for r, v in col.items()} for col in flipped[x])
-    twisted = bimod.Bimodule(D, D, D.dim, reg.left_action, flipped, name="twisted")
+    return D, bimod.Bimodule(D, D, D.dim, reg.left_action, flipped, name="twisted")
+
+
+def test_a_regular_top_that_no_central_element_generates_is_refused():
+    D, twisted = _twisted_dual_numbers()
+    reg = bimod.regular_bimodule(D)
     rad = bimod.radical_echelon(twisted)
     assert twisted.dim - rad.dim == len(D.idempotents)
     centre = bimod.centralizer(twisted)
@@ -482,6 +509,28 @@ def test_a_regular_top_that_no_central_element_generates_is_refused():
     assert N.dim == K.dim and bimod.radical_echelon(N).dim == 0
     assert bimod.centralizer(N) == [{0: 1}]
     assert not bimod.iso_test(N, K_reg)
+
+
+def test_a_regular_power_is_read_off_in_rounds(monkeypatch):
+    # N = A^k needs k central elements whose e_i.n are independent on the
+    # top; each round looks for one outside rad N and the rounds before
+    calls = count_hom_space_calls(monkeypatch)
+    D, twisted = _twisted_dual_numbers()
+    reg = bimod.regular_bimodule(D)
+    assert bimod.iso_to_direct_power(bimod.direct_sum([reg, reg]), reg, 2)
+    assert bimod.iso_to_direct_power(bimod.direct_sum([reg, reg, reg]), reg, 3)
+    # A e (x) e A has the dimension of A^2, but a one-dimensional top
+    assert not bimod.iso_to_direct_power(bimod.proj_bimodule(D, 0, D, 0), reg, 2)
+    # A (+) twisted has the dimension and top of A^2, and a central element
+    # outside rad N, but no second one outside rad N and the first
+    both = bimod.direct_sum([reg, twisted])
+    assert both.dim - bimod.radical_echelon(both).dim == 2 * len(D.idempotents)
+    assert not bimod.iso_to_direct_power(both, reg, 2)
+    Z = fixture("zigzagA2")
+    Z_reg = bimod.regular_bimodule(Z)
+    square = bimod.direct_sum([bimod.tensor_over(Z_reg, Z_reg), Z_reg])
+    assert bimod.iso_to_direct_power(square, Z_reg, 2)
+    assert calls == []
 
 
 def test_the_moment_curve_finds_a_generator_past_its_first_point():
@@ -1079,12 +1128,19 @@ def test_tensor_falls_back_to_every_pair_when_a_basis_vector_mixes_blocks(monkey
     assert p < r
     mixed = _mix_blocks(P, p, r)
     assert mixed.right_of(e1)[p] == {p: 1, r: -1}  # neither fixed nor killed
-    for M, N, M_mixed, N_mixed in ((P, Q, mixed, Q), (Q, P, Q, mixed)):
+    Z = P.left_algebra
+    # P (x) Q = Q^(dim e1 A e1) and Q (x) P = P^(dim e2 A e1) by the closed form
+    cases = (
+        (P, Q, mixed, Q, Q, alg.corner_dim(Z, 0, 0)),
+        (Q, P, Q, mixed, P, alg.corner_dim(Z, 1, 0)),
+    )
+    for M, N, M_mixed, N_mixed, base, k in cases:
         T, split = _tensor_ambient(monkeypatch, M, N)
         T_mixed, ambient = _tensor_ambient(monkeypatch, M_mixed, N_mixed)
         assert split < ambient == M.dim * N.dim
         assert T_mixed.dim == T.dim
-        assert bimod.iso_test(T_mixed, T)
+        assert bimod.iso_to_direct_power(T, base, k)
+        assert bimod.iso_to_direct_power(T_mixed, base, k)
 
 
 def _cokernel_over_every_pair(M, N):

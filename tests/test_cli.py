@@ -1,6 +1,6 @@
 import json
 
-from fiatcells import cli, verify
+from fiatcells import bimod, cli, verify
 from fiatcells.fixtures import fixture_path
 from fiatcells.report import CellReport
 
@@ -204,6 +204,26 @@ def test_internal_value_error_exits_3(capsys, monkeypatch):
     assert out == ""
     assert "Traceback" in err and "ValueError: bad index arithmetic" in err
     assert "verification error" not in err
+
+
+def test_a_base_with_no_read_off_side_is_an_internal_error(capsys, monkeypatch):
+    # every bimodule a build hands out is projective or regular, so an
+    # isomorphism test with neither side read off is a bug in the program
+    bimodule = bimod.CcxBuild.bimodule
+
+    def forgetful(build, name):
+        B = bimodule(build, name)
+        return bimod.Bimodule(
+            B.left_algebra, B.right_algebra, B.dim, B.left_action, B.right_action,
+            name=name, check=False,
+        )
+
+    monkeypatch.setattr(bimod.CcxBuild, "bimodule", forgetful)
+    code, out, err = run(capsys, "verify", "--fixture", "rationals")
+    assert code == 3
+    assert out == ""
+    assert "internal error: ValueError" in err
+    assert "vs Bimodule(F11_11, dim=1): neither is projective or regular" in err
 
 
 def test_zero_denominator_is_an_input_error(capsys, tmp_path):

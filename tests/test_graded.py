@@ -316,7 +316,9 @@ def test_graded_iso_test_negative(monkeypatch):
     assert calls == []
     # a regular side is read off the centre in the degree of 1
     assert graded.graded_iso_test(bimod.tensor_over(gr, gr), gr)
-    assert graded.graded_iso_test(mixed, bimod.direct_sum([gr.shifted(-2), gr]))
+    # two direct sums have no top to read the verdict off
+    with pytest.raises(ValueError, match="neither is projective or regular"):
+        graded.graded_iso_test(mixed, bimod.direct_sum([gr.shifted(-2), gr]))
 
 
 def test_two_object_graded_build():
