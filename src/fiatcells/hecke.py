@@ -9,19 +9,25 @@ the computed left cells match the convention in which left cells of the
 2-category are Kazhdan-Lusztig right cells.
 
 The export's product table comes from the left action of the generators on
-the canonical basis: the |S|.|W| generator products b_s b_w, each taken
-from the T basis, determine every b_x b_y by associativity.  The b_s
-generate the canonical basis, so the exported table is checked for
-associativity with only the b_s as left factors (neutrality already settles
-the identity), next to a certificate that they and the identity span it.
+the canonical basis: the |S|.|W| generator products b_s b_w, each the
+T-basis product (T_s + v) b_w expanded top-down over its own support,
+determine every b_x b_y by associativity.  The b_s generate the canonical
+basis, so the exported table is checked for associativity with only the
+b_s as left factors (neutrality already settles the identity), next to a
+certificate that they and the identity span it.
 
 Laurent arithmetic accumulates in place: `_mac` adds factor * data into
-raw {exponent: int} dicts, and each finished coefficient is wrapped into a
-LaurentPoly once, zeros dropped, so no sum or product builds temporaries.
+raw {exponent: int} dicts, so no sum or product builds temporaries.  The
+export stays on raw dicts from the generator products to the v = 1 step,
+where non-negativity and the value at 1 are read straight off them; only
+`kl_basis` and the per-pair reference (`multiply`, `kl_expand`,
+`kl_product_at_one`) wrap finished coefficients into LaurentPoly, once
+each, zeros dropped.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .coxeter import CoxeterGroup, coxeter_group
@@ -70,18 +76,28 @@ def _left_product(group: CoxeterGroup, s: int, x: int) -> int:
 
 def _mac(acc: dict, data: dict, factor: dict) -> dict:
     """acc[x] += factor * data[x] for every x of data, in place, and return
-    acc.  acc holds raw {exponent: int} dicts, which may keep zeros until
-    `_wrapped`; data holds LaurentPoly values; factor is a raw dict, each
-    of whose terms shifts the exponents of data once."""
+    acc.  acc and data hold raw {exponent: int} dicts, and acc may keep
+    zeros until `_trimmed` or `_wrapped`; factor is a raw dict, each of
+    whose terms shifts the exponents of data once."""
     for x, poly in data.items():
         row = acc.get(x)
         if row is None:
             row = acc[x] = {}
         for f, k in factor.items():
-            for e, c in poly.coeffs.items():
+            for e, c in poly.items():
                 e += f
                 row[e] = row.get(e, 0) + k * c
     return acc
+
+
+def _trimmed(acc: dict) -> dict:
+    """The finished raw coefficients of acc, zeros and empty rows dropped."""
+    out = {}
+    for x, row in acc.items():
+        row = {e: c for e, c in row.items() if c}
+        if row:
+            out[x] = row
+    return out
 
 
 def _wrapped(acc: dict) -> dict:
@@ -92,6 +108,16 @@ def _wrapped(acc: dict) -> dict:
         if poly:
             out[x] = poly
     return out
+
+
+def _raw(elem: HeckeElement) -> dict:
+    """The T coordinates of elem as raw dicts, shared with its LaurentPoly
+    values, so only to be read."""
+    return {x: c.coeffs for x, c in elem.coeffs}
+
+
+def _negated(row: dict) -> dict:
+    return {e: -c for e, c in row.items()}
 
 
 def _t_gen(group: CoxeterGroup, acc: dict, data: dict, image: dict, factor: dict) -> dict:
@@ -118,7 +144,7 @@ def _t_word_left(group: CoxeterGroup, acc: dict, data: dict, word, factor: dict)
     """acc += factor * T_word * data; only the first letter's product,
     the last one taken, accumulates into acc."""
     for s in reversed(word[1:]):
-        data = _wrapped(_t_gen_left(group, {}, data, s))
+        data = _trimmed(_t_gen_left(group, {}, data, s))
     if not word:
         return _mac(acc, data, factor)
     return _t_gen_left(group, acc, data, word[0], factor)
@@ -127,7 +153,7 @@ def _t_word_left(group: CoxeterGroup, acc: dict, data: dict, word, factor: dict)
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product in the Hecke algebra (T-basis coordinates)."""
     group = a.group
-    bd = b.as_dict()
+    bd = _raw(b)
     acc: dict = {}
     for x, c in a.coeffs:
         _t_word_left(group, acc, bd, group.words[x], c.coeffs)
@@ -135,9 +161,10 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
 
 
 def _bar_t_basis(group: CoxeterGroup) -> list[dict]:
-    """bar(T_w) for every w, via bar(T_w) = T_{s1}^-1 ... T_{sk}^-1."""
+    """bar(T_w) for every w in raw T coordinates, via
+    bar(T_w) = T_{s1}^-1 ... T_{sk}^-1."""
     bar = [dict() for _ in range(group.order)]
-    bar[group.identity] = {group.identity: LaurentPoly.one()}
+    bar[group.identity] = {group.identity: {0: 1}}
     for x in group.by_length()[1:]:
         word = group.words[x]
         prefix = group.identity
@@ -146,7 +173,7 @@ def _bar_t_basis(group: CoxeterGroup) -> list[dict]:
         # bar(T_x) = bar(T_prefix) * T_s^-1,  T_s^-1 = T_s + (v - v^-1)
         base = bar[prefix]
         right = {y: group.mult_gen[y][word[-1]] for y in base}
-        bar[x] = _wrapped(_mac(_t_gen(group, {}, base, right, _ONE), base, _VMINUS))
+        bar[x] = _trimmed(_mac(_t_gen(group, {}, base, right, _ONE), base, _VMINUS))
     return bar
 
 
@@ -175,6 +202,8 @@ def kl_basis(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list[Hecke
     basis[group.identity] = HeckeElement.from_dict(
         group, {group.identity: LaurentPoly.one()}
     )
+    raw = [None] * group.order  # raw[x] = _raw(basis[x])
+    raw[group.identity] = _raw(basis[group.identity])
     by_length = group.by_length()
     for w in by_length[1:]:
         word = group.words[w]
@@ -182,14 +211,14 @@ def kl_basis(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list[Hecke
         rest = group.identity
         for g in word[1:]:
             rest = group.mult_gen[rest][g]
-        sub = basis[rest].as_dict()
+        sub = raw[rest]
         # b_s * b_{sw} = (T_s + v) * b_{sw}
         prod = _mac(_t_gen_left(group, {}, sub, s), sub, _V)
         # corrections may create support at shorter elements, so scan them all
         for x in reversed(by_length):
             m = prod[x].get(0) if x != w and x in prod else 0
             if m:
-                _mac(prod, basis[x].as_dict(), {0: -m})
+                _mac(prod, raw[x], {0: -m})
         elem = HeckeElement.from_dict(group, _wrapped(prod))
         if elem.coeff(w) != LaurentPoly.one():
             raise HeckeDataError(f"canonical basis recursion failed at {group.name(w)}")
@@ -200,36 +229,66 @@ def kl_basis(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list[Hecke
                     f"not in v*Z[v]: {c.format('v')}"
                 )
         basis[w] = elem
+        raw[w] = _raw(elem)
     return basis
 
 
+def _expand(group: CoxeterGroup, acc: dict, basis: list) -> dict:
+    """Canonical coordinates, as raw dicts, of the element whose raw T
+    coordinates acc holds; acc is used up.  Peeled top-down over the
+    element's own support: a heap keyed on length pops the longest x left,
+    and its coefficient c is final, since every other term of b_x
+    (basis[x], raw T coordinates) is shorter; then c b_x is subtracted and
+    the new support of b_x pushed.  Ties pop the larger index first, so
+    the entries come in `kl_expand`'s order."""
+    heap = [(-group.length(x), -x) for x in acc]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        x = -heapq.heappop(heap)[1]
+        c = {e: k for e, k in acc[x].items() if k}
+        if not c:
+            continue
+        out[x] = c
+        b_x = basis[x]
+        for y in b_x:
+            if y not in acc:
+                heapq.heappush(heap, (-group.length(y), -y))
+        _mac(acc, b_x, _negated(c))
+    if any(any(row.values()) for row in acc.values()):
+        raise HeckeDataError("canonical-basis expansion left a nonzero remainder")
+    return out
+
+
 def kl_expand(group: CoxeterGroup, element: HeckeElement, basis=None) -> dict:
-    """Coordinates of a Hecke element in the canonical basis."""
+    """Coordinates of a Hecke element in the canonical basis, peeled over
+    every element from the top down (the reference for `_expand`)."""
     if basis is None:
         basis = kl_basis(group)
-    acc = _mac({}, element.as_dict(), _ONE)
+    acc = _mac({}, _raw(element), _ONE)
     out: dict[int, LaurentPoly] = {}
     for x in reversed(group.by_length()):
         c = LaurentPoly(acc.get(x))
         if c:
             out[x] = c
-            _mac(acc, basis[x].as_dict(), (-c).coeffs)
+            _mac(acc, _raw(basis[x]), (-c).coeffs)
     if any(any(row.values()) for row in acc.values()):
         raise HeckeDataError("canonical-basis expansion left a nonzero remainder")
     return out
 
 
 def _at_one(group: CoxeterGroup, coords: dict) -> dict:
-    """Canonical coordinates specialized at v=1; every Laurent coefficient
-    of a canonical structure constant must be non-negative."""
+    """Canonical coordinates, as raw dicts, specialized at v=1; every
+    Laurent coefficient of a canonical structure constant must be
+    non-negative."""
     out = {}
-    for z, poly in coords.items():
-        if not poly.is_nonnegative():
+    for z, row in coords.items():
+        if any(k < 0 for k in row.values()):
             raise HeckeDataError(
                 f"negative canonical structure constant at {group.name(z)}: "
-                f"{poly.format('v')}"
+                f"{LaurentPoly(row).format('v')}"
             )
-        val = poly(1)
+        val = sum(row.values())
         if val:
             out[z] = val
     return out
@@ -240,21 +299,29 @@ def kl_product_at_one(group: CoxeterGroup, x: int, y: int, basis=None) -> dict:
     from the T-basis product (the per-pair reference for the export's table)."""
     if basis is None:
         basis = kl_basis(group)
-    return _at_one(group, kl_expand(group, multiply(basis[x], basis[y]), basis))
+    coords = kl_expand(group, multiply(basis[x], basis[y]), basis)
+    return _at_one(group, {z: c.coeffs for z, c in coords.items()})
+
+
+def _generator_product(group: CoxeterGroup, basis: list, s: int, w: int) -> dict:
+    """b_s b_w in canonical coordinates: the T-basis product (T_s + v) b_w
+    on the raw basis dicts, expanded over its own support."""
+    b_w = basis[w]
+    return _expand(group, _mac(_t_gen_left(group, {}, b_w, s), b_w, _V), basis)
 
 
 def _generator_action(group: CoxeterGroup, basis) -> list:
-    """act[s][w] = b_s b_w in canonical coordinates, from the T-basis
-    product.  The table's recursion solves act[s][w] for b_sw whenever
-    sw > w, so b_sw must have coefficient exactly 1 there."""
+    """act[s][w] = b_s b_w in canonical coordinates, as raw dicts, from the
+    T-basis product.  The table's recursion solves act[s][w] for b_sw
+    whenever sw > w, so b_sw must have coefficient exactly 1 there."""
+    basis = [_raw(b) for b in basis]
     act = []
     for s in range(len(group.gen_names)):
-        b_s = basis[group.mult_gen[group.identity][s]]
         row = []
         for w in range(group.order):
-            entry = kl_expand(group, multiply(b_s, basis[w]), basis)
+            entry = _generator_product(group, basis, s, w)
             sw = _left_product(group, s, w)
-            if group.length(sw) > group.length(w) and entry.get(sw) != LaurentPoly.one():
+            if group.length(sw) > group.length(w) and entry.get(sw) != _ONE:
                 raise HeckeDataError(
                     f"coefficient of b_{group.name(sw)} in "
                     f"b_{group.gen_names[s]} b_{group.name(w)} is not 1"
@@ -265,33 +332,33 @@ def _generator_action(group: CoxeterGroup, basis) -> list:
 
 
 def _product_column(group: CoxeterGroup, act, c: int) -> list:
-    """col[a] = b_a b_c in canonical coordinates for every a, from the
-    generator action.  Going up in length with a = s r (s the first
-    letter of a's word), b_a = b_s b_r minus the other terms of act[s][r],
-    all of them shorter than a, so b_a b_c = act[s] applied to col[r] minus
-    the same terms applied to col."""
+    """col[a] = b_a b_c in canonical coordinates, as raw dicts, for every
+    a, from the generator action.  Going up in length with a = s r (s the
+    first letter of a's word), b_a = b_s b_r minus the other terms of
+    act[s][r], all of them shorter than a, so b_a b_c = act[s] applied to
+    col[r] minus the same terms applied to col."""
     col: list = [None] * group.order
-    col[group.identity] = {c: LaurentPoly.one()}
+    col[group.identity] = {c: {0: 1}}
     for a in group.by_length()[1:]:
         s = group.words[a][0]
         r = _left_product(group, s, a)
         out: dict = {}
         for w, coeff in col[r].items():
-            _mac(out, act[s][w], coeff.coeffs)
+            _mac(out, act[s][w], coeff)
         for z, coeff in act[s][r].items():
             if z != a:
-                _mac(out, col[z], (-coeff).coeffs)
-        col[a] = _wrapped(out)
+                _mac(out, col[z], _negated(coeff))
+        col[a] = _trimmed(out)
     return col
 
 
 def _table_at_one(group: CoxeterGroup, bound: int) -> dict:
     """b_y b_x at v=1 for every pair, keyed by the names (x, y), built one
-    right factor b_x at a time from the generator action.  Only the
-    table outlives the call, so the basis, the action and the last column
-    are freed before the multisemigroup validates the table."""
-    basis = kl_basis(group, bound)
-    act = _generator_action(group, basis)
+    right factor b_x at a time from the generator action, on raw
+    coefficient dicts throughout.  Only the table outlives the call, so the
+    basis, the action and the last column are freed before the
+    multisemigroup validates the table."""
+    act = _generator_action(group, kl_basis(group, bound))
     names = [group.name(x) for x in range(group.order)]
     table = {}
     for x in range(group.order):

@@ -17,7 +17,6 @@ from .linalg import SparseEchelon
 
 # multiplicities are "machine-size": anything at or above this cap is an error
 MAX_MULTIPLICITY = 1 << 28
-_DIGIT_BITS = 64
 
 
 class MultiSemigroupError(ValueError):
@@ -267,9 +266,12 @@ class MultiSemigroup:
         identities and generators span the table under left multiplication,
         which `_check_generators_span` certifies.
 
-        Rows of the table are packed into big integers (base 2^64 digits);
-        both sides of the law become small sums of scaled row integers.  The
-        multiplicity cap guarantees digits cannot overflow into each other.
+        Rows of the table are packed into big integers, one digit per
+        morphism; both sides of the law become sums of scaled row integers.
+        Each digit of a side is a sum of at most n products of two
+        multiplicities, so it stays below 2^bits with bits twice the bit
+        length of the largest multiplicity plus the bit length of n, and
+        digits of that width cannot carry into each other.
         """
         idx = self._index
         n = len(self.names)
@@ -280,10 +282,12 @@ class MultiSemigroup:
         # pair is not composable; packed[a][b] is that row as one integer
         supports = [[None] * n for _ in range(n)]
         packed = [[0] * n for _ in range(n)]
+        top = max((k for entry in self.table.values() for k in entry.values()), default=0)
+        bits = 2 * top.bit_length() + n.bit_length()
         for (f, g), entry in self.table.items():
             fi, gi = idx[f], idx[g]
             supports[fi][gi] = [(idx[h], k) for h, k in entry.items()]
-            packed[fi][gi] = sum(k << (_DIGIT_BITS * idx[h]) for h, k in entry.items())
+            packed[fi][gi] = sum(k << (bits * idx[h]) for h, k in entry.items())
 
         checked = 0
         for f, g in self.table:

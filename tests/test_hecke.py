@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -175,8 +178,21 @@ def test_export_identity_products_clean():
         assert mscell.identity_products_clean(ms)
 
 
+def test_expansion_peels_support_the_element_did_not_have():
+    # T_s = b_s - v b_e: peeling b_s = T_s + v T_e off T_s reaches T_e,
+    # which T_s does not hold
+    W = coxeter_group("A1")
+    s = W.element_of_name("1")
+    basis = kl_basis(W)
+    expected = {s: {0: 1}, W.identity: {1: -1}}
+    assert hecke._expand(W, {s: {0: 1}}, [hecke._raw(b) for b in basis]) == expected
+    t_s = hecke.HeckeElement.from_dict(W, {s: LaurentPoly.one()})
+    assert kl_expand(W, t_s, basis) == {x: LaurentPoly(c) for x, c in expected.items()}
+
+
 def test_product_columns_match_t_basis():
-    # the whole table from the generator action, as Laurent polynomials
+    # the whole table from the generator action, as raw Laurent coefficient
+    # dicts, against the per-pair T-basis reference
     for kind in ("A1", "A2", "B2", "A3"):
         W = coxeter_group(kind)
         basis = kl_basis(W)
@@ -184,28 +200,35 @@ def test_product_columns_match_t_basis():
         for y in range(W.order):
             col = hecke._product_column(W, act, y)
             for x in range(W.order):
-                assert col[x] == kl_expand(W, multiply(basis[x], basis[y]), basis)
+                reference = kl_expand(W, multiply(basis[x], basis[y]), basis)
+                assert col[x] == {z: c.coeffs for z, c in reference.items()}
 
 
 @pytest.mark.parametrize("kind", ["A1", "A2", "B2", "A3"])
 def test_stored_coefficients_keep_no_zeros_and_int_exponents(kind):
-    # LaurentPoly equality is structural, so a stored zero would break ==
+    # raw dict equality is structural, as LaurentPoly's is, so a stored zero
+    # would break ==
     W = coxeter_group(kind)
     basis = kl_basis(W)
     act = hecke._generator_action(W, basis)
-    coords = [b.as_dict() for b in basis] + [entry for row in act for entry in row]
+    rows = [poly.coeffs for b in basis for poly in b.as_dict().values()]
+    coords = [entry for row in act for entry in row]
     coords += [col for y in range(W.order) for col in hecke._product_column(W, act, y)]
-    polys = [poly for c in coords for poly in c.values()]
-    assert polys and all(polys)
-    for poly in polys:
-        assert all(type(e) is int for e in poly.coeffs), poly.coeffs
-        assert all(type(c) is int and c != 0 for c in poly.coeffs.values()), poly.coeffs
+    rows += [row for c in coords for row in c.values()]
+    assert rows and all(rows)
+    for row in rows:
+        assert type(row) is dict, row
+        assert all(type(e) is int for e in row), row
+        assert all(type(c) is int and c != 0 for c in row.values()), row
 
 
 @pytest.mark.parametrize("kind", ["A3", "B2"])
 def test_export_work_is_linear_in_the_generator_products(kind, monkeypatch):
     W = coxeter_group(kind)
-    calls = {"multiply": 0, "kl_expand": 0, "kl_product_at_one": 0, "length sorts": 0}
+    calls = {
+        "_generator_product": 0, "multiply": 0, "kl_expand": 0, "kl_product_at_one": 0,
+        "length sorts": 0,
+    }
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -213,7 +236,7 @@ def test_export_work_is_linear_in_the_generator_products(kind, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("multiply", "kl_expand", "kl_product_at_one"):
+    for name in ("_generator_product", "multiply", "kl_expand", "kl_product_at_one"):
         monkeypatch.setattr(hecke, name, counted(name, getattr(hecke, name)))
 
     def counting_sorted(iterable, *, key=None, reverse=False):
@@ -225,18 +248,76 @@ def test_export_work_is_linear_in_the_generator_products(kind, monkeypatch):
     export_multisemigroup(W)
     products = len(W.gen_names) * W.order
     assert calls == {
-        "multiply": products, "kl_expand": products, "kl_product_at_one": 0, "length sorts": 1,
+        "_generator_product": products, "multiply": 0, "kl_expand": 0,
+        "kl_product_at_one": 0, "length sorts": 1,
     }
 
 
+def test_export_builds_no_laurent_poly_beyond_the_basis(monkeypatch):
+    # from the generator products to the v = 1 step the export works on raw
+    # coefficient dicts, so it wraps exactly what kl_basis alone wraps
+    inits = []
+    original = LaurentPoly.__init__
+
+    def counting(self, coeffs=None):
+        inits.append(1)
+        original(self, coeffs)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", counting)
+    kl_basis(coxeter_group("A3"))
+    alone = len(inits)
+    inits.clear()
+    export_multisemigroup(coxeter_group("A3"))
+    assert alone > 0 and len(inits) == alone
+
+
 def test_export_rejects_a_leading_coefficient_other_than_one(monkeypatch):
-    original = hecke.kl_expand
+    original = hecke._expand
 
-    def doubled(group, element, basis=None):
-        return {z: c + c for z, c in original(group, element, basis).items()}
+    def doubled(group, acc, basis):
+        return {
+            z: {e: k + k for e, k in c.items()}
+            for z, c in original(group, acc, basis).items()
+        }
 
-    monkeypatch.setattr(hecke, "kl_expand", doubled)
+    monkeypatch.setattr(hecke, "_expand", doubled)
     with pytest.raises(HeckeDataError, match="is not 1"):
+        export_multisemigroup(coxeter_group("A2"))
+
+
+def test_export_rejects_a_negative_structure_constant(monkeypatch):
+    # b_s b_s = (v + v^-1) b_s; plant v - v^-1 instead, which the leading
+    # coefficient check does not read (ss < s)
+    W = coxeter_group("A2")
+    s = W.element_of_name("1")
+    original = hecke._generator_product
+
+    def flipped(group, basis, gen, w):
+        entry = original(group, basis, gen, w)
+        if gen == 0 and w == s:
+            assert entry == {s: {1: 1, -1: 1}}
+            entry = {s: {1: 1, -1: -1}}
+        return entry
+
+    monkeypatch.setattr(hecke, "_generator_product", flipped)
+    with pytest.raises(HeckeDataError, match=r"negative canonical structure constant at 1: -v\^-1 \+ v$"):
+        export_multisemigroup(W)
+
+
+def test_export_rejects_a_basis_element_planted_wrong(monkeypatch):
+    # b_12 with leading coefficient 2: peeling it off a product leaves -c at 12
+    original = hecke.kl_basis
+
+    def planted(group, bound=hecke.DEFAULT_SIZE_BOUND):
+        basis = original(group, bound)
+        x = group.element_of_name("12")
+        data = basis[x].as_dict()
+        data[x] = LaurentPoly({0: 2})
+        basis[x] = hecke.HeckeElement.from_dict(group, data)
+        return basis
+
+    monkeypatch.setattr(hecke, "kl_basis", planted)
+    with pytest.raises(HeckeDataError, match="canonical-basis expansion left a nonzero remainder"):
         export_multisemigroup(coxeter_group("A2"))
 
 
@@ -262,6 +343,22 @@ def test_hecke_export_json_matches_golden(kind, capsys):
     golden = Path(__file__).parent / "data" / f"hecke_export_{kind.lower()}.json"
     assert cli.main(["--format", "json", "hecke-export", "--type", kind]) == 0
     assert capsys.readouterr().out == golden.read_text()
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "7"])
+@pytest.mark.parametrize("kind", ["A3", "B2"])
+def test_hecke_export_json_does_not_rest_on_the_hash_seed(kind, hash_seed):
+    # the export's heaps and dicts must give the golden bytes under any
+    # string-hash seed
+    cmd = [sys.executable, "-m", "fiatcells.cli", "--format", "json", "hecke-export",
+           "--type", kind]
+    src = str(Path(hecke.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+    run = subprocess.run(cmd, capture_output=True, env=env)
+    assert run.returncode == 0, run.stderr
+    golden = Path(__file__).parent / "data" / f"hecke_export_{kind.lower()}.json"
+    assert run.stdout == golden.read_bytes()
 
 
 def test_rsk_identity_and_w0():

@@ -171,6 +171,42 @@ def _rebuilt(ms, table, generators):
     )
 
 
+# (a o g) o k = N z0 but a o (g o k) = a o w = z1; when a digit per morphism
+# is too narrow for N, N z0 carries into z1's digit and the sides pack equal
+_CARRIES = {
+    # one product of two large multiplicities: N = 2^32 . 2^32, past a
+    # fixed 64-bit digit
+    "large_multiplicities": {
+        ("a", "g"): {"h": 1 << 32},
+        ("h", "k"): {"z0": 1 << 32},
+        ("g", "k"): {"w": 1},
+        ("a", "w"): {"z1": 1},
+    },
+    # four summands of multiplicity 1: N = 4, past a digit sized by the
+    # largest multiplicity alone
+    "many_summands": {
+        ("a", "g"): {"h1": 1, "h2": 1, "h3": 1, "h4": 1},
+        **{(h, "k"): {"z0": 1} for h in ("h1", "h2", "h3", "h4")},
+        ("g", "k"): {"w": 1},
+        ("a", "w"): {"z1": 1},
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CARRIES))
+def test_associativity_packing_cannot_carry_between_digits(case):
+    table = _CARRIES[case]
+    names = sorted({n for pair, entry in table.items() for n in (*pair, *entry)})
+    assert names.index("z1") == names.index("z0") + 1
+    ms = MultiSemigroup(
+        ["i"], [OneMorphism(n, "i", "i") for n in names], table,
+        {n: n for n in names}, validate=False,
+    )
+    assert ms.generators == tuple(names)
+    with pytest.raises(MultiSemigroupError, match=r"triple \('a', 'g', 'k'\)"):
+        ms._check_associativity()
+
+
 def test_bumped_export_entry_fails_associativity_on_the_generators():
     ms = export_multisemigroup(coxeter_group("A3"))
     table = _bumped(ms, "3", "2321", "3")
