@@ -1,29 +1,33 @@
-"""Small Coxeter groups (types A1, A2, A3 and B2) with ShortLex normal
-forms, length, inversion and Bruhat order.
+"""Small Coxeter groups (types A1-A4 and B2) with ShortLex normal forms,
+length, inversion and Bruhat order.
 
-Type A_n is realized by one-line permutations of {1,..,n+1}; B2 by signed
-permutations of {1,2}.  Elements are indexed 0..|W|-1 in ShortLex order of
-their canonical reduced words (identity is element 0).
+Every group is realised one way: by its reflection representation on the
+integer weight lattice, read off a Cartan matrix C.  The generator s acts on
+weight coordinates by s(v)_j = v_j - v_s C[s][j], and the orbit of the
+regular weight rho = (1, ..., 1) is free, so the element x is held as the
+vector x^-1(rho) and x*s is s applied to that vector.  Elements are indexed
+0..|W|-1 in ShortLex order of their canonical reduced words (identity is
+element 0).  A4 is here for the Robinson-Schensted oracle only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# type -> (generator names, Cartan matrix)
+_CARTAN = {
+    "A1": ("1", ((2,),)),
+    "A2": ("12", ((2, -1), (-1, 2))),
+    "A3": ("123", ((2, -1, 0), (-1, 2, -1), (0, -1, 2))),
+    "A4": ("1234", ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))),
+    "B2": ("st", ((2, -2), (-1, 2))),
+}
 
-def _perm_compose(u, v):
-    # (u * v)(i) = u(v(i)); one-line tuples over 1..n
-    return tuple(u[v[i] - 1] for i in range(len(u)))
 
-
-def _signed_compose(u, v):
-    # signed permutations of {1,2}: u[i-1] = +-j means u sends i to +-j
-    out = []
-    for i in range(len(u)):
-        t = v[i]
-        img = u[abs(t) - 1]
-        out.append(img if t > 0 else -img)
-    return tuple(out)
+def _reflect(cartan, s: int, v: tuple) -> tuple:
+    """The simple reflection s applied to the weight-coordinate vector v."""
+    k = v[s]
+    return tuple(vj - k * c for vj, c in zip(v, cartan[s]))
 
 
 @dataclass
@@ -34,7 +38,7 @@ class CoxeterGroup:
     word_index: dict
     mult_gen: list  # element, generator -> element (right multiplication)
     inverse: list
-    reps: list  # underlying faithful representation (permutations)
+    reps: list  # element x -> its orbit vector x^-1(rho)
 
     identity: int = 0
     _bruhat_down: list = field(default_factory=list, repr=False)
@@ -109,25 +113,31 @@ class CoxeterGroup:
         """x <= y in Bruhat order (subword property)."""
         return bool((self._down_sets()[y] >> x) & 1)
 
-    def perm(self, x: int):
-        """Underlying one-line permutation (type A only)."""
+    def perm(self, x: int) -> tuple:
+        """One-line permutation of x (type A only): positions s and s+1
+        swapped for each letter s of its canonical word, in order."""
         if not self.kind.startswith("A"):
             raise ValueError("perm() is only available for type A groups")
-        return self.reps[x]
+        one_line = list(range(1, len(self.gen_names) + 2))
+        for s in self.words[x]:
+            one_line[s], one_line[s + 1] = one_line[s + 1], one_line[s]
+        return tuple(one_line)
 
 
-def _generate(kind, gen_names, gen_reps, compose, identity_rep) -> CoxeterGroup:
-    """ShortLex BFS over the faithful representation."""
+def _generate(kind, gen_names, cartan) -> CoxeterGroup:
+    """ShortLex BFS over the orbit of rho."""
+    gens = range(len(cartan))
+    rho = (1,) * len(cartan)
     words = [()]
     word_index = {(): 0}
-    reps = [identity_rep]
-    rep_index = {identity_rep: 0}
+    reps = [rho]
+    rep_index = {rho: 0}
     frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:
-            for s in range(len(gen_reps)):
-                r = compose(reps[x], gen_reps[s])
+            for s in gens:
+                r = _reflect(cartan, s, reps[x])
                 if r not in rep_index:
                     w = words[x] + (s,)
                     rep_index[r] = len(reps)
@@ -137,47 +147,26 @@ def _generate(kind, gen_names, gen_reps, compose, identity_rep) -> CoxeterGroup:
                     nxt.append(rep_index[r])
         frontier = nxt
     n = len(reps)
-    mult_gen = [
-        [rep_index[compose(reps[x], gen_reps[s])] for s in range(len(gen_reps))]
-        for x in range(n)
-    ]
+    mult_gen = [[rep_index[_reflect(cartan, s, reps[x])] for s in gens] for x in range(n)]
     inverse = [0] * n
     for x in range(n):
         y = 0
         for s in reversed(words[x]):
             y = mult_gen[y][s]
         inverse[x] = y
-        if compose(reps[x], reps[y]) != identity_rep:
+        v = reps[x]
+        for s in words[y]:
+            v = _reflect(cartan, s, v)
+        if v != rho:
             raise AssertionError("inverse computation failed")
     return CoxeterGroup(kind, tuple(gen_names), words, word_index, mult_gen, inverse, reps)
 
 
 def coxeter_group(kind: str) -> CoxeterGroup:
-    """Construct a supported Coxeter group: 'A1', 'A2', 'A3' or 'B2'."""
+    """Construct a supported Coxeter group, 'A1' to 'A4' or 'B2', from its
+    row of the Cartan-matrix table."""
     kind = kind.upper()
-    if kind in ("A1", "A2", "A3"):
-        n = int(kind[1])
-        size = n + 1
-        identity = tuple(range(1, size + 1))
-        gens = []
-        for i in range(n):
-            g = list(identity)
-            g[i], g[i + 1] = g[i + 1], g[i]
-            gens.append(tuple(g))
-        names = tuple(str(i + 1) for i in range(n))
-        return _generate(kind, names, gens, _perm_compose, identity)
-    if kind == "B2":
-        identity = (1, 2)
-        s = (2, 1)  # swap
-        t = (1, -2)  # sign change on the second coordinate
-        return _generate(kind, ("s", "t"), [s, t], _signed_compose, identity)
-    raise ValueError(f"unsupported Coxeter type {kind!r}")
-
-
-def permutation_element(group: CoxeterGroup, perm) -> int:
-    """Element of a type-A group with the given one-line permutation."""
-    perm = tuple(perm)
-    for x in range(group.order):
-        if group.reps[x] == perm:
-            return x
-    raise ValueError(f"{perm!r} is not an element of {group.kind}")
+    if kind not in _CARTAN:
+        raise ValueError(f"unsupported Coxeter type {kind!r}")
+    names, cartan = _CARTAN[kind]
+    return _generate(kind, names, cartan)

@@ -85,10 +85,6 @@ def fixture_text(filename: str) -> str:
     return resources.files("fiatcells.data").joinpath(filename).read_text()
 
 
-def fixture_path(filename: str):
-    return resources.files("fiatcells.data").joinpath(filename)
-
-
 _cache: dict = {}
 
 

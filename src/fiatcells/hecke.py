@@ -62,9 +62,6 @@ class HeckeElement:
         items = tuple(sorted((x, c) for x, c in data.items() if c))
         return cls(group, items)
 
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
     def coeff(self, x: int) -> LaurentPoly:
         return dict(self.coeffs).get(x, LaurentPoly.zero())
 
@@ -466,25 +463,9 @@ def rsk(perm) -> TableauPair:
     )
 
 
-def rsk_inverse(pair: TableauPair) -> tuple:
-    """The permutation with the given insertion/recording pair."""
-    p_rows = [list(r) for r in pair.p_rows]
-    q_rows = [list(r) for r in pair.q_rows]
-    n = sum(len(r) for r in p_rows)
-    out = []
-    for step in range(n, 0, -1):
-        row = next(i for i, r in enumerate(q_rows) if r and r[-1] == step)
-        q_rows[row].pop()
-        x = p_rows[row].pop()
-        for r in range(row - 1, -1, -1):
-            j = max(j for j, y in enumerate(p_rows[r]) if y < x)
-            p_rows[r][j], x = x, p_rows[r][j]
-        out.append(x)
-    return tuple(reversed(out))
-
-
 def rsk_cells(n: int) -> CellStructure:
-    """Cell structure of S_n from the Robinson-Schensted correspondence.
+    """Cell structure of S_n from the Robinson-Schensted correspondence,
+    over the one-line permutations `perm(x)` of A_{n-1}'s elements.
 
     Two-sided cells are fibers of the shape; left cells are fibers of the
     insertion tableau P (so that they agree with the multisemigroup export,
@@ -499,7 +480,7 @@ def rsk_cells(n: int) -> CellStructure:
     by_q: dict = {}
     by_shape: dict = {}
     for x in range(group.order):
-        pair = rsk(group.reps[x])
+        pair = rsk(group.perm(x))
         by_p.setdefault(pair.p_rows, []).append(group.name(x))
         by_q.setdefault(pair.q_rows, []).append(group.name(x))
         by_shape.setdefault(pair.shape, []).append(group.name(x))

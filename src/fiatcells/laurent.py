@@ -95,9 +95,6 @@ class LaurentPoly:
         """Substitute the variable by its inverse."""
         return LaurentPoly({-e: c for e, c in self.coeffs.items()})
 
-    def shift(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
-
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.coeffs.values())
 

@@ -74,7 +74,7 @@ class CellStructure:
     is itself sorted, so the output order is stable.
     """
 
-    leq_left: frozenset
+    leq_left: frozenset  # (F, G) such that some H o F contains G
     leq_right: frozenset
     leq_two_sided: frozenset
     left_cells: tuple
@@ -410,19 +410,6 @@ def _partition_from_masks(names, masks) -> tuple:
 def cells(ms: MultiSemigroup) -> CellStructure:
     """Green's cell structure of the multisemigroup (cached on the value)."""
     return ms._cell_structure()
-
-
-def leq_left(ms: MultiSemigroup, f: str, g: str) -> bool:
-    """True iff some H o F contains G (reflexive-transitive)."""
-    return (f, g) in cells(ms).leq_left
-
-
-def leq_right(ms: MultiSemigroup, f: str, g: str) -> bool:
-    return (f, g) in cells(ms).leq_right
-
-
-def leq_two_sided(ms: MultiSemigroup, f: str, g: str) -> bool:
-    return (f, g) in cells(ms).leq_two_sided
 
 
 def _require_two_sided_cell(ms: MultiSemigroup, cell) -> tuple:

@@ -1,7 +1,7 @@
 import json
 
 from fiatcells import bimod, cli, verify
-from fiatcells.fixtures import fixture_path
+from fiatcells.fixtures import fixture_text
 from fiatcells.report import CellReport
 
 
@@ -22,8 +22,10 @@ def test_hecke_export_roundtrip_through_cells(capsys, tmp_path):
     assert "{s, st, sts}" in out
 
 
-def test_cells_json(capsys):
-    code, out, _ = run(capsys, "--format", "json", "cells", "--input", str(fixture_path("demo.msg")))
+def test_cells_json(capsys, tmp_path):
+    msg = tmp_path / "demo.msg"
+    msg.write_text(fixture_text("demo.msg"))
+    code, out, _ = run(capsys, "--format", "json", "cells", "--input", str(msg))
     assert code == 0
     data = json.loads(out)
     assert data["two_sided_cells"] == [["e"], ["g"]]
@@ -61,6 +63,10 @@ def test_rsk_perm_and_cells(capsys):
     assert code == 0
     data = json.loads(out)
     assert sorted(len(c) for c in data["two_sided_cells"]) == [1, 1, 4]
+    code, out, _ = run(capsys, "--format", "json", "rsk", "--n", "5")
+    assert code == 0
+    data = json.loads(out)
+    assert (len(data["two_sided_cells"]), len(data["left_cells"])) == (7, 26)
     code, _, err = run(capsys, "rsk", "--perm", "2,2,1")
     assert code == 2
     code, _, err = run(capsys, "rsk", "--n", "7")
@@ -109,7 +115,7 @@ def test_ccx_build_fixture(capsys):
 
 
 def test_ccx_build_from_file_with_x_generators(capsys, tmp_path):
-    alg_text = fixture_path("x3local.alg").read_text()
+    alg_text = fixture_text("x3local.alg")
     (tmp_path / "x3local.alg").write_text(alg_text)
     (tmp_path / "custom.ccx").write_text(
         "ccx custom\nalgebra x3local.alg\nx 1 = 1 + x2\n"
@@ -166,7 +172,7 @@ def test_every_record_carries_anchor(capsys):
 
 
 def test_ccx_build_graded_file_with_shifts(capsys, tmp_path):
-    (tmp_path / "dualnumbers.alg").write_text(fixture_path("dualnumbers.alg").read_text())
+    (tmp_path / "dualnumbers.alg").write_text(fixture_text("dualnumbers.alg"))
     (tmp_path / "graded.ccx").write_text(
         "ccx gradeddemo\nalgebra dualnumbers.alg\nshift F11_11 = 1\n"
     )
@@ -174,7 +180,7 @@ def test_ccx_build_graded_file_with_shifts(capsys, tmp_path):
     assert code == 0
     assert "grading shifts:   F11_11=1, I1=0" in out
     # shifts on an ungraded algebra are an input error
-    (tmp_path / "zig.alg").write_text(fixture_path("zigzagA2.alg").read_text())
+    (tmp_path / "zig.alg").write_text(fixture_text("zigzagA2.alg"))
     (tmp_path / "bad.ccx").write_text("ccx bad\nalgebra zig.alg\nshift F11_11 = 1\n")
     code, _, err = run(capsys, "ccx-build", "--input", str(tmp_path / "bad.ccx"))
     assert code == 2
@@ -237,7 +243,7 @@ def test_zero_denominator_is_an_input_error(capsys, tmp_path):
 
 
 def test_ccx_x_line_out_of_range_is_an_input_error(capsys, tmp_path):
-    (tmp_path / "x3local.alg").write_text(fixture_path("x3local.alg").read_text())
+    (tmp_path / "x3local.alg").write_text(fixture_text("x3local.alg"))
     for obj in (3, 0):
         ccx = tmp_path / f"x{obj}.ccx"
         ccx.write_text(f"ccx bad\nalgebra x3local.alg\nx {obj} = 1\n")
@@ -248,7 +254,7 @@ def test_ccx_x_line_out_of_range_is_an_input_error(capsys, tmp_path):
 
 
 def test_ccx_unknown_shift_is_an_input_error(capsys, tmp_path):
-    (tmp_path / "dualnumbers.alg").write_text(fixture_path("dualnumbers.alg").read_text())
+    (tmp_path / "dualnumbers.alg").write_text(fixture_text("dualnumbers.alg"))
     ccx = tmp_path / "graded.ccx"
     ccx.write_text("ccx bad\nalgebra dualnumbers.alg\nshift F11_1 = 5\n")
     code, out, err = run(capsys, "ccx-build", "--input", str(ccx))
@@ -259,7 +265,7 @@ def test_ccx_unknown_shift_is_an_input_error(capsys, tmp_path):
 
 
 def test_ccx_x_expression_error_names_its_line(capsys, tmp_path):
-    (tmp_path / "dualnumbers.alg").write_text(fixture_path("dualnumbers.alg").read_text())
+    (tmp_path / "dualnumbers.alg").write_text(fixture_text("dualnumbers.alg"))
     ccx = tmp_path / "zero.ccx"
     ccx.write_text("ccx bad\nalgebra dualnumbers.alg\nx 1 = 1/0\n")
     code, out, err = run(capsys, "ccx-build", "--input", str(ccx))
@@ -269,7 +275,7 @@ def test_ccx_x_expression_error_names_its_line(capsys, tmp_path):
 
 
 def test_ccx_repeated_lines_are_input_errors(capsys, tmp_path):
-    (tmp_path / "dualnumbers.alg").write_text(fixture_path("dualnumbers.alg").read_text())
+    (tmp_path / "dualnumbers.alg").write_text(fixture_text("dualnumbers.alg"))
     cases = {
         "shift": "shift F11_11 = 1\n# a comment\nshift F11_11 = 3\n",
         "x": "x = 1 ; x\n\nx 1 = 1\n",
@@ -285,7 +291,7 @@ def test_ccx_repeated_lines_are_input_errors(capsys, tmp_path):
 
 
 def test_ccx_identity_shift_is_an_input_error(capsys, tmp_path):
-    (tmp_path / "dualnumbers.alg").write_text(fixture_path("dualnumbers.alg").read_text())
+    (tmp_path / "dualnumbers.alg").write_text(fixture_text("dualnumbers.alg"))
     ccx = tmp_path / "graded.ccx"
     ccx.write_text("ccx bad\nalgebra dualnumbers.alg\nshift I1 = 1\n")
     code, out, err = run(capsys, "ccx-build", "--input", str(ccx))
@@ -297,7 +303,7 @@ def test_ccx_identity_shift_is_an_input_error(capsys, tmp_path):
 
 
 def test_ccx_shift_without_gradings_names_the_first_shift_line(capsys, tmp_path):
-    (tmp_path / "rationals.alg").write_text(fixture_path("rationals.alg").read_text())
+    (tmp_path / "rationals.alg").write_text(fixture_text("rationals.alg"))
     ccx = tmp_path / "ungraded.ccx"
     ccx.write_text("ccx bad\nalgebra rationals.alg\n\nshift F11_11 = 1\nshift I1 = 0\n")
     code, out, err = run(capsys, "ccx-build", "--input", str(ccx))
@@ -307,7 +313,7 @@ def test_ccx_shift_without_gradings_names_the_first_shift_line(capsys, tmp_path)
 
 
 def test_cells_refuses_repeated_msg_lines(capsys, tmp_path):
-    head = fixture_path("demo.msg").read_text()
+    head = fixture_text("demo.msg")
     cases = {
         "product g o g": ("g o g = 3*g", 12),
         "star for g": ("star g = g", 8),
@@ -323,7 +329,7 @@ def test_cells_refuses_repeated_msg_lines(capsys, tmp_path):
 
 def test_cells_reports_a_star_failure_at_its_star_line(capsys, tmp_path):
     msg = tmp_path / "star.msg"
-    msg.write_text(fixture_path("demo.msg").read_text() + "star q = g\n")
+    msg.write_text(fixture_text("demo.msg") + "star q = g\n")
     code, out, err = run(capsys, "cells", "--input", str(msg))
     assert code == 2
     assert out == ""

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiatcells import cli, coxeter, hecke, mscell
-from fiatcells.coxeter import coxeter_group, permutation_element
+from fiatcells.coxeter import coxeter_group
 from fiatcells.hecke import (
     HeckeDataError,
     SizeLimitError,
@@ -21,7 +22,6 @@ from fiatcells.hecke import (
     multiply,
     rsk,
     rsk_cells,
-    rsk_inverse,
 )
 from fiatcells.laurent import LaurentPoly
 
@@ -96,7 +96,7 @@ def test_kl_basis_a2_longest_is_full_sum():
     W = coxeter_group("A2")
     basis = kl_basis(W)
     w0 = W.longest()
-    coeffs = basis[w0].as_dict()
+    coeffs = dict(basis[w0].coeffs)
     assert set(coeffs) == set(range(W.order))
     for x, c in coeffs.items():
         assert c == LaurentPoly.monomial(1, W.length(w0) - W.length(x))
@@ -211,7 +211,7 @@ def test_stored_coefficients_keep_no_zeros_and_int_exponents(kind):
     W = coxeter_group(kind)
     basis = kl_basis(W)
     act = hecke._generator_action(W, basis)
-    rows = [poly.coeffs for b in basis for poly in b.as_dict().values()]
+    rows = [poly.coeffs for b in basis for _, poly in b.coeffs]
     coords = [entry for row in act for entry in row]
     coords += [col for y in range(W.order) for col in hecke._product_column(W, act, y)]
     rows += [row for c in coords for row in c.values()]
@@ -311,7 +311,7 @@ def test_export_rejects_a_basis_element_planted_wrong(monkeypatch):
     def planted(group, bound=hecke.DEFAULT_SIZE_BOUND):
         basis = original(group, bound)
         x = group.element_of_name("12")
-        data = basis[x].as_dict()
+        data = dict(basis[x].coeffs)
         data[x] = LaurentPoly({0: 2})
         basis[x] = hecke.HeckeElement.from_dict(group, data)
         return basis
@@ -382,19 +382,18 @@ def test_tableau_pair_validation():
         TableauPair(((1, 2),), ((1,), (2,)))
 
 
-def test_rsk_roundtrip_s4():
-    W = coxeter_group("A3")
-    for x in range(W.order):
-        perm = W.reps[x]
-        assert rsk_inverse(rsk(perm)) == perm
+def test_rsk_is_a_bijection_onto_tableau_pairs():
+    # the (P, Q) pairs over S_n are pairwise distinct, n! of them
+    for n in range(2, 6):
+        W = coxeter_group(f"A{n - 1}")
+        pairs = {rsk(W.perm(x)) for x in range(W.order)}
+        assert len(pairs) == W.order == math.factorial(n)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.permutations(list(range(1, 7))))
-def test_rsk_roundtrip_property(perm):
+def test_rsk_recording_tableau_is_the_insertion_tableau_of_the_inverse(perm):
     pair = rsk(tuple(perm))
-    assert rsk_inverse(pair) == tuple(perm)
-    # Q is the insertion tableau of the inverse permutation
     inv = tuple(perm.index(i) + 1 for i in range(1, 7))
     assert pair.q_rows == rsk(inv).p_rows
 
@@ -409,6 +408,12 @@ def test_rsk_cells_sizes():
     c4 = rsk_cells(4)
     assert sorted(len(c) for c in c4.two_sided_cells) == [1, 1, 4, 9, 9]
     assert sum(len(c) for c in c4.two_sided_cells) == 24
+
+
+def test_rsk_cells_count_the_partitions_and_the_involutions():
+    cells = {n: rsk_cells(n) for n in range(2, 6)}
+    counts = {n: (len(c.two_sided_cells), len(c.left_cells)) for n, c in cells.items()}
+    assert counts == {2: (2, 2), 3: (3, 4), 4: (5, 10), 5: (7, 26)}
 
 
 def test_rsk_cells_size_bound():
@@ -429,7 +434,33 @@ def test_oracle_equivalence():
         assert struct.two_sided_cells == oracle.two_sided_cells
 
 
-def test_permutation_element_lookup():
-    W = coxeter_group("A2")
-    x = permutation_element(W, (2, 1, 3))
-    assert W.name(x) == "1"
+@pytest.mark.parametrize("kind", ["A1", "A2", "A3", "A4"])
+def test_perm_is_a_faithful_homomorphism(kind):
+    W = coxeter_group(kind)
+    perms = [W.perm(x) for x in range(W.order)]
+    assert len(set(perms)) == W.order
+    for x in range(W.order):
+        for y in range(W.order):
+            u, v = perms[x], perms[y]
+            assert perms[W.mult(x, y)] == tuple(u[i - 1] for i in v)
+    assert W.perm(W.element_of_name("1")) == (2, 1) + tuple(range(3, len(perms[0]) + 1))
+
+
+def test_perm_is_type_a_only():
+    with pytest.raises(ValueError, match="type A"):
+        coxeter_group("B2").perm(0)
+
+
+def test_b2_names_are_the_canonical_words():
+    B = coxeter_group("B2")
+    assert [B.name(x) for x in range(B.order)] == ["e", "s", "t", "st", "ts", "sts", "tst", "stst"]
+
+
+@pytest.mark.parametrize("kind", ["A5", "B3", "C2"])
+def test_unsupported_types_are_refused_before_any_search(kind, monkeypatch):
+    def searched(*args):
+        raise AssertionError("searched the orbit of an unsupported type")
+
+    monkeypatch.setattr(coxeter, "_generate", searched)
+    with pytest.raises(ValueError, match="unsupported Coxeter type"):
+        coxeter_group(kind)
