@@ -9,20 +9,21 @@ the computed left cells match the convention in which left cells of the
 2-category are Kazhdan-Lusztig right cells.
 
 The export's product table comes from the left action of the generators on
-the canonical basis: the |S|.|W| generator products b_s b_w, each the
-T-basis product (T_s + v) b_w expanded top-down over its own support,
-determine every b_x b_y by associativity.  The b_s generate the canonical
-basis, so the exported table is checked for associativity with only the
-b_s as left factors (neutrality already settles the identity), next to a
-certificate that they and the identity span it.
+the canonical basis: the |S|.|W| generator products b_s b_w determine every
+b_x b_y by associativity.  Each is taken once: (v + v^-1) b_w when sw < w,
+certified by T_s b_w = v^-1 b_w; the product b_s b_{sw} the KL recursion
+peeled when s is the first letter of sw; otherwise the T-basis product
+(T_s + v) b_w, expanded top-down over its own support (13 of 72 on A3).
+The b_s generate the canonical basis, so the exported table is checked for
+associativity with only the b_s as left factors (neutrality already settles
+the identity), next to a certificate that they and the identity span it.
 
 Laurent arithmetic accumulates in place: `_mac` adds factor * data into
-raw {exponent: int} dicts, so no sum or product builds temporaries.  The
-export stays on raw dicts from the generator products to the v = 1 step,
-where non-negativity and the value at 1 are read straight off them; only
-`kl_basis` and the per-pair reference (`multiply`, `kl_expand`,
-`kl_product_at_one`) wrap finished coefficients into LaurentPoly, once
-each, zeros dropped.
+raw {exponent: int} dicts, so no sum or product builds temporaries.  The KL
+recursion and the export stay on raw dicts up to the v = 1 step, which reads
+non-negativity and the value at 1 straight off them; only `kl_basis` and
+the per-pair reference (`multiply`, `kl_expand`, `kl_product_at_one`) wrap
+finished coefficients into LaurentPoly, once each, zeros dropped.
 """
 
 from __future__ import annotations
@@ -59,11 +60,7 @@ class HeckeElement:
 
     @classmethod
     def from_dict(cls, group: CoxeterGroup, data: dict) -> "HeckeElement":
-        items = tuple(sorted((x, c) for x, c in data.items() if c))
-        return cls(group, items)
-
-    def coeff(self, x: int) -> LaurentPoly:
-        return dict(self.coeffs).get(x, LaurentPoly.zero())
+        return cls(group, tuple(sorted((x, c) for x, c in data.items() if c)))
 
 
 def _left_product(group: CoxeterGroup, s: int, x: int) -> int:
@@ -89,22 +86,13 @@ def _mac(acc: dict, data: dict, factor: dict) -> dict:
 
 def _trimmed(acc: dict) -> dict:
     """The finished raw coefficients of acc, zeros and empty rows dropped."""
-    out = {}
-    for x, row in acc.items():
-        row = {e: c for e, c in row.items() if c}
-        if row:
-            out[x] = row
-    return out
+    rows = ((x, {e: c for e, c in row.items() if c}) for x, row in acc.items())
+    return {x: row for x, row in rows if row}
 
 
 def _wrapped(acc: dict) -> dict:
     """The finished raw coefficients of acc as LaurentPoly, zeros dropped."""
-    out = {}
-    for x, row in acc.items():
-        poly = LaurentPoly(row)
-        if poly:
-            out[x] = poly
-    return out
+    return {x: LaurentPoly(row) for x, row in _trimmed(acc).items()}
 
 
 def _raw(elem: HeckeElement) -> dict:
@@ -163,13 +151,10 @@ def _bar_t_basis(group: CoxeterGroup) -> list[dict]:
     bar = [dict() for _ in range(group.order)]
     bar[group.identity] = {group.identity: {0: 1}}
     for x in group.by_length()[1:]:
-        word = group.words[x]
-        prefix = group.identity
-        for s in word[:-1]:
-            prefix = group.mult_gen[prefix][s]
-        # bar(T_x) = bar(T_prefix) * T_s^-1,  T_s^-1 = T_s + (v - v^-1)
-        base = bar[prefix]
-        right = {y: group.mult_gen[y][word[-1]] for y in base}
+        s = group.words[x][-1]
+        # bar(T_x) = bar(T_xs) * T_s^-1,  T_s^-1 = T_s + (v - v^-1)
+        base = bar[group.mult_gen[x][s]]
+        right = {y: group.mult_gen[y][s] for y in base}
         bar[x] = _trimmed(_mac(_t_gen(group, {}, base, right, _ONE), base, _VMINUS))
     return bar
 
@@ -185,49 +170,50 @@ def bar_involution(elem: HeckeElement) -> HeckeElement:
     return HeckeElement.from_dict(group, _wrapped(acc))
 
 
+def _kl_recursion(group: CoxeterGroup, bound: int) -> tuple:
+    """`kl_basis` in raw T coordinates, and the products it peels: with s
+    the first letter of w, peeled[w] = b_s b_{sw} = b_w + sum m_x b_x in
+    canonical coordinates, exactly, entries in `_expand`'s order."""
+    if group.order > bound:
+        raise SizeLimitError(f"group of order {group.order} exceeds the bound {bound}")
+    basis: list = [None] * group.order
+    basis[group.identity] = {group.identity: {0: 1}}
+    peeled: list = [None] * group.order
+    by_length = group.by_length()
+    for w in by_length[1:]:
+        s = group.words[w][0]
+        sub = basis[_left_product(group, s, w)]
+        # b_s * b_{sw} = (T_s + v) * b_{sw}
+        prod = _mac(_t_gen_left(group, {}, sub, s), sub, _V)
+        entry = {w: {0: 1}}
+        # corrections may create support at shorter elements, so scan them all
+        for x in reversed(by_length):
+            m = prod[x].get(0) if x != w and x in prod else 0
+            if m:
+                _mac(prod, basis[x], {0: -m})
+                entry[x] = {0: m}
+        b_w = _trimmed(prod)
+        if b_w.get(w) != _ONE:
+            raise HeckeDataError(f"canonical basis recursion failed at {group.name(w)}")
+        for x, row in b_w.items():
+            if x != w and min(row) < 1:
+                raise HeckeDataError(
+                    f"coefficient of T_{group.name(x)} in b_{group.name(w)} is "
+                    f"not in v*Z[v]: {LaurentPoly(row).format('v')}"
+                )
+        basis[w] = b_w
+        peeled[w] = entry
+    return basis, peeled
+
+
 def kl_basis(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list[HeckeElement]:
     """The canonical (Kazhdan-Lusztig) basis {b_w} in T coordinates.
 
     Computed by the standard recursion b_w = b_s b_{sw} - sum mu(x, sw) b_x,
     peeling correction terms by constant coefficients from the top down.
     """
-    if group.order > bound:
-        raise SizeLimitError(
-            f"group of order {group.order} exceeds the bound {bound}"
-        )
-    basis: list[HeckeElement | None] = [None] * group.order
-    basis[group.identity] = HeckeElement.from_dict(
-        group, {group.identity: LaurentPoly.one()}
-    )
-    raw = [None] * group.order  # raw[x] = _raw(basis[x])
-    raw[group.identity] = _raw(basis[group.identity])
-    by_length = group.by_length()
-    for w in by_length[1:]:
-        word = group.words[w]
-        s = word[0]
-        rest = group.identity
-        for g in word[1:]:
-            rest = group.mult_gen[rest][g]
-        sub = raw[rest]
-        # b_s * b_{sw} = (T_s + v) * b_{sw}
-        prod = _mac(_t_gen_left(group, {}, sub, s), sub, _V)
-        # corrections may create support at shorter elements, so scan them all
-        for x in reversed(by_length):
-            m = prod[x].get(0) if x != w and x in prod else 0
-            if m:
-                _mac(prod, raw[x], {0: -m})
-        elem = HeckeElement.from_dict(group, _wrapped(prod))
-        if elem.coeff(w) != LaurentPoly.one():
-            raise HeckeDataError(f"canonical basis recursion failed at {group.name(w)}")
-        for x, c in elem.coeffs:
-            if x != w and (c.coeff(0) or (c.valuation is not None and c.valuation < 0)):
-                raise HeckeDataError(
-                    f"coefficient of T_{group.name(x)} in b_{group.name(w)} is "
-                    f"not in v*Z[v]: {c.format('v')}"
-                )
-        basis[w] = elem
-        raw[w] = _raw(elem)
-    return basis
+    basis, _ = _kl_recursion(group, bound)
+    return [HeckeElement.from_dict(group, _wrapped(b)) for b in basis]
 
 
 def _expand(group: CoxeterGroup, acc: dict, basis: list) -> dict:
@@ -260,8 +246,7 @@ def _expand(group: CoxeterGroup, acc: dict, basis: list) -> dict:
 def kl_expand(group: CoxeterGroup, element: HeckeElement, basis=None) -> dict:
     """Coordinates of a Hecke element in the canonical basis, peeled over
     every element from the top down (the reference for `_expand`)."""
-    if basis is None:
-        basis = kl_basis(group)
+    basis = basis or kl_basis(group)
     acc = _mac({}, _raw(element), _ONE)
     out: dict[int, LaurentPoly] = {}
     for x in reversed(group.by_length()):
@@ -294,10 +279,21 @@ def _at_one(group: CoxeterGroup, coords: dict) -> dict:
 def kl_product_at_one(group: CoxeterGroup, x: int, y: int, basis=None) -> dict:
     """Multiset expansion of b_x b_y in the canonical basis, specialized at v=1,
     from the T-basis product (the per-pair reference for the export's table)."""
-    if basis is None:
-        basis = kl_basis(group)
+    basis = basis or kl_basis(group)
     coords = kl_expand(group, multiply(basis[x], basis[y]), basis)
     return _at_one(group, {z: c.coeffs for z, c in coords.items()})
+
+
+def _descent_product(group: CoxeterGroup, b_w: dict, s: int, w: int) -> dict:
+    """b_s b_w = (v + v^-1) b_w for sw < w, certified by T_s b_w = v^-1 b_w:
+    h_x = v h_sx for every x with sx > x, h the raw T coordinates of b_w."""
+    for x in b_w:
+        sx = _left_product(group, s, x)
+        lo, hi = (x, sx) if group.length(x) < group.length(sx) else (sx, x)
+        if b_w.get(lo, {}) != {e + 1: k for e, k in b_w.get(hi, {}).items()}:
+            g, name = group.gen_names[s], group.name(w)
+            raise HeckeDataError(f"T_{g} b_{name} is not v^-1 b_{name}, although {g} is a descent")
+    return {w: {1: 1, -1: 1}}
 
 
 def _generator_product(group: CoxeterGroup, basis: list, s: int, w: int) -> dict:
@@ -307,24 +303,28 @@ def _generator_product(group: CoxeterGroup, basis: list, s: int, w: int) -> dict
     return _expand(group, _mac(_t_gen_left(group, {}, b_w, s), b_w, _V), basis)
 
 
-def _generator_action(group: CoxeterGroup, basis) -> list:
-    """act[s][w] = b_s b_w in canonical coordinates, as raw dicts, from the
-    T-basis product.  The table's recursion solves act[s][w] for b_sw
-    whenever sw > w, so b_sw must have coefficient exactly 1 there."""
-    basis = [_raw(b) for b in basis]
-    act = []
+def _generator_action(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list:
+    """act[s][w] = b_s b_w in canonical coordinates, as raw dicts: the
+    descent rule if sw < w, the recursion's product if s is the first letter
+    of sw, else the T-basis product.  `_product_column` solves act[s][w] for
+    b_sw when sw > w, so there b_sw must have coefficient exactly 1."""
+    basis, peeled = _kl_recursion(group, bound)
+    act: list = [[None] * group.order for _ in group.gen_names]
     for s in range(len(group.gen_names)):
-        row = []
         for w in range(group.order):
-            entry = _generator_product(group, basis, s, w)
             sw = _left_product(group, s, w)
-            if group.length(sw) > group.length(w) and entry.get(sw) != _ONE:
-                raise HeckeDataError(
-                    f"coefficient of b_{group.name(sw)} in "
-                    f"b_{group.gen_names[s]} b_{group.name(w)} is not 1"
-                )
-            row.append(entry)
-        act.append(row)
+            if group.length(sw) < group.length(w):
+                entry = _descent_product(group, basis[w], s, w)
+            elif group.words[sw][0] == s:
+                entry = peeled[sw]
+            else:
+                entry = _generator_product(group, basis, s, w)
+                if entry.get(sw) != _ONE:
+                    raise HeckeDataError(
+                        f"coefficient of b_{group.name(sw)} in "
+                        f"b_{group.gen_names[s]} b_{group.name(w)} is not 1"
+                    )
+            act[s][w] = entry
     return act
 
 
@@ -351,11 +351,10 @@ def _product_column(group: CoxeterGroup, act, c: int) -> list:
 
 def _table_at_one(group: CoxeterGroup, bound: int) -> dict:
     """b_y b_x at v=1 for every pair, keyed by the names (x, y), built one
-    right factor b_x at a time from the generator action, on raw
-    coefficient dicts throughout.  Only the table outlives the call, so the
-    basis, the action and the last column are freed before the
-    multisemigroup validates the table."""
-    act = _generator_action(group, kl_basis(group, bound))
+    right factor b_x at a time from the generator action on raw dicts.  Only
+    the table outlives the call, so the multisemigroup validates it after
+    the basis, the action and the last column are freed."""
+    act = _generator_action(group, bound)
     names = [group.name(x) for x in range(group.order)]
     table = {}
     for x in range(group.order):
@@ -376,9 +375,10 @@ def export_multisemigroup(
     table entry for (th_x, th_y) is the canonical-basis expansion of
     b_y b_x at v=1: the side swap makes the computed left cells match the
     convention in which they are Kazhdan-Lusztig right cells.  Associativity
-    is checked with the b_s as left factors: the generator action certified
-    that b_sw has coefficient 1 in b_s b_w, so they and the identity span,
-    and the identity as a left factor is covered by neutrality.
+    is checked with the b_s as left factors: b_sw has coefficient 1 in
+    b_s b_w when sw > w (checked on the T-basis products, by construction
+    on the KL recursion's), so they and the identity span, and the identity
+    as a left factor is covered by neutrality.
     """
     obj = "i"
     morphisms = [

@@ -460,6 +460,12 @@ def duflo(ms: MultiSemigroup, left_cell) -> str:
         raise UnsupportedCellError(
             "Duflo involutions are only computed in strongly regular cells"
         )
+    return _duflo_in(ms, struct, left_cell)
+
+
+def _duflo_in(ms: MultiSemigroup, struct: CellStructure, left_cell: tuple) -> str:
+    """`duflo` of a sorted left cell already known to lie in a strongly
+    regular two-sided cell."""
     starred = {ms.star[f] for f in left_cell}
     inter = sorted(set(left_cell) & starred)
     if len(inter) != 1:
@@ -488,10 +494,16 @@ def duflo_multiplicity_constant_on_right_cells(ms: MultiSemigroup, two_sided_cel
         raise UnsupportedCellError("the multiplicity condition needs a strongly regular cell")
     struct = cells(ms)
     members = set(cell)
+    # one Duflo involution per left cell, not one per member
+    involution = {
+        left: _duflo_in(ms, struct, left) for left in struct.left_cells if set(left) <= members
+    }
     for right in struct.right_cells:
         if not set(right) <= members:
             continue
-        values = {duflo_multiplicity(ms, f) for f in right}
+        values = {
+            ms.compose(ms.star[f], f).get(involution[struct.left_cell_of(f)], 0) for f in right
+        }
         if len(values) != 1:
             return False
     return True

@@ -81,15 +81,15 @@ def test_kl_basis_a1():
     W = coxeter_group("A1")
     basis = kl_basis(W)
     s = W.element_of_name("1")
-    assert basis[s].coeff(s) == LaurentPoly.one()
-    assert basis[s].coeff(W.identity) == LaurentPoly.monomial(1, 1)
+    assert dict(basis[s].coeffs)[s] == LaurentPoly.one()
+    assert dict(basis[s].coeffs)[W.identity] == LaurentPoly.monomial(1, 1)
 
 
 def test_kl_basis_b2_longest():
     W = coxeter_group("B2")
     basis = kl_basis(W)
     w0 = W.longest()
-    assert basis[w0].coeff(W.identity) == LaurentPoly.monomial(1, 4)
+    assert dict(basis[w0].coeffs)[W.identity] == LaurentPoly.monomial(1, 4)
 
 
 def test_kl_basis_a2_longest_is_full_sum():
@@ -196,7 +196,7 @@ def test_product_columns_match_t_basis():
     for kind in ("A1", "A2", "B2", "A3"):
         W = coxeter_group(kind)
         basis = kl_basis(W)
-        act = hecke._generator_action(W, basis)
+        act = hecke._generator_action(W)
         for y in range(W.order):
             col = hecke._product_column(W, act, y)
             for x in range(W.order):
@@ -210,7 +210,7 @@ def test_stored_coefficients_keep_no_zeros_and_int_exponents(kind):
     # would break ==
     W = coxeter_group(kind)
     basis = kl_basis(W)
-    act = hecke._generator_action(W, basis)
+    act = hecke._generator_action(W)
     rows = [poly.coeffs for b in basis for _, poly in b.coeffs]
     coords = [entry for row in act for entry in row]
     coords += [col for y in range(W.order) for col in hecke._product_column(W, act, y)]
@@ -246,7 +246,12 @@ def test_export_work_is_linear_in_the_generator_products(kind, monkeypatch):
     for module in (hecke, coxeter):
         monkeypatch.setattr(module, "sorted", counting_sorted, raising=False)
     export_multisemigroup(W)
-    products = len(W.gen_names) * W.order
+    # only the ascents sw > w whose b_s b_w the KL recursion did not peel
+    # (s the first letter of sw, one for each sw != e) are T-basis products
+    gens = [W.mult_gen[W.identity][s] for s in range(len(W.gen_names))]
+    descents = sum(W.length(W.mult(g, w)) < W.length(w) for g in gens for w in range(W.order))
+    products = len(gens) * W.order - descents - (W.order - 1)
+    assert products == {"A3": 13, "B2": 1}[kind]
     assert calls == {
         "_generator_product": products, "multiply": 0, "kl_expand": 0,
         "kl_product_at_one": 0, "length sorts": 1,
@@ -254,8 +259,8 @@ def test_export_work_is_linear_in_the_generator_products(kind, monkeypatch):
 
 
 def test_export_builds_no_laurent_poly_beyond_the_basis(monkeypatch):
-    # from the generator products to the v = 1 step the export works on raw
-    # coefficient dicts, so it wraps exactly what kl_basis alone wraps
+    # the KL recursion and the export work on raw coefficient dicts, so only
+    # kl_basis, which wraps the recursion's basis, builds LaurentPoly
     inits = []
     original = LaurentPoly.__init__
 
@@ -268,7 +273,7 @@ def test_export_builds_no_laurent_poly_beyond_the_basis(monkeypatch):
     alone = len(inits)
     inits.clear()
     export_multisemigroup(coxeter_group("A3"))
-    assert alone > 0 and len(inits) == alone
+    assert alone > 0 and len(inits) == 0
 
 
 def test_export_rejects_a_leading_coefficient_other_than_one(monkeypatch):
@@ -286,39 +291,125 @@ def test_export_rejects_a_leading_coefficient_other_than_one(monkeypatch):
 
 
 def test_export_rejects_a_negative_structure_constant(monkeypatch):
-    # b_s b_s = (v + v^-1) b_s; plant v - v^-1 instead, which the leading
-    # coefficient check does not read (ss < s)
+    # b_2 b_12 = b_121 + b_2 is A2's one T-basis product; plant v - v^-1 at
+    # b_2, which the leading coefficient check does not read
     W = coxeter_group("A2")
-    s = W.element_of_name("1")
+    two, w = W.element_of_name("2"), W.element_of_name("12")
     original = hecke._generator_product
 
-    def flipped(group, basis, gen, w):
-        entry = original(group, basis, gen, w)
-        if gen == 0 and w == s:
-            assert entry == {s: {1: 1, -1: 1}}
-            entry = {s: {1: 1, -1: -1}}
+    def flipped(group, basis, gen, x):
+        entry = original(group, basis, gen, x)
+        if gen == 1 and x == w:
+            assert entry == {W.longest(): {0: 1}, two: {0: 1}}
+            entry[two] = {1: 1, -1: -1}
         return entry
 
     monkeypatch.setattr(hecke, "_generator_product", flipped)
-    with pytest.raises(HeckeDataError, match=r"negative canonical structure constant at 1: -v\^-1 \+ v$"):
+    with pytest.raises(HeckeDataError, match=r"negative canonical structure constant at 2: -v\^-1 \+ v$"):
         export_multisemigroup(W)
 
 
+def _planted(monkeypatch, plant):
+    """Run the KL recursion with plant(group, basis, peeled) applied to its
+    raw basis and its peeled products."""
+    original = hecke._kl_recursion
+
+    def planted(group, bound):
+        basis, peeled = original(group, bound)
+        plant(group, basis, peeled)
+        return basis, peeled
+
+    monkeypatch.setattr(hecke, "_kl_recursion", planted)
+
+
 def test_export_rejects_a_basis_element_planted_wrong(monkeypatch):
-    # b_12 with leading coefficient 2: peeling it off a product leaves -c at 12
-    original = hecke.kl_basis
-
-    def planted(group, bound=hecke.DEFAULT_SIZE_BOUND):
-        basis = original(group, bound)
+    # b_12 with leading coefficient 2 breaks T_1 b_12 = v^-1 b_12 (1 is a
+    # descent of 12), and peeling it off a T-basis product leaves -1 at 12
+    def lead_two(group, basis, peeled):
         x = group.element_of_name("12")
-        data = dict(basis[x].coeffs)
-        data[x] = LaurentPoly({0: 2})
-        basis[x] = hecke.HeckeElement.from_dict(group, data)
-        return basis
+        basis[x] = {**basis[x], x: {0: 2}}
 
-    monkeypatch.setattr(hecke, "kl_basis", planted)
+    W = coxeter_group("A2")
+    basis = hecke._kl_recursion(W, hecke.DEFAULT_SIZE_BOUND)[0]
+    lead_two(W, basis, None)
     with pytest.raises(HeckeDataError, match="canonical-basis expansion left a nonzero remainder"):
-        export_multisemigroup(coxeter_group("A2"))
+        hecke._generator_product(W, basis, 0, W.element_of_name("2"))
+    _planted(monkeypatch, lead_two)
+    with pytest.raises(HeckeDataError, match=r"T_1 b_12 is not v\^-1 b_12, although 1 is a descent"):
+        export_multisemigroup(W)
+
+
+@pytest.mark.parametrize("kind", ["A2", "B2", "A3"])
+def test_export_rejects_a_basis_element_off_the_descent_rule(kind, monkeypatch):
+    # b_w0 + v^2 T_e still has leading coefficient 1 and its other
+    # coefficients in vZ[v], but every generator is a descent of w0, and
+    # T_s b_w0 = v^-1 b_w0 fails at the pair (e, s)
+    def shifted(group, basis, peeled):
+        w0, e = group.longest(), group.identity
+        row = dict(basis[w0][e])
+        row[2] = row.get(2, 0) + 1
+        basis[w0] = {**basis[w0], e: row}
+
+    _planted(monkeypatch, shifted)
+    W = coxeter_group(kind)
+    name = W.name(W.longest())
+    with pytest.raises(HeckeDataError, match=rf"T_{W.gen_names[0]} b_{name} is not v\^-1 b_{name}"):
+        export_multisemigroup(W)
+
+
+def _corrections(kind):
+    """(w, x, m) for every correction m b_x the KL recursion peeled off
+    b_s b_{sw} on its way to b_w."""
+    peeled = hecke._kl_recursion(coxeter_group(kind), hecke.DEFAULT_SIZE_BOUND)[1]
+    return [
+        (w, x, row[0])
+        for w, entry in enumerate(peeled) if entry
+        for x, row in entry.items() if x != w
+    ]
+
+
+_CORRECTION_MUTANTS = [
+    (kind, w, x, m, change)
+    for kind in ("A2", "B2", "A3")
+    for w, x, m in _corrections(kind)
+    for change in ("drop", "bump")
+]
+
+
+def test_the_recursion_peels_thirteen_corrections_on_a2_b2_a3():
+    assert len(_CORRECTION_MUTANTS) == 26
+
+
+@pytest.mark.parametrize("kind, w, x, m, change", _CORRECTION_MUTANTS)
+def test_export_rejects_a_recursion_product_with_a_correction_changed(
+    kind, w, x, m, change, monkeypatch
+):
+    def mutated(group, basis, peeled):
+        entry = peeled[w] = dict(peeled[w])
+        if change == "drop":
+            del entry[x]
+        else:
+            entry[x] = {0: m + 1}
+
+    _planted(monkeypatch, mutated)
+    with pytest.raises((HeckeDataError, mscell.MultiSemigroupError)):
+        export_multisemigroup(coxeter_group(kind))
+
+
+@pytest.mark.parametrize("kind, bound", [
+    ("A1", 24), ("A2", 24), ("A3", 24), ("B2", 24), ("A4", 120),
+])
+def test_generator_action_matches_the_t_basis_reference(kind, bound):
+    # every b_s b_w, whichever source it came from, against the per-pair
+    # T-basis product and top-down expansion
+    W = coxeter_group(kind)
+    basis = kl_basis(W, bound)
+    act = hecke._generator_action(W, bound)
+    for s in range(len(W.gen_names)):
+        b_s = basis[W.mult_gen[W.identity][s]]
+        for w in range(W.order):
+            reference = kl_expand(W, multiply(b_s, basis[w]), basis)
+            assert act[s][w] == {z: c.coeffs for z, c in reference.items()}, (s, w)
 
 
 def test_export_checks_associativity_with_the_generators_as_left_factors(monkeypatch):

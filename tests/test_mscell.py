@@ -9,6 +9,7 @@ from fiatcells.mscell import (
     NotComposableError,
     CellArgumentError,
     UnsupportedCellError,
+    DataInconsistencyError,
     OneMorphism,
 )
 from fiatcells.hecke import export_multisemigroup
@@ -246,6 +247,63 @@ def test_generator_check_rejects_what_the_all_triples_scan_rejects(kind, count):
         assert rejects(table, ms.generators) == rejects(table, None), (f, g, h, delta)
 
 
+def _all_triples_associative(ms):
+    """The reference: (f o g) o k = f o (g o k) for every composable triple,
+    both sides summed straight off the table."""
+    table = ms.table
+
+    def linear(terms):
+        out = {}
+        for m, entry in terms:
+            for h, k in entry.items():
+                out[h] = out.get(h, 0) + m * k
+        return {h: k for h, k in out.items() if k}
+
+    for f in ms.names:
+        for g in ms.names:
+            fg = table.get((f, g))
+            for k in ms.names if fg is not None else ():
+                gk = table.get((g, k))
+                if gk is None:
+                    continue
+                lhs = linear((m, table[(h, k)]) for h, m in fg.items())
+                rhs = linear((m, table[(f, h)]) for h, m in gk.items())
+                if lhs != rhs:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("kind, stride", [("A2", 1), ("B2", 1), ("A3", 97)])
+def test_generator_associativity_agrees_with_the_all_triples_reference(kind, stride):
+    # every bump of one entry f o g at h (and its star image), f and g not
+    # identities since neutrality is checked apart; A3 takes every stride-th
+    ms = export_multisemigroup(coxeter_group(kind))
+
+    def verdicts(table):
+        built = MultiSemigroup(
+            ms.objects, ms.morphisms.values(), table, ms.star,
+            generators=ms.generators, validate=False,
+        )
+        try:
+            built._check_associativity()
+            accepted = True
+        except MultiSemigroupError:
+            accepted = False
+        return accepted, _all_triples_associative(built)
+
+    assert verdicts(ms.table) == (True, True)
+    plain = [f for f in ms.names if not ms.morphisms[f].is_identity]
+    bumps = [
+        (f, g, h, delta)
+        for f in plain for g in plain for h in ms.names
+        for delta in ((1, -1) if ms.table[(f, g)].get(h) else (1,))
+    ][::stride]
+    assert len(bumps) > 100
+    for f, g, h, delta in bumps:
+        accepted, reference = verdicts(_bumped(ms, f, g, h, delta))
+        assert accepted == reference, (f, g, h, delta)
+
+
 def test_star_reverses_left_to_right():
     ms = export_multisemigroup(coxeter_group("B2"))
     st = mscell.cells(ms)
@@ -339,10 +397,11 @@ def test_strongly_regular_bijection_pairs():
             assert seen == members
 
 
-def test_m_constant_on_right_cells_counterexample():
-    # hand-crafted associative table: left cells {a}, {b}, one right cell
-    # {a, b}, strongly regular, but m(a) = 1 while m(b) = 2.  The star map
-    # is not a table anti-map here, so validation is skipped by hand.
+def _two_cell_ms(star):
+    """A hand-crafted associative table: left cells {a}, {b}, one right cell
+    {a, b}, strongly regular, but m(a) = 1 while m(b) = 2 when the star
+    fixes a and b.  The star map is not a table anti-map here, so validation
+    is skipped by hand."""
     morphisms = [
         OneMorphism("1", "i", "i", is_identity=True),
         OneMorphism("a", "i", "i"),
@@ -359,9 +418,11 @@ def test_m_constant_on_right_cells_counterexample():
         ("b", "a"): {"a": 2},
         ("b", "b"): {"b": 2},
     }
-    ms = MultiSemigroup(
-        ["i"], morphisms, table, {"1": "1", "a": "a", "b": "b"}, validate=False
-    )
+    return MultiSemigroup(["i"], morphisms, table, {"1": "1", **star}, validate=False)
+
+
+def test_m_constant_on_right_cells_counterexample():
+    ms = _two_cell_ms({"a": "a", "b": "b"})
     ms._check_associativity()
     st = mscell.cells(ms)
     J = st.two_sided_cell_of("a")
@@ -371,3 +432,30 @@ def test_m_constant_on_right_cells_counterexample():
     assert mscell.duflo_multiplicity(ms, "a") == 1
     assert mscell.duflo_multiplicity(ms, "b") == 2
     assert not mscell.duflo_multiplicity_constant_on_right_cells(ms, J)
+
+
+def test_duflo_checks_guard_the_multiplicity_condition():
+    # with a and b swapped by the star, L intersect L* is empty for {a}
+    ms = _two_cell_ms({"a": "b", "b": "a"})
+    J = mscell.cells(ms).two_sided_cell_of("a")
+    with pytest.raises(DataInconsistencyError, match="is not a singleton"):
+        mscell.duflo(ms, ("a",))
+    with pytest.raises(DataInconsistencyError, match="is not a singleton"):
+        mscell.duflo_multiplicity_constant_on_right_cells(ms, J)
+
+
+@pytest.mark.parametrize("kind", ["A2", "A3"])
+def test_multiplicity_condition_takes_one_duflo_involution_per_left_cell(kind, monkeypatch):
+    ms = export_multisemigroup(coxeter_group(kind))
+    st = mscell.cells(ms)
+    calls = {"is_strongly_regular": 0, "_duflo_in": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(mscell, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mscell, name, counted)
+    for J in st.two_sided_cells:
+        calls.update(dict.fromkeys(calls, 0))
+        assert mscell.duflo_multiplicity_constant_on_right_cells(ms, J)
+        lefts = sum(set(c) <= set(J) for c in st.left_cells)
+        assert calls == {"is_strongly_regular": 1, "_duflo_in": lefts}, J

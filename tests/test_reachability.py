@@ -45,9 +45,13 @@ KEPT = {
     "coxeter.CoxeterGroup.mult": TOOL,
     "formats.ParseError.__init__": ERROR,
     "graded.UnknownShiftError.__init__": ERROR,
+    "hecke.HeckeElement.from_dict": TRACED + " (kl_basis, multiply, bar_involution)",
     "hecke._bar_t_basis": PROMOTED + " (bar invariance of b_w)",
+    "hecke._raw": PER_PAIR,
     "hecke._t_word_left": PER_PAIR,
+    "hecke._wrapped": TRACED + " (kl_basis, multiply, bar_involution)",
     "laurent.LaurentPoly.__add__": TOOL,
+    "laurent.LaurentPoly.__eq__": TOOL,
     "laurent.LaurentPoly.__hash__": HASH,
     "laurent.LaurentPoly.__mul__": TOOL,
     "laurent.LaurentPoly.__neg__": PER_PAIR,
@@ -56,6 +60,8 @@ KEPT = {
     "laurent.LaurentPoly.__sub__": TOOL,
     "laurent.LaurentPoly.bar": PROMOTED + " (bar invariance of b_w)",
     "laurent.LaurentPoly.monomial": TOOL,
+    "laurent.LaurentPoly.one": TOOL,
+    "laurent.LaurentPoly.zero": TOOL,
     "linalg.Subspace.__hash__": HASH,
     "linalg.Subspace.__repr__": REPR,
     "linalg._ncols": TRACED + " (rref, solve, inverse)",
