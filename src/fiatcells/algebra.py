@@ -13,7 +13,8 @@ i-th basis element.  Algebra elements stay dense coordinate tuples.
 An algebra is immutable once built, so what is derived from it alone is
 computed once and kept on the instance, in one store that only `kept`
 reads and writes: its validation, radical, centre, generating set, the
-nonzero pieces e_a g e_b of its arrows, its corners e_i A e_j, its left and
+nonzero pieces e_a g e_b of its arrows, a path word recipe for its basis,
+its corners e_i A e_j, its left and
 right ideals A v and v A, whether it is weakly symmetric and connected, its
 projective centre (kept by `bimod.projective_center`) and the validated
 action matrices of its regular and projective bimodules (kept by
@@ -454,6 +455,70 @@ def _generating_set(algebra: FinDimAlgebra) -> tuple:
     ech = linalg.SparseEchelon(algebra.dim)
     ech.extend(algebra.mul(u, v) for u in rad for v in rad)
     return tuple(algebra.idempotents) + tuple(r for r in rad if ech.insert(r))
+
+
+@_kept_per_algebra
+def basis_words(algebra: FinDimAlgebra) -> tuple:
+    """A path word recipe for every basis element, over algebra_generators
+    (the arrows of the bound-quiver presentation kQ/I; Assem, Simson,
+    Skowroński, Elements vol. 1, ch. II-III), as (words, recipe).
+
+    Word k is words[k] = (g, w): generator g times the shorter word w, or g
+    alone when w is None.  recipe[i] is a tuple of (k, c) pairs with
+    basis[i] = sum of c * word k, exactly.  The words are found breadth
+    first: g.w for each word w of the last length and each generator g, kept
+    when its value is independent of the words kept before, until they form
+    a basis; the recipe is the inverse of that basis, certified by
+    check_basis_words before it is kept."""
+    gens = _generating_set(algebra)
+    lefts = [algebra.left_mult_matrix(gen) for gen in gens]
+    d = algebra.dim
+    ech = linalg.SparseEchelon(d)
+    words, values = [], []
+    # (g, w, value of g.w) for the candidate words of one length
+    candidates = [(g, None, _sparse(gen)) for g, gen in enumerate(gens)]
+    while candidates and ech.dim < d:
+        level = []
+        for g, w, value in candidates:
+            if ech.insert(value):
+                level.append(len(words))
+                words.append((g, w))
+                values.append(value)
+        candidates = [
+            (g, w, linalg.sp_apply(left, values[w])) for w in level for g, left in enumerate(lefts)
+        ]
+    if ech.dim < d:
+        raise AlgebraError("the generators do not span the algebra")
+    inverse = linalg.inverse(linalg.sp_rows(values, d))
+    recipe = tuple(
+        tuple((k, row[i]) for k, row in enumerate(inverse) if row[i]) for i in range(d)
+    )
+    check_basis_words(algebra, words, recipe)
+    return tuple(words), recipe
+
+
+def check_basis_words(algebra: FinDimAlgebra, words, recipe) -> None:
+    """Raise AlgebraError unless each basis element is rebuilt exactly by
+    its recipe, every word's value formed from the structure constants as
+    its generator times its shorter word."""
+    gens = _generating_set(algebra)
+    values = []
+    for g, w in words:
+        gen = gens[g]
+        values.append(
+            _sparse(gen)
+            if w is None
+            else linalg.sp_apply(algebra.left_mult_matrix(gen), values[w])
+        )
+    for i, terms in enumerate(recipe):
+        if linalg.sp_apply(values, dict(terms)) != {i: 1}:
+            raise AlgebraError(
+                f"basis element {algebra.basis[i]} is not rebuilt by its word recipe"
+            )
+
+
+def _sparse(v: Vec) -> dict:
+    return {i: c for i, c in enumerate(v) if c}
 
 
 @_kept_per_algebra

@@ -120,7 +120,16 @@ class Bimodule:
         rho(g)rho(b) = rho(gb) for every generator g and basis element b,
         the elements a with rho(a)rho(b) = rho(ab) for all b form a unital
         subalgebra containing the generators, hence all of the algebra; and
-        actions that commute on generators commute everywhere."""
+        actions that commute on generators commute everywhere.  That
+        argument takes the algebras to be associative, which
+        `algebra.validate` checks.
+
+        A generator whose action is diagonal (an idempotent on a basis split
+        by the idempotents, or the unit) is not multiplied: its product with
+        another matrix is read as a scaling of that matrix's rows or
+        columns, which is the same matrix, and two diagonal actions commute
+        unchecked.  So the checks, their order and their messages are those
+        of the plain products."""
         A, B = self.left_algebra, self.right_algebra
         ident = linalg.sp_identity(self.dim)
         if not linalg.sp_eq(self.left_of(A.unit), ident):
@@ -129,25 +138,30 @@ class Bimodule:
             raise BimoduleError(f"{self.name}: right action is not unital")
         left_gens = [(g, self.left_of(g)) for g in alg.algebra_generators(A)]
         right_gens = [(h, self.right_of(h)) for h in alg.algebra_generators(B)]
-        for g, lg in left_gens:
+        left_gens = [(g, lg, linalg.sp_diagonal(lg)) for g, lg in left_gens]
+        right_gens = [(h, rh, linalg.sp_diagonal(rh)) for h, rh in right_gens]
+        for g, lg, dg in left_gens:
             for j, gb in enumerate(A.left_mult_matrix(g)):
                 prod = self.left_of(gb)
-                if not linalg.sp_eq(linalg.sp_compose(lg, self.left_action[j]), prod):
+                if not linalg.sp_eq(linalg.sp_compose(lg, self.left_action[j], dg), prod):
                     raise BimoduleError(
                         f"{self.name}: left action not multiplicative at "
                         f"({A.describe(g)}, {A.basis[j]})"
                     )
-        for h, rh in right_gens:
+        for h, rh, dh in right_gens:
             for j, bh in enumerate(B.right_mult_matrix(h)):
                 prod = self.right_of(bh)
-                if not linalg.sp_eq(linalg.sp_compose(rh, self.right_action[j]), prod):
+                if not linalg.sp_eq(linalg.sp_compose(rh, self.right_action[j], dh), prod):
                     raise BimoduleError(
                         f"{self.name}: right action not anti-multiplicative at "
                         f"({B.describe(h)}, {B.basis[j]})"
                     )
-        for g, lg in left_gens:
-            for h, rh in right_gens:
-                if not linalg.sp_eq(linalg.sp_compose(lg, rh), linalg.sp_compose(rh, lg)):
+        for g, lg, dg in left_gens:
+            for h, rh, dh in right_gens:
+                if dg is not None and dh is not None:
+                    continue
+                gh, hg = linalg.sp_compose(lg, rh, dg, dh), linalg.sp_compose(rh, lg, dh, dg)
+                if not linalg.sp_eq(gh, hg):
                     raise BimoduleError(
                         f"{self.name}: actions do not commute at "
                         f"({A.describe(g)}, {B.describe(h)})"
@@ -495,7 +509,7 @@ def intertwiners(pairs, dm: int, dn: int) -> list:
     live = [True] * (dn * dm)
     rest = []
     for a, b in pairs:
-        da, db = _diagonal(a), _diagonal(b)
+        da, db = linalg.sp_diagonal(a), linalg.sp_diagonal(b)
         if da is None or db is None:
             rest.append((a, b))
             continue
@@ -531,16 +545,6 @@ def intertwiners(pairs, dm: int, dn: int) -> list:
     return mats
 
 
-def _diagonal(mat):
-    """The diagonal of a column-sparse matrix, or None if it is not diagonal."""
-    diag = []
-    for q, col in enumerate(mat):
-        if len(col) > 1 or (col and q not in col):
-            return None
-        diag.append(col.get(q, 0))
-    return diag
-
-
 def hom_space(M: Bimodule, N: Bimodule):
     """Basis of bimodule homomorphisms M -> N: the intertwiners of both
     actions on generators, column-sparse with M.dim columns.  Where the
@@ -571,9 +575,13 @@ def yoneda_map(P: Bimodule, N: Bimodule, g: dict):
 
 def corner_basis(N: Bimodule, e_left, e_right) -> tuple:
     """A basis of e N f for idempotents e, f of the two algebras, as sparse
-    vectors: the column space of m -> e.m.f."""
+    vectors: the column space of m -> e.m.f, read as a scaling where e or f
+    acts diagonally."""
+    left, right = N.left_of(e_left), N.right_of(e_right)
     ech = SparseEchelon(N.dim)
-    ech.extend(linalg.sp_compose(N.left_of(e_left), N.right_of(e_right)))
+    ech.extend(
+        linalg.sp_compose(left, right, linalg.sp_diagonal(left), linalg.sp_diagonal(right))
+    )
     return tuple(ech.rows[c] for c in ech.pivots())
 
 

@@ -203,8 +203,25 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
     both gradings are present the result is graded by hom degree.  For a
     projective bimodule (A e_s)(x)(e_t B) shifted by c this realizes the
     expected dual (B e_t)(x)(e_s A) shifted by top(e_t B e_t) - c, but
-    nothing of that closed form is used here."""
-    A = M.left_algebra
+    nothing of that closed form is used here.
+
+    The actions are formed on generators only: phi -> phi o rho(h) for each
+    generator h of B, with rho the right action of M, and
+    phi -> rho(g) o phi for each generator g of A, with rho the right action
+    of A on itself; a diagonal rho is read as a scaling.  Each image is
+    written in the dual basis by `coords`, which checks that it stays in
+    the dual.  Every basis element then acts by the product along its word
+    (alg.basis_words): b = sum c_w w, with w = g_1 ... g_l, acts on the left
+    by sum c_w L(g_1) ... L(g_l), as b -> (phi -> phi o rho(b)) is a
+    homomorphism, and on the right by sum c_w R(g_l) ... R(g_1), an
+    anti-homomorphism.  That is exact because, before deriving, rho(b) of M
+    and of A is checked equal to its own word product
+    sum c_w rho(g_l) ... rho(g_1), one product per basis element and side:
+    then phi o rho(b) = sum c_w L(g_1) ... L(g_l) phi, each L(g) the map of
+    the dual into itself that `coords` wrote down, and likewise on the
+    right.  Neither the associativity of A nor that of B is used.  The dual
+    is validated as any built bimodule is."""
+    A, B = M.left_algebra, M.right_algebra
     reg = bimod.regular_bimodule(A)
     phis = bimod.intertwiners(
         [(M.left_of(g), reg.left_of(g)) for g in alg.algebra_generators(A)], M.dim, A.dim
@@ -236,16 +253,23 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
             raise GradedError("action left the dual hom space")
         return {r: x for r, x in enumerate(sol) if x}
 
-    # (b . phi)(m) = phi(m b) and (phi . a)(m) = phi(m) a
-    left_action = [
-        tuple(coords(linalg.sp_compose(phi, rb)) for phi in phis) for rb in M.right_action
-    ]
-    right_action = [
-        tuple(coords(linalg.sp_compose(ra, phi)) for phi in phis) for ra in reg.right_action
-    ]
+    # (h . phi)(m) = phi(m h) and (phi . g)(m) = phi(m) g, on generators
+    left_gens = []
+    for rh in (M.right_of(h) for h in alg.algebra_generators(B)):
+        diag = linalg.sp_diagonal(rh)
+        left_gens.append(tuple(coords(linalg.sp_compose(phi, rh, None, diag)) for phi in phis))
+    right_gens = []
+    for rg in (reg.right_of(g) for g in alg.algebra_generators(A)):
+        diag = linalg.sp_diagonal(rg)
+        right_gens.append(tuple(coords(linalg.sp_compose(rg, phi, diag)) for phi in phis))
+
+    _check_words(M)
+    _check_words(reg)
+    left_action = _along_words(B, left_gens, anti=False)
+    right_action = _along_words(A, right_gens, anti=True)
 
     return Bimodule(
-        M.right_algebra,
+        B,
         A,
         n,
         left_action,
@@ -254,6 +278,36 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
         degrees=degrees,
         name=f"dual({M.name})",
     )
+
+
+def _along_words(algebra: alg.FinDimAlgebra, generator_actions, anti: bool) -> list:
+    """The action of every basis element of the algebra, formed from the
+    actions of its generators (in algebra_generators order) along
+    alg.basis_words: the word g.w acts by rho(g) rho(w), or by rho(w) rho(g)
+    for an anti-homomorphism (a right action), one product per word."""
+    words, recipe = alg.basis_words(algebra)
+    mats = []
+    for g, w in words:
+        gen = generator_actions[g]
+        if w is None:
+            mats.append(gen)
+        elif anti:
+            mats.append(linalg.sp_compose(mats[w], gen))
+        else:
+            mats.append(linalg.sp_compose(gen, mats[w]))
+    return [linalg.sp_lincomb(dict(terms), mats) for terms in recipe]
+
+
+def _check_words(M: Bimodule) -> None:
+    """Check that the right action on M of every basis element is the
+    product along its word of the generators' actions."""
+    B = M.right_algebra
+    gens = [M.right_of(h) for h in alg.algebra_generators(B)]
+    for b, derived in enumerate(_along_words(B, gens, anti=True)):
+        if not linalg.sp_eq(M.right_action[b], derived):
+            raise GradedError(
+                f"{M.name}: right action of {B.basis[b]} is not the product along its word"
+            )
 
 
 # -- positivity and the graded invariants ------------------------------------

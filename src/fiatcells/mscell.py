@@ -134,6 +134,7 @@ class MultiSemigroup:
                 if self.morphisms[f].src == self.morphisms[g].tgt:
                     self.table.setdefault((f, g), {})
         self._cells_cache = None
+        self._cell_values: dict = {}  # read and written by `_kept_for_cell` only
         if validate:
             self._validate()
 
@@ -366,6 +367,14 @@ class MultiSemigroup:
                     changed = True
         return masks
 
+    def _kept_for_cell(self, key, build):
+        """build(), a value of one cell (its strong regularity, its Duflo
+        involution): computed on the first call with this key, then kept.
+        A build that raised is not kept, so it raises again."""
+        if key not in self._cell_values:
+            self._cell_values[key] = build()
+        return self._cell_values[key]
+
     def _cell_structure(self) -> CellStructure:
         """Green's cell structure, computed on the first call and kept."""
         if self._cells_cache is None:
@@ -434,8 +443,13 @@ def is_regular(ms: MultiSemigroup, two_sided_cell) -> bool:
 
 
 def is_strongly_regular(ms: MultiSemigroup, two_sided_cell) -> bool:
-    """Regular, and every left-cell/right-cell intersection inside is a singleton."""
+    """Regular, and every left-cell/right-cell intersection inside is a
+    singleton.  Decided once per cell and kept on the multisemigroup."""
     cell = _require_two_sided_cell(ms, two_sided_cell)
+    return ms._kept_for_cell(("strongly_regular", cell), lambda: _strongly_regular(ms, cell))
+
+
+def _strongly_regular(ms: MultiSemigroup, cell: tuple) -> bool:
     if not is_regular(ms, cell):
         return False
     struct = cells(ms)
@@ -449,9 +463,15 @@ def duflo(ms: MultiSemigroup, left_cell) -> str:
     """The Duflo involution of a left cell in a strongly regular two-sided cell.
 
     For strongly regular cells this is the unique element of L intersected
-    with {F* : F in L}; general Duflo detection is out of scope.
+    with {F* : F in L}; general Duflo detection is out of scope.  Found once
+    per left cell and kept on the multisemigroup; a cell that raised raises
+    again.
     """
     left_cell = tuple(sorted(left_cell))
+    return ms._kept_for_cell(("duflo", left_cell), lambda: _duflo(ms, left_cell))
+
+
+def _duflo(ms: MultiSemigroup, left_cell: tuple) -> str:
     struct = cells(ms)
     if left_cell not in struct.left_cells:
         raise CellArgumentError(f"{left_cell!r} is not a left cell")
@@ -494,9 +514,11 @@ def duflo_multiplicity_constant_on_right_cells(ms: MultiSemigroup, two_sided_cel
         raise UnsupportedCellError("the multiplicity condition needs a strongly regular cell")
     struct = cells(ms)
     members = set(cell)
-    # one Duflo involution per left cell, not one per member
+    # one Duflo involution per left cell, not one per member, kept as duflo keeps it
     involution = {
-        left: _duflo_in(ms, struct, left) for left in struct.left_cells if set(left) <= members
+        left: ms._kept_for_cell(("duflo", left), lambda left=left: _duflo_in(ms, struct, left))
+        for left in struct.left_cells
+        if set(left) <= members
     }
     for right in struct.right_cells:
         if not set(right) <= members:

@@ -249,6 +249,86 @@ def test_algebra_generators():
     assert alg.algebra_generators(zig) == kept
 
 
+# -- path words for the basis ---------------------------------------------------
+
+
+def truncated_poly_text(n):
+    """`.alg` text of k[x]/(x^n) on the basis 1, x1, ..., x(n-1)."""
+    names = ["1"] + [f"x{k}" for k in range(1, n)]
+    lines = [f"algebra x{n}", "basis " + " ".join(names), "unit = 1", "idempotent 1"]
+    lines += [f"{names[i]}*{names[j]} = {names[i + j]}" for i in range(n) for j in range(n - i)]
+    return "\n".join(lines) + "\n"
+
+
+def zigzag_text(m):
+    """`.alg` text of the zigzag algebra of the path A_m: arrows a_i: i -> i+1
+    and b_i: i+1 -> i, loops w_i = b_i a_i = a_(i-1) b_(i-1), paths of length
+    three zero; the loops are listed first, so no basis element is a
+    generator's coordinate vector by position."""
+    es = [f"e{i}" for i in range(1, m + 1)]
+    names = [f"w{i}" for i in range(1, m + 1)] + es
+    names += [f"a{i}" for i in range(1, m)] + [f"b{i}" for i in range(1, m)]
+    lines = [f"algebra zigzagA{m}", "basis " + " ".join(names), "unit = " + " + ".join(es)]
+    lines += [f"idempotent {e}" for e in es]
+    lines += [f"{e}*{e} = {e}" for e in es]
+    for i in range(1, m):
+        src, tgt = f"e{i}", f"e{i + 1}"
+        lines += [f"{tgt}*a{i} = a{i}", f"a{i}*{src} = a{i}"]
+        lines += [f"{src}*b{i} = b{i}", f"b{i}*{tgt} = b{i}"]
+        lines += [f"b{i}*a{i} = w{i}", f"a{i}*b{i} = w{i + 1}"]
+    for i in range(1, m + 1):
+        lines += [f"e{i}*w{i} = w{i}", f"w{i}*e{i} = w{i}"]
+    return "\n".join(lines) + "\n"
+
+
+WORD_CASES = {
+    **{name: fixture_text(path) for name, path in ALGEBRA_FILES.items()},
+    **{f"x{n}": truncated_poly_text(n) for n in range(1, 7)},
+    **{f"zigzagA{m}-text": zigzag_text(m) for m in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_CASES))
+def test_every_basis_element_is_rebuilt_from_its_word_recipe(name):
+    A = parse_algebra(WORD_CASES[name]).algebra
+    words, recipe = alg.basis_words(A)
+    gens = alg.algebra_generators(A)
+    # rebuilt by dense products, independently of check_basis_words
+    values = []
+    for k, (g, w) in enumerate(words):
+        assert w is None or w < k  # a generator times a shorter word
+        values.append(gens[g] if w is None else A.mul(gens[g], values[w]))
+    assert len(recipe) == A.dim
+    for i, terms in enumerate(recipe):
+        total = linalg.zeros(A.dim)
+        for k, c in terms:
+            total = linalg.add(total, linalg.scale(c, values[k]))
+        assert total == linalg.unit(A.dim, i), A.basis[i]
+    assert alg.basis_words(A) is alg.basis_words(A)  # kept per algebra
+
+
+@pytest.mark.parametrize("name", sorted(WORD_CASES))
+def test_a_recipe_with_one_coefficient_changed_is_refused(name):
+    A = parse_algebra(WORD_CASES[name]).algebra
+    words, recipe = alg.basis_words(A)
+    for i, terms in enumerate(recipe):
+        for t, (k, c) in enumerate(terms):
+            changed = list(recipe)
+            changed[i] = terms[:t] + ((k, c + 1),) + terms[t + 1:]
+            with pytest.raises(alg.AlgebraError, match=f"{A.basis[i]} is not rebuilt"):
+                alg.check_basis_words(A, words, tuple(changed))
+
+
+def test_skewext_rebuilds_xy_as_minus_the_word_y_x():
+    # in k<x,y>/(x^2, y^2, xy + yx) the breadth-first words reach xy as y.x
+    A = fixture("skewext")
+    words, recipe = alg.basis_words(A)
+    gens = alg.algebra_generators(A)
+    (k, c), = recipe[A.basis.index("xy")]
+    g, w = words[k]
+    assert (A.describe(gens[g]), A.describe(gens[words[w][0]]), c) == ("y", "x", -1)
+
+
 # -- what is kept on an algebra ---------------------------------------------
 
 

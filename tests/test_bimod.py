@@ -1040,6 +1040,180 @@ def test_a_build_whose_validation_raised_is_not_kept(monkeypatch):
     assert not [key for key in A._kept if key[0] == "bimodule"]
 
 
+# -- diagonal actions are read, not multiplied ------------------------------
+
+
+def _validate_by_products(M):
+    """Bimodule.validate with every product multiplied out."""
+    A, B = M.left_algebra, M.right_algebra
+    ident = linalg.sp_identity(M.dim)
+    if not linalg.sp_eq(M.left_of(A.unit), ident):
+        raise bimod.BimoduleError(f"{M.name}: left action is not unital")
+    if not linalg.sp_eq(M.right_of(B.unit), ident):
+        raise bimod.BimoduleError(f"{M.name}: right action is not unital")
+    left_gens = [(g, M.left_of(g)) for g in alg.algebra_generators(A)]
+    right_gens = [(h, M.right_of(h)) for h in alg.algebra_generators(B)]
+    for g, lg in left_gens:
+        for j, gb in enumerate(A.left_mult_matrix(g)):
+            if not linalg.sp_eq(linalg.sp_compose(lg, M.left_action[j]), M.left_of(gb)):
+                raise bimod.BimoduleError(
+                    f"{M.name}: left action not multiplicative at ({A.describe(g)}, {A.basis[j]})"
+                )
+    for h, rh in right_gens:
+        for j, bh in enumerate(B.right_mult_matrix(h)):
+            if not linalg.sp_eq(linalg.sp_compose(rh, M.right_action[j]), M.right_of(bh)):
+                raise bimod.BimoduleError(
+                    f"{M.name}: right action not anti-multiplicative at "
+                    f"({B.describe(h)}, {B.basis[j]})"
+                )
+    for g, lg in left_gens:
+        for h, rh in right_gens:
+            if not linalg.sp_eq(linalg.sp_compose(lg, rh), linalg.sp_compose(rh, lg)):
+                raise bimod.BimoduleError(
+                    f"{M.name}: actions do not commute at ({A.describe(g)}, {B.describe(h)})"
+                )
+
+
+def _outcome(check, M):
+    """The message check(M) raised, or None."""
+    try:
+        check(M)
+    except bimod.BimoduleError as exc:
+        return str(exc)
+    return None
+
+
+def _fixture_bimodules(name):
+    """The 1-morphisms of a fixture's build and their tensor products."""
+    build = ccx_build(name)
+    ms = [build.bimodule(nm) for nm in sorted(build.morphism_info)]
+    tensors = [bimod.tensor_over(M, N) for M in ms for N in ms if M.right_algebra is N.left_algebra]
+    return ms + tensors
+
+
+def _with_action(M, left, index, mat, name):
+    """M with the action of basis element `index` on one side replaced."""
+    actions = [list(M.left_action), list(M.right_action)]
+    actions[0 if left else 1][index] = mat
+    return bimod.Bimodule(M.left_algebra, M.right_algebra, M.dim, *actions, name=name, check=False)
+
+
+def _flipped(mat, q):
+    """A diagonal matrix with its q-th diagonal entry 0 <-> 1."""
+    return tuple(({} if col else {p: 1}) if p == q else col for p, col in enumerate(mat))
+
+
+def _idempotent_flips(M):
+    """M with one diagonal entry of one idempotent action flipped, alone and
+    with the entry moved to the next idempotent, so that the unit still acts
+    as the identity."""
+    out = []
+    sides = ((True, M.left_algebra, M.left_of), (False, M.right_algebra, M.right_of))
+    for left, algebra, of in sides:
+        idems = algebra.idempotents
+        for c, e in enumerate(idems):
+            mat = of(e)
+            index = e.index(1)
+            q = next((p for p, col in enumerate(mat) if col), None)
+            if q is None:
+                continue
+            out.append(_with_action(M, left, index, _flipped(mat, q), f"{M.name}/flip"))
+            if len(idems) > 1:
+                f = idems[(c + 1) % len(idems)]
+                moved = _with_action(M, left, index, _flipped(mat, q), f"{M.name}/move")
+                out.append(_with_action(moved, left, f.index(1), _flipped(of(f), q), moved.name))
+    return out
+
+
+def _arrow_leaks(M):
+    """M with one arrow action sending a basis vector also to itself, so that
+    it leaks out of its idempotent block."""
+    out = []
+    for left, algebra, actions in (
+        (True, M.left_algebra, M.left_action),
+        (False, M.right_algebra, M.right_action),
+    ):
+        for g in alg.algebra_generators(algebra)[len(algebra.idempotents):]:
+            if sorted(g) != [0] * (len(g) - 1) + [1]:
+                continue  # not a basis element
+            index = g.index(1)
+            cols = list(actions[index])
+            q = next((p for p, col in enumerate(cols) if col and p not in col), None)
+            if q is None:
+                continue
+            cols[q] = {**cols[q], q: 1}
+            out.append(_with_action(M, left, index, tuple(cols), f"{M.name}/leak"))
+    return out
+
+
+def _right_swapped(M):
+    """M with its right action conjugated by the swap of the first and last
+    basis vectors: still a right action, which need not commute with the
+    left one."""
+    if M.dim < 2:
+        return []
+    swap = {0: M.dim - 1, M.dim - 1: 0}
+    right = [
+        tuple({swap.get(r, r): v for r, v in mat[swap.get(q, q)].items()} for q in range(M.dim))
+        for mat in M.right_action
+    ]
+    return [
+        bimod.Bimodule(
+            M.left_algebra, M.right_algebra, M.dim, M.left_action, right,
+            name=f"{M.name}/swap", check=False,
+        )
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRA_FILES))
+def test_diagonal_reads_agree_with_the_products(name):
+    for M in _fixture_bimodules(name):
+        assert _outcome(bimod.Bimodule.validate, M) is None
+        assert _outcome(_validate_by_products, M) is None
+        for broken in _idempotent_flips(M) + _arrow_leaks(M) + _right_swapped(M):
+            expected = _outcome(_validate_by_products, broken)
+            assert expected is not None
+            assert _outcome(bimod.Bimodule.validate, broken) == expected
+        A, B = M.left_algebra, M.right_algebra
+        for e in A.idempotents:
+            for f in B.idempotents:
+                ech = linalg.SparseEchelon(M.dim)
+                ech.extend(linalg.sp_compose(M.left_of(e), M.right_of(f)))
+                assert bimod.corner_basis(M, e, f) == tuple(ech.rows[c] for c in ech.pivots())
+
+
+def test_a_flipped_idempotent_entry_is_refused_as_before():
+    Z = fixture("zigzagA2")
+    P = bimod.proj_bimodule(Z, 0, Z, 1, name="P")
+    e1, e2 = (P.left_of(e) for e in Z.idempotents)
+    q = next(p for p, col in enumerate(e1) if col)
+    flip = _with_action(P, True, 0, _flipped(e1, q), "P")
+    move = _with_action(flip, True, 1, _flipped(e2, q), "P")
+    for broken, message in (
+        (flip, "P: left action is not unital"),
+        (move, "P: left action not multiplicative at (a, e1)"),
+    ):
+        assert _outcome(_validate_by_products, broken) == message
+        with pytest.raises(bimod.BimoduleError) as raised:
+            broken.validate()
+        assert str(raised.value) == message
+
+
+def test_an_arrow_leaking_out_of_its_idempotent_block_is_refused_as_before():
+    Z = fixture("zigzagA2")
+    P = bimod.proj_bimodule(Z, 0, Z, 1, name="P")
+    a = Z.basis.index("a")
+    cols = list(P.left_action[a])
+    q = next(p for p, col in enumerate(cols) if col)
+    cols[q] = {**cols[q], q: 1}  # a = e2 a e1 now also keeps a vector of P e1 where it is
+    broken = _with_action(P, True, a, tuple(cols), "P")
+    message = "P: left action not multiplicative at (e1, a)"
+    assert _outcome(_validate_by_products, broken) == message
+    with pytest.raises(bimod.BimoduleError) as raised:
+        broken.validate()
+    assert str(raised.value) == message
+
+
 # -- the tensor cokernel over the idempotent split ------------------------
 
 

@@ -236,6 +236,144 @@ def test_star_bimodule_rejects_a_right_action_that_is_not_left_linear():
         graded.star_bimodule(broken)
 
 
+def _reference_star(M, left_degrees=None):
+    """The adjoint bimodule with every basis element's action formed and
+    written in the dual basis one by one: one product and one membership
+    check per (basis element, dual vector) pair, on both sides."""
+    A = M.left_algebra
+    reg = bimod.regular_bimodule(A)
+    phis = bimod.intertwiners(
+        [(M.left_of(g), reg.left_of(g)) for g in alg.algebra_generators(A)], M.dim, A.dim
+    )
+    n = len(phis)
+    degrees = None
+    if M.degrees is not None and left_degrees is not None:
+        degrees = []
+        for phi in phis:
+            degs = {left_degrees[p] - M.degrees[q] for q, col in enumerate(phi) for p in col}
+            assert len(degs) == 1
+            degrees.append(degs.pop())
+    free = [max((p, q) for q, col in enumerate(phi) for p in col) for phi in phis]
+
+    def coords(target):
+        sol = [target[q].get(p, 0) for p, q in free]
+        assert linalg.sp_eq(linalg.sp_lincomb(sol, phis), target), "left the dual hom space"
+        return {r: x for r, x in enumerate(sol) if x}
+
+    left_action = [
+        tuple(coords(linalg.sp_compose(phi, rb)) for phi in phis) for rb in M.right_action
+    ]
+    right_action = [
+        tuple(coords(linalg.sp_compose(ra, phi)) for phi in phis) for ra in reg.right_action
+    ]
+    return bimod.Bimodule(
+        M.right_algebra, A, n, left_action, right_action, degrees=degrees, name=f"dual({M.name})"
+    )
+
+
+def graded_zigzag_text(m):
+    """`.alg` text of the zigzag algebra of A_m, arrows in degree 1 and loops
+    in degree 2, its basis listed arrows first."""
+    es = [f"e{i}" for i in range(1, m + 1)]
+    names = [f"a{i}" for i in range(1, m)] + [f"b{i}" for i in range(1, m)]
+    names += [f"w{i}" for i in range(1, m + 1)] + es
+    lines = [f"algebra zigzagA{m}-graded", "basis " + " ".join(names)]
+    lines += ["unit = " + " + ".join(es)] + [f"idempotent {e}" for e in es]
+    lines += [f"{e}*{e} = {e}" for e in es]
+    for i in range(1, m):
+        src, tgt = f"e{i}", f"e{i + 1}"
+        lines += [f"{tgt}*a{i} = a{i}", f"a{i}*{src} = a{i}"]
+        lines += [f"{src}*b{i} = b{i}", f"b{i}*{tgt} = b{i}"]
+        lines += [f"b{i}*a{i} = w{i}", f"a{i}*b{i} = w{i + 1}"]
+        lines += [f"deg a{i} = 1", f"deg b{i} = 1"]
+    for i in range(1, m + 1):
+        lines += [f"e{i}*w{i} = w{i}", f"w{i}*e{i} = w{i}", f"deg w{i} = 2"]
+    return "\n".join(lines) + "\n"
+
+
+STAR_CASES = {
+    "dualnumbers": lambda: graded_ccx_build("dualnumbers"),
+    "zigzagA2-graded": lambda: graded_ccx_build("zigzagA2-graded"),
+    **{
+        f"x{n}-graded": lambda n=n: graded_build_from_text(graded_truncated_poly_text(n))
+        for n in (3, 4, 5)
+    },
+    "zigzagA2-graded-text": lambda: graded_build_from_text(graded_zigzag_text(2)),
+    # recipes that are not one word: xy = -(y.x), and x2 = (x1.x1)/2
+    "skewext-graded": lambda: graded_build_from_text(
+        fixture_text(ALGEBRA_FILES["skewext"]) + "deg x = 1\ndeg y = 1\ndeg xy = 2\n"
+    ),
+    "x4-graded-scaled": lambda: graded_build_from_text(
+        graded_truncated_poly_text(4)
+        .replace("x1*x1 = x2", "x1*x1 = 2*x2")
+        .replace("x1*x2 = x3", "x1*x2 = 1/2*x3")
+        .replace("x2*x1 = x3", "x2*x1 = 1/2*x3")
+    ),
+}
+
+
+def _duflo_bimodule(build):
+    g_name = mscell.duflo(build.ms, build.cellrep.left_cell)
+    return build.bimodule(g_name), build.gradings[build.info(g_name)[1]]
+
+
+@pytest.mark.parametrize("name", sorted(STAR_CASES))
+def test_star_on_generators_matches_the_per_basis_element_reference(name):
+    build = STAR_CASES[name]()
+    g_bim, degrees = _duflo_bimodule(build)
+    others = [build.bimodule(nm) for nm in sorted(build.morphism_info)]
+    for M in [g_bim] + others:
+        dual = graded.star_bimodule(M, left_degrees=degrees)
+        ref = _reference_star(M, left_degrees=degrees)
+        assert (dual.dim, dual.degrees) == (ref.dim, ref.degrees), M.name
+        assert dual.left_action == ref.left_action, M.name
+        assert dual.right_action == ref.right_action, M.name
+
+
+def _x3_with_bad_square():
+    """The regular bimodule of graded k[x]/(x^3) with m . x2 = 0, not (m . x) . x."""
+    build = graded_build_from_text(graded_truncated_poly_text(3))
+    A = build.algebra_at(0)
+    reg = bimod.regular_bimodule(A)
+    x2 = A.basis.index("x2")
+    right = list(reg.right_action)
+    right[x2] = tuple({} for _ in range(reg.dim))
+    broken = bimod.Bimodule(A, A, reg.dim, reg.left_action, right, check=False)
+    return broken, build.gradings[0]
+
+
+def test_star_refuses_a_right_action_off_its_word_product():
+    broken, degrees = _x3_with_bad_square()
+    message = "right action of x2 is not the product along its word"
+    with pytest.raises(graded.GradedError, match=message):
+        graded.star_bimodule(broken, left_degrees=degrees)
+
+
+def test_without_the_word_check_star_would_hand_out_a_wrong_dual(monkeypatch):
+    # what the check guards against: the dual built from the generators alone
+    # validates, but is not the dual of the broken action
+    broken, degrees = _x3_with_bad_square()
+    monkeypatch.setattr(graded, "_check_words", lambda M: None)
+    dual = graded.star_bimodule(broken, left_degrees=degrees)
+    x2 = broken.right_algebra.basis.index("x2")
+    assert any(dual.left_action[x2])
+    with pytest.raises(bimod.BimoduleError, match="left action not multiplicative"):
+        _reference_star(broken, left_degrees=degrees)  # the reference dual refuses it
+
+
+def test_left_words_composed_as_an_anti_homomorphism_are_refused(monkeypatch):
+    along_words = graded._along_words
+
+    def swapped(algebra, generator_actions, anti):
+        return along_words(algebra, generator_actions, anti=True)
+
+    monkeypatch.setattr(graded, "_along_words", swapped)
+    for build in (graded_ccx_build("zigzagA2-graded"), STAR_CASES["zigzagA2-graded-text"]()):
+        g_bim, degrees = _duflo_bimodule(build)
+        with pytest.raises(bimod.BimoduleError, match="left action not multiplicative"):
+            graded.star_bimodule(g_bim, left_degrees=degrees)
+
+
 def test_build_graded_ccx_refuses_unknown_shift_names():
     ga = graded_fixture("dualnumbers")
     with pytest.raises(graded.UnknownShiftError, match="F11_1, F22_11"):

@@ -459,3 +459,39 @@ def test_multiplicity_condition_takes_one_duflo_involution_per_left_cell(kind, m
         assert mscell.duflo_multiplicity_constant_on_right_cells(ms, J)
         lefts = sum(set(c) <= set(J) for c in st.left_cells)
         assert calls == {"is_strongly_regular": 1, "_duflo_in": lefts}, J
+
+
+@pytest.mark.parametrize("kind", ["A2", "B2", "A3"])
+def test_strong_regularity_and_duflo_involutions_are_found_once_per_cell(kind, monkeypatch):
+    ms = export_multisemigroup(coxeter_group(kind))
+    st = mscell.cells(ms)
+    calls = {"is_regular": [], "_duflo_in": []}
+    for name, seen in calls.items():
+        def counted(*args, _seen=seen, _fn=getattr(mscell, name)):
+            _seen.append(args[-1])
+            return _fn(*args)
+        monkeypatch.setattr(mscell, name, counted)
+    verdicts, involutions, refusals = {}, {}, {}
+    for _ in range(3):
+        for J in st.two_sided_cells:
+            verdicts.setdefault(J, mscell.is_strongly_regular(ms, J))
+            assert mscell.is_strongly_regular(ms, J) == verdicts[J]
+            if verdicts[J]:
+                mscell.duflo_multiplicity_constant_on_right_cells(ms, J)
+        for L in st.left_cells:
+            try:
+                involutions.setdefault(L, mscell.duflo(ms, L))
+            except UnsupportedCellError:
+                refusals[L] = refusals.get(L, 0) + 1
+            else:
+                assert mscell.duflo(ms, L) == involutions[L]
+    assert sorted(calls["is_regular"]) == sorted(st.two_sided_cells)
+    assert sorted(calls["_duflo_in"]) == sorted(involutions)
+    # a refused cell keeps nothing and is refused on every pass
+    assert set(refusals.values()) <= {3}
+    assert all(not verdicts[st.two_sided_cell_of(L[0])] for L in refusals)
+    assert bool(refusals) == (kind == "B2")
+    with pytest.raises(CellArgumentError):
+        mscell.is_strongly_regular(ms, st.left_cells[0] + ("nothing",))
+    with pytest.raises(CellArgumentError):
+        mscell.duflo(ms, ("nothing",))
