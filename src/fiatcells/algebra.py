@@ -422,14 +422,11 @@ def corner_algebra(algebra: FinDimAlgebra, i: int):
 
 
 def _coords_in(sub: Subspace, v: Vec):
-    """Coordinates of v in the canonical basis of sub, or None."""
+    """Coordinates of v in the canonical basis of sub, or None.  Each
+    canonical row is 1 at its pivot and 0 at the others, so a member of sub
+    is the combination of the rows with its own entries at the pivots."""
     pivots = [next(j for j, x in enumerate(row) if x) for row in sub.rows]
-    coeffs = tuple(v[p] for p in pivots)
-    recon = linalg.zeros(sub.ambient)
-    for c, row in zip(coeffs, sub.rows):
-        if c:
-            recon = linalg.add(recon, linalg.scale(c, row))
-    return coeffs if recon == tuple(v) else None
+    return tuple(v[p] for p in pivots) if sub.contains(v) else None
 
 
 def subalgebra_closure(algebra: FinDimAlgebra, generators) -> Subspace:

@@ -56,6 +56,11 @@ class Bimodule:
     A acting on the left; right_action[j] likewise on the right (so the
     right action is an anti-homomorphism).  degrees, when present, grade
     the underlying space; a shifted copy has all degrees lowered.
+    generator_degrees, for a graded bimodule, holds for each generator of
+    the left algebra and then of the right one (alg.algebra_generators
+    order) the one shift degrees[p] - degrees[q] of the nonzero entries
+    (p, q) of its action, or None where it acts as zero; an action that
+    shifts by two different values is a BimoduleError at construction.
     """
 
     def __init__(
@@ -85,6 +90,7 @@ class Bimodule:
         self.regular = False
         if check:
             self.validate()
+        self.generator_degrees = None if degrees is None else _generator_degrees(self)
 
     def __repr__(self):
         return f"Bimodule({self.name or 'unnamed'}, dim={self.dim})"
@@ -106,10 +112,12 @@ class Bimodule:
             self.left_action,
             self.right_action,
             labels=self.labels,
-            degrees=tuple(d - c for d in self.degrees),
             name=f"{self.name}<{c}>",
             check=False,
         )
+        # a shift moves no degree difference: the generator degrees are copied
+        out.degrees = tuple(d - c for d in self.degrees)
+        out.generator_degrees = self.generator_degrees
         out.generator, out.regular = self.generator, self.regular
         return out
 
@@ -166,6 +174,24 @@ class Bimodule:
                         f"{self.name}: actions do not commute at "
                         f"({A.describe(g)}, {B.describe(h)})"
                     )
+
+
+def _generator_degrees(M: Bimodule) -> tuple:
+    """M.generator_degrees, computed from the actions of the generators."""
+    out = []
+    for side, algebra_, act in (
+        ("left", M.left_algebra, M.left_of),
+        ("right", M.right_algebra, M.right_of),
+    ):
+        for g in alg.algebra_generators(algebra_):
+            shifts = {M.degrees[p] - M.degrees[q] for q, col in enumerate(act(g)) for p in col}
+            if len(shifts) > 1:
+                raise BimoduleError(
+                    f"{M.name}: {side} action of {algebra_.describe(g)} is not homogeneous: "
+                    f"it shifts degrees by {sorted(shifts)}"
+                )
+            out.append(shifts.pop() if shifts else None)
+    return tuple(out)
 
 
 def _kept(A: alg.FinDimAlgebra, key, B: alg.FinDimAlgebra, name: str, build) -> tuple:
@@ -506,6 +532,31 @@ def intertwiners(pairs, dm: int, dn: int) -> list:
     over the live unknowns only, in their order.  Every killed unknown is a
     pivot of the full system and the live pivots are those of the smaller
     one, so the basis is still the canonical one of the full system."""
+    eqs, unknowns = _intertwiner_system(pairs, dm, dn)
+    mats = []
+    for vec_ in linalg.nullspace(eqs, len(unknowns)):
+        cols = tuple({} for _ in range(dm))
+        for i, v in enumerate(vec_):
+            if v:
+                p, q = divmod(unknowns[i], dm)
+                cols[q][p] = v
+        mats.append(cols)
+    return mats
+
+
+def intertwiner_dim(pairs, dm: int, dn: int) -> int:
+    """The dimension of the space `intertwiners` gives a basis of: its live
+    unknowns minus the rank of its system, with no basis formed."""
+    eqs, unknowns = _intertwiner_system(pairs, dm, dn)
+    ech = SparseEchelon(len(unknowns))
+    ech.extend(eqs)
+    return len(unknowns) - ech.dim
+
+
+def _intertwiner_system(pairs, dm: int, dn: int) -> tuple:
+    """(equations, unknowns) of `intertwiners`: the live unknowns X[p, q], as
+    numbers p * dm + q in increasing order, and the sparse equations of the
+    pairs that are not both diagonal, over their positions in that list."""
     live = [True] * (dn * dm)
     rest = []
     for a, b in pairs:
@@ -534,15 +585,7 @@ def intertwiners(pairs, dm: int, dn: int) -> list:
                         row[i] = row.get(i, 0) - v
                 if row:
                     eqs.append(row)
-    mats = []
-    for vec_ in linalg.nullspace(eqs, len(unknowns)):
-        cols = tuple({} for _ in range(dm))
-        for i, v in enumerate(vec_):
-            if v:
-                p, q = divmod(unknowns[i], dm)
-                cols[q][p] = v
-        mats.append(cols)
-    return mats
+    return eqs, unknowns
 
 
 def hom_space(M: Bimodule, N: Bimodule):
@@ -550,15 +593,21 @@ def hom_space(M: Bimodule, N: Bimodule):
     actions on generators, column-sparse with M.dim columns.  Where the
     idempotents act diagonally, `intertwiners` reads their pairs, so only
     the X[p, q] with p and q in the same idempotent blocks are eliminated."""
-    if M.left_algebra is not N.left_algebra or M.right_algebra is not N.right_algebra:
-        raise BimoduleError("hom space needs a common algebra pair")
-    pairs = [(M.left_of(g), N.left_of(g)) for g in alg.algebra_generators(M.left_algebra)]
-    pairs += [(M.right_of(g), N.right_of(g)) for g in alg.algebra_generators(M.right_algebra)]
-    return intertwiners(pairs, M.dim, N.dim)
+    return intertwiners(_hom_pairs(M, N), M.dim, N.dim)
 
 
 def hom_dim(M: Bimodule, N: Bimodule) -> int:
-    return len(hom_space(M, N))
+    """dim Hom(M, N) from the generic system of hom_space, by its rank."""
+    return intertwiner_dim(_hom_pairs(M, N), M.dim, N.dim)
+
+
+def _hom_pairs(M: Bimodule, N: Bimodule) -> list:
+    """The pairs (action on M, action on N) of every generator of both
+    algebras, which a bimodule map intertwines."""
+    if M.left_algebra is not N.left_algebra or M.right_algebra is not N.right_algebra:
+        raise BimoduleError("hom space needs a common algebra pair")
+    pairs = [(M.left_of(g), N.left_of(g)) for g in alg.algebra_generators(M.left_algebra)]
+    return pairs + [(M.right_of(g), N.right_of(g)) for g in alg.algebra_generators(M.right_algebra)]
 
 
 def yoneda_map(P: Bimodule, N: Bimodule, g: dict):
@@ -573,15 +622,19 @@ def yoneda_map(P: Bimodule, N: Bimodule, g: dict):
     return tuple(linalg.sp_apply(lu, x) for lu in lefts for x in gv)
 
 
+def corner_columns(N: Bimodule, e_left, e_right) -> tuple:
+    """The matrix of m -> e.m.f on N, for idempotents e, f of the two
+    algebras, read as a scaling where e or f acts diagonally: its column m
+    is e.m.f, and its columns span e N f."""
+    left, right = N.left_of(e_left), N.right_of(e_right)
+    return linalg.sp_compose(left, right, linalg.sp_diagonal(left), linalg.sp_diagonal(right))
+
+
 def corner_basis(N: Bimodule, e_left, e_right) -> tuple:
     """A basis of e N f for idempotents e, f of the two algebras, as sparse
-    vectors: the column space of m -> e.m.f, read as a scaling where e or f
-    acts diagonally."""
-    left, right = N.left_of(e_left), N.right_of(e_right)
+    vectors: the column space of corner_columns."""
     ech = SparseEchelon(N.dim)
-    ech.extend(
-        linalg.sp_compose(left, right, linalg.sp_diagonal(left), linalg.sp_diagonal(right))
-    )
+    ech.extend(corner_columns(N, e_left, e_right))
     return tuple(ech.rows[c] for c in ech.pivots())
 
 
@@ -1019,7 +1072,7 @@ def commutant_dimension(rep: CellRepData) -> int:
         tuple({r: mat[r][q] for r in range(n) if mat[r][q]} for q in range(n))
         for mat in rep.actions.values()
     ]
-    return len(intertwiners([(m, m) for m in cols], n, n))
+    return intertwiner_dim([(m, m) for m in cols], n, n)
 
 
 # -- verification suites ----------------------------------------------------

@@ -16,7 +16,7 @@ from . import algebra as alg
 from . import bimod, linalg
 from .bimod import Bimodule, CcxBuild, CcxData
 from .laurent import LaurentPoly
-from .linalg import Subspace
+from .linalg import SparseEchelon, Subspace
 from .mscell import duflo, duflo_multiplicity, cells
 from .report import CheckRecord
 
@@ -139,39 +139,60 @@ def default_shifts(build: CcxBuild, graded_algebras) -> dict:
 # -- graded hom series ------------------------------------------------------
 
 
-def _hom_degree_split(M: Bimodule, N: Bimodule, homs):
-    """Split column-sparse hom matrices into homogeneous components keyed by
-    degree."""
+def graded_hom_series(M: Bimodule, N: Bimodule) -> LaurentPoly:
+    """Coefficient at i = dimension of the homs M -> N shifting degree by i,
+    read off a homogeneous basis of Hom(M, N) with no map formed, for M
+    projective or regular (bimod.read_off).
+
+    M = (A e_s)(x)(e_t B) is generated by e_s(x)e_t, and M = A by 1, in the
+    degree min(M.degrees) (gradings are non-negative with the idempotents
+    in degree 0).  By the Yoneda lemma g -> phi_g, the map sending the
+    generator to g, is injective, with image Hom(M, N): g ranges over
+    e_s N e_t, or over the centraliser of A in N.  When every generator acts
+    homogeneously (Bimodule.generator_degrees) and by the same degree on M
+    and on N, phi_g of a homogeneous g is homogeneous of degree
+    deg g - deg(generator): M is spanned by words in the generators applied
+    to its generator, each homogeneous, and phi_g sends each to the same word
+    applied to g, shifted by that one amount (a word that acts as zero on
+    either side maps to 0).  So a homogeneous basis of e_s N e_t or of the
+    centraliser counts the homs by degree.  e_s N e_t is the column space of
+    m -> e_s.m.e_t, whose column m has the degree of m, so it splits into
+    one echelon per degree; the canonical centraliser basis of a homogeneous
+    centraliser is homogeneous, and each vector is checked to be.  Generator
+    degrees that differ on M and N, where both act, are a GradedError; an M
+    neither projective nor regular is a ValueError, as in bimod.top_iso."""
     if M.degrees is None or N.degrees is None:
         raise GradedError("graded hom series needs graded bimodules")
-    split: dict[int, list] = {}
-    for mat in homs:
-        parts: dict[int, tuple] = {}
-        for q, col in enumerate(mat):
-            for p, v in col.items():
-                d = N.degrees[p] - M.degrees[q]
-                if d not in parts:
-                    parts[d] = tuple({} for _ in range(M.dim))
-                parts[d][q][p] = v
-        for d, part in parts.items():
-            split.setdefault(d, []).append(part)
-    return split
-
-
-def graded_hom_series(M: Bimodule, N: Bimodule, homs=None) -> LaurentPoly:
-    """Coefficient at i = dimension of the homs shifting degree by i; homs
-    defaults to bimod.hom_basis(M, N)."""
-    homs = bimod.hom_basis(M, N) if homs is None else homs
-    split = _hom_degree_split(M, N, homs)
-    coeffs = {}
-    total = 0
-    for d, mats in split.items():
-        r = linalg.rank([linalg.sp_flatten(m, N.dim) for m in mats], N.dim * M.dim)
-        coeffs[d] = r
-        total += r
-    if total != len(homs):
-        raise GradedError("graded decomposition lost hom dimensions")
-    return LaurentPoly(coeffs)
+    if M.left_algebra is not N.left_algebra or M.right_algebra is not N.right_algebra:
+        raise bimod.BimoduleError("hom space needs a common algebra pair")
+    if not bimod.read_off(M):
+        raise ValueError(f"graded hom series out of {M!r}: it is neither projective nor regular")
+    for k, (dm, dn) in enumerate(zip(M.generator_degrees, N.generator_degrees)):
+        if dm is not None and dn is not None and dm != dn:
+            A, B = M.left_algebra, M.right_algebra
+            gens = [f"left {A.describe(g)}" for g in alg.algebra_generators(A)]
+            gens += [f"right {B.describe(h)}" for h in alg.algebra_generators(B)]
+            raise GradedError(
+                f"generator {gens[k]} acts in degree {dm} on {M.name} but {dn} on {N.name}"
+            )
+    base = min(M.degrees)
+    if M.generator is not None:
+        by_degree: dict[int, SparseEchelon] = {}
+        for m, col in enumerate(bimod.corner_columns(N, M.generator[0], M.generator[1])):
+            if col:
+                d = N.degrees[m]
+                if d not in by_degree:
+                    by_degree[d] = SparseEchelon(N.dim)
+                by_degree[d].insert(col)
+        return LaurentPoly({d - base: ech.dim for d, ech in by_degree.items()})
+    counts: dict[int, int] = {}
+    for n in bimod.centralizer(N):
+        degs = {N.degrees[i] for i in n}
+        if len(degs) != 1:
+            raise GradedError(f"centraliser of {N.name} is not homogeneous")
+        d = degs.pop() - base
+        counts[d] = counts.get(d, 0) + 1
+    return LaurentPoly(counts)
 
 
 def graded_iso_test(M: Bimodule, N: Bimodule) -> bool:

@@ -453,3 +453,24 @@ def test_products_and_multiplication_matrices_match_a_dense_reference(name, data
     assert _read_densely(A.right_mult_matrix(v), d) == [
         [sum(v[j] * c[q][j][r] for j in R) for q in R] for r in R
     ]
+
+
+def test_coords_in_reads_members_at_the_pivots_and_refuses_the_rest():
+    A = fixture("zigzagA2")
+    for s in range(len(A.idempotents)):
+        for sub in (alg.left_ideal(A, A.idempotents[s]), alg.corner_subspace(A, s, s)):
+            rows = list(sub)
+            for k, row in enumerate(rows):
+                assert alg._coords_in(sub, row) == tuple(int(i == k) for i in range(len(rows)))
+            combo = linalg.zeros(A.dim)
+            for c, row in zip(range(2, 9), rows):
+                combo = linalg.add(combo, linalg.scale(c, row))
+            assert alg._coords_in(sub, combo) == tuple(range(2, 2 + len(rows)))
+            assert alg._coords_in(sub, linalg.zeros(A.dim)) == (0,) * len(rows)
+            units = [linalg.unit(A.dim, i) for i in range(A.dim)]
+            outside = [v for v in units if not sub.contains(v)]
+            assert outside
+            for v in outside:
+                assert alg._coords_in(sub, v) is None
+                # agrees with the pivots but not elsewhere
+                assert alg._coords_in(sub, linalg.add(combo, v)) is None

@@ -1538,3 +1538,20 @@ def test_hom_space_eliminates_only_the_live_unknowns(monkeypatch):
     bimod.intertwiners([pair for pair in pairs if pair != unit], Q.dim, Q.dim)
     (with_unit, unknowns), (without_unit, _) = calls
     assert unknowns == Q.dim**2 and with_unit == without_unit and with_unit
+
+
+def test_intertwiner_dim_is_the_length_of_the_basis(monkeypatch):
+    for pairs, dm, dn in _diagonal_pair_cases():
+        assert bimod.intertwiner_dim(pairs, dm, dn) == len(bimod.intertwiners(pairs, dm, dn))
+    plain, twins = _zigzag_bimodules_and_twins()
+    cases = [(M, N) for family in (plain, twins) for M in family for N in family]
+    A = truncated_poly(3)
+    cases += [(bimod.proj_bimodule(A, 0, A, 0), bimod.regular_bimodule(A))] * 2
+    dims = [len(bimod.hom_space(M, N)) for M, N in cases]
+    rep = ccx_build("zigzagA2").cellrep
+    # hom_dim ranks the generic system: it forms no basis and solves nothing
+    calls = _recording_nullspace(monkeypatch)
+    monkeypatch.setattr(bimod, "hom_space", None)
+    assert [bimod.hom_dim(M, N) for M, N in cases] == dims
+    assert bimod.commutant_dimension(rep) == 1
+    assert calls == []

@@ -47,6 +47,38 @@ def count_hom_space_calls(monkeypatch):
     return calls
 
 
+def _hom_degree_split(M, N, homs):
+    """Split column-sparse hom matrices into homogeneous components keyed by
+    degree."""
+    if M.degrees is None or N.degrees is None:
+        raise graded.GradedError("graded hom series needs graded bimodules")
+    split: dict[int, list] = {}
+    for mat in homs:
+        parts: dict[int, tuple] = {}
+        for q, col in enumerate(mat):
+            for p, v in col.items():
+                d = N.degrees[p] - M.degrees[q]
+                if d not in parts:
+                    parts[d] = tuple({} for _ in range(M.dim))
+                parts[d][q][p] = v
+        for d, part in parts.items():
+            split.setdefault(d, []).append(part)
+    return split
+
+
+def reference_hom_series(M, N, homs=None):
+    """The graded hom series as the degree split of a hom basis, by default
+    the generic bimod.hom_space one: each degree's coefficient is the rank of
+    the components of that degree, and they must add up to the basis."""
+    homs = bimod.hom_space(M, N) if homs is None else homs
+    coeffs = {
+        d: linalg.rank([linalg.sp_flatten(m, N.dim) for m in mats], N.dim * M.dim)
+        for d, mats in _hom_degree_split(M, N, homs).items()
+    }
+    assert sum(coeffs.values()) == len(homs), "graded decomposition lost hom dimensions"
+    return LaurentPoly(coeffs)
+
+
 def assert_intertwiners(M, N, homs):
     A, B = M.left_algebra, M.right_algebra
     for Y in homs:
@@ -69,8 +101,9 @@ def test_corner_hom_series_match_the_generic_solver(name, monkeypatch):
         for f in names:
             for g in names:
                 M, N = build.bimodule(f), build.bimodule(g)
-                series = graded.graded_hom_series(M, N, generic(M, N))
+                series = reference_hom_series(M, N, generic(M, N))
                 assert graded.graded_hom_series(M, N) == series
+                assert reference_hom_series(M, N, bimod.hom_basis(M, N)) == series
                 assert_intertwiners(M, N, bimod.hom_basis(M, N))
     assert calls == []  # every source is a projective or the identity
 
@@ -91,6 +124,7 @@ def test_corner_homs_into_bimodules_outside_the_build(name):
             flat = [linalg.sp_flatten(Y, N.dim) for Y in homs]
             assert linalg.rank(flat, N.dim * M.dim) == len(homs)
             assert len(homs) == bimod.hom_dim(M, N)
+            assert graded.graded_hom_series(M, N) == reference_hom_series(M, N, homs)
 
 
 def test_grading_validation_rejects_bad_degrees():
@@ -164,8 +198,10 @@ def test_ungrading_consistency():
                 if M.left_algebra is not N.left_algebra:
                     continue
                 homs = bimod.hom_space(M, N)
-                series = graded.graded_hom_series(M, N, homs)
+                series = reference_hom_series(M, N, homs)
                 assert series(1) == len(homs)
+                assert graded.graded_hom_series(M, N) == series
+                assert bimod.hom_dim(M, N) == len(homs)
 
 
 def test_positivity_example_and_failure():
@@ -480,3 +516,121 @@ def test_two_object_graded_build():
     recs = graded.verify_hilbert_transfer(build, cell, other)
     assert all(r.passed for r in recs)
     assert recs[0].values["transfer_element"] == "F12_11"
+
+
+SERIES_CASES = {
+    **{f"x{n}": lambda n=n: graded_truncated_poly_text(n) for n in (2, 3, 4, 5, 6)},
+    **{f"zigzagA{m}": lambda m=m: graded_zigzag_text(m) for m in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_CASES))
+def test_read_off_series_equal_the_degree_split_of_the_generic_basis(name):
+    build = graded_build_from_text(SERIES_CASES[name]())
+    pairs = 0
+    for names in graded._same_pair_names(build).values():
+        for f in names:
+            for g in names:
+                M, N = build.bimodule(f), build.bimodule(g)
+                assert graded.graded_hom_series(M, N) == reference_hom_series(M, N), (f, g)
+                # a shifted source moves its generator's degree with it
+                M2, N2 = M.shifted(2), N.shifted(-1)
+                assert graded.graded_hom_series(M2, N2) == reference_hom_series(M2, N2), (f, g)
+                pairs += 1
+    assert pairs == sum(len(names) ** 2 for names in graded._same_pair_names(build).values())
+
+
+def _generator_algebra_degrees(A, degrees):
+    """The degree of each generator of A in the grading."""
+    out = []
+    for g in alg.algebra_generators(A):
+        (d,) = {degrees[k] for k, c in enumerate(g) if c}
+        out.append(d)
+    return out
+
+
+@pytest.mark.parametrize("name", ["dualnumbers", "zigzagA2-graded", "x4", "zigzagA3"])
+def test_every_graded_bimodule_acts_by_its_generators_degrees(name):
+    if name in ("dualnumbers", "zigzagA2-graded"):
+        build = graded_ccx_build(name)
+    else:
+        build = graded_build_from_text(SERIES_CASES[name]())
+    A = build.algebra_at(0)
+    want = _generator_algebra_degrees(A, build.gradings[0]) * 2
+    ident = build.bimodule("I1")
+    g_bim, degrees = _duflo_bimodule(build)
+    bims = [build.bimodule(nm) for nm in sorted(build.morphism_info)]
+    bims += [
+        ident.shifted(3),
+        bimod.tensor_over(g_bim, g_bim),
+        bimod.direct_sum([g_bim, ident]),
+        graded.star_bimodule(g_bim, left_degrees=degrees),
+    ]
+    for M in bims:
+        assert len(M.generator_degrees) == len(want), M.name
+        assert all(d is None or d == w for d, w in zip(M.generator_degrees, want)), M.name
+    assert ident.generator_degrees == tuple(want)  # A acts faithfully on itself
+    shifted = g_bim.shifted(-2)
+    assert shifted.generator_degrees is g_bim.generator_degrees
+    assert bimod.regular_bimodule(A).generator_degrees is None
+
+
+def test_an_action_spread_over_two_degree_shifts_is_refused_at_construction():
+    build = graded_build_from_text(graded_truncated_poly_text(3))
+    A = build.algebra_at(0)
+    # x sends 1 to x (shift 2) and x to x2 (shift 1)
+    with pytest.raises(bimod.BimoduleError, match=r"left action of x1 is not homogeneous"):
+        bimod.regular_bimodule(A, degrees=(0, 2, 3))
+    reg = bimod.regular_bimodule(A)
+    with pytest.raises(bimod.BimoduleError, match=r"shifts degrees by \[1, 2\]"):
+        bimod.Bimodule(A, A, reg.dim, reg.left_action, reg.right_action, degrees=(0, 2, 3))
+    # the same actions under the algebra's own grading are accepted
+    assert bimod.regular_bimodule(A, degrees=build.gradings[0]).generator_degrees == (0, 2, 0, 2)
+
+
+def test_series_refuse_an_arrow_acting_in_another_degree_on_the_target():
+    build = graded_ccx_build("dualnumbers")
+    D = build.algebra_at(0)
+    g, ident = build.bimodule("F11_11"), build.bimodule("I1")
+    # homogeneous, but x shifts degree by 1 here and by 2 on g and ident
+    regraded = bimod.regular_bimodule(D, degrees=(0, 1))
+    assert regraded.generator_degrees == (0, 1, 0, 1)
+    for M in (g, ident):
+        message = "generator left x acts in degree 2 on .* but 1 on"
+        with pytest.raises(graded.GradedError, match=message):
+            graded.graded_hom_series(M, regraded)
+    assert graded.graded_hom_series(ident, ident) == LaurentPoly({0: 1, 2: 1})
+
+
+def test_series_refuse_a_source_that_is_neither_projective_nor_regular():
+    build = graded_ccx_build("dualnumbers")
+    g, ident = build.bimodule("F11_11"), build.bimodule("I1")
+    mixed = bimod.direct_sum([g, ident])
+    with pytest.raises(ValueError, match="neither projective nor regular"):
+        graded.graded_hom_series(mixed, ident)
+    # as a target it is read off the source
+    assert graded.graded_hom_series(ident, mixed) == reference_hom_series(ident, mixed)
+
+
+def test_positivity_builds_no_yoneda_map_and_ranks_nothing(monkeypatch):
+    build = graded_build_from_text(graded_zigzag_text(2))
+    calls = {"yoneda_map": 0, "rank": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    counting(bimod, "yoneda_map")
+    counting(linalg, "rank")
+    records = graded.positivity_check(build)
+    assert len(records) == 25 and all(r.passed for r in records)
+    assert calls == {"yoneda_map": 0, "rank": 0}
+    # the counters see the reference, which builds and ranks the maps
+    M, N = build.bimodule("F11_11"), build.bimodule("I1")
+    reference_hom_series(M, N, bimod.hom_basis(M, N))
+    assert calls["yoneda_map"] > 0 and calls["rank"] > 0

@@ -66,6 +66,7 @@ KEPT = {
     "linalg.Subspace.__repr__": REPR,
     "linalg._ncols": TRACED + " (rref, solve, inverse)",
     "linalg.dot": TRACED + " (mat_mul)",
+    "linalg.sp_flatten": TOOL + " (tests rank hom matrices flattened to vectors)",
     "mscell.MultiSemigroup.renamed": TOOL,
     "mscell.MultiSemigroupError.__init__": ERROR,
     "report.CellReport.from_json": "reads a JSON report back; kept beside to_dict",
