@@ -404,7 +404,7 @@ def corner_algebra(algebra: FinDimAlgebra, i: int):
     n = len(basis)
 
     def coords(v: Vec):
-        coeffs = _coords_in(sub, v)
+        coeffs = coords_in(sub, v)
         if coeffs is None:
             raise AlgebraError("corner product left the corner subspace")
         return coeffs
@@ -421,7 +421,7 @@ def corner_algebra(algebra: FinDimAlgebra, i: int):
     return corner, sub
 
 
-def _coords_in(sub: Subspace, v: Vec):
+def coords_in(sub: Subspace, v: Vec):
     """Coordinates of v in the canonical basis of sub, or None.  Each
     canonical row is 1 at its pivot and 0 at the others, so a member of sub
     is the combination of the rows with its own entries at the pivots."""

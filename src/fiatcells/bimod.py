@@ -243,7 +243,7 @@ def _action_on_subspace_factor(algebra_: alg.FinDimAlgebra, sub: Subspace, left:
         cols = []
         for u in basis:
             img = algebra_.mul(b, u) if left else algebra_.mul(u, b)
-            coords = alg._coords_in(sub, img)
+            coords = alg.coords_in(sub, img)
             if coords is None:
                 raise BimoduleError("ideal is not stable under the action")
             cols.append({r: v for r, v in enumerate(coords) if v})
@@ -1224,8 +1224,8 @@ def _projective_pair_coords(A: alg.FinDimAlgebra, s: int, t: int, u, v):
     proj_bimodule(A, s, A, t)."""
     left_ideal = alg.left_ideal(A, A.idempotents[s])
     right_ideal = alg.right_ideal(A, A.idempotents[t])
-    cu = alg._coords_in(left_ideal, u)
-    cv = alg._coords_in(right_ideal, v)
+    cu = alg.coords_in(left_ideal, u)
+    cv = alg.coords_in(right_ideal, v)
     if cu is None or cv is None:
         raise BimoduleError("tensor factors outside the projective bimodule")
     q = right_ideal.dim

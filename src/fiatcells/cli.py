@@ -199,7 +199,7 @@ def cmd_ccx_build(args) -> int:
             else:
                 basis, line_no = list(aspec.algebra.basis), spec.x_lines[idx]
                 vectors = [
-                    formats._parse_combination(g, basis, args.input, line_no) for g in gens
+                    formats.parse_combination(g, basis, args.input, line_no) for g in gens
                 ]
                 x_spaces.append(
                     alg.subalgebra_closure(aspec.algebra, vectors)

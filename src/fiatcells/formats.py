@@ -66,7 +66,7 @@ def _clean_lines(text: str):
 _TERM = re.compile(r"^(?:(-?\d+(?:/\d+)?)\s*\*\s*)?([A-Za-z_][\w.]*)$|^(-?\d+(?:/\d+)?)$")
 
 
-def _parse_combination(expr: str, labels, path, line_no):
+def parse_combination(expr: str, labels, path, line_no):
     """Parse 'c*x + y - z' into a coefficient vector over labels."""
     out = [Fraction(0)] * len(labels)
     expr = expr.strip()
@@ -131,12 +131,12 @@ def parse_algebra(text: str, path="<string>") -> AlgebraSpec:
             _, _, expr = line.partition("=")
             if labels is None:
                 raise ParseError(path, line_no, "unit before basis")
-            unit = _parse_combination(expr, labels, path, line_no)
+            unit = parse_combination(expr, labels, path, line_no)
         elif line.startswith("idempotent "):
             if labels is None:
                 raise ParseError(path, line_no, "idempotent before basis")
             idempotents.append(
-                _parse_combination(line.split(None, 1)[1], labels, path, line_no)
+                parse_combination(line.split(None, 1)[1], labels, path, line_no)
             )
         elif line.startswith("deg "):
             m = re.match(r"deg\s+(\S+)\s*=\s*(-?\d+)$", line)
@@ -155,7 +155,7 @@ def parse_algebra(text: str, path="<string>") -> AlgebraSpec:
             key = (labels.index(x), labels.index(y))
             if key in products:
                 raise ParseError(path, line_no, f"duplicate product {x}*{y}")
-            products[key] = _parse_combination(rhs, labels, path, line_no)
+            products[key] = parse_combination(rhs, labels, path, line_no)
         else:
             raise ParseError(path, line_no, f"unrecognized line {line!r}")
     if labels is None:

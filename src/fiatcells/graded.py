@@ -200,6 +200,8 @@ def graded_iso_test(M: Bimodule, N: Bimodule) -> bool:
     side must be projective or regular; the verdict is read off the top of
     the other by bimod.top_iso, in the degree of that side's generator: its
     lowest, as gradings are non-negative with the idempotents in degree 0."""
+    if M.degrees is None or N.degrees is None:
+        raise GradedError("graded iso test needs graded bimodules")
     if M.dim != N.dim:
         return False
     if sorted(M.degrees) != sorted(N.degrees):
@@ -375,11 +377,10 @@ def positivity_check(build: CcxBuild) -> list:
     return records
 
 
-def min_hom_degree_to_identity(build: CcxBuild, left_cell=None) -> int:
+def min_hom_degree_to_identity(build: CcxBuild) -> int:
     """Smallest degree of a nonzero graded hom from the (shifted) Duflo
-    bimodule to the identity bimodule."""
-    cell = tuple(left_cell) if left_cell else build.cellrep.left_cell
-    g_name = duflo(build.ms, cell)
+    bimodule of the build's left cell to the identity bimodule."""
+    g_name = duflo(build.ms, build.cellrep.left_cell)
     _, gi, _, _, _ = build.info(g_name)
     series = graded_hom_series(
         build.bimodule(g_name), build.bimodule(f"I{gi + 1}")
@@ -391,24 +392,24 @@ def min_hom_degree_to_identity(build: CcxBuild, left_cell=None) -> int:
     return series.valuation
 
 
-def top_corner_degree(build: CcxBuild, left_cell=None) -> int:
-    """Top degree of the graded local algebra e_G A e_G of the Duflo corner."""
-    cell = tuple(left_cell) if left_cell else build.cellrep.left_cell
-    g_name = duflo(build.ms, cell)
+def top_corner_degree(build: CcxBuild) -> int:
+    """Top degree of the graded local algebra e_G A e_G of the Duflo corner
+    of the build's left cell."""
+    g_name = duflo(build.ms, build.cellrep.left_cell)
     _, gi, _, gs, _ = build.info(g_name)
     ga = GradedAlgebra(build.algebra_at(gi), build.gradings[gi])
     return ga.corner_hilbert(gs).degree
 
 
-def verify_dual_shift_identity(build: CcxBuild, left_cell=None, seed: int = 0) -> list:
-    """The adjoint of the shifted Duflo bimodule is the same bimodule shifted
-    by l - 2a (graded isomorphism via a degree-0 invertible intertwiner).
-    seed is accepted and ignored, for callers that still pass one."""
-    cell = tuple(left_cell) if left_cell else build.cellrep.left_cell
-    g_name = duflo(build.ms, cell)
+def verify_dual_shift_identity(build: CcxBuild, seed: int = 0) -> list:
+    """The adjoint of the shifted Duflo bimodule of the build's left cell is
+    the same bimodule shifted by l - 2a (graded isomorphism via a degree-0
+    invertible intertwiner).  seed is accepted and ignored, for callers that
+    still pass one."""
+    g_name = duflo(build.ms, build.cellrep.left_cell)
     _, gi, _, _, _ = build.info(g_name)
-    a_val = min_hom_degree_to_identity(build, cell)
-    l_val = top_corner_degree(build, cell)
+    a_val = min_hom_degree_to_identity(build)
+    l_val = top_corner_degree(build)
     g_bim = build.bimodule(g_name)
     dual = star_bimodule(g_bim, left_degrees=build.gradings[gi])
     target = g_bim.shifted(l_val - 2 * a_val)

@@ -18,12 +18,13 @@ The b_s generate the canonical basis, so the exported table is checked for
 associativity with only the b_s as left factors (neutrality already settles
 the identity), next to a certificate that they and the identity span it.
 
-Laurent arithmetic accumulates in place: `_mac` adds factor * data into
-raw {exponent: int} dicts, so no sum or product builds temporaries.  The KL
-recursion and the export stay on raw dicts up to the v = 1 step, which reads
-non-negativity and the value at 1 straight off them; only `kl_basis` and
-the per-pair reference (`multiply`, `kl_expand`, `kl_product_at_one`) wrap
-finished coefficients into LaurentPoly, once each, zeros dropped.
+A Hecke element has one form: {x: {exponent: int}} in T or canonical
+coordinates, with no zero entries.  Laurent arithmetic accumulates in place:
+`_mac` adds factor * data into such dicts, so no sum or product builds
+temporaries.  The KL recursion, the export and the per-pair reference
+(`kl_basis`, `multiply`, `bar_involution`, `kl_expand`, `kl_product_at_one`)
+all work on it, and the v = 1 step reads non-negativity and the value at 1
+straight off it; LaurentPoly only formats coefficients in error messages.
 """
 
 from __future__ import annotations
@@ -51,18 +52,6 @@ class HeckeDataError(ValueError):
     """Computed Hecke data violates a structural guarantee."""
 
 
-@dataclass(frozen=True)
-class HeckeElement:
-    """An element of the Hecke algebra in the standard (T) basis."""
-
-    group: CoxeterGroup
-    coeffs: tuple  # sorted tuple of (element, LaurentPoly)
-
-    @classmethod
-    def from_dict(cls, group: CoxeterGroup, data: dict) -> "HeckeElement":
-        return cls(group, tuple(sorted((x, c) for x, c in data.items() if c)))
-
-
 def _left_product(group: CoxeterGroup, s: int, x: int) -> int:
     # s * x = (x^-1 * s)^-1
     return group.inverse[group.mult_gen[group.inverse[x]][s]]
@@ -71,8 +60,8 @@ def _left_product(group: CoxeterGroup, s: int, x: int) -> int:
 def _mac(acc: dict, data: dict, factor: dict) -> dict:
     """acc[x] += factor * data[x] for every x of data, in place, and return
     acc.  acc and data hold raw {exponent: int} dicts, and acc may keep
-    zeros until `_trimmed` or `_wrapped`; factor is a raw dict, each of
-    whose terms shifts the exponents of data once."""
+    zeros until `_trimmed`; factor is a raw dict, each of whose terms
+    shifts the exponents of data once."""
     for x, poly in data.items():
         row = acc.get(x)
         if row is None:
@@ -88,17 +77,6 @@ def _trimmed(acc: dict) -> dict:
     """The finished raw coefficients of acc, zeros and empty rows dropped."""
     rows = ((x, {e: c for e, c in row.items() if c}) for x, row in acc.items())
     return {x: row for x, row in rows if row}
-
-
-def _wrapped(acc: dict) -> dict:
-    """The finished raw coefficients of acc as LaurentPoly, zeros dropped."""
-    return {x: LaurentPoly(row) for x, row in _trimmed(acc).items()}
-
-
-def _raw(elem: HeckeElement) -> dict:
-    """The T coordinates of elem as raw dicts, shared with its LaurentPoly
-    values, so only to be read."""
-    return {x: c.coeffs for x, c in elem.coeffs}
 
 
 def _negated(row: dict) -> dict:
@@ -135,14 +113,12 @@ def _t_word_left(group: CoxeterGroup, acc: dict, data: dict, word, factor: dict)
     return _t_gen_left(group, acc, data, word[0], factor)
 
 
-def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """Product in the Hecke algebra (T-basis coordinates)."""
-    group = a.group
-    bd = _raw(b)
+def multiply(group: CoxeterGroup, a: dict, b: dict) -> dict:
+    """Product in the Hecke algebra of the group, in T coordinates."""
     acc: dict = {}
-    for x, c in a.coeffs:
-        _t_word_left(group, acc, bd, group.words[x], c.coeffs)
-    return HeckeElement.from_dict(group, _wrapped(acc))
+    for x, c in a.items():
+        _t_word_left(group, acc, b, group.words[x], c)
+    return _trimmed(acc)
 
 
 def _bar_t_basis(group: CoxeterGroup) -> list[dict]:
@@ -159,15 +135,15 @@ def _bar_t_basis(group: CoxeterGroup) -> list[dict]:
     return bar
 
 
-def bar_involution(elem: HeckeElement) -> HeckeElement:
+def bar_involution(group: CoxeterGroup, elem: dict) -> dict:
     """The bar involution: v -> v^-1 and T_w -> T_{w^-1}^-1, read off the
-    table of bar(T_w), built once per group and kept on it."""
-    group = elem.group
+    table of bar(T_w), built once per group and kept on it; the result is
+    accumulated afresh, so it shares no row with the table."""
     bar_t = group.bar_t_table(_bar_t_basis)
     acc: dict = {}
-    for x, c in elem.coeffs:
-        _mac(acc, bar_t[x], c.bar().coeffs)
-    return HeckeElement.from_dict(group, _wrapped(acc))
+    for x, c in elem.items():
+        _mac(acc, bar_t[x], {-e: k for e, k in c.items()})
+    return _trimmed(acc)
 
 
 def _kl_recursion(group: CoxeterGroup, bound: int) -> tuple:
@@ -206,14 +182,13 @@ def _kl_recursion(group: CoxeterGroup, bound: int) -> tuple:
     return basis, peeled
 
 
-def kl_basis(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list[HeckeElement]:
+def kl_basis(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list[dict]:
     """The canonical (Kazhdan-Lusztig) basis {b_w} in T coordinates.
 
     Computed by the standard recursion b_w = b_s b_{sw} - sum mu(x, sw) b_x,
     peeling correction terms by constant coefficients from the top down.
     """
-    basis, _ = _kl_recursion(group, bound)
-    return [HeckeElement.from_dict(group, _wrapped(b)) for b in basis]
+    return _kl_recursion(group, bound)[0]
 
 
 def _expand(group: CoxeterGroup, acc: dict, basis: list) -> dict:
@@ -243,17 +218,18 @@ def _expand(group: CoxeterGroup, acc: dict, basis: list) -> dict:
     return out
 
 
-def kl_expand(group: CoxeterGroup, element: HeckeElement, basis=None) -> dict:
-    """Coordinates of a Hecke element in the canonical basis, peeled over
-    every element from the top down (the reference for `_expand`)."""
+def kl_expand(group: CoxeterGroup, element: dict, basis=None) -> dict:
+    """Canonical coordinates of a Hecke element given in T coordinates,
+    peeled over every element from the top down (the reference for
+    `_expand`)."""
     basis = basis or kl_basis(group)
-    acc = _mac({}, _raw(element), _ONE)
-    out: dict[int, LaurentPoly] = {}
+    acc = _mac({}, element, _ONE)
+    out = {}
     for x in reversed(group.by_length()):
-        c = LaurentPoly(acc.get(x))
+        c = {e: k for e, k in acc.get(x, {}).items() if k}
         if c:
             out[x] = c
-            _mac(acc, _raw(basis[x]), (-c).coeffs)
+            _mac(acc, basis[x], _negated(c))
     if any(any(row.values()) for row in acc.values()):
         raise HeckeDataError("canonical-basis expansion left a nonzero remainder")
     return out
@@ -280,8 +256,7 @@ def kl_product_at_one(group: CoxeterGroup, x: int, y: int, basis=None) -> dict:
     """Multiset expansion of b_x b_y in the canonical basis, specialized at v=1,
     from the T-basis product (the per-pair reference for the export's table)."""
     basis = basis or kl_basis(group)
-    coords = kl_expand(group, multiply(basis[x], basis[y]), basis)
-    return _at_one(group, {z: c.coeffs for z, c in coords.items()})
+    return _at_one(group, kl_expand(group, multiply(group, basis[x], basis[y]), basis))
 
 
 def _descent_product(group: CoxeterGroup, b_w: dict, s: int, w: int) -> dict:

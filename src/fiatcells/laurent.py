@@ -1,8 +1,11 @@
 """Laurent polynomials with integer coefficients.
 
-Used for Hecke-algebra coefficients (variable v) and for graded Hilbert
-series and hom series (variable t).  Coefficients live in a dict keyed by
-exponent; zero coefficients are never stored, so equality is structural.
+The type of graded Hilbert series and hom series (variable t): read off,
+compared, divided exactly, evaluated and formatted, never multiplied.
+Hecke-algebra coefficients stay raw {exponent: int} dicts (`hecke`), which
+this type only formats in error messages (variable v).  Coefficients live
+in a dict keyed by exponent; zero coefficients are never stored, so
+equality is structural.
 """
 
 from __future__ import annotations
@@ -17,18 +20,6 @@ class LaurentPoly:
 
     def __init__(self, coeffs=None):
         self.coeffs = {int(e): c for e, c in coeffs.items() if c != 0} if coeffs else {}
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, coeff, exp: int) -> "LaurentPoly":
-        return cls({exp: coeff})
 
     def coeff(self, exp: int):
         return self.coeffs.get(exp, 0)
@@ -47,35 +38,6 @@ class LaurentPoly:
             return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
-    def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        out: dict[int, object] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
-    __radd__ = __add__
-
     def __call__(self, value):
         """Evaluate exactly at an int or Fraction value (value=1 sums the
         coefficients); the result is normalised as `linalg.frac` does."""
@@ -91,10 +53,6 @@ class LaurentPoly:
     def valuation(self) -> int | None:
         return min(self.coeffs) if self.coeffs else None
 
-    def bar(self) -> "LaurentPoly":
-        """Substitute the variable by its inverse."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
-
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.coeffs.values())
 
@@ -103,7 +61,7 @@ class LaurentPoly:
         if not other:
             return None
         if not self:
-            return LaurentPoly.zero()
+            return LaurentPoly()
         # normalize both to ordinary polynomials and long-divide from the top;
         # each quotient coefficient is final once made, so a non-integral one
         # already rules out an integer quotient

@@ -461,16 +461,16 @@ def test_coords_in_reads_members_at_the_pivots_and_refuses_the_rest():
         for sub in (alg.left_ideal(A, A.idempotents[s]), alg.corner_subspace(A, s, s)):
             rows = list(sub)
             for k, row in enumerate(rows):
-                assert alg._coords_in(sub, row) == tuple(int(i == k) for i in range(len(rows)))
+                assert alg.coords_in(sub, row) == tuple(int(i == k) for i in range(len(rows)))
             combo = linalg.zeros(A.dim)
             for c, row in zip(range(2, 9), rows):
                 combo = linalg.add(combo, linalg.scale(c, row))
-            assert alg._coords_in(sub, combo) == tuple(range(2, 2 + len(rows)))
-            assert alg._coords_in(sub, linalg.zeros(A.dim)) == (0,) * len(rows)
+            assert alg.coords_in(sub, combo) == tuple(range(2, 2 + len(rows)))
+            assert alg.coords_in(sub, linalg.zeros(A.dim)) == (0,) * len(rows)
             units = [linalg.unit(A.dim, i) for i in range(A.dim)]
             outside = [v for v in units if not sub.contains(v)]
             assert outside
             for v in outside:
-                assert alg._coords_in(sub, v) is None
+                assert alg.coords_in(sub, v) is None
                 # agrees with the pivots but not elsewhere
-                assert alg._coords_in(sub, linalg.add(combo, v)) is None
+                assert alg.coords_in(sub, linalg.add(combo, v)) is None

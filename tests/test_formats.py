@@ -47,14 +47,14 @@ def test_parse_algebra_errors_carry_line_numbers():
 
 def test_parse_combination_signs():
     labels = ["1", "x", "y"]
-    combo = formats._parse_combination("2*x - y + 1", labels, "p", 1)
+    combo = formats.parse_combination("2*x - y + 1", labels, "p", 1)
     assert combo == [Fraction(1), Fraction(2), Fraction(-1)]
-    combo = formats._parse_combination("-x", labels, "p", 1)
+    combo = formats.parse_combination("-x", labels, "p", 1)
     assert combo == [Fraction(0), Fraction(-1), Fraction(0)]
     with pytest.raises(ParseError):
-        formats._parse_combination("x ++ y", labels, "p", 1)
+        formats.parse_combination("x ++ y", labels, "p", 1)
     with pytest.raises(ParseError, match="unknown basis label"):
-        formats._parse_combination("z", labels, "p", 1)
+        formats.parse_combination("z", labels, "p", 1)
 
 
 def test_multisemigroup_roundtrip():

@@ -634,3 +634,15 @@ def test_positivity_builds_no_yoneda_map_and_ranks_nothing(monkeypatch):
     M, N = build.bimodule("F11_11"), build.bimodule("I1")
     reference_hom_series(M, N, bimod.hom_basis(M, N))
     assert calls["yoneda_map"] > 0 and calls["rank"] > 0
+
+
+def test_graded_iso_test_refuses_ungraded_bimodules():
+    # equal dimensions, so the check cannot hide behind the dimension test
+    D = load_algebra("dualnumbers").algebra
+    plain = bimod.regular_bimodule(D)
+    graded_reg = bimod.regular_bimodule(D, degrees=graded_fixture("dualnumbers").degrees)
+    assert plain.degrees is None and plain.dim == graded_reg.dim
+    for M, N in ((plain, plain), (plain, graded_reg), (graded_reg, plain)):
+        with pytest.raises(graded.GradedError, match="graded iso test needs graded bimodules"):
+            graded.graded_iso_test(M, N)
+    assert graded.graded_iso_test(graded_reg, graded_reg)

@@ -1,12 +1,14 @@
 """No module of the package writes another object's private state, except
-`algebra`, whose `kept` is the one store of what is derived from an algebra.
+`algebra`, whose `kept` is the one store of what is derived from an algebra,
+and none reaches a private name of another module of the package.
 
 An algebra is immutable once built, and what is derived from it alone is
 kept on it through `algebra.kept`, so that every derivation is computed once
 per instance and a failed one is never kept.  A module that set an
 underscore attribute of an algebra (or of any other object it did not
 define) would be a second, unlisted store.  Objects keep their own caches
-through `self`.
+through `self`.  A helper that another module needs is public: a module
+that read `alg._helper` would lean on a name its owner may change at will.
 """
 
 import ast
@@ -58,6 +60,71 @@ def _foreign_private_writes(package=PACKAGE):
                     continue
                 found.append((path.name, node.lineno, ast.unparse(t)))
     return found
+
+
+def _module_aliases(tree, modules):
+    """Names the module binds to modules of the package, by
+    `from . import m [as n]`, `from fiatcells import m [as n]` or
+    `import fiatcells.m as n`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.level, node.module) in ((1, None), (0, PACKAGE.name)):
+                names.update(a.asname or a.name for a in node.names if a.name in modules)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                pkg, _, mod = a.name.partition(".")
+                if pkg == PACKAGE.name and mod in modules and a.asname:
+                    names.add(a.asname)
+    return names
+
+
+def _foreign_private_names(package=PACKAGE):
+    """(file, line, name) of every `m._name` whose m is another module of
+    the package, imported under any alias; dunder names are not private."""
+    modules = {path.stem for path in package.glob("*.py")}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = _module_aliases(tree, modules)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+            ):
+                found.append((path.name, node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_no_module_reaches_a_private_name_of_another_module():
+    stray = [f"{name}:{line}: {target}" for name, line, target in _foreign_private_names()]
+    assert not stray, stray
+
+
+def test_the_lint_sees_a_private_name_of_an_imported_module(tmp_path):
+    (tmp_path / "helpers.py").write_text("def _coords(v):\n    return v\n")
+    (tmp_path / "mod.py").write_text(
+        "from . import helpers as h\n"
+        "from fiatcells import helpers\n"
+        "import fiatcells.helpers as fh\n"
+        "from .helpers import _coords\n"
+        "\n"
+        "def f(obj, json):\n"
+        "    h._coords(1)\n"
+        "    x = helpers._coords\n"
+        "    fh._coords(2)\n"
+        "    obj._coords(3)\n"
+        "    json._private\n"
+        "    return h.__name__, h.public(), _coords(4)\n"
+    )
+    assert [(name, line, t) for name, line, t in _foreign_private_names(tmp_path)] == [
+        ("mod.py", 7, "h._coords"),
+        ("mod.py", 8, "helpers._coords"),
+        ("mod.py", 9, "fh._coords"),
+    ]
 
 
 def test_no_module_but_algebra_writes_private_state_of_another_object():
