@@ -61,6 +61,8 @@ class Bimodule:
     order) the one shift degrees[p] - degrees[q] of the nonzero entries
     (p, q) of its action, or None where it acts as zero; an action that
     shifts by two different values is a BimoduleError at construction.
+    The basis vectors are numbered, not labelled: name, for messages and
+    repr, is the only text a bimodule keeps.
     """
 
     def __init__(
@@ -70,7 +72,6 @@ class Bimodule:
         dim: int,
         left_action,
         right_action,
-        labels=None,
         degrees=None,
         name: str = "",
         check: bool = True,
@@ -80,7 +81,6 @@ class Bimodule:
         self.dim = dim
         self.left_action = tuple(left_action)
         self.right_action = tuple(right_action)
-        self.labels = tuple(labels) if labels else tuple(f"m{i}" for i in range(dim))
         self.degrees = tuple(degrees) if degrees is not None else None
         self.name = name
         # (e_s, e_t, basis of A e_s, basis of e_t B) when this is the
@@ -111,7 +111,6 @@ class Bimodule:
             self.dim,
             self.left_action,
             self.right_action,
-            labels=self.labels,
             name=f"{self.name}<{c}>",
             check=False,
         )
@@ -224,7 +223,6 @@ def regular_bimodule(A: alg.FinDimAlgebra, degrees=None, name=None) -> Bimodule:
         dim,
         left_action,
         right_action,
-        labels=A.basis,
         degrees=degrees,
         name=name,
         check=False,
@@ -262,15 +260,11 @@ def proj_bimodule(
 ) -> Bimodule:
     """The projective bimodule (A e_s) tensor (e_t B) with the outer actions.
     Its actions are built and validated once per (A, s, B, t); every call
-    returns a new Bimodule sharing them, with this call's labels, degrees and
-    name."""
+    returns a new Bimodule sharing them, with this call's degrees and name."""
     name = name or f"P({A.name}e{s + 1}|e{t + 1}{B.name})"
     dim, left_action, right_action, ubasis, vbasis = _kept(
         A, (s, B, t), B, name, lambda: _proj_actions(A, s, B, t)
     )
-    labels = [
-        f"{A.describe(u)}(x){B.describe(v)}" for u in ubasis for v in vbasis
-    ]
     degrees = None
     if deg_a is not None and deg_b is not None:
         du = [_homogeneous_degree(u, deg_a) for u in ubasis]
@@ -282,7 +276,6 @@ def proj_bimodule(
         dim,
         left_action,
         right_action,
-        labels=labels,
         degrees=degrees,
         name=name,
         check=False,
@@ -336,7 +329,7 @@ def _homogeneous_degree(v, degs) -> int:
     return found.pop()
 
 
-def direct_sum(bims, name=None) -> Bimodule:
+def direct_sum(bims) -> Bimodule:
     first = bims[0]
     A, B = first.left_algebra, first.right_algebra
     if any(m.left_algebra is not A or m.right_algebra is not B for m in bims):
@@ -358,9 +351,6 @@ def direct_sum(bims, name=None) -> Bimodule:
 
     left_action = [block(i, True) for i in range(A.dim)]
     right_action = [block(j, False) for j in range(B.dim)]
-    labels = [
-        f"{k}.{lab}" for k, m in enumerate(bims) for lab in m.labels
-    ]
     degrees = None
     if all(m.degrees is not None for m in bims):
         degrees = [d for m in bims for d in m.degrees]
@@ -370,9 +360,8 @@ def direct_sum(bims, name=None) -> Bimodule:
         dim,
         left_action,
         right_action,
-        labels=labels,
         degrees=degrees,
-        name=name or "(+)".join(m.name for m in bims),
+        name="(+)".join(m.name for m in bims),
         check=False,
     )
 
@@ -399,7 +388,7 @@ def _members(blocks) -> dict:
     return out
 
 
-def tensor_over(M: Bimodule, N: Bimodule, name=None) -> Bimodule:
+def tensor_over(M: Bimodule, N: Bimodule) -> Bimodule:
     """M tensor_B N as the cokernel of the balancing map, computed over the
     idempotent split
 
@@ -492,22 +481,17 @@ def tensor_over(M: Bimodule, N: Bimodule, name=None) -> Bimodule:
 
     left_action = induced(M.left_action, True)
     right_action = induced(N.right_action, False)
-    labels = []
-    degrees = [] if (M.degrees is not None and N.degrees is not None) else None
-    for k in free:
-        i, j = pairs[k]
-        labels.append(f"[{M.labels[i]}(x){N.labels[j]}]")
-        if degrees is not None:
-            degrees.append(M.degrees[i] + N.degrees[j])
+    degrees = None
+    if M.degrees is not None and N.degrees is not None:
+        degrees = [M.degrees[i] + N.degrees[j] for i, j in (pairs[k] for k in free)]
     return Bimodule(
         M.left_algebra,
         N.right_algebra,
         len(free),
         left_action,
         right_action,
-        labels=labels,
         degrees=degrees,
-        name=name or f"({M.name})(x)_{B.name}({N.name})",
+        name=f"({M.name})(x)_{B.name}({N.name})",
         check=False,
     )
 
@@ -639,23 +623,10 @@ def corner_basis(N: Bimodule, e_left, e_right) -> tuple:
 
 
 def read_off(M: Bimodule) -> bool:
-    """Does hom_basis read Hom(M, N) off N rather than solve for it?  Such an
-    M, projective or regular, is a side whose isomorphisms top_iso reads off."""
+    """Is M projective or regular, so that Hom(M, N) is read off N (by the
+    Yoneda lemma, or as the centraliser of A in N) and top_iso reads off the
+    isomorphisms with M as a side?"""
     return M.generator is not None or M.regular
-
-
-def hom_basis(M: Bimodule, N: Bimodule) -> list:
-    """A basis of Hom(M, N), column-sparse like hom_space.  For M projective
-    it is the Yoneda maps of a basis of e_s N e_t; for M the regular bimodule
-    A, the maps a -> a.n for n in a basis of the centraliser of A in N; for
-    any other M, a hom_space basis."""
-    if M.left_algebra is not N.left_algebra or M.right_algebra is not N.right_algebra:
-        raise BimoduleError("hom space needs a common algebra pair")
-    if M.generator is not None:
-        return [yoneda_map(M, N, g) for g in corner_basis(N, M.generator[0], M.generator[1])]
-    if M.regular:
-        return [tuple(linalg.sp_apply(a, n) for a in N.left_action) for n in centralizer(N)]
-    return hom_space(M, N)
 
 
 def iso_test(M: Bimodule, N: Bimodule) -> bool:
@@ -791,9 +762,9 @@ def projective_center(A: alg.FinDimAlgebra) -> Subspace:
 
     A map reg -> P is determined by the image n of 1, which can be any n in
     P with g.n = n.g for every generator g; a map P -> reg is the Yoneda
-    map of some g in e_s A e_t, as hom_basis reads it off.  The composite
-    sends 1 to the Yoneda map applied to n.  Computed on the first call;
-    later calls return that subspace."""
+    map (yoneda_map) of some g in e_s A e_t, and those of a corner_basis
+    span them.  The composite sends 1 to the Yoneda map applied to n.
+    Computed on the first call; later calls return that subspace."""
     return alg.kept(A, ("projective_center",), lambda: _projective_center(A))
 
 
@@ -814,7 +785,8 @@ def _projective_center(A: alg.FinDimAlgebra) -> Subspace:
         for t in range(len(A.idempotents)):
             P = proj_bimodule(A, s, A, t)
             images_of_one = centralizer(P)
-            for out in hom_basis(P, reg):
+            for g in corner_basis(reg, A.idempotents[s], A.idempotents[t]):
+                out = yoneda_map(P, reg, g)
                 for n in images_of_one:
                     z = linalg.sp_apply(out, n)
                     if z:
@@ -855,7 +827,6 @@ class CellRepData:
 
     left_cell: tuple
     simple_labels: tuple
-    projective_labels: tuple
     actions: dict
 
     def __post_init__(self):
@@ -1037,7 +1008,6 @@ def _build_cellrep(data: CcxData, info, corner_dims, morphisms) -> CellRepData:
             if inf[0] == "F" and inf[2] == 0 and inf[4] == 0
         )
     )
-    projective_labels = tuple(f"P({name})" for name in left_cell)
     cartan = {
         i: [[corner_dims[i][w][s] for s in range(len(data.algebras[i].idempotents))]
             for w in range(len(data.algebras[i].idempotents))]
@@ -1060,7 +1030,6 @@ def _build_cellrep(data: CcxData, info, corner_dims, morphisms) -> CellRepData:
     return CellRepData(
         left_cell=left_cell,
         simple_labels=tuple(simple_labels),
-        projective_labels=projective_labels,
         actions=actions,
     )
 
@@ -1115,14 +1084,14 @@ def verify_closed_form_composition(build: CcxBuild, seed: int = 0) -> list:
     return records
 
 
-def verify_dimension_identities(build: CcxBuild, left_cell=None) -> list:
+def verify_dimension_identities(build: CcxBuild) -> list:
     """For H, K in a left cell of the non-identity cell: the 2-morphism space
     dimension factors as dim Hom(P_H, P_K) * dim End(P_G), and the adjoint
     composites K* o H = b G and H o K* = a F carry b = dim Hom(P_H, P_K),
     a = dim End(P_G).  (Here G is the Duflo involution of H and K's own left
     cell; the multiplicity function is read with that normalization.)"""
     ms = build.ms
-    cell = tuple(left_cell) if left_cell else build.cellrep.left_cell
+    cell = build.cellrep.left_cell
     g_name = duflo(ms, cell)
     _, gi, gj, gs, gt = build.info(g_name)
     end_pg = alg.corner_dim(build.algebra_at(gi), gs, gs)

@@ -154,32 +154,11 @@ def cmd_algebra_check(args) -> int:
     spec = _algebra_spec_from_args(args)
     A = spec.algebra
     report = CellReport(f"{spec.name}: algebra check")
-    try:
-        alg.validate(A)
-        valid, detail = True, "ok"
-    except alg.AlgebraValidationError as exc:
-        valid, detail = False, str(exc)
-    report.records.append(CheckRecord("validate", "plumbing", {"result": detail}, valid))
-    if valid:
-        rad = alg.radical(A)
-        report.records.append(
-            CheckRecord(
-                "invariants",
-                "plumbing",
-                {
-                    "dim": A.dim,
-                    "radical_dim": rad.dim,
-                    "center_dim": alg.center(A).dim,
-                    "projective_center_dim": bimod.projective_center(A).dim,
-                    "loewy_length": alg.loewy_length(A, rad),
-                    "socle_dim": alg.socle(A, rad=rad).dim,
-                    "weakly_symmetric": alg.is_weakly_symmetric(A),
-                    "connected": alg.is_connected(A),
-                    "graded": spec.degrees is not None,
-                },
-                True,
-            )
-        )
+    report.records.append(verify.validation_record(A))
+    if report.records[0].passed:
+        values = verify.algebra_invariants(A)
+        values["graded"] = spec.degrees is not None
+        report.records.append(CheckRecord("invariants", "plumbing", values, True))
     return _print_reports([report], args.format)
 
 

@@ -4,10 +4,11 @@ length, inversion and Bruhat order.
 Every group is realised one way: by its reflection representation on the
 integer weight lattice, read off a Cartan matrix C.  The generator s acts on
 weight coordinates by s(v)_j = v_j - v_s C[s][j], and the orbit of the
-regular weight rho = (1, ..., 1) is free, so the element x is held as the
-vector x^-1(rho) and x*s is s applied to that vector.  Elements are indexed
-0..|W|-1 in ShortLex order of their canonical reduced words (identity is
-element 0).  A4 is here for the Robinson-Schensted oracle only.
+regular weight rho = (1, ..., 1) is free: the group is generated as that
+orbit, x*s being s applied to x^-1(rho), and keeps only the words and the
+tables read off it.  Elements are indexed 0..|W|-1 in ShortLex order of
+their canonical reduced words (identity is element 0).  A4 is here for the
+Robinson-Schensted oracle only.
 """
 
 from __future__ import annotations
@@ -35,10 +36,8 @@ class CoxeterGroup:
     kind: str
     gen_names: tuple
     words: list  # element -> canonical reduced word (tuple of generator indices)
-    word_index: dict
     mult_gen: list  # element, generator -> element (right multiplication)
     inverse: list
-    reps: list  # element x -> its orbit vector x^-1(rho)
 
     identity: int = 0
     _bruhat_down: list = field(default_factory=list, repr=False)
@@ -129,7 +128,6 @@ def _generate(kind, gen_names, cartan) -> CoxeterGroup:
     gens = range(len(cartan))
     rho = (1,) * len(cartan)
     words = [()]
-    word_index = {(): 0}
     reps = [rho]
     rep_index = {rho: 0}
     frontier = [0]
@@ -139,11 +137,9 @@ def _generate(kind, gen_names, cartan) -> CoxeterGroup:
             for s in gens:
                 r = _reflect(cartan, s, reps[x])
                 if r not in rep_index:
-                    w = words[x] + (s,)
                     rep_index[r] = len(reps)
-                    word_index[w] = len(reps)
                     reps.append(r)
-                    words.append(w)
+                    words.append(words[x] + (s,))
                     nxt.append(rep_index[r])
         frontier = nxt
     n = len(reps)
@@ -159,7 +155,7 @@ def _generate(kind, gen_names, cartan) -> CoxeterGroup:
             v = _reflect(cartan, s, v)
         if v != rho:
             raise AssertionError("inverse computation failed")
-    return CoxeterGroup(kind, tuple(gen_names), words, word_index, mult_gen, inverse, reps)
+    return CoxeterGroup(kind, tuple(gen_names), words, mult_gen, inverse)
 
 
 def coxeter_group(kind: str) -> CoxeterGroup:

@@ -116,15 +116,15 @@ def ccx_build(name: str):
     return _cache[key]
 
 
-def graded_ccx_build(name: str, shifts=None):
+def graded_ccx_build(name: str):
     """Graded CcxBuild; the fixture must carry a grading."""
     spec = load_algebra(name)
     if spec.degrees is None:
         raise KeyError(f"fixture {name!r} carries no grading")
-    key = ("gccx", name, tuple(sorted(shifts.items())) if shifts else None)
+    key = ("gccx", name)
     if key not in _cache:
         ga = graded.GradedAlgebra(spec.algebra, spec.degrees)
-        _cache[key] = graded.build_graded_ccx([ga], shifts=shifts, name=name)
+        _cache[key] = graded.build_graded_ccx([ga], name=name)
     return _cache[key]
 
 

@@ -12,7 +12,8 @@ Algebra files (.alg)::
     b*a = w1
     deg a = 1          # optional grading; unlisted degrees are 0
 
-Unlisted products are zero.  Multisemigroup files (.msg)::
+Unlisted products are zero; a second unit line, or a second deg line for
+one label, is refused.  Multisemigroup files (.msg)::
 
     multisemigroup b2
     object i
@@ -119,7 +120,7 @@ def parse_algebra(text: str, path="<string>") -> AlgebraSpec:
     idempotents = []
     products = {}
     degrees = {}
-    saw_deg = False
+    seen = {}  # line of the unit and of each label's degree
     for line_no, line in _clean_lines(text):
         if line.startswith("algebra "):
             name = line.split(None, 1)[1].strip()
@@ -127,11 +128,11 @@ def parse_algebra(text: str, path="<string>") -> AlgebraSpec:
             labels = line.split()[1:]
             if len(set(labels)) != len(labels):
                 raise ParseError(path, line_no, "duplicate basis labels")
-        elif line.startswith("unit"):
-            _, _, expr = line.partition("=")
+        elif re.match(r"unit\s*=", line):
             if labels is None:
                 raise ParseError(path, line_no, "unit before basis")
-            unit = parse_combination(expr, labels, path, line_no)
+            _note_line(seen, "unit", line_no, path, "unit line")
+            unit = parse_combination(line.partition("=")[2], labels, path, line_no)
         elif line.startswith("idempotent "):
             if labels is None:
                 raise ParseError(path, line_no, "idempotent before basis")
@@ -142,8 +143,8 @@ def parse_algebra(text: str, path="<string>") -> AlgebraSpec:
             m = re.match(r"deg\s+(\S+)\s*=\s*(-?\d+)$", line)
             if not m or labels is None or m.group(1) not in labels:
                 raise ParseError(path, line_no, f"bad degree line {line!r}")
+            _note_line(seen, ("deg", m.group(1)), line_no, path, f"deg line for {m.group(1)}")
             degrees[m.group(1)] = int(m.group(2))
-            saw_deg = True
         elif "*" in line and "=" in line:
             lhs, _, rhs = line.partition("=")
             parts = lhs.split("*")
@@ -167,7 +168,7 @@ def parse_algebra(text: str, path="<string>") -> AlgebraSpec:
     d = len(labels)
     zero = [Fraction(0)] * d
     mult = [[products.get((i, j), zero) for j in range(d)] for i in range(d)]
-    deg_tuple = tuple(degrees.get(lab, 0) for lab in labels) if saw_deg else None
+    deg_tuple = tuple(degrees.get(lab, 0) for lab in labels) if degrees else None
     return AlgebraSpec(
         algebra=FinDimAlgebra(labels, mult, unit, idempotents, name=name or "algebra"),
         degrees=deg_tuple,

@@ -297,7 +297,6 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
         n,
         left_action,
         right_action,
-        labels=tuple(f"phi{r}" for r in range(n)),
         degrees=degrees,
         name=f"dual({M.name})",
     )

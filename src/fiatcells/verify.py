@@ -145,63 +145,67 @@ def type_a_report(ns=(2, 3, 4)) -> CellReport:
     return report
 
 
-def algebra_report(name: str) -> CellReport:
-    report = CellReport(f"{name}: algebra invariants")
-    spec = fixtures.load_algebra(name)
-    A = spec.algebra
-    expected = fixtures.EXPECTED[name]
+def validation_record(A: alg.FinDimAlgebra) -> CheckRecord:
+    """The record of alg.validate on A: passed with result "ok", or failed
+    with the validation error's message."""
     try:
         alg.validate(A)
-        valid = True
-        detail = "ok"
     except alg.AlgebraValidationError as exc:
-        valid, detail = False, str(exc)
-    report.records.append(
-        CheckRecord("validate", "plumbing", {"result": detail}, valid)
-    )
-    if not valid:
-        return report
+        return CheckRecord("validate", "plumbing", {"result": str(exc)}, False)
+    return CheckRecord("validate", "plumbing", {"result": "ok"}, True)
+
+
+def algebra_invariants(A: alg.FinDimAlgebra) -> dict:
+    """The invariants of a validated algebra that the fixture report and
+    `algebra-check` both give, by record name."""
     rad = alg.radical(A)
-    centre = alg.center(A)
-    zprime = bimod.projective_center(A)
-    checks = [
-        ("dim", A.dim, expected["dim"], "plumbing"),
-        ("radical_dim", rad.dim, expected["radical_dim"], "radical-structure"),
-        ("center_dim", centre.dim, expected["center_dim"], "center-dimension"),
-        (
-            "projective_center_dim",
-            zprime.dim,
-            expected["projective_center_dim"],
-            "projective-center",
-        ),
-        ("loewy_length", alg.loewy_length(A, rad), expected["loewy"], "loewy-length"),
-        (
-            "bimodule_loewy_length",
-            bimod.loewy_length(bimod.proj_bimodule(A, 0, A, 0)),
-            expected["bimodule_loewy"],
-            "tensor-square-loewy-length",
-        ),
-        ("socle_dim", alg.socle(A, rad=rad).dim, expected["socle_dim"], "socle"),
-        (
-            "weakly_symmetric",
-            alg.is_weakly_symmetric(A),
-            expected["weakly_symmetric"],
-            "weakly-symmetric",
-        ),
-        ("connected", alg.is_connected(A), expected["connected"], "connectedness"),
-    ]
-    for check_name, computed, want, anchor in checks:
+    return {
+        "dim": A.dim,
+        "radical_dim": rad.dim,
+        "center_dim": alg.center(A).dim,
+        "projective_center_dim": bimod.projective_center(A).dim,
+        "loewy_length": alg.loewy_length(A, rad),
+        "socle_dim": alg.socle(A, rad=rad).dim,
+        "weakly_symmetric": alg.is_weakly_symmetric(A),
+        "connected": alg.is_connected(A),
+    }
+
+
+# (record name, key in fixtures.EXPECTED, anchor) of algebra_report, in order
+_INVARIANT_CHECKS = (
+    ("dim", "dim", "plumbing"),
+    ("radical_dim", "radical_dim", "radical-structure"),
+    ("center_dim", "center_dim", "center-dimension"),
+    ("projective_center_dim", "projective_center_dim", "projective-center"),
+    ("loewy_length", "loewy", "loewy-length"),
+    ("bimodule_loewy_length", "bimodule_loewy", "tensor-square-loewy-length"),
+    ("socle_dim", "socle_dim", "socle"),
+    ("weakly_symmetric", "weakly_symmetric", "weakly-symmetric"),
+    ("connected", "connected", "connectedness"),
+)
+
+
+def algebra_report(name: str) -> CellReport:
+    report = CellReport(f"{name}: algebra invariants")
+    A = fixtures.load_algebra(name).algebra
+    expected = fixtures.EXPECTED[name]
+    report.records.append(validation_record(A))
+    if not report.records[0].passed:
+        return report
+    computed = algebra_invariants(A)
+    computed["bimodule_loewy_length"] = bimod.loewy_length(bimod.proj_bimodule(A, 0, A, 0))
+    for check_name, key, anchor in _INVARIANT_CHECKS:
         report.records.append(
             CheckRecord(
                 name=check_name,
                 anchor=anchor,
-                values={"computed": computed, "expected": want},
-                passed=computed == want,
+                values={"computed": computed[check_name], "expected": expected[key]},
+                passed=computed[check_name] == expected[key],
             )
         )
     if name == "x3local":
         # the projective center is exactly the span of 1 and x^2
-        basis = [A.describe(v) for v in zprime]
+        basis = [A.describe(v) for v in bimod.projective_center(A)]
         report.records.append(
             CheckRecord(
                 name="projective_center_span",

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,78 @@ def test_connected():
     assert alg.is_connected(fixture("x3local"))
     assert alg.is_connected(fixture("zigzagA2"))
     assert not alg.is_connected(q_times_q())
+
+
+def reference_is_connected(algebra):
+    """Connectedness of the quiver itself: the graph on idempotents with
+    edges where e_i (rad/rad^2) e_j or e_j (rad/rad^2) e_i is nonzero."""
+    n = len(algebra.idempotents)
+    rad = alg.radical(algebra)
+    rad2 = linalg.Subspace.from_vectors(
+        [algebra.mul(u, v) for u in rad for v in rad], algebra.dim
+    )
+
+    def arrow_count(i, j):
+        ei, ej = algebra.idempotents[i], algebra.idempotents[j]
+        full = linalg.Subspace.from_vectors(
+            [algebra.mul(ei, algebra.mul(r, ej)) for r in rad], algebra.dim
+        )
+        inside = linalg.Subspace.from_vectors(
+            [algebra.mul(ei, algebra.mul(r, ej)) for r in rad2], algebra.dim
+        )
+        return full.dim - inside.dim
+
+    seen, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for j in range(n):
+            if j not in seen and (arrow_count(i, j) or arrow_count(j, i)):
+                seen.add(j)
+                frontier.append(j)
+    return len(seen) == n
+
+
+def shuffled_basis(text, seed):
+    """The same algebra text with its basis line in a seeded random order."""
+    lines = text.splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("basis "))
+    names = lines[k].split()[1:]
+    random.Random(seed).shuffle(names)
+    lines[k] = "basis " + " ".join(names)
+    return "\n".join(lines) + "\n"
+
+
+def dual_numbers_squared():
+    """k[x]/(x^2) x k[y]/(y^2): two local blocks, each with a radical."""
+    names = ["e1", "e2", "x", "y"]
+    table = {
+        ("e1", "e1"): {"e1": 1}, ("e1", "x"): {"x": 1}, ("x", "e1"): {"x": 1},
+        ("e2", "e2"): {"e2": 1}, ("e2", "y"): {"y": 1}, ("y", "e2"): {"y": 1},
+    }
+    return make_algebra(names, table, [1, 1, 0, 0], [[1, 0, 0, 0], [0, 1, 0, 0]], "D2xD2")
+
+
+CONNECTED_CASES = {
+    **{name: lambda path=path: parse_algebra(fixture_text(path)).algebra
+       for name, path in ALGEBRA_FILES.items()},
+    **{f"zigzagA{m}-seed{seed}": lambda m=m, seed=seed: parse_algebra(
+        shuffled_basis(zigzag_text(m), seed)).algebra
+       for m in (2, 3, 4, 5) for seed in (0, 3, 7)},
+    **{f"x{n}": lambda n=n: parse_algebra(truncated_poly_text(n)).algebra for n in range(1, 6)},
+    "QxQ": q_times_q,
+    "D2xD2": dual_numbers_squared,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTED_CASES))
+def test_connectedness_from_corners_matches_the_quiver(name):
+    A = CONNECTED_CASES[name]()
+    alg.validate(A)
+    assert alg.is_connected(A) == reference_is_connected(A)
+    if name in ("QxQ", "D2xD2"):
+        assert not alg.is_connected(A)
+    if name == "D2xD2":
+        assert alg.radical(A).dim == 2
 
 
 def test_basicness_check_rejects_matrix_algebra():

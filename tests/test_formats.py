@@ -45,6 +45,28 @@ def test_parse_algebra_errors_carry_line_numbers():
         formats.parse_algebra("algebra a\nbasis x\nidempotent x\n", "nounit.alg")
 
 
+def test_a_label_starting_with_unit_is_a_product_not_the_unit_line():
+    text = "algebra u\nbasis e unitx\nunit = e\nidempotent e\ne*e = e\nunitx*e = unitx\n"
+    A = formats.parse_algebra(text, "u.alg").algebra
+    assert A.unit == (1, 0)
+    assert A.mul(A.element("unitx"), A.element("e")) == A.element("unitx")
+    assert A.mult[1][0] == {1: 1}
+
+
+def test_parse_algebra_refuses_repeated_unit_and_degree_lines():
+    head = "algebra r\nbasis 1 x\nidempotent 1\n"
+    cases = {
+        "unit line": "unit = 1\nx*x = 0\n# a comment\nunit = 1\n",
+        "deg line for x": "deg x = 2\nunit = 1\n\ndeg x = 2\n",
+    }
+    for what, body in cases.items():
+        with pytest.raises(ParseError, match=f"r.alg:7: repeated {what} \\(first at line 4\\)"):
+            formats.parse_algebra(head + body, "r.alg")
+    # one deg line for each of two labels is no repeat
+    spec = formats.parse_algebra(head + "unit = 1\ndeg 1 = 0\ndeg x = 2\n", "r.alg")
+    assert spec.degrees == (0, 2)
+
+
 def test_parse_combination_signs():
     labels = ["1", "x", "y"]
     combo = formats.parse_combination("2*x - y + 1", labels, "p", 1)
