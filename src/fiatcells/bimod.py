@@ -131,12 +131,8 @@ class Bimodule:
         argument takes the algebras to be associative, which
         `algebra.validate` checks.
 
-        A generator whose action is diagonal (an idempotent on a basis split
-        by the idempotents, or the unit) is not multiplied: its product with
-        another matrix is read as a scaling of that matrix's rows or
-        columns, which is the same matrix, and two diagonal actions commute
-        unchecked.  So the checks, their order and their messages are those
-        of the plain products."""
+        Two generators whose actions are both diagonal (idempotents on a
+        basis split by the idempotents, or the unit) commute unchecked."""
         A, B = self.left_algebra, self.right_algebra
         ident = linalg.sp_identity(self.dim)
         if not linalg.sp_eq(self.left_of(A.unit), ident):
@@ -147,18 +143,18 @@ class Bimodule:
         right_gens = [(h, self.right_of(h)) for h in alg.algebra_generators(B)]
         left_gens = [(g, lg, linalg.sp_diagonal(lg)) for g, lg in left_gens]
         right_gens = [(h, rh, linalg.sp_diagonal(rh)) for h, rh in right_gens]
-        for g, lg, dg in left_gens:
+        for g, lg, _ in left_gens:
             for j, gb in enumerate(A.left_mult_matrix(g)):
                 prod = self.left_of(gb)
-                if not linalg.sp_eq(linalg.sp_compose(lg, self.left_action[j], dg), prod):
+                if not linalg.sp_eq(linalg.sp_compose(lg, self.left_action[j]), prod):
                     raise BimoduleError(
                         f"{self.name}: left action not multiplicative at "
                         f"({A.describe(g)}, {A.basis[j]})"
                     )
-        for h, rh, dh in right_gens:
+        for h, rh, _ in right_gens:
             for j, bh in enumerate(B.right_mult_matrix(h)):
                 prod = self.right_of(bh)
-                if not linalg.sp_eq(linalg.sp_compose(rh, self.right_action[j], dh), prod):
+                if not linalg.sp_eq(linalg.sp_compose(rh, self.right_action[j]), prod):
                     raise BimoduleError(
                         f"{self.name}: right action not anti-multiplicative at "
                         f"({B.describe(h)}, {B.basis[j]})"
@@ -167,7 +163,7 @@ class Bimodule:
             for h, rh, dh in right_gens:
                 if dg is not None and dh is not None:
                     continue
-                gh, hg = linalg.sp_compose(lg, rh, dg, dh), linalg.sp_compose(rh, lg, dh, dg)
+                gh, hg = linalg.sp_compose(lg, rh), linalg.sp_compose(rh, lg)
                 if not linalg.sp_eq(gh, hg):
                     raise BimoduleError(
                         f"{self.name}: actions do not commute at "
@@ -608,10 +604,8 @@ def yoneda_map(P: Bimodule, N: Bimodule, g: dict):
 
 def corner_columns(N: Bimodule, e_left, e_right) -> tuple:
     """The matrix of m -> e.m.f on N, for idempotents e, f of the two
-    algebras, read as a scaling where e or f acts diagonally: its column m
-    is e.m.f, and its columns span e N f."""
-    left, right = N.left_of(e_left), N.right_of(e_right)
-    return linalg.sp_compose(left, right, linalg.sp_diagonal(left), linalg.sp_diagonal(right))
+    algebras: its column m is e.m.f, and its columns span e N f."""
+    return linalg.sp_compose(N.left_of(e_left), N.right_of(e_right))
 
 
 def corner_basis(N: Bimodule, e_left, e_right) -> tuple:
@@ -1150,10 +1144,10 @@ def verify_duflo_hom_dimension(build: CcxBuild) -> list:
     return records
 
 
-def verify_center_surjectivity(build: CcxBuild, expect_surjective=None) -> list:
+def verify_center_surjectivity(build: CcxBuild, expect_surjective: bool) -> list:
     """Does X_i, acting by central multiplication, surject onto End(P_G) for
-    the Duflo involution of the default cell?  Reports both dimensions; when
-    an expectation is given the record asserts it (predicted negatives are
+    the Duflo involution of the default cell?  Reports both dimensions, and
+    the record asserts the expectation (predicted negatives are
     counterexample fixtures, not regressions)."""
     ms = build.ms
     g_name = duflo(ms, build.cellrep.left_cell)
@@ -1172,18 +1166,13 @@ def verify_center_surjectivity(build: CcxBuild, expect_surjective=None) -> list:
         "dim_end_projective": corner,
         "surjective": surjective,
     }
-    if expect_surjective is None:
-        passed, negative = True, False
-    else:
-        passed = surjective == expect_surjective
-        negative = not expect_surjective
     return [
         CheckRecord(
             name=f"center_surjectivity[{g_name}]",
             anchor="center-action-on-duflo-projective",
             values=values,
-            passed=passed,
-            negative=negative,
+            passed=surjective == expect_surjective,
+            negative=not expect_surjective,
         )
     ]
 

@@ -42,7 +42,6 @@ class CoxeterGroup:
     identity: int = 0
     _bruhat_down: list = field(default_factory=list, repr=False)
     _by_length: list = field(default_factory=list, repr=False)
-    _bar_t: list = field(default_factory=list, repr=False)  # see bar_t_table
 
     @property
     def order(self) -> int:
@@ -77,13 +76,6 @@ class CoxeterGroup:
         if not self._by_length:
             self._by_length = sorted(range(self.order), key=self.length)
         return self._by_length
-
-    def bar_t_table(self, build) -> list:
-        """hecke's table of bar(T_w) over the group: build(self) on the first
-        call, then kept on the group."""
-        if not self._bar_t:
-            self._bar_t = build(self)
-        return self._bar_t
 
     def longest(self) -> int:
         return max(range(self.order), key=self.length)

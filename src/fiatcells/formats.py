@@ -120,11 +120,12 @@ def parse_algebra(text: str, path="<string>") -> AlgebraSpec:
     idempotents = []
     products = {}
     degrees = {}
-    seen = {}  # line of the unit and of each label's degree
+    seen = {}  # line of the basis, the unit, each product and each degree
     for line_no, line in _clean_lines(text):
         if line.startswith("algebra "):
             name = line.split(None, 1)[1].strip()
         elif line.startswith("basis "):
+            _note_line(seen, "basis", line_no, path, "basis line")
             labels = line.split()[1:]
             if len(set(labels)) != len(labels):
                 raise ParseError(path, line_no, "duplicate basis labels")
@@ -154,8 +155,7 @@ def parse_algebra(text: str, path="<string>") -> AlgebraSpec:
             if labels is None or x not in labels or y not in labels:
                 raise ParseError(path, line_no, f"unknown label in product {line!r}")
             key = (labels.index(x), labels.index(y))
-            if key in products:
-                raise ParseError(path, line_no, f"duplicate product {x}*{y}")
+            _note_line(seen, key, line_no, path, f"product {x}*{y}")
             products[key] = parse_combination(rhs, labels, path, line_no)
         else:
             raise ParseError(path, line_no, f"unrecognized line {line!r}")
@@ -200,10 +200,8 @@ def parse_multisemigroup(text: str, path="<string>") -> MultiSemigroup:
             if not m:
                 raise ParseError(path, line_no, f"bad morphism line {line!r}")
             label, src, tgt, ident = m.groups()
-            if label in morphisms:
-                raise ParseError(path, line_no, f"duplicate morphism {label!r}")
+            _note_line(morphism_lines, label, line_no, path, f"morphism {label}")
             morphisms[label] = OneMorphism(label, src, tgt, bool(ident))
-            morphism_lines[label] = line_no
         elif line.startswith("star "):
             m = re.match(r"star\s+(\S+)\s*=\s*(\S+)$", line)
             if not m:

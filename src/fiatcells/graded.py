@@ -231,7 +231,7 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
     The actions are formed on generators only: phi -> phi o rho(h) for each
     generator h of B, with rho the right action of M, and
     phi -> rho(g) o phi for each generator g of A, with rho the right action
-    of A on itself; a diagonal rho is read as a scaling.  Each image is
+    of A on itself.  Each image is
     written in the dual basis by `coords`, which checks that it stays in
     the dual.  Every basis element then acts by the product along its word
     (alg.basis_words): b = sum c_w w, with w = g_1 ... g_l, acts on the left
@@ -277,14 +277,14 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
         return {r: x for r, x in enumerate(sol) if x}
 
     # (h . phi)(m) = phi(m h) and (phi . g)(m) = phi(m) g, on generators
-    left_gens = []
-    for rh in (M.right_of(h) for h in alg.algebra_generators(B)):
-        diag = linalg.sp_diagonal(rh)
-        left_gens.append(tuple(coords(linalg.sp_compose(phi, rh, None, diag)) for phi in phis))
-    right_gens = []
-    for rg in (reg.right_of(g) for g in alg.algebra_generators(A)):
-        diag = linalg.sp_diagonal(rg)
-        right_gens.append(tuple(coords(linalg.sp_compose(rg, phi, diag)) for phi in phis))
+    left_gens = [
+        tuple(coords(linalg.sp_compose(phi, rh)) for phi in phis)
+        for rh in (M.right_of(h) for h in alg.algebra_generators(B))
+    ]
+    right_gens = [
+        tuple(coords(linalg.sp_compose(rg, phi)) for phi in phis)
+        for rg in (reg.right_of(g) for g in alg.algebra_generators(A))
+    ]
 
     _check_words(M)
     _check_words(reg)
@@ -432,20 +432,18 @@ def verify_dual_shift_identity(build: CcxBuild, seed: int = 0) -> list:
     ]
 
 
-def verify_hilbert_transfer(build: CcxBuild, left_cell=None, other_cell=None) -> list:
-    """Hilbert-series transfer between two left cells of one two-sided cell:
-    chi_G = chi_F * psi with psi an exact nonnegative quotient, constant term
-    one, and psi(1) consistent with the constancy of the Duflo multiplicity."""
+def verify_hilbert_transfer(build: CcxBuild) -> list:
+    """Hilbert-series transfer from the build's default left cell to the
+    last left cell of its two-sided cell (the cell itself if it is the only
+    one): chi_G = chi_F * psi with psi an exact nonnegative quotient,
+    constant term one, and psi(1) consistent with the constancy of the Duflo
+    multiplicity."""
     struct = cells(build.ms)
-    cell = tuple(left_cell) if left_cell else build.cellrep.left_cell
+    cell = build.cellrep.left_cell
     g_name = duflo(build.ms, cell)
-    if other_cell is None:
-        two_sided = struct.two_sided_cell_of(g_name)
-        candidates = [
-            c for c in struct.left_cells if set(c) <= set(two_sided)
-        ]
-        other_cell = candidates[-1] if len(candidates) > 1 else cell
-    other_cell = tuple(other_cell)
+    two_sided = struct.two_sided_cell_of(g_name)
+    candidates = [c for c in struct.left_cells if set(c) <= set(two_sided)]
+    other_cell = candidates[-1] if len(candidates) > 1 else cell
     right_of_g = set(struct.right_cell_of(g_name))
     inter = sorted(set(other_cell) & right_of_g)
     if len(inter) != 1:

@@ -13,7 +13,7 @@ the canonical basis: the |S|.|W| generator products b_s b_w determine every
 b_x b_y by associativity.  Each is taken once: (v + v^-1) b_w when sw < w,
 certified by T_s b_w = v^-1 b_w; the product b_s b_{sw} the KL recursion
 peeled when s is the first letter of sw; otherwise the T-basis product
-(T_s + v) b_w, expanded top-down over its own support (13 of 72 on A3).
+(T_s + v) b_w, expanded top-down by `kl_expand` (13 of 72 on A3).
 The b_s generate the canonical basis, so the exported table is checked for
 associativity with only the b_s as left factors (neutrality already settles
 the identity), next to a certificate that they and the identity span it.
@@ -22,14 +22,13 @@ A Hecke element has one form: {x: {exponent: int}} in T or canonical
 coordinates, with no zero entries.  Laurent arithmetic accumulates in place:
 `_mac` adds factor * data into such dicts, so no sum or product builds
 temporaries.  The KL recursion, the export and the per-pair reference
-(`kl_basis`, `multiply`, `bar_involution`, `kl_expand`, `kl_product_at_one`)
-all work on it, and the v = 1 step reads non-negativity and the value at 1
-straight off it; LaurentPoly only formats coefficients in error messages.
+(`kl_basis`, `multiply`, `bar_involution`, `kl_product_at_one`) all work on
+it, and the v = 1 step reads non-negativity and the value at 1 straight off
+it; LaurentPoly only formats coefficients in error messages.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .coxeter import CoxeterGroup, coxeter_group
@@ -137,9 +136,8 @@ def _bar_t_basis(group: CoxeterGroup) -> list[dict]:
 
 def bar_involution(group: CoxeterGroup, elem: dict) -> dict:
     """The bar involution: v -> v^-1 and T_w -> T_{w^-1}^-1, read off the
-    table of bar(T_w), built once per group and kept on it; the result is
-    accumulated afresh, so it shares no row with the table."""
-    bar_t = group.bar_t_table(_bar_t_basis)
+    table of bar(T_w), built afresh on each call."""
+    bar_t = _bar_t_basis(group)
     acc: dict = {}
     for x, c in elem.items():
         _mac(acc, bar_t[x], {-e: k for e, k in c.items()})
@@ -149,7 +147,7 @@ def bar_involution(group: CoxeterGroup, elem: dict) -> dict:
 def _kl_recursion(group: CoxeterGroup, bound: int) -> tuple:
     """`kl_basis` in raw T coordinates, and the products it peels: with s
     the first letter of w, peeled[w] = b_s b_{sw} = b_w + sum m_x b_x in
-    canonical coordinates, exactly, entries in `_expand`'s order."""
+    canonical coordinates, exactly, entries in `kl_expand`'s order."""
     if group.order > bound:
         raise SizeLimitError(f"group of order {group.order} exceeds the bound {bound}")
     basis: list = [None] * group.order
@@ -191,37 +189,10 @@ def kl_basis(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list[dict]
     return _kl_recursion(group, bound)[0]
 
 
-def _expand(group: CoxeterGroup, acc: dict, basis: list) -> dict:
-    """Canonical coordinates, as raw dicts, of the element whose raw T
-    coordinates acc holds; acc is used up.  Peeled top-down over the
-    element's own support: a heap keyed on length pops the longest x left,
-    and its coefficient c is final, since every other term of b_x
-    (basis[x], raw T coordinates) is shorter; then c b_x is subtracted and
-    the new support of b_x pushed.  Ties pop the larger index first, so
-    the entries come in `kl_expand`'s order."""
-    heap = [(-group.length(x), -x) for x in acc]
-    heapq.heapify(heap)
-    out = {}
-    while heap:
-        x = -heapq.heappop(heap)[1]
-        c = {e: k for e, k in acc[x].items() if k}
-        if not c:
-            continue
-        out[x] = c
-        b_x = basis[x]
-        for y in b_x:
-            if y not in acc:
-                heapq.heappush(heap, (-group.length(y), -y))
-        _mac(acc, b_x, _negated(c))
-    if any(any(row.values()) for row in acc.values()):
-        raise HeckeDataError("canonical-basis expansion left a nonzero remainder")
-    return out
-
-
 def kl_expand(group: CoxeterGroup, element: dict, basis=None) -> dict:
     """Canonical coordinates of a Hecke element given in T coordinates,
-    peeled over every element from the top down (the reference for
-    `_expand`)."""
+    peeled over every element from the top down: the coefficient of the
+    longest x left is final, since every other term of b_x is shorter."""
     basis = basis or kl_basis(group)
     acc = _mac({}, element, _ONE)
     out = {}
@@ -273,9 +244,9 @@ def _descent_product(group: CoxeterGroup, b_w: dict, s: int, w: int) -> dict:
 
 def _generator_product(group: CoxeterGroup, basis: list, s: int, w: int) -> dict:
     """b_s b_w in canonical coordinates: the T-basis product (T_s + v) b_w
-    on the raw basis dicts, expanded over its own support."""
+    on the raw basis dicts, expanded by `kl_expand`."""
     b_w = basis[w]
-    return _expand(group, _mac(_t_gen_left(group, {}, b_w, s), b_w, _V), basis)
+    return kl_expand(group, _mac(_t_gen_left(group, {}, b_w, s), b_w, _V), basis)
 
 
 def _generator_action(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list:

@@ -269,16 +269,8 @@ def sp_apply(cols, svec: dict) -> dict:
     return out
 
 
-def sp_compose(a_cols, b_cols, a_diag=None, b_diag=None):
-    """Matrix product a*b of column-sparse matrices.  Given the diagonal
-    (`sp_diagonal`) of a diagonal factor, such as an idempotent on a basis
-    split by the idempotents, the product is read as a scaling of the rows
-    of b or of the columns of a, not multiplied out; a column scaled by 1
-    is the column itself."""
-    if a_diag is not None:
-        return tuple(_scaled_rows(col, a_diag) for col in b_cols)
-    if b_diag is not None:
-        return tuple(_scaled(col, d) for col, d in zip(a_cols, b_diag, strict=True))
+def sp_compose(a_cols, b_cols):
+    """Matrix product a*b of column-sparse matrices."""
     return tuple(sp_apply(a_cols, col) for col in b_cols)
 
 
@@ -290,21 +282,6 @@ def sp_diagonal(cols):
             return None
         diag.append(col.get(q, 0))
     return diag
-
-
-def _scaled(col: dict, d) -> dict:
-    if d == 1:
-        return col
-    return {r: frac(d * v) for r, v in col.items()} if d else {}
-
-
-def _scaled_rows(col: dict, diag) -> dict:
-    out = {}
-    for r, v in col.items():
-        d = diag[r]
-        if d:
-            out[r] = v if d == 1 else frac(d * v)
-    return out
 
 
 def sp_lincomb(coeffs, mats):

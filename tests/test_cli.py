@@ -100,6 +100,19 @@ def test_algebra_check_of_every_fixture_matches_its_golden(capsys, fmt, suffix):
     assert "".join(out).encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_ccx_build_of_every_fixture_matches_its_golden(capsys, fmt, suffix):
+    # golden stdout of `ccx-build --fixture NAME` over the bundled algebras
+    # in sorted order, compared byte for byte
+    out = []
+    for name in sorted(ALGEBRA_FILES):
+        code, text, _ = run(capsys, "--format", fmt, "ccx-build", "--fixture", name)
+        assert code == 0
+        out.append(text)
+    golden = Path(__file__).parent / "data" / f"ccx_build.{suffix}"
+    assert "".join(out).encode() == golden.read_bytes()
+
+
 def test_algebra_check_invalid_algebra_fails_verification(capsys, tmp_path):
     text = """
 algebra nonassoc

@@ -58,10 +58,15 @@ def test_parse_algebra_refuses_repeated_unit_and_degree_lines():
     cases = {
         "unit line": "unit = 1\nx*x = 0\n# a comment\nunit = 1\n",
         "deg line for x": "deg x = 2\nunit = 1\n\ndeg x = 2\n",
+        "product x\\*x": "x*x = 0\nunit = 1\n\nx*x = x\n",
     }
     for what, body in cases.items():
         with pytest.raises(ParseError, match=f"r.alg:7: repeated {what} \\(first at line 4\\)"):
             formats.parse_algebra(head + body, "r.alg")
+    # a second basis line would relabel what was read under the first
+    text = "basis e x\nunit = e\nidempotent e\nx*x = x\nbasis e y\n"
+    with pytest.raises(ParseError, match=r"r.alg:5: repeated basis line \(first at line 1\)"):
+        formats.parse_algebra(text, "r.alg")
     # one deg line for each of two labels is no repeat
     spec = formats.parse_algebra(head + "unit = 1\ndeg 1 = 0\ndeg x = 2\n", "r.alg")
     assert spec.degrees == (0, 2)
@@ -127,6 +132,7 @@ def test_parse_multisemigroup_refuses_repeated_lines():
     cases = {
         "product g o g": "g o g = 3*g\n# a comment\ng o g = 2*g\n",
         "star for g": "star g = g\n\nstar g = g\n",
+        "morphism h": "morphism h : i -> i\n# a comment\nmorphism h : i -> i\n",
     }
     for what, body in cases.items():
         with pytest.raises(ParseError, match=f"d.msg:7: repeated {what} \\(first at line 5\\)"):

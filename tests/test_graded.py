@@ -426,14 +426,7 @@ def test_build_graded_ccx_refuses_identity_shifts():
 
 def test_hilbert_transfer():
     build = graded_ccx_build("zigzagA2-graded")
-    struct = mscell.cells(build.ms)
-    cell = build.cellrep.left_cell
-    other = next(
-        c
-        for c in struct.left_cells
-        if set(c) <= set(struct.two_sided_cell_of("F11_11")) and tuple(c) != cell
-    )
-    recs = graded.verify_hilbert_transfer(build, cell, other)
+    recs = graded.verify_hilbert_transfer(build)
     assert all(r.passed for r in recs)
     values = recs[0].values
     assert values["chi_G"] == "1 + t^2"
@@ -504,14 +497,7 @@ def test_two_object_graded_build():
     assert graded.min_hom_degree_to_identity(build) == 1
     assert graded.top_corner_degree(build) == 2
     assert all(r.passed for r in graded.verify_dual_shift_identity(build))
-    struct = mscell.cells(build.ms)
-    cell = build.cellrep.left_cell
-    other = next(
-        c
-        for c in struct.left_cells
-        if set(c) <= set(struct.two_sided_cell_of("F11_11")) and tuple(c) != cell
-    )
-    recs = graded.verify_hilbert_transfer(build, cell, other)
+    recs = graded.verify_hilbert_transfer(build)
     assert all(r.passed for r in recs)
     assert recs[0].values["transfer_element"] == "F12_11"
 

@@ -399,27 +399,11 @@ def test_subspace_answers_from_its_kept_echelon_match_a_fresh_one(vectors, probe
 _entries = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
 
 
-def _sparse_cols(n, entries):
-    return tuple({p: entries[q * n + p] for p in range(n) if entries[q * n + p]} for q in range(n))
-
-
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 5).flatmap(
-        lambda n: st.tuples(
-            st.just(n), st.lists(_entries, min_size=n * n, max_size=n * n),
-            st.lists(_entries, min_size=n, max_size=n),
-        )
-    )
-)
-def test_a_diagonal_factor_is_read_as_a_scaling(case):
-    n, entries, diag = case
-    m = _sparse_cols(n, entries)
+@given(st.lists(_entries, min_size=1, max_size=5))
+def test_a_diagonal_factor_is_read_as_a_scaling(diag):
+    n = len(diag)
     d = tuple({q: x} if x else {} for q, x in enumerate(diag))
     assert linalg.sp_diagonal(d) == list(diag)
-    for a, b, da, db in ((d, m, diag, None), (m, d, None, diag), (d, d, diag, diag)):
-        read = linalg.sp_compose(a, b, da, db)
-        assert read == linalg.sp_compose(a, b)
-        assert all(type(v) is int or v.denominator > 1 for col in read for v in col.values())
     off = tuple({**col, (q + 1) % n: 1} for q, col in enumerate(d)) if n > 1 else None
     assert off is None or linalg.sp_diagonal(off) is None

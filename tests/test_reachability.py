@@ -39,7 +39,6 @@ KEPT = {
     "algebra._kept_per_algebra": "decorator: applied at import, before the hook starts",
     "bimod.Bimodule.__repr__": REPR,
     "coxeter.CoxeterGroup._down_sets": PROMOTED + " (supp(b_w) = [e, w] via bruhat_leq)",
-    "coxeter.CoxeterGroup.bar_t_table": PROMOTED + " (bar invariance of b_w)",
     "coxeter.CoxeterGroup.bruhat_leq": PROMOTED + " (supp(b_w) = [e, w])",
     "coxeter.CoxeterGroup.element_of_name": TOOL,
     "coxeter.CoxeterGroup.longest": TOOL,
