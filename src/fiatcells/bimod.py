@@ -83,9 +83,9 @@ class Bimodule:
         self.right_action = tuple(right_action)
         self.degrees = tuple(degrees) if degrees is not None else None
         self.name = name
-        # (e_s, e_t, basis of A e_s, basis of e_t B) when this is the
-        # projective bimodule (A e_s)(x)(e_t B) in proj_bimodule's basis;
-        # regular when this is regular_bimodule's A in the basis of A
+        # (e_s, e_t) when this is the projective bimodule (A e_s)(x)(e_t B)
+        # of proj_bimodule; regular when this is regular_bimodule's A in
+        # the basis of A
         self.generator = None
         self.regular = False
         if check:
@@ -254,9 +254,11 @@ def proj_bimodule(
     deg_b=None,
     name=None,
 ) -> Bimodule:
-    """The projective bimodule (A e_s) tensor (e_t B) with the outer actions.
-    Its actions are built and validated once per (A, s, B, t); every call
-    returns a new Bimodule sharing them, with this call's degrees and name."""
+    """The projective bimodule (A e_s) tensor (e_t B) with the outer actions,
+    on the pairs of the canonical bases of the two ideals, generated by
+    e_s (x) e_t.  Its actions are built and validated once per (A, s, B, t);
+    every call returns a new Bimodule sharing them, with this call's degrees
+    and name."""
     name = name or f"P({A.name}e{s + 1}|e{t + 1}{B.name})"
     dim, left_action, right_action, ubasis, vbasis = _kept(
         A, (s, B, t), B, name, lambda: _proj_actions(A, s, B, t)
@@ -276,7 +278,7 @@ def proj_bimodule(
         name=name,
         check=False,
     )
-    out.generator = (A.idempotents[s], B.idempotents[t], ubasis, vbasis)
+    out.generator = (A.idempotents[s], B.idempotents[t])
     return out
 
 
@@ -590,30 +592,10 @@ def _hom_pairs(M: Bimodule, N: Bimodule) -> list:
     return pairs + [(M.right_of(g), N.right_of(g)) for g in alg.algebra_generators(M.right_algebra)]
 
 
-def yoneda_map(P: Bimodule, N: Bimodule, g: dict):
-    """The bimodule map P -> N, u(x)v -> u.g.v, out of a projective bimodule
-    P = (A e_s)(x)(e_t B) built by proj_bimodule, for g in e_s N e_t (a
-    sparse vector of N).  It is the unique map sending the generator
-    e_s(x)e_t to g, so these maps are all of Hom(P, N) = e_s N e_t.
-    Column-sparse like hom_space, columns in P's basis order."""
-    _, _, ubasis, vbasis = P.generator
-    lefts = [N.left_of(u) for u in ubasis]
-    gv = [linalg.sp_apply(N.right_of(v), g) for v in vbasis]
-    return tuple(linalg.sp_apply(lu, x) for lu in lefts for x in gv)
-
-
 def corner_columns(N: Bimodule, e_left, e_right) -> tuple:
     """The matrix of m -> e.m.f on N, for idempotents e, f of the two
     algebras: its column m is e.m.f, and its columns span e N f."""
     return linalg.sp_compose(N.left_of(e_left), N.right_of(e_right))
-
-
-def corner_basis(N: Bimodule, e_left, e_right) -> tuple:
-    """A basis of e N f for idempotents e, f of the two algebras, as sparse
-    vectors: the column space of corner_columns."""
-    ech = SparseEchelon(N.dim)
-    ech.extend(corner_columns(N, e_left, e_right))
-    return tuple(ech.rows[c] for c in ech.pivots())
 
 
 def read_off(M: Bimodule) -> bool:
@@ -750,14 +732,18 @@ def socle(M: Bimodule) -> Subspace:
 
 
 def projective_center(A: alg.FinDimAlgebra) -> Subspace:
-    """Subalgebra of the center spanned by 1 and all endomorphisms of the
-    regular bimodule that factor through the projective bimodules
-    P = (A e_s)(x)(e_t A), closed under multiplication.
+    """Subalgebra of the center spanned by 1 and the endomorphisms of the
+    regular bimodule A that factor through a projective bimodule.
 
-    A map reg -> P is determined by the image n of 1, which can be any n in
-    P with g.n = n.g for every generator g; a map P -> reg is the Yoneda
-    map (yoneda_map) of some g in e_s A e_t, and those of a corner_basis
-    span them.  The composite sends 1 to the Yoneda map applied to n.
+    A bimodule map A -> A (x) A is fixed by the image of 1, any X in the
+    centraliser (A (x) A)^A; a map A (x) A -> A by the image g of 1 (x) 1,
+    any g in A: it is x (x) y -> x.g.y.  The composite is multiplication by
+    sum X[p, q] b_p g b_q.  Every projective bimodule is a summand of some
+    (A (x) A)^k, so every map that factors through one is a sum of these
+    composites.  They form an ideal of Z(A) (z times the composite through
+    X is the one through z.X), so with 1 they span a subalgebra as they are.
+    X runs over the intertwiners of the pairs (R_g^T, L_g) of the
+    generators: g.X and X.g have the coefficient matrices L_g X and X R_g^T.
     Computed on the first call; later calls return that subspace."""
     return alg.kept(A, ("projective_center",), lambda: _projective_center(A))
 
@@ -773,21 +759,19 @@ def centralizer(N: Bimodule) -> list:
 
 
 def _projective_center(A: alg.FinDimAlgebra) -> Subspace:
-    reg = regular_bimodule(A)
+    d = A.dim
+    pairs = [
+        (linalg.sp_rows(A.right_mult_matrix(g), d), A.left_mult_matrix(g))
+        for g in alg.algebra_generators(A)
+    ]
+    rights = [A.right_mult_matrix(linalg.unit(d, q)) for q in range(d)]
     through = [A.unit]
-    for s in range(len(A.idempotents)):
-        for t in range(len(A.idempotents)):
-            P = proj_bimodule(A, s, A, t)
-            images_of_one = centralizer(P)
-            for g in corner_basis(reg, A.idempotents[s], A.idempotents[t]):
-                out = yoneda_map(P, reg, g)
-                for n in images_of_one:
-                    z = linalg.sp_apply(out, n)
-                    if z:
-                        through.append(z)
-    sub = alg.subalgebra_closure(A, through)
-    centre = alg.center(A)
-    if not centre.contains_subspace(sub):
+    for X in intertwiners(pairs, d, d):
+        # column q of X is sum_p X[p, q] b_p, so its term is g -> x_q.g.b_q
+        terms = [linalg.sp_compose(A.left_mult_matrix(x), rights[q]) for q, x in enumerate(X) if x]
+        through.extend(linalg.sp_lincomb([1] * len(terms), terms))
+    sub = Subspace.from_vectors(through, d)
+    if not alg.center(A).contains_subspace(sub):
         raise DataInconsistencyError("through-maps left the center")
     return sub
 
@@ -1177,31 +1161,15 @@ def verify_center_surjectivity(build: CcxBuild, expect_surjective: bool) -> list
     ]
 
 
-def _projective_pair_coords(A: alg.FinDimAlgebra, s: int, t: int, u, v):
-    """Coordinates of the simple tensor u (x) v in the basis used by
-    proj_bimodule(A, s, A, t)."""
-    left_ideal = alg.left_ideal(A, A.idempotents[s])
-    right_ideal = alg.right_ideal(A, A.idempotents[t])
-    cu = alg.coords_in(left_ideal, u)
-    cv = alg.coords_in(right_ideal, v)
-    if cu is None or cv is None:
-        raise BimoduleError("tensor factors outside the projective bimodule")
-    q = right_ideal.dim
-    return {
-        iu * q + iv: a * b
-        for iu, a in enumerate(cu)
-        if a
-        for iv, b in enumerate(cv)
-        if b
-    }
-
-
 def verify_center_separation(build: CcxBuild) -> list:
     """For every object, primitive idempotent e and nonzero z in a basis of
     e rad(Z) e: the tensors e (x) z and z (x) e are linearly independent in
-    (A e)(x)(e A), so central multiplication on the two sides differs."""
+    (A e)(x)(e A), so central multiplication on the two sides differs.  They
+    are read in A (x) A, into which (A e)(x)(e A) injects, with u (x) v at
+    the coordinates p * dim A + q."""
     records = []
     for i, A in enumerate(build.data.algebras):
+        d = A.dim
         centre = alg.center(A)
         rad = alg.radical(A)
         rad_centre = centre.intersect(rad)
@@ -1219,9 +1187,11 @@ def verify_center_separation(build: CcxBuild) -> list:
                 )
                 continue
             for z in corner_rad:
-                c1 = _projective_pair_coords(A, s, s, e, z)
-                c2 = _projective_pair_coords(A, s, s, z, e)
-                independent = linalg.rank([c1, c2], 1 + max(c1 | c2)) == 2
+                tensors = [
+                    {p * d + q: a * b for p, a in enumerate(u) if a for q, b in enumerate(v) if b}
+                    for u, v in ((e, z), (z, e))
+                ]
+                independent = linalg.rank(tensors, d * d) == 2
                 records.append(
                     CheckRecord(
                         name=f"center_separation[object {i + 1},e{s + 1},z={A.describe(z)}]",

@@ -118,7 +118,7 @@ class SparseEchelon:
     Rows are stored as primitive integer dicts keyed by the pivot column,
     their minimum column, with a positive pivot entry.  `insert` only
     forward-reduces, so a stored row may be nonzero at later pivot columns;
-    `dim`, `pivots`, `insert` and `contains` read that form as it is.  The
+    `dim`, `insert` and `contains` read that form as it is.  The
     first read of `rows` after the span grew back-substitutes once, from the
     highest pivot down: every stored row is then zero at all other pivot
     columns, and that primitive reduced form is canonical.
@@ -138,9 +138,6 @@ class SparseEchelon:
     @property
     def dim(self) -> int:
         return len(self._rows)
-
-    def pivots(self) -> list[int]:
-        return sorted(self._rows)
 
     def _forward_reduce(self, row: dict[int, int]) -> dict[int, int]:
         """Eliminate every pivot column from an integer row, in place, in

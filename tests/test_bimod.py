@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -275,6 +276,23 @@ def test_iso_test_negative_same_dim():
     assert bimod.iso_to_direct_power(double, reg, 2)
 
 
+def _corner_basis(N, e_left, e_right):
+    """A basis of e N f, as sparse vectors: the column space of
+    bimod.corner_columns."""
+    ech = linalg.SparseEchelon(N.dim)
+    ech.extend(bimod.corner_columns(N, e_left, e_right))
+    return tuple(ech.rows[c] for c in sorted(ech.rows))
+
+
+def _yoneda_map(A, s, t, N, g):
+    """The bimodule map u(x)v -> u.g.v out of proj_bimodule(A, s, A, t), for
+    g in e_s N e_t, column-sparse in the pair basis of the canonical bases
+    of A e_s and e_t A."""
+    lefts = [N.left_of(u) for u in alg.left_ideal(A, A.idempotents[s])]
+    gv = [linalg.sp_apply(N.right_of(v), g) for v in alg.right_ideal(A, A.idempotents[t])]
+    return tuple(linalg.sp_apply(lu, x) for lu in lefts for x in gv)
+
+
 def test_yoneda_maps_intertwine_and_span_the_hom_space():
     for A, s, t in ((truncated_poly(3), 0, 0), (zigzag(3), 0, 1), (zigzag(3), 1, 2)):
         P = bimod.proj_bimodule(A, s, A, t)
@@ -284,8 +302,8 @@ def test_yoneda_maps_intertwine_and_span_the_hom_space():
             bimod.tensor_over(P, bimod.proj_bimodule(A, t, A, s)),
         )
         for N in targets:
-            corner = bimod.corner_basis(N, A.idempotents[s], A.idempotents[t])
-            maps = [bimod.yoneda_map(P, N, g) for g in corner]
+            corner = _corner_basis(N, A.idempotents[s], A.idempotents[t])
+            maps = [_yoneda_map(A, s, t, N, g) for g in corner]
             for Y in maps:
                 for g in gens:
                     assert linalg.sp_eq(
@@ -601,13 +619,71 @@ def _projective_center_by_generic_homs(A):
     return alg.subalgebra_closure(A, through)
 
 
-@pytest.mark.parametrize("name", PROPERTY_FIXTURES)
+DATA = Path(__file__).parent / "data"
+
+
+def _q_exterior_text(q):
+    """`.alg` text of the q-exterior plane k<x,y>/(x^2, y^2, xy + q.yx) on the
+    basis 1, x, y, yx."""
+    lines = ["algebra qext", "basis 1 x y yx", "unit = 1", "idempotent 1", "y*x = yx"]
+    lines += [f"1*{b} = {b}" for b in ("1", "x", "y", "yx")]
+    lines += [f"{b}*1 = {b}" for b in ("x", "y", "yx")]
+    lines.append(f"x*y = {-q}*yx")
+    return "\n".join(lines) + "\n"
+
+
+def _permuted_basis(A, seed):
+    """A in a seeded random order of its basis."""
+    order = list(range(A.dim))
+    random.Random(seed).shuffle(order)
+
+    def moved(v):
+        return [v[k] for k in order]
+
+    def dense(p):
+        return [p.get(r, 0) for r in range(A.dim)]
+
+    mult = [[moved(dense(A.mult[i][j])) for j in order] for i in order]
+    return alg.FinDimAlgebra(
+        [A.basis[k] for k in order], mult, moved(A.unit),
+        [moved(e) for e in A.idempotents], name=f"{A.name}-seed{seed}",
+    )
+
+
+# each builds a fresh algebra, so the first call computes rather than reads
+# the cache; the path algebras are not self-injective, and pathA2_unsplit's
+# basis is not split by its idempotents, so their pairs are eliminated
+PROJECTIVE_CENTER_CASES = {
+    **{name: lambda name=name: parse_algebra(fixture_text(ALGEBRA_FILES[name])).algebra
+       for name in PROPERTY_FIXTURES},
+    **{name: lambda name=name: parse_algebra((DATA / f"{name}.alg").read_text()).algebra
+       for name in ("pathA2", "pathA2_unsplit")},
+    **{f"qext{q}": lambda q=q: parse_algebra(_q_exterior_text(q)).algebra
+       for q in (-1, 2, Fraction(1, 3))},
+    "zigzagA3-seed3": lambda: _permuted_basis(zigzag(3), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTIVE_CENTER_CASES))
 def test_projective_center_matches_generic_homs(name):
-    # a fresh parse, so the first call below computes rather than reads the cache
-    A = parse_algebra(fixture_text(ALGEBRA_FILES[name])).algebra
+    A = PROJECTIVE_CENTER_CASES[name]()
     centre = bimod.projective_center(A)
     assert centre == _projective_center_by_generic_homs(A)
     assert bimod.projective_center(A) is centre
+
+
+def test_projective_center_builds_no_projective_bimodule(monkeypatch):
+    calls = []
+    original = bimod._proj_actions
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bimod, "_proj_actions", spy)
+    A = parse_algebra(fixture_text(ALGEBRA_FILES["zigzagA2"])).algebra
+    bimod.projective_center(A)
+    assert calls == []
 
 
 def test_projective_center_values():
@@ -1163,12 +1239,6 @@ def test_diagonal_reads_agree_with_the_products(name):
             expected = _outcome(_validate_by_products, broken)
             assert expected is not None
             assert _outcome(bimod.Bimodule.validate, broken) == expected
-        A, B = M.left_algebra, M.right_algebra
-        for e in A.idempotents:
-            for f in B.idempotents:
-                ech = linalg.SparseEchelon(M.dim)
-                ech.extend(linalg.sp_compose(M.left_of(e), M.right_of(f)))
-                assert bimod.corner_basis(M, e, f) == tuple(ech.rows[c] for c in ech.pivots())
 
 
 def test_a_flipped_idempotent_entry_is_refused_as_before():

@@ -101,6 +101,22 @@ def test_algebra_check_of_every_fixture_matches_its_golden(capsys, fmt, suffix):
 
 
 @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_algebra_check_of_the_path_algebras_matches_its_golden(capsys, fmt, suffix):
+    # golden stdout of `algebra-check --input FILE` over the path algebra of
+    # A2, which is not self-injective, in its idempotent basis and in one its
+    # idempotents do not split; compared byte for byte
+    data = Path(__file__).parent / "data"
+    out = []
+    for name in ("pathA2", "pathA2_unsplit"):
+        path = str(data / f"{name}.alg")
+        code, text, _ = run(capsys, "--format", fmt, "algebra-check", "--input", path)
+        assert code == 0
+        out.append(text)
+    golden = data / f"algebra_check_paths.{suffix}"
+    assert "".join(out).encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
 def test_ccx_build_of_every_fixture_matches_its_golden(capsys, fmt, suffix):
     # golden stdout of `ccx-build --fixture NAME` over the bundled algebras
     # in sorted order, compared byte for byte
