@@ -143,7 +143,13 @@ _MAX_REPORTS = 8  # associativity witnesses collected before validate gives up
 @_kept_per_algebra
 def validate(algebra: FinDimAlgebra) -> None:
     """Check all structural laws exhaustively; raise with witnesses if any fail.
-    Kept once it passed, so each algebra is checked once."""
+    Kept once it passed, so each algebra is checked once.
+
+    A corner e A e is local with residue field Q when it is one dimension
+    above e.rad(A).e, read off the one radical of A: rad(eAe) = e.rad(A).e
+    for every idempotent e (Lam, A First Course in Noncommutative Rings,
+    section 21), and `radical` has verified rad(A) to be a nilpotent ideal
+    with semisimple quotient.  No corner algebra is built."""
     problems = []
     d = algebra.dim
     left, right = algebra.left_mult_matrix(algebra.unit), algebra.right_mult_matrix(algebra.unit)
@@ -180,15 +186,17 @@ def validate(algebra: FinDimAlgebra) -> None:
         raise AlgebraValidationError(problems)
 
     # ring-theoretic part: local split corners and basicness
-    for a in range(len(algebra.idempotents)):
-        corner, _ = corner_algebra(algebra, a)
-        corner_rad = radical(corner)
+    rad = radical(algebra)
+    for a, e in enumerate(algebra.idempotents):
+        corner = corner_subspace(algebra, a, a)
+        left, right = algebra.left_mult_matrix(e), algebra.right_mult_matrix(e)
+        corner_rad = linalg.SparseEchelon(d)  # e.rad(A).e
+        corner_rad.extend(linalg.sp_apply(left, linalg.sp_apply(right, _sparse(r))) for r in rad)
         if corner.dim - corner_rad.dim != 1:
             problems.append(
                 f"corner {a + 1} is not local with residue field Q "
                 f"(dim {corner.dim}, radical dim {corner_rad.dim})"
             )
-    rad = radical(algebra)
     for a, e in enumerate(algebra.idempotents):
         p = left_ideal(algebra, e)
         radp = module_radical(algebra, p, rad)

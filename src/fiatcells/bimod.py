@@ -128,19 +128,23 @@ class Bimodule:
         the elements a with rho(a)rho(b) = rho(ab) for all b form a unital
         subalgebra containing the generators, hence all of the algebra; and
         actions that commute on generators commute everywhere.  That
-        argument takes the algebras to be associative, which
-        `algebra.validate` checks.
+        argument takes the algebras to be associative with the unit law,
+        which `algebra.validate` checks.
 
-        Two generators whose actions are both diagonal (idempotents on a
-        basis split by the idempotents, or the unit) commute unchecked."""
+        A generator equal to the unit (the one idempotent of a local
+        algebra) is left out of both loops: its action is checked to be the
+        identity first, and then rho(1)rho(b) = rho(b) = rho(1.b) by the
+        unit law, and the identity commutes with every action.  Two
+        generators whose actions are both diagonal (idempotents on a basis
+        split by the idempotents) commute unchecked."""
         A, B = self.left_algebra, self.right_algebra
         ident = linalg.sp_identity(self.dim)
         if not linalg.sp_eq(self.left_of(A.unit), ident):
             raise BimoduleError(f"{self.name}: left action is not unital")
         if not linalg.sp_eq(self.right_of(B.unit), ident):
             raise BimoduleError(f"{self.name}: right action is not unital")
-        left_gens = [(g, self.left_of(g)) for g in alg.algebra_generators(A)]
-        right_gens = [(h, self.right_of(h)) for h in alg.algebra_generators(B)]
+        left_gens = [(g, self.left_of(g)) for g in alg.algebra_generators(A) if g != A.unit]
+        right_gens = [(h, self.right_of(h)) for h in alg.algebra_generators(B) if h != B.unit]
         left_gens = [(g, lg, linalg.sp_diagonal(lg)) for g, lg in left_gens]
         right_gens = [(h, rh, linalg.sp_diagonal(rh)) for h, rh in right_gens]
         for g, lg, _ in left_gens:
@@ -229,18 +233,26 @@ def regular_bimodule(A: alg.FinDimAlgebra, degrees=None, name=None) -> Bimodule:
 
 def _action_on_subspace_factor(algebra_: alg.FinDimAlgebra, sub: Subspace, left: bool):
     """Per-basis action matrices of the algebra on a left (right) ideal,
-    written in the canonical basis of the ideal."""
+    written in the canonical basis of the ideal.
+
+    Each image b.u (u.b) is read off the column-sparse structure constants:
+    column u of L_b (of R_b, whose column q is basis[q].b).  Every image is
+    checked to lie in the ideal; a canonical row is 1 at its own pivot and 0
+    at the others, so a member's coordinates are its entries at the pivots,
+    found once per ideal."""
+    d = algebra_.dim
     basis = list(sub)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in sub.rows]
+    sparse = [{j: x for j, x in enumerate(u) if x} for u in basis]
     mats = []
-    for i in range(algebra_.dim):
-        b = linalg.unit(algebra_.dim, i)
+    for i in range(d):
+        act = algebra_.mult[i] if left else tuple(algebra_.mult[q][i] for q in range(d))
         cols = []
-        for u in basis:
-            img = algebra_.mul(b, u) if left else algebra_.mul(u, b)
-            coords = alg.coords_in(sub, img)
-            if coords is None:
+        for u in sparse:
+            img = linalg.sp_apply(act, u)
+            if not sub.contains(img):
                 raise BimoduleError("ideal is not stable under the action")
-            cols.append({r: v for r, v in enumerate(coords) if v})
+            cols.append({r: frac(img[p]) for r, p in enumerate(pivots) if p in img})
         mats.append(tuple(cols))
     return basis, mats
 

@@ -231,9 +231,14 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
     The actions are formed on generators only: phi -> phi o rho(h) for each
     generator h of B, with rho the right action of M, and
     phi -> rho(g) o phi for each generator g of A, with rho the right action
-    of A on itself.  Each image is
-    written in the dual basis by `coords`, which checks that it stays in
-    the dual.  Every basis element then acts by the product along its word
+    of A on itself.  Each image is written in the dual basis by `coords`,
+    which checks that it stays in the dual.  The unit, a generator when the
+    algebra is local, is the one exception: where its action rho(1) on M
+    (on A) compares equal to the identity, phi o rho(1) = phi
+    (rho(1) o phi = phi), so it acts on the dual as the identity, with no
+    product and no `coords`.  That comparison keeps the shortcut sound on an
+    M never validated; where it fails, the unit's product is formed like
+    any other.  Every basis element then acts by the product along its word
     (alg.basis_words): b = sum c_w w, with w = g_1 ... g_l, acts on the left
     by sum c_w L(g_1) ... L(g_l), as b -> (phi -> phi o rho(b)) is a
     homomorphism, and on the right by sum c_w R(g_l) ... R(g_1), an
@@ -276,15 +281,22 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
             raise GradedError("action left the dual hom space")
         return {r: x for r, x in enumerate(sol) if x}
 
+    def on_generators(algebra_, rho_of, dim, product):
+        """Each generator's action on the dual, product(phi, rho(g)) written
+        in the dual basis; the unit, once rho(1) is seen to be the identity,
+        acts as the identity, with no product formed."""
+        out = []
+        for g in alg.algebra_generators(algebra_):
+            rho = rho_of(g)
+            if g == algebra_.unit and linalg.sp_eq(rho, linalg.sp_identity(dim)):
+                out.append(linalg.sp_identity(n))
+            else:
+                out.append(tuple(coords(product(phi, rho)) for phi in phis))
+        return out
+
     # (h . phi)(m) = phi(m h) and (phi . g)(m) = phi(m) g, on generators
-    left_gens = [
-        tuple(coords(linalg.sp_compose(phi, rh)) for phi in phis)
-        for rh in (M.right_of(h) for h in alg.algebra_generators(B))
-    ]
-    right_gens = [
-        tuple(coords(linalg.sp_compose(rg, phi)) for phi in phis)
-        for rg in (reg.right_of(g) for g in alg.algebra_generators(A))
-    ]
+    left_gens = on_generators(B, M.right_of, M.dim, lambda phi, rh: linalg.sp_compose(phi, rh))
+    right_gens = on_generators(A, reg.right_of, A.dim, lambda phi, rg: linalg.sp_compose(rg, phi))
 
     _check_words(M)
     _check_words(reg)

@@ -448,6 +448,58 @@ def test_a_validation_that_raised_raises_again_and_is_redone(monkeypatch):
     assert work[0] > 0 and work == [work[0] * k for k in (1, 2, 3, 4)]
 
 
+def _radical_builds(monkeypatch):
+    """Patch alg.kept to record the algebra of every radical it computes,
+    a miss in the store, not a read."""
+    built = []
+    original = alg.kept
+
+    def counted(algebra, key, build):
+        def recorded():
+            built.append(algebra)
+            return build()
+
+        return original(algebra, key, recorded if key == ("radical",) else build)
+
+    monkeypatch.setattr(alg, "kept", counted)
+    return built
+
+
+@pytest.mark.parametrize("name", ["zigzagA2", "x4local"])
+def test_validation_computes_one_radical_and_builds_no_corner_algebra(name, monkeypatch):
+    A = _parsed(name)
+    radicals = _radical_builds(monkeypatch)
+    corners = []
+    corner_algebra = alg.corner_algebra
+
+    def spy(*args):
+        corners.append(args)
+        return corner_algebra(*args)
+
+    monkeypatch.setattr(alg, "corner_algebra", spy)
+    alg.validate(A)
+    assert radicals == [A]
+    assert corners == []
+
+
+def test_a_corner_that_is_not_local_is_refused_with_its_dimensions():
+    # upper triangular 2 x 2 matrices with the unit as the only idempotent:
+    # the corner is the whole algebra, of dimension 3 over a radical of 1
+    names = ["e11", "e12", "e22"]
+    table = {
+        ("e11", "e11"): {"e11": 1},
+        ("e11", "e12"): {"e12": 1},
+        ("e12", "e22"): {"e12": 1},
+        ("e22", "e22"): {"e22": 1},
+    }
+    tri = make_algebra(names, table, [1, 0, 1], [[1, 0, 1]], "tri")
+    with pytest.raises(alg.AlgebraValidationError) as raised:
+        alg.validate(tri)
+    assert raised.value.problems[0] == (
+        "corner 1 is not local with residue field Q (dim 3, radical dim 1)"
+    )
+
+
 def test_equal_algebras_parsed_separately_each_do_their_own_work(monkeypatch):
     A, B = _parsed("zigzagA2"), _parsed("zigzagA2")
     solves = _counting(monkeypatch, "nullspace")

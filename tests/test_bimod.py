@@ -664,6 +664,28 @@ PROJECTIVE_CENTER_CASES = {
 }
 
 
+# the corner reference runs on the same algebras and the graded zigzag A2
+CORNER_CASES = {
+    **PROJECTIVE_CENTER_CASES,
+    "zigzagA2-graded": lambda: parse_algebra(fixture_text(ALGEBRA_FILES["zigzagA2-graded"])).algebra,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_CASES))
+def test_corner_radicals_are_the_corners_of_the_radical(name):
+    # the reference builds each corner algebra and its own trace-form radical;
+    # validation reads that radical as e.rad(A).e instead
+    A = CORNER_CASES[name]()
+    alg.validate(A)
+    rad = alg.radical(A)
+    for a, e in enumerate(A.idempotents):
+        corner, sub = alg.corner_algebra(A, a)
+        ere = linalg.Subspace.from_vectors([A.mul(e, A.mul(r, e)) for r in rad], A.dim)
+        assert sub.contains_subspace(ere)
+        assert alg.radical(corner).dim == ere.dim
+        assert corner.dim - ere.dim == 1
+
+
 @pytest.mark.parametrize("name", sorted(PROJECTIVE_CENTER_CASES))
 def test_projective_center_matches_generic_homs(name):
     A = PROJECTIVE_CENTER_CASES[name]()

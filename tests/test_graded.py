@@ -2,7 +2,13 @@ import pytest
 
 from fiatcells import algebra as alg
 from fiatcells import bimod, graded, linalg, mscell
-from fiatcells.fixtures import ALGEBRA_FILES, fixture_text, graded_ccx_build, load_algebra
+from fiatcells.fixtures import (
+    ALGEBRA_FILES,
+    ccx_build,
+    fixture_text,
+    graded_ccx_build,
+    load_algebra,
+)
 from fiatcells.formats import parse_algebra
 from fiatcells.laurent import LaurentPoly
 
@@ -270,16 +276,15 @@ def test_star_bimodule_rejects_a_right_action_that_is_not_left_linear():
         graded.star_bimodule(broken)
 
 
-def _reference_star(M, left_degrees=None):
-    """The adjoint bimodule with every basis element's action formed and
-    written in the dual basis one by one: one product and one membership
-    check per (basis element, dual vector) pair, on both sides."""
+def _dual_basis(M, left_degrees=None):
+    """(phis, degrees, coords) of the adjoint of M: the intertwiner basis of
+    Hom_A(M, A), its hom degrees (None unless both gradings are present),
+    and the reader of a map's coordinates in it, which asserts membership."""
     A = M.left_algebra
     reg = bimod.regular_bimodule(A)
     phis = bimod.intertwiners(
         [(M.left_of(g), reg.left_of(g)) for g in alg.algebra_generators(A)], M.dim, A.dim
     )
-    n = len(phis)
     degrees = None
     if M.degrees is not None and left_degrees is not None:
         degrees = []
@@ -294,6 +299,16 @@ def _reference_star(M, left_degrees=None):
         assert linalg.sp_eq(linalg.sp_lincomb(sol, phis), target), "left the dual hom space"
         return {r: x for r, x in enumerate(sol) if x}
 
+    return phis, degrees, coords
+
+
+def _reference_star(M, left_degrees=None):
+    """The adjoint bimodule with every basis element's action formed and
+    written in the dual basis one by one: one product and one membership
+    check per (basis element, dual vector) pair, on both sides."""
+    A = M.left_algebra
+    reg = bimod.regular_bimodule(A)
+    phis, degrees, coords = _dual_basis(M, left_degrees)
     left_action = [
         tuple(coords(linalg.sp_compose(phi, rb)) for phi in phis) for rb in M.right_action
     ]
@@ -301,7 +316,31 @@ def _reference_star(M, left_degrees=None):
         tuple(coords(linalg.sp_compose(ra, phi)) for phi in phis) for ra in reg.right_action
     ]
     return bimod.Bimodule(
-        M.right_algebra, A, n, left_action, right_action, degrees=degrees, name=f"dual({M.name})"
+        M.right_algebra, A, len(phis), left_action, right_action, degrees=degrees,
+        name=f"dual({M.name})",
+    )
+
+
+def _star_composing_every_generator(M, left_degrees=None):
+    """The adjoint bimodule formed on generators and derived along the
+    basis words, as star_bimodule does, but with every generator's product
+    formed and written in the dual basis, the unit's included."""
+    A, B = M.left_algebra, M.right_algebra
+    reg = bimod.regular_bimodule(A)
+    phis, degrees, coords = _dual_basis(M, left_degrees)
+    left_gens = [
+        tuple(coords(linalg.sp_compose(phi, M.right_of(h))) for phi in phis)
+        for h in alg.algebra_generators(B)
+    ]
+    right_gens = [
+        tuple(coords(linalg.sp_compose(reg.right_of(g), phi)) for phi in phis)
+        for g in alg.algebra_generators(A)
+    ]
+    return bimod.Bimodule(
+        B, A, len(phis),
+        graded._along_words(B, left_gens, anti=False),
+        graded._along_words(A, right_gens, anti=True),
+        degrees=degrees, name=f"dual({M.name})",
     )
 
 
@@ -362,6 +401,56 @@ def test_star_on_generators_matches_the_per_basis_element_reference(name):
         assert (dual.dim, dual.degrees) == (ref.dim, ref.degrees), M.name
         assert dual.left_action == ref.left_action, M.name
         assert dual.right_action == ref.right_action, M.name
+
+
+def _fixture_one_morphisms():
+    """(M, None) for every 1-morphism of every bundled fixture's build, and
+    (G, degrees) for the Duflo bimodule G of every graded star case."""
+    cases = []
+    for name in sorted(ALGEBRA_FILES):
+        build = ccx_build(name)
+        cases += [(build.bimodule(nm), None) for nm in sorted(build.morphism_info)]
+    for name in sorted(STAR_CASES):
+        cases.append(_duflo_bimodule(STAR_CASES[name]()))
+    return cases
+
+
+def test_star_matches_the_dual_that_composes_every_generator():
+    for M, degrees in _fixture_one_morphisms():
+        dual = graded.star_bimodule(M, left_degrees=degrees)
+        ref = _star_composing_every_generator(M, left_degrees=degrees)
+        assert (dual.dim, dual.degrees) == (ref.dim, ref.degrees), M.name
+        assert dual.left_action == ref.left_action, M.name
+        assert dual.right_action == ref.right_action, M.name
+
+
+def test_star_composes_nothing_with_the_units_action(monkeypatch):
+    D = parse_algebra(fixture_text(ALGEBRA_FILES["dualnumbers"])).algebra
+    P = bimod.proj_bimodule(D, 0, D, 0, name="P")
+    units = (P.right_of(D.unit), bimod.regular_bimodule(D).right_of(D.unit))
+    with_unit = []
+    compose = linalg.sp_compose
+
+    def counted(a, b):
+        if any(x is u for x in (a, b) for u in units):
+            with_unit.append((a, b))
+        return compose(a, b)
+
+    monkeypatch.setattr(linalg, "sp_compose", counted)
+    dual = graded.star_bimodule(P)
+    assert with_unit == []
+    assert dual.left_of(D.unit) == linalg.sp_identity(dual.dim)
+
+
+def test_star_refuses_a_unit_that_does_not_act_as_the_identity():
+    # the unit acts on the dual as the identity only once rho_M(1) = I is seen
+    D = load_algebra("dualnumbers").algebra
+    reg = bimod.regular_bimodule(D)
+    right = list(reg.right_action)
+    right[D.basis.index("1")] = tuple({q: 2} for q in range(reg.dim))
+    broken = bimod.Bimodule(D, D, reg.dim, reg.left_action, right, name="M", check=False)
+    with pytest.raises(bimod.BimoduleError, match=r"dual\(M\): left action is not unital"):
+        graded.star_bimodule(broken)
 
 
 def _x3_with_bad_square():

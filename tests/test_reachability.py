@@ -37,6 +37,7 @@ KEPT = {
     "algebra.FinDimAlgebra.__repr__": REPR,
     "algebra.FinDimAlgebra.element": "the dense vector boundary of the algebra",
     "algebra._kept_per_algebra": "decorator: applied at import, before the hook starts",
+    "algebra.coords_in": TRACED + " (corner_algebra)",
     "bimod.Bimodule.__repr__": REPR,
     "coxeter.CoxeterGroup._down_sets": PROMOTED + " (supp(b_w) = [e, w] via bruhat_leq)",
     "coxeter.CoxeterGroup.bruhat_leq": PROMOTED + " (supp(b_w) = [e, w])",
