@@ -6,16 +6,22 @@ characteristic-zero trace-form criterion and then verified to be a nilpotent
 two-sided ideal with semisimple quotient.  Splitness (every e_iAe_i/rad
 isomorphic to Q) is part of full validation; non-split input is rejected.
 
-The structure constants are stored column-sparse, the package's one matrix
+Elements are sparse vectors {index: nonzero value} and the structure
+constants are stored column-sparse, the package's one vector and matrix
 form (see `linalg`): mult[i] is the matrix of left multiplication by the
-i-th basis element.  Algebra elements stay dense coordinate tuples.
+i-th basis element, and a product u.v is that of L_u applied to v.  The
+unit, the idempotents, the generating set and its arrow pieces, and the rows
+of every subspace derived here are sparse.  Dense coordinates are the
+boundary only: the constructor's arguments (the `.alg` input, and the
+coordinates that `corner_algebra` and the quotient by the radical compute),
+the coordinate view `element` and `mul`, and the text of `describe`.
 
 An algebra is immutable once built, so what is derived from it alone is
 computed once and kept on the instance, in one store that only `kept`
 reads and writes: its validation, radical, centre, generating set, the
 nonzero pieces e_a g e_b of its arrows, a path word recipe for its basis,
 its corners e_i A e_j, its left and
-right ideals A v and v A, whether it is weakly symmetric and connected, its
+right ideals A e_s and e_s A, whether it is weakly symmetric and connected, its
 projective centre (kept by `bimod.projective_center`) and the validated
 action matrices of its regular and projective bimodules (kept by
 `bimod.regular_bimodule` and `bimod.proj_bimodule`).  A derivation that
@@ -29,7 +35,7 @@ from __future__ import annotations
 import functools
 
 from . import linalg
-from .linalg import Subspace, Vec
+from .linalg import SVec, Subspace, Vec
 
 
 class AlgebraError(ValueError):
@@ -44,9 +50,9 @@ class AlgebraValidationError(AlgebraError):
 
 class FinDimAlgebra:
     def __init__(self, basis, mult, unit, idempotents, name: str = ""):
-        """mult[i][j] is the dense coefficient vector of basis[i] * basis[j];
-        it is kept as the sparse dict {r: c} of its nonzero coefficients, so
-        that self.mult[i] is the column-sparse matrix of x -> basis[i] * x."""
+        """mult[i][j] is the dense coefficient vector of basis[i] * basis[j],
+        and unit and idempotents are dense too; each is kept sparse, so that
+        self.mult[i] is the column-sparse matrix of x -> basis[i] * x."""
         self.basis = tuple(basis)
         self.name = name
         d = len(self.basis)
@@ -56,11 +62,9 @@ class FinDimAlgebra:
             raise AlgebraError(f"structure constants must form a {d} x {d} table")
         if any(len(v) != d for v in (unit, *idempotents, *(p for row in mult for p in row))):
             raise AlgebraError(f"products, unit and idempotents must have {d} coordinates")
-        self.mult = tuple(
-            tuple({r: c for r, c in enumerate(linalg.vec(p)) if c} for p in row) for row in mult
-        )
-        self.unit = linalg.vec(unit)
-        self.idempotents = tuple(linalg.vec(e) for e in idempotents)
+        self.mult = tuple(tuple(linalg.sparse(p) for p in row) for row in mult)
+        self.unit = linalg.sparse(unit)
+        self.idempotents = tuple(linalg.sparse(e) for e in idempotents)
         self._kept: dict = {}  # read and written by `kept` only
 
     @property
@@ -72,35 +76,27 @@ class FinDimAlgebra:
         return f"FinDimAlgebra({label}, dim={self.dim})"
 
     def mul(self, u: Vec, v: Vec) -> Vec:
-        out = [0] * self.dim
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                c = ci * cj
-                for r, s in self.mult[i][j].items():
-                    out[r] += c * s
-        return tuple(out)
+        """The product of dense coordinate vectors, as one."""
+        prod = linalg.sp_apply(self.left_mult_matrix(linalg.sparse(u)), linalg.sparse(v))
+        return tuple(prod.get(r, 0) for r in range(self.dim))
 
-    def left_mult_matrix(self, v: Vec):
+    def left_mult_matrix(self, v: SVec):
         """Column-sparse matrix of x -> v*x in the algebra basis."""
         return linalg.sp_lincomb(v, self.mult)
 
-    def right_mult_matrix(self, v: Vec):
+    def right_mult_matrix(self, v: SVec):
         """Column-sparse matrix of x -> x*v: column q is basis[q] * v."""
-        sv = dict(enumerate(v))
-        return tuple(linalg.sp_apply(left, sv) for left in self.mult)
+        return tuple(linalg.sp_apply(left, v) for left in self.mult)
 
     def element(self, label: str) -> Vec:
-        return linalg.unit(self.dim, self.basis.index(label))
+        """The dense coordinates of a basis element."""
+        i = self.basis.index(label)
+        return tuple(int(j == i) for j in range(self.dim))
 
-    def describe(self, v: Vec) -> str:
+    def describe(self, v: SVec) -> str:
         parts = []
-        for c, lab in zip(v, self.basis):
-            if c == 0:
-                continue
+        for i, c in sorted(v.items()):
+            lab = self.basis[i]
             if c == 1:
                 parts.append(lab)
             elif c == -1:
@@ -171,15 +167,13 @@ def validate(algebra: FinDimAlgebra) -> None:
                     if len(problems) >= _MAX_REPORTS:
                         raise AlgebraValidationError(problems)
 
-    total = linalg.zeros(d)
-    for a, e in enumerate(algebra.idempotents):
-        total = linalg.add(total, e)
-        for b, f in enumerate(algebra.idempotents):
-            prod = algebra.mul(e, f)
-            expected = e if a == b else linalg.zeros(d)
-            if prod != expected:
+    idems = algebra.idempotents
+    prods = _products(algebra, idems, idems)
+    for a, e in enumerate(idems):
+        for b in range(len(idems)):
+            if prods[a * len(idems) + b] != (e if a == b else {}):
                 problems.append(f"idempotents {a + 1}, {b + 1} are not orthogonal idempotents")
-    if total != algebra.unit:
+    if linalg.sp_apply(idems, dict.fromkeys(range(len(idems)), 1)) != algebra.unit:
         problems.append("idempotents do not sum to the unit")
 
     if problems:
@@ -191,14 +185,14 @@ def validate(algebra: FinDimAlgebra) -> None:
         corner = corner_subspace(algebra, a, a)
         left, right = algebra.left_mult_matrix(e), algebra.right_mult_matrix(e)
         corner_rad = linalg.SparseEchelon(d)  # e.rad(A).e
-        corner_rad.extend(linalg.sp_apply(left, linalg.sp_apply(right, _sparse(r))) for r in rad)
+        corner_rad.extend(linalg.sp_apply(left, linalg.sp_apply(right, r)) for r in rad)
         if corner.dim - corner_rad.dim != 1:
             problems.append(
                 f"corner {a + 1} is not local with residue field Q "
                 f"(dim {corner.dim}, radical dim {corner_rad.dim})"
             )
-    for a, e in enumerate(algebra.idempotents):
-        p = left_ideal(algebra, e)
+    for a in range(len(algebra.idempotents)):
+        p = left_ideal(algebra, a)
         radp = module_radical(algebra, p, rad)
         if p.dim - radp.dim != 1:
             problems.append(f"projective {a + 1} has top of dimension {p.dim - radp.dim}, not basic")
@@ -241,9 +235,7 @@ def _verify_radical(algebra: FinDimAlgebra, rad: Subspace) -> None:
     for _ in range(d + 1):
         if power.dim == 0:
             break
-        power = Subspace.from_vectors(
-            [algebra.mul(u, v) for u in power for v in rad], d
-        )
+        power = Subspace.from_vectors(_products(algebra, power, rad), d)
     else:
         raise AlgebraError("computed radical is not nilpotent")
     quotient = _quotient_algebra(algebra, rad)
@@ -254,14 +246,14 @@ def _verify_radical(algebra: FinDimAlgebra, rad: Subspace) -> None:
 def _quotient_algebra(algebra: FinDimAlgebra, ideal: Subspace) -> FinDimAlgebra:
     """Structure constants of A/I on the complement coordinates of I."""
     d = algebra.dim
-    pivots = {next(j for j, x in enumerate(row) if x) for row in ideal}
+    pivots = {min(row) for row in ideal}
     free = [j for j in range(d) if j not in pivots]
     if not free:
         return FinDimAlgebra((), (), (), (), name=f"{algebra.name}/I")
 
     def project(v):
         res = ideal.reduce(v)
-        return tuple(res[j] for j in free)
+        return tuple(res.get(j, 0) for j in free)
 
     mult = [[project(algebra.mult[i][j]) for j in free] for i in free]
     labels = [algebra.basis[j] for j in free]
@@ -274,28 +266,32 @@ def center(algebra: FinDimAlgebra) -> Subspace:
     d = algebra.dim
     eqs = []
     for i, left in enumerate(algebra.mult):
-        right = algebra.right_mult_matrix(linalg.unit(d, i))
+        right = algebra.right_mult_matrix({i: 1})
         eqs.extend(linalg.sp_rows(linalg.sp_lincomb((1, -1), (left, right)), d))
     return Subspace.from_vectors(linalg.nullspace(eqs, d), d)
 
 
 @_kept_per_algebra
-def left_ideal(algebra: FinDimAlgebra, v: Vec) -> Subspace:
-    """The left ideal A*v as a subspace: the column space of R_v."""
-    return Subspace.from_vectors(algebra.right_mult_matrix(v), algebra.dim)
+def left_ideal(algebra: FinDimAlgebra, s: int) -> Subspace:
+    """The left ideal A e_s as a subspace: the column space of R_{e_s}."""
+    return Subspace.from_vectors(algebra.right_mult_matrix(algebra.idempotents[s]), algebra.dim)
 
 
 @_kept_per_algebra
-def right_ideal(algebra: FinDimAlgebra, v: Vec) -> Subspace:
-    """The right ideal v*A as a subspace: the column space of L_v."""
-    return Subspace.from_vectors(algebra.left_mult_matrix(v), algebra.dim)
+def right_ideal(algebra: FinDimAlgebra, s: int) -> Subspace:
+    """The right ideal e_s A as a subspace: the column space of L_{e_s}."""
+    return Subspace.from_vectors(algebra.left_mult_matrix(algebra.idempotents[s]), algebra.dim)
+
+
+def _products(algebra: FinDimAlgebra, us, vs) -> list:
+    """The products u.v for u in us and v in vs, u outermost, as sparse
+    vectors: each L_u applied to v."""
+    return [linalg.sp_apply(left, v) for left in map(algebra.left_mult_matrix, us) for v in vs]
 
 
 def module_radical(algebra: FinDimAlgebra, module: Subspace, rad: Subspace) -> Subspace:
     """rad(A) * M for a left submodule M of the regular module."""
-    return Subspace.from_vectors(
-        [algebra.mul(r, m) for r in rad for m in module], algebra.dim
-    )
+    return Subspace.from_vectors(_products(algebra, rad, module), algebra.dim)
 
 
 def loewy_length(algebra: FinDimAlgebra, rad: Subspace | None = None) -> int:
@@ -318,20 +314,11 @@ def socle(algebra: FinDimAlgebra, module: Subspace | None = None, rad: Subspace 
     basis = list(module)
     # solve for combinations of the module basis killed by every radical element
     for x in rad:
-        images = [algebra.mul(x, b) for b in basis]
-        for r in range(d):
-            eqs.append(tuple(img[r] for img in images))
+        eqs.extend(linalg.sp_rows(_products(algebra, (x,), basis), d))
     if not eqs:
         return module
     coeffs = linalg.nullspace(eqs, len(basis))
-    vectors = []
-    for cs in coeffs:
-        v = linalg.zeros(d)
-        for c, b in zip(cs, basis):
-            if c:
-                v = linalg.add(v, linalg.scale(c, b))
-        vectors.append(v)
-    return Subspace.from_vectors(vectors, d)
+    return Subspace.from_vectors([linalg.sp_apply(basis, linalg.sparse(cs)) for cs in coeffs], d)
 
 
 def top(algebra: FinDimAlgebra, module: Subspace | None = None, rad: Subspace | None = None) -> Subspace:
@@ -350,12 +337,10 @@ def is_weakly_symmetric(algebra: FinDimAlgebra) -> bool:
     """Each projective Ae_i has simple socle isomorphic to its top."""
     rad = radical(algebra)
     for i, e in enumerate(algebra.idempotents):
-        p = left_ideal(algebra, e)
-        soc = socle(algebra, p, rad)
+        soc = socle(algebra, left_ideal(algebra, i), rad)
         if soc.dim != 1:
             return False
-        (vec_,) = tuple(soc)
-        if linalg.is_zero(algebra.mul(e, vec_)):
+        if not linalg.sp_apply(algebra.left_mult_matrix(e), soc.rows[0]):
             return False
     return True
 
@@ -397,19 +382,17 @@ def corner_dim(algebra: FinDimAlgebra, i: int, j: int) -> int:
 def corner_algebra(algebra: FinDimAlgebra, i: int):
     """The corner e_i A e_i as an algebra, together with its subspace in A."""
     sub = corner_subspace(algebra, i, i)
-    basis = list(sub)
-    n = len(basis)
 
-    def coords(v: Vec):
+    def coords(v: SVec):
         coeffs = coords_in(sub, v)
         if coeffs is None:
             raise AlgebraError("corner product left the corner subspace")
         return coeffs
 
-    mult = [[coords(algebra.mul(basis[a], basis[b])) for b in range(n)] for a in range(n)]
+    mult = [[coords(v) for v in _products(algebra, (u,), sub.rows)] for u in sub.rows]
     unit_coords = coords(algebra.idempotents[i])
     corner = FinDimAlgebra(
-        [f"c{k}" for k in range(n)],
+        [f"c{k}" for k in range(sub.dim)],
         mult,
         unit_coords,
         [unit_coords],
@@ -418,19 +401,18 @@ def corner_algebra(algebra: FinDimAlgebra, i: int):
     return corner, sub
 
 
-def coords_in(sub: Subspace, v: Vec):
-    """Coordinates of v in the canonical basis of sub, or None.  Each
+def coords_in(sub: Subspace, v: SVec):
+    """Dense coordinates of v in the canonical basis of sub, or None.  Each
     canonical row is 1 at its pivot and 0 at the others, so a member of sub
     is the combination of the rows with its own entries at the pivots."""
-    pivots = [next(j for j, x in enumerate(row) if x) for row in sub.rows]
-    return tuple(v[p] for p in pivots) if sub.contains(v) else None
+    return tuple(v.get(min(row), 0) for row in sub.rows) if sub.contains(v) else None
 
 
 def subalgebra_closure(algebra: FinDimAlgebra, generators) -> Subspace:
     """Smallest unital subalgebra containing the generators, as a subspace."""
     current = Subspace.from_vectors([algebra.unit, *generators], algebra.dim)
     while True:
-        products = [algebra.mul(u, v) for u in current for v in current]
+        products = _products(algebra, current, current)
         bigger = current.sum(Subspace.from_vectors(products, algebra.dim))
         if bigger.dim == current.dim:
             return current
@@ -447,7 +429,7 @@ def algebra_generators(algebra: FinDimAlgebra) -> list:
 def _generating_set(algebra: FinDimAlgebra) -> tuple:
     rad = radical(algebra)
     ech = linalg.SparseEchelon(algebra.dim)
-    ech.extend(algebra.mul(u, v) for u in rad for v in rad)
+    ech.extend(_products(algebra, rad, rad))
     return tuple(algebra.idempotents) + tuple(r for r in rad if ech.insert(r))
 
 
@@ -470,7 +452,7 @@ def basis_words(algebra: FinDimAlgebra) -> tuple:
     ech = linalg.SparseEchelon(d)
     words, values = [], []
     # (g, w, value of g.w) for the candidate words of one length
-    candidates = [(g, None, _sparse(gen)) for g, gen in enumerate(gens)]
+    candidates = [(g, None, gen) for g, gen in enumerate(gens)]
     while candidates and ech.dim < d:
         level = []
         for g, w, value in candidates:
@@ -500,9 +482,7 @@ def check_basis_words(algebra: FinDimAlgebra, words, recipe) -> None:
     for g, w in words:
         gen = gens[g]
         values.append(
-            _sparse(gen)
-            if w is None
-            else linalg.sp_apply(algebra.left_mult_matrix(gen), values[w])
+            gen if w is None else linalg.sp_apply(algebra.left_mult_matrix(gen), values[w])
         )
     for i, terms in enumerate(recipe):
         if linalg.sp_apply(values, dict(terms)) != {i: 1}:
@@ -511,19 +491,15 @@ def check_basis_words(algebra: FinDimAlgebra, words, recipe) -> None:
             )
 
 
-def _sparse(v: Vec) -> dict:
-    return {i: c for i, c in enumerate(v) if c}
-
-
 @_kept_per_algebra
 def arrow_pieces(algebra: FinDimAlgebra) -> tuple:
     """The nonzero pieces e_a g e_b of the arrows g of algebra_generators, as
     (a, b, piece) triples, in the order of g, then a, then b."""
     idems = algebra.idempotents
+    n = len(idems)
     return tuple(
-        (a, b, piece)
-        for g in _generating_set(algebra)[len(idems):]
-        for a, ea in enumerate(idems)
-        for b, eb in enumerate(idems)
-        if not linalg.is_zero(piece := algebra.mul(ea, algebra.mul(g, eb)))
+        (*divmod(k, n), piece)  # piece k is e_a g e_b with k = a * n + b
+        for g in _generating_set(algebra)[n:]
+        for k, piece in enumerate(_products(algebra, idems, _products(algebra, (g,), idems)))
+        if piece
     )

@@ -213,7 +213,7 @@ def regular_bimodule(A: alg.FinDimAlgebra, degrees=None, name=None) -> Bimodule:
     name = name or f"reg({A.name})"
 
     def build():
-        right = tuple(A.right_mult_matrix(linalg.unit(A.dim, i)) for i in range(A.dim))
+        right = tuple(A.right_mult_matrix({i: 1}) for i in range(A.dim))
         return A.dim, A.mult, right
 
     dim, left_action, right_action = _kept(A, None, A, name, build)
@@ -241,20 +241,18 @@ def _action_on_subspace_factor(algebra_: alg.FinDimAlgebra, sub: Subspace, left:
     at the others, so a member's coordinates are its entries at the pivots,
     found once per ideal."""
     d = algebra_.dim
-    basis = list(sub)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in sub.rows]
-    sparse = [{j: x for j, x in enumerate(u) if x} for u in basis]
+    pivots = [min(row) for row in sub.rows]
     mats = []
     for i in range(d):
         act = algebra_.mult[i] if left else tuple(algebra_.mult[q][i] for q in range(d))
         cols = []
-        for u in sparse:
+        for u in sub.rows:
             img = linalg.sp_apply(act, u)
             if not sub.contains(img):
                 raise BimoduleError("ideal is not stable under the action")
-            cols.append({r: frac(img[p]) for r, p in enumerate(pivots) if p in img})
+            cols.append({r: img[p] for r, p in enumerate(pivots) if p in img})
         mats.append(tuple(cols))
-    return basis, mats
+    return sub.rows, mats
 
 
 def proj_bimodule(
@@ -297,8 +295,8 @@ def proj_bimodule(
 def _proj_actions(A: alg.FinDimAlgebra, s: int, B: alg.FinDimAlgebra, t: int) -> tuple:
     """(dim, left_action, right_action, basis of A e_s, basis of e_t B) of
     (A e_s)(x)(e_t B), on the pairs of the two bases."""
-    left_ideal = alg.left_ideal(A, A.idempotents[s])
-    right_ideal = alg.right_ideal(B, B.idempotents[t])
+    left_ideal = alg.left_ideal(A, s)
+    right_ideal = alg.right_ideal(B, t)
     ubasis, left_mats = _action_on_subspace_factor(A, left_ideal, left=True)
     vbasis, right_mats = _action_on_subspace_factor(B, right_ideal, left=False)
     p, q = len(ubasis), len(vbasis)
@@ -333,7 +331,7 @@ def _proj_actions(A: alg.FinDimAlgebra, s: int, B: alg.FinDimAlgebra, t: int) ->
 
 
 def _homogeneous_degree(v, degs) -> int:
-    found = {degs[i] for i, x in enumerate(v) if x}
+    found = {degs[i] for i in v}
     if len(found) != 1:
         raise BimoduleError("basis vector is not homogeneous for the grading")
     return found.pop()
@@ -767,7 +765,7 @@ def centralizer(N: Bimodule) -> list:
     for g in alg.algebra_generators(N.left_algebra):
         commutator = linalg.sp_lincomb((1, -1), (N.left_of(g), N.right_of(g)))
         eqs.extend(r for r in linalg.sp_rows(commutator, N.dim) if r)
-    return [{i: v for i, v in enumerate(n) if v} for n in linalg.nullspace(eqs, N.dim)]
+    return [linalg.sparse(n) for n in linalg.nullspace(eqs, N.dim)]
 
 
 def _projective_center(A: alg.FinDimAlgebra) -> Subspace:
@@ -776,7 +774,7 @@ def _projective_center(A: alg.FinDimAlgebra) -> Subspace:
         (linalg.sp_rows(A.right_mult_matrix(g), d), A.left_mult_matrix(g))
         for g in alg.algebra_generators(A)
     ]
-    rights = [A.right_mult_matrix(linalg.unit(d, q)) for q in range(d)]
+    rights = [A.right_mult_matrix({q: 1}) for q in range(d)]
     through = [A.unit]
     for X in intertwiners(pairs, d, d):
         # column q of X is sum_p X[p, q] b_p, so its term is g -> x_q.g.b_q
@@ -1150,9 +1148,9 @@ def verify_center_surjectivity(build: CcxBuild, expect_surjective: bool) -> list
     _, gi, _, gs, _ = build.info(g_name)
     A = build.algebra_at(gi)
     e = A.idempotents[gs]
-    x_space = build.x_spaces[gi]
+    left, right = A.left_mult_matrix(e), A.right_mult_matrix(e)
     image = Subspace.from_vectors(
-        [A.mul(e, A.mul(z, e)) for z in x_space], A.dim
+        [linalg.sp_apply(left, linalg.sp_apply(right, z)) for z in build.x_spaces[gi]], A.dim
     )
     corner = alg.corner_dim(A, gs, gs)
     surjective = image.dim == corner
@@ -1186,8 +1184,10 @@ def verify_center_separation(build: CcxBuild) -> list:
         rad = alg.radical(A)
         rad_centre = centre.intersect(rad)
         for s, e in enumerate(A.idempotents):
-            gens = [A.mul(e, A.mul(z, e)) for z in rad_centre]
-            corner_rad = Subspace.from_vectors(gens, A.dim)
+            left, right = A.left_mult_matrix(e), A.right_mult_matrix(e)
+            corner_rad = Subspace.from_vectors(
+                [linalg.sp_apply(left, linalg.sp_apply(right, z)) for z in rad_centre], d
+            )
             if corner_rad.dim == 0:
                 records.append(
                     CheckRecord(
@@ -1200,7 +1200,7 @@ def verify_center_separation(build: CcxBuild) -> list:
                 continue
             for z in corner_rad:
                 tensors = [
-                    {p * d + q: a * b for p, a in enumerate(u) if a for q, b in enumerate(v) if b}
+                    {p * d + q: a * b for p, a in u.items() for q, b in v.items()}
                     for u, v in ((e, z), (z, e))
                 ]
                 independent = linalg.rank(tensors, d * d) == 2

@@ -63,7 +63,7 @@ class GradedAlgebra:
         if idem_span.dim != len(degree_zero):
             raise GradedError("degree-0 part must be spanned by the idempotents")
         for e in A.idempotents:
-            if any(c and self.degrees[k] != 0 for k, c in enumerate(e)):
+            if any(self.degrees[k] != 0 for k in e):
                 raise GradedError("idempotents must be homogeneous of degree 0")
 
     def hilbert(self, subspace: Subspace) -> LaurentPoly:
@@ -71,7 +71,7 @@ class GradedAlgebra:
         homogeneous subspaces are homogeneous, so degrees are read off)."""
         counts: dict[int, int] = {}
         for v in subspace:
-            degs = {self.degrees[k] for k, c in enumerate(v) if c}
+            degs = {self.degrees[k] for k in v}
             if len(degs) != 1:
                 raise GradedError("subspace is not homogeneous")
             d = degs.pop()
@@ -276,10 +276,10 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
     free = [max((p, q) for q, col in enumerate(phi) for p in col) for phi in phis]
 
     def coords(target):
-        sol = [target[q].get(p, 0) for p, q in free]
+        sol = {r: x for r, (p, q) in enumerate(free) if (x := target[q].get(p))}
         if not linalg.sp_eq(linalg.sp_lincomb(sol, phis), target):
             raise GradedError("action left the dual hom space")
-        return {r: x for r, x in enumerate(sol) if x}
+        return sol
 
     def on_generators(algebra_, rho_of, dim, product):
         """Each generator's action on the dual, product(phi, rho(g)) written

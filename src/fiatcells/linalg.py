@@ -3,22 +3,33 @@
 An exact rational is held as an `int` when it is integral and as a
 `Fraction` only when it is not: `frac` normalises a value to that form and
 every division goes through `quo`, which keeps it, so integral inputs never
-leave int arithmetic.  Vectors (algebra elements, subspace rows) are dense
-tuples of such values.  Matrices are column-sparse, the one matrix form of
-the package: a tuple of columns, each a dict sending a row index to a
-nonzero entry (`sp_*` below); an algebra's structure constants and every
-action matrix are held that way.  Once built, a column-sparse matrix is
-never mutated, neither the tuple nor its column dicts: `sp_lincomb` of a
-unit coefficient vector returns the stored matrix itself, so the action of
-a basis element is read, not copied, and a bimodule may share an algebra's
-structure constants.  The elimination engine works on sparse
-integer rows (incoming rational rows, dense or sparse, are scaled to
-integer rows) and stores them primitive, with positive leading
-coefficient.  Inserting a row only forward-reduces it; the stored rows are
-back-substituted once, when they are read, into the reduced echelon form,
-which is canonical, so subspace equality is syntactic.  A `Subspace`
-builds the echelon of its rows once, on its first membership or reduction
-query, and keeps it for the later ones.
+leave int arithmetic.
+
+There is one vector form, the sparse vector `SVec`: a dict sending an index
+to a nonzero value.  Algebra elements, the rows of a `Subspace` and its
+residues (`reduce`) are sparse vectors, and a matrix is column-sparse: a
+tuple of columns, each a sparse vector (`sp_*` below); an algebra's
+structure constants and every action matrix are held that way.  `sp_apply`
+forms the combination of a matrix's columns that a sparse vector gives, so
+it also combines sparse vectors (the columns) and multiplies algebra
+elements, with ints where the values are integral.  Once built, a
+column-sparse matrix is never mutated, neither the tuple nor its column
+dicts: `sp_lincomb` of a unit coefficient vector returns the stored matrix
+itself, so the action of a basis element is read, not copied, and a
+bimodule may share an algebra's structure constants.
+
+Dense tuples appear only at the boundary: `sparse` reads a dense sequence
+in, the echelon engine takes rows in either form, and the solver outputs
+(`nullspace`, `rref` and `basis_fraction_rows`, `solve`, `inverse`), like
+`dot` and `mat_mul`, are dense tuples.
+
+The elimination engine works on sparse integer rows (incoming rational
+rows are scaled to integer rows) and stores them primitive, with positive
+leading coefficient.  Inserting a row only forward-reduces it; the stored
+rows are back-substituted once, when they are read, into the reduced
+echelon form, which is canonical, so subspace equality is syntactic.  A
+`Subspace` keeps the echelon it was read off and answers its membership
+and reduction queries from it.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from math import gcd, lcm
 
 Rational = int | Fraction
 Vec = tuple[Rational, ...]
+SVec = dict[int, Rational]
 
 
 def frac(x) -> Rational:
@@ -48,29 +60,9 @@ def quo(a, b) -> Rational:
     return frac(Fraction(a) / b)
 
 
-def vec(entries) -> Vec:
-    return tuple(frac(x) for x in entries)
-
-
-def zeros(n: int) -> Vec:
-    return (0,) * n
-
-
-def unit(n: int, i: int) -> Vec:
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
-def add(u: Vec, v: Vec) -> Vec:
-    return tuple(frac(a + b) for a, b in zip(u, v, strict=True))
-
-
-def scale(c, v: Vec) -> Vec:
-    c = frac(c)
-    return tuple(frac(c * a) for a in v)
-
-
-def is_zero(v: Vec) -> bool:
-    return all(a == 0 for a in v)
+def sparse(entries) -> SVec:
+    """The sparse form {index: nonzero value} of a dense coordinate sequence."""
+    return {i: frac(x) for i, x in enumerate(entries) if x}
 
 
 def dot(u: Vec, v: Vec) -> Rational:
@@ -252,17 +244,21 @@ def sp_identity(n: int):
     return tuple({i: 1} for i in range(n))
 
 
-def sp_apply(cols, svec: dict) -> dict:
-    out: dict[int, Rational] = {}
+def sp_apply(cols, svec: SVec) -> SVec:
+    """The combination of the columns with the coefficients svec: the matrix
+    applied to the vector, with ints where the values are integral."""
+    out: SVec = {}
     for q, c in svec.items():
         if not c:
             continue
         for r, v in cols[q].items():
             val = out.get(r, 0) + c * v
-            if val:
+            if not val:
+                out.pop(r, None)
+            elif type(val) is int:
                 out[r] = val
             else:
-                out.pop(r, None)
+                out[r] = frac(val)
     return out
 
 
@@ -400,24 +396,27 @@ def inverse(rows) -> list[Vec] | None:
 
 
 class Subspace:
-    """A subspace of Q^n held as a canonical reduced echelon basis.
-
-    The echelon of the rows is built on the first `contains`,
-    `contains_subspace` or `reduce` and kept; equality and hashing read
+    """A subspace of Q^n held as its canonical reduced echelon basis: sparse
+    rows sorted by pivot, each 1 at its pivot (its least index) and 0 at the
+    other pivots.  It keeps the echelon it was read off, which answers
+    `contains`, `contains_subspace` and `reduce`; equality and hashing read
     `rows` only."""
 
     __slots__ = ("ambient", "rows", "_ech")
 
-    def __init__(self, ambient: int, canonical_rows: tuple[Vec, ...]):
+    def __init__(self, ambient: int, ech: SparseEchelon):
         self.ambient = ambient
-        self.rows = canonical_rows
-        self._ech: SparseEchelon | None = None
+        self._ech = ech
+        rows = ech.rows
+        self.rows = tuple(
+            {j: quo(v, rows[c][c]) for j, v in rows[c].items()} for c in sorted(rows)
+        )
 
     @classmethod
     def from_vectors(cls, vectors, ambient: int) -> "Subspace":
         ech = SparseEchelon(ambient)
         ech.extend(vectors)
-        return cls(ambient, tuple(ech.basis_fraction_rows()))
+        return cls(ambient, ech)
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
@@ -425,7 +424,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, ())
+        return cls(ambient, SparseEchelon(ambient))
 
     @property
     def dim(self) -> int:
@@ -442,57 +441,32 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, tuple(frozenset(row.items()) for row in self.rows)))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
-    def _echelon(self) -> SparseEchelon:
-        if self._ech is None:
-            self._ech = SparseEchelon(self.ambient)
-            self._ech.extend(self.rows)
-        return self._ech
-
     def contains(self, v) -> bool:
-        return self._echelon().contains(v)
+        return self._ech.contains(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        ech = self._echelon()
-        return all(ech.contains(r) for r in other.rows)
+        return all(map(self._ech.contains, other.rows))
 
-    def reduce(self, v) -> Vec:
+    def reduce(self, v) -> SVec:
         """Residual of v modulo the subspace (zero at all pivot coordinates)."""
-        red = self._echelon().reduce(v)
-        dense = [0] * self.ambient
-        for j, val in red.items():
-            dense[j] = val
-        return tuple(dense)
+        return self._ech.reduce(v)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace.from_vectors(list(self.rows) + list(other.rows), self.ambient)
+        return Subspace.from_vectors(self.rows + other.rows, self.ambient)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        k, l = self.dim, other.dim
-        if k == 0 or l == 0:
+        k = self.dim
+        if k == 0 or other.dim == 0:
             return Subspace.zero(self.ambient)
-        # coefficient vectors (c, d) with sum c_i u_i = sum d_j w_j
-        eqs = []
-        for coord in range(self.ambient):
-            row = {}
-            for i in range(k):
-                if self.rows[i][coord]:
-                    row[i] = self.rows[i][coord]
-            for j in range(l):
-                if other.rows[j][coord]:
-                    row[k + j] = -other.rows[j][coord]
-            if row:
-                eqs.append(row)
-        sols = nullspace(eqs, k + l)
-        vectors = []
-        for s in sols:
-            v = zeros(self.ambient)
-            for i in range(k):
-                if s[i]:
-                    v = add(v, scale(s[i], self.rows[i]))
-            vectors.append(v)
-        return Subspace.from_vectors(vectors, self.ambient)
+        # coefficient vectors (c, d) with sum c_i u_i = sum d_j w_j: the
+        # kernel of the matrix with columns u_1 .. u_k, -w_1 .. -w_l
+        cols = self.rows + tuple({j: -x for j, x in w.items()} for w in other.rows)
+        sols = nullspace([r for r in sp_rows(cols, self.ambient) if r], len(cols))
+        return Subspace.from_vectors(
+            [sp_apply(self.rows, sparse(s[:k])) for s in sols], self.ambient
+        )

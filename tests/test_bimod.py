@@ -20,6 +20,11 @@ def fixture(name):
     return load_algebra(name).algebra
 
 
+def product(A, u, v):
+    """u.v of sparse elements, formed as the package forms it: L_u applied to v."""
+    return linalg.sp_apply(A.left_mult_matrix(u), v)
+
+
 def truncated_poly(n):
     """k[x]/(x^n) on the basis 1, x, ..., x^(n-1)."""
     mult = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
@@ -288,8 +293,8 @@ def _yoneda_map(A, s, t, N, g):
     """The bimodule map u(x)v -> u.g.v out of proj_bimodule(A, s, A, t), for
     g in e_s N e_t, column-sparse in the pair basis of the canonical bases
     of A e_s and e_t A."""
-    lefts = [N.left_of(u) for u in alg.left_ideal(A, A.idempotents[s])]
-    gv = [linalg.sp_apply(N.right_of(v), g) for v in alg.right_ideal(A, A.idempotents[t])]
+    lefts = [N.left_of(u) for u in alg.left_ideal(A, s)]
+    gv = [linalg.sp_apply(N.right_of(v), g) for v in alg.right_ideal(A, t)]
     return tuple(linalg.sp_apply(lu, x) for lu in lefts for x in gv)
 
 
@@ -607,13 +612,12 @@ def test_the_arrows_span_what_the_full_radicals_span(name):
 def _projective_center_by_generic_homs(A):
     """projective_center computed from generic hom-space bases."""
     reg = bimod.regular_bimodule(A)
-    unit = {i: v for i, v in enumerate(A.unit) if v}
     through = [A.unit]
     for s in range(len(A.idempotents)):
         for t in range(len(A.idempotents)):
             P = bimod.proj_bimodule(A, s, A, t)
             for f in bimod.hom_space(reg, P):
-                fu = linalg.sp_apply(f, unit)
+                fu = linalg.sp_apply(f, A.unit)
                 for g in bimod.hom_space(P, reg):
                     through.append(linalg.sp_apply(g, fu))
     return alg.subalgebra_closure(A, through)
@@ -645,8 +649,8 @@ def _permuted_basis(A, seed):
 
     mult = [[moved(dense(A.mult[i][j])) for j in order] for i in order]
     return alg.FinDimAlgebra(
-        [A.basis[k] for k in order], mult, moved(A.unit),
-        [moved(e) for e in A.idempotents], name=f"{A.name}-seed{seed}",
+        [A.basis[k] for k in order], mult, moved(dense(A.unit)),
+        [moved(dense(e)) for e in A.idempotents], name=f"{A.name}-seed{seed}",
     )
 
 
@@ -680,7 +684,7 @@ def test_corner_radicals_are_the_corners_of_the_radical(name):
     rad = alg.radical(A)
     for a, e in enumerate(A.idempotents):
         corner, sub = alg.corner_algebra(A, a)
-        ere = linalg.Subspace.from_vectors([A.mul(e, A.mul(r, e)) for r in rad], A.dim)
+        ere = linalg.Subspace.from_vectors([product(A, e, product(A, r, e)) for r in rad], A.dim)
         assert sub.contains_subspace(ere)
         assert alg.radical(corner).dim == ere.dim
         assert corner.dim - ere.dim == 1
@@ -692,6 +696,78 @@ def test_projective_center_matches_generic_homs(name):
     centre = bimod.projective_center(A)
     assert centre == _projective_center_by_generic_homs(A)
     assert bimod.projective_center(A) is centre
+
+
+# -- one vector form: sparse, no zero value, ints where integral -------------
+
+
+def _sparse_and_normalised(v):
+    """Is v a sparse vector with no zero value, each an int where integral?"""
+    return isinstance(v, dict) and all(
+        x and (type(x) is int or (type(x) is Fraction and x.denominator != 1))
+        for x in v.values()
+    )
+
+
+def _element_forms(A):
+    """Every sparse element the package derives from A alone, by name."""
+    n = len(A.idempotents)
+    words, recipe = alg.basis_words(A)
+    gens = alg.algebra_generators(A)
+    values = []
+    for g, w in words:
+        values.append(gens[g] if w is None else product(A, gens[g], values[w]))
+    forms = {
+        "unit": [A.unit],
+        "idempotents": list(A.idempotents),
+        "generators": gens,
+        "arrow pieces": [piece for _, _, piece in alg.arrow_pieces(A)],
+        "word values": values,
+        "word recipe": [dict(terms) for terms in recipe],
+        "centraliser": bimod.centralizer(bimod.regular_bimodule(A)),
+    }
+    subspaces = {
+        "radical": alg.radical(A),
+        "center": alg.center(A),
+        "projective center": bimod.projective_center(A),
+        **{f"corner {i},{j}": alg.corner_subspace(A, i, j) for i in range(n) for j in range(n)},
+        **{f"left ideal {s}": alg.left_ideal(A, s) for s in range(n)},
+        **{f"right ideal {s}": alg.right_ideal(A, s) for s in range(n)},
+    }
+    forms.update({name: list(sub.rows) for name, sub in subspaces.items()})
+    return forms
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_CASES))
+def test_elements_and_subspace_rows_are_sparse_with_ints_where_integral(name):
+    A = CORNER_CASES[name]()
+    alg.validate(A)
+    for what, vectors in _element_forms(A).items():
+        for v in vectors:
+            assert _sparse_and_normalised(v), (what, v)
+    # the dense coordinate view agrees with the sparse product
+    for i, x in enumerate(A.basis):
+        for j, y in enumerate(A.basis):
+            prod = product(A, {i: 1}, {j: 1})
+            assert _sparse_and_normalised(prod)
+            assert A.mul(A.element(x), A.element(y)) == tuple(
+                prod.get(r, 0) for r in range(A.dim)
+            ), (x, y)
+
+
+def test_the_third_exterior_plane_keeps_ints_where_integral():
+    # x.y = -1/3 yx: a product through the structure constants is a Fraction
+    # only where it is not integral
+    A = parse_algebra(_q_exterior_text(Fraction(1, 3))).algebra
+    i, j, k = (A.basis.index(b) for b in ("x", "y", "yx"))
+    x, y, yx = {i: 1}, {j: 1}, {k: 1}
+    assert product(A, x, y) == {k: Fraction(-1, 3)}
+    assert product(A, {i: 1, j: 1}, {i: 1, j: 1}) == {k: Fraction(2, 3)}
+    scaled = product(A, {i: 3}, y)
+    assert scaled == {k: -1} and type(scaled[k]) is int
+    for v in alg.algebra_generators(A) + list(alg.radical(A)):
+        assert _sparse_and_normalised(v) and all(type(c) is int for c in v.values()), v
+    assert list(alg.radical(A)) == [x, y, yx]
 
 
 def test_projective_center_builds_no_projective_bimodule(monkeypatch):
@@ -1015,10 +1091,10 @@ def test_built_actions_and_structure_constants_are_never_written(monkeypatch):
         assert getattr(obj, attr) == copy, (obj, attr)
     for M in (obj for obj, attr, _ in built if attr == "left_action"):
         d, e = M.left_algebra.dim, M.right_algebra.dim
-        assert all(M.left_of(linalg.unit(d, i)) is M.left_action[i] for i in range(d))
-        assert all(M.right_of(linalg.unit(e, j)) is M.right_action[j] for j in range(e))
+        assert all(M.left_of({i: 1}) is M.left_action[i] for i in range(d))
+        assert all(M.right_of({j: 1}) is M.right_action[j] for j in range(e))
     for A in (obj for obj, attr, _ in built if attr == "mult"):
-        assert all(A.left_mult_matrix(linalg.unit(A.dim, i)) is A.mult[i] for i in range(A.dim))
+        assert all(A.left_mult_matrix({i: 1}) is A.mult[i] for i in range(A.dim))
 
 
 # -- each bimodule is built and validated once per algebra ------------------
@@ -1190,6 +1266,11 @@ def _flipped(mat, q):
     return tuple(({} if col else {p: 1}) if p == q else col for p, col in enumerate(mat))
 
 
+def _first_unit_coordinate(e):
+    """The first index at which the sparse element e is 1."""
+    return min(i for i, c in e.items() if c == 1)
+
+
 def _idempotent_flips(M):
     """M with one diagonal entry of one idempotent action flipped, alone and
     with the entry moved to the next idempotent, so that the unit still acts
@@ -1200,7 +1281,7 @@ def _idempotent_flips(M):
         idems = algebra.idempotents
         for c, e in enumerate(idems):
             mat = of(e)
-            index = e.index(1)
+            index = _first_unit_coordinate(e)
             q = next((p for p, col in enumerate(mat) if col), None)
             if q is None:
                 continue
@@ -1208,7 +1289,8 @@ def _idempotent_flips(M):
             if len(idems) > 1:
                 f = idems[(c + 1) % len(idems)]
                 moved = _with_action(M, left, index, _flipped(mat, q), f"{M.name}/move")
-                out.append(_with_action(moved, left, f.index(1), _flipped(of(f), q), moved.name))
+                index_f = _first_unit_coordinate(f)
+                out.append(_with_action(moved, left, index_f, _flipped(of(f), q), moved.name))
     return out
 
 
@@ -1221,9 +1303,9 @@ def _arrow_leaks(M):
         (False, M.right_algebra, M.right_action),
     ):
         for g in alg.algebra_generators(algebra)[len(algebra.idempotents):]:
-            if sorted(g) != [0] * (len(g) - 1) + [1]:
+            if list(g.values()) != [1]:
                 continue  # not a basis element
-            index = g.index(1)
+            (index,) = g
             cols = list(actions[index])
             q = next((p for p, col in enumerate(cols) if col and p not in col), None)
             if q is None:

@@ -48,7 +48,7 @@ def test_parse_algebra_errors_carry_line_numbers():
 def test_a_label_starting_with_unit_is_a_product_not_the_unit_line():
     text = "algebra u\nbasis e unitx\nunit = e\nidempotent e\ne*e = e\nunitx*e = unitx\n"
     A = formats.parse_algebra(text, "u.alg").algebra
-    assert A.unit == (1, 0)
+    assert A.unit == {0: 1}
     assert A.mul(A.element("unitx"), A.element("e")) == A.element("unitx")
     assert A.mult[1][0] == {1: 1}
 

@@ -157,7 +157,7 @@ def test_hilbert_series():
     assert zig.corner_hilbert(0) == LaurentPoly({0: 1, 2: 1})
     assert zig.corner_hilbert(1) == LaurentPoly({0: 1, 2: 1})
     assert zig.corner_hilbert(0, 1) == LaurentPoly({1: 1})
-    full = zig.hilbert(alg.left_ideal(zig.base, zig.base.unit))
+    full = zig.hilbert(linalg.Subspace.full(zig.base.dim))  # the left ideal A.1
     assert full == LaurentPoly({0: 2, 1: 2, 2: 2})
 
 
@@ -617,7 +617,7 @@ def _generator_algebra_degrees(A, degrees):
     """The degree of each generator of A in the grading."""
     out = []
     for g in alg.algebra_generators(A):
-        (d,) = {degrees[k] for k, c in enumerate(g) if c}
+        (d,) = {degrees[k] for k in g}
         out.append(d)
     return out
 

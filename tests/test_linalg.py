@@ -8,6 +8,10 @@ from fiatcells import linalg
 from fiatcells.linalg import SparseEchelon, Subspace
 
 
+def unit_vector(n, i):
+    return tuple(int(j == i) for j in range(n))
+
+
 def test_rref_simple():
     rows = [(2, 4, 0), (1, 2, 1)]
     basis = linalg.rref(rows)
@@ -27,7 +31,7 @@ def test_nullspace_matches_rank():
     ns = linalg.nullspace(rows, 3)
     assert len(ns) == 1
     for v in ns:
-        assert all(linalg.dot(linalg.vec(r), v) == 0 for r in rows)
+        assert all(linalg.dot(r, v) == 0 for r in rows)
 
 
 def test_solve_consistent_and_inconsistent():
@@ -42,7 +46,7 @@ def test_inverse_roundtrip():
     m = [(1, 2), (3, 5)]
     inv = linalg.inverse(m)
     prod = linalg.mat_mul(m, inv)
-    assert prod == [linalg.unit(2, i) for i in range(2)]
+    assert prod == [unit_vector(2, i) for i in range(2)]
     assert linalg.inverse([(1, 2), (2, 4)]) is None
 
 
@@ -76,9 +80,9 @@ def test_subspace_sum_and_intersect():
 
 def test_subspace_reduce_kills_members():
     a = Subspace.from_vectors([(1, 2, 0)], 3)
-    assert linalg.is_zero(a.reduce((2, 4, 0)))
+    assert a.reduce((2, 4, 0)) == {}
     res = a.reduce((0, 0, 1))
-    assert res == (Fraction(0), Fraction(0), Fraction(1))
+    assert res == {2: Fraction(1)}
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,7 +99,7 @@ def test_rank_nullity_property(rows):
     assert rank + len(ns) == 4
     for v in ns:
         for r in rows:
-            assert linalg.dot(linalg.vec(r), v) == 0
+            assert linalg.dot(r, v) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,9 +113,9 @@ def test_rank_nullity_property(rows):
 )
 def test_span_membership_stable(rows, coeffs):
     span = Subspace.from_vectors(rows, 3)
-    combo = linalg.zeros(3)
+    combo = (0, 0, 0)
     for c, r in zip(coeffs, rows):
-        combo = linalg.add(combo, linalg.scale(c, linalg.vec(r)))
+        combo = tuple(x + c * y for x, y in zip(combo, r, strict=True))
     assert span.contains(combo)
     again = Subspace.from_vectors(list(rows) + [combo], 3)
     assert span == again
@@ -358,10 +362,7 @@ def _fresh_answer(sub, kind, arg):
     if kind == "contains":
         return ech.contains(arg)
     if kind == "reduce":
-        dense = [0] * sub.ambient
-        for j, x in ech.reduce(arg).items():
-            dense[j] = x
-        return tuple(dense)
+        return ech.reduce(arg)
     return all(ech.contains(r) for r in Subspace.from_vectors(arg, sub.ambient).rows)
 
 
@@ -407,3 +408,47 @@ def test_a_diagonal_factor_is_read_as_a_scaling(diag):
     assert linalg.sp_diagonal(d) == list(diag)
     off = tuple({**col, (q + 1) % n: 1} for q, col in enumerate(d)) if n > 1 else None
     assert off is None or linalg.sp_diagonal(off) is None
+
+
+def test_a_subspace_answers_from_the_echelon_it_was_read_off(monkeypatch):
+    inserts = []
+    insert = SparseEchelon.insert
+
+    def counted(self, row):
+        inserts.append(row)
+        return insert(self, row)
+
+    monkeypatch.setattr(SparseEchelon, "insert", counted)
+    vectors = [(1, 2, 0, 1), (0, 1, 1, 0), (1, 3, 1, 1)]
+    sub = Subspace.from_vectors(vectors, 4)
+    other = Subspace.full(4)
+    del inserts[:]
+    answers = (
+        sub.contains((1, 1, -1, 1)),
+        sub.contains((0, 0, 0, 1)),
+        sub.contains_subspace(other),
+        other.contains_subspace(sub),
+        sub.reduce((0, 0, 0, 1)),
+    )
+    assert inserts == []
+    assert answers == (True, False, False, True, {3: 1})
+    # the construction inserts each vector once
+    Subspace.from_vectors(vectors, 4)
+    assert len(inserts) == len(vectors)
+
+
+def test_subspace_rows_are_sparse_and_canonical():
+    vectors = [(1, 1, 0, 2), (0, 2, 0, 2), (0, 0, 3, 1)]
+    sub = Subspace.from_vectors(vectors, 4)
+    assert sub.rows == ({0: 1, 3: 1}, {1: 1, 3: 1}, {2: 1, 3: Fraction(1, 3)})
+    assert list(sub.rows) == [linalg.sparse(row) for row in linalg.rref(vectors)]
+    assert all(type(x) is int for row in sub.rows[:2] for x in row.values())
+    assert hash(sub) == hash(Subspace.from_vectors(sub.rows, 4))
+
+
+def test_sp_apply_returns_ints_where_integral():
+    out = linalg.sp_compose(({0: Fraction(1, 2)},), ({0: 2},))
+    assert out == ({0: 1},) and type(out[0][0]) is int
+    out = linalg.sp_apply(({0: Fraction(1, 3)}, {0: Fraction(2, 3), 1: Fraction(1, 2)}), {0: 1, 1: 1})
+    assert out == {0: 1, 1: Fraction(1, 2)}
+    assert type(out[0]) is int and type(out[1]) is Fraction
