@@ -10,24 +10,24 @@ Elements are sparse vectors {index: nonzero value} and the structure
 constants are stored column-sparse, the package's one vector and matrix
 form (see `linalg`): mult[i] is the matrix of left multiplication by the
 i-th basis element, and a product u.v is that of L_u applied to v.  The
-unit, the idempotents, the generating set and its arrow pieces, and the rows
-of every subspace derived here are sparse.  Dense coordinates are the
-boundary only: the constructor's arguments (the `.alg` input, and the
-coordinates that `corner_algebra` and the quotient by the radical compute),
-the coordinate view `element` and `mul`, and the text of `describe`.
+unit, the idempotents, the generating set, and the rows of every subspace
+derived here are sparse.  Dense coordinates are the boundary only: the
+constructor's arguments (the `.alg` input, and the coordinates that
+`corner_algebra` and the quotient by the radical compute), the coordinate
+view `element` and `mul`, and the text of `describe`.
 
 An algebra is immutable once built, so what is derived from it alone is
 computed once and kept on the instance, in one store that only `kept`
-reads and writes: its validation, radical, centre, generating set, the
-nonzero pieces e_a g e_b of its arrows, a path word recipe for its basis,
-its corners e_i A e_j, its left and
-right ideals A e_s and e_s A, whether it is weakly symmetric and connected, its
-projective centre (kept by `bimod.projective_center`) and the validated
-action matrices of its regular and projective bimodules (kept by
-`bimod.regular_bimodule` and `bimod.proj_bimodule`).  A derivation that
-raised is not kept, so it raises again on the next call.  The store is per
-instance, not keyed by value: two equal algebras each do their own work.
-Kept values are shared, and like every built matrix never written to.
+reads and writes: its validation, radical, centre, generating set, where
+the pieces e_a g e_b of its arrows are nonzero, a path word recipe for its
+basis, its corners e_i A e_j, its left and right ideals A e_s and e_s A,
+whether it is weakly symmetric and connected, its projective centre (kept
+by `bimod.projective_center`) and the validated generator actions of its
+regular and projective bimodules (kept by `bimod.regular_bimodule` and
+`bimod.proj_bimodule`).  A derivation that raised is not kept, so it raises
+again on the next call.  The store is per instance, not keyed by value: two
+equal algebras each do their own work.  Kept values are shared, and like
+every built matrix never written to.
 """
 
 from __future__ import annotations
@@ -494,12 +494,14 @@ def check_basis_words(algebra: FinDimAlgebra, words, recipe) -> None:
 @_kept_per_algebra
 def arrow_pieces(algebra: FinDimAlgebra) -> tuple:
     """The nonzero pieces e_a g e_b of the arrows g of algebra_generators, as
-    (a, b, piece) triples, in the order of g, then a, then b."""
+    (a, b, k) triples with k the index of g in algebra_generators, in the
+    order of g, then a, then b."""
     idems = algebra.idempotents
     n = len(idems)
+    gens = _generating_set(algebra)
     return tuple(
-        (*divmod(k, n), piece)  # piece k is e_a g e_b with k = a * n + b
-        for g in _generating_set(algebra)[n:]
-        for k, piece in enumerate(_products(algebra, idems, _products(algebra, (g,), idems)))
+        (*divmod(p, n), k)  # piece p is e_a g e_b with p = a * n + b
+        for k in range(n, len(gens))
+        for p, piece in enumerate(_products(algebra, idems, _products(algebra, (gens[k],), idems)))
         if piece
     )

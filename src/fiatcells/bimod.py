@@ -2,29 +2,34 @@
 2-category they generate, and verification of its dimension, surjectivity
 and separation properties.
 
-Bimodules are finite-dimensional with exact rational action matrices held
-column-sparse, and never written to once built (see `linalg`): the action of
-a basis element is the stored matrix itself.  The regular and projective
-bimodules of an algebra are built and validated once per algebra and kept
-on it (`algebra.kept`), as is its projective centre; every later call
-shares those action matrices.  Tensor products over the middle algebra are
-computed as honest cokernels of the balancing map, over the idempotent
+A bimodule is finite-dimensional and held by the actions of its algebras'
+generators (idempotents, then arrows): a representation of each bound
+quiver.  Those action matrices are exact rational, column-sparse, and never
+written to once built (see `linalg`).  The action of any other basis
+element is derived from them along its path word, in one place
+(`_along_words`), and only when something reads it.  The regular and
+projective bimodules of an algebra are built and validated once per algebra
+and kept on it (`algebra.kept`), as is its projective centre; every later
+call shares those action matrices.  Tensor products over the middle algebra
+are computed as honest cokernels of the balancing map, over the idempotent
 split (+)_c M e_c (x) e_c N of the pairs of basis vectors, so they provide
 an independent check of the closed-form composition rule used for the
-multisemigroup table.  Hom spaces come from
-one intertwiner solver, which reads the pairs of diagonal matrices (the
-idempotents on such a split basis) instead of eliminating them: each kills
-the unknowns X[p, q] between different blocks, and only the other pairs
-are eliminated, over the unknowns left.
+multisemigroup table.  Hom spaces come from one intertwiner solver, which
+reads the pairs of diagonal matrices (the idempotents on such a split
+basis) instead of eliminating them: each kills the unknowns X[p, q] between
+different blocks, and only the other pairs are eliminated, over the
+unknowns left.
 
 Everything is computation over values that are immutable once built: the
-only state is what an algebra keeps of itself.  Isomorphisms are decided
-exactly, with a projective or regular side, off the top N / rad N of the
-other (Nakayama's lemma).
+only state is what an algebra keeps of itself and the basis actions a
+bimodule derives of itself.  Isomorphisms are decided exactly, with a
+projective or regular side, off the top N / rad N of the other (Nakayama's
+lemma).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import algebra as alg
@@ -50,19 +55,24 @@ class BimoduleError(ValueError):
 
 
 class Bimodule:
-    """An (A, B)-bimodule: commuting left A-action and right B-action.
+    """An (A, B)-bimodule: commuting left A-action and right B-action, held
+    by the actions of the generators of its algebras.
 
-    left_action[i] is the column-sparse matrix of the i-th basis element of
-    A acting on the left; right_action[j] likewise on the right (so the
-    right action is an anti-homomorphism).  degrees, when present, grade
-    the underlying space; a shifted copy has all degrees lowered.
-    generator_degrees, for a graded bimodule, holds for each generator of
-    the left algebra and then of the right one (alg.algebra_generators
-    order) the one shift degrees[p] - degrees[q] of the nonzero entries
-    (p, q) of its action, or None where it acts as zero; an action that
-    shifts by two different values is a BimoduleError at construction.
-    The basis vectors are numbered, not labelled: name, for messages and
-    repr, is the only text a bimodule keeps.
+    left_gens[k] is the column-sparse matrix of the k-th element of
+    alg.algebra_generators(A) acting on the left, and right_gens[k] likewise
+    for B on the right: a representation of the bound quiver of each
+    algebra, which fixes the bimodule.  left_action[i] and right_action[j],
+    the actions of the basis elements, are derived from them along
+    alg.basis_words (`_along_words`) on the first read and kept on the
+    instance; the right action is an anti-homomorphism.  degrees, when
+    present, grade the underlying space; a shifted copy has all degrees
+    lowered.  generator_degrees, for a graded bimodule, holds for each
+    generator of the left algebra and then of the right one the one shift
+    degrees[p] - degrees[q] of the nonzero entries (p, q) of its action, or
+    None where it acts as zero; an action that shifts by two different
+    values is a BimoduleError at construction.  The basis vectors are
+    numbered, not labelled: name, for messages and repr, is the only text a
+    bimodule keeps.
     """
 
     def __init__(
@@ -70,8 +80,8 @@ class Bimodule:
         left_algebra: alg.FinDimAlgebra,
         right_algebra: alg.FinDimAlgebra,
         dim: int,
-        left_action,
-        right_action,
+        left_gens,
+        right_gens,
         degrees=None,
         name: str = "",
         check: bool = True,
@@ -79,13 +89,13 @@ class Bimodule:
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
         self.dim = dim
-        self.left_action = tuple(left_action)
-        self.right_action = tuple(right_action)
+        self.left_gens = tuple(left_gens)
+        self.right_gens = tuple(right_gens)
         self.degrees = tuple(degrees) if degrees is not None else None
         self.name = name
-        # (e_s, e_t) when this is the projective bimodule (A e_s)(x)(e_t B)
-        # of proj_bimodule; regular when this is regular_bimodule's A in
-        # the basis of A
+        # (s, t) when this is the projective bimodule (A e_s)(x)(e_t B) of
+        # proj_bimodule; regular when this is regular_bimodule's A in the
+        # basis of A
         self.generator = None
         self.regular = False
         if check:
@@ -94,6 +104,14 @@ class Bimodule:
 
     def __repr__(self):
         return f"Bimodule({self.name or 'unnamed'}, dim={self.dim})"
+
+    @functools.cached_property
+    def left_action(self) -> tuple:
+        return _along_words(self.left_algebra, self.left_gens, anti=False)
+
+    @functools.cached_property
+    def right_action(self) -> tuple:
+        return _along_words(self.right_algebra, self.right_gens, anti=True)
 
     def left_of(self, vec):
         return linalg.sp_lincomb(vec, self.left_action)
@@ -109,8 +127,8 @@ class Bimodule:
             self.left_algebra,
             self.right_algebra,
             self.dim,
-            self.left_action,
-            self.right_action,
+            self.left_gens,
+            self.right_gens,
             name=f"{self.name}<{c}>",
             check=False,
         )
@@ -123,13 +141,14 @@ class Bimodule:
     def validate(self) -> None:
         """Check that both actions are unital, that the left action is
         multiplicative and the right one anti-multiplicative, and that they
-        commute.  Products are checked on generators only: if
-        rho(g)rho(b) = rho(gb) for every generator g and basis element b,
-        the elements a with rho(a)rho(b) = rho(ab) for all b form a unital
-        subalgebra containing the generators, hence all of the algebra; and
-        actions that commute on generators commute everywhere.  That
-        argument takes the algebras to be associative with the unit law,
-        which `algebra.validate` checks.
+        commute.  rho is linear on the basis by its derivation.  Products
+        are checked on generators only: if rho(g)rho(b) = rho(gb) for every
+        generator g and basis element b, the elements a with
+        rho(a)rho(b) = rho(ab) for all b form a unital subalgebra containing
+        the generators, hence all of the algebra; and actions that commute
+        on generators commute everywhere.  That argument takes the algebras
+        to be associative with the unit law, which `algebra.validate`
+        checks.
 
         A generator equal to the unit (the one idempotent of a local
         algebra) is left out of both loops: its action is checked to be the
@@ -138,16 +157,19 @@ class Bimodule:
         generators whose actions are both diagonal (idempotents on a basis
         split by the idempotents) commute unchecked."""
         A, B = self.left_algebra, self.right_algebra
+        gens_a, gens_b = alg.algebra_generators(A), alg.algebra_generators(B)
+        if (len(self.left_gens), len(self.right_gens)) != (len(gens_a), len(gens_b)):
+            raise BimoduleError(f"{self.name}: not one action per generator")
         ident = linalg.sp_identity(self.dim)
         if not linalg.sp_eq(self.left_of(A.unit), ident):
             raise BimoduleError(f"{self.name}: left action is not unital")
         if not linalg.sp_eq(self.right_of(B.unit), ident):
             raise BimoduleError(f"{self.name}: right action is not unital")
-        left_gens = [(g, self.left_of(g)) for g in alg.algebra_generators(A) if g != A.unit]
-        right_gens = [(h, self.right_of(h)) for h in alg.algebra_generators(B) if h != B.unit]
-        left_gens = [(g, lg, linalg.sp_diagonal(lg)) for g, lg in left_gens]
-        right_gens = [(h, rh, linalg.sp_diagonal(rh)) for h, rh in right_gens]
-        for g, lg, _ in left_gens:
+        lefts = [(g, lg) for g, lg in zip(gens_a, self.left_gens) if g != A.unit]
+        rights = [(h, rh) for h, rh in zip(gens_b, self.right_gens) if h != B.unit]
+        lefts = [(g, lg, linalg.sp_diagonal(lg)) for g, lg in lefts]
+        rights = [(h, rh, linalg.sp_diagonal(rh)) for h, rh in rights]
+        for g, lg, _ in lefts:
             for j, gb in enumerate(A.left_mult_matrix(g)):
                 prod = self.left_of(gb)
                 if not linalg.sp_eq(linalg.sp_compose(lg, self.left_action[j]), prod):
@@ -155,7 +177,7 @@ class Bimodule:
                         f"{self.name}: left action not multiplicative at "
                         f"({A.describe(g)}, {A.basis[j]})"
                     )
-        for h, rh, _ in right_gens:
+        for h, rh, _ in rights:
             for j, bh in enumerate(B.right_mult_matrix(h)):
                 prod = self.right_of(bh)
                 if not linalg.sp_eq(linalg.sp_compose(rh, self.right_action[j]), prod):
@@ -163,8 +185,8 @@ class Bimodule:
                         f"{self.name}: right action not anti-multiplicative at "
                         f"({B.describe(h)}, {B.basis[j]})"
                     )
-        for g, lg, dg in left_gens:
-            for h, rh, dh in right_gens:
+        for g, lg, dg in lefts:
+            for h, rh, dh in rights:
                 if dg is not None and dh is not None:
                     continue
                 gh, hg = linalg.sp_compose(lg, rh), linalg.sp_compose(rh, lg)
@@ -178,12 +200,12 @@ class Bimodule:
 def _generator_degrees(M: Bimodule) -> tuple:
     """M.generator_degrees, computed from the actions of the generators."""
     out = []
-    for side, algebra_, act in (
-        ("left", M.left_algebra, M.left_of),
-        ("right", M.right_algebra, M.right_of),
+    for side, algebra_, gens in (
+        ("left", M.left_algebra, M.left_gens),
+        ("right", M.right_algebra, M.right_gens),
     ):
-        for g in alg.algebra_generators(algebra_):
-            shifts = {M.degrees[p] - M.degrees[q] for q, col in enumerate(act(g)) for p in col}
+        for g, act in zip(alg.algebra_generators(algebra_), gens):
+            shifts = {M.degrees[p] - M.degrees[q] for q, col in enumerate(act) for p in col}
             if len(shifts) > 1:
                 raise BimoduleError(
                     f"{M.name}: {side} action of {algebra_.describe(g)} is not homogeneous: "
@@ -193,8 +215,28 @@ def _generator_degrees(M: Bimodule) -> tuple:
     return tuple(out)
 
 
+def _along_words(algebra: alg.FinDimAlgebra, generator_actions, anti: bool) -> tuple:
+    """The action of every basis element of the algebra, formed from the
+    actions of its generators (in algebra_generators order) along
+    alg.basis_words: the word g.w acts by rho(g) rho(w), or by rho(w) rho(g)
+    for an anti-homomorphism (a right action), one product per word, and a
+    basis element by the combination of words its recipe gives.  The one
+    place where the action of a basis element is formed."""
+    words, recipe = alg.basis_words(algebra)
+    mats = []
+    for g, w in words:
+        gen = generator_actions[g]
+        if w is None:
+            mats.append(gen)
+        elif anti:
+            mats.append(linalg.sp_compose(mats[w], gen))
+        else:
+            mats.append(linalg.sp_compose(gen, mats[w]))
+    return tuple(linalg.sp_lincomb(dict(terms), mats) for terms in recipe)
+
+
 def _kept(A: alg.FinDimAlgebra, key, B: alg.FinDimAlgebra, name: str, build) -> tuple:
-    """(dim, left_action, right_action, ...) of the (A, B)-bimodule `key` of A:
+    """(dim, left_gens, right_gens, ...) of the (A, B)-bimodule `key` of A:
     built by build() and validated on the first call for that key, then kept
     on A by alg.kept.  A build whose validation raised is not kept."""
 
@@ -207,22 +249,24 @@ def _kept(A: alg.FinDimAlgebra, key, B: alg.FinDimAlgebra, name: str, build) -> 
 
 
 def regular_bimodule(A: alg.FinDimAlgebra, degrees=None, name=None) -> Bimodule:
-    """A as an (A, A)-bimodule in the basis of A.  Its actions are built and
-    validated once per algebra; every call returns a new Bimodule sharing
-    them, with this call's degrees and name."""
+    """A as an (A, A)-bimodule in the basis of A: each generator g acts by
+    L_g and R_g.  Its actions are built and validated once per algebra;
+    every call returns a new Bimodule sharing them, with this call's degrees
+    and name."""
     name = name or f"reg({A.name})"
 
     def build():
-        right = tuple(A.right_mult_matrix({i: 1}) for i in range(A.dim))
-        return A.dim, A.mult, right
+        gens = alg.algebra_generators(A)
+        left = tuple(map(A.left_mult_matrix, gens))
+        return A.dim, left, tuple(map(A.right_mult_matrix, gens))
 
-    dim, left_action, right_action = _kept(A, None, A, name, build)
+    dim, left_gens, right_gens = _kept(A, None, A, name, build)
     out = Bimodule(
         A,
         A,
         dim,
-        left_action,
-        right_action,
+        left_gens,
+        right_gens,
         degrees=degrees,
         name=name,
         check=False,
@@ -232,19 +276,17 @@ def regular_bimodule(A: alg.FinDimAlgebra, degrees=None, name=None) -> Bimodule:
 
 
 def _action_on_subspace_factor(algebra_: alg.FinDimAlgebra, sub: Subspace, left: bool):
-    """Per-basis action matrices of the algebra on a left (right) ideal,
-    written in the canonical basis of the ideal.
+    """The action matrices of the generators of the algebra on a left
+    (right) ideal, written in the canonical basis of the ideal.
 
-    Each image b.u (u.b) is read off the column-sparse structure constants:
-    column u of L_b (of R_b, whose column q is basis[q].b).  Every image is
+    Each image g.u (u.g) is column u of L_g (of R_g).  Every image is
     checked to lie in the ideal; a canonical row is 1 at its own pivot and 0
     at the others, so a member's coordinates are its entries at the pivots,
     found once per ideal."""
-    d = algebra_.dim
     pivots = [min(row) for row in sub.rows]
+    mult = algebra_.left_mult_matrix if left else algebra_.right_mult_matrix
     mats = []
-    for i in range(d):
-        act = algebra_.mult[i] if left else tuple(algebra_.mult[q][i] for q in range(d))
+    for act in map(mult, alg.algebra_generators(algebra_)):
         cols = []
         for u in sub.rows:
             img = linalg.sp_apply(act, u)
@@ -270,7 +312,7 @@ def proj_bimodule(
     every call returns a new Bimodule sharing them, with this call's degrees
     and name."""
     name = name or f"P({A.name}e{s + 1}|e{t + 1}{B.name})"
-    dim, left_action, right_action, ubasis, vbasis = _kept(
+    dim, left_gens, right_gens, ubasis, vbasis = _kept(
         A, (s, B, t), B, name, lambda: _proj_actions(A, s, B, t)
     )
     degrees = None
@@ -282,52 +324,34 @@ def proj_bimodule(
         A,
         B,
         dim,
-        left_action,
-        right_action,
+        left_gens,
+        right_gens,
         degrees=degrees,
         name=name,
         check=False,
     )
-    out.generator = (A.idempotents[s], B.idempotents[t])
+    out.generator = (s, t)
     return out
 
 
 def _proj_actions(A: alg.FinDimAlgebra, s: int, B: alg.FinDimAlgebra, t: int) -> tuple:
-    """(dim, left_action, right_action, basis of A e_s, basis of e_t B) of
+    """(dim, left_gens, right_gens, basis of A e_s, basis of e_t B) of
     (A e_s)(x)(e_t B), on the pairs of the two bases."""
     left_ideal = alg.left_ideal(A, s)
     right_ideal = alg.right_ideal(B, t)
     ubasis, left_mats = _action_on_subspace_factor(A, left_ideal, left=True)
     vbasis, right_mats = _action_on_subspace_factor(B, right_ideal, left=False)
     p, q = len(ubasis), len(vbasis)
-    dim = p * q
-
-    def pair_index(iu, iv):
-        return iu * q + iv
-
-    left_action = []
-    for i in range(A.dim):
-        src = left_mats[i]
-        cols = [dict() for _ in range(dim)]
-        for iu in range(p):
-            col = src[iu]
-            for iv in range(q):
-                cols[pair_index(iu, iv)] = {
-                    pair_index(r, iv): v for r, v in col.items()
-                }
-        left_action.append(tuple(cols))
-    right_action = []
-    for j in range(B.dim):
-        src = right_mats[j]
-        cols = [dict() for _ in range(dim)]
-        for iv in range(q):
-            col = src[iv]
-            for iu in range(p):
-                cols[pair_index(iu, iv)] = {
-                    pair_index(iu, r): v for r, v in col.items()
-                }
-        right_action.append(tuple(cols))
-    return dim, tuple(left_action), tuple(right_action), tuple(ubasis), tuple(vbasis)
+    # u (x) v is basis vector u * q + v; a generator acts on its own factor
+    left_gens = tuple(
+        tuple({r * q + iv: x for r, x in src[iu].items()} for iu in range(p) for iv in range(q))
+        for src in left_mats
+    )
+    right_gens = tuple(
+        tuple({iu * q + r: x for r, x in src[iv].items()} for iu in range(p) for iv in range(q))
+        for src in right_mats
+    )
+    return p * q, left_gens, right_gens, tuple(ubasis), tuple(vbasis)
 
 
 def _homogeneous_degree(v, degs) -> int:
@@ -349,16 +373,15 @@ def direct_sum(bims) -> Bimodule:
         offsets.append(acc)
         acc += m.dim
 
-    def block(action_index, left: bool):
-        cols = []
-        for off, m in zip(offsets, bims):
-            mats = m.left_action if left else m.right_action
-            for col in mats[action_index]:
-                cols.append({r + off: v for r, v in col.items()})
-        return tuple(cols)
+    def block(mats):
+        """One generator's action on the sum: its action on each summand,
+        as a diagonal block."""
+        return tuple(
+            {r + off: v for r, v in col.items()} for off, mat in zip(offsets, mats) for col in mat
+        )
 
-    left_action = [block(i, True) for i in range(A.dim)]
-    right_action = [block(j, False) for j in range(B.dim)]
+    left_gens = [block(mats) for mats in zip(*(m.left_gens for m in bims))]
+    right_gens = [block(mats) for mats in zip(*(m.right_gens for m in bims))]
     degrees = None
     if all(m.degrees is not None for m in bims):
         degrees = [d for m in bims for d in m.degrees]
@@ -366,8 +389,8 @@ def direct_sum(bims) -> Bimodule:
         A,
         B,
         dim,
-        left_action,
-        right_action,
+        left_gens,
+        right_gens,
         degrees=degrees,
         name="(+)".join(m.name for m in bims),
         check=False,
@@ -403,32 +426,36 @@ def tensor_over(M: Bimodule, N: Bimodule) -> Bimodule:
         M (x)_B N = (+)_c M e_c (x) e_c N / <m.g (x) n - m (x) g.n>.
 
     When every basis vector of M lies in some M e_c and every one of N in
-    some e_c N (each fixed by one idempotent of B, killed by the others),
-    the ambient is the pairs of basis vectors in the same block c: the
-    idempotent relations kill every other pair.  The relations then come
-    from the nonzero pieces e_a g e_b of the arrows g of B's generating set,
-    taken for m in M e_a and n in e_b N, where both terms stay in the split
-    (alg.arrow_pieces keeps them per algebra).
-    Otherwise every pair is kept and every generator (idempotents plus
-    arrows) balances every pair, as one block.  Either way the relation
-    space spans the full balancing subspace, and the quotient basis and
-    actions are those of the cokernel over all pairs.
+    some e_c N (each fixed by one idempotent of B, killed by the others,
+    read off the idempotents' generator actions), the ambient is the pairs
+    of basis vectors in the same block c: the idempotent relations kill
+    every other pair.  The relations then come from the nonzero pieces
+    e_a g e_b of the arrows g of B's generating set (alg.arrow_pieces keeps
+    them per algebra), taken for m in M e_a and n in e_b N, where both terms
+    stay in the split: m.(e_a g e_b) = (m.g).e_b is column m of g's action
+    kept to block b, and (e_a g e_b).n = e_a.(g.n) is column n kept to
+    block a.  Otherwise every pair is kept and every generator (idempotents
+    plus arrows) balances every pair, as one block.  Either way the
+    relation space spans the full balancing subspace, and the quotient basis
+    and actions are those of the cokernel over all pairs.
 
     The quotient basis is the free pairs of the reduced relation echelon,
     and each pair's class is read off it once: a free pair is its own basis
     vector, a pivot pair minus the rest of its reduced row over its pivot
-    entry.  An induced action column is the combination of the classes of
-    the pairs its image touches.
+    entry.  A generator's induced action column is the combination of the
+    classes of the pairs its image touches; only the generators' actions
+    are induced.
     """
     B = M.right_algebra
     if N.left_algebra is not B:
         raise BimoduleError("tensor factors do not share the middle algebra")
     dm, dn = M.dim, N.dim
-    m_blocks = _idempotent_blocks([M.right_of(e) for e in B.idempotents], dm)
-    n_blocks = _idempotent_blocks([N.left_of(e) for e in B.idempotents], dn)
+    e = len(B.idempotents)
+    m_blocks = _idempotent_blocks(M.right_gens[:e], dm)
+    n_blocks = _idempotent_blocks(N.left_gens[:e], dn)
     if m_blocks is None or n_blocks is None:
         m_blocks, n_blocks = [0] * dm, [0] * dn
-        pieces = [(0, 0, g) for g in alg.algebra_generators(B)]
+        pieces = [(0, 0, k) for k in range(len(M.right_gens))]
     else:
         pieces = alg.arrow_pieces(B)
     m_in, n_in = _members(m_blocks), _members(n_blocks)
@@ -441,13 +468,15 @@ def tensor_over(M: Bimodule, N: Bimodule) -> Bimodule:
     pairs = list(index)
 
     ech = SparseEchelon(len(pairs))
-    for a, b, g in pieces:
-        right_g = M.right_of(g)
-        left_g = N.left_of(g)
+    for a, b, k in pieces:
+        right_g, left_g = M.right_gens[k], N.left_gens[k]
+        gns = [
+            (j, {r: v for r, v in left_g[j].items() if n_blocks[r] == a})
+            for j in n_in.get(b, ())
+        ]
         for i in m_in.get(a, ()):
-            mg = right_g[i]  # column: (e_i . g) in M coordinates
-            for j in n_in.get(b, ()):
-                gn = left_g[j]
+            mg = {r: v for r, v in right_g[i].items() if m_blocks[r] == b}
+            for j, gn in gns:
                 rel = {index[r, j]: v for r, v in mg.items()}
                 for r, v in gn.items():
                     key = index[i, r]
@@ -469,9 +498,9 @@ def tensor_over(M: Bimodule, N: Bimodule) -> Bimodule:
             (index_of[k], quo(-v, lead)) for k, v in row.items() if k != c
         )
 
-    def induced(mats_source, left_side: bool):
+    def induced(gens, left_side: bool):
         out = []
-        for mat in mats_source:
+        for mat in gens:
             cols = []
             for k in free:
                 i, j = pairs[k]
@@ -487,8 +516,6 @@ def tensor_over(M: Bimodule, N: Bimodule) -> Bimodule:
             out.append(tuple(cols))
         return out
 
-    left_action = induced(M.left_action, True)
-    right_action = induced(N.right_action, False)
     degrees = None
     if M.degrees is not None and N.degrees is not None:
         degrees = [M.degrees[i] + N.degrees[j] for i, j in (pairs[k] for k in free)]
@@ -496,8 +523,8 @@ def tensor_over(M: Bimodule, N: Bimodule) -> Bimodule:
         M.left_algebra,
         N.right_algebra,
         len(free),
-        left_action,
-        right_action,
+        induced(M.left_gens, True),
+        induced(N.right_gens, False),
         degrees=degrees,
         name=f"({M.name})(x)_{B.name}({N.name})",
         check=False,
@@ -598,14 +625,14 @@ def _hom_pairs(M: Bimodule, N: Bimodule) -> list:
     algebras, which a bimodule map intertwines."""
     if M.left_algebra is not N.left_algebra or M.right_algebra is not N.right_algebra:
         raise BimoduleError("hom space needs a common algebra pair")
-    pairs = [(M.left_of(g), N.left_of(g)) for g in alg.algebra_generators(M.left_algebra)]
-    return pairs + [(M.right_of(g), N.right_of(g)) for g in alg.algebra_generators(M.right_algebra)]
+    return [*zip(M.left_gens, N.left_gens), *zip(M.right_gens, N.right_gens)]
 
 
-def corner_columns(N: Bimodule, e_left, e_right) -> tuple:
-    """The matrix of m -> e.m.f on N, for idempotents e, f of the two
-    algebras: its column m is e.m.f, and its columns span e N f."""
-    return linalg.sp_compose(N.left_of(e_left), N.right_of(e_right))
+def corner_columns(N: Bimodule, s: int, t: int) -> tuple:
+    """The matrix of m -> e_s.m.e_t on N, for the idempotents e_s, e_t of
+    the two algebras (generators s and t): its column m is e_s.m.e_t, and
+    its columns span e_s N e_t."""
+    return linalg.sp_compose(N.left_gens[s], N.right_gens[t])
 
 
 def read_off(M: Bimodule) -> bool:
@@ -659,18 +686,18 @@ def top_iso(N: Bimodule, B: Bimodule, k: int, degree=None) -> bool:
         return False
     if B.generator is not None:
         # e_s.m.e_t for each basis vector m (of the degree), until the top is reached
-        left, right = N.left_of(B.generator[0]), N.right_of(B.generator[1])
-        for q, col in enumerate(right):
+        s, t = B.generator
+        for q, col in enumerate(N.right_gens[t]):
             if degree is not None and N.degrees[q] != degree:
                 continue
-            if rad.insert(linalg.sp_apply(left, col)) and rad.dim == N.dim:
+            if rad.insert(linalg.sp_apply(N.left_gens[s], col)) and rad.dim == N.dim:
                 return True
         return False
     centre = centralizer(N)
     if degree is not None:
         centre = [{i: v for i, v in n.items() if N.degrees[i] == degree} for n in centre]
         centre = [n for n in centre if n]
-    lefts = [N.left_of(e) for e in idems]
+    lefts = N.left_gens[: len(idems)]
     for _ in range(k):
         for t in range(len(idems) * (len(centre) - 1) + 1):
             point, power = {}, 1
@@ -695,9 +722,7 @@ def _arrow_actions(M: Bimodule) -> list:
     for every sub-bimodule X of M: the arrows span a complement V of rad^2
     in rad, and rad^j.X lies in V.X + rad^(j+1).X, so rad(A).X = V.X."""
     A, B = M.left_algebra, M.right_algebra
-    return [M.left_of(a) for a in alg.algebra_generators(A)[len(A.idempotents):]] + [
-        M.right_of(b) for b in alg.algebra_generators(B)[len(B.idempotents):]
-    ]
+    return [*M.left_gens[len(A.idempotents):], *M.right_gens[len(B.idempotents):]]
 
 
 def radical_echelon(M: Bimodule) -> SparseEchelon:
@@ -762,8 +787,8 @@ def centralizer(N: Bimodule) -> list:
     """A sparse basis of {n in N : a.n = n.a for every a} for an
     (A, A)-bimodule N: the images of 1 under the bimodule maps A -> N."""
     eqs = []
-    for g in alg.algebra_generators(N.left_algebra):
-        commutator = linalg.sp_lincomb((1, -1), (N.left_of(g), N.right_of(g)))
+    for lg, rg in zip(N.left_gens, N.right_gens):
+        commutator = linalg.sp_lincomb((1, -1), (lg, rg))
         eqs.extend(r for r in linalg.sp_rows(commutator, N.dim) if r)
     return [linalg.sparse(n) for n in linalg.nullspace(eqs, N.dim)]
 
@@ -835,7 +860,7 @@ class CcxBuild:
     x_spaces: tuple
     morphism_info: dict
     _bimodules: dict = field(default_factory=dict)
-    gradings: tuple = None  # per-object basis degree tuples (graded layer)
+    gradings: tuple = None  # per-object validated graded algebras (graded layer)
     shifts: dict = None  # per-morphism grading shifts (graded layer)
 
     def algebra_at(self, i: int) -> alg.FinDimAlgebra:
@@ -847,7 +872,7 @@ class CcxBuild:
             graded = self.gradings is not None
             if info[0] == "I":
                 _, i = info
-                deg = self.gradings[i] if graded else None
+                deg = self.gradings[i].degrees if graded else None
                 bim = regular_bimodule(self.algebra_at(i), degrees=deg, name=name)
             else:
                 _, i, j, s, t = info
@@ -857,8 +882,8 @@ class CcxBuild:
                     s,
                     B,
                     t,
-                    deg_a=self.gradings[i] if graded else None,
-                    deg_b=self.gradings[j] if graded else None,
+                    deg_a=self.gradings[i].degrees if graded else None,
+                    deg_b=self.gradings[j].degrees if graded else None,
                     name=name,
                 )
             if graded and self.shifts:

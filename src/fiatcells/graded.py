@@ -93,17 +93,18 @@ def build_graded_ccx(
     shifts maps morphism names to integers (a name the build does not have,
     or a nonzero shift of an identity, raises UnknownShiftError); when omitted,
     the default symmetrizing rule assigns F^{(i,j)}_{st} the shift
-    top_degree(e_t A_j e_t)/2 and rejects odd top degrees."""
-    graded_algebras = list(graded_algebras)
+    top_degree(e_t A_j e_t)/2 and rejects odd top degrees.  The validated
+    graded algebras are kept on the build, as build.gradings."""
+    graded_algebras = tuple(graded_algebras)
     data = CcxData(
         algebras=tuple(g.base for g in graded_algebras),
         x_subalgebras=x_subalgebras,
         name=name,
     )
     build = bimod.build_ccx(data)
-    build.gradings = tuple(g.degrees for g in graded_algebras)
+    build.gradings = graded_algebras
     if shifts is None:
-        shifts = default_shifts(build, graded_algebras)
+        shifts = default_shifts(build)
     else:
         shifts = dict(shifts)
         unknown = sorted(set(shifts) - set(build.morphism_info))
@@ -119,14 +120,14 @@ def build_graded_ccx(
     return build
 
 
-def default_shifts(build: CcxBuild, graded_algebras) -> dict:
+def default_shifts(build: CcxBuild) -> dict:
     shifts = {}
     for nm, info in build.morphism_info.items():
         if info[0] == "I":
             shifts[nm] = 0
             continue
         _, i, j, s, t = info
-        series = graded_algebras[j].corner_hilbert(t)
+        series = build.gradings[j].corner_hilbert(t)
         top = series.degree
         if top % 2:
             raise GradedError(
@@ -178,7 +179,7 @@ def graded_hom_series(M: Bimodule, N: Bimodule) -> LaurentPoly:
     base = min(M.degrees)
     if M.generator is not None:
         by_degree: dict[int, SparseEchelon] = {}
-        for m, col in enumerate(bimod.corner_columns(N, M.generator[0], M.generator[1])):
+        for m, col in enumerate(bimod.corner_columns(N, *M.generator)):
             if col:
                 d = N.degrees[m]
                 if d not in by_degree:
@@ -228,32 +229,20 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
     expected dual (B e_t)(x)(e_s A) shifted by top(e_t B e_t) - c, but
     nothing of that closed form is used here.
 
-    The actions are formed on generators only: phi -> phi o rho(h) for each
-    generator h of B, with rho the right action of M, and
-    phi -> rho(g) o phi for each generator g of A, with rho the right action
-    of A on itself.  Each image is written in the dual basis by `coords`,
-    which checks that it stays in the dual.  The unit, a generator when the
-    algebra is local, is the one exception: where its action rho(1) on M
-    (on A) compares equal to the identity, phi o rho(1) = phi
+    The dual is held, like every bimodule, by its generators' actions:
+    phi -> phi o rho(h) for each generator h of B, with rho the right action
+    of M, and phi -> rho(g) o phi for each generator g of A, with rho the
+    right action of A on itself.  Each image is written in the dual basis by
+    `coords`, which checks that it stays in the dual.  The unit, a generator
+    when the algebra is local, is the one exception: where its action
+    rho(1) on M (on A) compares equal to the identity, phi o rho(1) = phi
     (rho(1) o phi = phi), so it acts on the dual as the identity, with no
     product and no `coords`.  That comparison keeps the shortcut sound on an
     M never validated; where it fails, the unit's product is formed like
-    any other.  Every basis element then acts by the product along its word
-    (alg.basis_words): b = sum c_w w, with w = g_1 ... g_l, acts on the left
-    by sum c_w L(g_1) ... L(g_l), as b -> (phi -> phi o rho(b)) is a
-    homomorphism, and on the right by sum c_w R(g_l) ... R(g_1), an
-    anti-homomorphism.  That is exact because, before deriving, rho(b) of M
-    and of A is checked equal to its own word product
-    sum c_w rho(g_l) ... rho(g_1), one product per basis element and side:
-    then phi o rho(b) = sum c_w L(g_1) ... L(g_l) phi, each L(g) the map of
-    the dual into itself that `coords` wrote down, and likewise on the
-    right.  Neither the associativity of A nor that of B is used.  The dual
-    is validated as any built bimodule is."""
+    any other.  The dual is validated as any built bimodule is."""
     A, B = M.left_algebra, M.right_algebra
     reg = bimod.regular_bimodule(A)
-    phis = bimod.intertwiners(
-        [(M.left_of(g), reg.left_of(g)) for g in alg.algebra_generators(A)], M.dim, A.dim
-    )
+    phis = bimod.intertwiners(list(zip(M.left_gens, reg.left_gens)), M.dim, A.dim)
     n = len(phis)
 
     degrees = None
@@ -281,13 +270,12 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
             raise GradedError("action left the dual hom space")
         return sol
 
-    def on_generators(algebra_, rho_of, dim, product):
+    def on_generators(algebra_, rhos, dim, product):
         """Each generator's action on the dual, product(phi, rho(g)) written
         in the dual basis; the unit, once rho(1) is seen to be the identity,
         acts as the identity, with no product formed."""
         out = []
-        for g in alg.algebra_generators(algebra_):
-            rho = rho_of(g)
+        for g, rho in zip(alg.algebra_generators(algebra_), rhos):
             if g == algebra_.unit and linalg.sp_eq(rho, linalg.sp_identity(dim)):
                 out.append(linalg.sp_identity(n))
             else:
@@ -295,53 +283,15 @@ def star_bimodule(M: Bimodule, left_degrees=None) -> Bimodule:
         return out
 
     # (h . phi)(m) = phi(m h) and (phi . g)(m) = phi(m) g, on generators
-    left_gens = on_generators(B, M.right_of, M.dim, lambda phi, rh: linalg.sp_compose(phi, rh))
-    right_gens = on_generators(A, reg.right_of, A.dim, lambda phi, rg: linalg.sp_compose(rg, phi))
-
-    _check_words(M)
-    _check_words(reg)
-    left_action = _along_words(B, left_gens, anti=False)
-    right_action = _along_words(A, right_gens, anti=True)
-
     return Bimodule(
         B,
         A,
         n,
-        left_action,
-        right_action,
+        on_generators(B, M.right_gens, M.dim, lambda phi, rh: linalg.sp_compose(phi, rh)),
+        on_generators(A, reg.right_gens, A.dim, lambda phi, rg: linalg.sp_compose(rg, phi)),
         degrees=degrees,
         name=f"dual({M.name})",
     )
-
-
-def _along_words(algebra: alg.FinDimAlgebra, generator_actions, anti: bool) -> list:
-    """The action of every basis element of the algebra, formed from the
-    actions of its generators (in algebra_generators order) along
-    alg.basis_words: the word g.w acts by rho(g) rho(w), or by rho(w) rho(g)
-    for an anti-homomorphism (a right action), one product per word."""
-    words, recipe = alg.basis_words(algebra)
-    mats = []
-    for g, w in words:
-        gen = generator_actions[g]
-        if w is None:
-            mats.append(gen)
-        elif anti:
-            mats.append(linalg.sp_compose(mats[w], gen))
-        else:
-            mats.append(linalg.sp_compose(gen, mats[w]))
-    return [linalg.sp_lincomb(dict(terms), mats) for terms in recipe]
-
-
-def _check_words(M: Bimodule) -> None:
-    """Check that the right action on M of every basis element is the
-    product along its word of the generators' actions."""
-    B = M.right_algebra
-    gens = [M.right_of(h) for h in alg.algebra_generators(B)]
-    for b, derived in enumerate(_along_words(B, gens, anti=True)):
-        if not linalg.sp_eq(M.right_action[b], derived):
-            raise GradedError(
-                f"{M.name}: right action of {B.basis[b]} is not the product along its word"
-            )
 
 
 # -- positivity and the graded invariants ------------------------------------
@@ -408,8 +358,7 @@ def top_corner_degree(build: CcxBuild) -> int:
     of the build's left cell."""
     g_name = duflo(build.ms, build.cellrep.left_cell)
     _, gi, _, gs, _ = build.info(g_name)
-    ga = GradedAlgebra(build.algebra_at(gi), build.gradings[gi])
-    return ga.corner_hilbert(gs).degree
+    return build.gradings[gi].corner_hilbert(gs).degree
 
 
 def verify_dual_shift_identity(build: CcxBuild, seed: int = 0) -> list:
@@ -422,7 +371,7 @@ def verify_dual_shift_identity(build: CcxBuild, seed: int = 0) -> list:
     a_val = min_hom_degree_to_identity(build)
     l_val = top_corner_degree(build)
     g_bim = build.bimodule(g_name)
-    dual = star_bimodule(g_bim, left_degrees=build.gradings[gi])
+    dual = star_bimodule(g_bim, left_degrees=build.gradings[gi].degrees)
     target = g_bim.shifted(l_val - 2 * a_val)
     ok = graded_iso_test(dual, target)
     values = {
@@ -463,10 +412,8 @@ def verify_hilbert_transfer(build: CcxBuild) -> list:
     f_name = inter[0]
     _, gi, _, gs, _ = build.info(g_name)
     _, fi, _, fs, _ = build.info(f_name)
-    ga_g = GradedAlgebra(build.algebra_at(gi), build.gradings[gi])
-    ga_f = GradedAlgebra(build.algebra_at(fi), build.gradings[fi])
-    chi_g = ga_g.corner_hilbert(gs)
-    chi_f = ga_f.corner_hilbert(fs)
+    chi_g = build.gradings[gi].corner_hilbert(gs)
+    chi_f = build.gradings[fi].corner_hilbert(fs)
     psi = chi_g.divide_exact(chi_f)
     m_g = duflo_multiplicity(build.ms, g_name)
     m_f = duflo_multiplicity(build.ms, f_name)

@@ -15,8 +15,8 @@ it also combines sparse vectors (the columns) and multiplies algebra
 elements, with ints where the values are integral.  Once built, a
 column-sparse matrix is never mutated, neither the tuple nor its column
 dicts: `sp_lincomb` of a unit coefficient vector returns the stored matrix
-itself, so the action of a basis element is read, not copied, and a
-bimodule may share an algebra's structure constants.
+itself, so a generator's action is read, not copied, and a bimodule may
+share an algebra's structure constants.
 
 Dense tuples appear only at the boundary: `sparse` reads a dense sequence
 in, the echelon engine takes rows in either form, and the solver outputs
@@ -279,8 +279,9 @@ def sp_diagonal(cols):
 
 def sp_lincomb(coeffs, mats):
     """The combination of column-sparse matrices with a dense or sparse
-    coefficient vector.  When the vector is one entry 1 and zeros, this is
-    the stored matrix itself, as a tuple: it must not be written to."""
+    coefficient vector, with ints where the values are integral.  When the
+    vector is one entry 1 and zeros, this is the stored matrix itself, as a
+    tuple: it must not be written to."""
     terms = [(k, c) for k, c in _entries(coeffs) if c]
     if len(terms) == 1 and terms[0][1] == 1:
         mat = mats[terms[0][0]]
@@ -292,10 +293,12 @@ def sp_lincomb(coeffs, mats):
             acc = out[q]
             for r, v in col.items():
                 val = acc.get(r, 0) + c * v
-                if val:
+                if not val:
+                    acc.pop(r, None)
+                elif type(val) is int:
                     acc[r] = val
                 else:
-                    acc.pop(r, None)
+                    acc[r] = frac(val)
     return tuple(out)
 
 

@@ -344,9 +344,7 @@ def graded_report(name: str) -> CellReport:
     ident = build.bimodule(f"I{gi + 1}")
     series = graded.graded_hom_series(g_bim, ident)
     ungraded = bimod.hom_dim(g_bim, ident)
-    spec = fixtures.load_algebra(name)
-    ga = graded.GradedAlgebra(spec.algebra, spec.degrees)
-    chi = ga.corner_hilbert(gs)
+    chi = build.gradings[gi].corner_hilbert(gs)
     m_val = mscell.duflo_multiplicity(build.ms, g_name)
     report.records.append(
         CheckRecord(

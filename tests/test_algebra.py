@@ -538,14 +538,14 @@ def test_arrow_pieces_are_the_nonzero_corners_of_the_arrows():
     for name in ("dualnumbers", "skewext", "zigzagA2"):
         A = _parsed(name)
         idems = [dense(A, e) for e in A.idempotents]
-        arrows = alg.algebra_generators(A)[len(idems):]
+        gens = alg.algebra_generators(A)
         expected = []
-        for g in arrows:
+        for k in range(len(idems), len(gens)):
             for a, ea in enumerate(idems):
                 for b, eb in enumerate(idems):
-                    piece = A.mul(A.mul(ea, dense(A, g)), eb)
+                    piece = A.mul(A.mul(ea, dense(A, gens[k])), eb)
                     if any(piece):
-                        expected.append((a, b, linalg.sparse(piece)))
+                        expected.append((a, b, k))
         assert list(alg.arrow_pieces(A)) == expected
         assert alg.arrow_pieces(A) is alg.arrow_pieces(A)
 

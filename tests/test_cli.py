@@ -266,7 +266,7 @@ def test_a_base_with_no_read_off_side_is_an_internal_error(capsys, monkeypatch):
     def forgetful(build, name):
         B = bimodule(build, name)
         return bimod.Bimodule(
-            B.left_algebra, B.right_algebra, B.dim, B.left_action, B.right_action,
+            B.left_algebra, B.right_algebra, B.dim, B.left_gens, B.right_gens,
             name=name, check=False,
         )
 

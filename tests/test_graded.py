@@ -117,7 +117,7 @@ def test_corner_homs_into_bimodules_outside_the_build(name):
     build = graded_build_from_text(CORNER_CASES[name])
     g_name = mscell.duflo(build.ms, build.cellrep.left_cell)
     duflo_bim = build.bimodule(g_name)
-    dual = graded.star_bimodule(duflo_bim, left_degrees=build.gradings[0])
+    dual = graded.star_bimodule(duflo_bim, left_degrees=build.gradings[0].degrees)
     targets = [dual, bimod.direct_sum([duflo_bim, build.bimodule("I1")])]
     for f in build.ms.names:
         M = build.bimodule(f)
@@ -248,7 +248,7 @@ def test_dual_shift_identity_negative():
         build = graded_ccx_build(name)
         g_name = mscell.duflo(build.ms, build.cellrep.left_cell)
         g_bim = build.bimodule(g_name)
-        dual = graded.star_bimodule(g_bim, left_degrees=build.gradings[0])
+        dual = graded.star_bimodule(g_bim, left_degrees=build.gradings[0].degrees)
         a_val = graded.min_hom_degree_to_identity(build)
         l_val = graded.top_corner_degree(build)
         assert not graded.graded_iso_test(dual, g_bim.shifted(l_val - 2 * a_val + 2))
@@ -257,7 +257,7 @@ def test_dual_shift_identity_negative():
 def test_star_bimodule_realizes_expected_dual():
     build = graded_ccx_build("zigzagA2-graded")
     g12 = build.bimodule("F11_12")
-    dual = graded.star_bimodule(g12, left_degrees=build.gradings[0])
+    dual = graded.star_bimodule(g12, left_degrees=build.gradings[0].degrees)
     # dual of (A e1)(x)(e2 A)<1> is (A e2)(x)(e1 A)<l2 - 1> = F11_21<1>
     target = build.bimodule("F11_21")
     assert dual.dim == target.dim
@@ -269,9 +269,7 @@ def test_star_bimodule_rejects_a_right_action_that_is_not_left_linear():
     D = load_algebra("dualnumbers").algebra
     reg = bimod.regular_bimodule(D)
     swap = ({1: 1}, {0: 1})  # m . x swaps the basis vectors 1 and x
-    broken = bimod.Bimodule(
-        D, D, reg.dim, reg.left_action, (reg.right_action[0], swap), check=False
-    )
+    broken = bimod.Bimodule(D, D, reg.dim, reg.left_gens, (reg.right_gens[0], swap), check=False)
     with pytest.raises(graded.GradedError, match="left the dual hom space"):
         graded.star_bimodule(broken)
 
@@ -303,28 +301,26 @@ def _dual_basis(M, left_degrees=None):
 
 
 def _reference_star(M, left_degrees=None):
-    """The adjoint bimodule with every basis element's action formed and
-    written in the dual basis one by one: one product and one membership
-    check per (basis element, dual vector) pair, on both sides."""
+    """(dim, degrees, left_action, right_action) of the adjoint bimodule with
+    every basis element's action formed and written in the dual basis one by
+    one: one product and one membership check per (basis element, dual
+    vector) pair, on both sides, from the basis actions of M and of A."""
     A = M.left_algebra
-    reg = bimod.regular_bimodule(A)
     phis, degrees, coords = _dual_basis(M, left_degrees)
-    left_action = [
+    left_action = tuple(
         tuple(coords(linalg.sp_compose(phi, rb)) for phi in phis) for rb in M.right_action
-    ]
-    right_action = [
-        tuple(coords(linalg.sp_compose(ra, phi)) for phi in phis) for ra in reg.right_action
-    ]
-    return bimod.Bimodule(
-        M.right_algebra, A, len(phis), left_action, right_action, degrees=degrees,
-        name=f"dual({M.name})",
     )
+    right_action = tuple(
+        tuple(coords(linalg.sp_compose(A.right_mult_matrix({j: 1}), phi)) for phi in phis)
+        for j in range(A.dim)
+    )
+    return len(phis), None if degrees is None else tuple(degrees), left_action, right_action
 
 
 def _star_composing_every_generator(M, left_degrees=None):
-    """The adjoint bimodule formed on generators and derived along the
-    basis words, as star_bimodule does, but with every generator's product
-    formed and written in the dual basis, the unit's included."""
+    """The adjoint bimodule formed on generators, as star_bimodule does, but
+    with every generator's product formed and written in the dual basis, the
+    unit's included."""
     A, B = M.left_algebra, M.right_algebra
     reg = bimod.regular_bimodule(A)
     phis, degrees, coords = _dual_basis(M, left_degrees)
@@ -337,10 +333,7 @@ def _star_composing_every_generator(M, left_degrees=None):
         for g in alg.algebra_generators(A)
     ]
     return bimod.Bimodule(
-        B, A, len(phis),
-        graded._along_words(B, left_gens, anti=False),
-        graded._along_words(A, right_gens, anti=True),
-        degrees=degrees, name=f"dual({M.name})",
+        B, A, len(phis), left_gens, right_gens, degrees=degrees, name=f"dual({M.name})"
     )
 
 
@@ -387,7 +380,7 @@ STAR_CASES = {
 
 def _duflo_bimodule(build):
     g_name = mscell.duflo(build.ms, build.cellrep.left_cell)
-    return build.bimodule(g_name), build.gradings[build.info(g_name)[1]]
+    return build.bimodule(g_name), build.gradings[build.info(g_name)[1]].degrees
 
 
 @pytest.mark.parametrize("name", sorted(STAR_CASES))
@@ -397,10 +390,10 @@ def test_star_on_generators_matches_the_per_basis_element_reference(name):
     others = [build.bimodule(nm) for nm in sorted(build.morphism_info)]
     for M in [g_bim] + others:
         dual = graded.star_bimodule(M, left_degrees=degrees)
-        ref = _reference_star(M, left_degrees=degrees)
-        assert (dual.dim, dual.degrees) == (ref.dim, ref.degrees), M.name
-        assert dual.left_action == ref.left_action, M.name
-        assert dual.right_action == ref.right_action, M.name
+        dim, ref_degrees, left_action, right_action = _reference_star(M, left_degrees=degrees)
+        assert (dual.dim, dual.degrees) == (dim, ref_degrees), M.name
+        assert dual.left_action == left_action, M.name
+        assert dual.right_action == right_action, M.name
 
 
 def _fixture_one_morphisms():
@@ -446,55 +439,26 @@ def test_star_refuses_a_unit_that_does_not_act_as_the_identity():
     # the unit acts on the dual as the identity only once rho_M(1) = I is seen
     D = load_algebra("dualnumbers").algebra
     reg = bimod.regular_bimodule(D)
-    right = list(reg.right_action)
-    right[D.basis.index("1")] = tuple({q: 2} for q in range(reg.dim))
-    broken = bimod.Bimodule(D, D, reg.dim, reg.left_action, right, name="M", check=False)
+    right = list(reg.right_gens)
+    right[0] = tuple({q: 2} for q in range(reg.dim))  # generator 0 is the unit
+    broken = bimod.Bimodule(D, D, reg.dim, reg.left_gens, right, name="M", check=False)
     with pytest.raises(bimod.BimoduleError, match=r"dual\(M\): left action is not unital"):
         graded.star_bimodule(broken)
 
 
-def _x3_with_bad_square():
-    """The regular bimodule of graded k[x]/(x^3) with m . x2 = 0, not (m . x) . x."""
-    build = graded_build_from_text(graded_truncated_poly_text(3))
-    A = build.algebra_at(0)
-    reg = bimod.regular_bimodule(A)
-    x2 = A.basis.index("x2")
-    right = list(reg.right_action)
-    right[x2] = tuple({} for _ in range(reg.dim))
-    broken = bimod.Bimodule(A, A, reg.dim, reg.left_action, right, check=False)
-    return broken, build.gradings[0]
-
-
-def test_star_refuses_a_right_action_off_its_word_product():
-    broken, degrees = _x3_with_bad_square()
-    message = "right action of x2 is not the product along its word"
-    with pytest.raises(graded.GradedError, match=message):
-        graded.star_bimodule(broken, left_degrees=degrees)
-
-
-def test_without_the_word_check_star_would_hand_out_a_wrong_dual(monkeypatch):
-    # what the check guards against: the dual built from the generators alone
-    # validates, but is not the dual of the broken action
-    broken, degrees = _x3_with_bad_square()
-    monkeypatch.setattr(graded, "_check_words", lambda M: None)
-    dual = graded.star_bimodule(broken, left_degrees=degrees)
-    x2 = broken.right_algebra.basis.index("x2")
-    assert any(dual.left_action[x2])
-    with pytest.raises(bimod.BimoduleError, match="left action not multiplicative"):
-        _reference_star(broken, left_degrees=degrees)  # the reference dual refuses it
-
-
 def test_left_words_composed_as_an_anti_homomorphism_are_refused(monkeypatch):
-    along_words = graded._along_words
+    along_words = bimod._along_words
 
     def swapped(algebra, generator_actions, anti):
         return along_words(algebra, generator_actions, anti=True)
 
-    monkeypatch.setattr(graded, "_along_words", swapped)
     for build in (graded_ccx_build("zigzagA2-graded"), STAR_CASES["zigzagA2-graded-text"]()):
         g_bim, degrees = _duflo_bimodule(build)
-        with pytest.raises(bimod.BimoduleError, match="left action not multiplicative"):
-            graded.star_bimodule(g_bim, left_degrees=degrees)
+        bimod.regular_bimodule(g_bim.left_algebra)  # built and kept before the patch
+        with monkeypatch.context() as patch:
+            patch.setattr(bimod, "_along_words", swapped)
+            with pytest.raises(bimod.BimoduleError, match="left action not multiplicative"):
+                graded.star_bimodule(g_bim, left_degrees=degrees)
 
 
 def test_build_graded_ccx_refuses_unknown_shift_names():
@@ -522,6 +486,28 @@ def test_hilbert_transfer():
     assert values["psi"] == "1"
     assert values["psi_at_one"] == 1
     assert values["transfer_element"] == "F11_12"
+
+
+def test_a_graded_build_keeps_one_graded_algebra_per_object(monkeypatch):
+    from fiatcells import fixtures, verify
+
+    validated = []
+    post_init = graded.GradedAlgebra.__post_init__
+
+    def counting(self):
+        validated.append(self.base)
+        post_init(self)
+
+    monkeypatch.setattr(graded.GradedAlgebra, "__post_init__", counting)
+    monkeypatch.setattr(fixtures, "_cache", {})  # build everything afresh
+    report = verify.graded_report("zigzagA2-graded")
+    assert report.records and all(r.passed for r in report.records)
+    build = fixtures.graded_ccx_build("zigzagA2-graded")
+    (ga,) = build.gradings
+    assert validated == [ga.base] and ga.base is build.algebra_at(0)
+    assert graded.top_corner_degree(build) == 2
+    assert all(r.passed for r in graded.verify_hilbert_transfer(build))
+    assert len(validated) == 1  # the readers read the kept graded algebra
 
 
 def test_hilbert_transfer_single_cell():
@@ -560,7 +546,7 @@ def test_graded_iso_test_negative(monkeypatch):
     gr = build.bimodule("I1")
     gP = bimod.proj_bimodule(
         gr.left_algebra, 0, gr.right_algebra, 0,
-        deg_a=build.gradings[0], deg_b=build.gradings[0],
+        deg_a=build.gradings[0].degrees, deg_b=build.gradings[0].degrees,
     )
     mixed = bimod.direct_sum([gr, gr.shifted(-2)])
     assert sorted(mixed.degrees) == sorted(gP.degrees) == [0, 2, 2, 4]
@@ -629,7 +615,7 @@ def test_every_graded_bimodule_acts_by_its_generators_degrees(name):
     else:
         build = graded_build_from_text(SERIES_CASES[name]())
     A = build.algebra_at(0)
-    want = _generator_algebra_degrees(A, build.gradings[0]) * 2
+    want = _generator_algebra_degrees(A, build.gradings[0].degrees) * 2
     ident = build.bimodule("I1")
     g_bim, degrees = _duflo_bimodule(build)
     bims = [build.bimodule(nm) for nm in sorted(build.morphism_info)]
@@ -656,9 +642,10 @@ def test_an_action_spread_over_two_degree_shifts_is_refused_at_construction():
         bimod.regular_bimodule(A, degrees=(0, 2, 3))
     reg = bimod.regular_bimodule(A)
     with pytest.raises(bimod.BimoduleError, match=r"shifts degrees by \[1, 2\]"):
-        bimod.Bimodule(A, A, reg.dim, reg.left_action, reg.right_action, degrees=(0, 2, 3))
+        bimod.Bimodule(A, A, reg.dim, reg.left_gens, reg.right_gens, degrees=(0, 2, 3))
     # the same actions under the algebra's own grading are accepted
-    assert bimod.regular_bimodule(A, degrees=build.gradings[0]).generator_degrees == (0, 2, 0, 2)
+    own = bimod.regular_bimodule(A, degrees=build.gradings[0].degrees)
+    assert own.generator_degrees == (0, 2, 0, 2)
 
 
 def test_series_refuse_an_arrow_acting_in_another_degree_on_the_target():
