@@ -61,10 +61,12 @@ class Bimodule:
     left_gens[k] is the column-sparse matrix of the k-th element of
     alg.algebra_generators(A) acting on the left, and right_gens[k] likewise
     for B on the right: a representation of the bound quiver of each
-    algebra, which fixes the bimodule.  left_action[i] and right_action[j],
-    the actions of the basis elements, are derived from them along
-    alg.basis_words (`_along_words`) on the first read and kept on the
-    instance; the right action is an anti-homomorphism.  degrees, when
+    algebra, which fixes the bimodule; any other number of actions than one
+    per generator is a BimoduleError at construction, checked or not.
+    left_action[i] and right_action[j], the actions of the basis elements,
+    are derived from them along alg.basis_words (`_along_words`) on the
+    first read and kept on the instance; the right action is an
+    anti-homomorphism.  degrees, when
     present, grade the underlying space; a shifted copy has all degrees
     lowered.  generator_degrees, for a graded bimodule, holds for each
     generator of the left algebra and then of the right one the one shift
@@ -91,6 +93,9 @@ class Bimodule:
         self.dim = dim
         self.left_gens = tuple(left_gens)
         self.right_gens = tuple(right_gens)
+        counts = tuple(map(len, map(alg.algebra_generators, (left_algebra, right_algebra))))
+        if (len(self.left_gens), len(self.right_gens)) != counts:
+            raise BimoduleError(f"{name}: not one action per generator")
         self.degrees = tuple(degrees) if degrees is not None else None
         self.name = name
         # (s, t) when this is the projective bimodule (A e_s)(x)(e_t B) of
@@ -147,8 +152,10 @@ class Bimodule:
         rho(a)rho(b) = rho(ab) for all b form a unital subalgebra containing
         the generators, hence all of the algebra; and actions that commute
         on generators commute everywhere.  That argument takes the algebras
-        to be associative with the unit law, which `algebra.validate`
-        checks.
+        to be associative with the unit law, so both are put through
+        `algebra.validate` (kept per algebra) first: a non-associative
+        algebra whose basis elements are single words would otherwise pass,
+        as its derived actions are word products by construction.
 
         A generator equal to the unit (the one idempotent of a local
         algebra) is left out of both loops: its action is checked to be the
@@ -157,9 +164,9 @@ class Bimodule:
         generators whose actions are both diagonal (idempotents on a basis
         split by the idempotents) commute unchecked."""
         A, B = self.left_algebra, self.right_algebra
+        alg.validate(A)
+        alg.validate(B)
         gens_a, gens_b = alg.algebra_generators(A), alg.algebra_generators(B)
-        if (len(self.left_gens), len(self.right_gens)) != (len(gens_a), len(gens_b)):
-            raise BimoduleError(f"{self.name}: not one action per generator")
         ident = linalg.sp_identity(self.dim)
         if not linalg.sp_eq(self.left_of(A.unit), ident):
             raise BimoduleError(f"{self.name}: left action is not unital")

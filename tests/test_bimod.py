@@ -1201,11 +1201,28 @@ def test_a_kept_bimodule_shares_its_actions_but_not_its_name_labels_or_degrees()
         assert not cols & {id(col) for mat in N.left_gens + N.right_gens for col in mat}
 
 
+def _non_associative_words():
+    """1, x, y, z with x.x = y, x.y = z and every other product of x, y, z
+    zero: (x.x).x = 0 but x.(x.x) = z.  Every basis element is a single word
+    in x, so actions derived along the words are word products, and only
+    the algebra's own validation finds the fault."""
+    def u(k):
+        return [int(i == k) for i in range(4)]
+
+    table = {(1, 1): 2, (1, 2): 3}
+    mult = [
+        [u(j) if i == 0 else u(i) if j == 0 else u(table[i, j]) if (i, j) in table else [0] * 4
+         for j in range(4)]
+        for i in range(4)
+    ]
+    return alg.FinDimAlgebra(["1", "x", "y", "z"], mult, u(0), [u(0)], name="nonassoc")
+
+
 def _non_associative():
     """1, x, y, z, w with x.y = z, x.z = w and every other product of x, y,
-    z, w zero: (x.x).y = 0 but x.(x.y) = w.  Its radical verifies, so only
-    the bimodule validation finds the fault: x acts twice on y, and x.x = 0
-    says it must not."""
+    z, w zero: (x.x).y = 0 but x.(x.y) = w.  Its radical verifies, and past
+    the algebra's validation the bimodule validation finds the fault: x acts
+    twice on y, and x.x = 0 says it must not."""
     def u(k):
         return [int(i == k) for i in range(5)]
 
@@ -1218,7 +1235,30 @@ def _non_associative():
     return alg.FinDimAlgebra(["1", "x", "y", "z", "w"], mult, u(0), [u(0)], name="nonassoc")
 
 
+@pytest.mark.parametrize("make", [_non_associative_words, _non_associative])
+def test_bimodules_of_a_non_associative_algebra_are_refused(make):
+    A = make()
+    for attempt in (1, 2):
+        with pytest.raises(alg.AlgebraValidationError, match="associativity fails"):
+            bimod.regular_bimodule(A)
+        with pytest.raises(alg.AlgebraValidationError, match="associativity fails"):
+            bimod.proj_bimodule(A, 0, A, 0)
+    assert not [key for key in A._kept if key[0] == "bimodule"]
+
+
+def test_without_the_algebra_check_a_word_algebra_would_pass(monkeypatch):
+    """What the algebra check in Bimodule.validate is for: with it bypassed,
+    the projective bimodule of the single-word algebra validates."""
+    monkeypatch.setattr(alg, "validate", lambda algebra: None)
+    A = _non_associative_words()
+    assert bimod.proj_bimodule(A, 0, A, 0).dim == 16
+    with pytest.raises(bimod.BimoduleError, match="do not commute"):
+        bimod.regular_bimodule(A)
+
+
 def test_a_build_whose_validation_raised_is_not_kept(monkeypatch):
+    # past the algebra check, so the bimodule's own check raises
+    monkeypatch.setattr(alg, "validate", lambda algebra: None)
     A = _non_associative()
     validated = []
     validate = bimod.Bimodule.validate
@@ -1235,6 +1275,16 @@ def test_a_build_whose_validation_raised_is_not_kept(monkeypatch):
             bimod.proj_bimodule(A, 0, A, 0)
         assert len(validated) == 2 * attempt  # rebuilt and validated again
     assert not [key for key in A._kept if key[0] == "bimodule"]
+
+
+def test_one_action_per_generator_is_required_unchecked_too():
+    A = truncated_poly(3)
+    R = bimod.regular_bimodule(A)
+    per_basis = R.left_action  # three matrices for two generators (1, x)
+    with pytest.raises(bimod.BimoduleError, match="not one action per generator"):
+        bimod.Bimodule(A, A, R.dim, per_basis, R.right_gens, check=False)
+    with pytest.raises(bimod.BimoduleError, match="not one action per generator"):
+        bimod.Bimodule(A, A, R.dim, R.left_gens, R.right_gens[:1], check=False)
 
 
 # -- diagonal actions are read, not multiplied ------------------------------
