@@ -1246,16 +1246,6 @@ def test_bimodules_of_a_non_associative_algebra_are_refused(make):
     assert not [key for key in A._kept if key[0] == "bimodule"]
 
 
-def test_without_the_algebra_check_a_word_algebra_would_pass(monkeypatch):
-    """What the algebra check in Bimodule.validate is for: with it bypassed,
-    the projective bimodule of the single-word algebra validates."""
-    monkeypatch.setattr(alg, "validate", lambda algebra: None)
-    A = _non_associative_words()
-    assert bimod.proj_bimodule(A, 0, A, 0).dim == 16
-    with pytest.raises(bimod.BimoduleError, match="do not commute"):
-        bimod.regular_bimodule(A)
-
-
 def test_a_build_whose_validation_raised_is_not_kept(monkeypatch):
     # past the algebra check, so the bimodule's own check raises
     monkeypatch.setattr(alg, "validate", lambda algebra: None)
