@@ -9,12 +9,15 @@ written to once built (see `linalg`).  The action of any other basis
 element is derived from them along its path word, in one place
 (`_along_words`), and only when something reads it.  The regular and
 projective bimodules of an algebra are built and validated once per algebra
-and kept on it (`algebra.kept`), as is its projective centre; every later
-call shares those action matrices.  Tensor products over the middle algebra
+and kept on it (`algebra.kept`), as are its actions on its ideals A e_s and
+e_s A and its projective centre; every later call shares those action
+matrices.  Tensor products over the middle algebra
 are computed as honest cokernels of the balancing map, over the idempotent
 split (+)_c M e_c (x) e_c N of the pairs of basis vectors, so they provide
 an independent check of the closed-form composition rule used for the
-multisemigroup table.  Hom spaces come from one intertwiner solver, which
+multisemigroup table.  The balancing relations of one or two terms are
+solved by a weighted union-find and only the longer ones are eliminated
+(`linalg.quotient_classes`).  Hom spaces come from one intertwiner solver, which
 reads the pairs of diagonal matrices (the idempotents on such a split
 basis) instead of eliminating them: each kills the unknowns X[p, q] between
 different blocks, and only the other pairs are eliminated, over the
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 
 from . import algebra as alg
 from . import linalg
-from .linalg import SparseEchelon, Subspace, frac, quo
+from .linalg import SparseEchelon, Subspace, frac
 from .mscell import (
     DataInconsistencyError,
     MultiSemigroup,
@@ -304,6 +307,18 @@ def _action_on_subspace_factor(algebra_: alg.FinDimAlgebra, sub: Subspace, left:
     return sub.rows, mats
 
 
+def _ideal_action(algebra_: alg.FinDimAlgebra, s: int, left: bool):
+    """_action_on_subspace_factor of the left ideal A e_s (the right ideal
+    e_s A): built on the first call for that side and idempotent, then kept
+    on the algebra, for every projective bimodule with that factor."""
+    ideal = alg.left_ideal if left else alg.right_ideal
+    return alg.kept(
+        algebra_,
+        ("ideal_action", left, s),
+        lambda: _action_on_subspace_factor(algebra_, ideal(algebra_, s), left),
+    )
+
+
 def proj_bimodule(
     A: alg.FinDimAlgebra,
     s: int,
@@ -344,10 +359,8 @@ def proj_bimodule(
 def _proj_actions(A: alg.FinDimAlgebra, s: int, B: alg.FinDimAlgebra, t: int) -> tuple:
     """(dim, left_gens, right_gens, basis of A e_s, basis of e_t B) of
     (A e_s)(x)(e_t B), on the pairs of the two bases."""
-    left_ideal = alg.left_ideal(A, s)
-    right_ideal = alg.right_ideal(B, t)
-    ubasis, left_mats = _action_on_subspace_factor(A, left_ideal, left=True)
-    vbasis, right_mats = _action_on_subspace_factor(B, right_ideal, left=False)
+    ubasis, left_mats = _ideal_action(A, s, left=True)
+    vbasis, right_mats = _ideal_action(B, t, left=False)
     p, q = len(ubasis), len(vbasis)
     # u (x) v is basis vector u * q + v; a generator acts on its own factor
     left_gens = tuple(
@@ -446,12 +459,15 @@ def tensor_over(M: Bimodule, N: Bimodule) -> Bimodule:
     relation space spans the full balancing subspace, and the quotient basis
     and actions are those of the cokernel over all pairs.
 
-    The quotient basis is the free pairs of the reduced relation echelon,
-    and each pair's class is read off it once: a free pair is its own basis
-    vector, a pivot pair minus the rest of its reduced row over its pivot
-    entry.  A generator's induced action column is the combination of the
-    classes of the pairs its image touches; only the generators' actions
-    are induced.
+    The quotient basis and each pair's class come from
+    linalg.quotient_classes: the free pairs of the reduced echelon of the
+    relations, and the class of each pair over them.  It absorbs relations
+    of one or two terms, which are all of them on the projective bimodules
+    of a path basis, in a weighted union-find, and eliminates only the
+    longer ones, rewritten over the union-find's roots.  The classes are
+    held per row of pairs, classes[i][j], and read by list lookup.  A
+    generator's induced action column is the combination of the classes of
+    the pairs its image touches; only the generators' actions are induced.
     """
     B = M.right_algebra
     if N.left_algebra is not B:
@@ -466,58 +482,65 @@ def tensor_over(M: Bimodule, N: Bimodule) -> Bimodule:
     else:
         pieces = alg.arrow_pieces(B)
     m_in, n_in = _members(m_blocks), _members(n_blocks)
-    # the pairs (i, j) in one block, in the order of all pairs, so that the
-    # quotient basis is the one the cokernel over all pairs would pick
-    index = {}
+    # index[i][j]: the number of the pair (i, j) when i and j share a block,
+    # in the order of all pairs, so that the quotient basis is the one the
+    # cokernel over all pairs would pick
+    index = [[None] * dn for _ in range(dm)]
+    pairs = []
     for i in range(dm):
+        row = index[i]
         for j in n_in.get(m_blocks[i], ()):
-            index[i, j] = len(index)
-    pairs = list(index)
+            row[j] = len(pairs)
+            pairs.append((i, j))
 
-    ech = SparseEchelon(len(pairs))
-    for a, b, k in pieces:
-        right_g, left_g = M.right_gens[k], N.left_gens[k]
-        gns = [
-            (j, {r: v for r, v in left_g[j].items() if n_blocks[r] == a})
-            for j in n_in.get(b, ())
-        ]
-        for i in m_in.get(a, ()):
-            mg = {r: v for r, v in right_g[i].items() if m_blocks[r] == b}
-            for j, gn in gns:
-                rel = {index[r, j]: v for r, v in mg.items()}
-                for r, v in gn.items():
-                    key = index[i, r]
-                    x = rel.get(key, 0) - v
-                    if x:
-                        rel[key] = x
-                    else:  # m.g (x) n and m (x) g.n cancel here
-                        del rel[key]
-                if rel:
-                    ech.insert(rel)
+    def relations():
+        for a, b, k in pieces:
+            right_g, left_g = M.right_gens[k], N.left_gens[k]
+            gns = [
+                (j, {r: v for r, v in left_g[j].items() if n_blocks[r] == a})
+                for j in n_in.get(b, ())
+            ]
+            for i in m_in.get(a, ()):
+                mg = {r: v for r, v in right_g[i].items() if m_blocks[r] == b}
+                row = index[i]
+                for j, gn in gns:
+                    rel = {index[r][j]: v for r, v in mg.items()}
+                    for r, v in gn.items():
+                        key = row[r]
+                        x = rel.get(key, 0) - v
+                        if x:
+                            rel[key] = x
+                        else:  # m.g (x) n and m (x) g.n cancel here
+                            del rel[key]
+                    if rel:
+                        yield rel
 
-    rows = ech.rows
-    free = [k for k in range(len(pairs)) if k not in rows]
-    index_of = {k: pos for pos, k in enumerate(free)}
-    classes = {pairs[k]: ((pos, 1),) for k, pos in index_of.items()}
-    for c, row in rows.items():
-        lead = row[c]
-        classes[pairs[c]] = tuple(
-            (index_of[k], quo(-v, lead)) for k, v in row.items() if k != c
-        )
+    free, by_pair = linalg.quotient_classes(relations(), len(pairs))
+    # classes[i][j]: the class of the pair (i, j), None outside the split;
+    # by_column[j][i] likewise
+    classes = [[None if k is None else by_pair[k] for k in row] for row in index]
+    by_column = list(zip(*classes))
+    free_pairs = [pairs[k] for k in free]
 
     def induced(gens, left_side: bool):
+        # for each free pair (i, j): the column of a generator's action it
+        # reads and the classes of the pairs (r, j), or (i, r), that reaches
+        reads = [(i, by_column[j]) if left_side else (j, classes[i]) for i, j in free_pairs]
         out = []
         for mat in gens:
             cols = []
-            for k in free:
-                i, j = pairs[k]
-                if left_side:
-                    img = [(classes[r, j], v) for r, v in mat[i].items()]
-                else:
-                    img = [(classes[i, r], v) for r, v in mat[j].items()]
+            for q, reached in reads:
+                image = mat[q]
+                if len(image) == 1:
+                    ((r, v),) = image.items()
+                    cls = reached[r]
+                    if len(cls) == 1:
+                        ((pos, x),) = cls
+                        cols.append({pos: frac(v * x)})
+                        continue
                 col: dict = {}
-                for cls, v in img:
-                    for pos, x in cls:
+                for r, v in image.items():
+                    for pos, x in reached[r]:
                         col[pos] = col.get(pos, 0) + v * x
                 cols.append({pos: frac(x) for pos, x in col.items() if x})
             out.append(tuple(cols))
@@ -525,7 +548,7 @@ def tensor_over(M: Bimodule, N: Bimodule) -> Bimodule:
 
     degrees = None
     if M.degrees is not None and N.degrees is not None:
-        degrees = [M.degrees[i] + N.degrees[j] for i, j in (pairs[k] for k in free)]
+        degrees = [M.degrees[i] + N.degrees[j] for i, j in free_pairs]
     return Bimodule(
         M.left_algebra,
         N.right_algebra,
@@ -582,7 +605,10 @@ def intertwiner_dim(pairs, dm: int, dn: int) -> int:
 def _intertwiner_system(pairs, dm: int, dn: int) -> tuple:
     """(equations, unknowns) of `intertwiners`: the live unknowns X[p, q], as
     numbers p * dm + q in increasing order, and the sparse equations of the
-    pairs that are not both diagonal, over their positions in that list."""
+    pairs that are not both diagonal, over their positions in that list.
+    Each equation is built from the live unknowns that enter it, so a
+    position no live unknown reaches costs nothing, and an entry whose
+    terms cancel is dropped."""
     live = [True] * (dn * dm)
     rest = []
     for a, b in pairs:
@@ -595,22 +621,32 @@ def _intertwiner_system(pairs, dm: int, dn: int) -> tuple:
                 if aq != bp:
                     live[p * dm + q] = False
     unknowns = [k for k, alive in enumerate(live) if alive]
-    pos = [None] * (dn * dm)
-    for i, k in enumerate(unknowns):
-        pos[k] = i
     eqs = []
     for a, b in rest:
-        b_rows = linalg.sp_rows(b, dn)
-        for q in range(dm):
-            a_col = a[q]
-            for p in range(dn):
-                row = {i: v for k, v in a_col.items() if (i := pos[p * dm + k]) is not None}
-                for k, v in b_rows[p].items():
-                    i = pos[k * dm + q]
-                    if i is not None:
-                        row[i] = row.get(i, 0) - v
-                if row:
-                    eqs.append(row)
+        a_rows = linalg.sp_rows(a, dm)
+        # equation (p, q), numbered p * dm + q: (X.a)[p, q] - (b.X)[p, q] = 0
+        system = [None] * (dn * dm)
+        for i, k in enumerate(unknowns):
+            p, r = divmod(k, dm)
+            # X[p, r] enters (X.a)[p, q] with a[r, q]: once per q, and
+            # before its b terms, so with no entry of its own there yet
+            for q, v in a_rows[r].items():
+                row = system[k - r + q]
+                if row is None:
+                    system[k - r + q] = {i: v}
+                else:
+                    row[i] = v
+            # and (b.X)[p2, r] with b[p2, p]
+            for p2, v in b[p].items():
+                eq = p2 * dm + r
+                row = system[eq]
+                if row is None:
+                    system[eq] = {i: -v}
+                elif x := row.get(i, 0) - v:
+                    row[i] = x
+                else:
+                    del row[i]
+        eqs.extend(filter(None, system))
     return eqs, unknowns
 
 

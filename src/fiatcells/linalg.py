@@ -369,6 +369,107 @@ def nullspace(rows, ncols: int) -> list[Vec]:
     return basis
 
 
+def quotient_classes(rows, ncols: int) -> tuple:
+    """(free, classes) of Q^ncols modulo the span of the rows: free lists the
+    columns that are not pivots of the span's reduced echelon, in increasing
+    order, and classes[k] is the class of column k over the free columns, a
+    tuple of (position in free, coefficient) pairs: ((its position, 1),) for
+    a free column, minus the rest of its reduced row over its pivot entry
+    for a pivot, () for a column in the span.
+
+    Rows of one or two nonzero terms are solved by a weighted union-find
+    (Tarjan, J. ACM 22, 1975) with path compression, without elimination.
+    Each component has as root its largest column, and each member k is
+    weight[k] times its parent modulo the rows seen; a one-term row kills a
+    component, and so does c.p + d.q with p and q in one component whose
+    weights disagree, or either in a killed one.  Only the other rows are
+    eliminated, rewritten over the live roots, in one SparseEchelon.
+
+    That gives the free columns and classes of the echelon over every row.
+    A column is a pivot iff a vector of the span starts there.  A killed
+    column is in the span, and a live non-root p starts p - weight.root,
+    as its root is larger.  The span's image over the roots is the span of
+    the rewritten rows, and a vector starting at a root starts at it there
+    too, as every other term maps to a root at least as large: so a root
+    starts a vector of the span iff it is a pivot of the rewritten rows.
+    A column's class is its weight times its root's class."""
+    parent = list(range(ncols))
+    weight = [1] * ncols
+    dead = [False] * ncols  # read at roots
+    longer = []
+
+    def find(k):
+        """(root of k, the weight of k over its root), compressing the path."""
+        r = parent[k]
+        if r == k:
+            return k, 1
+        if parent[r] == r:
+            return r, weight[k]
+        path = [k]
+        while parent[r] != r:
+            path.append(r)
+            r = parent[r]
+        w = 1
+        for p in reversed(path):
+            w = weight[p] * w
+            if type(w) is not int:
+                w = frac(w)
+            parent[p], weight[p] = r, w
+        return r, w
+
+    for row in rows:
+        terms = [(j, x) for j, x in _entries(row) if x]
+        if len(terms) == 1:
+            root, _ = find(terms[0][0])
+            dead[root] = True
+        elif len(terms) == 2:
+            (p, c), (q, d) = terms
+            (rp, wp), (rq, wq) = find(p), find(q)
+            if dead[rp] or dead[rq]:
+                dead[rp] = dead[rq] = True
+            elif rp == rq:
+                if c * wp + d * wq:
+                    dead[rp] = True
+            elif rp < rq:  # c.wp.rp + d.wq.rq = 0: rp joins rq
+                parent[rp], weight[rp] = rq, quo(-d * wq, c * wp)
+            else:
+                parent[rq], weight[rq] = rp, quo(-c * wp, d * wq)
+        elif terms:
+            longer.append(terms)
+
+    roots = [find(k) for k in range(ncols)]
+    ech = SparseEchelon(ncols)
+    for terms in longer:
+        rewritten = {}
+        for j, x in terms:
+            r, w = roots[j]
+            if not dead[r]:
+                val = rewritten.get(r, 0) + x * w
+                if val:
+                    rewritten[r] = val
+                else:
+                    del rewritten[r]
+        if rewritten:
+            ech.insert(rewritten)
+
+    pivots = ech.rows
+    free = [k for k, (r, _) in enumerate(roots) if r == k and not dead[k] and k not in pivots]
+    position = {k: pos for pos, k in enumerate(free)}
+    root_class = {k: ((pos, 1),) for k, pos in position.items()}
+    for c, row in pivots.items():
+        lead = row[c]
+        root_class[c] = tuple((position[j], quo(-v, lead)) for j, v in row.items() if j != c)
+    classes = []
+    for r, w in roots:
+        if dead[r]:
+            classes.append(())
+        elif w == 1:
+            classes.append(root_class[r])
+        else:
+            classes.append(tuple((pos, frac(w * x)) for pos, x in root_class[r]))
+    return free, classes
+
+
 def solve(rows, rhs) -> Vec | None:
     """One solution x of rows . x = rhs, or None if inconsistent (free vars set
     to 0).  Rows are dense or sparse; the unknowns are counted as rref does."""

@@ -1175,6 +1175,28 @@ def test_each_bimodule_is_validated_once_per_key(monkeypatch):
     assert counts["validated"] == distinct + counts["unkeyed_checked_builds"]
 
 
+def test_each_ideal_action_is_built_once_per_side_and_idempotent(monkeypatch):
+    built = []
+    factor = bimod._action_on_subspace_factor
+
+    def counting(algebra_, sub, left):
+        built.append((algebra_, left, sub))
+        return factor(algebra_, sub, left)
+
+    monkeypatch.setattr(bimod, "_action_on_subspace_factor", counting)
+    A, Z = truncated_poly(3), zigzag(2)
+    for _ in range(2):
+        for X in (A, Z):
+            for Y in (A, Z):
+                for s in range(len(X.idempotents)):
+                    for t in range(len(Y.idempotents)):
+                        bimod.proj_bimodule(X, s, Y, t)
+    # A e_s and e_t A once each, on each algebra: 2 (1 + 2) builds against
+    # the 2 (1 + 2)^2 projective bimodules, each built once too
+    ideals = [(id(X), left, sub) for X, left, sub in built]
+    assert len(ideals) == len(set(ideals)) == 6
+
+
 def test_a_kept_bimodule_shares_its_actions_but_not_its_name_labels_or_degrees():
     text = fixture_text(ALGEBRA_FILES["zigzagA2-graded"])
     spec = parse_algebra(text, "zigzagA2_graded.alg")
@@ -1445,19 +1467,25 @@ def test_an_arrow_leaking_out_of_its_idempotent_block_is_refused_as_before():
 
 
 def _tensor_ambient(monkeypatch, M, N):
-    """M (x) N together with the number of columns of its relation echelon."""
-    sizes = []
+    """M (x) N, the number of pairs its relations run over (the columns of
+    the one echelon of linalg.quotient_classes) and the rows that echelon
+    receives."""
+    sizes, inserted = [], []
 
     class Recording(linalg.SparseEchelon):
         def __init__(self, ncols):
             super().__init__(ncols)
             sizes.append(ncols)
 
+        def insert(self, row):
+            inserted.append(dict(row))
+            return super().insert(row)
+
     with monkeypatch.context() as patch:
-        patch.setattr(bimod, "SparseEchelon", Recording)
+        patch.setattr(linalg, "SparseEchelon", Recording)
         T = bimod.tensor_over(M, N)
     (ambient,) = sizes
-    return T, ambient
+    return T, ambient, inserted
 
 
 def test_tensor_ambient_is_the_idempotent_split(monkeypatch):
@@ -1477,12 +1505,49 @@ def test_tensor_ambient_is_the_idempotent_split(monkeypatch):
                     dim_Aes = sum(cd(a, s) for a in range(k))
                     dim_evA = sum(cd(v, b) for b in range(k))
                     split = sum(dim_Aes * cd(t, c) * cd(c, u) * dim_evA for c in range(k))
-                    T, ambient = _tensor_ambient(monkeypatch, M, N)
+                    T, ambient, _ = _tensor_ambient(monkeypatch, M, N)
                     assert ambient == split
                     # the closed form: dim(e_t A e_u) copies of A e_s (x) e_v A
                     assert T.dim == cd(t, u) * dim_Aes * dim_evA
                     smaller += split < M.dim * N.dim
     assert smaller == k ** 4
+
+
+def test_no_zigzag_projective_tensor_reaches_the_echelon(monkeypatch):
+    """Over zigzag A2 every balancing relation between projective bimodules
+    has one or two terms, so the union-find of linalg.quotient_classes
+    solves them all and its echelon receives no row."""
+    Z = fixture("zigzagA2")
+    k = len(Z.idempotents)
+    projectives = [bimod.proj_bimodule(Z, s, Z, t) for s in range(k) for t in range(k)]
+    relations = _recording(monkeypatch, "quotient_classes")
+    for M in projectives:
+        for N in projectives:
+            _, ambient, inserted = _tensor_ambient(monkeypatch, M, N)
+            assert inserted == [] and ambient
+    assert len(relations) == k ** 4
+    lengths = {len(row) for rows, _ in relations for row in rows}
+    assert lengths == {1, 2}
+
+
+def test_the_tensor_corpus_reaches_the_echelon_stage(monkeypatch):
+    """The mixed basis of zigzag A2 gives balancing relations of three or
+    more terms, which the union-find leaves to the echelon, rewritten over
+    its roots."""
+    A = PROJECTIVE_CENTER_CASES["zigzagA2_mixed"]()
+    mixed = [bimod.regular_bimodule(A)]
+    mixed += [bimod.proj_bimodule(A, s, A, t) for s in range(2) for t in range(2)]
+    corpus = [*_composable_bimodules(), *((M, N) for M in mixed for N in mixed)]
+    relations = _recording(monkeypatch, "quotient_classes")
+    longer = inserted = 0
+    for M, N in corpus:
+        relations.clear()
+        _, _, rows = _tensor_ambient(monkeypatch, M, N)
+        ((relation_rows, _),) = relations
+        longer += sum(len(row) > 2 for row in relation_rows)
+        inserted += len(rows)
+        assert len(rows) <= sum(len(row) > 2 for row in relation_rows)
+    assert longer and inserted
 
 
 def _mix_blocks(P, p, r):
@@ -1536,8 +1601,8 @@ def test_tensor_falls_back_to_every_pair_when_a_basis_vector_mixes_blocks(monkey
         (Q, P, Q, mixed, P, alg.corner_dim(Z, 1, 0)),
     )
     for M, N, M_mixed, N_mixed, base, k in cases:
-        T, split = _tensor_ambient(monkeypatch, M, N)
-        T_mixed, ambient = _tensor_ambient(monkeypatch, M_mixed, N_mixed)
+        T, split, _ = _tensor_ambient(monkeypatch, M, N)
+        T_mixed, ambient, _ = _tensor_ambient(monkeypatch, M_mixed, N_mixed)
         assert split < ambient == M.dim * N.dim
         assert T_mixed.dim == T.dim
         # the derived actions of the fallback's quotient are those of the
@@ -1720,6 +1785,10 @@ def test_intertwiners_equal_the_basis_of_the_full_system():
         basis = bimod.intertwiners(pairs, dm, dn)
         assert basis == _intertwiners_over_every_unknown(pairs, dm, dn), (pairs, dm, dn)
         nonzero += bool(basis)
+        # each equation is built from the live unknowns that enter it, and
+        # holds no entry that cancelled
+        eqs, _ = bimod._intertwiner_system(pairs, dm, dn)
+        assert all(eq and all(eq.values()) for eq in eqs)
     assert nonzero > 20
     plain, twins = _zigzag_bimodules_and_twins()
     for family in (plain, twins):
@@ -1730,22 +1799,23 @@ def test_intertwiners_equal_the_basis_of_the_full_system():
                 assert homs
 
 
-def _recording_nullspace(monkeypatch):
-    """Patch linalg.nullspace to record the rows and column count of each call."""
+def _recording(monkeypatch, name="nullspace"):
+    """Patch linalg.<name>, a function of (rows, ncols), to record the rows
+    and column count of each call."""
     calls = []
-    original = linalg.nullspace
+    original = getattr(linalg, name)
 
     def recording(rows, ncols):
         rows = list(rows)
         calls.append((rows, ncols))
         return original(rows, ncols)
 
-    monkeypatch.setattr(linalg, "nullspace", recording)
+    monkeypatch.setattr(linalg, name, recording)
     return calls
 
 
 def test_hom_space_eliminates_only_the_live_unknowns(monkeypatch):
-    calls = _recording_nullspace(monkeypatch)
+    calls = _recording(monkeypatch)
     # zigzag A2: X[p, q] lives only where p and q share their blocks
     Z = fixture("zigzagA2")
     P = bimod.proj_bimodule(Z, 0, Z, 0)
@@ -1783,7 +1853,7 @@ def test_intertwiner_dim_is_the_length_of_the_basis(monkeypatch):
     dims = [len(bimod.hom_space(M, N)) for M, N in cases]
     rep = ccx_build("zigzagA2").cellrep
     # hom_dim ranks the generic system: it forms no basis and solves nothing
-    calls = _recording_nullspace(monkeypatch)
+    calls = _recording(monkeypatch)
     monkeypatch.setattr(bimod, "hom_space", None)
     assert [bimod.hom_dim(M, N) for M, N in cases] == dims
     assert bimod.commutant_dimension(rep) == 1

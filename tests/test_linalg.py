@@ -452,3 +452,83 @@ def test_sp_apply_returns_ints_where_integral():
     out = linalg.sp_apply(({0: Fraction(1, 3)}, {0: Fraction(2, 3), 1: Fraction(1, 2)}), {0: 1, 1: 1})
     assert out == {0: 1, 1: Fraction(1, 2)}
     assert type(out[0]) is int and type(out[1]) is Fraction
+
+
+# -- the quotient classes of a relation system ------------------------------
+
+
+_COEFFS = (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2))
+
+
+@st.composite
+def _relation_systems(draw):
+    """(rows, ncols): one-term rows (kills), two-term rows (merges with
+    rational weights), rows of three to five terms, cycles of two-term rows
+    whose closing weight may disagree with the path around, and chains of
+    merges whose first member is killed after them, in a drawn order."""
+    n = draw(st.integers(1, 8))
+    coef = st.sampled_from(_COEFFS)
+
+    def distinct(lo, hi):
+        return draw(st.lists(st.integers(0, n - 1), min_size=lo, max_size=hi, unique=True))
+
+    rows = []
+    kinds = ("kill", "merge", "longer", "cycle", "chain then kill")
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
+        if kind == "kill":
+            rows.append({draw(st.integers(0, n - 1)): draw(coef)})
+        elif kind == "merge" and n > 1:
+            p, q = distinct(2, 2)
+            rows.append({p: draw(coef), q: draw(coef)})
+        elif kind == "longer" and n > 2:
+            rows.append({j: draw(coef) for j in distinct(3, 5)})
+        elif kind in ("cycle", "chain then kill") and n > 1:
+            members = distinct(2, 5)
+            rows += [{p: 1, q: draw(coef)} for p, q in zip(members, members[1:])]
+            if kind == "cycle":
+                rows.append({members[-1]: 1, members[0]: draw(coef)})
+            else:
+                rows.append({members[0]: draw(coef)})
+    return rows, n
+
+
+def _classes_by_elimination(rows, ncols):
+    """(free, classes) of the reduced echelon over every row, each class as
+    a dict {position in free: coefficient}."""
+    ech = SparseEchelon(ncols)
+    ech.extend(rows)
+    free = [k for k in range(ncols) if k not in ech.rows]
+    pos = {k: i for i, k in enumerate(free)}
+    classes = []
+    for k in range(ncols):
+        row = ech.rows.get(k)
+        if row is None:
+            classes.append({pos[k]: 1})
+        else:
+            classes.append({pos[j]: linalg.quo(-v, row[k]) for j, v in row.items() if j != k})
+    return free, classes
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_relation_systems())
+def test_quotient_classes_match_the_echelon_over_every_row(system):
+    rows, ncols = system
+    free, classes = linalg.quotient_classes(rows, ncols)
+    assert (free, [dict(c) for c in classes]) == _classes_by_elimination(rows, ncols)
+    for cls in classes:
+        assert len(dict(cls)) == len(cls)
+        assert all(type(x) is int or x.denominator > 1 for _, x in cls)
+
+
+def test_quotient_classes_of_cycles_and_late_kills():
+    # p = q, q = r, r = -p: the cycle kills p, q and r; s = 2t stays
+    free, classes = linalg.quotient_classes(
+        [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: 1}, {3: 1, 4: -2}], 5
+    )
+    assert free == [4] and classes == [(), (), (), ((0, 2),), ((0, 1),)]
+    # a kill after the merges reaches the whole component
+    free, classes = linalg.quotient_classes([{0: 2, 1: 1}, {1: 1, 2: 3}, {0: 5}], 3)
+    assert free == [] and classes == [(), (), ()]
+    # a longer row is rewritten over the roots: 0 = 2 and 1 = 2 give 3.2 = 0
+    free, classes = linalg.quotient_classes([{0: 1, 1: 1, 2: 1}, {0: 1, 2: -1}, {1: 1, 2: -1}], 3)
+    assert free == [] and classes == [(), (), ()]
