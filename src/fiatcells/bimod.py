@@ -21,7 +21,10 @@ solved by a weighted union-find and only the longer ones are eliminated
 reads the pairs of diagonal matrices (the idempotents on such a split
 basis) instead of eliminating them: each kills the unknowns X[p, q] between
 different blocks, and only the other pairs are eliminated, over the
-unknowns left.
+unknowns left.  Where only the dimension is asked (`hom_dim`, the
+commutant), `intertwiner_dim` ranks that system with `linalg.rank`, whose
+union-find, shared with the tensor's classes, solves its one- and two-term
+equations without elimination.
 
 Everything is computation over values that are immutable once built: the
 only state is what an algebra keeps of itself and the basis actions a
@@ -163,9 +166,11 @@ class Bimodule:
         A generator equal to the unit (the one idempotent of a local
         algebra) is left out of both loops: its action is checked to be the
         identity first, and then rho(1)rho(b) = rho(b) = rho(1.b) by the
-        unit law, and the identity commutes with every action.  Two
-        generators whose actions are both diagonal (idempotents on a basis
-        split by the idempotents) commute unchecked."""
+        unit law, and the identity commutes with every action.  For the same
+        reason a basis element b_j equal to the unit is left out of the
+        products: rho(g)rho(1) = rho(g) = rho(g.1).  Two generators whose
+        actions are both diagonal (idempotents on a basis split by the
+        idempotents) commute unchecked."""
         A, B = self.left_algebra, self.right_algebra
         alg.validate(A)
         alg.validate(B)
@@ -179,8 +184,11 @@ class Bimodule:
         rights = [(h, rh) for h, rh in zip(gens_b, self.right_gens) if h != B.unit]
         lefts = [(g, lg, linalg.sp_diagonal(lg)) for g, lg in lefts]
         rights = [(h, rh, linalg.sp_diagonal(rh)) for h, rh in rights]
+        one_a, one_b = A.unit_index, B.unit_index
         for g, lg, _ in lefts:
             for j, gb in enumerate(A.left_mult_matrix(g)):
+                if j == one_a:
+                    continue
                 prod = self.left_of(gb)
                 if not linalg.sp_eq(linalg.sp_compose(lg, self.left_action[j]), prod):
                     raise BimoduleError(
@@ -189,6 +197,8 @@ class Bimodule:
                     )
         for h, rh, _ in rights:
             for j, bh in enumerate(B.right_mult_matrix(h)):
+                if j == one_b:
+                    continue
                 prod = self.right_of(bh)
                 if not linalg.sp_eq(linalg.sp_compose(rh, self.right_action[j]), prod):
                     raise BimoduleError(
@@ -595,11 +605,12 @@ def intertwiners(pairs, dm: int, dn: int) -> list:
 
 def intertwiner_dim(pairs, dm: int, dn: int) -> int:
     """The dimension of the space `intertwiners` gives a basis of: its live
-    unknowns minus the rank of its system, with no basis formed."""
+    unknowns minus the rank of its system, with no basis formed.  The rank
+    is `linalg.rank`'s, whose union-find solves the one- and two-term
+    equations (all of them, on the projectives of k[x]/(x^n) and zigzag
+    A2) without elimination."""
     eqs, unknowns = _intertwiner_system(pairs, dm, dn)
-    ech = SparseEchelon(len(unknowns))
-    ech.extend(eqs)
-    return len(unknowns) - ech.dim
+    return len(unknowns) - linalg.rank(eqs, len(unknowns))
 
 
 def _intertwiner_system(pairs, dm: int, dn: int) -> tuple:

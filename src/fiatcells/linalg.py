@@ -30,6 +30,18 @@ rows are back-substituted once, when they are read, into the reduced
 echelon form, which is canonical, so subspace equality is syntactic.  A
 `Subspace` keeps the echelon it was read off and answers its membership
 and reduction queries from it.
+
+Rows of one or two terms, the bulk of what the package solves, are cheap
+on both sides of the engine.  A relation system asked only for its
+classes (`quotient_classes`) or its rank (`rank`) goes through one
+weighted union-find (`_union_find`), which solves its one- and two-term
+rows without elimination and hands only the longer ones, rewritten over
+its roots, to a `SparseEchelon`.  Inside the engine, early returns answer
+single-entry data exactly as the general path would, value types
+included: an empty row, and a one-term row at a column that is not a
+pivot, on `insert` and `contains`; a row touching no pivot column in the
+forward reduction; an all-int dict in the integer scaling; and a unit
+one-entry vector in `sp_apply`, which returns a fresh copy of its column.
 """
 
 from __future__ import annotations
@@ -82,6 +94,8 @@ def _entries(row):
 def _sparse_int(row) -> dict[int, int]:
     """Scale a row (dense sequence or sparse dict) to an integer dict, a fresh
     one; its content is taken by the caller, once it is reduced."""
+    if isinstance(row, dict) and all(type(x) is int for x in row.values()):
+        return {j: x for j, x in row.items() if x}
     ints = {}
     denom = 1
     for j, x in _entries(row):
@@ -137,6 +151,8 @@ class SparseEchelon:
         queue."""
         rows = self._rows
         queue = [c for c in row if c in rows]
+        if not queue:
+            return row
         heapify(queue)
         while queue:
             c = heappop(queue)
@@ -161,6 +177,14 @@ class SparseEchelon:
 
     def insert(self, row) -> bool:
         """Add a row to the span; return True if the dimension grew."""
+        if isinstance(row, dict) and len(row) < 2:
+            if not any(row.values()):
+                return False
+            (c, _), = row.items()
+            if c not in self._rows:  # {c: x} is stored primitive
+                self._rows[c] = {c: 1}
+                self._reduced = False
+                return True
         row = self._forward_reduce(_sparse_int(row))
         if not row:
             return False
@@ -195,6 +219,12 @@ class SparseEchelon:
         return {j: frac(v) for j, v in cur.items() if v}
 
     def contains(self, row) -> bool:
+        if isinstance(row, dict) and len(row) < 2:
+            if not any(row.values()):
+                return True
+            (c, _), = row.items()
+            if c not in self._rows:
+                return False
         return not self._forward_reduce(_sparse_int(row))
 
     def basis_fraction_rows(self) -> list[Vec]:
@@ -247,6 +277,10 @@ def sp_identity(n: int):
 def sp_apply(cols, svec: SVec) -> SVec:
     """The combination of the columns with the coefficients svec: the matrix
     applied to the vector, with ints where the values are integral."""
+    if len(svec) == 1:
+        (q, c), = svec.items()
+        if c == 1:
+            return dict(cols[q])
     out: SVec = {}
     for q, c in svec.items():
         if not c:
@@ -264,7 +298,7 @@ def sp_apply(cols, svec: SVec) -> SVec:
 
 def sp_compose(a_cols, b_cols):
     """Matrix product a*b of column-sparse matrices."""
-    return tuple(sp_apply(a_cols, col) for col in b_cols)
+    return tuple([sp_apply(a_cols, col) for col in b_cols])
 
 
 def sp_diagonal(cols):
@@ -340,15 +374,6 @@ def rref(rows, ncols: int | None = None) -> list[Vec]:
     return ech.basis_fraction_rows()
 
 
-def rank(rows, ncols: int | None = None) -> int:
-    rows = list(rows)
-    if not rows:
-        return 0
-    ech = SparseEchelon(_ncols(rows) if ncols is None else ncols)
-    ech.extend(rows)
-    return ech.dim
-
-
 def nullspace(rows, ncols: int) -> list[Vec]:
     """Canonical basis of {x : row . x = 0 for every row}, ordered by free column."""
     ech = SparseEchelon(ncols)
@@ -369,13 +394,11 @@ def nullspace(rows, ncols: int) -> list[Vec]:
     return basis
 
 
-def quotient_classes(rows, ncols: int) -> tuple:
-    """(free, classes) of Q^ncols modulo the span of the rows: free lists the
-    columns that are not pivots of the span's reduced echelon, in increasing
-    order, and classes[k] is the class of column k over the free columns, a
-    tuple of (position in free, coefficient) pairs: ((its position, 1),) for
-    a free column, minus the rest of its reduced row over its pivot entry
-    for a pivot, () for a column in the span.
+def _union_find(rows, ncols: int) -> tuple:
+    """(roots, dead, ech) of a relation system: roots[k] is (the root of
+    column k, the weight of k over it), dead[r] says whether the root r is
+    killed, and ech is the echelon of the rows of three or more terms,
+    rewritten over the live roots.
 
     Rows of one or two nonzero terms are solved by a weighted union-find
     (Tarjan, J. ACM 22, 1975) with path compression, without elimination.
@@ -385,14 +408,14 @@ def quotient_classes(rows, ncols: int) -> tuple:
     weights disagree, or either in a killed one.  Only the other rows are
     eliminated, rewritten over the live roots, in one SparseEchelon.
 
-    That gives the free columns and classes of the echelon over every row.
-    A column is a pivot iff a vector of the span starts there.  A killed
-    column is in the span, and a live non-root p starts p - weight.root,
-    as its root is larger.  The span's image over the roots is the span of
-    the rewritten rows, and a vector starting at a root starts at it there
-    too, as every other term maps to a root at least as large: so a root
-    starts a vector of the span iff it is a pivot of the rewritten rows.
-    A column's class is its weight times its root's class."""
+    A column is a pivot of the reduced echelon over every row iff a vector
+    of the span starts there.  A killed column is in the span, and a live
+    non-root p starts p - weight.root, as its root is larger.  The span's
+    image over the roots is the span of the rewritten rows, and a vector
+    starting at a root starts at it there too, as every other term maps to
+    a root at least as large: so a root starts a vector of the span iff it
+    is a pivot of the rewritten rows, and the free columns are the live
+    roots that are not."""
     parent = list(range(ncols))
     weight = [1] * ncols
     dead = [False] * ncols  # read at roots
@@ -451,7 +474,35 @@ def quotient_classes(rows, ncols: int) -> tuple:
                     del rewritten[r]
         if rewritten:
             ech.insert(rewritten)
+    return roots, dead, ech
 
+
+def rank(rows, ncols: int | None = None) -> int:
+    """The rank of the rows: ncols minus the free columns of `_union_find`,
+    that is ncols - (live roots) + (rank of the rewritten longer rows)."""
+    rows = list(rows)
+    if not rows:
+        return 0
+    if ncols is None:
+        ncols = _ncols(rows)
+    roots, dead, ech = _union_find(rows, ncols)
+    live = sum(1 for k, (r, _) in enumerate(roots) if r == k and not dead[k])
+    return ncols - live + ech.dim
+
+
+def quotient_classes(rows, ncols: int) -> tuple:
+    """(free, classes) of Q^ncols modulo the span of the rows: free lists the
+    columns that are not pivots of the span's reduced echelon, in increasing
+    order, and classes[k] is the class of column k over the free columns, a
+    tuple of (position in free, coefficient) pairs: ((its position, 1),) for
+    a free column, minus the rest of its reduced row over its pivot entry
+    for a pivot, () for a column in the span.
+
+    They are read off `_union_find`: the free columns are its live roots
+    that are not pivots of its echelon, the class of a root is read off that
+    echelon's reduced row, and a column's class is its weight times its
+    root's class."""
+    roots, dead, ech = _union_find(rows, ncols)
     pivots = ech.rows
     free = [k for k, (r, _) in enumerate(roots) if r == k and not dead[k] and k not in pivots]
     position = {k: pos for pos, k in enumerate(free)}

@@ -94,6 +94,24 @@ def test_associativity_witness():
         alg.validate(non_associative())
 
 
+def test_a_failed_unit_law_keeps_the_witnesses_with_a_unit_factor():
+    # k[x]/(x^3) with 1.x = x2: (1.x).x = 0 but 1.(x.x) = x2
+    names = ["1", "x", "x2"]
+    table = {
+        ("1", "1"): {"1": 1},
+        ("1", "x"): {"x2": 1},
+        ("x", "1"): {"x": 1},
+        ("1", "x2"): {"x2": 1},
+        ("x2", "1"): {"x2": 1},
+        ("x", "x"): {"x2": 1},
+    }
+    bad = make_algebra(names, table, [1, 0, 0], [[1, 0, 0]], "bad-unit")
+    with pytest.raises(alg.AlgebraValidationError) as err:
+        alg.validate(bad)
+    assert "unit law fails on x" in err.value.problems
+    assert "associativity fails at (1, x, x)" in err.value.problems
+
+
 def test_radical_values():
     assert alg.radical(fixture("rationals")).dim == 0
     x3 = fixture("x3local")
@@ -468,6 +486,18 @@ def test_a_validation_that_raised_raises_again_and_is_redone(monkeypatch):
         work.append(len(composes))
     # each of the four validations composes as many matrices as the first
     assert work[0] > 0 and work == [work[0] * k for k in (1, 2, 3, 4)]
+
+
+def test_validate_composes_no_pair_with_the_unit(monkeypatch):
+    # k[x]/(x^4): of the 16 pairs (b_i, b_j), the 7 with a factor 1
+    # associate by the unit law, which is checked first
+    A = _parsed("x4local")
+    composes = _counting(monkeypatch, "sp_compose")
+    alg.validate(A)
+    index = {id(m): i for i, m in enumerate(A.mult)}
+    pairs = [(index[id(a)], index[id(b)]) for a, b in composes if id(a) in index and id(b) in index]
+    assert len(pairs) == 9
+    assert sorted(pairs) == [(i, j) for i in range(1, 4) for j in range(1, 4)]
 
 
 def _radical_builds(monkeypatch):

@@ -1860,6 +1860,53 @@ def test_intertwiner_dim_is_the_length_of_the_basis(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", PROPERTY_FIXTURES)
+def test_the_suites_hom_ranks_are_the_lengths_of_their_bases(monkeypatch, name):
+    """Every system the dimension and Duflo suites and the commutant rank
+    through linalg.rank has as many solutions as `intertwiners` finds."""
+    build = ccx_build(name)
+    systems = []
+    original = bimod.intertwiner_dim
+
+    def recording(pairs, dm, dn):
+        systems.append((pairs, dm, dn))
+        return original(pairs, dm, dn)
+
+    monkeypatch.setattr(bimod, "intertwiner_dim", recording)
+    bimod.verify_dimension_identities(build)
+    bimod.verify_duflo_hom_dimension(build)
+    bimod.commutant_dimension(build.cellrep)
+    assert len(systems) > 2
+    for pairs, dm, dn in systems:
+        assert original(pairs, dm, dn) == len(bimod.intertwiners(pairs, dm, dn))
+
+
+def test_no_truncated_poly_or_zigzag_projective_hom_reaches_the_echelon(monkeypatch):
+    """On the projective bimodules of k[x]/(x^4) and zigzag A2 every
+    equation of the hom system has one or two terms, so the union-find of
+    linalg.rank solves them all and no row reaches a SparseEchelon."""
+    inserted = []
+
+    class Recording(linalg.SparseEchelon):
+        def insert(self, row):
+            inserted.append(dict(row))
+            return super().insert(row)
+
+    ranked = _recording(monkeypatch, "rank")
+    for A in (fixture("x4local"), fixture("zigzagA2")):
+        k = len(A.idempotents)
+        projectives = [bimod.proj_bimodule(A, s, A, t) for s in range(k) for t in range(k)]
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "SparseEchelon", Recording)
+            for M in projectives:
+                for N in projectives:
+                    bimod.hom_dim(M, N)
+    assert inserted == []
+    assert len(ranked) == 1 + 2 ** 4
+    lengths = {len(row) for rows, _ in ranked for row in rows}
+    assert lengths == {1, 2}
+
+
 # -- bimodules held by their generators' actions ----------------------------
 
 

@@ -249,6 +249,50 @@ def test_forward_reduction_follows_fill_in_to_later_pivots():
     assert ech.rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
 
 
+def _dense(row, ncols):
+    return tuple(row.get(j, 0) for j in range(ncols))
+
+
+def _echelons(rows, ncols):
+    """Two echelons over the same rows, one given them sparse and one dense."""
+    sparse_ech, dense_ech = SparseEchelon(ncols), SparseEchelon(ncols)
+    for row in rows:
+        assert sparse_ech.insert(row) == dense_ech.insert(_dense(row, ncols))
+    return sparse_ech, dense_ech
+
+
+def test_one_term_rows_answer_as_their_dense_form():
+    # a one-term insert at a pivot column is eliminated, and fills in column 2
+    sparse_ech, dense_ech = _echelons([{0: 1, 2: 3}], 3)
+    assert sparse_ech.insert({0: 5}) == dense_ech.insert((5, 0, 0)) is True
+    assert sparse_ech._rows == dense_ech._rows == {0: {0: 1, 2: 3}, 2: {2: 1}}
+    assert sparse_ech.rows == dense_ech.rows == {0: {0: 1}, 2: {2: 1}}
+    # at a free column it is stored primitive, with an int entry
+    sparse_ech, dense_ech = _echelons([{0: 1, 2: 3}], 3)
+    for row in ({1: Fraction(-2, 3)}, {2: 0}, {}, {1: 4}):
+        assert sparse_ech.insert(row) == dense_ech.insert(_dense(row, 3))
+        assert sparse_ech._rows == dense_ech._rows
+    assert sparse_ech._rows[1] == {1: 1} and type(sparse_ech._rows[1][1]) is int
+    assert sparse_ech.rows == dense_ech.rows == {0: {0: 1, 2: 3}, 1: {1: 1}}
+    # contains: at a free column, at a pivot column, and of zero rows
+    sparse_ech, dense_ech = _echelons([{0: 1, 2: 3}, {1: 2}], 3)
+    for row, want in (({2: 1}, False), ({0: 1}, False), ({1: -7}, True), ({1: 0}, True),
+                      ({}, True), ({0: 2, 2: 6}, True)):
+        assert sparse_ech.contains(row) == dense_ech.contains(_dense(row, 3)) == want
+    assert not SparseEchelon(2).insert({}) and not SparseEchelon(2).insert({1: 0})
+
+
+def test_sp_apply_of_a_unit_vector_is_a_fresh_copy_of_its_column():
+    cols = ({0: 1, 2: Fraction(1, 2)}, {1: -3}, {})
+    for q in range(3):
+        out = linalg.sp_apply(cols, {q: 1})
+        general = linalg.sp_apply(cols, {q: 1, (q + 1) % 3: 0})
+        assert out == general == cols[q] and out is not cols[q]
+        assert [type(x) for x in out.values()] == [type(x) for x in general.values()]
+        out[5] = 1
+    assert cols == ({0: 1, 2: Fraction(1, 2)}, {1: -3}, {})
+
+
 def test_rows_read_out_do_not_change_when_the_span_grows():
     ech = SparseEchelon(3)
     ech.insert({0: 1, 1: 1, 2: 1})
@@ -515,6 +559,9 @@ def test_quotient_classes_match_the_echelon_over_every_row(system):
     rows, ncols = system
     free, classes = linalg.quotient_classes(rows, ncols)
     assert (free, [dict(c) for c in classes]) == _classes_by_elimination(rows, ncols)
+    ech = SparseEchelon(ncols)
+    ech.extend(rows)
+    assert linalg.rank(rows, ncols) == ech.dim
     for cls in classes:
         assert len(dict(cls)) == len(cls)
         assert all(type(x) is int or x.denominator > 1 for _, x in cls)
