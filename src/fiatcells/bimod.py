@@ -22,20 +22,20 @@ reads the pairs of diagonal matrices (the idempotents on such a split
 basis) instead of eliminating them: each kills the unknowns X[p, q] between
 different blocks, and only the other pairs are eliminated, over the
 unknowns left.  Where only the dimension is asked (`hom_dim`, the
-commutant), `intertwiner_dim` ranks that system with `linalg.rank`, whose
-union-find, shared with the tensor's classes, solves its one- and two-term
-equations without elimination.
+commutant), `intertwiner_dim` ranks that system with `linalg.rank`, and
+where a basis is asked, `linalg.nullspace` reads it off the system's
+classes: either way the union-find shared with the tensor's classes
+solves the one- and two-term equations without elimination.
 
 Everything is computation over values that are immutable once built: the
-only state is what an algebra keeps of itself and the basis actions a
-bimodule derives of itself.  Isomorphisms are decided exactly, with a
+only state is what an algebra keeps of itself, and a bimodule keeps only
+what it is given.  Isomorphisms are decided exactly, with a
 projective or regular side, off the top N / rad N of the other (Nakayama's
 lemma).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from . import algebra as alg
@@ -68,19 +68,22 @@ class Bimodule:
     alg.algebra_generators(A) acting on the left, and right_gens[k] likewise
     for B on the right: a representation of the bound quiver of each
     algebra, which fixes the bimodule; any other number of actions than one
-    per generator is a BimoduleError at construction, checked or not.
-    left_action[i] and right_action[j], the actions of the basis elements,
-    are derived from them along alg.basis_words (`_along_words`) on the
-    first read and kept on the instance; the right action is an
-    anti-homomorphism.  degrees, when
-    present, grade the underlying space; a shifted copy has all degrees
+    per generator is a BimoduleError at construction, checked or not.  The
+    actions of the basis elements are derived from them along
+    alg.basis_words (`_along_words`) where they are read, and not kept; the
+    right action is an anti-homomorphism.  degrees, when present, grade the
+    underlying space, one degree per basis vector (any other number is a
+    BimoduleError at construction); a shifted copy has all degrees
     lowered.  generator_degrees, for a graded bimodule, holds for each
     generator of the left algebra and then of the right one the one shift
     degrees[p] - degrees[q] of the nonzero entries (p, q) of its action, or
     None where it acts as zero; an action that shifts by two different
-    values is a BimoduleError at construction.  The basis vectors are
-    numbered, not labelled: name, for messages and repr, is the only text a
-    bimodule keeps.
+    values is a BimoduleError at construction.  generator is (s, t) when
+    this is the projective bimodule (A e_s)(x)(e_t B) of proj_bimodule, and
+    regular is True when this is regular_bimodule's A in the basis of A.
+    The basis vectors are numbered, not labelled: name, for messages and
+    repr, is the only text a bimodule keeps.  Nothing is set on a bimodule
+    after its construction.
     """
 
     def __init__(
@@ -93,6 +96,8 @@ class Bimodule:
         degrees=None,
         name: str = "",
         check: bool = True,
+        generator=None,
+        regular: bool = False,
     ):
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
@@ -103,12 +108,11 @@ class Bimodule:
         if (len(self.left_gens), len(self.right_gens)) != counts:
             raise BimoduleError(f"{name}: not one action per generator")
         self.degrees = tuple(degrees) if degrees is not None else None
+        if self.degrees is not None and len(self.degrees) != dim:
+            raise BimoduleError(f"{name}: not one degree per basis vector")
         self.name = name
-        # (s, t) when this is the projective bimodule (A e_s)(x)(e_t B) of
-        # proj_bimodule; regular when this is regular_bimodule's A in the
-        # basis of A
-        self.generator = None
-        self.regular = False
+        self.generator = generator
+        self.regular = regular
         if check:
             self.validate()
         self.generator_degrees = None if degrees is None else _generator_degrees(self)
@@ -116,38 +120,22 @@ class Bimodule:
     def __repr__(self):
         return f"Bimodule({self.name or 'unnamed'}, dim={self.dim})"
 
-    @functools.cached_property
-    def left_action(self) -> tuple:
-        return _along_words(self.left_algebra, self.left_gens, anti=False)
-
-    @functools.cached_property
-    def right_action(self) -> tuple:
-        return _along_words(self.right_algebra, self.right_gens, anti=True)
-
-    def left_of(self, vec):
-        return linalg.sp_lincomb(vec, self.left_action)
-
-    def right_of(self, vec):
-        return linalg.sp_lincomb(vec, self.right_action)
-
     def shifted(self, c: int) -> "Bimodule":
         """Grading shift: an element of degree d gets degree d - c."""
         if self.degrees is None:
             raise BimoduleError("cannot shift an ungraded bimodule")
-        out = Bimodule(
+        return Bimodule(
             self.left_algebra,
             self.right_algebra,
             self.dim,
             self.left_gens,
             self.right_gens,
+            degrees=[d - c for d in self.degrees],
             name=f"{self.name}<{c}>",
             check=False,
+            generator=self.generator,
+            regular=self.regular,
         )
-        # a shift moves no degree difference: the generator degrees are copied
-        out.degrees = tuple(d - c for d in self.degrees)
-        out.generator_degrees = self.generator_degrees
-        out.generator, out.regular = self.generator, self.regular
-        return out
 
     def validate(self) -> None:
         """Check that both actions are unital, that the left action is
@@ -161,7 +149,9 @@ class Bimodule:
         to be associative with the unit law, so both are put through
         `algebra.validate` (kept per algebra) first: a non-associative
         algebra whose basis elements are single words would otherwise pass,
-        as its derived actions are word products by construction.
+        as its derived actions are word products by construction.  The
+        action of every basis element is derived once per side, here
+        (`_along_words`), and dropped on return.
 
         A generator equal to the unit (the one idempotent of a local
         algebra) is left out of both loops: its action is checked to be the
@@ -176,9 +166,11 @@ class Bimodule:
         alg.validate(B)
         gens_a, gens_b = alg.algebra_generators(A), alg.algebra_generators(B)
         ident = linalg.sp_identity(self.dim)
-        if not linalg.sp_eq(self.left_of(A.unit), ident):
+        left_action = _along_words(A, self.left_gens, anti=False)
+        if not linalg.sp_eq(linalg.sp_lincomb(A.unit, left_action), ident):
             raise BimoduleError(f"{self.name}: left action is not unital")
-        if not linalg.sp_eq(self.right_of(B.unit), ident):
+        right_action = _along_words(B, self.right_gens, anti=True)
+        if not linalg.sp_eq(linalg.sp_lincomb(B.unit, right_action), ident):
             raise BimoduleError(f"{self.name}: right action is not unital")
         lefts = [(g, lg) for g, lg in zip(gens_a, self.left_gens) if g != A.unit]
         rights = [(h, rh) for h, rh in zip(gens_b, self.right_gens) if h != B.unit]
@@ -189,8 +181,8 @@ class Bimodule:
             for j, gb in enumerate(A.left_mult_matrix(g)):
                 if j == one_a:
                     continue
-                prod = self.left_of(gb)
-                if not linalg.sp_eq(linalg.sp_compose(lg, self.left_action[j]), prod):
+                prod = linalg.sp_lincomb(gb, left_action)
+                if not linalg.sp_eq(linalg.sp_compose(lg, left_action[j]), prod):
                     raise BimoduleError(
                         f"{self.name}: left action not multiplicative at "
                         f"({A.describe(g)}, {A.basis[j]})"
@@ -199,8 +191,8 @@ class Bimodule:
             for j, bh in enumerate(B.right_mult_matrix(h)):
                 if j == one_b:
                     continue
-                prod = self.right_of(bh)
-                if not linalg.sp_eq(linalg.sp_compose(rh, self.right_action[j]), prod):
+                prod = linalg.sp_lincomb(bh, right_action)
+                if not linalg.sp_eq(linalg.sp_compose(rh, right_action[j]), prod):
                     raise BimoduleError(
                         f"{self.name}: right action not anti-multiplicative at "
                         f"({B.describe(h)}, {B.basis[j]})"
@@ -218,15 +210,17 @@ class Bimodule:
 
 
 def _generator_degrees(M: Bimodule) -> tuple:
-    """M.generator_degrees, computed from the actions of the generators."""
+    """M.generator_degrees, computed from the actions of the generators; the
+    generators themselves are looked up only to name one in an error."""
     out = []
     for side, algebra_, gens in (
         ("left", M.left_algebra, M.left_gens),
         ("right", M.right_algebra, M.right_gens),
     ):
-        for g, act in zip(alg.algebra_generators(algebra_), gens):
+        for k, act in enumerate(gens):
             shifts = {M.degrees[p] - M.degrees[q] for q, col in enumerate(act) for p in col}
             if len(shifts) > 1:
+                g = alg.algebra_generators(algebra_)[k]
                 raise BimoduleError(
                     f"{M.name}: {side} action of {algebra_.describe(g)} is not homogeneous: "
                     f"it shifts degrees by {sorted(shifts)}"
@@ -281,7 +275,7 @@ def regular_bimodule(A: alg.FinDimAlgebra, degrees=None, name=None) -> Bimodule:
         return A.dim, left, tuple(map(A.right_mult_matrix, gens))
 
     dim, left_gens, right_gens = _kept(A, None, A, name, build)
-    out = Bimodule(
+    return Bimodule(
         A,
         A,
         dim,
@@ -290,9 +284,8 @@ def regular_bimodule(A: alg.FinDimAlgebra, degrees=None, name=None) -> Bimodule:
         degrees=degrees,
         name=name,
         check=False,
+        regular=True,
     )
-    out.regular = True
-    return out
 
 
 def _action_on_subspace_factor(algebra_: alg.FinDimAlgebra, sub: Subspace, left: bool):
@@ -352,7 +345,7 @@ def proj_bimodule(
         du = [_homogeneous_degree(u, deg_a) for u in ubasis]
         dv = [_homogeneous_degree(v, deg_b) for v in vbasis]
         degrees = [x + y for x in du for y in dv]
-    out = Bimodule(
+    return Bimodule(
         A,
         B,
         dim,
@@ -361,9 +354,8 @@ def proj_bimodule(
         degrees=degrees,
         name=name,
         check=False,
+        generator=(s, t),
     )
-    out.generator = (s, t)
-    return out
 
 
 def _proj_actions(A: alg.FinDimAlgebra, s: int, B: alg.FinDimAlgebra, t: int) -> tuple:
@@ -699,24 +691,21 @@ def read_off(M: Bimodule) -> bool:
 def iso_test(M: Bimodule, N: Bimodule) -> bool:
     """Exact isomorphism test of M and N: iso_to_direct_power with k = 1,
     based on the projective or regular side."""
-    if read_off(N):
-        M, N = N, M
-    return iso_to_direct_power(N, M, 1)
+    T, B = (M, N) if read_off(N) else (N, M)
+    return iso_to_direct_power(T, B, 1)
 
 
 def iso_to_direct_power(T: Bimodule, B: Bimodule, k: int) -> bool:
     """Exact test of T isomorphic to B^{(+)k}, for B projective or regular:
     the verdict is read off the top of T (top_iso)."""
-    if T.dim != k * B.dim:
-        return False
-    if T.dim == 0:
-        return True
     return top_iso(T, B, k)
 
 
 def top_iso(N: Bimodule, B: Bimodule, k: int, degree=None) -> bool:
-    """Is N = B^{(+)k}, for dim N = k dim B and B projective or regular?
-    Read off top N = N / rad N: by Nakayama's lemma a map into N is onto
+    """Is N = B^{(+)k}, for B projective or regular?  No when dim N is not
+    k dim B and yes when it is 0, before anything else is looked at, for
+    every entry (iso_test, iso_to_direct_power, graded_iso_test).
+    Otherwise read off top N = N / rad N: by Nakayama's lemma a map into N is onto
     when it is onto the top.  With a degree, that of B's generator, only
     maps homogeneous of degree 0 count.  B = (A e_s)(x)(e_t B'): N = B^k when
     the top has dimension k and e_s N e_t (in the degree) maps onto it, as
@@ -730,6 +719,10 @@ def top_iso(N: Bimodule, B: Bimodule, k: int, degree=None) -> bool:
     centraliser vectors meets at most m - 1 times: t = 0..|E|(m - 1) finds
     an n.  A B neither projective nor regular is a ValueError: no top
     decides that pair, and no caller asks for one."""
+    if N.dim != k * B.dim:
+        return False
+    if N.dim == 0:
+        return True
     if N.left_algebra is not B.left_algebra or N.right_algebra is not B.right_algebra:
         raise BimoduleError("iso test needs a common algebra pair")
     if not read_off(B):
@@ -1075,11 +1068,6 @@ def _build_cellrep(data: CcxData, info, corner_dims, morphisms) -> CellRepData:
             if inf[0] == "F" and inf[2] == 0 and inf[4] == 0
         )
     )
-    cartan = {
-        i: [[corner_dims[i][w][s] for s in range(len(data.algebras[i].idempotents))]
-            for w in range(len(data.algebras[i].idempotents))]
-        for i in range(n)
-    }
     actions = {}
     for m in morphisms:
         mat = [[0] * total for _ in range(total)]
@@ -1092,7 +1080,7 @@ def _build_cellrep(data: CcxData, info, corner_dims, morphisms) -> CellRepData:
             _, i, j, s, t = info[m.name]
             col = simple_index[(j, t)]
             for w in range(len(data.algebras[i].idempotents)):
-                mat[simple_index[(i, w)]][col] = cartan[i][w][s]
+                mat[simple_index[(i, w)]][col] = corner_dims[i][w][s]
         actions[m.name] = tuple(tuple(row) for row in mat)
     return CellRepData(
         left_cell=left_cell,

@@ -197,21 +197,17 @@ def graded_hom_series(M: Bimodule, N: Bimodule) -> LaurentPoly:
 
 
 def graded_iso_test(M: Bimodule, N: Bimodule) -> bool:
-    """Graded isomorphism: a degree-0 invertible intertwiner exists.  One
-    side must be projective or regular; the verdict is read off the top of
-    the other by bimod.top_iso, in the degree of that side's generator: its
-    lowest, as gradings are non-negative with the idempotents in degree 0."""
+    """Graded isomorphism: a degree-0 invertible intertwiner exists.  Not
+    when the degrees differ as multisets.  One side must be projective or
+    regular; the verdict is read off the top of the other by bimod.top_iso,
+    in the degree of that side's generator: its lowest, as gradings are
+    non-negative with the idempotents in degree 0."""
     if M.degrees is None or N.degrees is None:
         raise GradedError("graded iso test needs graded bimodules")
-    if M.dim != N.dim:
-        return False
     if sorted(M.degrees) != sorted(N.degrees):
         return False
-    if M.dim == 0:
-        return True
-    if bimod.read_off(N):
-        M, N = N, M
-    return bimod.top_iso(N, M, 1, degree=min(M.degrees))
+    base, other = (N, M) if bimod.read_off(N) else (M, N)
+    return bimod.top_iso(other, base, 1, degree=min(base.degrees, default=None))
 
 
 # -- star (adjoint) of a graded bimodule ------------------------------------

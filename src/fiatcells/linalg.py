@@ -32,11 +32,13 @@ echelon form, which is canonical, so subspace equality is syntactic.  A
 and reduction queries from it.
 
 Rows of one or two terms, the bulk of what the package solves, are cheap
-on both sides of the engine.  A relation system asked only for its
-classes (`quotient_classes`) or its rank (`rank`) goes through one
-weighted union-find (`_union_find`), which solves its one- and two-term
-rows without elimination and hands only the longer ones, rewritten over
-its roots, to a `SparseEchelon`.  Inside the engine, early returns answer
+on both sides of the engine.  Every relation system, asked for its
+classes (`quotient_classes`), its rank (`rank`) or its kernel
+(`nullspace`, read off the classes), goes through one weighted union-find
+(`_union_find`), which solves its one- and two-term rows without
+elimination and hands only the longer ones, rewritten over its roots, to a
+`SparseEchelon`; otherwise the engine grows spans (`Subspace`, `rref`,
+`solve`, `inverse`).  Inside the engine, early returns answer
 single-entry data exactly as the general path would, value types
 included: an empty row, and a one-term row at a column that is not a
 pivot, on `insert` and `contains`; a row touching no pivot column in the
@@ -374,26 +376,6 @@ def rref(rows, ncols: int | None = None) -> list[Vec]:
     return ech.basis_fraction_rows()
 
 
-def nullspace(rows, ncols: int) -> list[Vec]:
-    """Canonical basis of {x : row . x = 0 for every row}, ordered by free column."""
-    ech = SparseEchelon(ncols)
-    ech.extend(rows)
-    pivot_rows = {c: ech.rows[c] for c in ech.rows}
-    pivots = set(pivot_rows)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [0] * ncols
-        v[f] = 1
-        for c, row in pivot_rows.items():
-            val = row.get(f)
-            if val:
-                v[c] = quo(-val, row[c])
-        basis.append(tuple(v))
-    return basis
-
-
 def _union_find(rows, ncols: int) -> tuple:
     """(roots, dead, ech) of a relation system: roots[k] is (the root of
     column k, the weight of k over it), dead[r] says whether the root r is
@@ -519,6 +501,18 @@ def quotient_classes(rows, ncols: int) -> tuple:
         else:
             classes.append(tuple((pos, frac(w * x)) for pos, x in root_class[r]))
     return free, classes
+
+
+def nullspace(rows, ncols: int) -> list[Vec]:
+    """Canonical basis of {x : row . x = 0 for every row}, ordered by free
+    column, read off `quotient_classes`: the vector of a free column is, at
+    each column k, the coefficient of that free column in the class of k."""
+    free, classes = quotient_classes(rows, ncols)
+    basis = [[0] * ncols for _ in free]
+    for k, cls in enumerate(classes):
+        for pos, x in cls:
+            basis[pos][k] = x
+    return [tuple(v) for v in basis]
 
 
 def solve(rows, rhs) -> Vec | None:

@@ -25,6 +25,18 @@ def product(A, u, v):
     return linalg.sp_apply(A.left_mult_matrix(u), v)
 
 
+def acting(M, vec=None, right=False):
+    """The actions on M of the basis elements of its left algebra (its right
+    one), derived along their words by bimod._along_words, as
+    Bimodule.validate derives them; given vec, an element of that algebra,
+    its action."""
+    if right:
+        actions = bimod._along_words(M.right_algebra, M.right_gens, anti=True)
+    else:
+        actions = bimod._along_words(M.left_algebra, M.left_gens, anti=False)
+    return actions if vec is None else linalg.sp_lincomb(vec, actions)
+
+
 def truncated_poly(n):
     """k[x]/(x^n) on the basis 1, x, ..., x^(n-1)."""
     mult = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
@@ -293,8 +305,8 @@ def _yoneda_map(A, s, t, N, g):
     """The bimodule map u(x)v -> u.g.v out of proj_bimodule(A, s, A, t), for
     g in e_s N e_t, column-sparse in the pair basis of the canonical bases
     of A e_s and e_t A."""
-    lefts = [N.left_of(u) for u in alg.left_ideal(A, s)]
-    gv = [linalg.sp_apply(N.right_of(v), g) for v in alg.right_ideal(A, t)]
+    lefts = [acting(N, u) for u in alg.left_ideal(A, s)]
+    gv = [linalg.sp_apply(acting(N, v, right=True), g) for v in alg.right_ideal(A, t)]
     return tuple(linalg.sp_apply(lu, x) for lu in lefts for x in gv)
 
 
@@ -312,10 +324,11 @@ def test_yoneda_maps_intertwine_and_span_the_hom_space():
             for Y in maps:
                 for g in gens:
                     assert linalg.sp_eq(
-                        linalg.sp_compose(N.left_of(g), Y), linalg.sp_compose(Y, P.left_of(g))
+                        linalg.sp_compose(acting(N, g), Y), linalg.sp_compose(Y, acting(P, g))
                     )
                     assert linalg.sp_eq(
-                        linalg.sp_compose(N.right_of(g), Y), linalg.sp_compose(Y, P.right_of(g))
+                        linalg.sp_compose(acting(N, g, right=True), Y),
+                        linalg.sp_compose(Y, acting(P, g, right=True)),
                     )
             flat = [linalg.sp_flatten(Y, N.dim) for Y in maps]
             assert linalg.rank(flat, N.dim * P.dim) == len(maps) == bimod.hom_dim(P, N)
@@ -512,9 +525,9 @@ def _twisted_dual_numbers():
     D = fixture("dualnumbers")
     reg = bimod.regular_bimodule(D)
     x = D.basis.index("x")
-    flipped = list(reg.right_action)
+    flipped = list(acting(reg, right=True))
     flipped[x] = tuple({r: -v for r, v in col.items()} for col in flipped[x])
-    return D, bimod.Bimodule(D, D, D.dim, reg.left_action, flipped, name="twisted")
+    return D, bimod.Bimodule(D, D, D.dim, acting(reg), flipped, name="twisted")
 
 
 def test_a_regular_top_that_no_central_element_generates_is_refused():
@@ -562,7 +575,7 @@ def test_the_moment_curve_finds_a_generator_past_its_first_point():
     K, _ = _split_pair()
     K_reg = bimod.regular_bimodule(K)
     T = bimod.tensor_over(K_reg, K_reg)
-    lefts = [T.left_of(e) for e in K.idempotents]
+    lefts = [acting(T, e) for e in K.idempotents]
     centre = bimod.centralizer(T)
     assert len(centre) == 2
     assert all(any(not linalg.sp_apply(e, n) for e in lefts) for n in centre)
@@ -571,8 +584,8 @@ def test_the_moment_curve_finds_a_generator_past_its_first_point():
 
 def _full_radical_actions(M):
     """The actions on M of full bases of the radicals of both algebras."""
-    return [M.left_of(r) for r in alg.radical(M.left_algebra)] + [
-        M.right_of(r) for r in alg.radical(M.right_algebra)
+    return [acting(M, r) for r in alg.radical(M.left_algebra)] + [
+        acting(M, r, right=True) for r in alg.radical(M.right_algebra)
     ]
 
 
@@ -1060,7 +1073,7 @@ def _in_fixture_labels(record):
 def _non_integral_entries(B):
     return [
         v
-        for actions in (B.left_action, B.right_action)
+        for actions in (acting(B), acting(B, right=True))
         for mat in actions
         for col in mat
         for v in col.values()
@@ -1124,8 +1137,9 @@ def test_built_actions_and_structure_constants_are_never_written(monkeypatch):
         assert getattr(obj, attr) == copy, (obj, attr)
     for M in (obj for obj, attr, _ in built if attr == "left_gens"):
         d, e = M.left_algebra.dim, M.right_algebra.dim
-        assert all(M.left_of({i: 1}) is M.left_action[i] for i in range(d))
-        assert all(M.right_of({j: 1}) is M.right_action[j] for j in range(e))
+        left, right = acting(M), acting(M, right=True)
+        assert all(linalg.sp_lincomb({i: 1}, left) is left[i] for i in range(d))
+        assert all(linalg.sp_lincomb({j: 1}, right) is right[j] for j in range(e))
     for A in (obj for obj, attr, _ in built if attr == "mult"):
         assert all(A.left_mult_matrix({i: 1}) is A.mult[i] for i in range(A.dim))
 
@@ -1218,7 +1232,7 @@ def test_a_kept_bimodule_shares_its_actions_but_not_its_name_labels_or_degrees()
     # a second parse of the same text is another algebra: nothing is shared
     B = parse_algebra(text, "zigzagA2_graded.alg").algebra
     for M, N in ((P, bimod.proj_bimodule(B, 0, B, 1)), (R, bimod.regular_bimodule(B))):
-        assert N.left_action == M.left_action and N.right_action == M.right_action
+        assert acting(N) == acting(M) and acting(N, right=True) == acting(M, right=True)
         cols = {id(col) for mat in M.left_gens + M.right_gens for col in mat}
         assert not cols & {id(col) for mat in N.left_gens + N.right_gens for col in mat}
 
@@ -1292,11 +1306,18 @@ def test_a_build_whose_validation_raised_is_not_kept(monkeypatch):
 def test_one_action_per_generator_is_required_unchecked_too():
     A = truncated_poly(3)
     R = bimod.regular_bimodule(A)
-    per_basis = R.left_action  # three matrices for two generators (1, x)
+    per_basis = acting(R)  # three matrices for two generators (1, x)
     with pytest.raises(bimod.BimoduleError, match="not one action per generator"):
         bimod.Bimodule(A, A, R.dim, per_basis, R.right_gens, check=False)
     with pytest.raises(bimod.BimoduleError, match="not one action per generator"):
         bimod.Bimodule(A, A, R.dim, R.left_gens, R.right_gens[:1], check=False)
+
+
+def test_one_degree_per_basis_vector_is_required():
+    D = fixture("dualnumbers")
+    for degrees in ((0,), (0, 2, 5)):
+        with pytest.raises(bimod.BimoduleError, match="not one degree per basis vector"):
+            bimod.regular_bimodule(D, degrees=degrees)
 
 
 # -- diagonal actions are read, not multiplied ------------------------------
@@ -1306,21 +1327,22 @@ def _validate_by_products(M):
     """Bimodule.validate with every product multiplied out."""
     A, B = M.left_algebra, M.right_algebra
     ident = linalg.sp_identity(M.dim)
-    if not linalg.sp_eq(M.left_of(A.unit), ident):
+    left, right = acting(M), acting(M, right=True)
+    if not linalg.sp_eq(linalg.sp_lincomb(A.unit, left), ident):
         raise bimod.BimoduleError(f"{M.name}: left action is not unital")
-    if not linalg.sp_eq(M.right_of(B.unit), ident):
+    if not linalg.sp_eq(linalg.sp_lincomb(B.unit, right), ident):
         raise bimod.BimoduleError(f"{M.name}: right action is not unital")
-    left_gens = [(g, M.left_of(g)) for g in alg.algebra_generators(A)]
-    right_gens = [(h, M.right_of(h)) for h in alg.algebra_generators(B)]
+    left_gens = [(g, linalg.sp_lincomb(g, left)) for g in alg.algebra_generators(A)]
+    right_gens = [(h, linalg.sp_lincomb(h, right)) for h in alg.algebra_generators(B)]
     for g, lg in left_gens:
         for j, gb in enumerate(A.left_mult_matrix(g)):
-            if not linalg.sp_eq(linalg.sp_compose(lg, M.left_action[j]), M.left_of(gb)):
+            if not linalg.sp_eq(linalg.sp_compose(lg, left[j]), linalg.sp_lincomb(gb, left)):
                 raise bimod.BimoduleError(
                     f"{M.name}: left action not multiplicative at ({A.describe(g)}, {A.basis[j]})"
                 )
     for h, rh in right_gens:
         for j, bh in enumerate(B.right_mult_matrix(h)):
-            if not linalg.sp_eq(linalg.sp_compose(rh, M.right_action[j]), M.right_of(bh)):
+            if not linalg.sp_eq(linalg.sp_compose(rh, right[j]), linalg.sp_lincomb(bh, right)):
                 raise bimod.BimoduleError(
                     f"{M.name}: right action not anti-multiplicative at "
                     f"({B.describe(h)}, {B.basis[j]})"
@@ -1434,7 +1456,7 @@ def test_diagonal_reads_agree_with_the_products(name):
 def test_a_flipped_idempotent_entry_is_refused_as_before():
     Z = fixture("zigzagA2")
     P = bimod.proj_bimodule(Z, 0, Z, 1, name="P")
-    e1, e2 = (P.left_of(e) for e in Z.idempotents)
+    e1, e2 = (acting(P, e) for e in Z.idempotents)
     q = next(p for p, col in enumerate(e1) if col)
     flip = _with_action(P, True, 0, _flipped(e1, q), "P")
     move = _with_action(flip, True, 1, _flipped(e2, q), "P")
@@ -1583,8 +1605,10 @@ def _zigzag_blocks():
     e1, e2 = Z.idempotents
     P = bimod.proj_bimodule(Z, 0, Z, 0)
     Q = bimod.proj_bimodule(Z, 0, Z, 1)
-    p = next(q for q in range(P.dim) if P.left_of(e1)[q] == P.right_of(e1)[q] == {q: 1})
-    r = next(q for q in range(P.dim) if P.left_of(e2)[q] == P.right_of(e2)[q] == {q: 1})
+    e1s, e2s = (acting(P, e) for e in (e1, e2))
+    e1t, e2t = (acting(P, e, right=True) for e in (e1, e2))
+    p = next(q for q in range(P.dim) if e1s[q] == e1t[q] == {q: 1})
+    r = next(q for q in range(P.dim) if e2s[q] == e2t[q] == {q: 1})
     return P, Q, p, r
 
 
@@ -1593,7 +1617,7 @@ def test_tensor_falls_back_to_every_pair_when_a_basis_vector_mixes_blocks(monkey
     e1 = P.left_algebra.idempotents[0]
     assert p < r
     mixed = _mix_blocks(P, p, r)
-    assert mixed.right_of(e1)[p] == {p: 1, r: -1}  # neither fixed nor killed
+    assert acting(mixed, e1, right=True)[p] == {p: 1, r: -1}  # neither fixed nor killed
     Z = P.left_algebra
     # P (x) Q = Q^(dim e1 A e1) and Q (x) P = P^(dim e2 A e1) by the closed form
     cases = (
@@ -1608,7 +1632,7 @@ def test_tensor_falls_back_to_every_pair_when_a_basis_vector_mixes_blocks(monkey
         # the derived actions of the fallback's quotient are those of the
         # cokernel over every pair, every basis element's column projected
         dim, left, right, _ = _cokernel_over_every_pair(M_mixed, N_mixed)
-        assert (T_mixed.dim, list(T_mixed.left_action), list(T_mixed.right_action)) == (
+        assert (T_mixed.dim, list(acting(T_mixed)), list(acting(T_mixed, right=True))) == (
             dim, left, right
         )
         assert bimod.iso_to_direct_power(T, base, k)
@@ -1622,7 +1646,7 @@ def _cokernel_over_every_pair(M, N):
     dn = N.dim
     ech = linalg.SparseEchelon(M.dim * dn)
     for g in alg.algebra_generators(M.right_algebra):
-        right_g, left_g = M.right_of(g), N.left_of(g)
+        right_g, left_g = acting(M, g, right=True), acting(N, g)
         for i in range(M.dim):
             for j in range(dn):
                 rel = {r * dn + j: v for r, v in right_g[i].items()}
@@ -1637,11 +1661,11 @@ def _cokernel_over_every_pair(M, N):
 
     left = [
         tuple(project({r * dn + k % dn: v for r, v in mat[k // dn].items()}) for k in free)
-        for mat in M.left_action
+        for mat in acting(M)
     ]
     right = [
         tuple(project({k // dn * dn + r: v for r, v in mat[k % dn].items()}) for k in free)
-        for mat in N.right_action
+        for mat in acting(N, right=True)
     ]
     degrees = None
     if M.degrees is not None and N.degrees is not None:
@@ -1676,10 +1700,11 @@ def test_tensor_classes_match_the_projection_through_the_relation_echelon():
     for M, N in _composable_bimodules():
         T = bimod.tensor_over(M, N)
         dim, left, right, degrees = _cokernel_over_every_pair(M, N)
-        assert (T.dim, list(T.left_action), list(T.right_action), T.degrees) == (
+        t_left, t_right = acting(T), acting(T, right=True)
+        assert (T.dim, list(t_left), list(t_right), T.degrees) == (
             dim, left, right, degrees
         ), (M.name, N.name)
-        for mat in T.left_action + T.right_action:
+        for mat in t_left + t_right:
             for col in mat:
                 for x in col.values():
                     assert type(x) is int or (type(x) is Fraction and x.denominator > 1)
@@ -1768,15 +1793,19 @@ def _zigzag_bimodules_and_twins():
     twins = []
     for M in plain:
         # r: the first basis vector outside the idempotent blocks of vector 0
-        actions = [M.left_of(e) for e in Z.idempotents] + [M.right_of(e) for e in Z.idempotents]
+        actions = [acting(M, e) for e in Z.idempotents]
+        actions += [acting(M, e, right=True) for e in Z.idempotents]
         r = next(q for q in range(M.dim) if any(e[q] != {q: 1} for e in actions if e[0]))
         twins.append(_mix_blocks(M, 0, r))
     return plain, twins
 
 
 def _hom_pairs(M, N):
-    pairs = [(M.left_of(g), N.left_of(g)) for g in alg.algebra_generators(M.left_algebra)]
-    return pairs + [(M.right_of(g), N.right_of(g)) for g in alg.algebra_generators(M.right_algebra)]
+    pairs = [(acting(M, g), acting(N, g)) for g in alg.algebra_generators(M.left_algebra)]
+    return pairs + [
+        (acting(M, g, right=True), acting(N, g, right=True))
+        for g in alg.algebra_generators(M.right_algebra)
+    ]
 
 
 def test_intertwiners_equal_the_basis_of_the_full_system():
@@ -1821,8 +1850,8 @@ def test_hom_space_eliminates_only_the_live_unknowns(monkeypatch):
     P = bimod.proj_bimodule(Z, 0, Z, 0)
 
     def blocks(i):
-        return tuple(P.left_of(e)[i] == {i: 1} for e in Z.idempotents) + tuple(
-            P.right_of(e)[i] == {i: 1} for e in Z.idempotents
+        return tuple(acting(P, e)[i] == {i: 1} for e in Z.idempotents) + tuple(
+            acting(P, e, right=True)[i] == {i: 1} for e in Z.idempotents
         )
 
     block_diagonal = sum(blocks(p) == blocks(q) for p in range(P.dim) for q in range(P.dim))
@@ -1955,19 +1984,19 @@ def test_derived_actions_match_the_per_basis_references(name):
     A = PROJECTIVE_CENTER_CASES[name]()
     n = len(A.idempotents)
     reg = bimod.regular_bimodule(A)
-    assert reg.left_action == A.mult
-    assert reg.right_action == tuple(A.right_mult_matrix({j: 1}) for j in range(A.dim))
+    assert acting(reg) == A.mult
+    assert acting(reg, right=True) == tuple(A.right_mult_matrix({j: 1}) for j in range(A.dim))
     projectives = [bimod.proj_bimodule(A, s, A, t) for s in range(n) for t in range(n)]
     for P in projectives:
         s, t = P.generator
-        assert (P.left_action, P.right_action) == _per_basis_projective(A, s, A, t), P.name
+        assert (acting(P), acting(P, right=True)) == _per_basis_projective(A, s, A, t), P.name
     # each tensor product's derived actions against the cokernel over every
     # pair, with every basis element's induced column projected
     for M in [reg] + projectives:
         for N in [reg] + projectives:
             T = bimod.tensor_over(M, N)
             dim, left, right, _ = _cokernel_over_every_pair(M, N)
-            assert (T.dim, list(T.left_action), list(T.right_action)) == (dim, left, right), (
+            assert (T.dim, list(acting(T)), list(acting(T, right=True))) == (dim, left, right), (
                 M.name, N.name
             )
 
@@ -1989,12 +2018,35 @@ def test_a_tensor_product_holds_generator_actions_and_derives_the_rest_once(monk
     assert type(T.left_gens) is tuple and len(T.left_gens) == n < Z.dim
     assert type(T.right_gens) is tuple and len(T.right_gens) == n
     assert derived == []  # built on generators, nothing derived
-    left = T.left_action
+    left = acting(T)
     assert derived == [False] and len(left) == Z.dim
-    assert T.left_action is left
-    assert derived == [False]  # the second read derives nothing
-    assert T.right_action is T.right_action
-    assert derived == [False, True]
+    T.validate()  # derives each side once, and keeps neither
+    assert derived == [False, False, True]
+
+
+def test_a_bimodule_keeps_only_what_it_is_given():
+    spec = parse_algebra(fixture_text(ALGEBRA_FILES["zigzagA2-graded"]), "zigzagA2_graded.alg")
+    A, degs = spec.algebra, spec.degrees
+    P = bimod.proj_bimodule(A, 0, A, 1)
+    R = bimod.regular_bimodule(A)
+    G = bimod.proj_bimodule(A, 0, A, 1, deg_a=degs, deg_b=degs)
+    for M in (P, R, G):
+        given = dict(vars(M))
+        M.validate()
+        assert bimod.hom_dim(M, M) == len(bimod.hom_space(M, M))
+        bimod.tensor_over(M, R)
+        bimod.tensor_over(R, M)
+        assert bimod.top_iso(M, M, 1)
+        assert vars(M).keys() == given.keys(), M.name
+        assert all(vars(M)[key] is value for key, value in given.items()), M.name
+    # a shift keeps the generator and the regular flag, and recomputes the
+    # generator degrees, which no shift moves
+    for M in (G, bimod.regular_bimodule(A, degrees=degs)):
+        S = M.shifted(3)
+        assert (S.generator, S.regular) == (M.generator, M.regular)
+        assert S.left_gens is M.left_gens and S.right_gens is M.right_gens
+        assert S.degrees == tuple(d - 3 for d in M.degrees)
+        assert S.generator_degrees == M.generator_degrees == bimod._generator_degrees(S)
 
 
 # the same zigzag algebras in the bundled or generated basis

@@ -579,3 +579,63 @@ def test_quotient_classes_of_cycles_and_late_kills():
     # a longer row is rewritten over the roots: 0 = 2 and 1 = 2 give 3.2 = 0
     free, classes = linalg.quotient_classes([{0: 1, 1: 1, 2: 1}, {0: 1, 2: -1}, {1: 1, 2: -1}], 3)
     assert free == [] and classes == [(), (), ()]
+
+
+# -- the kernel read off the classes ------------------------------------------
+
+
+def _nullspace_by_elimination(rows, ncols):
+    """The canonical kernel basis by elimination over every row, the
+    reference for `nullspace`: for each free column of the reduced echelon,
+    1 there and minus its entry over the pivot entry at each pivot."""
+    ech = SparseEchelon(ncols)
+    ech.extend(rows)
+    pivot_rows = {c: ech.rows[c] for c in ech.rows}
+    pivots = set(pivot_rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for c, row in pivot_rows.items():
+            val = row.get(f)
+            if val:
+                v[c] = linalg.quo(-val, row[c])
+        basis.append(tuple(v))
+    return basis
+
+
+@st.composite
+def _dense_systems(draw):
+    """(rows, ncols): dense rows of rationals, zeros frequent, so that rows
+    of every length occur, integral Fractions among the entries."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.just(0), rationals)
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6)), n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(_relation_systems(), _dense_systems()))
+def test_nullspace_is_the_elimination_basis_value_types_included(system):
+    rows, ncols = system
+    got = [_typed(v) for v in linalg.nullspace(rows, ncols)]
+    assert got == [_typed(v) for v in _nullspace_by_elimination(rows, ncols)]
+
+
+def test_a_kernel_of_one_and_two_term_rows_makes_no_echelon_insert(monkeypatch):
+    inserts = []
+    insert = SparseEchelon.insert
+
+    def counted(self, row):
+        inserts.append(row)
+        return insert(self, row)
+
+    monkeypatch.setattr(SparseEchelon, "insert", counted)
+    # x0 = x1 = -x2/2, x3 = 0, and x4/2 + 3 x5 = 0 against x5 = 6 x4 kills both
+    rows = [{0: 1, 1: -1}, {1: 2, 2: 1}, {3: 1}, {4: Fraction(1, 2), 5: 3}, {5: 1, 4: -6}]
+    basis = linalg.nullspace(rows, 7)
+    assert inserts == []
+    half = Fraction(-1, 2)
+    assert basis == [(half, half, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)]
+    assert basis == _nullspace_by_elimination(rows, 7)
