@@ -21,15 +21,21 @@ the identity), next to a certificate that they and the identity span it.
 A Hecke element has one form: {x: {exponent: int}} in T or canonical
 coordinates, with no zero entries.  Laurent arithmetic accumulates in place:
 `_mac` adds factor * data into such dicts, so no sum or product builds
-temporaries.  The KL recursion, the export and the per-pair reference
-(`kl_basis`, `multiply`, `bar_involution`, `kl_product_at_one`) all work on
-it, and the v = 1 step reads non-negativity and the value at 1 straight off
-it; LaurentPoly only formats coefficients in error messages.
+temporaries.  The KL recursion, the generator action and the per-pair
+reference (`kl_basis`, `multiply`, `bar_involution`, `kl_product_at_one`)
+all work on it.  The export's product table packs each coefficient into one
+int instead (Kronecker substitution: v = 2^bits, one balanced digit per
+exponent), with a width `_packed_action` proves from the generator action,
+so its Laurent products are big-int products, and the v = 1 step checks
+every coefficient non-negative with one mask and reads the value at 1 as a
+remainder modulo 2^bits - 1.  LaurentPoly only formats coefficients in
+error messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coxeter import CoxeterGroup, coxeter_group
 from .laurent import LaurentPoly
@@ -206,28 +212,19 @@ def kl_expand(group: CoxeterGroup, element: dict, basis=None) -> dict:
     return out
 
 
-def _at_one(group: CoxeterGroup, coords: dict) -> dict:
-    """Canonical coordinates, as raw dicts, specialized at v=1; every
-    Laurent coefficient of a canonical structure constant must be
-    non-negative."""
+def kl_product_at_one(group: CoxeterGroup, x: int, y: int, basis=None) -> dict:
+    """Multiset expansion of b_x b_y in the canonical basis, specialized at v=1,
+    from the T-basis product (the per-pair reference for the export's table)."""
+    basis = basis or kl_basis(group)
     out = {}
-    for z, row in coords.items():
+    for z, row in kl_expand(group, multiply(group, basis[x], basis[y]), basis).items():
         if any(k < 0 for k in row.values()):
             raise HeckeDataError(
                 f"negative canonical structure constant at {group.name(z)}: "
                 f"{LaurentPoly(row).format('v')}"
             )
-        val = sum(row.values())
-        if val:
-            out[z] = val
+        out[z] = sum(row.values())
     return out
-
-
-def kl_product_at_one(group: CoxeterGroup, x: int, y: int, basis=None) -> dict:
-    """Multiset expansion of b_x b_y in the canonical basis, specialized at v=1,
-    from the T-basis product (the per-pair reference for the export's table)."""
-    basis = basis or kl_basis(group)
-    return _at_one(group, kl_expand(group, multiply(group, basis[x], basis[y]), basis))
 
 
 def _descent_product(group: CoxeterGroup, b_w: dict, s: int, w: int) -> dict:
@@ -252,7 +249,7 @@ def _generator_product(group: CoxeterGroup, basis: list, s: int, w: int) -> dict
 def _generator_action(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list:
     """act[s][w] = b_s b_w in canonical coordinates, as raw dicts: the
     descent rule if sw < w, the recursion's product if s is the first letter
-    of sw, else the T-basis product.  `_product_column` solves act[s][w] for
+    of sw, else the T-basis product.  `_packed_column` solves act[s][w] for
     b_sw when sw > w, so there b_sw must have coefficient exactly 1."""
     basis, peeled = _kl_recursion(group, bound)
     act: list = [[None] * group.order for _ in group.gen_names]
@@ -274,41 +271,160 @@ def _generator_action(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> l
     return act
 
 
-def _product_column(group: CoxeterGroup, act, c: int) -> list:
-    """col[a] = b_a b_c in canonical coordinates, as raw dicts, for every
-    a, from the generator action.  Going up in length with a = s r (s the
-    first letter of a's word), b_a = b_s b_r minus the other terms of
-    act[s][r], all of them shorter than a, so b_a b_c = act[s] applied to
-    col[r] minus the same terms applied to col."""
-    col: list = [None] * group.order
-    col[group.identity] = {c: {0: 1}}
-    for a in group.by_length()[1:]:
+class _Packing(NamedTuple):
+    """Laurent polynomials in v as ints (Kronecker substitution): f is
+    f(2^bits), each coefficient one balanced base-2^bits digit, which holds
+    while every coefficient is below 2^(bits-1) in magnitude."""
+
+    bits: int
+    limit: int  # 2^(bits * digits)
+    high: int  # the top bit of each of the digits
+    mod: int  # 2^bits - 1, modulo which f(2^bits) is f(1)
+
+
+def _packing(bits: int, digits: int) -> _Packing:
+    """The packing of polynomials of up to `digits` coefficients, each
+    below 2^(bits-1) in magnitude."""
+    high = 0
+    for _ in range(digits):
+        high = high << bits | 1 << (bits - 1)
+    return _Packing(bits, 1 << bits * digits, high, (1 << bits) - 1)
+
+
+def _packed_action(group: CoxeterGroup, act) -> tuple:
+    """(packing, steps): the generator action packed for `_packed_column`,
+    one step (a, packed act[s], r, corrections) for each a != e in length
+    order, s the first letter of a and r = sa.
+
+    An entry of col[a] = b_a b_c is the int (v^l(a) h)(2^bits), h the
+    Laurent coefficient.  Each coefficient h of act[s][w] is packed once as
+    (v h)(2^bits), a polynomial since h has no term below v^-1 (checked),
+    so col[r][w] times it is the entry of v^l(a) times their product.  A
+    correction term m b_z of act[s][r], z != a, enters as -(v m)(2^bits)
+    shifted up l(a) - l(z) - 1 digits, which z shorter than a makes
+    non-negative (checked).
+
+    Width.  Let K be the largest l1 norm (over every z and exponent) of an
+    act[s][w], and M the largest l1 norm of the terms other than b_a of the
+    act[s][r] of a step.  Then col[a] has l1 norm at most (K+M)^l(a), by
+    induction on l(a): col[e] = b_c has norm 1; col[a] sums col[r][w]
+    act[s][w], of norm at most K (K+M)^(l(a)-1), and the corrections
+    m col[z], z shorter than a, of norm at most M (K+M)^(l(a)-1).  So with
+    L the longest length, every entry has l1 norm at most
+    (K+M)^L < 2^(L bit_length(K+M)) = 2^(bits-1), and so have each of its
+    coefficients and its value at 1 in magnitude.  With E >= 1 bounding the
+    degree of every packed act coefficient, a product step adds at most E
+    to the degree and a correction at most
+    l(a) - l(z) - 1 + E (l(z) + 1) <= E l(a), so every entry of col[a] has
+    degree at most E l(a), and E L + 1 digits hold it.
+    """
+    by_length = group.by_length()
+    steps = []
+    for a in by_length[1:]:
         s = group.words[a][0]
-        r = _left_product(group, s, a)
-        out: dict = {}
-        for w, coeff in col[r].items():
-            _mac(out, act[s][w], coeff)
-        for z, coeff in act[s][r].items():
+        steps.append((a, s, _left_product(group, s, a)))
+    rows = [row for acts in act for entry in acts for row in entry.values()]
+    k = max(sum(abs(c) for c in row.values()) for row in rows)
+    m = max(
+        sum(abs(c) for z, row in act[s][r].items() if z != a for c in row.values())
+        for a, s, r in steps
+    )
+    longest = group.length(by_length[-1])
+    bits = longest * (k + m).bit_length() + 1
+    packing = _packing(bits, longest * max(1, max(max(row) for row in rows) + 1) + 1)
+    packed: list = [[{} for _ in acts] for acts in act]
+    for s, acts in enumerate(act):
+        for w, entry in enumerate(acts):
+            for z, row in entry.items():
+                if min(row) < -1:
+                    raise HeckeDataError(
+                        f"coefficient of b_{group.name(z)} in b_{group.gen_names[s]} "
+                        f"b_{group.name(w)} has a term below v^-1: "
+                        f"{LaurentPoly(row).format('v')}"
+                    )
+                packed[s][w][z] = sum(c << bits * (e + 1) for e, c in row.items())
+    out = []
+    for a, s, r in steps:
+        corrections = []
+        for z, coeff in packed[s][r].items():
             if z != a:
-                _mac(out, col[z], _negated(coeff))
-        col[a] = _trimmed(out)
+                shift = group.length(a) - group.length(z) - 1
+                if shift < 0:
+                    raise HeckeDataError(
+                        f"b_{group.name(z)} in b_{group.gen_names[s]} b_{group.name(r)} "
+                        f"is not shorter than b_{group.name(a)}"
+                    )
+                corrections.append((z, -coeff << bits * shift))
+        out.append((a, packed[s], r, corrections))
+    return packing, out
+
+
+def _packed_column(group: CoxeterGroup, steps, c: int) -> list:
+    """col[a] = b_a b_c in canonical coordinates, packed as `_packed_action`
+    says, for every a, from the generator action.  Going up in length with
+    a = s r (s the first letter of a's word), b_a = b_s b_r minus the other
+    terms of act[s][r], all of them shorter than a, so b_a b_c = act[s]
+    applied to col[r] minus the same terms applied to col."""
+    col: list = [None] * group.order
+    col[group.identity] = {c: 1}
+    for a, act_s, r, corrections in steps:
+        out: dict = {}
+        for w, p in col[r].items():
+            for z, q in act_s[w].items():
+                out[z] = out.get(z, 0) + p * q
+        for z, q in corrections:
+            for y, p in col[z].items():
+                out[y] = out.get(y, 0) + p * q
+        col[a] = {z: p for z, p in out.items() if p}
     return col
+
+
+def _packed_at_one(packing: _Packing, names: list, entry: dict, shift: int) -> dict:
+    """{names[z]: h_z(1)} for a packed entry {z: (v^shift h_z)(2^bits)},
+    each h_z of l1 norm below 2^(bits-1) and with its digits below
+    packing.limit, as `_packed_action` proves; every coefficient must be
+    non-negative.
+
+    A balanced base-2^bits representation is unique, so the coefficients
+    are all non-negative exactly when the int's ordinary digits all are
+    below 2^(bits-1): 0 <= p < limit with no digit's top bit set.  Then
+    h_z(1), the sum of the digits, is p modulo 2^bits - 1, which it is
+    below.  Otherwise the balanced digits are decoded for the message."""
+    bits, limit, high, mod = packing
+    out = {}
+    for z, p in entry.items():
+        if p < 0 or p >= limit or p & high:
+            row, e = {}, -shift
+            while p:
+                d = p & mod
+                if d >> (bits - 1):
+                    d -= mod + 1
+                if d:
+                    row[e] = d
+                p = (p - d) >> bits
+                e += 1
+            raise HeckeDataError(
+                f"negative canonical structure constant at {names[z]}: "
+                f"{LaurentPoly(row).format('v')}"
+            )
+        out[names[z]] = p % mod
+    return out
 
 
 def _table_at_one(group: CoxeterGroup, bound: int) -> dict:
     """b_y b_x at v=1 for every pair, keyed by the names (x, y), built one
-    right factor b_x at a time from the generator action on raw dicts.  Only
-    the table outlives the call, so the multisemigroup validates it after
-    the basis, the action and the last column are freed."""
-    act = _generator_action(group, bound)
+    right factor b_x at a time from the packed generator action.  Only the
+    table outlives the call, so the multisemigroup validates it after the
+    basis, the action and the last column are freed."""
+    packing, steps = _packed_action(group, _generator_action(group, bound))
     names = [group.name(x) for x in range(group.order)]
     table = {}
     for x in range(group.order):
-        col = _product_column(group, act, x)
+        col = _packed_column(group, steps, x)
         for y in range(group.order):
-            table[(names[x], names[y])] = {
-                names[z]: k for z, k in _at_one(group, col[y]).items()
-            }
+            table[(names[x], names[y])] = _packed_at_one(
+                packing, names, col[y], group.length(y)
+            )
     return table
 
 

@@ -126,8 +126,16 @@ class MultiSemigroup:
         self.star = dict(star)
         self.table = {}
         for (f, g), summands in table.items():
-            entry = {h: int(k) for h, k in summands.items() if int(k) != 0}
-            self.table[(f, g)] = entry
+            entry = self.table[(f, g)] = {}
+            for h, k in summands.items():
+                n = int(k)
+                if n != k:
+                    raise MultiSemigroupError(
+                        f"multiplicity {k!r} of {h!r} in ({f!r}, {g!r}) is not an integer",
+                        pair=(f, g),
+                    )
+                if n:
+                    entry[h] = n
         # composable pairs missing from the input are empty compositions
         for f in self.names:
             for g in self.names:

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiatcells import cli, coxeter, hecke, mscell
@@ -190,34 +190,197 @@ def test_expansion_peels_support_the_element_did_not_have():
     assert kl_expand(W, {s: {0: 1}}, basis) == expected
 
 
+def _dict_column(group, act, c):
+    """The reference for `hecke._packed_column`: col[a] = b_a b_c in
+    canonical coordinates as raw {exponent: int} dicts, by the same
+    recursion on the unpacked generator action.  Going up in length with
+    a = s r (s the first letter of a's word), b_a = b_s b_r minus the other
+    terms of act[s][r], so b_a b_c = act[s] applied to col[r] minus the
+    same terms applied to col."""
+    col = [None] * group.order
+    col[group.identity] = {c: {0: 1}}
+    for a in group.by_length()[1:]:
+        s = group.words[a][0]
+        r = hecke._left_product(group, s, a)
+        out = {}
+        for w, coeff in col[r].items():
+            hecke._mac(out, act[s][w], coeff)
+        for z, coeff in act[s][r].items():
+            if z != a:
+                hecke._mac(out, col[z], hecke._negated(coeff))
+        col[a] = hecke._trimmed(out)
+    return col
+
+
+def _decoded(group, packing, col):
+    """A packed column read back into raw Laurent dicts: entry col[a] holds
+    v^l(a) times each coefficient at v = 2^bits, in balanced digits."""
+    base = 1 << packing.bits
+    out = []
+    for a, entry in enumerate(col):
+        rows = {}
+        for z, p in entry.items():
+            row, e = {}, -group.length(a)
+            while p:
+                p, d = divmod(p, base)
+                if d >= base // 2:
+                    d, p = d - base, p + 1
+                if d:
+                    row[e] = d
+                e += 1
+            rows[z] = row
+        out.append(rows)
+    return out
+
+
+def _packed_columns(group, act):
+    packing, steps = hecke._packed_action(group, act)
+    return packing, [hecke._packed_column(group, steps, c) for c in range(group.order)]
+
+
 def test_product_columns_match_t_basis():
-    # the whole table from the generator action, as raw Laurent coefficient
-    # dicts, against the per-pair T-basis reference
+    # the whole table from the packed generator action, decoded to raw
+    # Laurent coefficient dicts, against the per-pair T-basis reference
     for kind in ("A1", "A2", "B2", "A3"):
         W = coxeter_group(kind)
         basis = kl_basis(W)
-        act = hecke._generator_action(W)
+        packing, cols = _packed_columns(W, hecke._generator_action(W))
         for y in range(W.order):
-            col = hecke._product_column(W, act, y)
+            col = _decoded(W, packing, cols[y])
             for x in range(W.order):
                 assert col[x] == kl_expand(W, multiply(W, basis[x], basis[y]), basis)
 
 
 @pytest.mark.parametrize("kind", ["A1", "A2", "B2", "A3"])
 def test_stored_coefficients_keep_no_zeros_and_int_exponents(kind):
-    # raw dict equality is structural only while no zero is stored
+    # raw dict equality is structural only while no zero is stored; a
+    # packed entry is one nonzero int
     W = coxeter_group(kind)
     basis = kl_basis(W)
     act = hecke._generator_action(W)
+    packing, cols = _packed_columns(W, act)
+    packed = [p for col in cols for entry in col for p in entry.values()]
+    assert packed and all(type(p) is int and p != 0 for p in packed)
     rows = [row for b in basis for row in b.values()]
     coords = [entry for row in act for entry in row]
-    coords += [col for y in range(W.order) for col in hecke._product_column(W, act, y)]
+    coords += [entry for col in cols for entry in _decoded(W, packing, col)]
     rows += [row for c in coords for row in c.values()]
     assert rows and all(rows)
     for row in rows:
         assert type(row) is dict, row
         assert all(type(e) is int for e in row), row
         assert all(type(c) is int and c != 0 for c in row.values()), row
+
+
+@pytest.mark.parametrize("kind, bound", [
+    ("A1", 24), ("A2", 24), ("A3", 24), ("B2", 24), ("A4", 120),
+])
+def test_packed_table_matches_the_dict_reference(kind, bound):
+    W = coxeter_group(kind)
+    act = hecke._generator_action(W, bound)
+    packing, cols = _packed_columns(W, act)
+    names = [W.name(x) for x in range(W.order)]
+    table = {}
+    for x in range(W.order):
+        col = _dict_column(W, act, x)
+        assert _decoded(W, packing, cols[x]) == col, names[x]
+        for y in range(W.order):
+            table[(names[x], names[y])] = {
+                names[z]: sum(row.values()) for z, row in col[y].items()
+            }
+    assert hecke._table_at_one(W, bound) == table
+
+
+def _proven_width(group, act):
+    """(K + M, bits, digits) as `_packed_action` proves them, from the
+    unpacked action: K the largest l1 norm of an act[s][w], M the largest
+    of an act[s][r] with sr > r without its term b_sr, E the largest
+    degree of a coefficient times v."""
+    def norm(entry):
+        return sum(abs(c) for row in entry.values() for c in row.values())
+
+    k = max(norm(entry) for acts in act for entry in acts)
+    m = max(
+        norm({z: row for z, row in act[s][r].items() if z != sr})
+        for s in range(len(group.gen_names))
+        for r in range(group.order)
+        for sr in [hecke._left_product(group, s, r)]
+        if group.length(sr) > group.length(r)
+    )
+    top = max(max(row) + 1 for acts in act for entry in acts for row in entry.values())
+    longest = max(group.length(x) for x in range(group.order))
+    return k + m, longest * (k + m).bit_length() + 1, longest * max(1, top) + 1
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "B2", "A3"])
+def test_every_packed_coefficient_lies_below_the_proven_bound(kind):
+    W = coxeter_group(kind)
+    act = hecke._generator_action(W)
+    packing, cols = _packed_columns(W, act)
+    km, bits, digits = _proven_width(W, act)
+    assert packing == hecke._packing(bits, digits)
+    cap = km ** max(W.length(x) for x in range(W.order))
+    assert cap < 1 << (bits - 1)
+    for col in cols:
+        for a, entry in enumerate(_decoded(W, packing, col)):
+            norm = sum(abs(c) for row in entry.values() for c in row.values())
+            assert norm <= km ** W.length(a) <= cap
+            for z, row in entry.items():
+                assert min(row) >= -W.length(a) and max(row) + W.length(a) < digits
+                assert all(abs(c) <= cap for c in row.values())
+                assert 0 < sum(row.values()) <= cap
+
+
+@st.composite
+def _packed_polys(draw):
+    """(bits, coefficients, shift, spare digits): a polynomial of balanced
+    base-2^bits digits, with coefficients up to 2^(bits-1) - 1 in
+    magnitude."""
+    bits = draw(st.integers(2, 12))
+    top = (1 << (bits - 1)) - 1
+    coeffs = draw(st.lists(st.sampled_from([-top, -1, 0, 1, top]) | st.integers(-top, top),
+                           min_size=1, max_size=6))
+    return bits, coeffs, draw(st.integers(0, 6)), draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example((5, [15, 3, -1, 15, 0, 7], 2, 0))
+@example((5, [0, 0, 15, 0], 0, 0))
+@example((5, [-15, 15, 15], 1, 1))
+@example((2, [1, 0, -1, 1], 3, 0))
+@example((8, [0, 127, 0, 0], 0, 0))
+@given(_packed_polys())
+def test_packed_check_and_decode(case):
+    # the v = 1 step on one entry: the sum of the coefficients when all are
+    # non-negative, else the error message with the decoded Laurent row
+    bits, coeffs, shift, spare = case
+    packing = hecke._packing(bits, len(coeffs) + spare)
+    p = sum(c << bits * i for i, c in enumerate(coeffs))
+    if min(coeffs) >= 0:
+        # the value at 1 is read modulo 2^bits - 1, so it is exact while the
+        # l1 norm is below that, as the proven width makes it in the table
+        value = hecke._packed_at_one(packing, ["z"], {0: p}, shift)
+        assert value == {"z": sum(coeffs) % ((1 << bits) - 1)}
+        return
+    row = LaurentPoly({i - shift: c for i, c in enumerate(coeffs)}).format("v")
+    with pytest.raises(HeckeDataError) as err:
+        hecke._packed_at_one(packing, ["z"], {0: p}, shift)
+    assert str(err.value) == f"negative canonical structure constant at z: {row}"
+
+
+def test_the_action_is_refused_below_v_minus_one_and_a_correction_not_shorter():
+    W = coxeter_group("A2")
+    two, w = W.element_of_name("2"), W.element_of_name("12")
+    act = hecke._generator_action(W)
+    act[1][w] = {**act[1][w], two: {-2: 1}}
+    with pytest.raises(HeckeDataError, match=r"coefficient of b_2 in b_2 b_12 has a term below v\^-1: v\^-2"):
+        hecke._packed_action(W, act)
+    act = hecke._generator_action(W)
+    one = W.element_of_name("1")
+    # b_21 = b_2 b_1 - ..., with a correction at b_12, as long as 21
+    act[1][one] = {**act[1][one], w: {0: 1}}
+    with pytest.raises(HeckeDataError, match="b_12 in b_2 b_1 is not shorter than b_21"):
+        hecke._packed_action(W, act)
 
 
 @pytest.mark.parametrize("kind", ["A3", "B2"])

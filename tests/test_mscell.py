@@ -102,6 +102,18 @@ def test_multiplicity_cap():
         tiny_ms({"g": 1 << 30})
 
 
+def test_a_multiplicity_of_one_point_seven_is_refused_not_truncated_to_one():
+    with pytest.raises(MultiSemigroupError, match=r"1\.7 of 'g' in \('g', 'g'\) is not an integer") as err:
+        tiny_ms({"g": 1.7})
+    assert err.value.pair == ("g", "g")
+
+
+def test_a_multiplicity_of_one_half_is_refused_not_dropped_as_zero():
+    with pytest.raises(MultiSemigroupError, match=r"0\.5 of 'g' in \('g', 'g'\) is not an integer") as err:
+        tiny_ms({"g": 0.5})
+    assert err.value.pair == ("g", "g")
+
+
 def test_bad_star_rejected():
     morphisms = [
         OneMorphism("1", "i", "i", is_identity=True),
