@@ -22,9 +22,10 @@ reads and writes: its validation, radical, centre, generating set, where
 the pieces e_a g e_b of its arrows are nonzero, a path word recipe for its
 basis, its corners e_i A e_j, its left and right ideals A e_s and e_s A,
 whether it is weakly symmetric and connected, its projective centre (kept
-by `bimod.projective_center`) and the validated generator actions of its
+by `bimod.projective_center`), the validated generator actions of its
 regular and projective bimodules (kept by `bimod.regular_bimodule` and
-`bimod.proj_bimodule`).  A derivation that raised is not kept, so it raises
+`bimod.proj_bimodule`) and the products that define its word actions,
+which bimodule validation skips (kept by `bimod._word_products`).  A derivation that raised is not kept, so it raises
 again on the next call.  The store is per instance, not keyed by value: two
 equal algebras each do their own work.  Kept values are shared, and like
 every built matrix never written to.
@@ -385,10 +386,17 @@ def is_connected(algebra: FinDimAlgebra) -> bool:
 
 @_kept_per_algebra
 def corner_subspace(algebra: FinDimAlgebra, i: int, j: int) -> Subspace:
-    """The subspace e_i A e_j: the column space of L_{e_i} R_{e_j}."""
-    left = algebra.left_mult_matrix(algebra.idempotents[i])
-    right = algebra.right_mult_matrix(algebra.idempotents[j])
-    return Subspace.from_vectors(linalg.sp_compose(left, right), algebra.dim)
+    """The subspace e_i A e_j: the column space of L_{e_i} R_{e_j}.  Where
+    e_i (e_j) is the unit, the one idempotent of a local algebra, its factor
+    is the identity by the unit law, and the other factor is read alone."""
+    e, f = algebra.idempotents[i], algebra.idempotents[j]
+    if e == algebra.unit:
+        cols = algebra.right_mult_matrix(f)
+    elif f == algebra.unit:
+        cols = algebra.left_mult_matrix(e)
+    else:
+        cols = linalg.sp_compose(algebra.left_mult_matrix(e), algebra.right_mult_matrix(f))
+    return Subspace.from_vectors(cols, algebra.dim)
 
 
 def corner_dim(algebra: FinDimAlgebra, i: int, j: int) -> int:

@@ -153,14 +153,29 @@ class Bimodule:
         action of every basis element is derived once per side, here
         (`_along_words`), and dropped on return.
 
-        A generator equal to the unit (the one idempotent of a local
-        algebra) is left out of both loops: its action is checked to be the
-        identity first, and then rho(1)rho(b) = rho(b) = rho(1.b) by the
-        unit law, and the identity commutes with every action.  For the same
-        reason a basis element b_j equal to the unit is left out of the
-        products: rho(g)rho(1) = rho(g) = rho(g.1).  Two generators whose
-        actions are both diagonal (idempotents on a basis split by the
-        idempotents) commute unchecked."""
+        Some checks hold by construction or are read without a product, so
+        the verdict, the order of the checks and the messages are those of
+        every product multiplied out:
+
+        - A generator equal to the unit (the one idempotent of a local
+          algebra) is left out of both loops: its action is checked to be
+          the identity first, and then rho(1)rho(b) = rho(b) = rho(1.b) by
+          the unit law, and the identity commutes with every action.  For
+          the same reason a basis element b_j equal to the unit is left out
+          of the products: rho(g)rho(1) = rho(g) = rho(g.1).
+        - A left product that defines an action is skipped
+          (`_word_products`): where b_j is the word w, b_i the word g.w,
+          and g.b_j = b_i, `_along_words` forms rho(b_i) as
+          rho(g)rho(b_j), so that check holds whatever the actions are.
+          The words are left words, so no right product is one.
+        - A generator that acts diagonally (an idempotent on a basis split
+          by the idempotents), with g.b_j equal to b_j or 0 (b_j.h on the
+          right), scales the rows of rho(b_j): the product is rho(b_j) (is
+          0) iff every row where rho(b_j) has an entry is one where the
+          diagonal is 1 (is 0).
+        - Two generators whose actions are both diagonal commute unchecked,
+          and a diagonal D commutes with the other action M iff
+          D[r] = D[q] at every entry (r, q) of M."""
         A, B = self.left_algebra, self.right_algebra
         alg.validate(A)
         alg.validate(B)
@@ -172,41 +187,92 @@ class Bimodule:
         right_action = _along_words(B, self.right_gens, anti=True)
         if not linalg.sp_eq(linalg.sp_lincomb(B.unit, right_action), ident):
             raise BimoduleError(f"{self.name}: right action is not unital")
-        lefts = [(g, lg) for g, lg in zip(gens_a, self.left_gens) if g != A.unit]
-        rights = [(h, rh) for h, rh in zip(gens_b, self.right_gens) if h != B.unit]
-        lefts = [(g, lg, linalg.sp_diagonal(lg)) for g, lg in lefts]
-        rights = [(h, rh, linalg.sp_diagonal(rh)) for h, rh in rights]
+        lefts = [
+            (k, g, lg, linalg.sp_diagonal(lg))
+            for k, (g, lg) in enumerate(zip(gens_a, self.left_gens))
+            if g != A.unit
+        ]
+        rights = [
+            (h, rh, linalg.sp_diagonal(rh))
+            for h, rh in zip(gens_b, self.right_gens)
+            if h != B.unit
+        ]
         one_a, one_b = A.unit_index, B.unit_index
-        for g, lg, _ in lefts:
+        defined = _word_products(A)
+        for k, g, lg, dg in lefts:
             for j, gb in enumerate(A.left_mult_matrix(g)):
-                if j == one_a:
+                i = defined.get((k, j))
+                if j == one_a or (i is not None and gb == {i: 1}):
                     continue
-                prod = linalg.sp_lincomb(gb, left_action)
-                if not linalg.sp_eq(linalg.sp_compose(lg, left_action[j]), prod):
+                if not _product_holds(lg, dg, left_action, j, gb):
                     raise BimoduleError(
                         f"{self.name}: left action not multiplicative at "
                         f"({A.describe(g)}, {A.basis[j]})"
                     )
-        for h, rh, _ in rights:
+        for h, rh, dh in rights:
             for j, bh in enumerate(B.right_mult_matrix(h)):
                 if j == one_b:
                     continue
-                prod = linalg.sp_lincomb(bh, right_action)
-                if not linalg.sp_eq(linalg.sp_compose(rh, right_action[j]), prod):
+                if not _product_holds(rh, dh, right_action, j, bh):
                     raise BimoduleError(
                         f"{self.name}: right action not anti-multiplicative at "
                         f"({B.describe(h)}, {B.basis[j]})"
                     )
-        for g, lg, dg in lefts:
+        for _, g, lg, dg in lefts:
             for h, rh, dh in rights:
                 if dg is not None and dh is not None:
                     continue
-                gh, hg = linalg.sp_compose(lg, rh), linalg.sp_compose(rh, lg)
-                if not linalg.sp_eq(gh, hg):
+                if dg is not None:
+                    commute = _commutes_with_diagonal(dg, rh)
+                elif dh is not None:
+                    commute = _commutes_with_diagonal(dh, lg)
+                else:
+                    commute = linalg.sp_eq(linalg.sp_compose(lg, rh), linalg.sp_compose(rh, lg))
+                if not commute:
                     raise BimoduleError(
                         f"{self.name}: actions do not commute at "
                         f"({A.describe(g)}, {B.describe(h)})"
                     )
+
+
+def _product_holds(gen, diag, actions, j, prod) -> bool:
+    """Does gen . actions[j] equal the combination prod of the actions?
+    Read off the rows of actions[j] where gen is the diagonal diag and prod
+    is b_j itself or 0, else multiplied out."""
+    if diag is not None and (not prod or prod == {j: 1}):
+        value = 1 if prod else 0
+        return all(diag[r] == value for col in actions[j] for r in col)
+    return linalg.sp_eq(linalg.sp_compose(gen, actions[j]), linalg.sp_lincomb(prod, actions))
+
+
+def _commutes_with_diagonal(diag, mat) -> bool:
+    """Does the diagonal matrix diag commute with mat: diag[r] = diag[q] at
+    every entry (r, q) of mat?"""
+    return all(diag[r] == diag[q] for q, col in enumerate(mat) for r in col)
+
+
+def _word_products(A: alg.FinDimAlgebra) -> dict:
+    """{(k, j): i} for every product of generator k of A (in
+    algebra_generators order) and basis element b_j that `_along_words`
+    forms as the action of b_i: b_j's recipe is the word w alone with
+    coefficient 1, and b_i's is the word (k, w) alone with coefficient 1.
+    Bimodule.validate skips the check of such a product where the
+    structure constants give g_k.b_j = b_i.  Computed once per algebra and
+    kept on it."""
+
+    def build():
+        words, recipe = alg.basis_words(A)
+        # the word each basis element is, where it is one word with coefficient 1
+        element = {
+            terms[0][0]: i for i, terms in enumerate(recipe) if len(terms) == 1 and terms[0][1] == 1
+        }
+        return {
+            (k, element[w]): element[n]
+            for n, (k, w) in enumerate(words)
+            if n in element and w in element
+        }
+
+    return alg.kept(A, ("word_products",), build)
 
 
 def _generator_degrees(M: Bimodule) -> tuple:
@@ -677,8 +743,15 @@ def _hom_pairs(M: Bimodule, N: Bimodule) -> list:
 def corner_columns(N: Bimodule, s: int, t: int) -> tuple:
     """The matrix of m -> e_s.m.e_t on N, for the idempotents e_s, e_t of
     the two algebras (generators s and t): its column m is e_s.m.e_t, and
-    its columns span e_s N e_t."""
-    return linalg.sp_compose(N.left_gens[s], N.right_gens[t])
+    its columns span e_s N e_t.  The one idempotent of a local algebra is
+    its unit, which acts as the identity, so there the matrix is the other
+    factor, read and not formed."""
+    left, right = N.left_gens[s], N.right_gens[t]
+    if len(N.left_algebra.idempotents) == 1:
+        return right
+    if len(N.right_algebra.idempotents) == 1:
+        return left
+    return linalg.sp_compose(left, right)
 
 
 def read_off(M: Bimodule) -> bool:
@@ -848,9 +921,18 @@ def _projective_center(A: alg.FinDimAlgebra) -> Subspace:
     ]
     rights = [A.right_mult_matrix({q: 1}) for q in range(d)]
     through = [A.unit]
+    one = A.unit_index
     for X in intertwiners(pairs, d, d):
-        # column q of X is sum_p X[p, q] b_p, so its term is g -> x_q.g.b_q
-        terms = [linalg.sp_compose(A.left_mult_matrix(x), rights[q]) for q, x in enumerate(X) if x]
+        # column q of X is sum_p X[p, q] b_p, so its term is g -> x_q.g.b_q;
+        # L_1 and R_1 are the identity (the unit law), so where x_q or b_q
+        # is the unit the term is the other factor
+        terms = [
+            rights[q] if x == A.unit
+            else A.left_mult_matrix(x) if q == one
+            else linalg.sp_compose(A.left_mult_matrix(x), rights[q])
+            for q, x in enumerate(X)
+            if x
+        ]
         through.extend(linalg.sp_lincomb([1] * len(terms), terms))
     sub = Subspace.from_vectors(through, d)
     if not alg.center(A).contains_subspace(sub):

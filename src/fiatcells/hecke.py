@@ -229,11 +229,19 @@ def kl_product_at_one(group: CoxeterGroup, x: int, y: int, basis=None) -> dict:
 
 def _descent_product(group: CoxeterGroup, b_w: dict, s: int, w: int) -> dict:
     """b_s b_w = (v + v^-1) b_w for sw < w, certified by T_s b_w = v^-1 b_w:
-    h_x = v h_sx for every x with sx > x, h the raw T coordinates of b_w."""
-    for x in b_w:
+    h_x = v h_sx for every x with sx > x, h the raw T coordinates of b_w.
+    Each pair is compared once, from its shorter end x, and no shifted dict
+    is built: h_x = v h_sx when the two have as many terms and h_x has each
+    term of h_sx one degree up.  A longer x is only checked to have its
+    shorter partner in supp(b_w), where the pair is compared."""
+    for x, h in b_w.items():
         sx = _left_product(group, s, x)
-        lo, hi = (x, sx) if group.length(x) < group.length(sx) else (sx, x)
-        if b_w.get(lo, {}) != {e + 1: k for e, k in b_w.get(hi, {}).items()}:
+        if group.length(sx) < group.length(x):
+            holds = sx in b_w
+        else:
+            up = b_w.get(sx, {})
+            holds = len(h) == len(up) and all(h.get(e + 1) == k for e, k in up.items())
+        if not holds:
             g, name = group.gen_names[s], group.name(w)
             raise HeckeDataError(f"T_{g} b_{name} is not v^-1 b_{name}, although {g} is a descent")
     return {w: {1: 1, -1: 1}}

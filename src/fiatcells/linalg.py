@@ -38,12 +38,18 @@ classes (`quotient_classes`), its rank (`rank`) or its kernel
 (`_union_find`), which solves its one- and two-term rows without
 elimination and hands only the longer ones, rewritten over its roots, to a
 `SparseEchelon`; otherwise the engine grows spans (`Subspace`, `rref`,
-`solve`, `inverse`).  Inside the engine, early returns answer
-single-entry data exactly as the general path would, value types
-included: an empty row, and a one-term row at a column that is not a
-pivot, on `insert` and `contains`; a row touching no pivot column in the
-forward reduction; an all-int dict in the integer scaling; and a unit
-one-entry vector in `sp_apply`, which returns a fresh copy of its column.
+`solve`, `inverse`).  The union-find's row loop copies and calls only
+where it must: a sparse row without a stored zero is read as it is, a
+one-term row at a root is killed without a `find`, a union whose weight
+is an int over 1 is that int without `quo` (a Fraction still goes through
+`quo`, so an integral one comes out an int), and the roots are read
+inline where the path is already compressed.  Inside the engine, early
+returns answer single-entry data exactly as the general path would,
+value types included: an empty row, and a one-term row at a column that
+is not a pivot, on `insert` and `contains`; a row touching no pivot
+column in the forward reduction; an all-int dict in the integer scaling;
+and a unit one-entry vector in `sp_apply`, which returns a fresh copy of
+its column.
 """
 
 from __future__ import annotations
@@ -423,30 +429,37 @@ def _union_find(rows, ncols: int) -> tuple:
         return r, w
 
     for row in rows:
-        terms = [(j, x) for j, x in _entries(row) if x]
-        if len(terms) == 1:
-            root, _ = find(terms[0][0])
-            dead[root] = True
-        elif len(terms) == 2:
-            (p, c), (q, d) = terms
+        # a sparse row is read as it is unless it holds a zero
+        if type(row) is not dict or 0 in row.values():
+            row = {j: x for j, x in _entries(row) if x}
+        n = len(row)
+        if n == 1:
+            (p,) = row
+            dead[p if parent[p] == p else find(p)[0]] = True
+        elif n == 2:
+            (p, c), (q, d) = row.items()
             (rp, wp), (rq, wq) = find(p), find(q)
             if dead[rp] or dead[rq]:
                 dead[rp] = dead[rq] = True
             elif rp == rq:
                 if c * wp + d * wq:
                     dead[rp] = True
-            elif rp < rq:  # c.wp.rp + d.wq.rq = 0: rp joins rq
-                parent[rp], weight[rp] = rq, quo(-d * wq, c * wp)
-            else:
-                parent[rq], weight[rq] = rp, quo(-c * wp, d * wq)
-        elif terms:
-            longer.append(terms)
+            else:  # c.wp.rp + d.wq.rq = 0: the smaller root joins the larger
+                if rp > rq:
+                    rp, wp, c, rq, wq, d = rq, wq, d, rp, wp, c
+                num, den = -d * wq, c * wp  # an int over 1 is its own quotient
+                weight[rp] = num if den == 1 and type(num) is int else quo(num, den)
+                parent[rp] = rq
+        elif n:
+            longer.append(row)
 
-    roots = [find(k) for k in range(ncols)]
+    roots = []
+    for k, r in enumerate(parent):
+        roots.append((k, 1) if r == k else (r, weight[k]) if parent[r] == r else find(k))
     ech = SparseEchelon(ncols)
     for terms in longer:
         rewritten = {}
-        for j, x in terms:
+        for j, x in terms.items():
             r, w = roots[j]
             if not dead[r]:
                 val = rewritten.get(r, 0) + x * w

@@ -3,6 +3,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiatcells import algebra as alg
 from fiatcells import bimod, linalg, mscell, verify
@@ -1483,6 +1485,96 @@ def test_an_arrow_leaking_out_of_its_idempotent_block_is_refused_as_before():
     with pytest.raises(bimod.BimoduleError) as raised:
         broken.validate()
     assert str(raised.value) == message
+
+
+# -- products that validation skips or reads -------------------------------
+
+
+def _word_product_cases():
+    """name -> algebra: every bundled algebra, zigzag A3 and k[x]/(x^6)."""
+    cases = {name: fixture(name) for name in sorted(ALGEBRA_FILES)}
+    cases.update({"zigzagA3": zigzag(3), "x6": truncated_poly(6)})
+    return cases
+
+
+WORD_PRODUCT_CASES = _word_product_cases()
+
+
+@st.composite
+def _integer_actions(draw):
+    """(algebra name, left actions): arbitrary integer matrices, one per
+    generator of the algebra, on a space of dimension 1 to 3, as sparse
+    columns; no bimodule law need hold."""
+    name = draw(st.sampled_from(sorted(WORD_PRODUCT_CASES)))
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-3, 3)
+    actions = [
+        tuple({r: x for r, x in enumerate(draw(st.lists(entry, min_size=n, max_size=n))) if x}
+              for _ in range(n))
+        for _ in alg.algebra_generators(WORD_PRODUCT_CASES[name])
+    ]
+    return name, actions
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_integer_actions())
+def test_skipped_word_products_hold_for_any_action_data(case):
+    # validation skips g_k.b_j where _word_products names b_i and g_k.b_j = b_i:
+    # _along_words forms the action of b_i as that very product
+    name, gen_actions = case
+    A = WORD_PRODUCT_CASES[name]
+    words, recipe = alg.basis_words(A)
+    actions = bimod._along_words(A, gen_actions, anti=False)
+    generators = alg.algebra_generators(A)
+    for (k, j), i in bimod._word_products(A).items():
+        ((w, c),), ((n, d),) = recipe[j], recipe[i]
+        assert c == d == 1 and words[n] == (k, w)
+        gb = A.left_mult_matrix(generators[k])[j]
+        assert gb == {i: 1}
+        assert linalg.sp_compose(gen_actions[k], actions[j]) == linalg.sp_lincomb(gb, actions)
+
+
+def test_word_products_are_found_only_where_every_coefficient_is_one():
+    for name in ("zigzagA3", "x6", "zigzagA2", "x4local"):
+        assert bimod._word_products(WORD_PRODUCT_CASES[name])
+    # skewext's one product word y.x is -xy, and the rescaled and mixed
+    # zigzag A2 have loops 3/2 of a word and arrows sums of words
+    rescaled, mixed = (
+        parse_algebra((DATA / f"{name}.alg").read_text()).algebra
+        for name in ("zigzagA2_rescaled", "zigzagA2_mixed")
+    )
+    for A in (fixture("skewext"), rescaled, mixed):
+        assert any(c != 1 for terms in alg.basis_words(A)[1] for _, c in terms)
+        assert bimod._word_products(A) == {}
+
+
+def test_validation_forms_a_pinned_number_of_products(monkeypatch):
+    # every linalg.sp_compose inside Bimodule.validate, the words of
+    # _along_words included, once both algebras are validated: 76, 12 and
+    # 22 with every product multiplied out; skewext has no word product
+    # with coefficient 1 and no idempotent but its unit, so it keeps 22
+    Z, X, S = (fixture(name) for name in ("zigzagA2", "x4local", "skewext"))
+    compose = linalg.sp_compose
+    formed = []
+
+    def counted(a, b):
+        formed.append(1)
+        return compose(a, b)
+
+    bimodules = (
+        bimod.proj_bimodule(Z, 0, Z, 1),
+        bimod.regular_bimodule(X),
+        bimod.proj_bimodule(S, 0, S, 0),
+    )
+    monkeypatch.setattr(linalg, "sp_compose", counted)
+    counts = []
+    for M in bimodules:
+        alg.validate(M.left_algebra)
+        alg.validate(M.right_algebra)
+        formed.clear()
+        M.validate()
+        counts.append(len(formed))
+    assert counts == [34, 10, 22]
 
 
 # -- the tensor cokernel over the idempotent split ------------------------

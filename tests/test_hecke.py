@@ -499,6 +499,26 @@ def test_export_rejects_a_basis_element_planted_wrong(monkeypatch):
         export_multisemigroup(W)
 
 
+def test_a_term_at_a_longer_element_whose_partner_is_outside_the_support_is_refused():
+    # b_1 + T_12 over A2 with s = 1: supp(b_1) = {e, 1}, and 1.12 = 2 lies
+    # outside it, so the pair (2, 12) has no shorter end in the support to be
+    # compared from; every pair that has one still agrees, so only the check
+    # of the longer end refuses it
+    W = coxeter_group("A2")
+    basis = hecke._kl_recursion(W, hecke.DEFAULT_SIZE_BOUND)[0]
+    s, w, y = 0, W.element_of_name("1"), W.element_of_name("12")
+    planted = {**basis[w], y: {0: 1}}
+    sy = hecke._left_product(W, s, y)
+    assert W.length(sy) < W.length(y) and sy not in planted
+    for x, h in planted.items():
+        sx = hecke._left_product(W, s, x)
+        if W.length(x) < W.length(sx):
+            assert h == {e + 1: k for e, k in planted[sx].items()}
+    assert hecke._descent_product(W, basis[w], s, w) == {w: {1: 1, -1: 1}}
+    with pytest.raises(HeckeDataError, match=r"T_1 b_1 is not v\^-1 b_1, although 1 is a descent"):
+        hecke._descent_product(W, planted, s, w)
+
+
 @pytest.mark.parametrize("kind", ["A2", "B2", "A3"])
 def test_export_rejects_a_basis_element_off_the_descent_rule(kind, monkeypatch):
     # b_w0 + v^2 T_e still has leading coefficient 1 and its other

@@ -502,14 +502,18 @@ def test_sp_apply_returns_ints_where_integral():
 
 
 _COEFFS = (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2))
+# c and -k.c give p = k.q: an integer weight out of Fractions, some integral
+_FRACTIONAL = (Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(1), Fraction(-2))
 
 
 @st.composite
 def _relation_systems(draw):
-    """(rows, ncols): one-term rows (kills), two-term rows (merges with
-    rational weights), rows of three to five terms, cycles of two-term rows
-    whose closing weight may disagree with the path around, and chains of
-    merges whose first member is killed after them, in a drawn order."""
+    """(rows, ncols): one-term rows (kills, some beside a stored zero),
+    two-term rows (merges with rational weights, and merges of fractional
+    or integral Fraction coefficients whose weight is an integer), rows of
+    three to five terms, cycles of two-term rows whose closing weight may
+    disagree with the path around, and chains of merges whose first member
+    is killed after them, in a drawn order."""
     n = draw(st.integers(1, 8))
     coef = st.sampled_from(_COEFFS)
 
@@ -517,13 +521,21 @@ def _relation_systems(draw):
         return draw(st.lists(st.integers(0, n - 1), min_size=lo, max_size=hi, unique=True))
 
     rows = []
-    kinds = ("kill", "merge", "longer", "cycle", "chain then kill")
+    kinds = ("kill", "kill beside a zero", "merge", "integral merge", "longer", "cycle",
+             "chain then kill")
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=8)):
         if kind == "kill":
             rows.append({draw(st.integers(0, n - 1)): draw(coef)})
+        elif kind == "kill beside a zero" and n > 1:
+            p, q = distinct(2, 2)
+            rows.append({p: draw(coef), q: 0})
         elif kind == "merge" and n > 1:
             p, q = distinct(2, 2)
             rows.append({p: draw(coef), q: draw(coef)})
+        elif kind == "integral merge" and n > 1:
+            p, q = distinct(2, 2)
+            c = draw(st.sampled_from(_FRACTIONAL))
+            rows.append({p: c, q: -c * draw(st.sampled_from((1, -1, 2, -3)))})
         elif kind == "longer" and n > 2:
             rows.append({j: draw(coef) for j in distinct(3, 5)})
         elif kind in ("cycle", "chain then kill") and n > 1:
@@ -565,6 +577,10 @@ def test_quotient_classes_match_the_echelon_over_every_row(system):
     for cls in classes:
         assert len(dict(cls)) == len(cls)
         assert all(type(x) is int or x.denominator > 1 for _, x in cls)
+    # the weights the union-find holds are exact rationals of the package's
+    # one form too: an int wherever the weight is integral
+    roots = linalg._union_find(rows, ncols)[0]
+    assert all(type(w) is int or w.denominator > 1 for _, w in roots)
 
 
 def test_quotient_classes_of_cycles_and_late_kills():
