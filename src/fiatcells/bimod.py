@@ -163,11 +163,12 @@ class Bimodule:
           the unit law, and the identity commutes with every action.  For
           the same reason a basis element b_j equal to the unit is left out
           of the products: rho(g)rho(1) = rho(g) = rho(g.1).
-        - A left product that defines an action is skipped
-          (`_word_products`): where b_j is the word w, b_i the word g.w,
-          and g.b_j = b_i, `_along_words` forms rho(b_i) as
-          rho(g)rho(b_j), so that check holds whatever the actions are.
-          The words are left words, so no right product is one.
+        - A product that defines an action is skipped (`_word_products`):
+          where b_j is the word w, b_i the word g.w, and g.b_j = b_i,
+          `_along_words` forms rho(b_i) as rho(g)rho(b_j), so that check
+          holds whatever the actions are.  On the right, where b_j is the
+          generator g alone, b_i the word g.h and b_j.h = b_i, it forms
+          rho(b_i) as rho(h)rho(b_j), the right check's product.
         - A generator that acts diagonally (an idempotent on a basis split
           by the idempotents), with g.b_j equal to b_j or 0 (b_j.h on the
           right), scales the rows of rho(b_j): the product is rho(b_j) (is
@@ -193,33 +194,27 @@ class Bimodule:
             if g != A.unit
         ]
         rights = [
-            (h, rh, linalg.sp_diagonal(rh))
-            for h, rh in zip(gens_b, self.right_gens)
+            (k, h, rh, linalg.sp_diagonal(rh))
+            for k, (h, rh) in enumerate(zip(gens_b, self.right_gens))
             if h != B.unit
         ]
-        one_a, one_b = A.unit_index, B.unit_index
-        defined = _word_products(A)
-        for k, g, lg, dg in lefts:
-            for j, gb in enumerate(A.left_mult_matrix(g)):
-                i = defined.get((k, j))
-                if j == one_a or (i is not None and gb == {i: 1}):
-                    continue
-                if not _product_holds(lg, dg, left_action, j, gb):
-                    raise BimoduleError(
-                        f"{self.name}: left action not multiplicative at "
-                        f"({A.describe(g)}, {A.basis[j]})"
-                    )
-        for h, rh, dh in rights:
-            for j, bh in enumerate(B.right_mult_matrix(h)):
-                if j == one_b:
-                    continue
-                if not _product_holds(rh, dh, right_action, j, bh):
-                    raise BimoduleError(
-                        f"{self.name}: right action not anti-multiplicative at "
-                        f"({B.describe(h)}, {B.basis[j]})"
-                    )
+        for X, gens, actions, anti, failure in (
+            (A, lefts, left_action, False, "left action not multiplicative"),
+            (B, rights, right_action, True, "right action not anti-multiplicative"),
+        ):
+            defined, one = _word_products(X, anti), X.unit_index
+            for k, g, mat, diag in gens:
+                products = X.right_mult_matrix(g) if anti else X.left_mult_matrix(g)
+                for j, prod in enumerate(products):
+                    i = defined.get((k, j))
+                    if j == one or (i is not None and prod == {i: 1}):
+                        continue
+                    if not _product_holds(mat, diag, actions, j, prod):
+                        raise BimoduleError(
+                            f"{self.name}: {failure} at ({X.describe(g)}, {X.basis[j]})"
+                        )
         for _, g, lg, dg in lefts:
-            for h, rh, dh in rights:
+            for _, h, rh, dh in rights:
                 if dg is not None and dh is not None:
                     continue
                 if dg is not None:
@@ -251,14 +246,15 @@ def _commutes_with_diagonal(diag, mat) -> bool:
     return all(diag[r] == diag[q] for q, col in enumerate(mat) for r in col)
 
 
-def _word_products(A: alg.FinDimAlgebra) -> dict:
-    """{(k, j): i} for every product of generator k of A (in
+def _word_products(A: alg.FinDimAlgebra, anti: bool) -> dict:
+    """{(k, j): i} for every product of generator g_k of A (in
     algebra_generators order) and basis element b_j that `_along_words`
-    forms as the action of b_i: b_j's recipe is the word w alone with
-    coefficient 1, and b_i's is the word (k, w) alone with coefficient 1.
-    Bimodule.validate skips the check of such a product where the
-    structure constants give g_k.b_j = b_i.  Computed once per algebra and
-    kept on it."""
+    forms as the action of b_i, b_i's recipe being the word (m, w) alone
+    with coefficient 1: on the left g_k.b_j, with m = k and b_j the word w,
+    and on the right (anti) b_j.g_k, with w the letter g_k and b_j the
+    letter g_m, each b_j alone with coefficient 1.  Bimodule.validate skips
+    the check of such a product where the structure constants give it as
+    b_i.  Computed once per algebra and side, and kept on the algebra."""
 
     def build():
         words, recipe = alg.basis_words(A)
@@ -266,13 +262,19 @@ def _word_products(A: alg.FinDimAlgebra) -> dict:
         element = {
             terms[0][0]: i for i, terms in enumerate(recipe) if len(terms) == 1 and terms[0][1] == 1
         }
-        return {
-            (k, element[w]): element[n]
-            for n, (k, w) in enumerate(words)
-            if n in element and w in element
-        }
+        # (k, u, n): the word n is g_k times the word u, or on the right the
+        # letter u times g_k
+        if anti:
+            letter = {m: n for n, (m, w) in enumerate(words) if w is None}
+            pairs = [
+                (words[w][0], letter.get(m), n)
+                for n, (m, w) in enumerate(words) if w is not None and words[w][1] is None
+            ]
+        else:
+            pairs = [(k, w, n) for n, (k, w) in enumerate(words)]
+        return {(k, element[u]): element[n] for k, u, n in pairs if n in element and u in element}
 
-    return alg.kept(A, ("word_products",), build)
+    return alg.kept(A, ("word_products", anti), build)
 
 
 def _generator_degrees(M: Bimodule) -> tuple:

@@ -10,20 +10,20 @@ the computed left cells match the convention in which left cells of the
 
 The export's product table comes from the left action of the generators on
 the canonical basis: the |S|.|W| generator products b_s b_w determine every
-b_x b_y by associativity.  Each is taken once: (v + v^-1) b_w when sw < w,
-certified by T_s b_w = v^-1 b_w; the product b_s b_{sw} the KL recursion
-peeled when s is the first letter of sw; otherwise the T-basis product
-(T_s + v) b_w, expanded top-down by `kl_expand` (13 of 72 on A3).
-The b_s generate the canonical basis, so the exported table is checked for
-associativity with only the b_s as left factors (neutrality already settles
-the identity), next to a certificate that they and the identity span it.
+b_x b_y by associativity.  One pass over w in length order (`_kl_recursion`)
+forms each once, and the canonical basis with them: (v + v^-1) b_w when
+sw < w, certified by T_s b_w = v^-1 b_w, else b_sw + sum mu(z, w) b_z
+(Kazhdan-Lusztig 1979, (2.3.b)), mu read off b_w.  The b_s generate the
+canonical basis, so the exported table is checked for associativity with
+only the b_s as left factors (neutrality already settles the identity),
+next to a certificate that they and the identity span it.
 
 A Hecke element has one form: {x: {exponent: int}} in T or canonical
 coordinates, with no zero entries.  Laurent arithmetic accumulates in place:
 `_mac` adds factor * data into such dicts, so no sum or product builds
-temporaries.  The KL recursion, the generator action and the per-pair
-reference (`kl_basis`, `multiply`, `bar_involution`, `kl_product_at_one`)
-all work on it.  The export's product table packs each coefficient into one
+temporaries.  The KL recursion and the per-pair reference (`kl_basis`,
+`multiply`, `bar_involution`, `kl_expand`, `kl_product_at_one`) all work
+on it.  The export's product table packs each coefficient into one
 int instead (Kronecker substitution: v = 2^bits, one balanced digit per
 exponent), with a width `_packed_action` proves from the generator action,
 so its Laurent products are big-int products, and the v = 1 step checks
@@ -82,10 +82,6 @@ def _trimmed(acc: dict) -> dict:
     """The finished raw coefficients of acc, zeros and empty rows dropped."""
     rows = ((x, {e: c for e, c in row.items() if c}) for x, row in acc.items())
     return {x: row for x, row in rows if row}
-
-
-def _negated(row: dict) -> dict:
-    return {e: -c for e, c in row.items()}
 
 
 def _t_gen(group: CoxeterGroup, acc: dict, data: dict, image: dict, factor: dict) -> dict:
@@ -150,47 +146,72 @@ def bar_involution(group: CoxeterGroup, elem: dict) -> dict:
     return _trimmed(acc)
 
 
+def _mu_terms(group: CoxeterGroup, b_w: dict, s: int) -> dict:
+    """{z: mu(z, w)} over the z < w with sz < z and mu(z, w) != 0, mu(z, w)
+    the coefficient of v in the T_z coordinate of b_w: for sw > w, the terms
+    of b_s b_w other than b_sw (Kazhdan-Lusztig 1979, (2.3.b))."""
+    return {
+        z: h[1] for z, h in b_w.items()
+        if 1 in h and group.length(_left_product(group, s, z)) < group.length(z)
+    }
+
+
 def _kl_recursion(group: CoxeterGroup, bound: int) -> tuple:
-    """`kl_basis` in raw T coordinates, and the products it peels: with s
-    the first letter of w, peeled[w] = b_s b_{sw} = b_w + sum m_x b_x in
-    canonical coordinates, exactly, entries in `kl_expand`'s order."""
+    """(basis, act): `kl_basis` in raw T coordinates, and act[s][w] =
+    b_s b_w in canonical coordinates as raw dicts, from one pass over w in
+    length order.
+
+    For sw < w, b_s b_w = (v + v^-1) b_w, certified by `_descent_product`.
+    For sw > w, b_s b_w = b_sw + sum mu(z, w) b_z over the `_mu_terms`, so
+    (T_s + v) b_w minus those terms is b_sw.  The first pair to reach sw
+    defines b_sw by it, checked to have 1 at T_sw and v*Z[v] below; being
+    bar invariant by construction, it is then canonical (KL 1979,
+    Theorem 1.1).  Every later pair must give b_sw exactly, which
+    certifies its mu terms."""
     if group.order > bound:
         raise SizeLimitError(f"group of order {group.order} exceeds the bound {bound}")
+    gens = range(len(group.gen_names))
     basis: list = [None] * group.order
     basis[group.identity] = {group.identity: {0: 1}}
-    peeled: list = [None] * group.order
-    by_length = group.by_length()
-    for w in by_length[1:]:
-        s = group.words[w][0]
-        sub = basis[_left_product(group, s, w)]
-        # b_s * b_{sw} = (T_s + v) * b_{sw}
-        prod = _mac(_t_gen_left(group, {}, sub, s), sub, _V)
-        entry = {w: {0: 1}}
-        # corrections may create support at shorter elements, so scan them all
-        for x in reversed(by_length):
-            m = prod[x].get(0) if x != w and x in prod else 0
-            if m:
-                _mac(prod, basis[x], {0: -m})
-                entry[x] = {0: m}
-        b_w = _trimmed(prod)
-        if b_w.get(w) != _ONE:
-            raise HeckeDataError(f"canonical basis recursion failed at {group.name(w)}")
-        for x, row in b_w.items():
-            if x != w and min(row) < 1:
+    act: list = [[None] * group.order for _ in gens]
+    for w in group.by_length():
+        b_w = basis[w]
+        for s in gens:
+            sw = _left_product(group, s, w)
+            if group.length(sw) < group.length(w):
+                act[s][w] = _descent_product(group, b_w, s, w)
+                continue
+            entry = {sw: {0: 1}}
+            prod = _mac(_t_gen_left(group, {}, b_w, s), b_w, _V)  # (T_s + v) b_w
+            for z, m in _mu_terms(group, b_w, s).items():
+                entry[z] = {0: m}
+                _mac(prod, basis[z], {0: -m})
+            b_sw = _trimmed(prod)
+            if basis[sw] is None:
+                if b_sw.get(sw) != _ONE:
+                    raise HeckeDataError(f"canonical basis recursion failed at {group.name(sw)}")
+                for x, row in b_sw.items():
+                    if x != sw and min(row) < 1:
+                        raise HeckeDataError(
+                            f"coefficient of T_{group.name(x)} in b_{group.name(sw)} is "
+                            f"not in v*Z[v]: {LaurentPoly(row).format('v')}"
+                        )
+                basis[sw] = b_sw
+            elif b_sw != basis[sw]:
                 raise HeckeDataError(
-                    f"coefficient of T_{group.name(x)} in b_{group.name(w)} is "
-                    f"not in v*Z[v]: {LaurentPoly(row).format('v')}"
+                    f"b_{group.gen_names[s]} b_{group.name(w)} minus its mu terms "
+                    f"is not b_{group.name(sw)}"
                 )
-        basis[w] = b_w
-        peeled[w] = entry
-    return basis, peeled
+            act[s][w] = entry
+    return basis, act
 
 
 def kl_basis(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list[dict]:
     """The canonical (Kazhdan-Lusztig) basis {b_w} in T coordinates.
 
-    Computed by the standard recursion b_w = b_s b_{sw} - sum mu(x, sw) b_x,
-    peeling correction terms by constant coefficients from the top down.
+    Computed by the recursion b_sw = b_s b_w - sum mu(z, w) b_z for
+    sw > w, mu read off b_w, with every generator product checked
+    (`_kl_recursion`).
     """
     return _kl_recursion(group, bound)[0]
 
@@ -198,7 +219,8 @@ def kl_basis(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list[dict]
 def kl_expand(group: CoxeterGroup, element: dict, basis=None) -> dict:
     """Canonical coordinates of a Hecke element given in T coordinates,
     peeled over every element from the top down: the coefficient of the
-    longest x left is final, since every other term of b_x is shorter."""
+    longest x left is final, since every other term of b_x is shorter.
+    The per-pair reference's expansion; the export does not call it."""
     basis = basis or kl_basis(group)
     acc = _mac({}, element, _ONE)
     out = {}
@@ -206,7 +228,7 @@ def kl_expand(group: CoxeterGroup, element: dict, basis=None) -> dict:
         c = {e: k for e, k in acc.get(x, {}).items() if k}
         if c:
             out[x] = c
-            _mac(acc, basis[x], _negated(c))
+            _mac(acc, basis[x], {e: -k for e, k in c.items()})
     if any(any(row.values()) for row in acc.values()):
         raise HeckeDataError("canonical-basis expansion left a nonzero remainder")
     return out
@@ -247,36 +269,10 @@ def _descent_product(group: CoxeterGroup, b_w: dict, s: int, w: int) -> dict:
     return {w: {1: 1, -1: 1}}
 
 
-def _generator_product(group: CoxeterGroup, basis: list, s: int, w: int) -> dict:
-    """b_s b_w in canonical coordinates: the T-basis product (T_s + v) b_w
-    on the raw basis dicts, expanded by `kl_expand`."""
-    b_w = basis[w]
-    return kl_expand(group, _mac(_t_gen_left(group, {}, b_w, s), b_w, _V), basis)
-
-
 def _generator_action(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list:
-    """act[s][w] = b_s b_w in canonical coordinates, as raw dicts: the
-    descent rule if sw < w, the recursion's product if s is the first letter
-    of sw, else the T-basis product.  `_packed_column` solves act[s][w] for
-    b_sw when sw > w, so there b_sw must have coefficient exactly 1."""
-    basis, peeled = _kl_recursion(group, bound)
-    act: list = [[None] * group.order for _ in group.gen_names]
-    for s in range(len(group.gen_names)):
-        for w in range(group.order):
-            sw = _left_product(group, s, w)
-            if group.length(sw) < group.length(w):
-                entry = _descent_product(group, basis[w], s, w)
-            elif group.words[sw][0] == s:
-                entry = peeled[sw]
-            else:
-                entry = _generator_product(group, basis, s, w)
-                if entry.get(sw) != _ONE:
-                    raise HeckeDataError(
-                        f"coefficient of b_{group.name(sw)} in "
-                        f"b_{group.gen_names[s]} b_{group.name(w)} is not 1"
-                    )
-            act[s][w] = entry
-    return act
+    """act[s][w] = b_s b_w in canonical coordinates, as raw dicts
+    (`_kl_recursion`); b_sw has coefficient 1 in it when sw > w."""
+    return _kl_recursion(group, bound)[1]
 
 
 class _Packing(NamedTuple):
@@ -446,9 +442,8 @@ def export_multisemigroup(
     b_y b_x at v=1: the side swap makes the computed left cells match the
     convention in which they are Kazhdan-Lusztig right cells.  Associativity
     is checked with the b_s as left factors: b_sw has coefficient 1 in
-    b_s b_w when sw > w (checked on the T-basis products, by construction
-    on the KL recursion's), so they and the identity span, and the identity
-    as a left factor is covered by neutrality.
+    b_s b_w when sw > w, by construction, so they and the identity span,
+    and the identity as a left factor is covered by neutrality.
     """
     obj = "i"
     morphisms = [

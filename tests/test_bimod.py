@@ -1519,24 +1519,32 @@ def _integer_actions(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_integer_actions())
 def test_skipped_word_products_hold_for_any_action_data(case):
-    # validation skips g_k.b_j where _word_products names b_i and g_k.b_j = b_i:
-    # _along_words forms the action of b_i as that very product
+    # validation skips g_k.b_j (b_j.g_k on the right) where _word_products
+    # names b_i and the product is b_i: _along_words forms the action of b_i
+    # as that very product, rho(g_k)rho(b_j) on either side
     name, gen_actions = case
     A = WORD_PRODUCT_CASES[name]
     words, recipe = alg.basis_words(A)
-    actions = bimod._along_words(A, gen_actions, anti=False)
     generators = alg.algebra_generators(A)
-    for (k, j), i in bimod._word_products(A).items():
-        ((w, c),), ((n, d),) = recipe[j], recipe[i]
-        assert c == d == 1 and words[n] == (k, w)
-        gb = A.left_mult_matrix(generators[k])[j]
-        assert gb == {i: 1}
-        assert linalg.sp_compose(gen_actions[k], actions[j]) == linalg.sp_lincomb(gb, actions)
+    for anti in (False, True):
+        actions = bimod._along_words(A, gen_actions, anti=anti)
+        for (k, j), i in bimod._word_products(A, anti=anti).items():
+            ((w, c),), ((n, d),) = recipe[j], recipe[i]
+            assert c == d == 1
+            if anti:
+                assert words[w] == (words[n][0], None) and words[words[n][1]] == (k, None)
+                gb = A.right_mult_matrix(generators[k])[j]
+            else:
+                assert words[n] == (k, w)
+                gb = A.left_mult_matrix(generators[k])[j]
+            assert gb == {i: 1}
+            assert linalg.sp_compose(gen_actions[k], actions[j]) == linalg.sp_lincomb(gb, actions)
 
 
 def test_word_products_are_found_only_where_every_coefficient_is_one():
     for name in ("zigzagA3", "x6", "zigzagA2", "x4local"):
-        assert bimod._word_products(WORD_PRODUCT_CASES[name])
+        for anti in (False, True):
+            assert bimod._word_products(WORD_PRODUCT_CASES[name], anti)
     # skewext's one product word y.x is -xy, and the rescaled and mixed
     # zigzag A2 have loops 3/2 of a word and arrows sums of words
     rescaled, mixed = (
@@ -1545,7 +1553,7 @@ def test_word_products_are_found_only_where_every_coefficient_is_one():
     )
     for A in (fixture("skewext"), rescaled, mixed):
         assert any(c != 1 for terms in alg.basis_words(A)[1] for _, c in terms)
-        assert bimod._word_products(A) == {}
+        assert bimod._word_products(A, False) == bimod._word_products(A, True) == {}
 
 
 def test_validation_forms_a_pinned_number_of_products(monkeypatch):
@@ -1574,7 +1582,7 @@ def test_validation_forms_a_pinned_number_of_products(monkeypatch):
         formed.clear()
         M.validate()
         counts.append(len(formed))
-    assert counts == [34, 10, 22]
+    assert counts == [32, 9, 22]
 
 
 # -- the tensor cokernel over the idempotent split ------------------------

@@ -100,10 +100,21 @@ def test_kl_basis_a2_longest_is_full_sum():
         assert c == {W.length(w0) - W.length(x): 1}
 
 
-def test_bar_invariance_all_groups():
-    for kind in ("A1", "A2", "B2", "A3"):
+def test_bar_invariance_all_groups(monkeypatch):
+    # with the degree bound the recursion checks, bar invariance makes b_w
+    # canonical; the table of bar(T_w) is built once per group here
+    tables = {}
+    build = hecke._bar_t_basis
+
+    def kept(group):
+        if group.kind not in tables:
+            tables[group.kind] = build(group)
+        return tables[group.kind]
+
+    monkeypatch.setattr(hecke, "_bar_t_basis", kept)
+    for kind, bound in (("A1", 24), ("A2", 24), ("B2", 24), ("A3", 24), ("A4", 120)):
         W = coxeter_group(kind)
-        for b in kl_basis(W):
+        for b in kl_basis(W, bound):
             assert bar_involution(W, b) == b
 
 
@@ -207,7 +218,7 @@ def _dict_column(group, act, c):
             hecke._mac(out, act[s][w], coeff)
         for z, coeff in act[s][r].items():
             if z != a:
-                hecke._mac(out, col[z], hecke._negated(coeff))
+                hecke._mac(out, col[z], {e: -k for e, k in coeff.items()})
         col[a] = hecke._trimmed(out)
     return col
 
@@ -387,8 +398,8 @@ def test_the_action_is_refused_below_v_minus_one_and_a_correction_not_shorter():
 def test_export_work_is_linear_in_the_generator_products(kind, monkeypatch):
     W = coxeter_group(kind)
     calls = {
-        "_generator_product": 0, "multiply": 0, "kl_expand": 0, "kl_product_at_one": 0,
-        "length sorts": 0,
+        "_descent_product": 0, "_mu_terms": 0, "multiply": 0, "kl_expand": 0,
+        "kl_product_at_one": 0, "length sorts": 0,
     }
 
     def counted(name, fn):
@@ -397,7 +408,7 @@ def test_export_work_is_linear_in_the_generator_products(kind, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_generator_product", "multiply", "kl_expand", "kl_product_at_one"):
+    for name in ("_descent_product", "_mu_terms", "multiply", "kl_expand", "kl_product_at_one"):
         monkeypatch.setattr(hecke, name, counted(name, getattr(hecke, name)))
 
     def counting_sorted(iterable, *, key=None, reverse=False):
@@ -407,15 +418,14 @@ def test_export_work_is_linear_in_the_generator_products(kind, monkeypatch):
     for module in (hecke, coxeter):
         monkeypatch.setattr(module, "sorted", counting_sorted, raising=False)
     export_multisemigroup(W)
-    # only the ascents sw > w whose b_s b_w the KL recursion did not peel
-    # (s the first letter of sw, one for each sw != e) are T-basis products
+    # each generator product is formed once, a descent certificate or one
+    # reading of mu, and none is expanded from the T basis
     gens = [W.mult_gen[W.identity][s] for s in range(len(W.gen_names))]
     descents = sum(W.length(W.mult(g, w)) < W.length(w) for g in gens for w in range(W.order))
-    products = len(gens) * W.order - descents - (W.order - 1)
-    assert products == {"A3": 13, "B2": 1}[kind]
+    assert descents == {"A3": 36, "B2": 8}[kind]
     assert calls == {
-        "_generator_product": products, "multiply": 0, "kl_expand": products,
-        "kl_product_at_one": 0, "length sorts": 1,
+        "_descent_product": descents, "_mu_terms": len(gens) * W.order - descents,
+        "multiply": 0, "kl_expand": 0, "kl_product_at_one": 0, "length sorts": 1,
     }
 
 
@@ -437,66 +447,68 @@ def test_the_export_and_kl_basis_build_no_laurent_poly(monkeypatch):
 
 
 def test_export_rejects_a_leading_coefficient_other_than_one(monkeypatch):
-    original = hecke.kl_expand
+    # T_s b_w doubled in (T_s + v) b_w at one pair: on A2, 121 is reached
+    # first by b_2 b_12, whose leading coefficient its definition checks,
+    # and then by b_1 b_21, which must give the b_121 already defined
+    W = coxeter_group("A2")
+    basis = kl_basis(W)
+    original = hecke._t_gen_left
 
-    def doubled(group, element, basis=None):
-        return {
-            z: {e: k + k for e, k in c.items()}
-            for z, c in original(group, element, basis).items()
-        }
+    def doubled_at(gen, label):
+        b_w = basis[W.element_of_name(label)]
 
-    monkeypatch.setattr(hecke, "kl_expand", doubled)
-    with pytest.raises(HeckeDataError, match="is not 1"):
-        export_multisemigroup(coxeter_group("A2"))
+        def doubled(group, acc, data, s, factor=hecke._ONE):
+            if s == gen and data == b_w:
+                original(group, acc, data, s, factor)
+            return original(group, acc, data, s, factor)
+
+        return doubled
+
+    monkeypatch.setattr(hecke, "_t_gen_left", doubled_at(1, "12"))
+    with pytest.raises(HeckeDataError, match="canonical basis recursion failed at 121"):
+        export_multisemigroup(W)
+    monkeypatch.setattr(hecke, "_t_gen_left", doubled_at(0, "21"))
+    with pytest.raises(HeckeDataError, match="b_1 b_21 minus its mu terms is not b_121"):
+        export_multisemigroup(W)
 
 
 def test_export_rejects_a_negative_structure_constant(monkeypatch):
-    # b_2 b_12 = b_121 + b_2 is A2's one T-basis product; plant v - v^-1 at
-    # b_2, which the leading coefficient check does not read
+    # plant v - v^-1 at b_2 in b_2 b_12 = b_121 + b_2, past the checks of
+    # the recursion: the table's v = 1 step refuses it
     W = coxeter_group("A2")
     two, w = W.element_of_name("2"), W.element_of_name("12")
-    original = hecke._generator_product
+    original = hecke._generator_action
 
-    def flipped(group, basis, gen, x):
-        entry = original(group, basis, gen, x)
-        if gen == 1 and x == w:
-            assert entry == {W.longest(): {0: 1}, two: {0: 1}}
-            entry[two] = {1: 1, -1: -1}
-        return entry
+    def flipped(group, bound):
+        act = original(group, bound)
+        assert act[1][w] == {W.longest(): {0: 1}, two: {0: 1}}
+        act[1][w][two] = {1: 1, -1: -1}
+        return act
 
-    monkeypatch.setattr(hecke, "_generator_product", flipped)
+    monkeypatch.setattr(hecke, "_generator_action", flipped)
     with pytest.raises(HeckeDataError, match=r"negative canonical structure constant at 2: -v\^-1 \+ v$"):
         export_multisemigroup(W)
 
 
 def _planted(monkeypatch, plant):
-    """Run the KL recursion with plant(group, basis, peeled) applied to its
-    raw basis and its peeled products."""
-    original = hecke._kl_recursion
+    """Hand the descent certificate plant(group, w, b_w) in place of b_w."""
+    original = hecke._descent_product
 
-    def planted(group, bound):
-        basis, peeled = original(group, bound)
-        plant(group, basis, peeled)
-        return basis, peeled
+    def planted(group, b_w, s, w):
+        return original(group, plant(group, w, b_w), s, w)
 
-    monkeypatch.setattr(hecke, "_kl_recursion", planted)
+    monkeypatch.setattr(hecke, "_descent_product", planted)
 
 
 def test_export_rejects_a_basis_element_planted_wrong(monkeypatch):
     # b_12 with leading coefficient 2 breaks T_1 b_12 = v^-1 b_12 (1 is a
-    # descent of 12), and peeling it off a T-basis product leaves -1 at 12
-    def lead_two(group, basis, peeled):
-        x = group.element_of_name("12")
-        basis[x] = {**basis[x], x: {0: 2}}
+    # descent of 12)
+    def lead_two(group, w, b_w):
+        return {**b_w, w: {0: 2}} if group.name(w) == "12" else b_w
 
-    W = coxeter_group("A2")
-    basis = hecke._kl_recursion(W, hecke.DEFAULT_SIZE_BOUND)[0]
-    lead_two(W, basis, None)
-    with pytest.raises(HeckeDataError, match="canonical-basis expansion left a nonzero remainder"):
-        hecke._generator_product(W, basis, 0, W.element_of_name("2"))
     _planted(monkeypatch, lead_two)
     with pytest.raises(HeckeDataError, match=r"T_1 b_12 is not v\^-1 b_12, although 1 is a descent"):
-        export_multisemigroup(W)
+        export_multisemigroup(coxeter_group("A2"))
 
 
 def test_a_term_at_a_longer_element_whose_partner_is_outside_the_support_is_refused():
@@ -524,11 +536,12 @@ def test_export_rejects_a_basis_element_off_the_descent_rule(kind, monkeypatch):
     # b_w0 + v^2 T_e still has leading coefficient 1 and its other
     # coefficients in vZ[v], but every generator is a descent of w0, and
     # T_s b_w0 = v^-1 b_w0 fails at the pair (e, s)
-    def shifted(group, basis, peeled):
-        w0, e = group.longest(), group.identity
-        row = dict(basis[w0][e])
+    def shifted(group, w, b_w):
+        if w != group.longest():
+            return b_w
+        row = dict(b_w[group.identity])
         row[2] = row.get(2, 0) + 1
-        basis[w0] = {**basis[w0], e: row}
+        return {**b_w, group.identity: row}
 
     _planted(monkeypatch, shifted)
     W = coxeter_group(kind)
@@ -537,43 +550,84 @@ def test_export_rejects_a_basis_element_off_the_descent_rule(kind, monkeypatch):
         export_multisemigroup(W)
 
 
-def _corrections(kind):
-    """(w, x, m) for every correction m b_x the KL recursion peeled off
-    b_s b_{sw} on its way to b_w."""
-    peeled = hecke._kl_recursion(coxeter_group(kind), hecke.DEFAULT_SIZE_BOUND)[1]
-    return [
-        (w, x, row[0])
-        for w, entry in enumerate(peeled) if entry
-        for x, row in entry.items() if x != w
-    ]
+# b_s b_w = b_sw + the sum of these b_z, each mu(z, w) = 1, by name, for
+# every ascent sw > w of A2, B2 and A3 whose product has a term besides b_sw
+_MU_TERMS = {
+    "A2": {("1", "21"): ("1",), ("2", "12"): ("2",)},
+    "B2": {("s", "ts"): ("s",), ("s", "tst"): ("st",), ("t", "st"): ("t",), ("t", "sts"): ("ts",)},
+    "A3": {
+        ("1", "21"): ("1",), ("1", "213"): ("13",), ("1", "321"): ("13",),
+        ("1", "2132"): ("121", "132"), ("1", "21321"): ("1321",),
+        ("2", "12"): ("2",), ("2", "32"): ("2",), ("2", "123"): ("23",), ("2", "321"): ("21",),
+        ("2", "1232"): ("232",), ("2", "1321"): ("121",), ("2", "12321"): ("1213", "2321"),
+        ("3", "23"): ("3",), ("3", "123"): ("13",), ("3", "213"): ("13",),
+        ("3", "2132"): ("132", "232"), ("3", "12132"): ("1232",),
+    },
+}
 
 
-_CORRECTION_MUTANTS = [
-    (kind, w, x, m, change)
-    for kind in ("A2", "B2", "A3")
-    for w, x, m in _corrections(kind)
-    for change in ("drop", "bump")
-]
+def _mu_mutants():
+    """A drop and a bump of every term of `_MU_TERMS`.  The id names the
+    product by sw, then z, mu and the change (elements by index), and ends
+    in s (as "by" s) unless s is the first letter of sw."""
+    out = []
+    for kind, products in _MU_TERMS.items():
+        W = coxeter_group(kind)
+        for (gen, w_name), zs in products.items():
+            s, w = W.gen_names.index(gen), W.element_of_name(w_name)
+            sw = hecke._left_product(W, s, w)
+            by = "" if W.words[sw][0] == s else f"-by{gen}"
+            for z in map(W.element_of_name, zs):
+                out += [
+                    pytest.param(kind, s, w, z, 1, change, id=f"{kind}-{sw}-{z}-1-{change}{by}")
+                    for change in ("drop", "bump")
+                ]
+    return out
 
 
-def test_the_recursion_peels_thirteen_corrections_on_a2_b2_a3():
-    assert len(_CORRECTION_MUTANTS) == 26
+_MU_MUTANTS = _mu_mutants()
 
 
-@pytest.mark.parametrize("kind, w, x, m, change", _CORRECTION_MUTANTS)
+def test_the_action_reads_twenty_six_mu_terms_on_a2_b2_a3():
+    # 2 + 4 + 20 terms, 13 of them in the products b_s b_w with s the first
+    # letter of sw
+    for kind, expected in _MU_TERMS.items():
+        W = coxeter_group(kind)
+        read = {}
+        for s, acts in enumerate(hecke._generator_action(W)):
+            for w, entry in enumerate(acts):
+                sw = hecke._left_product(W, s, w)
+                terms = {z: row for z, row in entry.items() if z != sw}
+                if W.length(sw) > W.length(w) and terms:
+                    assert all(row == {0: 1} for row in terms.values())
+                    read[(W.gen_names[s], W.name(w))] = tuple(sorted(map(W.name, terms)))
+        assert read == expected, kind
+    assert len(_MU_MUTANTS) == 2 * 26
+    assert sum("-by" not in p.id for p in _MU_MUTANTS) == 2 * 13
+
+
+@pytest.mark.parametrize("kind, s, w, z, m, change", _MU_MUTANTS)
 def test_export_rejects_a_recursion_product_with_a_correction_changed(
-    kind, w, x, m, change, monkeypatch
+    kind, s, w, z, m, change, monkeypatch
 ):
-    def mutated(group, basis, peeled):
-        entry = peeled[w] = dict(peeled[w])
-        if change == "drop":
-            del entry[x]
-        else:
-            entry[x] = {0: m + 1}
+    # the changed term enters both the entry and (T_s + v) b_w minus the
+    # mu terms, so the definition of b_sw or a later pair refuses it
+    W = coxeter_group(kind)
+    b_w = kl_basis(W)[w]
+    original = hecke._mu_terms
 
-    _planted(monkeypatch, mutated)
-    with pytest.raises((HeckeDataError, mscell.MultiSemigroupError)):
-        export_multisemigroup(coxeter_group(kind))
+    def mutated(group, b, gen):
+        terms = original(group, b, gen)
+        if gen == s and b == b_w:
+            if change == "drop":
+                del terms[z]
+            else:
+                terms[z] = m + 1
+        return terms
+
+    monkeypatch.setattr(hecke, "_mu_terms", mutated)
+    with pytest.raises(HeckeDataError, match=r"not in v\*Z\[v\]|minus its mu terms is not"):
+        export_multisemigroup(W)
 
 
 @pytest.mark.parametrize("kind, bound", [
