@@ -502,13 +502,20 @@ def _planted(monkeypatch, plant):
 
 def test_export_rejects_a_basis_element_planted_wrong(monkeypatch):
     # b_12 with leading coefficient 2 breaks T_1 b_12 = v^-1 b_12 (1 is a
-    # descent of 12)
+    # descent of 12), and expanding b_1 b_2 = b_12 over it leaves -1 at 12
     def lead_two(group, w, b_w):
         return {**b_w, w: {0: 2}} if group.name(w) == "12" else b_w
 
+    W = coxeter_group("A2")
+    basis = kl_basis(W)
+    two, x = W.element_of_name("2"), W.element_of_name("12")
+    basis[x] = lead_two(W, x, basis[x])
+    product = hecke._mac(hecke._t_gen_left(W, {}, basis[two], 0), basis[two], hecke._V)
+    with pytest.raises(HeckeDataError, match="canonical-basis expansion left a nonzero remainder"):
+        hecke.kl_expand(W, product, basis)
     _planted(monkeypatch, lead_two)
     with pytest.raises(HeckeDataError, match=r"T_1 b_12 is not v\^-1 b_12, although 1 is a descent"):
-        export_multisemigroup(coxeter_group("A2"))
+        export_multisemigroup(W)
 
 
 def test_a_term_at_a_longer_element_whose_partner_is_outside_the_support_is_refused():
