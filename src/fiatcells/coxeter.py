@@ -116,26 +116,26 @@ class CoxeterGroup:
 
 
 def _generate(kind, gen_names, cartan) -> CoxeterGroup:
-    """ShortLex BFS over the orbit of rho."""
+    """ShortLex BFS over the orbit of rho: elements leave the queue in
+    index order, and reflecting each one by every generator both finds the
+    new elements and fills its row of `mult_gen`."""
     gens = range(len(cartan))
     rho = (1,) * len(cartan)
     words = [()]
-    reps = [rho]
+    reps = [rho]  # grows while it is walked: the BFS queue
     rep_index = {rho: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                r = _reflect(cartan, s, reps[x])
-                if r not in rep_index:
-                    rep_index[r] = len(reps)
-                    reps.append(r)
-                    words.append(words[x] + (s,))
-                    nxt.append(rep_index[r])
-        frontier = nxt
+    mult_gen = []
+    for x, v in enumerate(reps):
+        row = []
+        for s in gens:
+            r = _reflect(cartan, s, v)
+            y = rep_index.setdefault(r, len(reps))
+            if y == len(reps):
+                reps.append(r)
+                words.append(words[x] + (s,))
+            row.append(y)
+        mult_gen.append(row)
     n = len(reps)
-    mult_gen = [[rep_index[_reflect(cartan, s, reps[x])] for s in gens] for x in range(n)]
     inverse = [0] * n
     for x in range(n):
         y = 0

@@ -535,8 +535,9 @@ def rsk_cells(n: int) -> CellStructure:
     Two-sided cells are fibers of the shape; left cells are fibers of the
     insertion tableau P (so that they agree with the multisemigroup export,
     whose left cells are Kazhdan-Lusztig right cells); right cells are
-    fibers of Q.  The returned preorders only record the cell equivalences:
-    the oracle fixes the partitions, not the full composition preorders.
+    fibers of Q.  The preorder masks are read off these partitions and only
+    record the cell equivalences: the oracle fixes the partitions, not the
+    full composition preorders.
     """
     if n < 2 or n > 5:
         raise ValueError("rsk_cells supports 2 <= n <= 5")
@@ -549,20 +550,28 @@ def rsk_cells(n: int) -> CellStructure:
         by_p.setdefault(pair.p_rows, []).append(group.name(x))
         by_q.setdefault(pair.q_rows, []).append(group.name(x))
         by_shape.setdefault(pair.shape, []).append(group.name(x))
+    names = tuple(sorted(group.name(x) for x in range(group.order)))
+    index = {name: i for i, name in enumerate(names)}
 
     def partition(groups: dict) -> tuple:
-        return tuple(sorted(tuple(sorted(names)) for names in groups.values()))
+        return tuple(sorted(tuple(sorted(fibre)) for fibre in groups.values()))
 
-    def equivalence(cells: tuple) -> frozenset:
-        return frozenset((a, b) for cell in cells for a in cell for b in cell)
+    def equivalence(cells: tuple) -> tuple:
+        masks = [0] * len(names)
+        for cell in cells:
+            bits = sum(1 << index[name] for name in cell)
+            for name in cell:
+                masks[index[name]] = bits
+        return tuple(masks)
 
     left = partition(by_p)
     right = partition(by_q)
     two = partition(by_shape)
     return CellStructure(
-        leq_left=equivalence(left),
-        leq_right=equivalence(right),
-        leq_two_sided=equivalence(two),
+        names=names,
+        left_masks=equivalence(left),
+        right_masks=equivalence(right),
+        two_sided_masks=equivalence(two),
         left_cells=left,
         right_cells=right,
         two_sided_cells=two,

@@ -6,11 +6,22 @@ A multisemigroup here is the composition combinatorics of a finitary
 composition table with multiplicities in N (defined exactly for composable
 pairs), and an involution * that reverses composition.  All values are
 immutable after construction and every operation is a pure function.
+
+Morphisms are indexed by their place in the sorted `names`, and what a
+`MultiSemigroup` stores is in those indices: the table as rows, rows[f][g]
+= {h: k} for a composable pair and None for any other, converted once from
+the input, and Green's preorders as one bitmask per morphism in its
+`CellStructure`.  Validation, composition and the cell computations read
+only these.  What is keyed by names is a view, built on its first read and
+then kept: `MultiSemigroup.table`, which exports, parsers and tests read,
+and the pair sets `CellStructure.leq_left`, `leq_right` and
+`leq_two_sided`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .linalg import SparseEchelon
@@ -68,18 +79,51 @@ class OneMorphism:
 
 @dataclass(frozen=True)
 class CellStructure:
-    """Reflexive-transitive left/right/two-sided preorders and their cells.
+    """Green's left, right and two-sided preorders and their cells.
 
-    Each partition lists cells as name-sorted tuples, and the list of cells
-    is itself sorted, so the output order is stable.
+    Stored: the morphism `names` and, for each preorder, its reflexive-
+    transitive closure as one bitmask per morphism: bit j of
+    `left_masks[i]` is set when names[i] <=_L names[j], that is when some
+    H o names[i] contains names[j] (`right_masks` likewise for F o H, and
+    `two_sided_masks` for both).  Each partition lists cells as name-sorted
+    tuples, and the list of cells is itself sorted, so the output order is
+    stable.
+
+    Views: `leq_left`, `leq_right` and `leq_two_sided`, the preorders as
+    frozensets of name pairs (F, G), built from the masks on their first
+    read and then kept.
     """
 
-    leq_left: frozenset  # (F, G) such that some H o F contains G
-    leq_right: frozenset
-    leq_two_sided: frozenset
+    names: tuple
+    left_masks: tuple
+    right_masks: tuple
+    two_sided_masks: tuple
     left_cells: tuple
     right_cells: tuple
     two_sided_cells: tuple
+
+    @cached_property
+    def leq_left(self) -> frozenset:
+        return self._pairs(self.left_masks)
+
+    @cached_property
+    def leq_right(self) -> frozenset:
+        return self._pairs(self.right_masks)
+
+    @cached_property
+    def leq_two_sided(self) -> frozenset:
+        return self._pairs(self.two_sided_masks)
+
+    def _pairs(self, masks) -> frozenset:
+        names = self.names
+        pairs = set()
+        for i, mask in enumerate(masks):
+            scan = mask
+            while scan:
+                j = (scan & -scan).bit_length() - 1
+                scan &= scan - 1
+                pairs.add((names[i], names[j]))
+        return frozenset(pairs)
 
     def left_cell_of(self, name: str) -> tuple:
         return _cell_of(self.left_cells, name)
@@ -124,49 +168,103 @@ class MultiSemigroup:
             raise MultiSemigroupError(f"generators are not morphisms: {unknown!r}")
         self._index = {n: i for i, n in enumerate(self.names)}
         self.star = dict(star)
-        self.table = {}
-        for (f, g), summands in table.items():
-            entry = self.table[(f, g)] = {}
-            for h, k in summands.items():
-                n = int(k)
-                if n != k:
-                    raise MultiSemigroupError(
-                        f"multiplicity {k!r} of {h!r} in ({f!r}, {g!r}) is not an integer",
-                        pair=(f, g),
-                    )
-                if n:
-                    entry[h] = n
-        # composable pairs missing from the input are empty compositions
-        for f in self.names:
-            for g in self.names:
-                if self.morphisms[f].src == self.morphisms[g].tgt:
-                    self.table.setdefault((f, g), {})
+        self._rows, self._order, self._table_fault = self._index_rows(table)
+        self._table = None  # the name view, built by `table` on its first read
         self._cells_cache = None
         self._cell_values: dict = {}  # read and written by `_kept_for_cell` only
         if validate:
             self._validate()
 
+    def _index_rows(self, table: Mapping):
+        """(rows, order, fault) of the input table.
+
+        rows[f][g] is {h: k} over indices for a composable pair (f, g), its
+        summands in input order with zero multiplicities dropped, and None
+        for any other pair; a composable pair the input leaves out is the
+        empty composition.  order lists the composable pairs in the order
+        every check visits them: the input's, then those it leaves out.
+        fault is (message, pair) of the first input entry that `_validate`
+        refuses, or None: an entry for a pair that is unknown or not
+        composable, or a summand that is unknown, out of range or of the
+        wrong source or target.  What names no morphism stays out of the
+        rows.  A multiplicity that is not an integer is refused at once.
+        """
+        idx = self._index
+        src = [self.morphisms[f].src for f in self.names]
+        tgt = [self.morphisms[f].tgt for f in self.names]
+        n = len(self.names)
+        rows = [[None] * n for _ in range(n)]
+        order = []
+        fault = None
+        for (f, g), summands in table.items():
+            fi, gi = idx.get(f), idx.get(g)
+            row = None
+            if fi is None or gi is None:
+                fault = fault or (f"table entry for unknown morphism in ({f!r}, {g!r})", (f, g))
+            elif src[fi] != tgt[gi]:
+                fault = fault or (f"table entry for non-composable pair ({f!r}, {g!r})", (f, g))
+            else:
+                row = rows[fi][gi] = {}
+                order.append((fi, gi))
+                s, t = src[gi], tgt[fi]
+            for h, k in summands.items():
+                m = int(k)
+                if m != k:
+                    raise MultiSemigroupError(
+                        f"multiplicity {k!r} of {h!r} in ({f!r}, {g!r}) is not an integer",
+                        pair=(f, g),
+                    )
+                if not m or row is None:
+                    continue
+                hi = idx.get(h)
+                if hi is None:
+                    problem = f"unknown summand {h!r} in {f!r} o {g!r}"
+                else:
+                    row[hi] = m
+                    if 0 < m < MAX_MULTIPLICITY and src[hi] == s and tgt[hi] == t:
+                        continue
+                    if m < 0 or m >= MAX_MULTIPLICITY:
+                        problem = f"multiplicity {m} of {h!r} in {f!r} o {g!r} out of range"
+                    else:
+                        problem = f"summand {h!r} of {f!r} o {g!r} has wrong source or target"
+                fault = fault or (problem, (f, g))
+        for fi, row in enumerate(rows):
+            if None not in row:
+                continue
+            for gi in range(n):
+                if row[gi] is None and src[fi] == tgt[gi]:
+                    row[gi] = {}
+                    order.append((fi, gi))
+        return rows, order, fault
+
     # -- basic access ---------------------------------------------------
 
-    def identity_of(self, obj: str) -> OneMorphism:
-        for m in self.morphisms.values():
-            if m.is_identity and m.src == obj:
-                return m
-        raise MultiSemigroupError(f"object {obj!r} has no identity morphism")
-
-    def composable(self, f: str, g: str) -> bool:
-        return self.morphisms[f].src == self.morphisms[g].tgt
+    @property
+    def table(self) -> dict:
+        """The table keyed by names, {(f, g): {h: k}} for every composable
+        pair, the input's first and in input order: built from the rows on
+        the first read, then kept."""
+        if self._table is None:
+            names, rows = self.names, self._rows
+            self._table = {
+                (names[fi], names[gi]): {names[h]: k for h, k in rows[fi][gi].items()}
+                for fi, gi in self._order
+            }
+        return self._table
 
     def compose(self, f: str, g: str) -> dict:
         """The multiset F o G as a dict name -> multiplicity."""
-        if f not in self.morphisms or g not in self.morphisms:
+        idx = self._index
+        if f not in idx or g not in idx:
             raise KeyError(f"unknown morphism in pair ({f!r}, {g!r})")
-        if not self.composable(f, g):
+        entry = self._rows[idx[f]][idx[g]]
+        if entry is None:
             raise NotComposableError(
                 f"cannot compose {f!r} (src {self.morphisms[f].src!r}) with "
                 f"{g!r} (tgt {self.morphisms[g].tgt!r})"
             )
-        return dict(self.table[(f, g)])
+        names = self.names
+        return {names[h]: k for h, k in entry.items()}
 
     def renamed(self, mapping: Mapping[str, str]) -> "MultiSemigroup":
         """The same multisemigroup with morphisms relabelled by `mapping`."""
@@ -221,44 +319,34 @@ class MultiSemigroup:
             if m.is_identity and s != name:
                 raise MultiSemigroupError(f"star must fix the identity {name!r}", star=name)
 
-        for (f, g), entry in self.table.items():
-            if not self.composable(f, g):
-                raise MultiSemigroupError(
-                    f"table entry for non-composable pair ({f!r}, {g!r})", pair=(f, g)
-                )
-            for h, k in entry.items():
-                if h not in self.morphisms:
-                    raise MultiSemigroupError(
-                        f"unknown summand {h!r} in {f!r} o {g!r}", pair=(f, g)
-                    )
-                if k < 0 or k >= MAX_MULTIPLICITY:
-                    raise MultiSemigroupError(
-                        f"multiplicity {k} of {h!r} in {f!r} o {g!r} out of range", pair=(f, g)
-                    )
-                hm = self.morphisms[h]
-                if hm.src != self.morphisms[g].src or hm.tgt != self.morphisms[f].tgt:
-                    raise MultiSemigroupError(
-                        f"summand {h!r} of {f!r} o {g!r} has wrong source or target",
-                        pair=(f, g),
-                    )
+        if self._table_fault is not None:
+            message, pair = self._table_fault
+            raise MultiSemigroupError(message, pair=pair)
 
+        idx, names, rows = self._index, self.names, self._rows
+        identity = {m.src: idx[m.name] for m in self.morphisms.values() if m.is_identity}
         for name, m in self.morphisms.items():
-            lid = self.identity_of(m.tgt).name
-            rid = self.identity_of(m.src).name
-            if self.table[(lid, name)] != {name: 1}:
+            i = idx[name]
+            lid, rid = identity[m.tgt], identity[m.src]
+            if rows[lid][i] != {i: 1}:
                 raise MultiSemigroupError(
-                    f"identity {lid!r} is not left-neutral on {name!r}", pair=(lid, name)
+                    f"identity {names[lid]!r} is not left-neutral on {name!r}",
+                    pair=(names[lid], name),
                 )
-            if self.table[(name, rid)] != {name: 1}:
+            if rows[i][rid] != {i: 1}:
                 raise MultiSemigroupError(
-                    f"identity {rid!r} is not right-neutral on {name!r}", pair=(name, rid)
+                    f"identity {names[rid]!r} is not right-neutral on {name!r}",
+                    pair=(name, names[rid]),
                 )
 
-        for (f, g), entry in self.table.items():
-            starred = {self.star[h]: k for h, k in entry.items()}
-            if self.table.get((self.star[g], self.star[f]), {}) != starred:
+        star = [idx[self.star[f]] for f in names]
+        for fi, gi in self._order:
+            starred = {star[h]: k for h, k in rows[fi][gi].items()}
+            if rows[star[gi]][star[fi]] != starred:
                 raise MultiSemigroupError(
-                    f"star is not an anti-map on the table at ({f!r}, {g!r})", pair=(f, g)
+                    "star is not an anti-map on the table at "
+                    f"({names[fi]!r}, {names[gi]!r})",
+                    pair=(names[fi], names[gi]),
                 )
 
         self._check_associativity()
@@ -282,40 +370,43 @@ class MultiSemigroup:
         length of the largest multiplicity plus the bit length of n, and
         digits of that width cannot carry into each other.
         """
-        idx = self._index
-        n = len(self.names)
-        generators = {idx[f] for f in self.generators}
+        rows, names = self._rows, self.names
+        n = len(names)
+        generators = {self._index[f] for f in self.generators}
         if len(generators) < n:
             self._check_generators_span()
-        # supports[a][b] lists (index, multiplicity) of a o b, None when the
-        # pair is not composable; packed[a][b] is that row as one integer
-        supports = [[None] * n for _ in range(n)]
-        packed = [[0] * n for _ in range(n)]
-        top = max((k for entry in self.table.values() for k in entry.values()), default=0)
+        # packed[a][b] is the row a o b as one integer, 0 when not composable
+        top = max((k for row in rows for e in row if e for k in e.values()), default=0)
         bits = 2 * top.bit_length() + n.bit_length()
-        for (f, g), entry in self.table.items():
-            fi, gi = idx[f], idx[g]
-            supports[fi][gi] = [(idx[h], k) for h, k in entry.items()]
-            packed[fi][gi] = sum(k << (bits * idx[h]) for h, k in entry.items())
+        packed = []
+        for row in rows:
+            packed_row = []
+            for e in row:
+                p = 0
+                for h, k in (e or {}).items():
+                    p += k << (bits * h)
+                packed_row.append(p)
+            packed.append(packed_row)
 
         checked = 0
-        for f, g in self.table:
-            fi, gi = idx[f], idx[g]
+        for fi, gi in self._order:
             if fi not in generators:
                 continue
-            supp_fg = supports[fi][gi]
+            # (m, packed row of h) for each summand h of f o g
+            terms = [(m, packed[hi]) for hi, m in rows[fi][gi].items()]
             row_f = packed[fi]
-            for ki, supp_gk in enumerate(supports[gi]):
+            for ki, gk in enumerate(rows[gi]):
                 lhs = rhs = 0
-                for hi, m in supp_fg:
-                    lhs += m * packed[hi][ki]
-                for hi, m in supp_gk or ():
-                    rhs += m * row_f[hi]
+                for m, packed_h in terms:
+                    lhs += m * packed_h[ki]
+                if gk:
+                    for hi, m in gk.items():
+                        rhs += m * row_f[hi]
                 if lhs != rhs:
                     raise MultiSemigroupError(
                         "associativity fails at triple "
-                        f"({self.names[fi]!r}, {self.names[gi]!r}, {self.names[ki]!r})",
-                        pair=(self.names[fi], self.names[gi]),
+                        f"({names[fi]!r}, {names[gi]!r}, {names[ki]!r})",
+                        pair=(names[fi], names[gi]),
                     )
             checked += n
         return checked
@@ -324,17 +415,18 @@ class MultiSemigroup:
         """The identities and the generators span the table under left
         multiplication: close the span of the identities under g o - in an
         echelon form, queueing each product that makes it grow."""
-        idx = self._index
+        idx, rows = self._index, self._rows
+        generator_rows = [rows[idx[f]] for f in self.generators]
         echelon = SparseEchelon(len(self.names))
         queue = [{idx[m.name]: 1} for m in self.morphisms.values() if m.is_identity]
         echelon.extend(queue)
         while queue:
             vec = queue.pop()
-            for f in self.generators:
+            for row in generator_rows:
                 prod = {}
                 for xi, c in vec.items():
-                    for h, k in self.table.get((f, self.names[xi]), {}).items():
-                        prod[idx[h]] = prod.get(idx[h], 0) + c * k
+                    for h, k in (row[xi] or {}).items():
+                        prod[h] = prod.get(h, 0) + c * k
                 if echelon.insert(prod):
                     queue.append(prod)
         if echelon.dim < len(self.names):
@@ -346,15 +438,18 @@ class MultiSemigroup:
     # -- preorders ------------------------------------------------------
 
     def _one_step_masks(self):
-        idx = self._index
         n = len(self.names)
         left = [1 << i for i in range(n)]
-        right = [1 << i for i in range(n)]
-        for (f, g), entry in self.table.items():
-            for h in entry:
-                # g <=_L h via f o g, and f <=_R h via f o g
-                left[idx[g]] |= 1 << idx[h]
-                right[idx[f]] |= 1 << idx[h]
+        right = list(left)
+        for fi, row in enumerate(self._rows):
+            for gi, entry in enumerate(row):
+                if entry:
+                    reached = 0
+                    for h in entry:
+                        reached |= 1 << h
+                    # g <=_L h via f o g, and f <=_R h via f o g
+                    left[gi] |= reached
+                    right[fi] |= reached
         return left, right
 
     @staticmethod
@@ -390,25 +485,15 @@ class MultiSemigroup:
             two = [l | r for l, r in zip(left, right)]
             left, right, two = self._closure(left), self._closure(right), self._closure(two)
             self._cells_cache = CellStructure(
-                leq_left=_relation_from_masks(self.names, left),
-                leq_right=_relation_from_masks(self.names, right),
-                leq_two_sided=_relation_from_masks(self.names, two),
+                names=tuple(self.names),
+                left_masks=tuple(left),
+                right_masks=tuple(right),
+                two_sided_masks=tuple(two),
                 left_cells=_partition_from_masks(self.names, left),
                 right_cells=_partition_from_masks(self.names, right),
                 two_sided_cells=_partition_from_masks(self.names, two),
             )
         return self._cells_cache
-
-
-def _relation_from_masks(names, masks) -> frozenset:
-    pairs = set()
-    for i, mask in enumerate(masks):
-        scan = mask
-        while scan:
-            j = (scan & -scan).bit_length() - 1
-            scan &= scan - 1
-            pairs.add((names[i], names[j]))
-    return frozenset(pairs)
 
 
 def _partition_from_masks(names, masks) -> tuple:
@@ -437,15 +522,19 @@ def _require_two_sided_cell(ms: MultiSemigroup, cell) -> tuple:
 
 
 def is_regular(ms: MultiSemigroup, two_sided_cell) -> bool:
-    """No two distinct left (right) cells inside the cell are order-comparable."""
+    """No two distinct left (right) cells inside the cell are order-comparable,
+    read off the preorder bitmasks at one member of each cell."""
     cell = _require_two_sided_cell(ms, two_sided_cell)
     struct = cells(ms)
     members = set(cell)
-    for kind, relation in (("left", struct.leq_left), ("right", struct.leq_right)):
-        sub = [c for c in getattr(struct, f"{kind}_cells") if set(c) <= members]
+    for masks, partition in (
+        (struct.left_masks, struct.left_cells),
+        (struct.right_masks, struct.right_cells),
+    ):
+        sub = [ms._index[c[0]] for c in partition if set(c) <= members]
         for a in sub:
             for b in sub:
-                if a != b and (a[0], b[0]) in relation:
+                if a != b and (masks[a] >> b) & 1:
                     return False
     return True
 
@@ -541,9 +630,10 @@ def duflo_multiplicity_constant_on_right_cells(ms: MultiSemigroup, two_sided_cel
 
 def identity_products_clean(ms: MultiSemigroup) -> bool:
     """True iff identities only ever appear in products of two identities."""
-    for (f, g), entry in ms.table.items():
-        if ms.morphisms[f].is_identity and ms.morphisms[g].is_identity:
-            continue
-        if any(ms.morphisms[h].is_identity for h in entry):
-            return False
+    identities = {ms._index[m.name] for m in ms.morphisms.values() if m.is_identity}
+    for fi, row in enumerate(ms._rows):
+        for gi, entry in enumerate(row):
+            if entry and not identities.isdisjoint(entry):
+                if fi not in identities or gi not in identities:
+                    return False
     return True

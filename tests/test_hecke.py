@@ -48,6 +48,50 @@ def test_group_axioms_on_normal_forms():
                     assert W.mult(W.mult(x, y), z) == W.mult(x, W.mult(y, z))
 
 
+def _orbit_reference(cartan):
+    """(words, mult_gen, inverse) of the group of a Cartan matrix, from the
+    orbit vectors alone: reflecting rho along a word gives the vector of
+    its element, the first word in ShortLex order to reach a vector is that
+    element's canonical word, x*s has the vector of x reflected by s, and
+    x^-1 the vector of x's word reversed."""
+    rank = len(cartan)
+
+    def reflect(s, v):
+        return tuple(vj - v[s] * c for vj, c in zip(v, cartan[s]))
+
+    def vector(word):
+        v = (1,) * rank
+        for s in word:
+            v = reflect(s, v)
+        return v
+
+    words = [()]
+    index = {vector(()): 0}
+    level = [()]
+    while level:
+        longer = []
+        for word in level:
+            for s in range(rank):
+                v = vector(word + (s,))
+                if v not in index:
+                    index[v] = len(words)
+                    words.append(word + (s,))
+                    longer.append(word + (s,))
+        level = longer
+    mult_gen = [[index[reflect(s, vector(w))] for s in range(rank)] for w in words]
+    inverse = [index[vector(w[::-1])] for w in words]
+    return words, mult_gen, inverse
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "A3", "A4", "B2"])
+def test_the_breadth_first_search_fills_the_tables_the_orbit_vectors_give(kind):
+    W = coxeter_group(kind)
+    words, mult_gen, inverse = _orbit_reference(coxeter._CARTAN[kind][1])
+    assert W.words == words
+    assert W.mult_gen == mult_gen
+    assert W.inverse == inverse
+
+
 def test_length_additive_on_reduced_products():
     W = coxeter_group("A3")
     for x in range(W.order):

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fiatcells import mscell
+from fiatcells import bimod, fixtures, graded, hecke, mscell
 from fiatcells.mscell import (
     MultiSemigroup,
     MultiSemigroupError,
@@ -16,9 +19,8 @@ from fiatcells.hecke import export_multisemigroup
 from fiatcells.coxeter import coxeter_group
 
 
-def tiny_ms(gg=None):
-    """One object, identity plus one self-star morphism g with g o g given."""
-    gg = {"g": 2} if gg is None else gg
+def _tiny_parts(gg=None):
+    """(objects, morphisms, table, star) of `tiny_ms`."""
     morphisms = [
         OneMorphism("1", "i", "i", is_identity=True),
         OneMorphism("g", "i", "i"),
@@ -27,9 +29,14 @@ def tiny_ms(gg=None):
         ("1", "1"): {"1": 1},
         ("1", "g"): {"g": 1},
         ("g", "1"): {"g": 1},
-        ("g", "g"): gg,
+        ("g", "g"): {"g": 2} if gg is None else gg,
     }
-    return MultiSemigroup(["i"], morphisms, table, {"1": "1", "g": "g"})
+    return ["i"], morphisms, table, {"1": "1", "g": "g"}
+
+
+def tiny_ms(gg=None):
+    """One object, identity plus one self-star morphism g with g o g given."""
+    return MultiSemigroup(*_tiny_parts(gg))
 
 
 def two_object_ms():
@@ -507,3 +514,213 @@ def test_strong_regularity_and_duflo_involutions_are_found_once_per_cell(kind, m
         mscell.is_strongly_regular(ms, st.left_cells[0] + ("nothing",))
     with pytest.raises(CellArgumentError):
         mscell.duflo(ms, ("nothing",))
+
+
+# -- one test per validation message: a table with exactly one fault -----
+
+
+def _refusal(objects, morphisms, table, star):
+    """The MultiSemigroupError the constructor raises, as (message,
+    witnesses) with witnesses the pair, star and morphism it names."""
+    with pytest.raises(MultiSemigroupError) as err:
+        MultiSemigroup(objects, morphisms, table, star)
+    return str(err.value), (err.value.pair, err.value.star, err.value.morphism)
+
+
+def test_a_repeated_morphism_name_is_refused():
+    objects, morphisms, table, star = _tiny_parts()
+    assert _refusal(objects, morphisms + [OneMorphism("g", "i", "i")], table, star) == (
+        "duplicate morphism names", (None, None, None),
+    )
+
+
+@pytest.mark.parametrize("star", [{"1": "1"}, {"1": "1", "g": "x", "x": "g"}])
+def test_a_star_missing_or_off_the_morphisms_is_refused(star):
+    objects, morphisms, table, _ = _tiny_parts()
+    assert _refusal(objects, morphisms, table, star) == (
+        "star undefined at 'g'", (None, "g", None),
+    )
+
+
+def test_a_star_moving_the_identity_is_refused():
+    objects, morphisms, table, _ = _tiny_parts()
+    assert _refusal(objects, morphisms, table, {"1": "g", "g": "1"}) == (
+        "star must fix the identity '1'", (None, "1", None),
+    )
+
+
+def test_a_table_entry_for_a_non_composable_pair_is_refused():
+    ms = two_object_ms()
+    table = {**ms.table, ("f", "f"): {}}
+    assert _refusal(ms.objects, ms.morphisms.values(), table, ms.star) == (
+        "table entry for non-composable pair ('f', 'f')", (("f", "f"), None, None),
+    )
+
+
+def test_an_unknown_summand_is_refused():
+    objects, morphisms, table, star = _tiny_parts()
+    table[("g", "g")] = {"g": 1, "x": 1}
+    assert _refusal(objects, morphisms, table, star) == (
+        "unknown summand 'x' in 'g' o 'g'", (("g", "g"), None, None),
+    )
+
+
+def test_a_summand_with_the_wrong_source_or_target_is_refused():
+    ms = two_object_ms()
+    # f o g is an endomorphism of b; 1a is one of a
+    table = {**ms.table, ("f", "g"): {"1a": 1}}
+    assert _refusal(ms.objects, ms.morphisms.values(), table, ms.star) == (
+        "summand '1a' of 'f' o 'g' has wrong source or target", (("f", "g"), None, None),
+    )
+
+
+def test_an_identity_that_is_not_right_neutral_is_refused():
+    objects, morphisms, table, star = _tiny_parts()
+    table[("g", "1")] = {"g": 2}
+    assert _refusal(objects, morphisms, table, star) == (
+        "identity '1' is not right-neutral on 'g'", (("g", "1"), None, None),
+    )
+
+
+def test_a_table_entry_naming_no_morphism_is_refused():
+    objects, morphisms, table, star = _tiny_parts()
+    table[("g", "x")] = {}
+    assert _refusal(objects, morphisms, table, star) == (
+        "table entry for unknown morphism in ('g', 'x')", (("g", "x"), None, None),
+    )
+
+
+def test_the_witness_is_the_first_fault_in_input_order_after_the_star_checks():
+    ms = two_object_ms()
+    non_composable = {("f", "f"): {}}
+    wrong_ends = {("f", "g"): {"1a": 1}}
+    for first, second, message in (
+        (non_composable, wrong_ends, "table entry for non-composable pair ('f', 'f')"),
+        (wrong_ends, non_composable, "summand '1a' of 'f' o 'g' has wrong source or target"),
+    ):
+        table = {**first, **second}
+        table.update((key, entry) for key, entry in ms.table.items() if key not in table)
+        assert _refusal(ms.objects, ms.morphisms.values(), table, ms.star)[0] == message
+        # a star fault is found before any table fault
+        star = {**ms.star, "f": "f", "g": "g"}
+        assert _refusal(ms.objects, ms.morphisms.values(), table, star) == (
+            "star of 'f' must swap source and target", (None, "f", None),
+        )
+
+
+# -- the name-keyed view of the table -----------------------------------
+
+
+def _expected_table(morphisms, table):
+    """The name-keyed table of a MultiSemigroup built from `table`: every
+    input pair in input order, its multiplicities made int and the zero ones
+    dropped, then every composable pair the input leaves out, in the order
+    of the sorted names, as the empty composition."""
+    out = {pair: {h: int(k) for h, k in entry.items() if k} for pair, entry in table.items()}
+    ends = {m.name: (m.src, m.tgt) for m in morphisms}
+    for f in sorted(ends):
+        for g in sorted(ends):
+            if ends[f][0] == ends[g][1]:
+                out.setdefault((f, g), {})
+    return out
+
+
+def _in_order(table):
+    return [(pair, list(entry.items())) for pair, entry in table.items()]
+
+
+@st.composite
+def _tables(draw):
+    """(objects, morphisms, table) on one or two objects: an identity per
+    object and up to three more morphisms, and a table over a random subset
+    of the composable pairs, in random order, with summands of the right
+    ends and multiplicities 0 to 3, some of them integral Fractions."""
+    objects = draw(st.sampled_from([("i",), ("a", "b")]))
+    morphisms = [OneMorphism(f"1{o}", o, o, is_identity=True) for o in objects]
+    for j in range(draw(st.integers(0, 3))):
+        src, tgt = draw(st.sampled_from(objects)), draw(st.sampled_from(objects))
+        morphisms.append(OneMorphism(f"m{j}", src, tgt))
+    composable = [(f, g) for f in morphisms for g in morphisms if f.src == g.tgt]
+    multiplicity = st.integers(0, 3) | st.integers(0, 3).map(Fraction)
+    table = {}
+    for f, g in draw(st.lists(st.sampled_from(composable), unique=True)):
+        ends = [h.name for h in morphisms if (h.src, h.tgt) == (g.src, f.tgt)]
+        summands = st.dictionaries(st.sampled_from(ends), multiplicity, max_size=3)
+        table[(f.name, g.name)] = draw(summands) if ends else {}
+    return objects, morphisms, table
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_tables())
+def test_the_table_view_keeps_the_input_and_compose_reads_the_same(case):
+    objects, morphisms, table = case
+    star = {m.name: m.name for m in morphisms}
+    ms = MultiSemigroup(objects, morphisms, table, star, validate=False)
+    expected = _expected_table(morphisms, table)
+    assert _in_order(ms.table) == _in_order(expected)
+    assert all(type(k) is int for entry in ms.table.values() for k in entry.values())
+    for f in ms.names:
+        for g in ms.names:
+            if (f, g) in expected:
+                assert ms.compose(f, g) == expected[(f, g)]
+            else:
+                with pytest.raises(NotComposableError):
+                    ms.compose(f, g)
+
+
+def _built_with_its_table(monkeypatch, module, build):
+    """(build(), the table it gave MultiSemigroup) for a build that makes
+    its multisemigroup through `module.MultiSemigroup`."""
+    given = []
+
+    def recording(objects, morphisms, table, star, **options):
+        given.append((list(morphisms), table))
+        return MultiSemigroup(objects, given[-1][0], table, star, **options)
+
+    monkeypatch.setattr(module, "MultiSemigroup", recording)
+    built = build()
+    monkeypatch.undo()
+    (morphisms, table), = given
+    return built, _expected_table(morphisms, table)
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "A3", "A4", "B2"])
+def test_the_table_view_of_an_export_is_its_input(kind, monkeypatch):
+    group = coxeter_group(kind)
+    ms, expected = _built_with_its_table(
+        monkeypatch, hecke, lambda: export_multisemigroup(group, bound=group.order)
+    )
+    assert _in_order(ms.table) == _in_order(expected)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.ALGEBRA_FILES))
+def test_the_table_view_of_every_ccx_fixture_build_is_its_input(name, monkeypatch):
+    algebra = fixtures.load_algebra(name).algebra
+    build, expected = _built_with_its_table(
+        monkeypatch, bimod, lambda: bimod.build_ccx(bimod.CcxData(algebras=(algebra,), name=name))
+    )
+    assert _in_order(build.ms.table) == _in_order(expected)
+    if name in fixtures.GRADED_FIXTURES:
+        spec = fixtures.load_algebra(name)
+        build, expected = _built_with_its_table(
+            monkeypatch, bimod,
+            lambda: graded.build_graded_ccx([graded.GradedAlgebra(algebra, spec.degrees)], name=name),
+        )
+        assert _in_order(build.ms.table) == _in_order(expected)
+
+
+def test_an_a3_export_and_its_cell_queries_build_no_name_view(monkeypatch):
+    read = []
+    monkeypatch.setattr(MultiSemigroup, "table", property(lambda ms: read.append("table")))
+    monkeypatch.setattr(mscell.CellStructure, "_pairs", lambda st, masks: read.append("pairs"))
+    ms = export_multisemigroup(coxeter_group("A3"))
+    st = mscell.cells(ms)
+    assert mscell.identity_products_clean(ms)
+    for J in st.two_sided_cells:
+        assert mscell.is_regular(ms, J)
+        assert mscell.is_strongly_regular(ms, J)
+        assert mscell.duflo_multiplicity_constant_on_right_cells(ms, J)
+    assert read == []
+    # the recorders see a read
+    ms.table, st.leq_left, st.leq_two_sided
+    assert read == ["table", "pairs", "pairs"]

@@ -30,6 +30,7 @@ ERROR = "error path: raised on bad input only, which the bundled data is not"
 REPR = "debug text of a value; test failure messages show it"
 HASH = "hash of a value type, consistent with its =="
 TRACED = "serves only names the benchmark's tracer pins"
+PAIRS = "a preorder as name pairs, built on first read: tests read it, no report does"
 
 # qualified name (module.Class.function) -> why it is kept unreached
 KEPT = {
@@ -57,6 +58,10 @@ KEPT = {
     "linalg._ncols": TRACED + " (rref, solve, inverse)",
     "linalg.dot": TRACED + " (mat_mul)",
     "linalg.sp_flatten": TOOL + " (tests rank hom matrices flattened to vectors)",
+    "mscell.CellStructure._pairs": "serves only the leq_* pair views",
+    "mscell.CellStructure.leq_left": PAIRS,
+    "mscell.CellStructure.leq_right": PAIRS,
+    "mscell.CellStructure.leq_two_sided": PAIRS,
     "mscell.MultiSemigroup.renamed": TOOL,
     "mscell.MultiSemigroupError.__init__": ERROR,
     "report.CellReport.from_json": "reads a JSON report back; kept beside to_dict",
