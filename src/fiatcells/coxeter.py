@@ -7,8 +7,11 @@ weight coordinates by s(v)_j = v_j - v_s C[s][j], and the orbit of the
 regular weight rho = (1, ..., 1) is free: the group is generated as that
 orbit, x*s being s applied to x^-1(rho), and keeps only the words and the
 tables read off it.  Elements are indexed 0..|W|-1 in ShortLex order of
-their canonical reduced words (identity is element 0).  A4 is here for the
-Robinson-Schensted oracle only.
+their canonical reduced words (identity is element 0), the order in which
+the breadth-first search meets them, so index order is also length order.
+Each group is built on the first request for its type and then kept in
+`_GROUPS`: every later request returns that same object.  A4 is here for
+the Robinson-Schensted oracle only.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ class CoxeterGroup:
 
     identity: int = 0
     _bruhat_down: list = field(default_factory=list, repr=False)
-    _by_length: list = field(default_factory=list, repr=False)
 
     @property
     def order(self) -> int:
@@ -70,12 +72,10 @@ class CoxeterGroup:
             x = self.mult_gen[x][pos[ch]]
         return x
 
-    def by_length(self) -> list:
-        """The elements in ascending length order (the identity first),
-        sorted once per group."""
-        if not self._by_length:
-            self._by_length = sorted(range(self.order), key=self.length)
-        return self._by_length
+    def by_length(self) -> range:
+        """The elements in ascending length order (the identity first):
+        index order, since ShortLex order never decreases in length."""
+        return range(self.order)
 
     def longest(self) -> int:
         return max(range(self.order), key=self.length)
@@ -150,11 +150,19 @@ def _generate(kind, gen_names, cartan) -> CoxeterGroup:
     return CoxeterGroup(kind, tuple(gen_names), words, mult_gen, inverse)
 
 
+# type -> its group, built on the first request; every caller shares it, so
+# nothing but its own Bruhat cache writes to a group
+_GROUPS: dict = {}
+
+
 def coxeter_group(kind: str) -> CoxeterGroup:
-    """Construct a supported Coxeter group, 'A1' to 'A4' or 'B2', from its
-    row of the Cartan-matrix table."""
+    """The supported Coxeter group 'A1' to 'A4' or 'B2' (any case), built
+    from its row of the Cartan-matrix table on the first request for its
+    type and kept: every later request returns the same object."""
     kind = kind.upper()
     if kind not in _CARTAN:
         raise ValueError(f"unsupported Coxeter type {kind!r}")
-    names, cartan = _CARTAN[kind]
-    return _generate(kind, names, cartan)
+    if kind not in _GROUPS:
+        names, cartan = _CARTAN[kind]
+        _GROUPS[kind] = _generate(kind, names, cartan)
+    return _GROUPS[kind]

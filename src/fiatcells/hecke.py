@@ -39,9 +39,10 @@ from typing import NamedTuple
 
 from .coxeter import CoxeterGroup, coxeter_group
 from .laurent import LaurentPoly
-from .mscell import MultiSemigroup, OneMorphism, CellStructure
+from .mscell import MultiSemigroup, OneMorphism
 
-DEFAULT_SIZE_BOUND = 24
+# the largest group order the Kazhdan-Lusztig computation accepts
+DEFAULT_SIZE_BOUND = 192
 
 # raw {exponent: int} factors for `_mac`
 _ONE = {0: 1}
@@ -156,7 +157,7 @@ def _mu_terms(group: CoxeterGroup, b_w: dict, s: int) -> dict:
     }
 
 
-def _kl_recursion(group: CoxeterGroup, bound: int) -> tuple:
+def _kl_recursion(group: CoxeterGroup) -> tuple:
     """(basis, act): `kl_basis` in raw T coordinates, and act[s][w] =
     b_s b_w in canonical coordinates as raw dicts, from one pass over w in
     length order.
@@ -168,8 +169,10 @@ def _kl_recursion(group: CoxeterGroup, bound: int) -> tuple:
     bar invariant by construction, it is then canonical (KL 1979,
     Theorem 1.1).  Every later pair must give b_sw exactly, which
     certifies its mu terms."""
-    if group.order > bound:
-        raise SizeLimitError(f"group of order {group.order} exceeds the bound {bound}")
+    if group.order > DEFAULT_SIZE_BOUND:
+        raise SizeLimitError(
+            f"group of order {group.order} exceeds the bound {DEFAULT_SIZE_BOUND}"
+        )
     gens = range(len(group.gen_names))
     basis: list = [None] * group.order
     basis[group.identity] = {group.identity: {0: 1}}
@@ -206,14 +209,14 @@ def _kl_recursion(group: CoxeterGroup, bound: int) -> tuple:
     return basis, act
 
 
-def kl_basis(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list[dict]:
+def kl_basis(group: CoxeterGroup) -> list[dict]:
     """The canonical (Kazhdan-Lusztig) basis {b_w} in T coordinates.
 
     Computed by the recursion b_sw = b_s b_w - sum mu(z, w) b_z for
     sw > w, mu read off b_w, with every generator product checked
     (`_kl_recursion`).
     """
-    return _kl_recursion(group, bound)[0]
+    return _kl_recursion(group)[0]
 
 
 def kl_expand(group: CoxeterGroup, element: dict, basis=None) -> dict:
@@ -269,10 +272,10 @@ def _descent_product(group: CoxeterGroup, b_w: dict, s: int, w: int) -> dict:
     return {w: {1: 1, -1: 1}}
 
 
-def _generator_action(group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND) -> list:
+def _generator_action(group: CoxeterGroup) -> list:
     """act[s][w] = b_s b_w in canonical coordinates, as raw dicts
     (`_kl_recursion`); b_sw has coefficient 1 in it when sw > w."""
-    return _kl_recursion(group, bound)[1]
+    return _kl_recursion(group)[1]
 
 
 class _Packing(NamedTuple):
@@ -415,12 +418,12 @@ def _packed_at_one(packing: _Packing, names: list, entry: dict, shift: int) -> d
     return out
 
 
-def _table_at_one(group: CoxeterGroup, bound: int) -> dict:
+def _table_at_one(group: CoxeterGroup) -> dict:
     """b_y b_x at v=1 for every pair, keyed by the names (x, y), built one
     right factor b_x at a time from the packed generator action.  Only the
     table outlives the call, so the multisemigroup validates it after the
     basis, the action and the last column are freed."""
-    packing, steps = _packed_action(group, _generator_action(group, bound))
+    packing, steps = _packed_action(group, _generator_action(group))
     names = [group.name(x) for x in range(group.order)]
     table = {}
     for x in range(group.order):
@@ -432,9 +435,7 @@ def _table_at_one(group: CoxeterGroup, bound: int) -> dict:
     return table
 
 
-def export_multisemigroup(
-    group: CoxeterGroup, bound: int = DEFAULT_SIZE_BOUND
-) -> MultiSemigroup:
+def export_multisemigroup(group: CoxeterGroup) -> MultiSemigroup:
     """The multisemigroup of the projective-functor 2-category of the group.
 
     Morphism labels are the canonical words ('e' for the identity).  The
@@ -450,7 +451,7 @@ def export_multisemigroup(
         OneMorphism(group.name(x), obj, obj, is_identity=(x == group.identity))
         for x in range(group.order)
     ]
-    table = _table_at_one(group, bound)
+    table = _table_at_one(group)
     star = {group.name(x): group.name(group.inverse[x]) for x in range(group.order)}
     generators = [
         group.name(group.mult_gen[group.identity][s]) for s in range(len(group.gen_names))
@@ -528,16 +529,24 @@ def rsk(perm) -> TableauPair:
     )
 
 
-def rsk_cells(n: int) -> CellStructure:
-    """Cell structure of S_n from the Robinson-Schensted correspondence,
-    over the one-line permutations `perm(x)` of A_{n-1}'s elements.
+class Cells(NamedTuple):
+    """Left, right and two-sided cells as partitions: each a sorted tuple
+    of name-sorted cells."""
+
+    left_cells: tuple
+    right_cells: tuple
+    two_sided_cells: tuple
+
+
+def rsk_cells(n: int) -> Cells:
+    """Cells of S_n from the Robinson-Schensted correspondence, over the
+    one-line permutations `perm(x)` of A_{n-1}'s elements.
 
     Two-sided cells are fibers of the shape; left cells are fibers of the
     insertion tableau P (so that they agree with the multisemigroup export,
     whose left cells are Kazhdan-Lusztig right cells); right cells are
-    fibers of Q.  The preorder masks are read off these partitions and only
-    record the cell equivalences: the oracle fixes the partitions, not the
-    full composition preorders.
+    fibers of Q.  The oracle fixes these partitions only, not the
+    composition preorders, so it returns no preorder.
     """
     if n < 2 or n > 5:
         raise ValueError("rsk_cells supports 2 <= n <= 5")
@@ -550,29 +559,8 @@ def rsk_cells(n: int) -> CellStructure:
         by_p.setdefault(pair.p_rows, []).append(group.name(x))
         by_q.setdefault(pair.q_rows, []).append(group.name(x))
         by_shape.setdefault(pair.shape, []).append(group.name(x))
-    names = tuple(sorted(group.name(x) for x in range(group.order)))
-    index = {name: i for i, name in enumerate(names)}
 
     def partition(groups: dict) -> tuple:
         return tuple(sorted(tuple(sorted(fibre)) for fibre in groups.values()))
 
-    def equivalence(cells: tuple) -> tuple:
-        masks = [0] * len(names)
-        for cell in cells:
-            bits = sum(1 << index[name] for name in cell)
-            for name in cell:
-                masks[index[name]] = bits
-        return tuple(masks)
-
-    left = partition(by_p)
-    right = partition(by_q)
-    two = partition(by_shape)
-    return CellStructure(
-        names=names,
-        left_masks=equivalence(left),
-        right_masks=equivalence(right),
-        two_sided_masks=equivalence(two),
-        left_cells=left,
-        right_cells=right,
-        two_sided_cells=two,
-    )
+    return Cells(partition(by_p), partition(by_q), partition(by_shape))

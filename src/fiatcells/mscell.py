@@ -454,20 +454,16 @@ class MultiSemigroup:
 
     @staticmethod
     def _closure(masks):
-        n = len(masks)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = masks[i]
-                scan = acc
-                while scan:
-                    j = (scan & -scan).bit_length() - 1
-                    scan &= scan - 1
-                    acc |= masks[j]
-                if acc != masks[i]:
-                    masks[i] = acc
-                    changed = True
+        """The transitive closure of the one-step masks, in place, by
+        Warshall's algorithm (J. ACM 9, 1962): round k ORs mask k into every
+        mask that reaches k.  After round k each mask holds all it reaches
+        through intermediate points up to k, so one round per point closes
+        it, and reflexive steps give the reflexive-transitive closure."""
+        for k in range(len(masks)):
+            bit, reach = 1 << k, masks[k]
+            for i, m in enumerate(masks):
+                if m & bit:
+                    masks[i] = m | reach
         return masks
 
     def _kept_for_cell(self, key, build):

@@ -156,9 +156,9 @@ def test_bar_invariance_all_groups(monkeypatch):
         return tables[group.kind]
 
     monkeypatch.setattr(hecke, "_bar_t_basis", kept)
-    for kind, bound in (("A1", 24), ("A2", 24), ("B2", 24), ("A3", 24), ("A4", 120)):
+    for kind in ("A1", "A2", "B2", "A3", "A4"):
         W = coxeter_group(kind)
-        for b in kl_basis(W, bound):
+        for b in kl_basis(W):
             assert bar_involution(W, b) == b
 
 
@@ -186,10 +186,12 @@ def test_bar_involution_returns_fresh_dicts():
     assert bar_involution(W, again) == {w0: {0: 1}}
 
 
-def test_size_bound():
-    W = coxeter_group("A3")
-    with pytest.raises(SizeLimitError):
-        kl_basis(W, bound=6)
+def test_size_bound(monkeypatch):
+    # the bound is inclusive: a group of exactly its order still runs
+    monkeypatch.setattr(hecke, "DEFAULT_SIZE_BOUND", 6)
+    with pytest.raises(SizeLimitError, match="group of order 24 exceeds the bound 6"):
+        kl_basis(coxeter_group("A3"))
+    assert len(kl_basis(coxeter_group("A2"))) == 6
 
 
 def test_product_at_one_a1():
@@ -330,9 +332,11 @@ def test_stored_coefficients_keep_no_zeros_and_int_exponents(kind):
 @pytest.mark.parametrize("kind, bound", [
     ("A1", 24), ("A2", 24), ("A3", 24), ("B2", 24), ("A4", 120),
 ])
-def test_packed_table_matches_the_dict_reference(kind, bound):
+def test_packed_table_matches_the_dict_reference(kind, bound, monkeypatch):
+    # under its pinned bound, which A3 and A4 meet exactly
+    monkeypatch.setattr(hecke, "DEFAULT_SIZE_BOUND", bound)
     W = coxeter_group(kind)
-    act = hecke._generator_action(W, bound)
+    act = hecke._generator_action(W)
     packing, cols = _packed_columns(W, act)
     names = [W.name(x) for x in range(W.order)]
     table = {}
@@ -343,7 +347,7 @@ def test_packed_table_matches_the_dict_reference(kind, bound):
             table[(names[x], names[y])] = {
                 names[z]: sum(row.values()) for z, row in col[y].items()
             }
-    assert hecke._table_at_one(W, bound) == table
+    assert hecke._table_at_one(W) == table
 
 
 def _proven_width(group, act):
@@ -469,7 +473,7 @@ def test_export_work_is_linear_in_the_generator_products(kind, monkeypatch):
     assert descents == {"A3": 36, "B2": 8}[kind]
     assert calls == {
         "_descent_product": descents, "_mu_terms": len(gens) * W.order - descents,
-        "multiply": 0, "kl_expand": 0, "kl_product_at_one": 0, "length sorts": 1,
+        "multiply": 0, "kl_expand": 0, "kl_product_at_one": 0, "length sorts": 0,
     }
 
 
@@ -523,8 +527,8 @@ def test_export_rejects_a_negative_structure_constant(monkeypatch):
     two, w = W.element_of_name("2"), W.element_of_name("12")
     original = hecke._generator_action
 
-    def flipped(group, bound):
-        act = original(group, bound)
+    def flipped(group):
+        act = original(group)
         assert act[1][w] == {W.longest(): {0: 1}, two: {0: 1}}
         act[1][w][two] = {1: 1, -1: -1}
         return act
@@ -568,7 +572,7 @@ def test_a_term_at_a_longer_element_whose_partner_is_outside_the_support_is_refu
     # compared from; every pair that has one still agrees, so only the check
     # of the longer end refuses it
     W = coxeter_group("A2")
-    basis = hecke._kl_recursion(W, hecke.DEFAULT_SIZE_BOUND)[0]
+    basis = hecke._kl_recursion(W)[0]
     s, w, y = 0, W.element_of_name("1"), W.element_of_name("12")
     planted = {**basis[w], y: {0: 1}}
     sy = hecke._left_product(W, s, y)
@@ -684,12 +688,14 @@ def test_export_rejects_a_recursion_product_with_a_correction_changed(
 @pytest.mark.parametrize("kind, bound", [
     ("A1", 24), ("A2", 24), ("A3", 24), ("B2", 24), ("A4", 120),
 ])
-def test_generator_action_matches_the_t_basis_reference(kind, bound):
+def test_generator_action_matches_the_t_basis_reference(kind, bound, monkeypatch):
     # every b_s b_w, whichever source it came from, against the per-pair
-    # T-basis product and top-down expansion
+    # T-basis product and top-down expansion, under the pinned bound, which
+    # A3 and A4 meet exactly
+    monkeypatch.setattr(hecke, "DEFAULT_SIZE_BOUND", bound)
     W = coxeter_group(kind)
-    basis = kl_basis(W, bound)
-    act = hecke._generator_action(W, bound)
+    basis = kl_basis(W)
+    act = hecke._generator_action(W)
     for s in range(len(W.gen_names)):
         b_s = basis[W.mult_gen[W.identity][s]]
         for w in range(W.order):
@@ -839,3 +845,44 @@ def test_unsupported_types_are_refused_before_any_search(kind, monkeypatch):
     monkeypatch.setattr(coxeter, "_generate", searched)
     with pytest.raises(ValueError, match="unsupported Coxeter type"):
         coxeter_group(kind)
+
+
+def test_each_group_is_built_once_and_shared_across_spellings():
+    assert coxeter_group("a2") is coxeter_group("A2")
+    assert coxeter_group("B2") is coxeter_group("b2")
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "A3", "A4", "B2"])
+def test_index_order_is_length_order(kind):
+    # the breadth-first search numbers elements in ShortLex order, so
+    # lengths never decrease along the indices and by_length sorts nothing
+    W = coxeter_group(kind)
+    lengths = [W.length(x) for x in range(W.order)]
+    assert all(a <= b for a, b in zip(lengths, lengths[1:]))
+    assert list(W.by_length()) == sorted(range(W.order), key=W.length)
+
+
+def test_a_report_all_builds_each_of_its_four_groups_once():
+    # s2-s4 and b2 are exported and s2-s4 meet rsk_cells: seven requests
+    # for four groups, each built by one orbit search in a fresh process
+    script = (
+        "import contextlib, io\n"
+        "from fiatcells import coxeter, verify\n"
+        "built = []\n"
+        "search = coxeter._generate\n"
+        "def counted(kind, *rest):\n"
+        "    built.append(kind)\n"
+        "    return search(kind, *rest)\n"
+        "coxeter._generate = counted\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    verify.report_all()\n"
+        "print(' '.join(built))\n"
+    )
+    src = str(Path(hecke.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.returncode == 0, run.stderr
+    assert sorted(run.stdout.split()) == ["A1", "A2", "A3", "B2"]

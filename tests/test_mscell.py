@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -687,9 +688,7 @@ def _built_with_its_table(monkeypatch, module, build):
 @pytest.mark.parametrize("kind", ["A1", "A2", "A3", "A4", "B2"])
 def test_the_table_view_of_an_export_is_its_input(kind, monkeypatch):
     group = coxeter_group(kind)
-    ms, expected = _built_with_its_table(
-        monkeypatch, hecke, lambda: export_multisemigroup(group, bound=group.order)
-    )
+    ms, expected = _built_with_its_table(monkeypatch, hecke, lambda: export_multisemigroup(group))
     assert _in_order(ms.table) == _in_order(expected)
 
 
@@ -724,3 +723,146 @@ def test_an_a3_export_and_its_cell_queries_build_no_name_view(monkeypatch):
     # the recorders see a read
     ms.table, st.leq_left, st.leq_two_sided
     assert read == ["table", "pairs", "pairs"]
+
+
+# -- the symmetric inverse monoids I_n ------------------------------------
+
+
+def _symmetric_inverse_parts(n):
+    """(objects, morphisms, table, star) of I_n: the partial bijections of
+    {1..n} on one object, composed as maps (f o g applies g first), with
+    star the inverse.  A map is named by its images of 1..n, '-' where it
+    is undefined, and has rank the size of its domain."""
+    maps = [
+        image for image in itertools.product(range(n + 1), repeat=n)  # 0: undefined
+        if len({y for y in image if y}) == sum(1 for y in image if y)
+    ]
+
+    def name(f):
+        return "".join(str(y) if y else "-" for y in f)
+
+    def inverse(f):
+        inv = [0] * n
+        for x, y in enumerate(f, start=1):
+            if y:
+                inv[y - 1] = x
+        return tuple(inv)
+
+    identity = tuple(range(1, n + 1))
+    morphisms = [OneMorphism(name(f), "i", "i", is_identity=f == identity) for f in maps]
+    table = {
+        (name(f), name(g)): {name(tuple(f[y - 1] if y else 0 for y in g)): 1}
+        for f in maps for g in maps
+    }
+    return ["i"], morphisms, table, {name(f): name(inverse(f)) for f in maps}
+
+
+def _green_reference(table):
+    """(left, right, two-sided) cells of a table by breadth-first search over
+    one-step products: h is one left step from g when h lies in some f o g,
+    one right step from f likewise, and a cell is a class of mutual reach."""
+    left, right = {}, {}
+    for (f, g), entry in table.items():
+        for name in (f, g):
+            left.setdefault(name, set()).add(name)
+            right.setdefault(name, set()).add(name)
+        left[g].update(h for h, k in entry.items() if k)
+        right[f].update(h for h, k in entry.items() if k)
+    both = {f: left[f] | right[f] for f in left}
+
+    def cells(steps):
+        reach = {}
+        for start in steps:
+            seen, queue = {start}, [start]
+            while queue:
+                for h in steps[queue.pop()]:
+                    if h not in seen:
+                        seen.add(h)
+                        queue.append(h)
+            reach[start] = seen
+        return tuple(sorted(
+            {tuple(sorted(g for g in reach[f] if f in reach[g])) for f in steps}
+        ))
+
+    return cells(left), cells(right), cells(both)
+
+
+@pytest.mark.parametrize("n, counts", [(2, (3, 4, 4)), (3, (4, 8, 8))])
+def test_symmetric_inverse_monoid_cells(n, counts):
+    parts = _symmetric_inverse_parts(n)
+    ms = MultiSemigroup(*parts)
+    struct = mscell.cells(ms)
+    computed = (struct.two_sided_cells, struct.left_cells, struct.right_cells)
+    assert tuple(len(c) for c in computed) == counts
+    left, right, two = _green_reference(parts[2])
+    assert (struct.left_cells, struct.right_cells, struct.two_sided_cells) == (left, right, two)
+    # an inverse monoid is regular; L meets R in k! maps in rank k, so
+    # exactly the rank-0 and rank-1 cells are strongly regular
+    for cell in struct.two_sided_cells:
+        rank = n - cell[0].count("-")
+        assert mscell.is_regular(ms, cell)
+        assert mscell.is_strongly_regular(ms, cell) == (rank <= 1)
+    strongly = [c for c in struct.two_sided_cells if mscell.is_strongly_regular(ms, c)]
+    assert sorted(len(c) for c in strongly) == [1, n * n]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_symmetric_inverse_monoid_cells_do_not_rest_on_the_names(n):
+    # relabel so that the sorted order of the names is reversed
+    ms = MultiSemigroup(*_symmetric_inverse_parts(n))
+    mapping = {f: f"x{len(ms.names) - i:02d}" for i, f in enumerate(ms.names)}
+    renamed = mscell.cells(ms.renamed(mapping))
+
+    def relabelled(partition):
+        return tuple(sorted(tuple(sorted(mapping[f] for f in c)) for c in partition))
+
+    struct = mscell.cells(ms)
+    assert renamed.left_cells == relabelled(struct.left_cells)
+    assert renamed.right_cells == relabelled(struct.right_cells)
+    assert renamed.two_sided_cells == relabelled(struct.two_sided_cells)
+
+
+# -- the closure behind the cells -----------------------------------------
+
+
+def _fixpoint_closure(masks):
+    """Sweeps until nothing changes: each mask ORs in the mask of every
+    point it holds."""
+    masks = list(masks)
+    changed = True
+    while changed:
+        changed = False
+        for i, m in enumerate(masks):
+            acc = m
+            for j in range(len(masks)):
+                if m >> j & 1:
+                    acc |= masks[j]
+            if acc != m:
+                masks[i] = acc
+                changed = True
+    return masks
+
+
+@st.composite
+def _reflexive_steps(draw):
+    """One-step masks on n <= 16 points: each point reaches itself and the
+    heads of a few random edges out of it."""
+    n = draw(st.integers(1, 16))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    masks = [1 << i for i in range(n)]
+    for i, j in edges:
+        masks[i] |= 1 << j
+    return masks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_reflexive_steps())
+def test_the_one_pass_closure_is_the_fixpoint_closure(masks):
+    closed = MultiSemigroup._closure(list(masks))
+    assert closed == _fixpoint_closure(masks)
+    for i, m in enumerate(closed):
+        assert m >> i & 1
+        for j in range(len(closed)):
+            if m >> j & 1:
+                assert closed[j] | m == m
+    assert MultiSemigroup._closure(list(closed)) == closed

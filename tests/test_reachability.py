@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from fiatcells import cli, fixtures, verify
+from fiatcells import cli, coxeter, fixtures, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fiatcells"
@@ -157,8 +157,9 @@ def _run_entry_points(tmp_path):
 
 
 def test_every_function_is_reached_pinned_or_kept(tmp_path, monkeypatch):
-    # built fixtures would keep what earlier tests derived from them
+    # built fixtures and groups would keep what earlier tests derived from them
     monkeypatch.setattr(fixtures, "_cache", {})
+    monkeypatch.setattr(coxeter, "_GROUPS", {})
     reached = _reached(PACKAGE, lambda: _run_entry_points(tmp_path))
     stray, stale = _unaccounted(PACKAGE, reached, KEPT, _spans())
     assert not stray, f"defined but never reached: {stray}"
