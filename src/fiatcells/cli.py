@@ -248,7 +248,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_graded_verify(args) -> int:
-    if args.fixture not in fixtures.ALGEBRA_FILES or not fixtures.is_graded(args.fixture):
+    if args.fixture not in fixtures.ALL_FIXTURES:
+        raise ParseError("<arg>", 0, f"unknown fixture {args.fixture!r}")
+    if not fixtures.is_graded(args.fixture):
         raise ParseError("<arg>", 0, f"fixture {args.fixture!r} carries no grading")
     return _print_reports([verify.graded_report(args.fixture)], args.format)
 

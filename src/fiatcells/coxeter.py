@@ -41,6 +41,8 @@ class CoxeterGroup:
     words: list  # element -> canonical reduced word (tuple of generator indices)
     mult_gen: list  # element, generator -> element (right multiplication)
     inverse: list
+    lengths: list  # element -> length
+    left_gen: list  # element, generator -> element (left multiplication)
 
     identity: int = 0
     _bruhat_down: list = field(default_factory=list, repr=False)
@@ -50,7 +52,7 @@ class CoxeterGroup:
         return len(self.words)
 
     def length(self, x: int) -> int:
-        return len(self.words[x])
+        return self.lengths[x]
 
     def mult(self, x: int, y: int) -> int:
         for s in self.words[y]:
@@ -78,7 +80,9 @@ class CoxeterGroup:
         return range(self.order)
 
     def longest(self) -> int:
-        return max(range(self.order), key=self.length)
+        """The longest element: the last one, since ShortLex order never
+        decreases in length and the longest element is unique."""
+        return self.order - 1
 
     # -- Bruhat order ---------------------------------------------------
 
@@ -118,7 +122,8 @@ class CoxeterGroup:
 def _generate(kind, gen_names, cartan) -> CoxeterGroup:
     """ShortLex BFS over the orbit of rho: elements leave the queue in
     index order, and reflecting each one by every generator both finds the
-    new elements and fills its row of `mult_gen`."""
+    new elements and fills its row of `mult_gen`.  The lengths and the left
+    products s*x = (x^-1 * s)^-1 are read off the words and the inverses."""
     gens = range(len(cartan))
     rho = (1,) * len(cartan)
     words = [()]
@@ -147,7 +152,9 @@ def _generate(kind, gen_names, cartan) -> CoxeterGroup:
             v = _reflect(cartan, s, v)
         if v != rho:
             raise AssertionError("inverse computation failed")
-    return CoxeterGroup(kind, tuple(gen_names), words, mult_gen, inverse)
+    lengths = [len(word) for word in words]
+    left_gen = [[inverse[mult_gen[inverse[x]][s]] for s in gens] for x in range(n)]
+    return CoxeterGroup(kind, tuple(gen_names), words, mult_gen, inverse, lengths, left_gen)
 
 
 # type -> its group, built on the first request; every caller shares it, so

@@ -18,18 +18,27 @@ canonical basis, so the exported table is checked for associativity with
 only the b_s as left factors (neutrality already settles the identity),
 next to a certificate that they and the identity span it.
 
-A Hecke element has one form: {x: {exponent: int}} in T or canonical
-coordinates, with no zero entries.  Laurent arithmetic accumulates in place:
-`_mac` adds factor * data into such dicts, so no sum or product builds
-temporaries.  The KL recursion and the per-pair reference (`kl_basis`,
-`multiply`, `bar_involution`, `kl_expand`, `kl_product_at_one`) all work
-on it.  The export's product table packs each coefficient into one
-int instead (Kronecker substitution: v = 2^bits, one balanced digit per
-exponent), with a width `_packed_action` proves from the generator action,
-so its Laurent products are big-int products, and the v = 1 step checks
-every coefficient non-negative with one mask and reads the value at 1 as a
-remainder modulo 2^bits - 1.  LaurentPoly only formats coefficients in
-error messages.
+A Laurent coefficient is packed into one int in the two stages that do the
+export's arithmetic, and is a raw {exponent: int} dict everywhere else.
+Packing is Kronecker substitution: the int is the value at v = 2^bits, one
+balanced base-2^bits digit per exponent, exact while every coefficient is
+below 2^(bits-1) in magnitude.
+- The KL recursion packs the T coordinates of each b_w as {x: int} at the
+  fixed width `_KL_BITS`, its exponents all non-negative, and tracks an l1
+  bound of each b_w that proves the width before any digit is read (else
+  `SizeLimitError`).  Its int operations are the Laurent ones: shifts for
+  v and v^-1, the digit at v^1 for mu, masks for the degree check.
+- The export's product table packs each coefficient of a column, with a
+  width `_packed_action` proves from the generator action, so its Laurent
+  products are big-int products, and the v = 1 step checks every
+  coefficient non-negative with one mask and reads the value at 1 as a
+  remainder modulo 2^bits - 1.
+Everything else is raw {x: {exponent: int}} dicts in T or canonical
+coordinates, with no zero entries: the generator action `act` the
+recursion hands the table, `kl_basis` (the recursion's basis, unpacked) and
+the per-pair reference (`multiply`, `bar_involution`, `kl_expand`,
+`kl_product_at_one`), whose Laurent arithmetic accumulates in place
+through `_mac`.  LaurentPoly only formats coefficients in error messages.
 """
 
 from __future__ import annotations
@@ -44,9 +53,11 @@ from .mscell import MultiSemigroup, OneMorphism
 # the largest group order the Kazhdan-Lusztig computation accepts
 DEFAULT_SIZE_BOUND = 192
 
+# the digit width of the packed canonical basis in `_kl_recursion`
+_KL_BITS = 64
+
 # raw {exponent: int} factors for `_mac`
 _ONE = {0: 1}
-_V = {1: 1}
 _VMINUS = {1: 1, -1: -1}  # v - v^-1
 
 
@@ -59,8 +70,7 @@ class HeckeDataError(ValueError):
 
 
 def _left_product(group: CoxeterGroup, s: int, x: int) -> int:
-    # s * x = (x^-1 * s)^-1
-    return group.inverse[group.mult_gen[group.inverse[x]][s]]
+    return group.left_gen[x][s]
 
 
 def _mac(acc: dict, data: dict, factor: dict) -> dict:
@@ -150,17 +160,65 @@ def bar_involution(group: CoxeterGroup, elem: dict) -> dict:
 def _mu_terms(group: CoxeterGroup, b_w: dict, s: int) -> dict:
     """{z: mu(z, w)} over the z < w with sz < z and mu(z, w) != 0, mu(z, w)
     the coefficient of v in the T_z coordinate of b_w: for sw > w, the terms
-    of b_s b_w other than b_sw (Kazhdan-Lusztig 1979, (2.3.b))."""
-    return {
-        z: h[1] for z, h in b_w.items()
-        if 1 in h and group.length(_left_product(group, s, z)) < group.length(z)
-    }
+    of b_s b_w other than b_sw (Kazhdan-Lusztig 1979, (2.3.b)).  b_w is
+    packed as `_kl_recursion` says, and every such h_z is in v*Z[v], so
+    mu(z, w) is the balanced low digit of h_z >> _KL_BITS."""
+    lengths, left = group.lengths, group.left_gen
+    mask, half = (1 << _KL_BITS) - 1, 1 << (_KL_BITS - 1)
+    out = {}
+    for z, c in b_w.items():
+        if lengths[left[z][s]] < lengths[z]:
+            d = c >> _KL_BITS & mask
+            if d:
+                out[z] = d - (mask + 1) if d & half else d
+    return out
+
+
+def _t_plus_v(group: CoxeterGroup, b_w: dict, s: int) -> dict:
+    """(T_s + v) b_w in packed T coordinates, for sw > w, as a map that may
+    hold zeros: h_x goes to T_sx, and to T_x as v h_x when sx > x, as
+    v^-1 h_x when sx < x (T_s T_x = T_sx + (v^-1 - v) T_x, and v h_x
+    cancels the -v h_x).  Such an x is not w, so h_x is in v*Z[v] and the
+    shift down is exact."""
+    lengths, left = group.lengths, group.left_gen
+    out: dict = {}
+    for x, c in b_w.items():
+        sx = left[x][s]
+        out[sx] = out.get(sx, 0) + c
+        out[x] = out.get(x, 0) + (c >> _KL_BITS if lengths[sx] < lengths[x] else c << _KL_BITS)
+    return out
+
+
+def _unpacked(p: int, bits: int, low: int = 0) -> dict:
+    """The raw {exponent: int} Laurent polynomial packed in the int p, one
+    balanced base-2^bits digit per exponent from `low` up."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    row = {}
+    while p:
+        d = p & mask
+        if d & half:
+            d -= mask + 1
+        if d:
+            row[low] = d
+        p = (p - d) >> bits
+        low += 1
+    return row
 
 
 def _kl_recursion(group: CoxeterGroup) -> tuple:
-    """(basis, act): `kl_basis` in raw T coordinates, and act[s][w] =
-    b_s b_w in canonical coordinates as raw dicts, from one pass over w in
-    length order.
+    """(basis, act, bounds): the canonical basis packed, act[s][w] = b_s b_w
+    in canonical coordinates as raw dicts, and an l1 bound of each b_w, from
+    one pass over w in length order.
+
+    b_w is packed as {x: h_x(2^_KL_BITS)}, h_x its T_x coordinate, one
+    balanced base-2^_KL_BITS digit per exponent: every exponent is
+    non-negative, since h_x is in v*Z[v] for x != w (checked), and the
+    digits are the coefficients while each is below 2^(_KL_BITS-1) in
+    magnitude, which the bounds prove.  The sum of |coefficients| over the
+    whole of b_e is 1; T_s at most triples an l1 norm, and v b_w adds the
+    norm of b_w once more, so the candidate for b_sw from the pair (s, w)
+    has l1 norm at most 4 bounds[w] + sum |mu(z, w)| bounds[z], which must stay below
+    2^(_KL_BITS-1) before any digit of it is read (else `SizeLimitError`).
 
     For sw < w, b_s b_w = (v + v^-1) b_w, certified by `_descent_product`.
     For sw > w, b_s b_w = b_sw + sum mu(z, w) b_z over the `_mu_terms`, so
@@ -174,39 +232,52 @@ def _kl_recursion(group: CoxeterGroup) -> tuple:
             f"group of order {group.order} exceeds the bound {DEFAULT_SIZE_BOUND}"
         )
     gens = range(len(group.gen_names))
+    lengths, left = group.lengths, group.left_gen
+    limit, mask = 1 << (_KL_BITS - 1), (1 << _KL_BITS) - 1
     basis: list = [None] * group.order
-    basis[group.identity] = {group.identity: {0: 1}}
+    basis[group.identity] = {group.identity: 1}
+    bounds = [0] * group.order
+    bounds[group.identity] = 1
     act: list = [[None] * group.order for _ in gens]
     for w in group.by_length():
         b_w = basis[w]
         for s in gens:
-            sw = _left_product(group, s, w)
-            if group.length(sw) < group.length(w):
+            sw = left[w][s]
+            if lengths[sw] < lengths[w]:
                 act[s][w] = _descent_product(group, b_w, s, w)
                 continue
+            mu = _mu_terms(group, b_w, s)
+            bound = 4 * bounds[w] + sum(abs(m) * bounds[z] for z, m in mu.items())
+            if bound >= limit:
+                raise SizeLimitError(
+                    f"the l1 bound {bound} of b_{group.gen_names[s]} b_{group.name(w)} "
+                    f"is beyond the {_KL_BITS}-bit packing"
+                )
             entry = {sw: {0: 1}}
-            prod = _mac(_t_gen_left(group, {}, b_w, s), b_w, _V)  # (T_s + v) b_w
-            for z, m in _mu_terms(group, b_w, s).items():
+            prod = _t_plus_v(group, b_w, s)
+            for z, m in mu.items():
                 entry[z] = {0: m}
-                _mac(prod, basis[z], {0: -m})
-            b_sw = _trimmed(prod)
+                for x, c in basis[z].items():
+                    prod[x] = prod.get(x, 0) - m * c
+            b_sw = {x: c for x, c in prod.items() if c}
             if basis[sw] is None:
-                if b_sw.get(sw) != _ONE:
+                if b_sw.get(sw) != 1:
                     raise HeckeDataError(f"canonical basis recursion failed at {group.name(sw)}")
-                for x, row in b_sw.items():
-                    if x != sw and min(row) < 1:
+                for x, c in b_sw.items():
+                    if x != sw and c & mask:
                         raise HeckeDataError(
                             f"coefficient of T_{group.name(x)} in b_{group.name(sw)} is "
-                            f"not in v*Z[v]: {LaurentPoly(row).format('v')}"
+                            f"not in v*Z[v]: {LaurentPoly(_unpacked(c, _KL_BITS)).format('v')}"
                         )
                 basis[sw] = b_sw
+                bounds[sw] = bound
             elif b_sw != basis[sw]:
                 raise HeckeDataError(
                     f"b_{group.gen_names[s]} b_{group.name(w)} minus its mu terms "
                     f"is not b_{group.name(sw)}"
                 )
             act[s][w] = entry
-    return basis, act
+    return basis, act, bounds
 
 
 def kl_basis(group: CoxeterGroup) -> list[dict]:
@@ -214,9 +285,12 @@ def kl_basis(group: CoxeterGroup) -> list[dict]:
 
     Computed by the recursion b_sw = b_s b_w - sum mu(z, w) b_z for
     sw > w, mu read off b_w, with every generator product checked
-    (`_kl_recursion`).
+    (`_kl_recursion`), and unpacked.
     """
-    return _kl_recursion(group)[0]
+    return [
+        {x: _unpacked(c, _KL_BITS) for x, c in b_w.items()}
+        for b_w in _kl_recursion(group)[0]
+    ]
 
 
 def kl_expand(group: CoxeterGroup, element: dict, basis=None) -> dict:
@@ -254,18 +328,17 @@ def kl_product_at_one(group: CoxeterGroup, x: int, y: int, basis=None) -> dict:
 
 def _descent_product(group: CoxeterGroup, b_w: dict, s: int, w: int) -> dict:
     """b_s b_w = (v + v^-1) b_w for sw < w, certified by T_s b_w = v^-1 b_w:
-    h_x = v h_sx for every x with sx > x, h the raw T coordinates of b_w.
-    Each pair is compared once, from its shorter end x, and no shifted dict
-    is built: h_x = v h_sx when the two have as many terms and h_x has each
-    term of h_sx one degree up.  A longer x is only checked to have its
+    h_x = v h_sx for every x with sx > x, h the packed T coordinates of b_w
+    (`_kl_recursion`), so h_x == h_sx << _KL_BITS.  Each pair is compared
+    once, from its shorter end x.  A longer x is only checked to have its
     shorter partner in supp(b_w), where the pair is compared."""
+    lengths, left = group.lengths, group.left_gen
     for x, h in b_w.items():
-        sx = _left_product(group, s, x)
-        if group.length(sx) < group.length(x):
+        sx = left[x][s]
+        if lengths[sx] < lengths[x]:
             holds = sx in b_w
         else:
-            up = b_w.get(sx, {})
-            holds = len(h) == len(up) and all(h.get(e + 1) == k for e, k in up.items())
+            holds = h == b_w.get(sx, 0) << _KL_BITS
         if not holds:
             g, name = group.gen_names[s], group.name(w)
             raise HeckeDataError(f"T_{g} b_{name} is not v^-1 b_{name}, although {g} is a descent")
@@ -401,18 +474,9 @@ def _packed_at_one(packing: _Packing, names: list, entry: dict, shift: int) -> d
     out = {}
     for z, p in entry.items():
         if p < 0 or p >= limit or p & high:
-            row, e = {}, -shift
-            while p:
-                d = p & mod
-                if d >> (bits - 1):
-                    d -= mod + 1
-                if d:
-                    row[e] = d
-                p = (p - d) >> bits
-                e += 1
             raise HeckeDataError(
                 f"negative canonical structure constant at {names[z]}: "
-                f"{LaurentPoly(row).format('v')}"
+                f"{LaurentPoly(_unpacked(p, bits, -shift)).format('v')}"
             )
         out[names[z]] = p % mod
     return out

@@ -190,8 +190,17 @@ def test_graded_verify(capsys):
     code, out, _ = run(capsys, "graded-verify", "--fixture", "dualnumbers")
     assert code == 0
     assert "dual_shift_identity" in out
-    code, _, err = run(capsys, "graded-verify", "--fixture", "x3local")
-    assert code == 2
+    for name in ("x3local", "s3"):
+        code, _, err = run(capsys, "graded-verify", "--fixture", name)
+        assert code == 2
+        assert err == f"input error: <arg>:0: fixture '{name}' carries no grading\n"
+
+
+def test_graded_verify_names_an_unknown_fixture_as_verify_does(capsys):
+    for command in ("verify", "graded-verify"):
+        code, out, err = run(capsys, command, "--fixture", "nope")
+        assert (code, out) == (2, "")
+        assert err == "input error: <arg>:0: unknown fixture 'nope'\n"
 
 
 def test_json_report_roundtrip(capsys):

@@ -49,11 +49,12 @@ def test_group_axioms_on_normal_forms():
 
 
 def _orbit_reference(cartan):
-    """(words, mult_gen, inverse) of the group of a Cartan matrix, from the
-    orbit vectors alone: reflecting rho along a word gives the vector of
-    its element, the first word in ShortLex order to reach a vector is that
-    element's canonical word, x*s has the vector of x reflected by s, and
-    x^-1 the vector of x's word reversed."""
+    """(words, mult_gen, inverse, left_gen) of the group of a Cartan matrix,
+    from the orbit vectors alone: reflecting rho along a word gives the
+    vector of its element, the first word in ShortLex order to reach a
+    vector is that element's canonical word, x*s has the vector of x
+    reflected by s, x^-1 the vector of x's word reversed, and s*x the
+    vector of x's word with s put in front."""
     rank = len(cartan)
 
     def reflect(s, v):
@@ -80,16 +81,28 @@ def _orbit_reference(cartan):
         level = longer
     mult_gen = [[index[reflect(s, vector(w))] for s in range(rank)] for w in words]
     inverse = [index[vector(w[::-1])] for w in words]
-    return words, mult_gen, inverse
+    left_gen = [[index[vector((s,) + w)] for s in range(rank)] for w in words]
+    return words, mult_gen, inverse, left_gen
 
 
 @pytest.mark.parametrize("kind", ["A1", "A2", "A3", "A4", "B2"])
 def test_the_breadth_first_search_fills_the_tables_the_orbit_vectors_give(kind):
     W = coxeter_group(kind)
-    words, mult_gen, inverse = _orbit_reference(coxeter._CARTAN[kind][1])
+    words, mult_gen, inverse, left_gen = _orbit_reference(coxeter._CARTAN[kind][1])
     assert W.words == words
     assert W.mult_gen == mult_gen
     assert W.inverse == inverse
+    assert W.left_gen == left_gen
+    assert W.lengths == [len(w) for w in words]
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "A3", "A4", "B2"])
+def test_the_longest_element_is_the_last_and_the_only_one_of_its_length(kind):
+    W = coxeter_group(kind)
+    top = max(W.length(x) for x in range(W.order))
+    assert [x for x in range(W.order) if W.length(x) == top] == [W.longest()]
+    assert W.longest() == W.order - 1
+    assert W.length(W.longest()) == {"A1": 1, "A2": 3, "A3": 6, "A4": 10, "B2": 4}[kind]
 
 
 def test_length_additive_on_reduced_products():
@@ -192,6 +205,51 @@ def test_size_bound(monkeypatch):
     with pytest.raises(SizeLimitError, match="group of order 24 exceeds the bound 6"):
         kl_basis(coxeter_group("A3"))
     assert len(kl_basis(coxeter_group("A2"))) == 6
+
+
+# the largest l1 bound `_kl_recursion` tracks, per group (3, 7, 9, 13 and
+# 21 bits): a packing needs one bit more than that, for the sign
+_KL_BOUNDS = {"A1": 4, "A2": 68, "B2": 288, "A3": 4896, "A4": 1493280}
+
+
+@pytest.mark.parametrize("kind", sorted(_KL_BOUNDS))
+def test_the_tracked_bound_holds_every_coefficient_and_peaks_where_pinned(kind, monkeypatch):
+    monkeypatch.setattr(hecke, "DEFAULT_SIZE_BOUND", 120)
+    W = coxeter_group(kind)
+    basis, _, bounds = hecke._kl_recursion(W)
+    assert max(bounds) == _KL_BOUNDS[kind]
+    assert max(bounds) < 1 << (hecke._KL_BITS - 1)
+    raw = kl_basis(W)
+    for w in range(W.order):
+        assert sum(abs(c) for row in raw[w].values() for c in row.values()) <= bounds[w]
+        # the packed form is the raw one evaluated at v = 2^_KL_BITS
+        assert basis[w] == {
+            x: sum(c << hecke._KL_BITS * e for e, c in row.items()) for x, row in raw[w].items()
+        }
+
+
+def test_a_width_below_the_bound_is_refused_before_the_candidate_is_formed(monkeypatch):
+    # A3 peaks at 4896 < 2^13 in b_3 b_12132: 14 bits pack it, 13 do not,
+    # and the refused pair never reaches (T_s + v) b_w
+    W = coxeter_group("A3")
+    expected = kl_basis(W)
+    formed = []
+    original = hecke._t_plus_v
+
+    def recorded(group, b_w, s):
+        # w is the longest element of supp(b_w), so its last index
+        formed.append((group.gen_names[s], group.name(max(b_w))))
+        return original(group, b_w, s)
+
+    monkeypatch.setattr(hecke, "_t_plus_v", recorded)
+    monkeypatch.setattr(hecke, "_KL_BITS", 14)
+    assert kl_basis(W) == expected
+    assert ("3", "12132") in formed
+    monkeypatch.setattr(hecke, "_KL_BITS", 13)
+    formed.clear()
+    with pytest.raises(SizeLimitError, match="^the l1 bound 4896 of b_3 b_12132 is beyond the 13-bit packing$"):
+        hecke._kl_recursion(W)
+    assert formed and ("3", "12132") not in formed
 
 
 def test_product_at_one_a1():
@@ -499,25 +557,54 @@ def test_export_rejects_a_leading_coefficient_other_than_one(monkeypatch):
     # first by b_2 b_12, whose leading coefficient its definition checks,
     # and then by b_1 b_21, which must give the b_121 already defined
     W = coxeter_group("A2")
-    basis = kl_basis(W)
-    original = hecke._t_gen_left
+    basis = hecke._kl_recursion(W)[0]
+    original = hecke._t_plus_v
 
     def doubled_at(gen, label):
         b_w = basis[W.element_of_name(label)]
 
-        def doubled(group, acc, data, s, factor=hecke._ONE):
+        def doubled(group, data, s):
+            prod = original(group, data, s)
             if s == gen and data == b_w:
-                original(group, acc, data, s, factor)
-            return original(group, acc, data, s, factor)
+                # 2 T_s b_w + v b_w = 2 (T_s + v) b_w - v b_w
+                return {x: 2 * p - (data.get(x, 0) << hecke._KL_BITS) for x, p in prod.items()}
+            return prod
 
         return doubled
 
-    monkeypatch.setattr(hecke, "_t_gen_left", doubled_at(1, "12"))
+    monkeypatch.setattr(hecke, "_t_plus_v", doubled_at(1, "12"))
     with pytest.raises(HeckeDataError, match="canonical basis recursion failed at 121"):
         export_multisemigroup(W)
-    monkeypatch.setattr(hecke, "_t_gen_left", doubled_at(0, "21"))
+    monkeypatch.setattr(hecke, "_t_plus_v", doubled_at(0, "21"))
     with pytest.raises(HeckeDataError, match="b_1 b_21 minus its mu terms is not b_121"):
         export_multisemigroup(W)
+
+
+def test_export_rejects_a_basis_element_with_a_constant_term_below_its_top(monkeypatch):
+    # T_e planted in (T_1 + v) b_e, which defines b_1: its T_e coordinate
+    # 1 + v is not in v*Z[v], and the message decodes the packed int
+    original = hecke._t_plus_v
+
+    def planted(group, b_w, s):
+        prod = original(group, b_w, s)
+        if b_w == {group.identity: 1}:
+            prod[group.identity] += 1
+        return prod
+
+    monkeypatch.setattr(hecke, "_t_plus_v", planted)
+    with pytest.raises(HeckeDataError, match=r"^coefficient of T_e in b_1 is not in v\*Z\[v\]: 1 \+ v$"):
+        export_multisemigroup(coxeter_group("A2"))
+
+
+@pytest.mark.parametrize("row", [{1: 1}, {1: -1}, {1: 1, 2: -1}, {1: -1, 2: 1}, {2: 3}, {1: -5, 3: -7}])
+def test_mu_is_the_balanced_digit_at_v(row):
+    # a negative coefficient at v borrows from the digits above it, and a
+    # negative digit above v^1 must not change the one read
+    W = coxeter_group("A2")
+    s, w, z = 1, W.element_of_name("12"), W.element_of_name("2")
+    packed = sum(c << hecke._KL_BITS * e for e, c in row.items())
+    b_w = {w: 1, z: packed, W.identity: packed << hecke._KL_BITS}
+    assert hecke._mu_terms(W, b_w, s) == ({z: row[1]} if 1 in row else {})
 
 
 def test_export_rejects_a_negative_structure_constant(monkeypatch):
@@ -539,7 +626,8 @@ def test_export_rejects_a_negative_structure_constant(monkeypatch):
 
 
 def _planted(monkeypatch, plant):
-    """Hand the descent certificate plant(group, w, b_w) in place of b_w."""
+    """Hand the descent certificate plant(group, w, b_w) in place of b_w,
+    both packed as `hecke._kl_recursion` packs them."""
     original = hecke._descent_product
 
     def planted(group, b_w, s, w):
@@ -552,13 +640,13 @@ def test_export_rejects_a_basis_element_planted_wrong(monkeypatch):
     # b_12 with leading coefficient 2 breaks T_1 b_12 = v^-1 b_12 (1 is a
     # descent of 12), and expanding b_1 b_2 = b_12 over it leaves -1 at 12
     def lead_two(group, w, b_w):
-        return {**b_w, w: {0: 2}} if group.name(w) == "12" else b_w
+        return {**b_w, w: 2} if group.name(w) == "12" else b_w
 
     W = coxeter_group("A2")
     basis = kl_basis(W)
     two, x = W.element_of_name("2"), W.element_of_name("12")
-    basis[x] = lead_two(W, x, basis[x])
-    product = hecke._mac(hecke._t_gen_left(W, {}, basis[two], 0), basis[two], hecke._V)
+    basis[x] = {**basis[x], x: {0: 2}}
+    product = hecke._mac(hecke._t_gen_left(W, {}, basis[two], 0), basis[two], {1: 1})
     with pytest.raises(HeckeDataError, match="canonical-basis expansion left a nonzero remainder"):
         hecke.kl_expand(W, product, basis)
     _planted(monkeypatch, lead_two)
@@ -574,13 +662,13 @@ def test_a_term_at_a_longer_element_whose_partner_is_outside_the_support_is_refu
     W = coxeter_group("A2")
     basis = hecke._kl_recursion(W)[0]
     s, w, y = 0, W.element_of_name("1"), W.element_of_name("12")
-    planted = {**basis[w], y: {0: 1}}
+    planted = {**basis[w], y: 1}
     sy = hecke._left_product(W, s, y)
     assert W.length(sy) < W.length(y) and sy not in planted
     for x, h in planted.items():
         sx = hecke._left_product(W, s, x)
         if W.length(x) < W.length(sx):
-            assert h == {e + 1: k for e, k in planted[sx].items()}
+            assert h == planted[sx] << hecke._KL_BITS
     assert hecke._descent_product(W, basis[w], s, w) == {w: {1: 1, -1: 1}}
     with pytest.raises(HeckeDataError, match=r"T_1 b_1 is not v\^-1 b_1, although 1 is a descent"):
         hecke._descent_product(W, planted, s, w)
@@ -594,9 +682,7 @@ def test_export_rejects_a_basis_element_off_the_descent_rule(kind, monkeypatch):
     def shifted(group, w, b_w):
         if w != group.longest():
             return b_w
-        row = dict(b_w[group.identity])
-        row[2] = row.get(2, 0) + 1
-        return {**b_w, group.identity: row}
+        return {**b_w, group.identity: b_w[group.identity] + (1 << 2 * hecke._KL_BITS)}
 
     _planted(monkeypatch, shifted)
     W = coxeter_group(kind)
@@ -668,7 +754,7 @@ def test_export_rejects_a_recursion_product_with_a_correction_changed(
     # the changed term enters both the entry and (T_s + v) b_w minus the
     # mu terms, so the definition of b_sw or a later pair refuses it
     W = coxeter_group(kind)
-    b_w = kl_basis(W)[w]
+    b_w = hecke._kl_recursion(W)[0][w]
     original = hecke._mu_terms
 
     def mutated(group, b, gen):

@@ -48,7 +48,12 @@ KEPT = {
     "formats.ParseError.__init__": ERROR,
     "graded.UnknownShiftError.__init__": ERROR,
     "hecke._bar_t_basis": PROMOTED + " (bar invariance of b_w)",
+    "hecke._mac": PER_PAIR + " (and bar_involution)",
+    "hecke._t_gen": PER_PAIR + " (and bar_involution)",
+    "hecke._t_gen_left": PER_PAIR,
     "hecke._t_word_left": PER_PAIR,
+    "hecke._trimmed": PER_PAIR + " (and bar_involution)",
+    "hecke._unpacked": "decodes the packed canonical basis for kl_basis and error messages only",
     "laurent.LaurentPoly.__eq__": TOOL,
     "laurent.LaurentPoly.__hash__": HASH,
     "laurent.LaurentPoly.__repr__": REPR,
