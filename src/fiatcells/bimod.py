@@ -535,9 +535,13 @@ def tensor_over(M: Bimodule, N: Bimodule) -> Bimodule:
     of one or two terms, which are all of them on the projective bimodules
     of a path basis, in a weighted union-find, and eliminates only the
     longer ones, rewritten over the union-find's roots.  The classes are
-    held per row of pairs, classes[i][j], and read by list lookup.  A
-    generator's induced action column is the combination of the classes of
-    the pairs its image touches; only the generators' actions are induced.
+    held in its per-pair list and read by pair number, index[i][j].  Only
+    the generators' actions are induced.  A generator that acts diagonally
+    (an idempotent on a split basis, the unit of a local algebra) acts on
+    the free pair (i, j) by its own diagonal entry, at i on the left and at
+    j on the right, since a free pair's class is itself; any other
+    generator's induced column is the combination of the classes of the
+    pairs its image touches.
     """
     B = M.right_algebra
     if N.left_algebra is not B:
@@ -571,10 +575,11 @@ def tensor_over(M: Bimodule, N: Bimodule) -> Bimodule:
                 for j in n_in.get(b, ())
             ]
             for i in m_in.get(a, ()):
-                mg = {r: v for r, v in right_g[i].items() if m_blocks[r] == b}
+                # m.g (x) n: the rows of index its terms read
+                mg = [(index[r], v) for r, v in right_g[i].items() if m_blocks[r] == b]
                 row = index[i]
                 for j, gn in gns:
-                    rel = {index[r][j]: v for r, v in mg.items()}
+                    rel = {numbers[j]: v for numbers, v in mg}
                     for r, v in gn.items():
                         key = row[r]
                         x = rel.get(key, 0) - v
@@ -585,32 +590,42 @@ def tensor_over(M: Bimodule, N: Bimodule) -> Bimodule:
                     if rel:
                         yield rel
 
-    free, by_pair = linalg.quotient_classes(relations(), len(pairs))
-    # classes[i][j]: the class of the pair (i, j), None outside the split;
-    # by_column[j][i] likewise
-    classes = [[None if k is None else by_pair[k] for k in row] for row in index]
-    by_column = list(zip(*classes))
+    free, classes = linalg.quotient_classes(relations(), len(pairs))
     free_pairs = [pairs[k] for k in free]
 
-    def induced(gens, left_side: bool):
-        # for each free pair (i, j): the column of a generator's action it
-        # reads and the classes of the pairs (r, j), or (i, r), that reaches
-        reads = [(i, by_column[j]) if left_side else (j, classes[i]) for i, j in free_pairs]
+    def induced(gens, idempotents: int, left_side: bool):
+        # the idempotents come first among the generators, and only they are
+        # tried as diagonal
         out = []
-        for mat in gens:
+        for k, mat in enumerate(gens):
+            diag = linalg.sp_diagonal(mat) if k < idempotents else None
+            if diag is not None:
+                at = (
+                    [diag[i] for i, _ in free_pairs]
+                    if left_side
+                    else [diag[j] for _, j in free_pairs]
+                )
+                out.append(tuple([{pos: frac(x)} if x else {} for pos, x in enumerate(at)]))
+                continue
             cols = []
-            for q, reached in reads:
-                image = mat[q]
+            for i, j in free_pairs:
+                # g.(i, j) = sum of v (r, j) over column i of g's action on
+                # M; (i, j).g = sum of v (i, r) over column j of it on N
+                image = mat[i] if left_side else mat[j]
+                if not image:
+                    cols.append({})
+                    continue
+                row = None if left_side else index[i]
                 if len(image) == 1:
                     ((r, v),) = image.items()
-                    cls = reached[r]
+                    cls = classes[index[r][j] if left_side else row[r]]
                     if len(cls) == 1:
                         ((pos, x),) = cls
                         cols.append({pos: frac(v * x)})
                         continue
                 col: dict = {}
                 for r, v in image.items():
-                    for pos, x in reached[r]:
+                    for pos, x in classes[index[r][j] if left_side else row[r]]:
                         col[pos] = col.get(pos, 0) + v * x
                 cols.append({pos: frac(x) for pos, x in col.items() if x})
             out.append(tuple(cols))
@@ -623,8 +638,8 @@ def tensor_over(M: Bimodule, N: Bimodule) -> Bimodule:
         M.left_algebra,
         N.right_algebra,
         len(free),
-        induced(M.left_gens, True),
-        induced(N.right_gens, False),
+        induced(M.left_gens, len(M.left_algebra.idempotents), True),
+        induced(N.right_gens, len(N.right_algebra.idempotents), False),
         degrees=degrees,
         name=f"({M.name})(x)_{B.name}({N.name})",
         check=False,

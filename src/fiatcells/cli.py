@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cells)
 
     p = sub.add_parser("hecke-export", help="multisemigroup of a small Coxeter group")
-    p.add_argument("--type", required=True, choices=HECKE_TYPES)
+    p.add_argument("--type", required=True, type=str.upper, choices=HECKE_TYPES)
     p.set_defaults(func=cmd_hecke_export)
 
     p = sub.add_parser("rsk", help="Robinson-Schensted pair or S_n cells")

@@ -305,8 +305,24 @@ def sp_apply(cols, svec: SVec) -> SVec:
 
 
 def sp_compose(a_cols, b_cols):
-    """Matrix product a*b of column-sparse matrices."""
-    return tuple([sp_apply(a_cols, col) for col in b_cols])
+    """Matrix product a*b of column-sparse matrices, with ints where the
+    values are integral: a has one column per row of b, and column q of the
+    product is `sp_apply` of a to column q of b, a new dict in every case.
+    The two columns that are nearly all of a path basis's traffic are taken
+    inline: an empty column gives an empty one, and a column holding one
+    entry 1 at p gives a copy of column p of a."""
+    out = []
+    for col in b_cols:
+        if not col:
+            out.append({})
+            continue
+        if len(col) == 1:
+            ((p, c),) = col.items()
+            if c == 1:
+                out.append(dict(a_cols[p]))
+                continue
+        out.append(sp_apply(a_cols, col))
+    return tuple(out)
 
 
 def sp_diagonal(cols):
@@ -358,7 +374,12 @@ def sp_flatten(cols, nrows: int) -> dict:
 
 
 def sp_eq(a_cols, b_cols) -> bool:
-    return all(x == y for x, y in zip(a_cols, b_cols, strict=True))
+    """Whether two column-sparse matrices are equal, column for column,
+    compared as two tuples at once; a ValueError when their column counts
+    differ."""
+    if len(a_cols) != len(b_cols):
+        raise ValueError(f"column counts differ: {len(a_cols)} and {len(b_cols)}")
+    return tuple(a_cols) == tuple(b_cols)
 
 
 # -- solving ---------------------------------------------------------------

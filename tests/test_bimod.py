@@ -1813,6 +1813,41 @@ def test_tensor_classes_match_the_projection_through_the_relation_echelon():
     assert count > 50 and fractions
 
 
+def _with_scaled_idempotent(P, on_right: bool):
+    """An unchecked copy of P whose first idempotent acts, on the left (or
+    the right), as 1/2 + 3/2 e_1 does: by 2 on the basis vectors e_1 fixes
+    and by 1/2 on those it kills.  It is still diagonal, and it still
+    commutes with the other side's action."""
+    left, right = list(P.left_gens), list(P.right_gens)
+    gens = right if on_right else left
+    gens[0] = tuple({q: 2 if col else Fraction(1, 2)} for q, col in enumerate(gens[0]))
+    return bimod.Bimodule(
+        P.left_algebra, P.right_algebra, P.dim, left, right, name=P.name, check=False
+    )
+
+
+def _typed_actions(mats):
+    return [[sorted((r, type(x), x) for r, x in col.items()) for col in mat] for mat in mats]
+
+
+def test_a_diagonal_generator_is_read_off_its_factor_entry_for_entry():
+    P, Q, p, _ = _zigzag_blocks()
+    doubled = _rescale(P, p, 2)
+    seen = set()
+    for M, N in ((P, Q), (Q, P), (doubled, Q), (doubled, doubled)):
+        M2, N2 = _with_scaled_idempotent(M, False), _with_scaled_idempotent(N, True)
+        T = bimod.tensor_over(M2, N2)
+        dim, left, right, _ = _cokernel_over_every_pair(M2, N2)
+        t_left, t_right = acting(T), acting(T, right=True)
+        assert T.dim == dim
+        assert _typed_actions(t_left) == _typed_actions(left), (M.name, N.name)
+        assert _typed_actions(t_right) == _typed_actions(right), (M.name, N.name)
+        for gen in (T.left_gens[0], T.right_gens[0]):
+            assert linalg.sp_diagonal(gen) is not None
+            seen |= {(type(x), x) for col in gen for x in col.values()}
+    assert seen == {(int, 2), (Fraction, Fraction(1, 2))}
+
+
 # -- the intertwiner solver reads the idempotent pairs --------------------
 
 

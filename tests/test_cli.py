@@ -25,6 +25,19 @@ def test_hecke_export_roundtrip_through_cells(capsys, tmp_path):
     assert "{s, st, sts}" in out
 
 
+def test_hecke_export_takes_the_type_in_any_case(capsys):
+    code, upper, _ = run(capsys, "hecke-export", "--type", "A2")
+    assert code == 0
+    code, lower, _ = run(capsys, "hecke-export", "--type", "a2")
+    assert (code, lower) == (0, upper)
+    # the choices listed are still the four upper-case names
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hecke-export", "--type", "c2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'C2'" in err and "'A1', 'A2', 'A3', 'B2'" in err
+
+
 def test_cells_json(capsys, tmp_path):
     msg = tmp_path / "demo.msg"
     msg.write_text(fixture_text("demo.msg"))

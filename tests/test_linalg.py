@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -496,6 +497,75 @@ def test_sp_apply_returns_ints_where_integral():
     out = linalg.sp_apply(({0: Fraction(1, 3)}, {0: Fraction(2, 3), 1: Fraction(1, 2)}), {0: 1, 1: 1})
     assert out == {0: 1, 1: Fraction(1, 2)}
     assert type(out[0]) is int and type(out[1]) is Fraction
+
+
+_SCALES = st.sampled_from([-1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)])
+_VALUES = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)])
+
+
+@st.composite
+def _column(draw, nrows: int):
+    """An empty column, one unit entry, one scaled entry (int or Fraction),
+    or several entries, the values normalised as the program keeps them."""
+    kinds = ["empty", "unit", "scaled"] + (["several"] if nrows > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "empty":
+        return {}
+    if kind == "unit":
+        return {draw(st.integers(0, nrows - 1)): 1}
+    if kind == "scaled":
+        return {draw(st.integers(0, nrows - 1)): draw(_SCALES)}
+    keys = draw(st.lists(st.integers(0, nrows - 1), min_size=2, max_size=nrows, unique=True))
+    return {r: draw(_VALUES) for r in keys}
+
+
+@st.composite
+def _composable(draw):
+    """(a, b, n): a column-sparse n x m matrix a and m x k matrix b."""
+    n, m, k = (draw(st.integers(1, 5)) for _ in range(3))
+    a = tuple(draw(_column(n)) for _ in range(m))
+    b = tuple(draw(_column(m)) for _ in range(k))
+    return a, b, n
+
+
+def _dense_columns(cols, nrows):
+    return [tuple(col.get(r, 0) for r in range(nrows)) for col in cols]
+
+
+def _typed_columns(cols):
+    return [sorted((r, type(x), x) for r, x in col.items()) for col in cols]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_composable(), st.data())
+def test_sp_compose_is_sp_apply_per_column_and_the_dense_product(factors, data):
+    a, b, n = factors
+    kept = ([dict(col) for col in a], [dict(col) for col in b])
+    out = linalg.sp_compose(a, b)
+    assert type(out) is tuple
+    per_column = tuple(linalg.sp_apply(a, col) for col in b)
+    assert _typed_columns(out) == _typed_columns(per_column)
+    # the dense product, entry for entry and in type
+    rows_a = list(zip(*_dense_columns(a, n)))
+    dense = list(zip(*linalg.mat_mul(rows_a, list(zip(*_dense_columns(b, len(a)))))))
+    assert _typed_columns(out) == _typed_columns(
+        [{r: x for r, x in enumerate(col) if x} for col in dense]
+    )
+    # sp_eq agrees with column-by-column ==, on a copy and on another matrix
+    other = data.draw(_composable())[0]
+    for x, y in ((a, tuple(dict(col) for col in a)), (a, list(a)), (a, other), (out, per_column)):
+        if len(x) == len(y):
+            assert linalg.sp_eq(x, y) == all(p == q for p, q in zip(x, y))
+        else:
+            with pytest.raises(ValueError):
+                linalg.sp_eq(x, y)
+    with pytest.raises(ValueError):
+        linalg.sp_eq(a, a + ({},))
+    # every column is a fresh dict: writing to it leaves both factors as they were
+    for col in out:
+        assert all(col is not x for x in a + b)
+        col[n + 7] = 1
+    assert (list(a), list(b)) == kept
 
 
 # -- the quotient classes of a relation system ------------------------------
